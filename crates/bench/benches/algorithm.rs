@@ -117,11 +117,11 @@ fn bench_substrates(r: &Runner) {
     let s = Scheduler::new(AllocationPolicy::LowestPowerFirst);
     r.case("substrates/scheduler_power_aware_1024", || s.allocate(&cluster, 256, act, SEED));
 
-    let mut m = cluster.module(0).clone();
-    m.set_activity(act);
+    let mut one = Cluster::with_size(SystemSpec::ha8k(), 1, SEED);
+    one.set_activity(0, act);
     r.case("substrates/module_cap_resolve", || {
-        m.set_cap(vap_sim::rapl::RaplLimit::with_default_window(Watts(70.0)));
-        m.operating_point()
+        one.set_cap(0, vap_sim::rapl::RaplLimit::with_default_window(Watts(70.0)));
+        one.module(0).operating_point()
     });
 
     let xs: Vec<f64> = (0..16).map(|i| 1.2 + 0.1 * i as f64).collect();

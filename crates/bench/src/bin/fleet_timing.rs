@@ -7,9 +7,9 @@
 //! holds to measured, target-hitting values).
 //!
 //! Cases:
-//! - `construct_{10k,100k,1m}_s` — `FleetState::new` at each size.
-//! - `pvt_sweep_{10k,100k,1m}_s` — fleet-native variation sweep
-//!   (`PowerVariationTable::generate_from_fleet`).
+//! - `construct_{10k,100k,1m}_s` — `Cluster::with_size` at each size.
+//! - `pvt_sweep_{10k,100k,1m}_s` — the variation sweep
+//!   (`PowerVariationTable::generate_with_threads`).
 //! - `campaign_100k_s` — a fig7-equivalent budgeting campaign at 100k
 //!   modules: construction + PVT sweep + per-workload calibration +
 //!   α-solve and per-module allocations across the fig7 budget grid.
@@ -28,7 +28,6 @@ use vap_model::systems::SystemSpec;
 use vap_model::units::Watts;
 use vap_sched::{Event, EventQueue};
 use vap_sim::cluster::Cluster;
-use vap_sim::fleet::FleetState;
 use vap_workloads::{catalog, spec::WorkloadId};
 
 /// The fig7 budget grid: per-module cap levels in watts.
@@ -39,8 +38,8 @@ const CAP_LEVELS_W: [f64; 6] = [50.0, 65.0, 80.0, 95.0, 110.0, 115.0];
 /// paper's "one test run + PVT scaling" protocol), then solve α and
 /// materialize per-module allocations at every budget level.
 fn campaign(n: usize, seed: u64, threads: usize) -> f64 {
-    let mut fleet = FleetState::new(SystemSpec::ha8k(), n, seed);
-    let pvt = PowerVariationTable::generate_from_fleet(&mut fleet, &micro(), seed, threads);
+    let mut fleet = Cluster::with_size(SystemSpec::ha8k(), n, seed);
+    let pvt = PowerVariationTable::generate_with_threads(&mut fleet, &micro(), seed, threads);
     // The probe cluster shares the fleet's seed, so its module 0 is the
     // same silicon draw as the fleet's module 0 — the PVT entry matches.
     let mut probe = Cluster::with_size(SystemSpec::ha8k(), 8, seed);
@@ -98,15 +97,15 @@ fn main() {
 
     let mut lines: Vec<String> = Vec::new();
     for (n, tag, reps) in sizes {
-        let construct = median_s(reps, || FleetState::new(SystemSpec::ha8k(), n, seed));
+        let construct = median_s(reps, || Cluster::with_size(SystemSpec::ha8k(), n, seed));
         eprintln!("construct_{tag}: {construct:.4} s (median of {reps})");
         lines.push(format!("    \"construct_{tag}_s\": {construct:.4},"));
     }
     for (n, tag, reps) in sizes {
         let micro = micro();
-        let mut fleet = FleetState::new(SystemSpec::ha8k(), n, seed);
+        let mut fleet = Cluster::with_size(SystemSpec::ha8k(), n, seed);
         let sweep = median_s(reps, || {
-            PowerVariationTable::generate_from_fleet(&mut fleet, &micro, seed, threads)
+            PowerVariationTable::generate_with_threads(&mut fleet, &micro, seed, threads)
         });
         eprintln!("pvt_sweep_{tag}: {sweep:.4} s (median of {reps})");
         lines.push(format!("    \"pvt_sweep_{tag}_s\": {sweep:.4},"));

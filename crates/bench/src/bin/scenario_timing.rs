@@ -13,7 +13,7 @@
 //! - `gen_mixed_10k_s` — schedule generation + `(at_s, seq)` ordering
 //!   for the `mixed` composite at 10k modules.
 //! - `aging_apply_{96,10k}_events_per_s` — perturbation application
-//!   throughput against the struct-of-arrays [`FleetState`], using the
+//!   throughput against a [`Cluster`], using the
 //!   `aging` stream because its event count is exactly `6 × modules`
 //!   (a deterministic denominator) and every event exercises the
 //!   drift-skew recompute hot path.
@@ -23,7 +23,7 @@ use vap_model::systems::SystemSpec;
 use vap_report::experiments::drift_study;
 use vap_report::RunOptions;
 use vap_scenario::{Scenario, ScenarioRuntime};
-use vap_sim::fleet::FleetState;
+use vap_sim::cluster::Cluster;
 
 /// Simulated horizon every case schedules against (matches driftstudy).
 const HORIZON_S: f64 = 3600.0;
@@ -33,12 +33,12 @@ const HORIZON_S: f64 = 3600.0;
 /// `set_drift_skew` recompute path, so this is the per-event cost the
 /// daemon and driftstudy pay while a scenario is live.
 fn aging_apply_events_per_s(n: usize, seed: u64) -> (usize, f64) {
-    let mut fleet = FleetState::new(SystemSpec::ha8k(), n, seed);
+    let mut fleet = Cluster::with_size(SystemSpec::ha8k(), n, seed);
     let mut sc = ScenarioRuntime::new(Scenario::Aging, n, HORIZON_S, seed);
     let total = sc.remaining();
     assert_eq!(total, 6 * n, "aging schedules exactly 6 steps per module");
     let mut applied = 0;
-    let elapsed = median_s(1, || applied = sc.advance_fleet(HORIZON_S, &mut fleet).len());
+    let elapsed = median_s(1, || applied = sc.advance_cluster(HORIZON_S, &mut fleet).len());
     assert_eq!(applied, total, "every scheduled event must apply");
     (total, total as f64 / elapsed)
 }

@@ -2,70 +2,51 @@
 //! counting allocator sees only this binary's work, not the libtest
 //! harness bookkeeping).
 //!
-//! The fleet-scale constructors preallocate every column and per-module
-//! buffer exactly: `FleetState::new` builds flat columns from
-//! exact-size iterators, and `Cluster::with_size` samples the fleet and
-//! maps it into the module vector with the P-state table hoisted behind
-//! one shared `Arc`. A single `realloc` on these paths means a capacity
-//! hint regressed — at 1M modules that's the difference between one
-//! clean allocation per column and O(log n) copies of hundreds of
-//! megabytes.
+//! The fleet constructor preallocates every column exactly: `Cluster`
+//! builds one flat column per module field from exact-size iterators and
+//! `vec![..; n]`. A single `realloc` on this path means a capacity hint
+//! regressed — at 1M modules that's the difference between one clean
+//! allocation per column and O(log n) copies of hundreds of megabytes.
 
 use vap_bench::CountingAllocator;
 use vap_model::systems::SystemSpec;
+use vap_model::thermal::RackGradient;
 use vap_sim::cluster::Cluster;
-use vap_sim::fleet::FleetState;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 fn main() {
-    // SoA fleet at 100k modules: flat columns, zero reallocs.
+    // 100k modules at reference temperature: flat columns, zero reallocs.
     ALLOC.start();
-    let fleet = FleetState::new(SystemSpec::ha8k(), 100_000, 2015);
+    let cluster = Cluster::with_size(SystemSpec::ha8k(), 100_000, 2015);
     let counts = ALLOC.stop();
-    assert_eq!(fleet.len(), 100_000);
+    assert_eq!(cluster.len(), 100_000);
     assert_eq!(
         counts.reallocs, 0,
-        "FleetState::new(100k) reallocated {} times — a column lost its capacity hint",
+        "Cluster::with_size(100k) reallocated {} times — a column lost its capacity hint",
         counts.reallocs
     );
     assert!(counts.allocs > 0, "counting window saw no allocations at all");
     println!(
-        "alloc_regression: FleetState::new(100k): {} allocs, 0 reallocs",
+        "alloc_regression: Cluster::with_size(100k): {} allocs, 0 reallocs",
         counts.allocs
     );
 
-    // Adopting a cluster into the SoA layout is also realloc-free
-    // (every column is Vec::with_capacity(n) + exactly n pushes).
-    let small = Cluster::with_size(SystemSpec::ha8k(), 2_000, 2015);
+    // The rack-gradient path builds its thermal column through a map over
+    // the module index: still exact-size, still zero reallocs.
+    let gradient = RackGradient { cold_c: 20.0, hot_c: 40.0 };
     ALLOC.start();
-    let adopted = FleetState::from_cluster(&small);
-    let counts = ALLOC.stop();
-    assert_eq!(adopted.len(), 2_000);
-    assert_eq!(
-        counts.reallocs, 0,
-        "FleetState::from_cluster(2k) reallocated {} times",
-        counts.reallocs
-    );
-    println!(
-        "alloc_regression: FleetState::from_cluster(2k): {} allocs, 0 reallocs",
-        counts.allocs
-    );
-
-    // AoS cluster at 10k modules: one shared P-state table, exact-size
-    // module vector, zero reallocs.
-    ALLOC.start();
-    let cluster = Cluster::with_size(SystemSpec::ha8k(), 10_000, 2015);
+    let cluster = Cluster::with_thermal(SystemSpec::ha8k(), 10_000, 2015, Some(gradient));
     let counts = ALLOC.stop();
     assert_eq!(cluster.len(), 10_000);
     assert_eq!(
         counts.reallocs, 0,
-        "Cluster::with_size(10k) reallocated {} times — preallocation regressed",
+        "Cluster::with_thermal(10k, gradient) reallocated {} times",
         counts.reallocs
     );
     println!(
-        "alloc_regression: Cluster::with_size(10k): {} allocs, 0 reallocs",
+        "alloc_regression: Cluster::with_thermal(10k, gradient): {} allocs, 0 reallocs",
         counts.allocs
     );
 

@@ -8,7 +8,7 @@
 use crate::error::BudgetError;
 use crate::feasibility::Feasibility;
 use crate::pmt::PowerModelTable;
-use crate::pvt::{PowerVariationTable, PvtEngine};
+use crate::pvt::PowerVariationTable;
 use crate::schemes::{PlanRequest, PowerPlan, SchemeId};
 use crate::testrun::single_module_test_run;
 use vap_model::units::Watts;
@@ -35,21 +35,8 @@ impl Budgeter {
     /// threads. The resulting PVT — and therefore every plan — is
     /// identical at any thread count.
     pub fn install_with_threads(cluster: &mut Cluster, seed: u64, threads: usize) -> Self {
-        Self::install_with_engine(cluster, seed, threads, PvtEngine::default())
-    }
-
-    /// [`Budgeter::install_with_threads`] with an explicit sweep engine.
-    ///
-    /// Both engines produce bit-identical PVTs; `engine` only selects the
-    /// data layout the sweep runs over (see [`PvtEngine`]).
-    pub fn install_with_engine(
-        cluster: &mut Cluster,
-        seed: u64,
-        threads: usize,
-        engine: PvtEngine,
-    ) -> Self {
         let micro = catalog::get(WorkloadId::Stream);
-        let pvt = PowerVariationTable::generate_with_engine(cluster, &micro, seed, threads, engine);
+        let pvt = PowerVariationTable::generate_with_threads(cluster, &micro, seed, threads);
         Budgeter { pvt, seed }
     }
 
@@ -130,14 +117,6 @@ mod tests {
         let (c, b) = setup(12);
         assert_eq!(b.pvt().microbenchmark, "*STREAM");
         assert_eq!(b.pvt().len(), c.len());
-    }
-
-    #[test]
-    fn both_engines_install_identical_pvts() {
-        let mut c = Cluster::with_size(SystemSpec::ha8k(), 10, SEED);
-        let soa = Budgeter::install_with_engine(&mut c, SEED, 2, PvtEngine::Soa);
-        let reference = Budgeter::install_with_engine(&mut c, SEED, 2, PvtEngine::Reference);
-        assert_eq!(soa.pvt(), reference.pvt());
     }
 
     #[test]

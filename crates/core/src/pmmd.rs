@@ -84,12 +84,10 @@ pub fn run_region(
 
     // --- region exit (just before MPI_Finalize) ---
     release_plan(plan, cluster);
-    for &id in module_ids {
-        let Some(m) = cluster.get_mut(id) else {
-            continue;
-        };
-        m.set_workload_variation(None);
-        m.set_activity(PowerActivity::IDLE);
+    let n = cluster.len();
+    for &id in module_ids.iter().filter(|&&id| id < n) {
+        cluster.set_workload_variation(id, None);
+        cluster.set_activity(id, PowerActivity::IDLE);
     }
 
     RegionReport { run, module_power, total_power, energy }

@@ -11,49 +11,11 @@
 //! *once per system*, which is the paper's key scalability argument versus
 //! per-job profiling of every allocation.
 
-use crate::testrun::measure_module_snapshot;
 use vap_obs::json::{self, Fields, FromJson, ObjectWriter, ToJson, Value};
+use vap_model::power::PowerActivity;
 use vap_model::units::GigaHertz;
-use vap_sim::cluster::Cluster;
-use vap_sim::fleet::FleetState;
+use vap_sim::cluster::{Cluster, ModuleView};
 use vap_workloads::spec::WorkloadSpec;
-
-/// Which fleet layout executes the per-module PVT sweep.
-///
-/// Both engines call the same scalar measurement kernels on the same
-/// values in the same order, so they produce bit-identical tables and
-/// byte-identical observability journals — `tests/fleet_equiv.rs` holds
-/// the differential proof. The struct-of-arrays engine is the production
-/// default: it avoids cloning a `SimModule` (MSR file included) per
-/// measurement, which is what makes 10⁵–10⁶-module sweeps tractable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PvtEngine {
-    /// Flat-column sweep over [`FleetState`] (the default).
-    #[default]
-    Soa,
-    /// The original clone-per-module sweep over [`Cluster`] records, kept
-    /// as the differential-testing reference layout.
-    Reference,
-}
-
-impl PvtEngine {
-    /// Stable CLI/debug name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PvtEngine::Soa => "soa",
-            PvtEngine::Reference => "reference",
-        }
-    }
-
-    /// Parse a CLI name (`soa` / `reference`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "soa" => Some(PvtEngine::Soa),
-            "reference" => Some(PvtEngine::Reference),
-            _ => None,
-        }
-    }
-}
 
 /// Variation scales for one module: its power at each anchor divided by
 /// the fleet average at that anchor (Fig. 6's left table).
@@ -117,6 +79,14 @@ pub struct PowerVariationTable {
     entries: Vec<PvtEntry>,
 }
 
+/// One module's raw anchor powers `(cpu_max, cpu_min, dram_max,
+/// dram_min)` in watts, measured under its current workload.
+fn measure(m: ModuleView<'_>, f_max: GigaHertz, f_min: GigaHertz) -> (f64, f64, f64, f64) {
+    let (cpu_max, dram_max) = m.measure_anchors(f_max);
+    let (cpu_min, dram_min) = m.measure_anchors(f_min);
+    (cpu_max.value(), cpu_min.value(), dram_max.value(), dram_min.value())
+}
+
 impl PowerVariationTable {
     /// Generate the PVT by sweeping every module of the fleet with the
     /// given microbenchmark at `f_max` and `f_min` (the boot-time
@@ -129,38 +99,17 @@ impl PowerVariationTable {
     /// over `threads` OS threads.
     ///
     /// The paper runs the microbenchmark "simultaneously on all modules"
-    /// at install time; here each module is measured on a private snapshot
-    /// ([`measure_module_snapshot`]), so the table is bit-for-bit identical
-    /// at any thread count — `threads = 1` is the reference serial sweep.
+    /// at install time; here each module is measured through
+    /// [`ModuleView::measure_anchors`], which reads the fleet without
+    /// changing it, so the table is bit-for-bit identical at any thread
+    /// count — `threads = 1` is the serial sweep. The sweep allocates
+    /// nothing per module, which is what keeps 10⁵–10⁶-module fleets
+    /// tractable.
     pub fn generate_with_threads(
         cluster: &mut Cluster,
         micro: &WorkloadSpec,
         seed: u64,
         threads: usize,
-    ) -> Self {
-        Self::generate_with_engine(cluster, micro, seed, threads, PvtEngine::default())
-    }
-
-    /// [`PowerVariationTable::generate_with_threads`] on the reference
-    /// (clone-per-module) layout — the differential-testing baseline the
-    /// struct-of-arrays engine is checked against.
-    pub fn generate_reference_with_threads(
-        cluster: &mut Cluster,
-        micro: &WorkloadSpec,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        Self::generate_with_engine(cluster, micro, seed, threads, PvtEngine::Reference)
-    }
-
-    /// [`PowerVariationTable::generate_with_threads`] with an explicit
-    /// sweep engine (see [`PvtEngine`] for the equivalence contract).
-    pub fn generate_with_engine(
-        cluster: &mut Cluster,
-        micro: &WorkloadSpec,
-        seed: u64,
-        threads: usize,
-        engine: PvtEngine,
     ) -> Self {
         let f_max = cluster.spec().pstates.f_max();
         let f_min = cluster.spec().pstates.f_min();
@@ -170,71 +119,18 @@ impl PowerVariationTable {
         // Put the microbenchmark on the whole fleet.
         micro.apply_to(cluster, seed);
 
-        let raw: Vec<(f64, f64, f64, f64)> = match engine {
-            // Measure every module at both anchors on a private snapshot
-            // clone, so modules can be visited in any order by any thread.
-            PvtEngine::Reference => {
-                vap_exec::par_map_modules(cluster, seed, threads, |m, _module_seed| {
-                    vap_obs::incr("pvt.modules_swept");
-                    let (cpu_max, dram_max) = measure_module_snapshot(m, f_max);
-                    let (cpu_min, dram_min) = measure_module_snapshot(m, f_min);
-                    (cpu_max.value(), cpu_min.value(), dram_max.value(), dram_min.value())
-                })
-            }
-            // Same sweep over the columnar transpose: no snapshot clones,
-            // no per-module MSR files — `FleetState::measure_anchors`
-            // runs the identical meter protocol on two local counters.
-            PvtEngine::Soa => {
-                let fleet = FleetState::from_cluster(cluster);
-                vap_exec::par_map_fleet(n, seed, threads, |i, _module_seed| {
-                    vap_obs::incr("pvt.modules_swept");
-                    let (cpu_max, dram_max) = fleet.measure_anchors(i, f_max);
-                    let (cpu_min, dram_min) = fleet.measure_anchors(i, f_min);
-                    (cpu_max.value(), cpu_min.value(), dram_max.value(), dram_min.value())
-                })
-            }
-        };
-
-        // Restore the fleet to idle.
-        for m in cluster.modules_mut() {
-            m.set_workload_variation(None);
-            m.set_activity(vap_model::power::PowerActivity::IDLE);
-        }
-
-        Self::assemble(micro, f_max, f_min, raw)
-    }
-
-    /// Generate the PVT directly from a struct-of-arrays fleet — the
-    /// 10⁵–10⁶-module path, where materializing a [`Cluster`] (one
-    /// `SimModule` record per module) just to sweep it is the dominant
-    /// cost. The fleet is left idle afterwards, exactly as
-    /// [`PowerVariationTable::generate`] leaves a cluster.
-    pub fn generate_from_fleet(
-        fleet: &mut FleetState,
-        micro: &WorkloadSpec,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        let f_max = fleet.pstates().f_max();
-        let f_min = fleet.pstates().f_min();
-        let n = fleet.len();
-        assert!(n > 0, "cannot generate a PVT for an empty fleet");
-
-        micro.apply_to_fleet(fleet, seed);
-
         let raw: Vec<(f64, f64, f64, f64)> = {
-            let fleet = &*fleet;
+            let fleet = &*cluster;
             vap_exec::par_map_fleet(n, seed, threads, |i, _module_seed| {
                 vap_obs::incr("pvt.modules_swept");
-                let (cpu_max, dram_max) = fleet.measure_anchors(i, f_max);
-                let (cpu_min, dram_min) = fleet.measure_anchors(i, f_min);
-                (cpu_max.value(), cpu_min.value(), dram_max.value(), dram_min.value())
+                measure(fleet.module(i), f_max, f_min)
             })
         };
 
+        // Restore the fleet to idle.
         for i in 0..n {
-            fleet.set_workload_variation(i, None);
-            fleet.set_activity(i, vap_model::power::PowerActivity::IDLE);
+            cluster.set_workload_variation(i, None);
+            cluster.set_activity(i, PowerActivity::IDLE);
         }
 
         Self::assemble(micro, f_max, f_min, raw)
@@ -242,7 +138,7 @@ impl PowerVariationTable {
 
     /// Fold raw per-module anchor powers into variation scales (each
     /// module's power divided by the fleet average at that anchor) — the
-    /// engine-independent tail of every generation path.
+    /// shared tail of the boot-time sweep and re-calibration.
     fn assemble(
         micro: &WorkloadSpec,
         f_max: GigaHertz,
@@ -316,18 +212,12 @@ impl PowerVariationTable {
         let ids: Vec<usize> = affected.iter().copied().filter(|&i| i < cluster.len()).collect();
         micro.apply_to_modules(cluster, &ids, seed);
         for &i in &ids {
-            if let Some(m) = cluster.get(i) {
-                vap_obs::incr("pvt.modules_recalibrated");
-                let (cpu_max, dram_max) = measure_module_snapshot(m, self.f_max);
-                let (cpu_min, dram_min) = measure_module_snapshot(m, self.f_min);
-                raw[i] = (cpu_max.value(), cpu_min.value(), dram_max.value(), dram_min.value());
-            }
+            vap_obs::incr("pvt.modules_recalibrated");
+            raw[i] = measure(cluster.module(i), self.f_max, self.f_min);
         }
         for &i in &ids {
-            if let Some(m) = cluster.get_mut(i) {
-                m.set_workload_variation(None);
-                m.set_activity(vap_model::power::PowerActivity::IDLE);
-            }
+            cluster.set_workload_variation(i, None);
+            cluster.set_activity(i, PowerActivity::IDLE);
         }
         Self::assemble(micro, self.f_max, self.f_min, raw)
     }
@@ -427,7 +317,8 @@ mod tests {
     fn generation_leaves_fleet_idle() {
         let (c, _) = pvt_for(8, 7);
         for m in c.modules() {
-            assert_eq!(m.activity(), vap_model::power::PowerActivity::IDLE);
+            assert_eq!(m.activity(), PowerActivity::IDLE);
+            assert!(m.workload_variation().is_none());
             assert!(m.cap().is_none());
         }
     }
@@ -542,34 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_and_reference_engines_agree_bitwise() {
-        let stream = catalog::get(WorkloadId::Stream);
-        for seed in [1u64, 42] {
-            let mut a = Cluster::with_size(SystemSpec::ha8k(), 32, seed);
-            let soa = PowerVariationTable::generate_with_threads(&mut a, &stream, seed, 2);
-            let mut b = Cluster::with_size(SystemSpec::ha8k(), 32, seed);
-            let reference =
-                PowerVariationTable::generate_reference_with_threads(&mut b, &stream, seed, 2);
-            assert_eq!(soa, reference, "seed = {seed}");
-        }
-    }
-
-    #[test]
-    fn fleet_native_generation_matches_cluster_generation() {
-        let stream = catalog::get(WorkloadId::Stream);
-        let mut c = Cluster::with_size(SystemSpec::ha8k(), 24, 17);
-        let from_cluster = PowerVariationTable::generate(&mut c, &stream, 17);
-        let mut fleet = FleetState::new(SystemSpec::ha8k(), 24, 17);
-        let from_fleet = PowerVariationTable::generate_from_fleet(&mut fleet, &stream, 17, 1);
-        assert_eq!(from_cluster, from_fleet);
-        // both entry points leave their fleet idle
-        for i in 0..fleet.len() {
-            assert_eq!(fleet.activity(i), vap_model::power::PowerActivity::IDLE);
-            assert!(fleet.cap(i).is_none());
-        }
-    }
-
-    #[test]
     fn recalibrating_nothing_reproduces_the_table() {
         let (mut c, pvt) = pvt_for(16, 23);
         let stream = catalog::get(WorkloadId::Stream);
@@ -603,7 +466,7 @@ mod tests {
         let mean: f64 = fresh.entries().iter().map(|e| e.cpu_max).sum::<f64>() / fresh.len() as f64;
         assert!((mean - 1.0).abs() < 1e-6);
         // affected module left idle, like the boot-time sweep leaves it
-        assert_eq!(c.module(3).activity(), vap_model::power::PowerActivity::IDLE);
+        assert_eq!(c.module(3).activity(), PowerActivity::IDLE);
         assert!(c.module(3).workload_variation().is_none());
     }
 
@@ -614,15 +477,6 @@ mod tests {
         let mut bigger = Cluster::with_size(SystemSpec::ha8k(), 12, 31);
         let fresh = pvt.recalibrate_modules(&mut bigger, &stream, &[2], 31);
         assert_eq!(fresh.len(), 12, "resized fleet takes the full-sweep path");
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [PvtEngine::Soa, PvtEngine::Reference] {
-            assert_eq!(PvtEngine::parse(e.name()), Some(e));
-        }
-        assert_eq!(PvtEngine::parse("alien"), None);
-        assert_eq!(PvtEngine::default(), PvtEngine::Soa);
     }
 
     #[test]

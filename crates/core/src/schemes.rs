@@ -282,21 +282,20 @@ impl SchemeId {
 ///   remove any cap (power floats with the silicon — the documented risk
 ///   of FS).
 pub fn apply_plan(plan: &PowerPlan, cluster: &mut Cluster) {
-    for a in &plan.allocations {
-        // Plans validate their module ids at plan time; a plan applied to a
-        // *different* (smaller) fleet skips the missing modules instead of
-        // panicking.
-        let Some(m) = cluster.get_mut(a.module_id) else {
-            continue;
-        };
+    // Plans validate their module ids at plan time; a plan applied to a
+    // *different* (smaller) fleet skips the missing modules instead of
+    // panicking.
+    let n = cluster.len();
+    for a in plan.allocations.iter().filter(|a| a.module_id < n) {
+        let i = a.module_id;
         match plan.control {
             ControlKind::PowerCapping => {
-                m.set_governor(Governor::Performance);
-                m.set_cap(RaplLimit::with_default_window(a.p_cpu));
+                cluster.set_governor(i, Governor::Performance);
+                cluster.set_cap(i, RaplLimit::with_default_window(a.p_cpu));
             }
             ControlKind::FrequencySelection => {
-                m.clear_cap();
-                m.set_governor(Governor::Userspace(a.frequency));
+                cluster.clear_cap(i);
+                cluster.set_governor(i, Governor::Userspace(a.frequency));
             }
         }
     }
@@ -305,12 +304,10 @@ pub fn apply_plan(plan: &PowerPlan, cluster: &mut Cluster) {
 /// Release a plan: uncap and restore the performance governor on the
 /// plan's modules.
 pub fn release_plan(plan: &PowerPlan, cluster: &mut Cluster) {
-    for a in &plan.allocations {
-        let Some(m) = cluster.get_mut(a.module_id) else {
-            continue;
-        };
-        m.clear_cap();
-        m.set_governor(Governor::Performance);
+    let n = cluster.len();
+    for a in plan.allocations.iter().filter(|a| a.module_id < n) {
+        cluster.clear_cap(a.module_id);
+        cluster.set_governor(a.module_id, Governor::Performance);
     }
 }
 
@@ -418,7 +415,7 @@ mod tests {
 
         let pc = plan_for(SchemeId::VaPc, &mut c, &pvt, WorkloadId::Mhd, Watts(80.0)).unwrap();
         apply_plan(&pc, &mut c);
-        for (m, a) in c.modules().iter().zip(&pc.allocations) {
+        for (m, a) in c.modules().zip(&pc.allocations) {
             let cap = m.cap().expect("PC must install caps");
             assert!((cap.cap.value() - a.p_cpu.value()).abs() < 0.13); // MSR quantization
         }
@@ -447,11 +444,11 @@ mod tests {
         let plan = plan_for(SchemeId::VaPc, &mut c, &pvt, WorkloadId::Dgemm, Watts(80.0)).unwrap();
         w.apply_to(&mut c, SEED);
         apply_plan(&plan, &mut c);
-        for (m, a) in c.modules().iter().zip(&plan.allocations) {
+        for (m, a) in c.modules().zip(&plan.allocations) {
             assert!(
                 m.cpu_power() <= a.p_cpu + Watts(0.13),
                 "module {} draws {} over cap {}",
-                m.id,
+                m.id(),
                 m.cpu_power(),
                 a.p_cpu
             );

@@ -10,7 +10,6 @@ use vap_model::units::{GigaHertz, Seconds, Watts};
 use vap_sim::cluster::Cluster;
 use vap_sim::cpufreq::Governor;
 use vap_sim::measurement::RaplEnergyMeter;
-use vap_sim::module::SimModule;
 use vap_workloads::spec::WorkloadSpec;
 
 /// Power measured on one module at the two anchor frequencies.
@@ -45,41 +44,24 @@ impl TestRunResult {
 }
 
 /// Measure one module's `(cpu, dram)` average power while pinned at `f`
-/// with its current workload, via the RAPL energy counters.
-pub fn measure_module_at(cluster: &mut Cluster, module_id: usize, f: GigaHertz) -> (Watts, Watts) {
-    let m = cluster.module_mut(module_id);
-    let saved_governor = Governor::Performance;
-    m.clear_cap();
-    m.set_governor(Governor::Userspace(f));
-    let meter = RaplEnergyMeter::begin(m);
-    // 100 ms of steady execution, stepped at the RAPL reporting interval.
-    let dt = Seconds::from_millis(10.0);
-    for _ in 0..10 {
-        m.step(dt);
-    }
-    let powers = meter.end(m, Seconds(0.1));
-    m.set_governor(saved_governor);
-    powers
-}
-
-/// Measure `(cpu, dram)` average power at `f` on a *clone* of the module,
-/// leaving the module itself untouched.
+/// with its current workload, via the RAPL energy counters. The module is
+/// left uncapped on the performance governor.
 ///
-/// This is the read-only form of [`measure_module_at`] the parallel PVT
-/// sweep fans over the fleet: every measurement starts from the module's
-/// current state and advances only its private clone, so the result is
-/// independent of sweep order and thread count.
-pub fn measure_module_snapshot(module: &SimModule, f: GigaHertz) -> (Watts, Watts) {
-    let mut m = module.clone();
-    m.clear_cap();
-    m.set_governor(Governor::Userspace(f));
-    let meter = RaplEnergyMeter::begin(&m);
+/// [`vap_sim::cluster::ModuleView::measure_anchors`] is the read-only form
+/// the PVT sweep fans over the fleet: same protocol, same reading, but on
+/// local copies of the counters.
+pub fn measure_module_at(cluster: &mut Cluster, module_id: usize, f: GigaHertz) -> (Watts, Watts) {
+    cluster.clear_cap(module_id);
+    cluster.set_governor(module_id, Governor::Userspace(f));
+    let meter = RaplEnergyMeter::begin(cluster.module(module_id));
     // 100 ms of steady execution, stepped at the RAPL reporting interval.
     let dt = Seconds::from_millis(10.0);
     for _ in 0..10 {
-        m.step(dt);
+        cluster.step(module_id, dt);
     }
-    meter.end(&m, Seconds(0.1))
+    let powers = meter.end(cluster.module(module_id), Seconds(0.1));
+    cluster.set_governor(module_id, Governor::Performance);
+    powers
 }
 
 /// Run the application's single-module test: put the workload on the
@@ -98,20 +80,14 @@ pub fn single_module_test_run(
     let f_max = cluster.spec().pstates.f_max();
     let f_min = cluster.spec().pstates.f_min();
     // Install the application on the test module only.
-    {
-        let m = cluster.module_mut(module_id);
-        let wv = workload.workload_variation(&m.base_variation().clone(), seed);
-        m.set_workload_variation(Some(wv));
-        m.set_activity(workload.activity);
-    }
+    let wv = workload.workload_variation(cluster.module(module_id).base_variation(), seed);
+    cluster.set_workload_variation(module_id, Some(wv));
+    cluster.set_activity(module_id, workload.activity);
     let (cpu_max, dram_max) = measure_module_at(cluster, module_id, f_max);
     let (cpu_min, dram_min) = measure_module_at(cluster, module_id, f_min);
     // Restore the module.
-    {
-        let m = cluster.module_mut(module_id);
-        m.set_workload_variation(None);
-        m.set_activity(vap_model::power::PowerActivity::IDLE);
-    }
+    cluster.set_workload_variation(module_id, None);
+    cluster.set_activity(module_id, vap_model::power::PowerActivity::IDLE);
     TestRunResult { module_id, f_max, f_min, cpu_max, cpu_min, dram_max, dram_min }
 }
 
@@ -162,18 +138,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_measurement_agrees_and_leaves_module_untouched() {
+    fn anchor_measurement_agrees_with_the_in_place_meter_and_leaves_module_untouched() {
         let mut c = cluster();
         catalog::get(WorkloadId::Dgemm).apply_to(&mut c, 3);
         let f = c.spec().pstates.f_max();
         let energy_before = c.module(2).pkg_energy();
-        let snap = measure_module_snapshot(c.module(2), f);
+        let anchors = c.module(2).measure_anchors(f);
         // read-only: the real module's energy accounting did not advance
         assert_eq!(c.module(2).pkg_energy(), energy_before);
         // same starting state, same stepping → same reading as the
         // in-place measurement
         let in_place = measure_module_at(&mut c, 2, f);
-        assert_eq!(snap, in_place);
+        assert_eq!(anchors, in_place);
     }
 
     #[test]

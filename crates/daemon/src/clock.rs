@@ -8,6 +8,7 @@
 //! scheduling jitter — pacing changes *when* a snapshot is published,
 //! never *what* it contains.
 
+use crate::DaemonError;
 use std::time::{Duration, Instant};
 
 /// Sleeps the sensor loop so simulated time advances at `accel` virtual
@@ -26,18 +27,27 @@ impl Pacer {
 
     /// Block until wall time catches up with `sim_time_s / accel`,
     /// measured from the first call. Free-running pacers return
-    /// immediately.
-    pub fn pace(&mut self, sim_time_s: f64) {
+    /// immediately. A target too far out for a [`Duration`] (a tiny
+    /// `accel`) is an error, not a panic.
+    pub fn pace(&mut self, sim_time_s: f64) -> Result<(), DaemonError> {
         if self.accel <= 0.0 {
-            return;
+            return Ok(());
         }
         // vap:allow(determinism): wall-clock pacing side channel, feeds nothing into the sim
         let start = *self.start.get_or_insert_with(Instant::now);
-        let target = Duration::from_secs_f64((sim_time_s / self.accel).max(0.0));
+        let wall_s = (sim_time_s / self.accel).max(0.0);
+        let target = Duration::try_from_secs_f64(wall_s).map_err(|_| {
+            let accel = self.accel;
+            DaemonError::msg(format!(
+                "cannot pace {sim_time_s} simulated s at --accel {accel:?}: \
+                 {wall_s:e} wall s is out of range"
+            ))
+        })?;
         let elapsed = start.elapsed();
         if target > elapsed {
             std::thread::sleep(target - elapsed);
         }
+        Ok(())
     }
 }
 
@@ -90,7 +100,7 @@ mod tests {
         let mut pacer = Pacer::new(0.0);
         let sw = Stopwatch::start();
         for t in 0..1000 {
-            pacer.pace(f64::from(t));
+            pacer.pace(f64::from(t)).unwrap();
         }
         // 1000 virtual seconds in well under one wall second
         assert!(sw.elapsed_s() < 1.0);
@@ -102,10 +112,22 @@ mod tests {
         // should take ~50 ms of wall time.
         let mut pacer = Pacer::new(1000.0);
         let sw = Stopwatch::start();
-        pacer.pace(50.0);
+        pacer.pace(50.0).unwrap();
         let elapsed = sw.elapsed_s();
         assert!(elapsed >= 0.045, "paced too fast: {elapsed}s");
         assert!(elapsed < 5.0, "paced far too slow: {elapsed}s");
+    }
+
+    #[test]
+    fn tiny_accel_is_an_error_not_a_panic() {
+        // 1 simulated second at 1e-300 virtual s per wall s is 1e300 wall
+        // seconds: no Duration holds that
+        let mut pacer = Pacer::new(1e-300);
+        let sw = Stopwatch::start();
+        assert!(pacer.pace(0.0).is_ok(), "time zero needs no wait");
+        let err = pacer.pace(1.0).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+        assert!(sw.elapsed_s() < 1.0, "the refusal must not sleep first");
     }
 
     #[test]

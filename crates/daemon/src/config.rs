@@ -107,15 +107,15 @@ impl DaemonConfig {
                 }
                 "--accel" => {
                     cfg.accel = take("--accel")?.parse().map_err(|e| format!("--accel: {e}"))?;
-                    if cfg.accel < 0.0 {
-                        return Err("--accel must be non-negative".into());
+                    if !(cfg.accel.is_finite() && cfg.accel >= 0.0) {
+                        return Err("--accel must be a non-negative finite number".into());
                     }
                 }
                 "--duration-s" => {
                     cfg.duration_s =
                         take("--duration-s")?.parse().map_err(|e| format!("--duration-s: {e}"))?;
-                    if cfg.duration_s < 0.0 {
-                        return Err("--duration-s must be non-negative".into());
+                    if !(cfg.duration_s.is_finite() && cfg.duration_s >= 0.0) {
+                        return Err("--duration-s must be a non-negative finite number".into());
                     }
                 }
                 "--ticks" => {
@@ -197,6 +197,15 @@ mod tests {
         assert!(parse(&["--prom-port", "99999"]).is_err());
         assert!(parse(&["--accel", "-1"]).is_err());
         assert!(parse(&["--duration-s", "-0.5"]).is_err());
+        for bad in ["nan", "inf", "-inf", "infinity"] {
+            let err = parse(&["--accel", bad]).unwrap_err();
+            assert!(err.contains("--accel"), "--accel {bad}: {err}");
+            let err = parse(&["--duration-s", bad]).unwrap_err();
+            assert!(err.contains("--duration-s"), "--duration-s {bad}: {err}");
+        }
+        // tiny but finite is a valid (if impractical) pace; the pacer
+        // refuses it at run time instead of panicking
+        assert_eq!(parse(&["--accel", "1e-300"]).unwrap().accel, 1e-300);
         assert!(parse(&["--ticks"]).is_err());
         assert!(parse(&["--scenario", "meteor"]).is_err());
         assert!(parse(&["--scenario"]).is_err());

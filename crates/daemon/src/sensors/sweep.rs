@@ -101,8 +101,8 @@ impl CapSweepSensor {
                 Effect::Module(_) | Effect::Sensor(_) => {}
                 Effect::Cap => self.apply_rung(),
                 Effect::Failed(m) => {
-                    if let Some(module) = self.cluster.get_mut(m) {
-                        module.set_activity(vap_model::power::PowerActivity::IDLE);
+                    if m < self.cluster.len() {
+                        self.cluster.set_activity(m, vap_model::power::PowerActivity::IDLE);
                     }
                 }
                 Effect::Replaced(m) => {

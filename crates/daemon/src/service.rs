@@ -188,12 +188,13 @@ fn drive_sensor(
                 sim_time_s = snap.sim_time_s;
                 registry.publish(snap);
                 published += 1;
-                pacer.pace(sim_time_s);
+                pacer.pace(sim_time_s)?;
             }
             None
         }
         Mode::Sched => {
             let campaign = SchedCampaign::with_scenario(opts, cfg.scenario);
+            let mut pacing = Ok(());
             let report = campaign.run(|snap| {
                 let budget_spent = cfg.ticks > 0 && published >= cfg.ticks;
                 if stop.raised() || deadline.expired() || budget_spent {
@@ -202,9 +203,13 @@ fn drive_sensor(
                 sim_time_s = snap.sim_time_s;
                 registry.publish(snap);
                 published += 1;
-                pacer.pace(sim_time_s);
+                pacing = pacer.pace(sim_time_s);
+                if pacing.is_err() {
+                    return ControlFlow::Break(());
+                }
                 ControlFlow::Continue(())
             });
+            pacing?;
             Some(report.completed_count())
         }
     };
@@ -261,6 +266,16 @@ mod tests {
         let options = RunOptions { scale: 0.05, ..opts(16) };
         let summary = run(&options, &sched).unwrap();
         assert!(summary.published > 0, "a perturbed campaign still publishes");
+    }
+
+    #[test]
+    fn an_unpaceable_run_ends_with_an_error_not_a_hang() {
+        for mode in [Mode::Sweep, Mode::Sched] {
+            let tiny = DaemonConfig { accel: 1e-300, ..cfg(mode, 3) };
+            let options = RunOptions { scale: 0.05, ..opts(4) };
+            let err = run(&options, &tiny).unwrap_err();
+            assert!(err.to_string().contains("--accel"), "{mode:?}: {err}");
+        }
     }
 
     #[test]

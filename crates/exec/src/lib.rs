@@ -36,9 +36,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use vap_sim::cluster::Cluster;
-use vap_sim::module::SimModule;
-
 /// Number of hardware threads available, with a serial fallback when the
 /// platform cannot say.
 pub fn available_parallelism() -> usize {
@@ -163,33 +160,16 @@ where
 /// and platforms. Defined with the RNG in [`vap_model::rng`].
 pub use vap_model::rng::module_seed;
 
-/// Fan a read-only closure over a cluster's modules with per-module
+/// Fan a read-only closure over `n` module indices with per-module
 /// seeds, reducing in module-index order.
 ///
 /// This is the shape of the once-per-system PVT sweep: each module is
 /// measured independently (the paper runs them "simultaneously on all
-/// modules", §5), and the table is assembled in module order. The
-/// closure receives a `&SimModule` snapshot reference — clone it if the
-/// measurement needs to advance module state.
-pub fn par_map_modules<T, F>(cluster: &Cluster, seed: u64, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&SimModule, u64) -> T + Sync,
-{
-    par_map_kind(cluster.modules(), threads, "module", |i, m| f(m, module_seed(seed, i)))
-}
-
-/// [`par_map_modules`] for a struct-of-arrays fleet: fan a read-only
-/// closure over `n` module indices with per-module seeds, reducing in
-/// module-index order.
-///
-/// The closure receives `(module_index, module_seed)` and typically reads
-/// a captured `&FleetState` column set. The fan-out registers the same
-/// `"module"` grid of length `n` as [`par_map_modules`], so a journal
-/// recorded over the columnar path is byte-identical to one recorded over
-/// the array-of-structs path for the same sweep. The work items are
-/// zero-sized (`n` is the only input), so the fan-out itself allocates
-/// nothing per module beyond the result slots.
+/// modules", §5), and the table is assembled in module order. The closure
+/// receives `(module_index, module_seed)` and typically reads a captured
+/// `&Cluster`; the fan-out registers a `"module"` grid of length `n`. The
+/// work items are zero-sized (`n` is the only input), so the fan-out
+/// itself allocates nothing per module beyond the result slots.
 pub fn par_map_fleet<T, F>(n: usize, seed: u64, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -202,8 +182,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vap_model::power::PowerActivity;
-    use vap_model::systems::SystemSpec;
 
     #[test]
     fn par_map_preserves_item_order() {
@@ -259,43 +237,25 @@ mod tests {
     }
 
     #[test]
-    fn par_map_modules_is_thread_count_invariant() {
-        let mut cluster = Cluster::with_size(SystemSpec::ha8k(), 32, 9);
-        for m in cluster.modules_mut() {
-            m.set_activity(PowerActivity { cpu: 1.0, dram: 0.25 });
-        }
-        let measure = |m: &SimModule, seed: u64| {
-            (m.module_power().value(), seed)
-        };
-        let serial = par_map_modules(&cluster, 5, 1, measure);
-        let parallel = par_map_modules(&cluster, 5, 4, measure);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 32);
-    }
-
-    #[test]
-    fn fleet_fanout_matches_module_fanout_results_and_journal() {
-        let cluster = Cluster::with_size(SystemSpec::ha8k(), 16, 3);
-        let sweep_modules = || {
+    fn par_map_fleet_is_thread_count_invariant_and_journals_a_module_grid() {
+        let sweep = |threads: usize| {
             let session = vap_obs::Session::install();
-            let out = par_map_modules(&cluster, 7, 3, |m, seed| {
-                vap_obs::incr("test.sweep");
-                (m.id, seed)
-            });
-            (out, session.finish().journal_jsonl)
-        };
-        let sweep_fleet = || {
-            let session = vap_obs::Session::install();
-            let out = par_map_fleet(cluster.len(), 7, 3, |i, seed| {
+            let out = par_map_fleet(32, 5, threads, |i, seed| {
                 vap_obs::incr("test.sweep");
                 (i, seed)
             });
             (out, session.finish().journal_jsonl)
         };
-        let (a, ja) = sweep_modules();
-        let (b, jb) = sweep_fleet();
-        assert_eq!(a, b, "same indices, same per-module seeds");
-        assert_eq!(ja, jb, "same grid kind, length and cells — byte-identical journal");
+        let (serial, journal) = sweep(1);
+        assert_eq!(serial.len(), 32);
+        for (i, &item) in serial.iter().enumerate() {
+            assert_eq!(item, (i, module_seed(5, i)), "index order, per-module seeds");
+        }
+        for threads in [2, 4, 64] {
+            assert_eq!(sweep(threads), (serial.clone(), journal.clone()), "threads = {threads}");
+        }
+        assert!(journal.contains("\"kind\":\"module\""));
+        assert!(journal.contains("\"test.sweep\":32"));
     }
 
     #[test]

@@ -20,8 +20,7 @@ pub const CANONICAL_UNITS: [&str; 4] = ["Watts", "GigaHertz", "Seconds", "Joules
 
 /// The `vap-exec` fan-out entry points whose closures run on worker
 /// threads.
-pub const PAR_ENTRY_POINTS: [&str; 4] =
-    ["par_map", "par_grid", "par_map_modules", "par_map_fleet"];
+pub const PAR_ENTRY_POINTS: [&str; 3] = ["par_map", "par_grid", "par_map_fleet"];
 
 /// Crates that are always shared-state-scoped even without a vap-exec
 /// call site: their own threads share their module state.
@@ -66,7 +65,7 @@ pub struct SymbolIndex {
     /// `vap-*` dependency edges per crate (from each member's manifest).
     pub deps: BTreeMap<String, BTreeSet<String>>,
     /// Crates whose code can execute inside a `vap-exec` worker closure:
-    /// every crate with a non-test `par_map`/`par_grid`/`par_map_modules`
+    /// every crate with a non-test `par_map`/`par_grid`/`par_map_fleet`
     /// call site, plus that crate's transitive `vap-*` dependencies.
     pub par_crates: BTreeSet<String>,
 }

@@ -24,7 +24,7 @@
 //! | `no-println-in-lib` | `println!` / `eprintln!` / `dbg!` in library code — emit through `vap-obs` or return data |
 //! | `float-eq` | `==` / `!=` against floating-point literals outside tests |
 //! | `determinism` | `HashMap`/`HashSet` state and `thread_rng` / `SystemTime::now` / `Instant::now` wall-clock or OS entropy in `vap-sim`/`vap-mpi`/`vap-core` |
-//! | `shared-state-in-par` | mutable `static`s in crates reachable from `vap-exec` worker closures, and order-sensitive float reductions inside `par_map`/`par_grid`/`par_map_modules`/`par_map_fleet` closures |
+//! | `shared-state-in-par` | mutable `static`s in crates reachable from `vap-exec` worker closures, and order-sensitive float reductions inside `par_map`/`par_grid`/`par_map_fleet` closures |
 //!
 //! The analyzer is deliberately dependency-free: it carries its own
 //! comment/string-scrubbing lexer, token-tree parser, directory walker,

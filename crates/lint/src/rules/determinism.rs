@@ -178,9 +178,9 @@ mod tests {
 
     #[test]
     fn the_soa_fleet_module_is_in_scope() {
-        // the fleet-scale SoA columns live in vap-sim: a stray wall clock
-        // or hash-ordered column there would break the byte-identity that
-        // tests/fleet_equiv.rs proves against the reference layout
+        // the fleet's columns live in vap-sim: a stray wall clock or
+        // hash-ordered column there would break the byte-identity that
+        // tests/golden_digests.rs pins
         let f = SourceFile::from_source(
             "crates/sim/src/fleet.rs",
             "vap-sim",

@@ -2,8 +2,7 @@
 //! reductions reachable from `vap-exec` worker closures.
 //!
 //! The deterministic fan-out in `vap-exec` (`par_map`, `par_grid`,
-//! `par_map_modules`, `par_map_fleet`) guarantees bit-identical campaign
-//! replays only as
+//! `par_map_fleet`) guarantees bit-identical campaign replays only as
 //! long as worker closures are pure over their per-item inputs. Two
 //! things break that silently:
 //!
@@ -252,10 +251,10 @@ mod tests {
 
     #[test]
     fn float_sum_inside_par_map_fleet_fires() {
-        // the SoA fleet sweep fans out through par_map_fleet; a float
-        // reduction inside its closure would break the byte-identity the
-        // fleet_equiv suite proves against the reference layout
-        let src = "pub fn sweep(fleet: &mut FleetState) {\n    vap_exec::par_map_fleet(fleet, 8, |i, m| {\n        m.samples.iter().sum::<f64>()\n    });\n}\n";
+        // the PVT sweep fans out through par_map_fleet; a float reduction
+        // inside its closure would break the byte-identity the golden
+        // digests pin
+        let src = "pub fn sweep(fleet: &mut Cluster) {\n    vap_exec::par_map_fleet(fleet, 8, |i, m| {\n        m.samples.iter().sum::<f64>()\n    });\n}\n";
         let hits = findings_with_deps("crates/sim/src/fleet.rs", "vap-sim", src, &[], &[]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("sum"));

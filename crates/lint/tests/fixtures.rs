@@ -144,8 +144,8 @@ fn index_round_trips_real_workspace_signatures() {
     assert_eq!(sat[0].sig.ret.as_deref(), Some("Alpha"));
     assert!(sat[0].sig.is_pub && !sat[0].sig.has_self);
 
-    // a 4-ary free fn with a Result return: vap_sim::dynamics::enforce
-    let enf = index.candidates("enforce", false, 4);
+    // a 5-ary free fn with a Result return: vap_sim::dynamics::enforce
+    let enf = index.candidates("enforce", false, 5);
     assert!(
         enf.iter().any(|c| c.crate_name == "vap-sim"
             && c.path == "crates/sim/src/dynamics.rs"

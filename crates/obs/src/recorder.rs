@@ -75,7 +75,7 @@ pub fn ledger_enabled() -> bool {
     LEDGER.load(Ordering::Relaxed) != 0
 }
 
-/// One grid registered by a `par_map`/`par_grid`/`par_map_modules` call.
+/// One grid registered by a `par_map`/`par_grid`/`par_map_fleet` call.
 #[derive(Debug, Clone)]
 pub(crate) struct GridRecord {
     /// Item kind: `"item"`, `"cell"` or `"module"`.

@@ -41,8 +41,8 @@ pub fn fleet_average_models(
     let mut cpu = [0.0f64; 2];
     let mut dram = [0.0f64; 2];
     for m in cluster.modules() {
-        let wv = workload.workload_variation(&m.base_variation().clone(), seed);
-        let t = m.thermal().factor();
+        let wv = workload.workload_variation(m.base_variation(), seed);
+        let t = m.thermal_factor();
         cpu[0] += m.power_model().cpu.power(f_max, workload.activity.cpu, &wv, t).value() / n;
         cpu[1] += m.power_model().cpu.power(f_min, workload.activity.cpu, &wv, t).value() / n;
         dram[0] += m.power_model().dram.power(f_max, workload.activity.dram, &wv).value() / n;

@@ -171,9 +171,9 @@ fn run_cell(
                 Effect::Cap => need_replan = true,
                 Effect::Failed(m) => {
                     active.retain(|&x| x != m);
-                    if let Some(module) = cluster.get_mut(m) {
-                        module.clear_cap();
-                        module.set_activity(vap_model::power::PowerActivity::IDLE);
+                    if m < cluster.len() {
+                        cluster.clear_cap(m);
+                        cluster.set_activity(m, vap_model::power::PowerActivity::IDLE);
                     }
                     need_replan = true;
                 }

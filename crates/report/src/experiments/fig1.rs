@@ -13,9 +13,8 @@ use crate::options::RunOptions;
 use crate::render::{f, Table};
 use vap_model::systems::{SystemId, SystemSpec};
 use vap_model::units::Seconds;
-use vap_sim::cluster::Cluster;
+use vap_sim::cluster::{Cluster, ModuleView};
 use vap_sim::measurement::{board_power, PowerDomain, PowerSensor};
-use vap_sim::module::SimModule;
 use vap_stats::variation::{increase_percent_vs_min, slowdown_percent_vs_best};
 use vap_workloads::catalog;
 use vap_workloads::spec::WorkloadId;
@@ -92,21 +91,21 @@ fn run_system(id: SystemId, opts: &RunOptions) -> SystemSeries {
 
     // Per measured unit: (execution time, measured CPU power).
     let mut units: Vec<(f64, f64)> = Vec::with_capacity(n_modules / group);
-    for chunk in cluster.modules().chunks(group) {
+    let modules: Vec<ModuleView<'_>> = cluster.modules().collect();
+    for chunk in modules.chunks(group) {
         // EP execution time per socket; a board's reported time is its
         // slowest card (EP runs per card; the board completes when all do)
         let time = chunk
             .iter()
-            .map(|m| single_socket_ep_time(m, &boundedness, &ep, opts.scale).value())
+            .map(|&m| single_socket_ep_time(m, &boundedness, &ep, opts.scale).value())
             .fold(0.0f64, f64::max);
         let power = if group == 1 {
-            sensor.sample_averaged(&chunk[0], PowerDomain::Cpu, 32).value()
+            sensor.sample_averaged(chunk[0], PowerDomain::Cpu, 32).value()
         } else {
-            let refs: Vec<&SimModule> = chunk.iter().collect();
             // EMON instantaneous board sample, averaged over a few reads
             let mut acc = 0.0;
             for _ in 0..8 {
-                acc += board_power(&refs, &mut sensor, PowerDomain::Cpu).value();
+                acc += board_power(chunk, &mut sensor, PowerDomain::Cpu).value();
             }
             acc / 8.0
         };
@@ -129,7 +128,7 @@ fn run_system(id: SystemId, opts: &RunOptions) -> SystemSeries {
 }
 
 fn single_socket_ep_time(
-    module: &SimModule,
+    module: ModuleView<'_>,
     boundedness: &vap_model::boundedness::Boundedness,
     ep: &vap_workloads::spec::WorkloadSpec,
     scale: f64,

@@ -176,9 +176,9 @@ fn run_workload(cluster: &mut Cluster, spec: &WorkloadSpec, opts: &RunOptions) -
 
     // restore
     cluster.uncap_all();
-    for m in cluster.modules_mut() {
-        m.set_workload_variation(None);
-        m.set_activity(vap_model::power::PowerActivity::IDLE);
+    for i in 0..cluster.len() {
+        cluster.set_workload_variation(i, None);
+        cluster.set_activity(i, vap_model::power::PowerActivity::IDLE);
     }
 
     Fig2Workload { workload: spec.id, cpu_w, dram_w, module_w, scenarios }

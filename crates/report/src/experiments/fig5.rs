@@ -120,9 +120,9 @@ pub fn run(opts: &RunOptions) -> Result<Fig5Result, FitError> {
             dram_w: dram,
         });
     }
-    for m in cluster.modules_mut() {
-        m.set_workload_variation(None);
-        m.set_activity(vap_model::power::PowerActivity::IDLE);
+    for i in 0..cluster.len() {
+        cluster.set_workload_variation(i, None);
+        cluster.set_activity(i, vap_model::power::PowerActivity::IDLE);
     }
     Ok(Fig5Result { workloads, modules: n })
 }

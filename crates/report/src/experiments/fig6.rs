@@ -52,13 +52,7 @@ pub fn run(opts: &RunOptions) -> Fig6Result {
     let mut cluster = common::ha8k(n, opts.seed);
     let ids = all_ids(&cluster);
     let stream = catalog::get(WorkloadId::Stream);
-    let pvt = PowerVariationTable::generate_with_engine(
-        &mut cluster,
-        &stream,
-        opts.seed,
-        threads,
-        opts.pvt_engine,
-    );
+    let pvt = PowerVariationTable::generate_with_threads(&mut cluster, &stream, opts.seed, threads);
     let cluster = cluster; // pristine post-PVT template, cloned per row
 
     let rows = vap_exec::par_grid(&WorkloadId::EVALUATED, threads, |&w| {

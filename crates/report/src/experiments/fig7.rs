@@ -135,7 +135,7 @@ pub fn run(opts: &RunOptions) -> Fig7Result {
     let mut cluster = common::ha8k(n, opts.seed);
     let budgeter = {
         let _install = vap_obs::span("fig7.install");
-        Budgeter::install_with_engine(&mut cluster, opts.seed, threads, opts.pvt_engine)
+        Budgeter::install_with_threads(&mut cluster, opts.seed, threads)
     };
     let cluster = cluster; // pristine post-PVT template, cloned per cell
     let ids = all_ids(&cluster);

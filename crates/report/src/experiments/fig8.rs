@@ -125,7 +125,7 @@ pub fn run(opts: &RunOptions) -> Fig8Result {
 
     // Panel (i): full fleet, *DGEMM and MHD.
     let mut cluster = common::ha8k(n, opts.seed);
-    let budgeter = Budgeter::install_with_engine(&mut cluster, opts.seed, threads, opts.pvt_engine);
+    let budgeter = Budgeter::install_with_threads(&mut cluster, opts.seed, threads);
     let cluster = cluster; // pristine post-PVT template, cloned per panel
     let ids = all_ids(&cluster);
     let panel_workloads = [WorkloadId::Dgemm, WorkloadId::Mhd];
@@ -136,8 +136,7 @@ pub fn run(opts: &RunOptions) -> Fig8Result {
     // Panel (ii): MHD on 64 modules.
     let n64 = opts.modules.map(|m| m.min(64)).unwrap_or(64);
     let mut small = common::ha8k(n64, opts.seed ^ 0x64);
-    let budgeter64 =
-        Budgeter::install_with_engine(&mut small, opts.seed ^ 0x64, threads, opts.pvt_engine);
+    let budgeter64 = Budgeter::install_with_threads(&mut small, opts.seed ^ 0x64, threads);
     let ids64 = all_ids(&small);
     let mhd = catalog::get(WorkloadId::Mhd);
     // same load jitter and per-iteration noise as the Fig. 3 study this

@@ -67,7 +67,7 @@ pub fn run(opts: &RunOptions) -> MultijobResult {
     let threads = opts.threads();
     let tenants = vec![WorkloadId::Dgemm, WorkloadId::Mhd, WorkloadId::Stream];
     let mut cluster = common::ha8k(n, opts.seed);
-    let budgeter = Budgeter::install_with_engine(&mut cluster, opts.seed, threads, opts.pvt_engine);
+    let budgeter = Budgeter::install_with_threads(&mut cluster, opts.seed, threads);
     let comm = CommParams::infiniband_fdr();
 
     // Build the jobs: calibrated PMT per tenant over its third.

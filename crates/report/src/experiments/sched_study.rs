@@ -95,7 +95,7 @@ pub fn run(opts: &RunOptions) -> SchedStudyResult {
     let n = opts.modules_or(384);
     let threads = opts.threads();
     let mut cluster = common::ha8k(n, opts.seed);
-    let budgeter = Budgeter::install_with_engine(&mut cluster, opts.seed, threads, opts.pvt_engine);
+    let budgeter = Budgeter::install_with_threads(&mut cluster, opts.seed, threads);
     let cluster = cluster; // pristine post-PVT template, cloned per cell
 
     let jobs = 36;

@@ -39,7 +39,7 @@ pub fn run(opts: &RunOptions) -> Table4Result {
     let n = opts.modules_or(1920);
     let threads = opts.threads();
     let mut cluster = common::ha8k(n, opts.seed);
-    let budgeter = Budgeter::install_with_engine(&mut cluster, opts.seed, threads, opts.pvt_engine);
+    let budgeter = Budgeter::install_with_threads(&mut cluster, opts.seed, threads);
     let cluster = cluster; // pristine template, cloned per row
     let ids = all_ids(&cluster);
 

@@ -1,7 +1,5 @@
 //! Shared command-line options for the experiment binaries.
 
-use vap_core::pvt::PvtEngine;
-
 /// Options every experiment binary understands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOptions {
@@ -32,10 +30,6 @@ pub struct RunOptions {
     /// without the flag the ledger closures never run (zero allocation,
     /// one relaxed atomic load per tick site).
     pub ledger: bool,
-    /// PVT sweep engine (`--pvt-engine soa|reference`). Both produce
-    /// bit-identical tables; `reference` keeps the original per-module
-    /// clone path around as the differential baseline.
-    pub pvt_engine: PvtEngine,
 }
 
 impl Default for RunOptions {
@@ -49,7 +43,6 @@ impl Default for RunOptions {
             trace_out: None,
             metrics: false,
             ledger: false,
-            pvt_engine: PvtEngine::default(),
         }
     }
 }
@@ -82,16 +75,20 @@ impl RunOptions {
             };
             match flag.as_str() {
                 "--modules" => {
-                    opts.modules =
-                        Some(take("--modules")?.parse().map_err(|e| format!("--modules: {e}"))?);
+                    let n: usize =
+                        take("--modules")?.parse().map_err(|e| format!("--modules: {e}"))?;
+                    if n == 0 {
+                        return Err("--modules must be at least 1".into());
+                    }
+                    opts.modules = Some(n);
                 }
                 "--seed" => {
                     opts.seed = take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
                 }
                 "--scale" => {
                     opts.scale = take("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
-                    if opts.scale <= 0.0 {
-                        return Err("--scale must be positive".into());
+                    if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                        return Err("--scale must be a positive finite number".into());
                     }
                 }
                 "--csv" => {
@@ -114,15 +111,10 @@ impl RunOptions {
                 "--ledger" => {
                     opts.ledger = true;
                 }
-                "--pvt-engine" => {
-                    let v = take("--pvt-engine")?;
-                    opts.pvt_engine = PvtEngine::parse(&v)
-                        .ok_or_else(|| format!("--pvt-engine: unknown engine {v} (soa|reference)"))?;
-                }
                 "--help" | "-h" => {
                     return Err(
                         "usage: [--modules N] [--seed S] [--scale X] [--csv DIR] [--threads N] \
-                         [--trace-out DIR] [--metrics] [--ledger] [--pvt-engine soa|reference]"
+                         [--trace-out DIR] [--metrics] [--ledger]"
                             .into(),
                     );
                 }
@@ -209,15 +201,16 @@ mod tests {
     }
 
     #[test]
-    fn pvt_engine_flag_parses() {
-        assert_eq!(parse(&[]).unwrap().pvt_engine, PvtEngine::Soa);
-        assert_eq!(parse(&["--pvt-engine", "soa"]).unwrap().pvt_engine, PvtEngine::Soa);
-        assert_eq!(
-            parse(&["--pvt-engine", "reference"]).unwrap().pvt_engine,
-            PvtEngine::Reference
-        );
-        assert!(parse(&["--pvt-engine", "banana"]).is_err());
-        assert!(parse(&["--pvt-engine"]).is_err());
+    fn degenerate_sizes_are_refused() {
+        // an empty fleet has nothing to sweep or rank
+        assert_eq!(parse(&["--modules", "0"]).unwrap_err(), "--modules must be at least 1");
+        assert_eq!(parse(&["--modules", "1"]).unwrap().modules, Some(1));
+        // the workload duration multiplier must be a usable length of time
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "-0.5", "0", "-0"] {
+            let err = parse(&["--scale", bad]).unwrap_err();
+            assert!(err.contains("--scale"), "--scale {bad}: {err}");
+        }
+        assert_eq!(parse(&["--scale", "1e-3"]).unwrap().scale, 1e-3);
     }
 
     #[test]

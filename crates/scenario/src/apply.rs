@@ -4,14 +4,11 @@
 //! state it implies: per-module aging and entropy skews (composed into
 //! one [`DriftSkew`] pushed into the simulator), the sensor-fault plane
 //! (which corrupts *readings*, never the physics), the global cap-shock
-//! scale, and the failed set. The same runtime drives both fleet
-//! layouts — [`Cluster`] and [`FleetState`] — through the shared
-//! `skewed()` kernel, so a scenario replay is bit-identical across
-//! layouts and thread counts.
+//! scale, and the failed set. Every stream is seeded, so a scenario
+//! replay is bit-identical across thread counts.
 
 use vap_model::variability::DriftSkew;
 use vap_sim::cluster::Cluster;
-use vap_sim::fleet::FleetState;
 
 use vap_model::rng::{SplitMix64, MIX_GAMMA};
 use crate::stream::{FaultKind, PerturbationKind, Scenario, ScenarioEvent};
@@ -286,46 +283,12 @@ impl ScenarioRuntime {
         effect
     }
 
-    /// Apply one event to a [`FleetState`] — bit-identical to the
-    /// [`Cluster`] path (both go through the same `skewed()` kernel).
-    pub fn apply_to_fleet(&mut self, ev: &ScenarioEvent, fleet: &mut FleetState) -> Effect {
-        let effect = self.note(ev);
-        vap_obs::incr("scenario.events_applied");
-        self.emit(ev);
-        match ev.kind {
-            PerturbationKind::Drift { module, .. }
-            | PerturbationKind::EntropyShift { module, .. }
-                if module < fleet.len() =>
-            {
-                fleet.set_drift_skew(module, self.combined_skew(module));
-            }
-            PerturbationKind::Replace { module, seed } if module < fleet.len() => {
-                let v = {
-                    let spec = fleet.spec();
-                    spec.variability.sample_replacement(module, spec.cores_per_proc, seed)
-                };
-                fleet.replace_silicon(module, v);
-            }
-            _ => {}
-        }
-        effect
-    }
-
     /// Apply every event due at or before `t` to a [`Cluster`],
     /// returning the effects in schedule order.
     pub fn advance_cluster(&mut self, t: f64, cluster: &mut Cluster) -> Vec<Effect> {
         let mut effects = Vec::new();
         while let Some(ev) = self.pop_due(t) {
             effects.push(self.apply_to_cluster(&ev, cluster));
-        }
-        effects
-    }
-
-    /// Apply every event due at or before `t` to a [`FleetState`].
-    pub fn advance_fleet(&mut self, t: f64, fleet: &mut FleetState) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        while let Some(ev) = self.pop_due(t) {
-            effects.push(self.apply_to_fleet(&ev, fleet));
         }
         effects
     }
@@ -343,39 +306,13 @@ mod tests {
     const BUSY: vap_model::power::PowerActivity =
         vap_model::power::PowerActivity { cpu: 1.0, dram: 0.25 };
 
-    fn fleet_pair(n: usize) -> (Cluster, FleetState) {
-        let cluster = Cluster::with_size(SystemSpec::ha8k(), n, SEED);
-        let fleet = FleetState::from_cluster(&cluster);
-        (cluster, fleet)
-    }
-
-    #[test]
-    fn cluster_and_fleet_replay_bitwise_identically() {
-        let (mut cluster, mut fleet) = fleet_pair(16);
-        cluster.set_activity_all(BUSY);
-        fleet.set_activity_all(BUSY);
-        let mut a = ScenarioRuntime::new(Scenario::Mixed, 16, 3600.0, SEED);
-        let mut b = a.clone();
-        a.advance_cluster(3600.0, &mut cluster);
-        b.advance_fleet(3600.0, &mut fleet);
-        assert_eq!(a.remaining(), 0);
-        assert_eq!(b.remaining(), 0);
-        assert_eq!(a.shock_scale().to_bits(), b.shock_scale().to_bits());
-        for i in 0..16 {
-            let c = cluster.module(i);
-            assert_eq!(
-                c.module_power().value().to_bits(),
-                fleet.module_power(i).value().to_bits(),
-                "module {i}: layouts diverged"
-            );
-            assert_eq!(c.drift_skew(), fleet.drift_skew(i), "module {i}: skews diverged");
-            assert_eq!(a.is_failed(i), b.is_failed(i), "module {i}: failed sets diverged");
-        }
+    fn fleet(n: usize) -> Cluster {
+        Cluster::with_size(SystemSpec::ha8k(), n, SEED)
     }
 
     #[test]
     fn drift_events_open_a_pvt_residual() {
-        let (mut cluster, _) = fleet_pair(8);
+        let mut cluster = fleet(8);
         cluster.set_activity_all(BUSY);
         let before: Vec<f64> =
             (0..8).map(|i| cluster.module(i).module_power().value()).collect();
@@ -404,7 +341,7 @@ mod tests {
 
     #[test]
     fn cap_shocks_track_scale_and_release() {
-        let (mut cluster, _) = fleet_pair(4);
+        let mut cluster = fleet(4);
         let mut rt = ScenarioRuntime::new(Scenario::Shocks, 4, 1000.0, SEED);
         assert_eq!(rt.shock_scale(), 1.0);
         // the first dip lands in [300, 320) s and releases in [450, 470) s
@@ -417,7 +354,7 @@ mod tests {
 
     #[test]
     fn fail_then_replace_cycles_the_pool_and_resets_drift() {
-        let (mut cluster, _) = fleet_pair(8);
+        let mut cluster = fleet(8);
         let events = vec![
             ScenarioEvent {
                 at_s: 10.0,
@@ -455,7 +392,7 @@ mod tests {
                 kind: PerturbationKind::SensorFault { module: 1, fault },
             }];
             let mut rt = ScenarioRuntime::from_events(events, 4, SEED);
-            let (mut cluster, _) = fleet_pair(4);
+            let mut cluster = fleet(4);
             rt.advance_cluster(0.0, &mut cluster);
             rt
         };
@@ -481,7 +418,7 @@ mod tests {
         }
 
         let mut cleared = mk(FaultKind::Stuck);
-        let (mut cluster, _) = fleet_pair(4);
+        let mut cluster = fleet(4);
         assert_eq!(cleared.read_power(1, 70.0), 70.0);
         let repair = ScenarioEvent {
             at_s: 1.0,

@@ -15,11 +15,9 @@
 //!   [`ScenarioEvent`] schedules (drift, entropy shifts, sensor faults,
 //!   cap shocks, failure/replacement churn) as a pure function of
 //!   `(scenario, fleet size, horizon, seed)`.
-//! * [`apply`] — [`ScenarioRuntime`] replays a schedule against either
-//!   fleet layout ([`vap_sim::cluster::Cluster`] or
-//!   [`vap_sim::fleet::FleetState`]) bit-identically, tracks the
-//!   sensor-fault plane and the cap-shock scale, and records which
-//!   modules need re-measurement.
+//! * [`apply`] — [`ScenarioRuntime`] replays a schedule against a
+//!   [`vap_sim::cluster::Cluster`], tracks the sensor-fault plane and the
+//!   cap-shock scale, and records which modules need re-measurement.
 //! * [`recal`] — [`RecalPolicy`] (`Never` / `Periodic` / `OnResidual`)
 //!   decides when to re-run the PVT sweep over the dirty modules via
 //!   [`vap_core::pvt::PowerVariationTable::recalibrate_modules`].

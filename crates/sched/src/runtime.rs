@@ -178,11 +178,11 @@ impl SchedRuntime {
     pub fn new(mut cluster: Cluster, pvt: PowerVariationTable, seed: u64, config: SchedConfig) -> Self {
         // The whole fleet starts idle, uncapped, on the performance
         // governor — whatever the PVT sweep left behind.
-        for m in cluster.modules_mut() {
-            m.clear_cap();
-            m.set_governor(Governor::Performance);
-            m.set_workload_variation(None);
-            m.set_activity(PowerActivity::IDLE);
+        for i in 0..cluster.len() {
+            cluster.clear_cap(i);
+            cluster.set_governor(i, Governor::Performance);
+            cluster.set_workload_variation(i, None);
+            cluster.set_activity(i, PowerActivity::IDLE);
         }
         let free: Vec<usize> = (0..cluster.len()).collect();
         let cap = config.cap;
@@ -428,13 +428,12 @@ impl SchedRuntime {
     /// activity. Modules currently failed out by the scenario are idled
     /// but *not* re-listed — they rejoin on replacement.
     fn release_modules(&mut self, ids: &[usize]) {
-        for &m in ids {
-            if let Some(module) = self.cluster.get_mut(m) {
-                module.clear_cap();
-                module.set_governor(Governor::Performance);
-                module.set_workload_variation(None);
-                module.set_activity(PowerActivity::IDLE);
-            }
+        let n = self.cluster.len();
+        for &m in ids.iter().filter(|&&m| m < n) {
+            self.cluster.clear_cap(m);
+            self.cluster.set_governor(m, Governor::Performance);
+            self.cluster.set_workload_variation(m, None);
+            self.cluster.set_activity(m, PowerActivity::IDLE);
         }
         self.free.extend_from_slice(ids);
         if let Some(sc) = self.scenario.as_ref() {
@@ -775,7 +774,7 @@ impl SchedRuntime {
                             f_max,
                             spec.activity,
                             module.variation(),
-                            module.thermal().factor(),
+                            module.thermal_factor(),
                         );
                         (m, p.value())
                     })

@@ -12,7 +12,8 @@
 //! It also powers the `rapl_dynamics` example and the window-length
 //! ablation bench.
 
-use crate::module::SimModule;
+use crate::cluster::Cluster;
+use crate::cpufreq::Governor;
 use crate::rapl::{self, RaplController, RaplDecision, RaplLimit, MIN_DUTY};
 use crate::trace::{PowerTrace, TraceError};
 use vap_model::units::{GigaHertz, Seconds, Watts};
@@ -79,14 +80,19 @@ impl DynamicsResult {
     }
 }
 
-/// Step `module` under `limit` for `steps` control intervals of `dt`,
-/// running the real feedback loop instead of the analytic solve.
+/// Step module `i` of `cluster` under `limit` for `steps` control
+/// intervals of `dt`, running the real feedback loop instead of the
+/// analytic solve.
 ///
-/// The module's cap is *not* installed through [`SimModule::set_cap`]
+/// The module's cap is *not* installed through [`Cluster::set_cap`]
 /// (which would jump straight to the steady state); instead the governor
 /// is driven interval by interval the way RAPL firmware drives P-states.
+///
+/// # Panics
+/// Panics if `i` is out of range.
 pub fn enforce(
-    module: &mut SimModule,
+    cluster: &mut Cluster,
+    i: usize,
     limit: RaplLimit,
     dt: Seconds,
     steps: usize,
@@ -94,7 +100,7 @@ pub fn enforce(
     if steps == 0 {
         return Err(DynamicsError::NoSteps);
     }
-    let pstates = module.pstates().clone();
+    let pstates = cluster.spec().pstates.clone();
     let mut controller = RaplController::new(limit);
     let mut clock = pstates.uncapped();
     let mut duty = 1.0f64;
@@ -106,18 +112,16 @@ pub fn enforce(
 
     for step in 0..steps {
         // pin the trial operating point through the governor
-        module.set_governor(crate::cpufreq::Governor::Userspace(clock));
-        let p_run = module.cpu_power();
-        let p_gated = module
-            .power_model()
-            .cpu
-            .gated_power(module.variation(), module.thermal().factor());
+        cluster.set_governor(i, Governor::Userspace(clock));
+        let m = cluster.module(i);
+        let p_run = m.cpu_power();
+        let p_gated = m.power_model().cpu.gated_power(m.variation(), m.thermal_factor());
         let p_avg = p_run * duty + p_gated * (1.0 - duty);
 
         power.record(p_avg);
         freq.push(GigaHertz(clock.value() * duty));
         duties.push(duty);
-        module.step(dt);
+        cluster.step(i, dt);
 
         controller.observe(p_avg, dt);
         let before = (clock, duty);
@@ -137,11 +141,11 @@ pub fn enforce(
                 } else if let Some(f) = pstates.step_up(clock) {
                     // only step up if the new point would still respect
                     // the cap (mirrors hardware's guard band)
-                    module.set_governor(crate::cpufreq::Governor::Userspace(f));
-                    if module.cpu_power() <= limit.cap {
+                    cluster.set_governor(i, Governor::Userspace(f));
+                    if cluster.module(i).cpu_power() <= limit.cap {
                         clock = f;
                     }
-                    module.set_governor(crate::cpufreq::Governor::Userspace(clock));
+                    cluster.set_governor(i, Governor::Userspace(clock));
                 }
             }
             RaplDecision::Hold => {}
@@ -150,7 +154,7 @@ pub fn enforce(
             last_change = step + 1;
         }
     }
-    module.set_governor(crate::cpufreq::Governor::Performance);
+    cluster.set_governor(i, Governor::Performance);
 
     let settled_at = if last_change < steps { Some(last_change) } else { None };
     Ok(DynamicsResult { power, freq, duty: duties, settled_at })
@@ -160,21 +164,23 @@ pub fn enforce(
 /// analytic steady state; returns `(analytic_freq, dynamic_freq)`
 /// (effective, duty-weighted).
 pub fn validate_against_steady_state(
-    module: &mut SimModule,
+    cluster: &mut Cluster,
+    i: usize,
     limit: RaplLimit,
     dt: Seconds,
     steps: usize,
 ) -> Result<(GigaHertz, GigaHertz), DynamicsError> {
+    let m = cluster.module(i);
     let analytic = rapl::steady_state(
         limit.cap,
-        &module.power_model().cpu,
-        module.activity().cpu,
-        &module.variation().clone(),
-        module.thermal().factor(),
-        module.pstates(),
+        &m.power_model().cpu,
+        m.activity().cpu,
+        m.variation(),
+        m.thermal_factor(),
+        m.pstates(),
     )
-    .effective_frequency(module.pstates());
-    let dynamic = enforce(module, limit, dt, steps)?.converged_frequency();
+    .effective_frequency(m.pstates());
+    let dynamic = enforce(cluster, i, limit, dt, steps)?.converged_frequency();
     Ok((analytic, dynamic))
 }
 
@@ -183,27 +189,21 @@ mod tests {
     use super::*;
     use vap_model::power::PowerActivity;
     use vap_model::systems::SystemSpec;
-    use vap_model::thermal::ThermalEnv;
     use vap_model::variability::ModuleVariation;
 
-    fn busy_module() -> SimModule {
-        let spec = SystemSpec::ha8k();
-        let mut m = SimModule::new(
-            0,
-            ModuleVariation::nominal(0, 12),
-            spec.power_model,
-            spec.pstates,
-            ThermalEnv::reference(),
-        );
-        m.set_activity(PowerActivity { cpu: 1.0, dram: 0.28 });
-        m
+    /// A one-module fleet on the nominal fingerprint, running busy.
+    fn busy_module() -> Cluster {
+        let mut c = Cluster::with_size(SystemSpec::ha8k(), 1, 0);
+        c.replace_silicon(0, ModuleVariation::nominal(0, 12));
+        c.set_activity(0, PowerActivity { cpu: 1.0, dram: 0.28 });
+        c
     }
 
     #[test]
     fn loop_converges_fast_and_respects_the_cap() {
-        let mut m = busy_module();
+        let mut c = busy_module();
         let limit = RaplLimit::with_default_window(Watts(70.0));
-        let r = enforce(&mut m, limit, Seconds::from_millis(1.0), 500).unwrap();
+        let r = enforce(&mut c, 0, limit, Seconds::from_millis(1.0), 500).unwrap();
         // settles within tens of control intervals (tens of ms)
         let settle = r.settling_time().expect("loop should settle");
         assert!(settle.millis() < 100.0, "settled after {settle:?}");
@@ -215,11 +215,11 @@ mod tests {
 
     #[test]
     fn dynamic_matches_analytic_steady_state_within_one_pstate() {
-        let mut m = busy_module();
+        let mut c = busy_module();
         for cap_w in [95.0, 80.0, 65.0, 55.0] {
             let limit = RaplLimit::with_default_window(Watts(cap_w));
             let (analytic, dynamic) =
-                validate_against_steady_state(&mut m, limit, Seconds::from_millis(1.0), 400)
+                validate_against_steady_state(&mut c, 0, limit, Seconds::from_millis(1.0), 400)
                     .unwrap();
             assert!(
                 (analytic.value() - dynamic.value()).abs() <= 0.11,
@@ -230,9 +230,9 @@ mod tests {
 
     #[test]
     fn sub_fmin_cap_drives_duty_modulation_dynamically() {
-        let mut m = busy_module();
+        let mut c = busy_module();
         let limit = RaplLimit::with_default_window(Watts(40.0));
-        let r = enforce(&mut m, limit, Seconds::from_millis(1.0), 600).unwrap();
+        let r = enforce(&mut c, 0, limit, Seconds::from_millis(1.0), 600).unwrap();
         let final_duty = *r.duty.last().unwrap();
         assert!(final_duty < 1.0, "expected modulation, duty = {final_duty}");
         assert!(r.converged_power() <= Watts(41.0));
@@ -242,17 +242,17 @@ mod tests {
 
     #[test]
     fn generous_cap_never_throttles() {
-        let mut m = busy_module();
+        let mut c = busy_module();
         let limit = RaplLimit::with_default_window(Watts(150.0));
-        let r = enforce(&mut m, limit, Seconds::from_millis(1.0), 100).unwrap();
+        let r = enforce(&mut c, 0, limit, Seconds::from_millis(1.0), 100).unwrap();
         assert!(r.freq.iter().all(|f| (f.value() - 2.7).abs() < 1e-9));
         assert_eq!(r.settled_at, Some(0));
     }
 
     #[test]
     fn trace_is_fully_recorded() {
-        let mut m = busy_module();
-        let r = enforce(&mut m, RaplLimit::with_default_window(Watts(70.0)),
+        let mut c = busy_module();
+        let r = enforce(&mut c, 0, RaplLimit::with_default_window(Watts(70.0)),
                         Seconds::from_millis(1.0), 123).unwrap();
         assert_eq!(r.power.len(), 123);
         assert_eq!(r.freq.len(), 123);
@@ -262,27 +262,27 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_errors_not_panics() {
-        let mut m = busy_module();
+        let mut c = busy_module();
         let limit = RaplLimit::with_default_window(Watts(70.0));
         assert_eq!(
-            enforce(&mut m, limit, Seconds::from_millis(1.0), 0),
+            enforce(&mut c, 0, limit, Seconds::from_millis(1.0), 0),
             Err(DynamicsError::NoSteps)
         );
-        let err = enforce(&mut m, limit, Seconds(0.0), 10).unwrap_err();
+        let err = enforce(&mut c, 0, limit, Seconds(0.0), 10).unwrap_err();
         assert!(matches!(err, DynamicsError::InvalidInterval(_)));
         // the error chain names the offending interval
         let source = std::error::Error::source(&err).expect("chained cause");
         assert!(source.to_string().contains("sampling interval"));
         assert!(
-            validate_against_steady_state(&mut m, limit, Seconds(-1.0), 10).is_err()
+            validate_against_steady_state(&mut c, 0, limit, Seconds(-1.0), 10).is_err()
         );
     }
 
     #[test]
     fn module_is_restored_after_enforcement() {
-        let mut m = busy_module();
-        let _ = enforce(&mut m, RaplLimit::with_default_window(Watts(60.0)),
+        let mut c = busy_module();
+        let _ = enforce(&mut c, 0, RaplLimit::with_default_window(Watts(60.0)),
                         Seconds::from_millis(1.0), 50).unwrap();
-        assert_eq!(m.operating_point().clock, GigaHertz(2.7));
+        assert_eq!(c.module(0).operating_point().clock, GigaHertz(2.7));
     }
 }

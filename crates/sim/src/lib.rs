@@ -3,9 +3,9 @@
 //! A simulated, power-managed HPC fleet: the hardware substrate the paper's
 //! measurements and mechanisms ran on, rebuilt in software.
 //!
-//! * [`msr`] — Intel-style model-specific registers for the RAPL interface
-//!   (power-limit encoding, wrapping energy counters), the layer `libMSR`
-//!   talks to on real hardware.
+//! * [`msr`] — Intel-style model-specific register layouts for the RAPL
+//!   interface (power-limit encoding, wrapping energy counters), the layer
+//!   `libMSR` talks to on real hardware.
 //! * [`rapl`] — the Running Average Power Limit mechanism: windowed
 //!   average-power enforcement through an internal DVFS feedback loop, with
 //!   duty-cycle clock modulation when even the lowest P-state exceeds the
@@ -14,16 +14,12 @@
 //!   paper's Frequency Selection (FS) implementation.
 //! * [`dynamics`] — time-stepped RAPL co-simulation validating the
 //!   steady-state solve the campaign experiments rely on.
-//! * [`module`] — one module (CPU socket + DRAM) with its manufacturing
-//!   fingerprint, operating point resolution and energy accounting.
 //! * [`measurement`] — the three sensing technologies of Table 1 (RAPL,
 //!   PowerInsight, BG/Q EMON) with their granularities and noise.
-//! * [`cluster`] — a fleet of modules built from a
-//!   [`vap_model::SystemSpec`], plus fleet-wide power operations.
-//! * [`fleet`] — the same fleet in struct-of-arrays layout
-//!   ([`fleet::FleetState`]): flat per-field columns and shared model
-//!   tables for 10⁴–10⁶-module campaigns, bit-identical to [`cluster`]
-//!   by construction (both call the same scalar kernels).
+//! * [`cluster`] — the fleet built from a [`vap_model::SystemSpec`]: one
+//!   column per module field (fingerprint, governor, cap, operating point,
+//!   energy counters), read through the borrowed [`ModuleView`] row view
+//!   and written through index methods, for fleets of one module to 10⁶.
 //! * [`scheduler`] — job-scheduler module-allocation policies (the paper
 //!   notes performance "will depend significantly on the physical
 //!   processors allocated").
@@ -35,19 +31,15 @@
 pub mod cluster;
 pub mod cpufreq;
 pub mod dynamics;
-pub mod fleet;
 pub mod measurement;
-pub mod module;
 pub mod msr;
 pub mod rapl;
 pub mod scheduler;
 pub mod trace;
 
-pub use cluster::Cluster;
+pub use cluster::{Cluster, ModuleView, OperatingPoint};
 pub use cpufreq::Governor;
-pub use fleet::FleetState;
 pub use measurement::PowerSensor;
-pub use module::{OperatingPoint, SimModule};
 pub use rapl::{RaplLimit, RaplSteadyState};
 pub use scheduler::{AllocationPolicy, Scheduler};
 pub use trace::PowerTrace;

@@ -12,8 +12,8 @@
 //! board* — 32 compute cards at once — which is why Vulcan's observed
 //! variation is an average over 32 chips ([`board_power`]).
 
-use crate::module::SimModule;
-use crate::msr::{EnergyCounter, MSR_DRAM_ENERGY_STATUS, MSR_PKG_ENERGY_STATUS};
+use crate::cluster::ModuleView;
+use crate::msr::EnergyCounter;
 use vap_model::rng::SplitMix64;
 use vap_model::systems::MeasurementTech;
 use vap_model::units::{Seconds, Watts};
@@ -27,6 +27,17 @@ pub enum PowerDomain {
     Dram,
     /// CPU + DRAM (the paper's "module power").
     Module,
+}
+
+impl PowerDomain {
+    /// The module's ground-truth power in this domain.
+    fn power(self, module: ModuleView<'_>) -> Watts {
+        match self {
+            PowerDomain::Cpu => module.cpu_power(),
+            PowerDomain::Dram => module.dram_power(),
+            PowerDomain::Module => module.module_power(),
+        }
+    }
 }
 
 /// A sensor-style sampler with technology-appropriate noise.
@@ -62,18 +73,18 @@ impl PowerSensor {
     }
 
     /// Sample one domain of one module (instantaneous, with sensor noise).
-    pub fn sample(&mut self, module: &SimModule, domain: PowerDomain) -> Watts {
-        let truth = match domain {
-            PowerDomain::Cpu => module.cpu_power(),
-            PowerDomain::Dram => module.dram_power(),
-            PowerDomain::Module => module.module_power(),
-        };
-        self.add_noise(truth)
+    pub fn sample(&mut self, module: ModuleView<'_>, domain: PowerDomain) -> Watts {
+        self.add_noise(domain.power(module))
     }
 
     /// Average several samples over a measurement period — the standard
     /// procedure for characterizing steady workloads.
-    pub fn sample_averaged(&mut self, module: &SimModule, domain: PowerDomain, n: usize) -> Watts {
+    pub fn sample_averaged(
+        &mut self,
+        module: ModuleView<'_>,
+        domain: PowerDomain,
+        n: usize,
+    ) -> Watts {
         assert!(n > 0);
         let mut acc = Watts::ZERO;
         for _ in 0..n {
@@ -97,8 +108,9 @@ impl PowerSensor {
     }
 }
 
-/// A RAPL-style average-power meter: reads the wrapping MSR energy counter
-/// before and after an interval and divides by elapsed time.
+/// A RAPL-style average-power meter: reads the wrapping energy counters
+/// ([`EnergyCounter::raw`], the `MSR_*_ENERGY_STATUS` values) before and
+/// after an interval and divides by elapsed time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RaplEnergyMeter {
     pkg_before: u32,
@@ -107,21 +119,19 @@ pub struct RaplEnergyMeter {
 
 impl RaplEnergyMeter {
     /// Latch the current counters (the "before" reading).
-    pub fn begin(module: &SimModule) -> Self {
+    pub fn begin(module: ModuleView<'_>) -> Self {
         RaplEnergyMeter {
-            pkg_before: module.msrs().read(MSR_PKG_ENERGY_STATUS) as u32,
-            dram_before: module.msrs().read(MSR_DRAM_ENERGY_STATUS) as u32,
+            pkg_before: module.pkg_counter().raw(),
+            dram_before: module.dram_counter().raw(),
         }
     }
 
     /// Read the counters again and return `(pkg, dram)` average power over
     /// the elapsed interval.
-    pub fn end(&self, module: &SimModule, elapsed: Seconds) -> (Watts, Watts) {
+    pub fn end(&self, module: ModuleView<'_>, elapsed: Seconds) -> (Watts, Watts) {
         assert!(elapsed.value() > 0.0, "measurement interval must be positive");
-        let pkg_after = module.msrs().read(MSR_PKG_ENERGY_STATUS) as u32;
-        let dram_after = module.msrs().read(MSR_DRAM_ENERGY_STATUS) as u32;
-        let pkg = EnergyCounter::delta(self.pkg_before, pkg_after) / elapsed;
-        let dram = EnergyCounter::delta(self.dram_before, dram_after) / elapsed;
+        let pkg = EnergyCounter::delta(self.pkg_before, module.pkg_counter().raw()) / elapsed;
+        let dram = EnergyCounter::delta(self.dram_before, module.dram_counter().raw()) / elapsed;
         (pkg, dram)
     }
 }
@@ -129,14 +139,14 @@ impl RaplEnergyMeter {
 /// EMON-style node-board measurement: the sum of a group of modules'
 /// power, sampled with one sensor reading. On Vulcan each board aggregates
 /// 32 compute cards.
-pub fn board_power(modules: &[&SimModule], sensor: &mut PowerSensor, domain: PowerDomain) -> Watts {
+pub fn board_power(
+    modules: &[ModuleView<'_>],
+    sensor: &mut PowerSensor,
+    domain: PowerDomain,
+) -> Watts {
     let mut total = Watts::ZERO;
-    for m in modules {
-        total += match domain {
-            PowerDomain::Cpu => m.cpu_power(),
-            PowerDomain::Dram => m.dram_power(),
-            PowerDomain::Module => m.module_power(),
-        };
+    for &m in modules {
+        total += domain.power(m);
     }
     sensor.add_noise(total)
 }
@@ -144,90 +154,75 @@ pub fn board_power(modules: &[&SimModule], sensor: &mut PowerSensor, domain: Pow
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
     use vap_model::power::PowerActivity;
     use vap_model::systems::SystemSpec;
-    use vap_model::thermal::ThermalEnv;
     use vap_model::variability::ModuleVariation;
 
-    fn busy_module() -> SimModule {
-        let spec = SystemSpec::ha8k();
-        let mut m = SimModule::new(
-            0,
-            ModuleVariation::nominal(0, 12),
-            spec.power_model,
-            spec.pstates,
-            ThermalEnv::reference(),
-        );
-        m.set_activity(PowerActivity { cpu: 1.0, dram: 0.25 });
-        m
+    /// A one-module fleet on the nominal fingerprint, running busy.
+    fn busy_module() -> Cluster {
+        let mut c = Cluster::with_size(SystemSpec::ha8k(), 1, 0);
+        c.replace_silicon(0, ModuleVariation::nominal(0, 12));
+        c.set_activity(0, PowerActivity { cpu: 1.0, dram: 0.25 });
+        c
     }
 
     #[test]
     fn sensor_noise_is_small_and_unbiased() {
-        let m = busy_module();
+        let c = busy_module();
+        let m = c.module(0);
         let truth = m.cpu_power();
         let mut s = PowerSensor::new(MeasurementTech::PowerInsight, 1);
-        let avg = s.sample_averaged(&m, PowerDomain::Cpu, 2000);
+        let avg = s.sample_averaged(m, PowerDomain::Cpu, 2000);
         assert!((avg.value() - truth.value()).abs() / truth.value() < 0.002);
         // individual samples do vary
-        let a = s.sample(&m, PowerDomain::Cpu);
-        let b = s.sample(&m, PowerDomain::Cpu);
+        let a = s.sample(m, PowerDomain::Cpu);
+        let b = s.sample(m, PowerDomain::Cpu);
         assert_ne!(a, b);
     }
 
     #[test]
     fn sensor_is_deterministic_in_seed() {
-        let m = busy_module();
+        let c = busy_module();
         let mut s1 = PowerSensor::new(MeasurementTech::Rapl, 42);
         let mut s2 = PowerSensor::new(MeasurementTech::Rapl, 42);
-        assert_eq!(s1.sample(&m, PowerDomain::Module), s2.sample(&m, PowerDomain::Module));
+        let m = c.module(0);
+        assert_eq!(s1.sample(m, PowerDomain::Module), s2.sample(m, PowerDomain::Module));
     }
 
     #[test]
     fn domains_decompose() {
-        let m = busy_module();
+        let c = busy_module();
+        let m = c.module(0);
         let mut s = PowerSensor::new(MeasurementTech::Rapl, 7);
-        let cpu = s.sample_averaged(&m, PowerDomain::Cpu, 500);
-        let dram = s.sample_averaged(&m, PowerDomain::Dram, 500);
-        let module = s.sample_averaged(&m, PowerDomain::Module, 500);
+        let cpu = s.sample_averaged(m, PowerDomain::Cpu, 500);
+        let dram = s.sample_averaged(m, PowerDomain::Dram, 500);
+        let module = s.sample_averaged(m, PowerDomain::Module, 500);
         assert!((module.value() - (cpu + dram).value()).abs() / module.value() < 0.01);
     }
 
     #[test]
     fn rapl_meter_recovers_average_power() {
-        let mut m = busy_module();
-        let meter = RaplEnergyMeter::begin(&m);
+        let mut c = busy_module();
+        let meter = RaplEnergyMeter::begin(c.module(0));
         for _ in 0..500 {
-            m.step(Seconds::from_millis(1.0));
+            c.step(0, Seconds::from_millis(1.0));
         }
-        let (pkg, dram) = meter.end(&m, Seconds(0.5));
+        let m = c.module(0);
+        let (pkg, dram) = meter.end(m, Seconds(0.5));
         assert!((pkg.value() - m.cpu_power().value()).abs() < 0.01, "pkg = {pkg}");
         assert!((dram.value() - m.dram_power().value()).abs() < 0.01, "dram = {dram}");
     }
 
     #[test]
     fn emon_board_aggregates_members() {
-        let spec = SystemSpec::vulcan();
-        let fleet = spec.variability.sample_fleet(32, spec.cores_per_proc, 5);
-        let mut modules: Vec<SimModule> = fleet
-            .into_iter()
-            .map(|v| {
-                let mut m = SimModule::new(
-                    v.module_id,
-                    v,
-                    spec.power_model,
-                    spec.pstates.clone(),
-                    ThermalEnv::reference(),
-                );
-                m.set_activity(PowerActivity { cpu: 0.9, dram: 0.2 });
-                m
-            })
-            .collect();
-        modules.iter_mut().for_each(|m| m.step(Seconds(0.3)));
-        let truth: Watts = modules.iter().map(|m| m.cpu_power()).sum();
+        let mut c = Cluster::with_size(SystemSpec::vulcan(), 32, 5);
+        c.set_activity_all(PowerActivity { cpu: 0.9, dram: 0.2 });
+        c.step_all(Seconds(0.3));
+        let truth: Watts = c.cpu_powers().into_iter().sum();
         let mut s = PowerSensor::new(MeasurementTech::BgqEmon, 9);
-        let refs: Vec<&SimModule> = modules.iter().collect();
-        let measured = board_power(&refs, &mut s, PowerDomain::Cpu);
+        let board: Vec<ModuleView<'_>> = c.modules().collect();
+        let measured = board_power(&board, &mut s, PowerDomain::Cpu);
         assert!((measured.value() - truth.value()).abs() / truth.value() < 0.05);
     }
 

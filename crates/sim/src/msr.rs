@@ -1,34 +1,22 @@
-//! Model-specific register (MSR) emulation for the RAPL interface.
+//! Model-specific register (MSR) encodings for the RAPL interface.
 //!
 //! On real Intel hardware the paper programs RAPL "with the help of
 //! programmable Machine Specific Registers (MSRs) ... by using the libMSR
-//! library". This module reproduces the registers that matter and their bit
-//! layouts, so the capping path in this simulator goes through the same
-//! encode → register → decode steps (including quantization!) that a real
-//! deployment does:
+//! library". This module reproduces the bit layouts that matter, so the
+//! capping path in this simulator goes through the same encode → decode
+//! steps (including quantization!) that a real deployment does:
 //!
 //! * `MSR_RAPL_POWER_UNIT` (0x606) — global units: power in `1/2^PU` W,
 //!   energy in `1/2^EU` J, time in `1/2^TU` s. We use the common Sandy
 //!   Bridge values `PU=3` (1/8 W), `EU=16` (~15.3 µJ), `TU=10` (~0.98 ms).
 //! * `MSR_PKG_POWER_LIMIT` (0x610) — power limit #1: 15-bit power in power
-//!   units, enable + clamp bits, 7-bit floating-point time window.
-//! * `MSR_PKG_ENERGY_STATUS` (0x611) — free-running 32-bit energy counter
-//!   in energy units; wraps (on real parts in about an hour at TDP).
-//! * `MSR_DRAM_ENERGY_STATUS` (0x619) — same, DRAM domain.
+//!   units, enable + clamp bits, 7-bit floating-point time window
+//!   ([`PowerLimitRegister`]).
+//! * `MSR_PKG_ENERGY_STATUS` (0x611) and `MSR_DRAM_ENERGY_STATUS` (0x619)
+//!   — free-running 32-bit energy counters in energy units that wrap (on
+//!   real parts in about an hour at TDP) ([`EnergyCounter`]).
 
-use std::collections::BTreeMap;
 use vap_model::units::{Joules, Seconds, Watts};
-
-/// Address of `MSR_RAPL_POWER_UNIT`.
-pub const MSR_RAPL_POWER_UNIT: u32 = 0x606;
-/// Address of `MSR_PKG_POWER_LIMIT`.
-pub const MSR_PKG_POWER_LIMIT: u32 = 0x610;
-/// Address of `MSR_PKG_ENERGY_STATUS`.
-pub const MSR_PKG_ENERGY_STATUS: u32 = 0x611;
-/// Address of `MSR_PKG_POWER_INFO` (TDP and min/max power hints).
-pub const MSR_PKG_POWER_INFO: u32 = 0x614;
-/// Address of `MSR_DRAM_ENERGY_STATUS`.
-pub const MSR_DRAM_ENERGY_STATUS: u32 = 0x619;
 
 /// Power-unit exponent: power quantum is `1/2^3 = 0.125 W`.
 pub const POWER_UNIT_EXP: u32 = 3;
@@ -145,43 +133,6 @@ impl EnergyCounter {
     }
 }
 
-/// A per-module register file: the surface `libMSR`-style tooling programs.
-#[derive(Debug, Clone, Default)]
-pub struct MsrFile {
-    regs: BTreeMap<u32, u64>,
-}
-
-impl MsrFile {
-    /// A fresh register file with the unit register initialized.
-    pub fn new() -> Self {
-        let mut f = MsrFile::default();
-        let units =
-            (POWER_UNIT_EXP as u64) | ((ENERGY_UNIT_EXP as u64) << 8) | ((TIME_UNIT_EXP as u64) << 16);
-        f.write(MSR_RAPL_POWER_UNIT, units);
-        f
-    }
-
-    /// Write a register (like `wrmsr`).
-    pub fn write(&mut self, addr: u32, value: u64) {
-        self.regs.insert(addr, value);
-    }
-
-    /// Read a register (like `rdmsr`); unwritten registers read as zero.
-    pub fn read(&self, addr: u32) -> u64 {
-        self.regs.get(&addr).copied().unwrap_or(0)
-    }
-
-    /// Program a package power limit.
-    pub fn set_pkg_power_limit(&mut self, reg: PowerLimitRegister) {
-        self.write(MSR_PKG_POWER_LIMIT, reg.encode());
-    }
-
-    /// Read back the decoded package power limit.
-    pub fn pkg_power_limit(&self) -> PowerLimitRegister {
-        PowerLimitRegister::decode(self.read(MSR_PKG_POWER_LIMIT))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,36 +200,6 @@ mod tests {
         }
         let d = EnergyCounter::delta(0, c.raw());
         assert!((d.value() - 1e-3).abs() < 2e-5);
-    }
-
-    #[test]
-    fn msr_file_default_units() {
-        let f = MsrFile::new();
-        let units = f.read(MSR_RAPL_POWER_UNIT);
-        assert_eq!(units & 0xF, POWER_UNIT_EXP as u64);
-        assert_eq!((units >> 8) & 0x1F, ENERGY_UNIT_EXP as u64);
-        assert_eq!((units >> 16) & 0xF, TIME_UNIT_EXP as u64);
-    }
-
-    #[test]
-    fn msr_file_limit_round_trip() {
-        let mut f = MsrFile::new();
-        f.set_pkg_power_limit(PowerLimitRegister {
-            limit: Watts(50.25),
-            enabled: true,
-            clamp: false,
-            window: Seconds::from_millis(2.0),
-        });
-        let back = f.pkg_power_limit();
-        assert!((back.limit.value() - 50.25).abs() < 1e-9); // exactly representable
-        assert!(back.enabled);
-        assert!(!back.clamp);
-    }
-
-    #[test]
-    fn unwritten_registers_read_zero() {
-        let f = MsrFile::new();
-        assert_eq!(f.read(MSR_PKG_POWER_INFO), 0);
     }
 
     #[test]

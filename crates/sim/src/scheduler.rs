@@ -93,15 +93,14 @@ impl Scheduler {
                 let f_max = cluster.spec().pstates.f_max();
                 let mut ranked: Vec<(usize, f64)> = cluster
                     .modules()
-                    .iter()
                     .map(|m| {
                         let p = m.power_model().module_power(
                             f_max,
                             activity,
                             m.variation(),
-                            m.thermal().factor(),
+                            m.thermal_factor(),
                         );
-                        (m.id, p.value())
+                        (m.id(), p.value())
                     })
                     .collect();
                 ranked.sort_by(|a, b| a.1.total_cmp(&b.1));

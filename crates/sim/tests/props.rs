@@ -4,24 +4,24 @@
 use vap_model::power::PowerActivity;
 use vap_model::rng::{check, SplitMix64};
 use vap_model::systems::SystemSpec;
-use vap_model::thermal::ThermalEnv;
 use vap_model::units::{GigaHertz, Watts};
 use vap_model::variability::ModuleVariation;
+use vap_sim::cluster::Cluster;
 use vap_sim::cpufreq::Governor;
-use vap_sim::module::SimModule;
 use vap_sim::msr::{EnergyCounter, PowerLimitRegister};
 use vap_sim::rapl::RaplLimit;
 
 const CASES: usize = 256;
 
-fn module_with(dynamic: f64, leakage: f64) -> SimModule {
-    let spec = SystemSpec::ha8k();
+/// A one-module fleet with the given silicon, running busy.
+fn module_with(dynamic: f64, leakage: f64) -> Cluster {
     let mut v = ModuleVariation::nominal(0, 12);
     v.dynamic = dynamic;
     v.leakage = leakage;
-    let mut m = SimModule::new(0, v, spec.power_model, spec.pstates, ThermalEnv::reference());
-    m.set_activity(PowerActivity { cpu: 1.0, dram: 0.28 });
-    m
+    let mut c = Cluster::with_size(SystemSpec::ha8k(), 1, 0);
+    c.replace_silicon(0, v);
+    c.set_activity(0, PowerActivity { cpu: 1.0, dram: 0.28 });
+    c
 }
 
 /// `len` in `[lo, hi)` values drawn uniformly from `[min, max)`.
@@ -39,8 +39,9 @@ fn caps_are_enforced_or_floored() {
         let cap_w = rng.next_range(15.0, 140.0);
         let dynamic = rng.next_range(0.9, 1.1);
         let leakage = rng.next_range(0.6, 1.5);
-        let mut m = module_with(dynamic, leakage);
-        m.set_cap(RaplLimit::with_default_window(Watts(cap_w)));
+        let mut c = module_with(dynamic, leakage);
+        c.set_cap(0, RaplLimit::with_default_window(Watts(cap_w)));
+        let m = c.module(0);
         let effective_cap = m.cap().unwrap().cap;
         let op = m.operating_point();
         let at_floor = op.duty <= 1.0 / 16.0 + 1e-12;
@@ -66,15 +67,17 @@ fn throttling_is_monotone() {
         let cap_w = rng.next_range(30.0, 120.0);
         let delta = rng.next_range(1.0, 40.0);
         let leakage = rng.next_range(0.6, 1.5);
-        let mut m = module_with(1.0, leakage);
+        let mut c = module_with(1.0, leakage);
         let b = vap_model::boundedness::Boundedness::new(0.8, GigaHertz(2.7));
 
-        m.set_cap(RaplLimit::with_default_window(Watts(cap_w + delta)));
+        c.set_cap(0, RaplLimit::with_default_window(Watts(cap_w + delta)));
+        let m = c.module(0);
         let f_loose = m.operating_point().effective_frequency();
         let p_loose = m.cpu_power();
         let r_loose = m.effective_rate(&b);
 
-        m.set_cap(RaplLimit::with_default_window(Watts(cap_w)));
+        c.set_cap(0, RaplLimit::with_default_window(Watts(cap_w)));
+        let m = c.module(0);
         let f_tight = m.operating_point().effective_frequency();
         let p_tight = m.cpu_power();
         let r_tight = m.effective_rate(&b);
@@ -140,10 +143,10 @@ fn energy_counter_conservation() {
 fn userspace_governor_snaps_safely() {
     check("userspace_governor_snaps_safely", 5, CASES, |rng| {
         let req = rng.next_range(0.3, 4.0);
-        let mut m = module_with(1.0, 1.0);
-        m.set_governor(Governor::Userspace(GigaHertz(req)));
-        let clock = m.operating_point().clock;
-        assert!(m.pstates().supports(clock));
+        let mut c = module_with(1.0, 1.0);
+        c.set_governor(0, Governor::Userspace(GigaHertz(req)));
+        let clock = c.module(0).operating_point().clock;
+        assert!(c.module(0).pstates().supports(clock));
         if req >= 1.2 {
             assert!(clock.value() <= req + 1e-9);
         } else {
@@ -159,15 +162,15 @@ fn energy_is_the_integral_of_power() {
     check("energy_is_the_integral_of_power", 6, CASES, |rng| {
         let steps = vec_in(rng, 1, 30, 0.001, 0.5);
         let cap_w = rng.next_range(40.0, 120.0);
-        let mut m = module_with(1.0, 1.1);
-        m.set_cap(RaplLimit::with_default_window(Watts(cap_w)));
-        let p = m.cpu_power().value() + m.dram_power().value();
+        let mut c = module_with(1.0, 1.1);
+        c.set_cap(0, RaplLimit::with_default_window(Watts(cap_w)));
+        let p = c.module(0).module_power().value();
         let mut elapsed = 0.0;
         for &dt in &steps {
-            m.step(vap_model::units::Seconds(dt));
+            c.step(0, vap_model::units::Seconds(dt));
             elapsed += dt;
         }
-        let e = m.pkg_energy().value() + m.dram_energy().value();
+        let e = c.module(0).pkg_energy().value() + c.module(0).dram_energy().value();
         assert!((e - p * elapsed).abs() < 1e-6 * steps.len() as f64);
     });
 }

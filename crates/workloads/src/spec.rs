@@ -7,7 +7,6 @@ use vap_model::units::{GigaHertz, Seconds};
 use vap_model::variability::ModuleVariation;
 use vap_mpi::program::{Op, Program, ProgramBuilder};
 use vap_sim::cluster::Cluster;
-use vap_sim::fleet::FleetState;
 
 /// Identifier for the benchmarks of §3.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -240,8 +239,9 @@ impl WorkloadSpec {
     /// Put this workload on every module of a cluster: activity factors
     /// plus the workload-specific fingerprints.
     pub fn apply_to(&self, cluster: &mut Cluster, seed: u64) {
-        let ids: Vec<usize> = (0..cluster.len()).collect();
-        self.apply_to_modules(cluster, &ids, seed);
+        for id in 0..cluster.len() {
+            self.apply_to_module(cluster, id, seed);
+        }
     }
 
     /// Put this workload on a *subset* of modules (a scheduled job's
@@ -249,34 +249,19 @@ impl WorkloadSpec {
     /// not in the fleet (e.g. from a stale job request after a `--modules`
     /// shrink) are ignored rather than panicking mid-campaign.
     pub fn apply_to_modules(&self, cluster: &mut Cluster, module_ids: &[usize], seed: u64) {
-        for &id in module_ids {
-            let Some(m) = cluster.get_mut(id) else {
-                continue;
-            };
-            let wv = self.workload_variation(&m.base_variation().clone(), seed);
-            m.set_workload_variation(if self.response == VariationResponse::faithful() {
-                None
-            } else {
-                Some(wv)
-            });
-            m.set_activity(self.activity);
+        let n = cluster.len();
+        for &id in module_ids.iter().filter(|&&id| id < n) {
+            self.apply_to_module(cluster, id, seed);
         }
     }
 
-    /// [`WorkloadSpec::apply_to`] for the struct-of-arrays fleet: the same
-    /// per-module fingerprint derivation (same base, same seed, same
-    /// stream) and activity install, over [`FleetState`] columns. A
-    /// cluster and a fleet built from the same `(spec, n, seed)` end up in
-    /// bit-identical workload state under either entry point.
-    pub fn apply_to_fleet(&self, fleet: &mut FleetState, seed: u64) {
-        for id in 0..fleet.len() {
-            let wv = self.workload_variation(&fleet.base_variation(id).clone(), seed);
-            fleet.set_workload_variation(
-                id,
-                if self.response == VariationResponse::faithful() { None } else { Some(wv) },
-            );
-            fleet.set_activity(id, self.activity);
-        }
+    /// Install the workload fingerprint (none under the faithful
+    /// response) and activity on module `id`.
+    fn apply_to_module(&self, cluster: &mut Cluster, id: usize, seed: u64) {
+        let wv = (self.response != VariationResponse::faithful())
+            .then(|| self.workload_variation(cluster.module(id).base_variation(), seed));
+        cluster.set_workload_variation(id, wv);
+        cluster.set_activity(id, self.activity);
     }
 }
 

@@ -10,7 +10,6 @@
 
 use vap::prelude::*;
 use vap::sim::dynamics::{enforce, validate_against_steady_state};
-use vap::sim::module::SimModule;
 use vap::sim::rapl::RaplLimit;
 
 fn main() {
@@ -31,9 +30,8 @@ fn main() {
     println!("== RAPL dynamics under a {cap:.0} cap (1 ms control intervals) ==\n");
 
     for (label, id) in [("most power-hungry", hungry), ("most efficient", frugal)] {
-        let mut module: SimModule = cluster.module(id).clone();
         let limit = RaplLimit::with_default_window(cap);
-        let r = enforce(&mut module, limit, Seconds::from_millis(1.0), 300)
+        let r = enforce(&mut cluster, id, limit, Seconds::from_millis(1.0), 300)
             .expect("positive dt and steps");
 
         println!("module {id} ({label}): uncapped {:.1}", powers[id]);
@@ -50,7 +48,7 @@ fn main() {
             cap
         );
         let (analytic, dynamic) =
-            validate_against_steady_state(&mut module, limit, Seconds::from_millis(1.0), 300)
+            validate_against_steady_state(&mut cluster, id, limit, Seconds::from_millis(1.0), 300)
                 .expect("positive dt and steps");
         println!(
             "  analytic steady state {:.3} GHz vs dynamic {:.3} GHz (|Δ| = {:.3})\n",

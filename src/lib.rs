@@ -27,7 +27,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`model`] | units, variability distributions, ground-truth power physics, the paper's linear model, the four systems of Table 2 |
-//! | [`sim`] | MSRs, RAPL (capping, clock modulation), cpufreq, modules, sensors, cluster, scheduler |
+//! | [`sim`] | MSR encodings, RAPL (capping, clock modulation), cpufreq, sensors, the fleet (one column per module field, read through module views), scheduler |
 //! | [`mpi`] | discrete-event SPMD runtime (compute / Sendrecv / Allreduce / Barrier) |
 //! | [`workloads`] | the seven benchmarks as power/comm models + real compute kernels |
 //! | [`core`] | **the contribution**: PVT, test runs, PMT calibration, α solver, the six schemes, PMMDs |
@@ -95,8 +95,7 @@ pub mod prelude {
     pub use vap_sched::{
         QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen,
     };
-    pub use vap_sim::cluster::Cluster;
-    pub use vap_sim::fleet::FleetState;
+    pub use vap_sim::cluster::{Cluster, ModuleView};
     pub use vap_sim::scheduler::{AllocationPolicy, Scheduler};
     pub use vap_workloads::catalog;
     pub use vap_workloads::spec::{WorkloadId, WorkloadSpec};

@@ -162,10 +162,9 @@ fn fleet_scale_construction_and_sweep_are_deterministic() {
     // 10k modules — same-seed fleets identical, different-seed fleets
     // different, and the fleet-native PVT sweep thread-count invariant.
     use vap::core::pvt::PowerVariationTable;
-    use vap::sim::fleet::FleetState;
     let n = 10_000;
-    let a = FleetState::new(SystemSpec::ha8k(), n, 2015);
-    let b = FleetState::new(SystemSpec::ha8k(), n, 2015);
+    let a = Cluster::with_size(SystemSpec::ha8k(), n, 2015);
+    let b = Cluster::with_size(SystemSpec::ha8k(), n, 2015);
     assert_eq!(a.len(), n);
     assert_eq!(
         a.total_power().value().to_bits(),
@@ -173,11 +172,12 @@ fn fleet_scale_construction_and_sweep_are_deterministic() {
         "same-seed 10k fleets must agree bitwise"
     );
     for i in [0usize, 1, 4_999, n - 1] {
-        let (x, y) = (a.operating_point(i), b.operating_point(i));
+        let (ma, mb) = (a.module(i), b.module(i));
+        let (x, y) = (ma.operating_point(), mb.operating_point());
         assert_eq!(x.clock.value().to_bits(), y.clock.value().to_bits());
-        assert_eq!(a.cpu_power(i).value().to_bits(), b.cpu_power(i).value().to_bits());
+        assert_eq!(ma.cpu_power().value().to_bits(), mb.cpu_power().value().to_bits());
     }
-    let c = FleetState::new(SystemSpec::ha8k(), n, 2016);
+    let c = Cluster::with_size(SystemSpec::ha8k(), n, 2016);
     assert_ne!(
         a.total_power().value().to_bits(),
         c.total_power().value().to_bits(),
@@ -186,8 +186,8 @@ fn fleet_scale_construction_and_sweep_are_deterministic() {
 
     let micro = catalog::get(WorkloadId::Stream);
     let sweep = |threads: usize| {
-        let mut fleet = FleetState::new(SystemSpec::ha8k(), n, 2015);
-        PowerVariationTable::generate_from_fleet(&mut fleet, &micro, 2015, threads)
+        let mut fleet = Cluster::with_size(SystemSpec::ha8k(), n, 2015);
+        PowerVariationTable::generate_with_threads(&mut fleet, &micro, 2015, threads)
     };
     let serial = sweep(1);
     let parallel = sweep(4);

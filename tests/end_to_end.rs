@@ -74,7 +74,7 @@ fn pc_schemes_respect_budget_fs_respects_frequency_intent() {
     let plan = budgeter.plan(&mut cluster, SchemeId::VaFs, &mhd, budget, &ids).unwrap();
     mhd.apply_to(&mut cluster, SEED);
     apply_plan(&plan, &mut cluster);
-    for (m, a) in cluster.modules().iter().zip(&plan.allocations) {
+    for (m, a) in cluster.modules().zip(&plan.allocations) {
         assert!(m.operating_point().clock <= a.frequency);
     }
 }
