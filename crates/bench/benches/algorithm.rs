@@ -23,7 +23,7 @@ use vap_mpi::engine;
 use vap_mpi::program::{Op, ProgramBuilder};
 use vap_sim::cluster::Cluster;
 use vap_sim::rapl;
-use vap_sim::scheduler::{AllocationPolicy, Scheduler};
+use vap_sim::scheduler::AllocationPolicy;
 use vap_workloads::catalog;
 use vap_workloads::spec::WorkloadId;
 
@@ -46,7 +46,7 @@ fn synthetic_pmt(n: usize) -> PowerModelTable {
     )
 }
 
-fn bench_alpha_solver(r: &Runner) {
+fn bench_alpha_solver(r: &mut Runner) {
     for n in [1_000usize, 10_000, 100_000] {
         let pmt = synthetic_pmt(n);
         let budget = Watts(80.0 * n as f64);
@@ -57,7 +57,7 @@ fn bench_alpha_solver(r: &Runner) {
     }
 }
 
-fn bench_pipeline_stages(r: &Runner) {
+fn bench_pipeline_stages(r: &mut Runner) {
     let stream = catalog::get(WorkloadId::Stream);
     r.case_with_setup(
         "pipeline/pvt_generation_256_modules",
@@ -97,7 +97,7 @@ fn bench_pipeline_stages(r: &Runner) {
     );
 }
 
-fn bench_substrates(r: &Runner) {
+fn bench_substrates(r: &mut Runner) {
     let spec = SystemSpec::ha8k();
     let v = vap_model::variability::ModuleVariation::nominal(0, 12);
     r.case("substrates/rapl_steady_state_solve", || {
@@ -114,8 +114,8 @@ fn bench_substrates(r: &Runner) {
 
     let cluster = Cluster::with_size(SystemSpec::ha8k(), 1024, SEED);
     let act = catalog::get(WorkloadId::Mhd).activity;
-    let s = Scheduler::new(AllocationPolicy::LowestPowerFirst);
-    r.case("substrates/scheduler_power_aware_1024", || s.allocate(&cluster, 256, act, SEED));
+    let policy = AllocationPolicy::LowestPowerFirst;
+    r.case("substrates/scheduler_power_aware_1024", || policy.allocate(&cluster, 256, act, SEED));
 
     let mut one = Cluster::with_size(SystemSpec::ha8k(), 1, SEED);
     one.set_activity(0, act);
@@ -129,7 +129,7 @@ fn bench_substrates(r: &Runner) {
     r.case("substrates/linear_fit_16_points", || vap_stats::LinearFit::fit(&xs, &ys));
 }
 
-fn bench_ablations(r: &Runner) {
+fn bench_ablations(r: &mut Runner) {
     // Ablation: planning cost of oracle calibration vs PVT calibration —
     // the deployment argument for the paper's approach (O(1) test runs vs
     // O(fleet) measurement per application).
@@ -165,9 +165,9 @@ fn bench_ablations(r: &Runner) {
 }
 
 fn main() {
-    let r = Runner::from_args();
-    bench_alpha_solver(&r);
-    bench_pipeline_stages(&r);
-    bench_substrates(&r);
-    bench_ablations(&r);
+    let mut r = Runner::from_args();
+    bench_alpha_solver(&mut r);
+    bench_pipeline_stages(&mut r);
+    bench_substrates(&mut r);
+    bench_ablations(&mut r);
 }

@@ -17,7 +17,7 @@ fn opts(modules: usize, scale: f64) -> RunOptions {
 }
 
 fn main() {
-    let r = Runner::from_args();
+    let mut r = Runner::from_args();
     // tables
     r.case("table1_measurement_techniques", || table1::run().render());
     r.case("table2_systems", || table2::run().render());

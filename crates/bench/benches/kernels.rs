@@ -12,7 +12,7 @@ fn threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
 }
 
-fn bench_dgemm(r: &Runner) {
+fn bench_dgemm(r: &mut Runner) {
     for n in [128usize, 256] {
         let a = dgemm::Matrix::pseudo_random(n, 1);
         let b = dgemm::Matrix::pseudo_random(n, 2);
@@ -23,7 +23,7 @@ fn bench_dgemm(r: &Runner) {
     }
 }
 
-fn bench_stream(r: &Runner) {
+fn bench_stream(r: &mut Runner) {
     let len = 1 << 22; // 32 MiB per array
     let bv: Vec<f64> = vec![1.0; len];
     let cv: Vec<f64> = vec![2.0; len];
@@ -39,13 +39,13 @@ fn bench_stream(r: &Runner) {
     });
 }
 
-fn bench_ep(r: &Runner) {
+fn bench_ep(r: &mut Runner) {
     let attempts = 1_000_000u64;
     r.case("ep/marsaglia_1M_seq", || ep::generate(attempts, 42));
     r.case("ep/marsaglia_1M_par", || ep::generate_parallel(attempts, 42, threads()));
 }
 
-fn bench_stencil(r: &Runner) {
+fn bench_stencil(r: &mut Runner) {
     let n = 32;
     r.case_with_setup(
         "stencil/leapfrog_32cubed_4steps",
@@ -57,12 +57,12 @@ fn bench_stencil(r: &Runner) {
     );
 }
 
-fn bench_montecarlo(r: &Runner) {
+fn bench_montecarlo(r: &mut Runner) {
     let mut s = montecarlo::Sampler::new(0.5, 7);
     r.case("montecarlo/metropolis_200k", || s.block(200_000));
 }
 
-fn bench_linesolve(r: &Runner) {
+fn bench_linesolve(r: &mut Runner) {
     for n in [256usize, 4096] {
         let t = linesolve::Tridiag::diagonally_dominant(n, 5);
         let p = linesolve::Pentadiag::diagonally_dominant(n, 6);
@@ -78,11 +78,11 @@ fn bench_linesolve(r: &Runner) {
 }
 
 fn main() {
-    let r = Runner::from_args();
-    bench_dgemm(&r);
-    bench_stream(&r);
-    bench_ep(&r);
-    bench_stencil(&r);
-    bench_montecarlo(&r);
-    bench_linesolve(&r);
+    let mut r = Runner::from_args();
+    bench_dgemm(&mut r);
+    bench_stream(&mut r);
+    bench_ep(&mut r);
+    bench_stencil(&mut r);
+    bench_montecarlo(&mut r);
+    bench_linesolve(&mut r);
 }

@@ -1,33 +1,26 @@
-//! `daemon-loadgen`: a soak client for a running `vap-daemon`.
+//! `daemon-loadgen`: a soak client for a running `vap-daemon`, a command
+//! line over [`vap_daemon::soak`].
 //!
 //! Hammers the Prometheus endpoint with N scrape loops and holds M
-//! streaming JSON connections for a wall-clock window, then writes a
-//! soak report (hand-rolled JSON, same zero-dependency rule as the rest
-//! of the workspace) for `BENCH_daemon.json`:
+//! streaming JSON connections for a wall-clock window, then prints the
+//! soak report as JSON (or writes it to `--out`):
 //!
 //! ```text
 //! vap-daemon --mode sweep --prom-port 9500 --json-port 9501 &
 //! daemon-loadgen --prom 127.0.0.1:9500 --json 127.0.0.1:9501 \
-//!     --prom-clients 8 --json-clients 4 --seconds 10 --out BENCH_daemon.json
+//!     --prom-clients 8 --json-clients 4 --seconds 10 --out soak.json
 //! ```
 //!
 //! Exit code 0 means every client did useful work and saw no protocol
 //! errors; 1 means the soak failed.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
-use vap_daemon::clock::{Deadline, Stopwatch};
-use vap_obs::Histogram;
+use vap_daemon::soak::{soak, SoakConfig, SoakReport};
+use vap_obs::json::ToJson;
 
 struct Args {
     prom: String,
     json: String,
-    prom_clients: usize,
-    json_clients: usize,
-    seconds: f64,
+    soak: SoakConfig,
     out: Option<String>,
 }
 
@@ -36,9 +29,7 @@ impl Args {
         let mut args = Args {
             prom: "127.0.0.1:9500".to_string(),
             json: "127.0.0.1:9501".to_string(),
-            prom_clients: 4,
-            json_clients: 2,
-            seconds: 10.0,
+            soak: SoakConfig { prom_clients: 4, json_clients: 2, seconds: 10.0 },
             out: None,
         };
         let mut it = argv;
@@ -50,19 +41,22 @@ impl Args {
                 "--prom" => args.prom = take("--prom")?,
                 "--json" => args.json = take("--json")?,
                 "--prom-clients" => {
-                    args.prom_clients =
+                    args.soak.prom_clients =
                         take("--prom-clients")?.parse().map_err(|e| format!("--prom-clients: {e}"))?;
                 }
                 "--json-clients" => {
-                    args.json_clients =
+                    args.soak.json_clients =
                         take("--json-clients")?.parse().map_err(|e| format!("--json-clients: {e}"))?;
                 }
                 "--seconds" => {
-                    args.seconds =
+                    let seconds: f64 =
                         take("--seconds")?.parse().map_err(|e| format!("--seconds: {e}"))?;
-                    if args.seconds <= 0.0 {
-                        return Err("--seconds must be positive".into());
+                    // `NaN` and `inf` parse as f64, and a deadline of
+                    // either never expires
+                    if !(seconds.is_finite() && seconds > 0.0) {
+                        return Err("--seconds must be a positive finite number".into());
                     }
+                    args.soak.seconds = seconds;
                 }
                 "--out" => args.out = Some(take("--out")?),
                 _ => {
@@ -77,116 +71,6 @@ impl Args {
     }
 }
 
-/// Shared soak counters, bumped by every client thread.
-#[derive(Default)]
-struct Counters {
-    prom_scrapes: AtomicU64,
-    prom_bytes: AtomicU64,
-    json_lines: AtomicU64,
-    errors: AtomicU64,
-    /// Per-scrape wall latency (ms), log-linear bucketed. A mutex is fine
-    /// here: one lock per whole HTTP round trip, off the daemon's path.
-    scrape_ms: Mutex<Histogram>,
-}
-
-/// One Prometheus scrape: connect, GET /metrics, read to EOF.
-fn scrape_once(addr: &str) -> Result<u64, ()> {
-    let mut stream = TcpStream::connect(addr).map_err(|_| ())?;
-    stream.set_read_timeout(Some(Duration::from_secs(2))).map_err(|_| ())?;
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n").map_err(|_| ())?;
-    let mut body = String::new();
-    stream.read_to_string(&mut body).map_err(|_| ())?;
-    let well_formed = body.starts_with("HTTP/1.1 200 OK\r\n")
-        && body.contains("# TYPE vap_cluster_power_watts gauge");
-    if well_formed {
-        Ok(body.len() as u64)
-    } else {
-        Err(())
-    }
-}
-
-/// Scrape `/metrics` in a tight loop until the deadline.
-fn prom_client(addr: &str, deadline: Deadline, counters: &Counters) {
-    while !deadline.expired() {
-        let watch = Stopwatch::start();
-        match scrape_once(addr) {
-            Ok(bytes) => {
-                counters.prom_scrapes.fetch_add(1, Ordering::Relaxed);
-                counters.prom_bytes.fetch_add(bytes, Ordering::Relaxed);
-                if let Ok(mut hist) = counters.scrape_ms.lock() {
-                    hist.observe(watch.elapsed_s() * 1e3);
-                }
-            }
-            Err(()) => {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Hold one streaming JSON connection, counting lines until the deadline.
-fn json_client(addr: &str, deadline: Deadline, counters: &Counters) {
-    let Ok(stream) = TcpStream::connect(addr) else {
-        counters.errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    if stream.set_read_timeout(Some(Duration::from_millis(500))).is_err() {
-        counters.errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    while !deadline.expired() {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // daemon closed the stream
-            Ok(_) => {
-                if line.starts_with("{\"epoch\":") && line.trim_end().ends_with('}') {
-                    counters.json_lines.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    counters.errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // timeouts just mean no new epoch inside the read window
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
-/// The soak report as one hand-rolled JSON document.
-fn report_json(args: &Args, wall_s: f64, counters: &Counters) -> String {
-    let scrapes = counters.prom_scrapes.load(Ordering::Relaxed);
-    let bytes = counters.prom_bytes.load(Ordering::Relaxed);
-    let lines = counters.json_lines.load(Ordering::Relaxed);
-    let errors = counters.errors.load(Ordering::Relaxed);
-    let (p50, p95, p99) = match counters.scrape_ms.lock() {
-        Ok(hist) => (
-            hist.quantile(0.50).unwrap_or(0.0),
-            hist.quantile(0.95).unwrap_or(0.0),
-            hist.quantile(0.99).unwrap_or(0.0),
-        ),
-        Err(_) => (0.0, 0.0, 0.0),
-    };
-    format!(
-        "{{\n  \"bench\": \"daemon_soak\",\n  \"wall_s\": {wall_s:.3},\n  \
-         \"prom_clients\": {},\n  \"prom_scrapes\": {scrapes},\n  \
-         \"prom_bytes\": {bytes},\n  \"prom_scrapes_per_s\": {:.1},\n  \
-         \"prom_scrape_p50_ms\": {p50:.3},\n  \"prom_scrape_p95_ms\": {p95:.3},\n  \
-         \"prom_scrape_p99_ms\": {p99:.3},\n  \
-         \"json_clients\": {},\n  \"json_lines\": {lines},\n  \"errors\": {errors}\n}}\n",
-        args.prom_clients,
-        scrapes as f64 / wall_s.max(1e-9),
-        args.json_clients,
-    )
-}
-
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -196,38 +80,40 @@ fn main() {
         }
     };
 
-    let counters = Counters::default();
-    let watch = Stopwatch::start();
-    let deadline = Deadline::start(args.seconds);
-    std::thread::scope(|scope| {
-        for _ in 0..args.prom_clients {
-            scope.spawn(|| prom_client(&args.prom, deadline, &counters));
-        }
-        for _ in 0..args.json_clients {
-            scope.spawn(|| json_client(&args.json, deadline, &counters));
-        }
-    });
-    let wall_s = watch.elapsed_s();
-
-    let report = report_json(&args, wall_s, &counters);
+    let report = soak(&args.prom, &args.json, &args.soak);
+    let json = report.to_json() + "\n";
     match &args.out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &report) {
+            if let Err(e) = std::fs::write(path, &json) {
                 eprintln!("could not write {path}: {e}");
                 std::process::exit(1);
             }
             println!("wrote {path}");
         }
-        None => print!("{report}"),
+        None => print!("{json}"),
     }
 
-    let scrapes = counters.prom_scrapes.load(Ordering::Relaxed);
-    let lines = counters.json_lines.load(Ordering::Relaxed);
-    let errors = counters.errors.load(Ordering::Relaxed);
-    let prom_ok = args.prom_clients == 0 || scrapes > 0;
-    let json_ok = args.json_clients == 0 || lines > 0;
-    if errors > 0 || !prom_ok || !json_ok {
-        eprintln!("soak failed: scrapes={scrapes} lines={lines} errors={errors}");
+    if !report.passed(&args.soak) {
+        let SoakReport { scrapes, json_lines, errors, .. } = report;
+        eprintln!("soak failed: scrapes={scrapes} lines={json_lines} errors={errors}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn seconds_must_be_positive_and_finite() {
+        assert_eq!(parse(&["--seconds", "2.5"]).unwrap().soak.seconds, 2.5);
+        for bad in ["0", "-1", "NaN", "nan", "inf", "-inf", "infinity"] {
+            let err = parse(&["--seconds", bad]).err().unwrap();
+            assert!(err.contains("--seconds"), "--seconds {bad}: {err}");
+        }
     }
 }

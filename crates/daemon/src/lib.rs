@@ -22,6 +22,9 @@
 //!   hand-rolled HTTP/1.1 server ([`http`]), line-delimited JSON
 //!   streaming, and stdout. Exporters never write to `vap_obs` — serving
 //!   is a pure read of the registry.
+//! * The **soak** ([`soak`]) is the load side: scrape loops and held
+//!   JSON streams against a running daemon, behind `daemon-loadgen` and
+//!   `vap-bench`'s `profile`.
 //!
 //! Everything is zero-dependency like the rest of the workspace: the
 //! HTTP server is `std::net::TcpListener`, the wire formats are
@@ -45,6 +48,7 @@ pub mod http;
 pub mod sensors;
 pub mod service;
 pub mod signal;
+pub mod soak;
 
 pub use config::{DaemonConfig, Mode};
 pub use exporters::Exporter;

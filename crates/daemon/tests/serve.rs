@@ -3,6 +3,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use vap_daemon::soak::SoakConfig;
 use vap_daemon::{DaemonConfig, Mode, Service};
 use vap_report::RunOptions;
 
@@ -98,4 +99,18 @@ fn json_stream_delivers_increasing_epochs() {
         stop.raise();
         run.join().unwrap().unwrap();
     });
+}
+
+#[test]
+fn soak_of_an_in_process_service_is_error_free() {
+    let opts = RunOptions { modules: Some(6), threads: Some(1), ..RunOptions::default() };
+    let cfg = DaemonConfig { prom_port: 0, json_port: 0, accel: 100.0, ..DaemonConfig::default() };
+    let soak = SoakConfig { prom_clients: 2, json_clients: 1, seconds: 0.5 };
+    let (report, summary) = Service::bind(&opts, &cfg).unwrap().soak(&soak).unwrap();
+    assert!(report.passed(&soak), "{report:?}");
+    assert!(report.scrapes > 0 && report.json_lines > 0, "{report:?}");
+    assert_eq!(report.scrape_ms.count, report.scrapes, "one latency per scrape");
+    assert!(report.wall_s >= 0.5);
+    assert!(summary.published > 0);
+    assert!(summary.registry_reads >= report.scrapes, "every scrape reads the registry");
 }

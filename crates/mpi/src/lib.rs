@@ -18,8 +18,6 @@
 //! * [`engine`] — the executor: ranks progress at their module's effective
 //!   rate; matching operations synchronize; per-rank compute, wait and
 //!   total times are accounted exactly.
-//! * [`event`] — a general discrete-event queue used by the fine-grained
-//!   co-simulation utilities and available to downstream experiments.
 //! * [`timeline`] — op-level execution traces (the TAU-instrumentation
 //!   counterpart): Gantt data, straggler identification, critical-rank
 //!   analysis behind the paper's "perfectly load balanced application will
@@ -36,7 +34,6 @@
 
 pub mod comm;
 pub mod engine;
-pub mod event;
 pub mod program;
 pub mod timeline;
 

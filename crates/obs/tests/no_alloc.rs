@@ -1,11 +1,11 @@
 //! The no-op recorder must add **zero allocations** on the hot path.
 //!
 //! The instrumentation sites sit inside `vap-exec` work loops and the
-//! RAPL solver — code the `campaign` bench holds to
-//! within-noise of `BENCH_campaign.json` when observability is off. This
-//! test pins the mechanism behind that: with no live session, every
-//! entry point returns after one relaxed atomic load, before any TLS
-//! access or allocation.
+//! RAPL solver, which the campaign timings in `BENCH.json` run with
+//! observability off (all but the `ledger_*/on` rows). This test pins
+//! what makes that path cheap: with no live session, every entry point
+//! returns after one relaxed atomic load, before any TLS access or
+//! allocation.
 //!
 //! This file is its own integration-test binary on purpose: no other
 //! test here ever installs a `Session`, so the disabled fast path is

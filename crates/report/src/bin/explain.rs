@@ -32,7 +32,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Query, String> {
     let mut journal = None;
     let mut job = None;
     let mut at = None;
-    let mut window = 30.0;
+    let mut window: f64 = 30.0;
     let mut it = args;
     while let Some(flag) = it.next() {
         let mut take = |name: &str| -> Result<String, String> {
@@ -43,13 +43,19 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Query, String> {
             "--job" => {
                 job = Some(take("--job")?.parse().map_err(|e| format!("--job: {e}"))?);
             }
+            // `NaN` parses as f64 and compares false both ways, so a NaN
+            // time or window would match every decision
             "--at" => {
-                at = Some(take("--at")?.parse().map_err(|e| format!("--at: {e}"))?);
+                let t: f64 = take("--at")?.parse().map_err(|e| format!("--at: {e}"))?;
+                if !t.is_finite() {
+                    return Err("--at must be a finite number".into());
+                }
+                at = Some(t);
             }
             "--window" => {
                 window = take("--window")?.parse().map_err(|e| format!("--window: {e}"))?;
-                if window < 0.0 {
-                    return Err("--window must be non-negative".into());
+                if !(window.is_finite() && window >= 0.0) {
+                    return Err("--window must be a non-negative finite number".into());
                 }
             }
             "--help" | "-h" => return Err(USAGE.into()),
@@ -204,6 +210,16 @@ mod tests {
         assert!(parse(&[]).is_err(), "--journal is required");
         assert!(parse(&["--journal", "j", "--window", "-1"]).is_err());
         assert!(parse(&["--journal", "j", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn non_finite_times_are_refused() {
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity"] {
+            for flag in ["--at", "--window"] {
+                let err = parse(&["--journal", "j", flag, bad]).err().unwrap();
+                assert!(err.contains(flag), "{flag} {bad}: {err}");
+            }
+        }
     }
 
     #[test]

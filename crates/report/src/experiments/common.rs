@@ -4,7 +4,6 @@ use vap_model::linear::{Alpha, TwoPointModel};
 use vap_model::systems::SystemSpec;
 use vap_model::units::{GigaHertz, Watts};
 use vap_sim::cluster::Cluster;
-use vap_workloads::catalog;
 use vap_workloads::spec::{WorkloadId, WorkloadSpec};
 
 /// The paper's system-level power constraints on HA8K (Table 4): the
@@ -70,11 +69,6 @@ pub fn offline_ccpu(cluster: &Cluster, workload: &WorkloadSpec, cm: Watts, seed:
     (cm - dram.power(Alpha::saturating(raw))).max(Watts(0.0))
 }
 
-/// All six evaluated workloads (Table 4 / Fig. 7 order).
-pub fn evaluated_workloads() -> Vec<WorkloadSpec> {
-    catalog::evaluated()
-}
-
 /// Convenience: the full module-id list of a cluster.
 pub fn all_ids(cluster: &Cluster) -> Vec<usize> {
     (0..cluster.len()).collect()
@@ -111,6 +105,7 @@ pub fn slug(id: WorkloadId) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vap_workloads::catalog;
 
     #[test]
     fn cs_matches_paper_at_full_scale() {

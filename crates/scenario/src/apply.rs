@@ -84,16 +84,6 @@ impl ScenarioRuntime {
         &self.events
     }
 
-    /// Events not yet popped.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// Timestamp of the next unapplied event, if any.
-    pub fn peek_next_at(&self) -> Option<f64> {
-        self.events.get(self.cursor).map(|e| e.at_s)
-    }
-
     /// Pop the next event due at or before `t`.
     pub fn pop_due(&mut self, t: f64) -> Option<ScenarioEvent> {
         let e = self.events.get(self.cursor)?;
@@ -113,11 +103,6 @@ impl ScenarioRuntime {
     /// Whether the module is currently failed out of the pool.
     pub fn is_failed(&self, module: usize) -> bool {
         self.failed.get(module).copied().unwrap_or(false)
-    }
-
-    /// The module's active sensor fault, if any.
-    pub fn active_fault(&self, module: usize) -> Option<FaultKind> {
-        self.fault.get(module).copied().flatten()
     }
 
     /// The module's combined (aging ∘ entropy) skew.

@@ -29,7 +29,6 @@ use vap_core::schemes::{apply_plan, ControlKind, PowerPlan, SchemeId};
 use vap_core::testrun::{single_module_test_run, TestRunResult};
 use vap_model::linear::Alpha;
 use vap_model::power::PowerActivity;
-use vap_model::rng::SplitMix64;
 use vap_model::units::Watts;
 use vap_obs::{
     BudgetDelta, Category, DecisionKind, DecisionRecord, Domain, DriftAlert, DriftConfig,
@@ -714,75 +713,11 @@ impl SchedRuntime {
     }
 
     /// Pick up to `n` modules from the free pool in *preference order*
-    /// (the width-shrink path takes prefixes). The four policies mirror
-    /// [`vap_sim::scheduler::Scheduler::allocate`] restricted to the free
-    /// subset.
+    /// (the width-shrink path takes prefixes). `Random` is seeded per job
+    /// so a replay is exact at any thread count.
     fn pick_modules(&self, n: usize, spec: &WorkloadSpec, job_id: usize) -> Vec<usize> {
-        let n = n.min(self.free.len());
-        match self.config.allocation {
-            AllocationPolicy::Contiguous => self.free.iter().copied().take(n).collect(),
-            AllocationPolicy::Strided { stride } => {
-                let stride = stride.max(1);
-                let total = self.free.len();
-                // An empty free list must yield an empty allocation like
-                // the other policies — entering the walk below with
-                // `total == 0` would index `seen[0]` and divide by zero
-                // in `% total`.
-                if total == 0 {
-                    return Vec::new();
-                }
-                let mut picked = Vec::with_capacity(n);
-                let mut seen = vec![false; total];
-                let mut i = 0usize;
-                while picked.len() < n {
-                    if !seen[i] {
-                        seen[i] = true;
-                        picked.push(self.free[i]);
-                    }
-                    i = (i + stride) % total;
-                    if seen[i] {
-                        if let Some(j) = seen.iter().position(|&s| !s) {
-                            i = j;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                picked
-            }
-            AllocationPolicy::Random => {
-                // Fisher–Yates over the free list, seeded per job so a
-                // replay is exact at any thread count.
-                let mut ids = self.free.clone();
-                let mut rng = SplitMix64::new(
-                    self.seed ^ (job_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                for k in (1..ids.len()).rev() {
-                    ids.swap(k, rng.next_index(k + 1));
-                }
-                ids.truncate(n);
-                ids
-            }
-            AllocationPolicy::LowestPowerFirst => {
-                let f_max = self.cluster.spec().pstates.f_max();
-                let mut ranked: Vec<(usize, f64)> = self
-                    .free
-                    .iter()
-                    .filter_map(|&m| self.cluster.get(m).map(|module| (m, module)))
-                    .map(|(m, module)| {
-                        let p = module.power_model().module_power(
-                            f_max,
-                            spec.activity,
-                            module.variation(),
-                            module.thermal_factor(),
-                        );
-                        (m, p.value())
-                    })
-                    .collect();
-                ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                ranked.into_iter().take(n).map(|(m, _)| m).collect()
-            }
-        }
+        let seed = self.seed ^ (job_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.config.allocation.pick(&self.cluster, &self.free, n, spec.activity, seed)
     }
 
     /// The job's single-module test run, cached per (workload, probe).
@@ -906,16 +841,6 @@ impl SchedRuntime {
     /// The cluster-level power cap currently in effect.
     pub fn cap(&self) -> Watts {
         self.cap
-    }
-
-    /// Jobs currently running.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Jobs currently queued.
-    pub fn queued_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Total drift alerts fired so far.

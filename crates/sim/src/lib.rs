@@ -41,5 +41,5 @@ pub use cluster::{Cluster, ModuleView, OperatingPoint};
 pub use cpufreq::Governor;
 pub use measurement::PowerSensor;
 pub use rapl::{RaplLimit, RaplSteadyState};
-pub use scheduler::{AllocationPolicy, Scheduler};
+pub use scheduler::AllocationPolicy;
 pub use trace::PowerTrace;

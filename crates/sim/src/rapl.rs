@@ -87,14 +87,6 @@ impl RaplSteadyState {
             _ => 1.0,
         }
     }
-
-    /// Nominal frequency the clock runs at while not gated.
-    pub fn clock_frequency(&self, pstates: &PStateTable) -> GigaHertz {
-        match *self {
-            RaplSteadyState::Unconstrained { freq } | RaplSteadyState::Dvfs { freq } => freq,
-            RaplSteadyState::ClockModulated { .. } => pstates.f_min(),
-        }
-    }
 }
 
 /// Throughput efficiency of RAPL's *dynamic* cap enforcement in the DVFS

@@ -27,47 +27,39 @@ pub enum AllocationPolicy {
     Random,
     /// Power-aware: the `n` modules with the lowest power draw for the
     /// job's activity profile at maximum frequency. Requires a PVT-style
-    /// characterization, which [`Scheduler::allocate`] approximates with
-    /// the ground-truth fleet ranking.
+    /// characterization, which [`AllocationPolicy::pick`] approximates
+    /// with the ground-truth fleet ranking.
     LowestPowerFirst,
 }
 
-/// A minimal job scheduler over a [`Cluster`].
-#[derive(Debug, Clone, Copy)]
-pub struct Scheduler {
-    policy: AllocationPolicy,
-}
-
-impl Scheduler {
-    /// Create a scheduler with the given policy.
-    pub fn new(policy: AllocationPolicy) -> Self {
-        Scheduler { policy }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
-    /// Choose `n` module ids for a job with the given activity profile.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the fleet size — a scheduler bug, not a
-    /// recoverable condition for an experiment.
-    pub fn allocate(&self, cluster: &Cluster, n: usize, activity: PowerActivity, seed: u64) -> Vec<usize> {
-        let total = cluster.len();
-        assert!(n <= total, "requested {n} modules from a fleet of {total}");
-        match self.policy {
-            AllocationPolicy::Contiguous => (0..n).collect(),
+impl AllocationPolicy {
+    /// Up to `n` modules out of `pool`, in the policy's preference order
+    /// (a job shrunk to fewer modules takes a prefix). `Random` draws its
+    /// permutation from `seed`; `LowestPowerFirst` ranks by power at
+    /// maximum frequency under `activity`, ties broken by module id.
+    pub fn pick(
+        self,
+        cluster: &Cluster,
+        pool: &[usize],
+        n: usize,
+        activity: PowerActivity,
+        seed: u64,
+    ) -> Vec<usize> {
+        let n = n.min(pool.len());
+        match self {
+            AllocationPolicy::Contiguous => pool[..n].to_vec(),
             AllocationPolicy::Strided { stride } => {
                 let stride = stride.max(1);
-                let mut ids = Vec::with_capacity(n);
+                // `n <= total`, so an empty pool never enters the walk,
+                // which would index `seen[0]` and divide by zero
+                let total = pool.len();
+                let mut picked = Vec::with_capacity(n);
                 let mut seen = vec![false; total];
                 let mut i = 0usize;
-                while ids.len() < n {
+                while picked.len() < n {
                     if !seen[i] {
                         seen[i] = true;
-                        ids.push(i);
+                        picked.push(pool[i]);
                     }
                     i = (i + stride) % total;
                     // if the stride cycle closed early, advance to the next
@@ -80,19 +72,19 @@ impl Scheduler {
                         }
                     }
                 }
-                ids
+                picked
             }
             AllocationPolicy::Random => {
-                let mut ids: Vec<usize> = (0..total).collect();
+                let mut ids = pool.to_vec();
                 SplitMix64::new(seed).shuffle(&mut ids);
                 ids.truncate(n);
-                ids.sort_unstable();
                 ids
             }
             AllocationPolicy::LowestPowerFirst => {
                 let f_max = cluster.spec().pstates.f_max();
-                let mut ranked: Vec<(usize, f64)> = cluster
-                    .modules()
+                let mut ranked: Vec<(usize, f64)> = pool
+                    .iter()
+                    .filter_map(|&id| cluster.get(id))
                     .map(|m| {
                         let p = m.power_model().module_power(
                             f_max,
@@ -103,12 +95,32 @@ impl Scheduler {
                         (m.id(), p.value())
                     })
                     .collect();
-                ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-                let mut ids: Vec<usize> = ranked.into_iter().take(n).map(|(id, _)| id).collect();
-                ids.sort_unstable();
-                ids
+                ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                ranked.into_iter().take(n).map(|(id, _)| id).collect()
             }
         }
+    }
+
+    /// Choose `n` module ids out of the whole fleet for a job with the
+    /// given activity profile: [`AllocationPolicy::pick`] over every
+    /// module, sorted.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the fleet size — a scheduler bug, not a
+    /// recoverable condition for an experiment.
+    pub fn allocate(
+        self,
+        cluster: &Cluster,
+        n: usize,
+        activity: PowerActivity,
+        seed: u64,
+    ) -> Vec<usize> {
+        let total = cluster.len();
+        assert!(n <= total, "requested {n} modules from a fleet of {total}");
+        let all: Vec<usize> = (0..total).collect();
+        let mut ids = self.pick(cluster, &all, n, activity, seed);
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -128,14 +140,13 @@ mod tests {
 
     #[test]
     fn contiguous_is_prefix() {
-        let s = Scheduler::new(AllocationPolicy::Contiguous);
-        assert_eq!(s.allocate(&cluster(), 5, act(), 0), vec![0, 1, 2, 3, 4]);
+        let ids = AllocationPolicy::Contiguous.allocate(&cluster(), 5, act(), 0);
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn strided_spreads_and_covers() {
-        let s = Scheduler::new(AllocationPolicy::Strided { stride: 16 });
-        let ids = s.allocate(&cluster(), 8, act(), 0);
+        let ids = AllocationPolicy::Strided { stride: 16 }.allocate(&cluster(), 8, act(), 0);
         assert_eq!(ids.len(), 8);
         let unique: std::collections::BTreeSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), 8);
@@ -144,7 +155,7 @@ mod tests {
 
     #[test]
     fn random_is_seeded_and_unique() {
-        let s = Scheduler::new(AllocationPolicy::Random);
+        let s = AllocationPolicy::Random;
         let c = cluster();
         let a = s.allocate(&c, 10, act(), 5);
         let b = s.allocate(&c, 10, act(), 5);
@@ -158,8 +169,7 @@ mod tests {
     #[test]
     fn lowest_power_first_actually_minimizes_power() {
         let c = cluster();
-        let s = Scheduler::new(AllocationPolicy::LowestPowerFirst);
-        let picked = s.allocate(&c, 16, act(), 0);
+        let picked = AllocationPolicy::LowestPowerFirst.allocate(&c, 16, act(), 0);
         let f_max = c.spec().pstates.f_max();
         let power_of = |id: usize| {
             let m = c.module(id);
@@ -183,7 +193,7 @@ mod tests {
             AllocationPolicy::Random,
             AllocationPolicy::LowestPowerFirst,
         ] {
-            let ids = Scheduler::new(policy).allocate(&c, c.len(), act(), 1);
+            let ids = policy.allocate(&c, c.len(), act(), 1);
             assert_eq!(ids.len(), c.len(), "{policy:?}");
             let unique: std::collections::BTreeSet<_> = ids.iter().collect();
             assert_eq!(unique.len(), c.len(), "{policy:?}");
@@ -194,6 +204,6 @@ mod tests {
     #[should_panic]
     fn over_allocation_panics() {
         let c = cluster();
-        let _ = Scheduler::new(AllocationPolicy::Contiguous).allocate(&c, 65, act(), 0);
+        let _ = AllocationPolicy::Contiguous.allocate(&c, 65, act(), 0);
     }
 }

@@ -39,7 +39,7 @@ fn main() {
     ];
 
     for (name, policy) in policies {
-        let ids = Scheduler::new(policy).allocate(&cluster, JOB, mhd.activity, SEED);
+        let ids = policy.allocate(&cluster, JOB, mhd.activity, SEED);
 
         let vafs_plan = budgeter
             .plan(&mut cluster, SchemeId::VaFs, &mhd, budget, &ids)

@@ -96,7 +96,7 @@ pub mod prelude {
         QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen,
     };
     pub use vap_sim::cluster::{Cluster, ModuleView};
-    pub use vap_sim::scheduler::{AllocationPolicy, Scheduler};
+    pub use vap_sim::scheduler::AllocationPolicy;
     pub use vap_workloads::catalog;
     pub use vap_workloads::spec::{WorkloadId, WorkloadSpec};
 }

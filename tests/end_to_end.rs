@@ -141,12 +141,7 @@ fn region_bracketing_is_idempotent() {
 fn job_on_a_subset_leaves_the_rest_of_the_fleet_alone() {
     let (mut cluster, budgeter) = setup();
     let mhd = catalog::get(WorkloadId::Mhd);
-    let ids = Scheduler::new(AllocationPolicy::Strided { stride: 8 }).allocate(
-        &cluster,
-        12,
-        mhd.activity,
-        SEED,
-    );
+    let ids = AllocationPolicy::Strided { stride: 8 }.allocate(&cluster, 12, mhd.activity, SEED);
     let budget = Watts(80.0 * ids.len() as f64);
     let plan = budgeter.plan(&mut cluster, SchemeId::VaPc, &mhd, budget, &ids).unwrap();
     let outside_before: Vec<f64> = (0..MODULES)
