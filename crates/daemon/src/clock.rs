@@ -89,6 +89,16 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         self.limit_s > 0.0 && self.started.elapsed().as_secs_f64() >= self.limit_s
     }
+
+    /// Wall time left in the budget: zero once it is used up,
+    /// [`Duration::MAX`] when it is unbounded.
+    pub fn remaining(&self) -> Duration {
+        if self.limit_s <= 0.0 {
+            return Duration::MAX;
+        }
+        Duration::try_from_secs_f64(self.limit_s)
+            .map_or(Duration::MAX, |limit| limit.saturating_sub(self.started.elapsed()))
+    }
 }
 
 #[cfg(test)]
@@ -139,7 +149,10 @@ mod tests {
     #[test]
     fn short_deadline_expires() {
         let d = Deadline::start(0.01);
+        assert!(d.remaining() <= Duration::from_millis(10));
         std::thread::sleep(Duration::from_millis(25));
         assert!(d.expired());
+        assert_eq!(d.remaining(), Duration::ZERO);
+        assert_eq!(Deadline::start(0.0).remaining(), Duration::MAX);
     }
 }

@@ -4,89 +4,36 @@
 //! epoch change as its own line — `nc 127.0.0.1 9501 | head` is a
 //! perfectly good consumer.
 
+use crate::http;
 use crate::signal::ShutdownFlag;
-use crate::{DaemonError, Exporter};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
 use vap_obs::SnapshotRegistry;
 
-/// How often a connection checks for a newer epoch.
-const STREAM_POLL: Duration = Duration::from_millis(10);
-
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Serves line-delimited JSON snapshots over raw TCP.
-#[derive(Debug)]
-pub struct JsonExporter {
-    listener: TcpListener,
-}
-
-impl JsonExporter {
-    /// Bind to `port` on localhost (0 picks an ephemeral port).
-    pub fn bind(port: u16) -> Result<Self, DaemonError> {
-        let listener = TcpListener::bind(("127.0.0.1", port))
-            .map_err(|e| DaemonError::io(format!("bind json exporter :{port}"), e))?;
-        Ok(JsonExporter { listener })
-    }
-
-    /// The bound address (useful when an ephemeral port was requested).
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr, DaemonError> {
-        self.listener.local_addr().map_err(|e| DaemonError::io("json local_addr", e))
-    }
-}
-
-/// Stream snapshots to one client until it hangs up or `stop` is raised.
-fn stream_snapshots(mut stream: TcpStream, registry: &SnapshotRegistry, stop: &ShutdownFlag) {
-    // u64::MAX differs from every real epoch, so the current snapshot is
-    // written as soon as the client connects.
-    let mut last_epoch = u64::MAX;
-    while !stop.raised() {
-        let snap = registry.read();
-        if snap.epoch != last_epoch {
-            last_epoch = snap.epoch;
-            let mut line = snap.to_json_line();
-            line.push('\n');
-            // A write failure means the client left: end this stream.
-            if stream.write_all(line.as_bytes()).and_then(|()| stream.flush()).is_err() {
-                return;
-            }
+/// Stream snapshots to one client until it hangs up, stops reading, or
+/// the registry closes.
+fn stream_snapshots(mut stream: TcpStream, registry: &SnapshotRegistry) {
+    let mut snap = registry.read();
+    loop {
+        let mut line = snap.to_json_line();
+        line.push('\n');
+        // A write failure means the client left or stalled past the
+        // write timeout: end this stream.
+        if stream.write_all(line.as_bytes()).is_err() {
+            return;
         }
-        std::thread::sleep(STREAM_POLL);
+        match registry.wait_newer(snap.epoch) {
+            Some(next) => snap = next,
+            None => return,
+        }
     }
 }
 
-impl Exporter for JsonExporter {
-    fn name(&self) -> &'static str {
-        "json"
-    }
-
-    fn serve(
-        &mut self,
-        registry: &SnapshotRegistry,
-        stop: &ShutdownFlag,
-    ) -> Result<(), DaemonError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| DaemonError::io("set_nonblocking on json listener", e))?;
-        std::thread::scope(|scope| {
-            while !stop.raised() {
-                match self.listener.accept() {
-                    Ok((stream, _addr)) => {
-                        let _ = stream.set_nonblocking(false);
-                        scope.spawn(|| stream_snapshots(stream, registry, stop));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
-        });
-        Ok(())
-    }
+/// Serve line-delimited JSON snapshots on `listener` until `stop` is
+/// raised and the accept loop is woken: each client gets the current
+/// snapshot at once, then the newest one after every publish.
+pub fn serve_json(listener: &TcpListener, registry: &SnapshotRegistry, stop: &ShutdownFlag) {
+    http::accept_loop(listener, stop, |stream| stream_snapshots(stream, registry));
 }
 
 #[cfg(test)]
@@ -100,10 +47,10 @@ mod tests {
         let registry = SnapshotRegistry::new();
         registry.publish(TelemetrySnapshot { sim_time_s: 1.0, ..TelemetrySnapshot::default() });
         let stop = ShutdownFlag::new();
-        let mut exporter = JsonExporter::bind(0).unwrap();
-        let addr = exporter.local_addr().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| exporter.serve(&registry, &stop));
+            let server = scope.spawn(|| serve_json(&listener, &registry, &stop));
             let stream = TcpStream::connect(addr).unwrap();
             let mut lines = BufReader::new(stream).lines();
             let first = lines.next().unwrap().unwrap();
@@ -119,9 +66,11 @@ mod tests {
             let third = lines.next().unwrap().unwrap();
             assert!(third.contains("\"epoch\":3"), "{third}");
             stop.raise();
+            registry.close();
+            http::wake(&listener);
             // the server ends the stream and the iterator drains
             assert!(lines.next().is_none());
-            server.join().unwrap().unwrap();
+            server.join().unwrap();
         });
     }
 }

@@ -1,34 +1,16 @@
 //! Exporters: the read side of the service plane.
 //!
-//! Each exporter runs on its own thread, polls the
-//! [`SnapshotRegistry`](vap_obs::SnapshotRegistry) for the latest sealed
-//! snapshot, and speaks one wire format to its clients. Exporters never
-//! touch the simulation or the `vap_obs` journal — they are pure readers,
-//! which is what makes the scraper-count determinism guarantee
-//! (`tests/determinism.rs`) hold by construction.
+//! Each serving function runs on its own thread, reads the
+//! [`SnapshotRegistry`](vap_obs::SnapshotRegistry) and speaks one wire
+//! format to its clients. Exporters never touch the simulation or the
+//! `vap_obs` journal — they are pure readers, which is what makes the
+//! scraper-count determinism guarantee (`tests/determinism.rs`) hold by
+//! construction.
 
 mod json;
 mod prometheus;
 mod stdout;
 
-pub use json::JsonExporter;
-pub use prometheus::{render_prometheus, PrometheusExporter};
-pub use stdout::StdoutExporter;
-
-use crate::signal::ShutdownFlag;
-use crate::DaemonError;
-use vap_obs::SnapshotRegistry;
-
-/// One wire format served from the snapshot registry.
-///
-/// `serve` blocks until `stop` is raised (the service runs each exporter
-/// on a dedicated scoped thread) and returns only once every in-flight
-/// client of that exporter has been answered or dropped.
-pub trait Exporter: Send {
-    /// Short name for logs and the startup banner.
-    fn name(&self) -> &'static str;
-
-    /// Serve clients from `registry` until `stop` is raised.
-    fn serve(&mut self, registry: &SnapshotRegistry, stop: &ShutdownFlag)
-        -> Result<(), DaemonError>;
-}
+pub use json::serve_json;
+pub use prometheus::{render_prometheus, serve_prometheus};
+pub use stdout::serve_stdout;

@@ -10,59 +10,29 @@
 
 use crate::http::{self, Request, Response};
 use crate::signal::ShutdownFlag;
-use crate::{DaemonError, Exporter};
 use std::fmt::Write as _;
 use std::net::TcpListener;
 use vap_obs::json::ObjectWriter;
 use vap_obs::{SnapshotRegistry, TelemetrySnapshot};
 
-/// Serves `GET /metrics` (and a small index page on `/`) over HTTP.
-#[derive(Debug)]
-pub struct PrometheusExporter {
-    listener: TcpListener,
-}
-
-impl PrometheusExporter {
-    /// Bind to `port` on localhost (0 picks an ephemeral port).
-    pub fn bind(port: u16) -> Result<Self, DaemonError> {
-        let listener = TcpListener::bind(("127.0.0.1", port))
-            .map_err(|e| DaemonError::io(format!("bind prometheus exporter :{port}"), e))?;
-        Ok(PrometheusExporter { listener })
-    }
-
-    /// The bound address (useful when an ephemeral port was requested).
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr, DaemonError> {
-        self.listener.local_addr().map_err(|e| DaemonError::io("prometheus local_addr", e))
-    }
-}
-
-impl Exporter for PrometheusExporter {
-    fn name(&self) -> &'static str {
-        "prometheus"
-    }
-
-    fn serve(
-        &mut self,
-        registry: &SnapshotRegistry,
-        stop: &ShutdownFlag,
-    ) -> Result<(), DaemonError> {
-        http::serve(&self.listener, stop, |req: &Request| match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/metrics") => {
-                Response::ok("text/plain; version=0.0.4", render_prometheus(&registry.read()))
-            }
-            ("GET", "/alerts") => {
-                Response::ok("application/json", render_alerts_json(&registry.read()))
-            }
-            ("GET", "/") => Response::ok(
-                "text/plain",
-                "vap-daemon: live telemetry for the simulated fleet\n\
-                 GET /metrics — Prometheus text format\n\
-                 GET /alerts — drift alerts as JSON\n"
-                    .to_string(),
-            ),
-            (_, path) => Response::not_found(path),
-        })
-    }
+/// Serve `GET /metrics`, `GET /alerts` and a small index page on `/`
+/// over HTTP on `listener` until `stop` is raised and the accept loop is
+/// woken.
+pub fn serve_prometheus(listener: &TcpListener, registry: &SnapshotRegistry, stop: &ShutdownFlag) {
+    http::serve(listener, stop, |req: &Request| match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => {
+            Response::ok("text/plain; version=0.0.4", render_prometheus(&registry.read()))
+        }
+        ("GET", "/alerts") => Response::ok("application/json", render_alerts_json(&registry.read())),
+        ("GET", "/") => Response::ok(
+            "text/plain",
+            "vap-daemon: live telemetry for the simulated fleet\n\
+             GET /metrics — Prometheus text format\n\
+             GET /alerts — drift alerts as JSON\n"
+                .to_string(),
+        ),
+        (_, path) => Response::not_found(path),
+    });
 }
 
 fn gauge_header(out: &mut String, name: &str, help: &str) {

@@ -1,28 +1,8 @@
 //! Stdout exporter: prints every Nth snapshot as a one-line summary —
 //! the "just show me it's alive" exporter, scaphandre-style.
 
-use crate::signal::ShutdownFlag;
-use crate::{DaemonError, Exporter};
 use std::io::Write;
-use std::time::Duration;
 use vap_obs::{SnapshotRegistry, TelemetrySnapshot};
-
-/// How often the exporter checks for a newer epoch.
-const POLL: Duration = Duration::from_millis(20);
-
-/// Prints a compact summary of every `every`-th snapshot to stdout.
-#[derive(Debug)]
-pub struct StdoutExporter {
-    every: u64,
-}
-
-impl StdoutExporter {
-    /// Print every `every`-th epoch (0 is coerced to 1: constructing a
-    /// disabled exporter is the caller's decision, not this type's).
-    pub fn new(every: u64) -> Self {
-        StdoutExporter { every: every.max(1) }
-    }
-}
 
 /// One human-scannable line per printed snapshot.
 fn summary_line(snap: &TelemetrySnapshot) -> String {
@@ -41,29 +21,16 @@ fn summary_line(snap: &TelemetrySnapshot) -> String {
     )
 }
 
-impl Exporter for StdoutExporter {
-    fn name(&self) -> &'static str {
-        "stdout"
-    }
-
-    fn serve(
-        &mut self,
-        registry: &SnapshotRegistry,
-        stop: &ShutdownFlag,
-    ) -> Result<(), DaemonError> {
-        let mut last_epoch = 0u64;
-        let stdout = std::io::stdout();
-        while !stop.raised() {
-            let epoch = registry.epoch();
-            if epoch > last_epoch && epoch.is_multiple_of(self.every) {
-                let snap = registry.read();
-                last_epoch = snap.epoch;
-                let mut out = stdout.lock();
-                let _ = writeln!(out, "{}", summary_line(&snap));
-            }
-            std::thread::sleep(POLL);
+/// Print a summary of every `every`-th epoch to stdout as it is
+/// published, until the registry closes.
+pub fn serve_stdout(registry: &SnapshotRegistry, every: u64) {
+    let stdout = std::io::stdout();
+    let mut epoch = 0;
+    while let Some(snap) = registry.wait_newer(epoch) {
+        epoch = snap.epoch;
+        if epoch.is_multiple_of(every) {
+            let _ = writeln!(stdout.lock(), "{}", summary_line(&snap));
         }
-        Ok(())
     }
 }
 
@@ -71,12 +38,6 @@ impl Exporter for StdoutExporter {
 mod tests {
     use super::*;
     use vap_obs::ModuleSample;
-
-    #[test]
-    fn zero_interval_is_coerced_to_one() {
-        assert_eq!(StdoutExporter::new(0).every, 1);
-        assert_eq!(StdoutExporter::new(25).every, 25);
-    }
 
     #[test]
     fn summary_counts_throttled_modules() {
@@ -114,10 +75,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_exits_when_raised() {
+    fn serve_returns_once_the_registry_closes() {
         let registry = SnapshotRegistry::new();
-        let stop = ShutdownFlag::new();
-        stop.raise();
-        StdoutExporter::new(1).serve(&registry, &stop).unwrap();
+        registry.publish(TelemetrySnapshot::default());
+        registry.close();
+        // epoch 1 is not a multiple of 2, so the test prints nothing
+        serve_stdout(&registry, 2);
     }
 }

@@ -1,24 +1,33 @@
-//! A deliberately small HTTP/1.1 server over `std::net::TcpListener`.
-//!
-//! Just enough protocol for a metrics endpoint: parse the request line,
-//! drain headers, call a handler, write one `Connection: close`
-//! response. The accept loop is non-blocking so it can poll the
-//! [`ShutdownFlag`] between connections, and each connection is handled
-//! on a scoped thread so the handler can borrow the snapshot registry
-//! without `Arc` plumbing.
+//! A deliberately small HTTP/1.1 server over `std::net::TcpListener`,
+//! and the daemon's one accept loop, which both listeners use. The loop
+//! blocks in `accept`, so raising the [`ShutdownFlag`] does not end it
+//! by itself: the owner raises the flag, then calls [`wake`]. Each
+//! connection runs on a scoped thread, so handlers can borrow the
+//! snapshot registry without `Arc` plumbing. [`serve`] adds just enough
+//! protocol for a metrics endpoint: read a request head bounded in size
+//! and time, call a handler, write one `Connection: close` response.
 
+use crate::clock::Deadline;
 use crate::signal::ShutdownFlag;
-use crate::DaemonError;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Longest request head (request line plus headers) the server reads;
+/// a scraper's GET is a few hundred bytes.
+const MAX_HEAD: u64 = 8 * 1024;
 
-/// Per-connection read timeout: a scraper that stalls mid-request gets
-/// cut off rather than pinning a thread.
-const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// Wall seconds a client has to deliver its whole request head, however
+/// it paces the bytes.
+const HEAD_DEADLINE_S: f64 = 0.5;
+
+/// How long one write may block on a client that stopped reading before
+/// its connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Pause after a failed `accept` (out of descriptors, say), so a
+/// persistent failure cannot become a busy spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// A parsed request line (headers are drained and ignored — a metrics
 /// endpoint needs none of them).
@@ -62,38 +71,62 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Read the request line and drain headers until the blank line.
+/// Reads a connection against one deadline for the whole request head:
+/// each read may block only for the time that is left.
+struct HeadReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Deadline,
+}
+
+impl Read for HeadReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.remaining();
+        if left.is_zero() {
+            return Err(std::io::Error::new(ErrorKind::TimedOut, "request head deadline passed"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Read the request line and drain headers until the blank line. A head
+/// that runs into [`MAX_HEAD`] before its blank line is an error; one
+/// cut short by the client hanging up is not.
 fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
+    let head = HeadReader { stream, deadline: Deadline::start(HEAD_DEADLINE_S) };
+    let mut reader = BufReader::new(head.take(MAX_HEAD));
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
     if method.is_empty() || path.is_empty() {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad request line"));
+        return Err(std::io::Error::new(ErrorKind::InvalidData, "bad request line"));
     }
     loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header.trim_end().is_empty() {
-            return Ok(Request { method, path });
+        line.clear();
+        let n = reader.read_line(&mut line)?;
+        if n == 0 || line.trim_end().is_empty() {
+            break;
         }
     }
+    if !line.ends_with('\n') && reader.get_ref().limit() == 0 {
+        return Err(std::io::Error::new(ErrorKind::InvalidData, "request head too long"));
+    }
+    Ok(Request { method, path })
 }
 
 fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         status_text(response.status),
         response.content_type,
         response.body.len()
-    )?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    );
+    stream.write_all(head.as_bytes())?;
+    stream.write_all(response.body.as_bytes())
 }
 
 fn handle_connection(mut stream: TcpStream, handler: &(impl Fn(&Request) -> Response + Sync)) {
@@ -109,42 +142,54 @@ fn handle_connection(mut stream: TcpStream, handler: &(impl Fn(&Request) -> Resp
     let _ = write_response(&mut stream, &response);
 }
 
-/// Serve `handler` on `listener` until `stop` is raised. Each accepted
-/// connection runs on its own scoped thread; the function returns only
-/// after all in-flight connections finish.
+/// Accept connections on `listener` until `stop` is raised, running
+/// `handle` for each on its own scoped thread; returns once every
+/// in-flight connection is done. Every connection gets a write timeout,
+/// so a client that stops reading frees its thread.
+///
+/// The loop blocks in `accept`: after raising `stop`, call [`wake`].
+pub fn accept_loop(listener: &TcpListener, stop: &ShutdownFlag, handle: impl Fn(TcpStream) + Sync) {
+    std::thread::scope(|scope| loop {
+        let accepted = listener.accept();
+        if stop.raised() {
+            return;
+        }
+        match accepted {
+            Ok((stream, _addr)) => {
+                if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_ok() {
+                    let handle = &handle;
+                    scope.spawn(move || handle(stream));
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    });
+}
+
+/// Unblock the [`accept_loop`] on `listener` once its stop flag is
+/// raised: one connection of our own, which the loop drops as it returns.
+pub fn wake(listener: &TcpListener) {
+    // Connecting to our own loopback listener fails only when the process
+    // is out of descriptors; the loop then returns on the next client.
+    if let Ok(addr) = listener.local_addr() {
+        let _ = TcpStream::connect(addr);
+    }
+}
+
+/// Serve `handler` over HTTP on `listener` until `stop` is raised and
+/// the loop is [`wake`]d.
 pub fn serve(
     listener: &TcpListener,
     stop: &ShutdownFlag,
     handler: impl Fn(&Request) -> Response + Sync,
-) -> Result<(), DaemonError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| DaemonError::io("set_nonblocking on http listener", e))?;
-    std::thread::scope(|scope| {
-        while !stop.raised() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    // Blocking I/O per connection; the listener alone stays
-                    // non-blocking so the stop flag is honoured promptly.
-                    let _ = stream.set_nonblocking(false);
-                    let handler = &handler;
-                    scope.spawn(move || handle_connection(stream, handler));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-    });
-    Ok(())
+) {
+    accept_loop(listener, stop, |stream| handle_connection(stream, &handler));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     fn get(addr: std::net::SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -159,10 +204,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stop = ShutdownFlag::new();
-        let stop_serving = stop.clone();
         std::thread::scope(|scope| {
-            let server = scope.spawn(move || {
-                serve(&listener, &stop_serving, |req| match req.path.as_str() {
+            let server = scope.spawn(|| {
+                serve(&listener, &stop, |req| match req.path.as_str() {
                     "/hello" => Response::ok("text/plain", format!("{} says hi\n", req.method)),
                     other => Response::not_found(other),
                 })
@@ -174,7 +218,8 @@ mod tests {
             let missing = get(addr, "/nope");
             assert!(missing.starts_with("HTTP/1.1 404 Not Found\r\n"), "{missing}");
             stop.raise();
-            server.join().unwrap().unwrap();
+            wake(&listener);
+            server.join().unwrap();
         });
     }
 
@@ -183,18 +228,17 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stop = ShutdownFlag::new();
-        let stop_serving = stop.clone();
         std::thread::scope(|scope| {
-            let server = scope.spawn(move || {
-                serve(&listener, &stop_serving, |_| Response::ok("text/plain", "ok".into()))
-            });
+            let server = scope
+                .spawn(|| serve(&listener, &stop, |_| Response::ok("text/plain", "ok".into())));
             let mut stream = TcpStream::connect(addr).unwrap();
             stream.write_all(b"\r\n\r\n").unwrap();
             let mut out = String::new();
             stream.read_to_string(&mut out).unwrap();
             assert!(out.starts_with("HTTP/1.1 400"), "{out}");
             stop.raise();
-            server.join().unwrap().unwrap();
+            wake(&listener);
+            server.join().unwrap();
         });
     }
 }

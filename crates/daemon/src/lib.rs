@@ -12,16 +12,17 @@
 //!   journal records the campaign). Each tick produces an unsealed
 //!   [`vap_obs::TelemetrySnapshot`].
 //! * The **registry** ([`vap_obs::SnapshotRegistry`]) is the seam: the
-//!   sensor publishes epoch-stamped, checksummed snapshots with an
-//!   atomic pointer swap; readers clone the latest without ever taking a
-//!   lock. Thousands of scrapers cannot block or perturb the sim loop —
-//!   the daemon's journal is byte-identical with 0 or 200 scrapers
-//!   attached (`tests/determinism.rs`).
-//! * **Exporters** ([`exporters`]) run on their own threads behind one
-//!   [`exporters::Exporter`] trait: Prometheus text format over a
-//!   hand-rolled HTTP/1.1 server ([`http`]), line-delimited JSON
-//!   streaming, and stdout. Exporters never write to `vap_obs` — serving
-//!   is a pure read of the registry.
+//!   sensor publishes epoch-stamped, checksummed snapshots into it, and
+//!   readers take the latest as an `Arc`, holding its one lock only to
+//!   copy that pointer. Thousands of scrapers cannot perturb the sim
+//!   loop — the daemon's journal is byte-identical with 0 or 200
+//!   scrapers attached (`tests/determinism.rs`).
+//! * **Exporters** ([`exporters`]) are three serving functions, each on
+//!   its own thread: Prometheus text format over a hand-rolled HTTP/1.1
+//!   server ([`http`]), line-delimited JSON streaming, and stdout. Both
+//!   listeners share [`http::accept_loop`], which blocks in `accept`;
+//!   streams block until the next publish. Exporters never write to
+//!   `vap_obs` — serving is a pure read of the registry.
 //! * The **soak** ([`soak`]) is the load side: scrape loops and held
 //!   JSON streams against a running daemon, behind `daemon-loadgen` and
 //!   `vap-bench`'s `profile`.
@@ -31,9 +32,10 @@
 //! hand-rolled, and shutdown is a signal-raised atomic flag
 //! ([`signal`]).
 //!
-//! Wall-clock time exists only in the pacing/soak side channel
-//! ([`clock`]); simulation time is stepped explicitly, so the telemetry
-//! stream is a pure function of `(mode, modules, seed, scale)`.
+//! Wall-clock time exists only in the side channel of pacing, soak timing
+//! and request deadlines ([`clock`]); simulation time is stepped
+//! explicitly, so the telemetry stream is a pure function of
+//! `(mode, modules, seed, scale)`.
 
 // `deny` rather than the workspace-usual `forbid`: the signal module
 // carries the workspace's only FFI (one `signal(2)` registration) behind
@@ -51,8 +53,6 @@ pub mod signal;
 pub mod soak;
 
 pub use config::{DaemonConfig, Mode};
-pub use exporters::Exporter;
-pub use sensors::Sensor;
 pub use service::{run, DaemonSummary, Service};
 pub use signal::ShutdownFlag;
 

@@ -13,15 +13,3 @@ mod sweep;
 
 pub use sched::SchedCampaign;
 pub use sweep::CapSweepSensor;
-
-use vap_obs::TelemetrySnapshot;
-
-/// A deterministic telemetry source stepped by the service loop.
-pub trait Sensor {
-    /// Short name for logs and the startup banner.
-    fn name(&self) -> &'static str;
-
-    /// Advance one tick and report the fleet's state, or `None` when the
-    /// sensor has nothing left to simulate (end of trace / tick budget).
-    fn tick(&mut self) -> Option<TelemetrySnapshot>;
-}

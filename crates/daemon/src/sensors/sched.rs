@@ -71,11 +71,6 @@ impl SchedCampaign {
         SchedCampaign { runtime, trace }
     }
 
-    /// Jobs in the campaign's trace.
-    pub fn jobs(&self) -> usize {
-        JOBS
-    }
-
     /// Replay the trace, handing every post-event snapshot to `publish`.
     /// Returning [`ControlFlow::Break`] from `publish` stops the replay
     /// early (shutdown); either way the scheduler's final report comes

@@ -4,7 +4,6 @@
 //! exporters show RAPL throttling ripple across a heterogeneous fleet as
 //! the cap tightens — the paper's §4 story, live.
 
-use crate::sensors::Sensor;
 use vap_model::systems::SystemSpec;
 use vap_model::units::{Seconds, Watts};
 use vap_obs::{DriftAlertSample, DriftConfig, DriftDetector};
@@ -115,14 +114,10 @@ impl CapSweepSensor {
             }
         }
     }
-}
 
-impl Sensor for CapSweepSensor {
-    fn name(&self) -> &'static str {
-        "cap-sweep"
-    }
-
-    fn tick(&mut self) -> Option<vap_obs::TelemetrySnapshot> {
+    /// Advance one simulated second and report the fleet's state, or
+    /// `None` once the tick budget is spent.
+    pub fn tick(&mut self) -> Option<vap_obs::TelemetrySnapshot> {
         if self.max_ticks > 0 && self.ticks >= self.max_ticks {
             return None;
         }

@@ -6,16 +6,19 @@
 //! thread in the binary, where the `vap_obs::Session` is installed, so
 //! the journal sees the campaign), while each exporter gets one scoped
 //! thread borrowing the registry. The registry is the only shared state,
-//! and its read path is lock-free — which is why the journal written by
-//! a daemon run is byte-identical whether 0 or 200 scrapers are attached
-//! (`tests/determinism.rs` holds this to `cmp`-level equality).
+//! and a scraper holds its lock only to copy a pointer — which is why
+//! the journal written by a daemon run is byte-identical whether 0 or
+//! 200 scrapers are attached (`tests/determinism.rs` holds this to
+//! `cmp`-level equality).
 
 use crate::clock::{Deadline, Pacer, Stopwatch};
 use crate::config::{DaemonConfig, Mode};
-use crate::exporters::{JsonExporter, PrometheusExporter, StdoutExporter};
-use crate::sensors::{CapSweepSensor, SchedCampaign, Sensor};
+use crate::exporters::{serve_json, serve_prometheus, serve_stdout};
+use crate::http;
+use crate::sensors::{CapSweepSensor, SchedCampaign};
 use crate::signal::{self, ShutdownFlag};
-use crate::{DaemonError, Exporter};
+use crate::DaemonError;
+use std::net::TcpListener;
 use std::ops::ControlFlow;
 use vap_obs::SnapshotRegistry;
 use vap_report::options::RunOptions;
@@ -33,8 +36,8 @@ pub struct Service {
     cfg: DaemonConfig,
     registry: SnapshotRegistry,
     stop: ShutdownFlag,
-    prometheus: PrometheusExporter,
-    json: JsonExporter,
+    prometheus: TcpListener,
+    json: TcpListener,
 }
 
 /// What a finished daemon run did, for the exit banner.
@@ -46,7 +49,8 @@ pub struct DaemonSummary {
     pub published: u64,
     /// Simulated time reached (seconds).
     pub sim_time_s: f64,
-    /// Lock-free registry reads served to exporters and scrapers.
+    /// Snapshots the registry handed to exporters and scrapers: one per
+    /// scrape, per streamed line and per stdout summary check.
     pub registry_reads: u64,
     /// Wall-clock run time (seconds).
     pub wall_s: f64,
@@ -73,6 +77,12 @@ impl std::fmt::Display for DaemonSummary {
     }
 }
 
+/// Bind `port` on localhost (0 picks an ephemeral port).
+fn bind_local(port: u16, exporter: &str) -> Result<TcpListener, DaemonError> {
+    TcpListener::bind(("127.0.0.1", port))
+        .map_err(|e| DaemonError::io(format!("bind {exporter} exporter :{port}"), e))
+}
+
 impl Service {
     /// Open the exporters' listeners. Nothing is simulated yet.
     pub fn bind(opts: &RunOptions, cfg: &DaemonConfig) -> Result<Self, DaemonError> {
@@ -81,19 +91,19 @@ impl Service {
             cfg: cfg.clone(),
             registry: SnapshotRegistry::new(),
             stop: ShutdownFlag::new(),
-            prometheus: PrometheusExporter::bind(cfg.prom_port)?,
-            json: JsonExporter::bind(cfg.json_port)?,
+            prometheus: bind_local(cfg.prom_port, "prometheus")?,
+            json: bind_local(cfg.json_port, "json")?,
         })
     }
 
     /// Address of the Prometheus HTTP endpoint.
     pub fn prom_addr(&self) -> Result<std::net::SocketAddr, DaemonError> {
-        self.prometheus.local_addr()
+        self.prometheus.local_addr().map_err(|e| DaemonError::io("prometheus local_addr", e))
     }
 
     /// Address of the streaming JSON endpoint.
     pub fn json_addr(&self) -> Result<std::net::SocketAddr, DaemonError> {
-        self.json.local_addr()
+        self.json.local_addr().map_err(|e| DaemonError::io("json local_addr", e))
     }
 
     /// A handle that stops this service when raised (tests, embedders).
@@ -109,34 +119,29 @@ impl Service {
         signal::install_handlers();
         let watch = Stopwatch::start();
 
-        let mut exporters: Vec<Box<dyn Exporter>> = vec![Box::new(prometheus), Box::new(json)];
-        if cfg.stdout_every > 0 {
-            exporters.push(Box::new(StdoutExporter::new(cfg.stdout_every)));
-        }
-
         let outcome = std::thread::scope(|scope| {
-            let handles: Vec<_> = exporters
-                .iter_mut()
-                .map(|exporter| {
-                    let registry = &registry;
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        let name = exporter.name();
-                        exporter
-                            .serve(registry, stop)
-                            .map_err(|e| DaemonError::msg(format!("{name} exporter: {e}")))
-                    })
-                })
-                .collect();
+            let (registry, stop) = (&registry, &stop);
+            let mut exporters = vec![
+                ("prometheus", scope.spawn(|| serve_prometheus(&prometheus, registry, stop))),
+                ("json", scope.spawn(|| serve_json(&json, registry, stop))),
+            ];
+            if cfg.stdout_every > 0 {
+                exporters
+                    .push(("stdout", scope.spawn(|| serve_stdout(registry, cfg.stdout_every))));
+            }
 
-            let outcome = drive_sensor(&opts, &cfg, &registry, &stop);
-            // Sensor is done (or failed): release the exporters and wait
-            // for their in-flight clients to drain.
+            let outcome = drive_sensor(&opts, &cfg, registry, stop);
+            // Sensor is done (or failed): release the exporters (closing
+            // the registry ends every stream, a connection of our own
+            // wakes each accept loop) and wait for in-flight clients.
             stop.raise();
-            for handle in handles {
+            registry.close();
+            http::wake(&prometheus);
+            http::wake(&json);
+            for (name, handle) in exporters {
                 handle
                     .join()
-                    .map_err(|_| DaemonError::msg("exporter thread panicked"))??;
+                    .map_err(|_| DaemonError::msg(format!("{name} exporter: thread panicked")))?;
             }
             outcome
         })?;

@@ -37,65 +37,6 @@ use crate::scenario::{ScenarioKind, ScenarioRecord};
 /// form, so a whole-valued float reads `30`, not `30.0`).
 pub const JOURNAL_VERSION: u32 = 4;
 
-/// Serializable snapshot of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Finite observation count.
-    pub count: u64,
-    /// Sum of finite observations.
-    pub sum: f64,
-    /// Smallest finite observation (0 when `count == 0`).
-    pub min: f64,
-    /// Largest finite observation (0 when `count == 0`).
-    pub max: f64,
-    /// Non-finite observation count.
-    pub nonfinite: u64,
-    /// Counts per `floor(log2(|v|))` bucket.
-    pub buckets: BTreeMap<i32, u64>,
-}
-
-impl ToJson for HistogramSnapshot {
-    fn write_json(&self, out: &mut String) {
-        let mut o = ObjectWriter::new(out);
-        o.field("count", &self.count)
-            .field("sum", &self.sum)
-            .field("min", &self.min)
-            .field("max", &self.max)
-            .field("nonfinite", &self.nonfinite)
-            .field("buckets", &self.buckets);
-        o.end();
-    }
-}
-
-impl FromJson for HistogramSnapshot {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let mut f = Fields::of(v)?;
-        let h = HistogramSnapshot {
-            count: f.get("count")?,
-            sum: f.get("sum")?,
-            min: f.get("min")?,
-            max: f.get("max")?,
-            nonfinite: f.get("nonfinite")?,
-            buckets: f.get("buckets")?,
-        };
-        f.deny_unknown()?;
-        Ok(h)
-    }
-}
-
-impl From<&Histogram> for HistogramSnapshot {
-    fn from(h: &Histogram) -> Self {
-        HistogramSnapshot {
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-            nonfinite: h.nonfinite,
-            buckets: h.buckets.clone(),
-        }
-    }
-}
-
 /// One line of the JSONL journal: an object tagged by its `type` field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalLine {
@@ -126,7 +67,7 @@ pub enum JournalLine {
         /// Counter values by name.
         counters: BTreeMap<String, u64>,
         /// Histograms by name.
-        histograms: BTreeMap<String, HistogramSnapshot>,
+        histograms: BTreeMap<String, Histogram>,
     },
     /// One scope's watt-provenance ledger rollup: accumulated energy
     /// bins plus the conservation verdict. Cell scopes carry their
@@ -185,7 +126,7 @@ pub enum JournalLine {
         /// Counter values by name.
         counters: BTreeMap<String, u64>,
         /// Histograms by name.
-        histograms: BTreeMap<String, HistogramSnapshot>,
+        histograms: BTreeMap<String, Histogram>,
     },
 }
 
@@ -428,12 +369,9 @@ impl ObsReport {
     }
 }
 
-fn snapshot_maps(
-    m: &Metrics,
-) -> (BTreeMap<String, u64>, BTreeMap<String, HistogramSnapshot>) {
+fn snapshot_maps(m: &Metrics) -> (BTreeMap<String, u64>, BTreeMap<String, Histogram>) {
     let counters = m.counters().iter().map(|(&k, &v)| (k.to_string(), v)).collect();
-    let histograms =
-        m.histograms().iter().map(|(&k, h)| (k.to_string(), HistogramSnapshot::from(h))).collect();
+    let histograms = m.histograms().iter().map(|(&k, h)| (k.to_string(), h.clone())).collect();
     (counters, histograms)
 }
 
@@ -981,7 +919,7 @@ pub fn validate_journal(journal: &str) -> Result<JournalStats, String> {
     Ok(stats)
 }
 
-fn validate_histograms(hs: &BTreeMap<String, HistogramSnapshot>) -> Result<(), String> {
+fn validate_histograms(hs: &BTreeMap<String, Histogram>) -> Result<(), String> {
     for (name, h) in hs {
         let bucketed: u64 = h.buckets.values().sum();
         if bucketed != h.count {

@@ -26,8 +26,9 @@
 //!
 //! A third piece serves the **live service plane** (`vap-daemon`): the
 //! [`registry::SnapshotRegistry`] publishes epoch-stamped, checksummed
-//! [`snapshot::TelemetrySnapshot`]s to concurrent scrapers without ever
-//! blocking the deterministic sim loop.
+//! [`snapshot::TelemetrySnapshot`]s to concurrent scrapers behind one
+//! mutex that a scraper holds only to copy an `Arc` pointer, and wakes
+//! streaming readers on each publish instead of letting them poll.
 //!
 //! ## Usage
 //!
@@ -42,11 +43,7 @@
 //! assert!(report.journal_jsonl.contains("alpha.solves"));
 //! ```
 
-// `deny`, not `forbid`: the snapshot registry opts back in with a
-// module-level allow for its pointer-swap publication scheme — the one
-// place in the crate where safe Rust would force a lock onto the
-// scraper read path.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decision;

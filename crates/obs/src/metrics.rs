@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::hist;
+use crate::json::{Fields, FromJson, ObjectWriter, ToJson, Value};
 
 /// A sparse log-linear (HDR-style) histogram over `f64` observations.
 ///
@@ -110,6 +111,37 @@ impl Histogram {
         for (&b, &n) in &other.buckets {
             *self.buckets.entry(b).or_insert(0) += n;
         }
+    }
+}
+
+/// The journal's histogram object: every field, buckets as a
+/// `{"key": count}` map in key order.
+impl ToJson for Histogram {
+    fn write_json(&self, out: &mut String) {
+        let mut o = ObjectWriter::new(out);
+        o.field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("nonfinite", &self.nonfinite)
+            .field("buckets", &self.buckets);
+        o.end();
+    }
+}
+
+impl FromJson for Histogram {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let mut f = Fields::of(v)?;
+        let h = Histogram {
+            count: f.get("count")?,
+            sum: f.get("sum")?,
+            min: f.get("min")?,
+            max: f.get("max")?,
+            nonfinite: f.get("nonfinite")?,
+            buckets: f.get("buckets")?,
+        };
+        f.deny_unknown()?;
+        Ok(h)
     }
 }
 

@@ -1,159 +1,128 @@
-//! The lock-free snapshot registry: one writer, many wait-free readers.
+//! The snapshot registry: one writer, many readers, one lock.
 //!
 //! The daemon's deterministic sim loop publishes epoch-stamped
-//! [`TelemetrySnapshot`]s; thousands of concurrent scrapers read the
-//! latest one. Two requirements drive the design:
+//! [`TelemetrySnapshot`]s; many concurrent scrapers read the latest one.
+//! The current snapshot sits behind a [`Mutex`] as an
+//! `Arc<TelemetrySnapshot>`:
 //!
-//! 1. **Readers never block and never perturb the writer.** A reader is
-//!    two sequentially-consistent atomic RMWs around a pointer load and a
-//!    clone — no mutex, no syscall, no allocation shared with the writer.
-//! 2. **The writer never waits on readers.** Publishing is an
-//!    `AtomicPtr::swap` (arc-swap style); the displaced snapshot goes on
-//!    a retired list and is freed on a later publish that observes a
-//!    quiescent instant (`readers == 0`), so a stalled scraper can delay
-//!    reclamation but can never delay the sim tick.
+//! * a **reader** holds the lock only to copy that pointer (an `Arc`
+//!   refcount bump), then renders from its own reference with the lock
+//!   released — a scraper never holds the lock while it formats or
+//!   writes;
+//! * the **writer** holds it to stamp and seal the next snapshot and swap
+//!   the pointer, then wakes every [`wait_newer`](SnapshotRegistry::wait_newer)
+//!   caller through a [`Condvar`]. A displaced snapshot is freed when its
+//!   last reader drops its `Arc`.
 //!
-//! The seqlock-checked epoch ([`SnapshotRegistry::epoch`]) plus the
-//! per-snapshot checksum ([`TelemetrySnapshot::verify`]) let tests prove
-//! the absence of torn reads under arbitrary interleavings
-//! (`tests/registry_props.rs`).
+//! Streaming exporters block in `wait_newer` instead of polling, and
+//! [`close`](SnapshotRegistry::close) wakes them for shutdown.
 //!
-//! # Why the reclamation is sound
-//!
-//! All registry atomics use `SeqCst`, so every increment, load and swap
-//! lands in one total order. A reader increments `readers` **before**
-//! loading the pointer and decrements **after** its last use of the
-//! pointee. The writer frees retired pointers only after observing
-//! `readers == 0` *after* the swap that retired them. In the total order,
-//! a reader holding a retired pointer must have incremented before that
-//! observation and not yet decremented — contradicting `readers == 0`.
-//! A reader that increments after the observation loads the *current*
-//! pointer, which is never on the retired list (a swap retires only the
-//! displaced pointer, and pointers are never re-published).
+//! The epoch plus the per-snapshot checksum ([`TelemetrySnapshot::verify`])
+//! let tests prove the absence of torn reads under arbitrary
+//! interleavings (`tests/registry_props.rs`).
 
-// The one sanctioned unsafe island in vap-obs: the registry's
-// pointer-swap publication scheme cannot be expressed in safe Rust
-// without a lock on the read side.
-#![allow(unsafe_code)]
-
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::TelemetrySnapshot;
 
-/// An owned snapshot allocation awaiting a quiescent instant to be freed.
+/// What the lock guards.
 #[derive(Debug)]
-struct Retired(*mut TelemetrySnapshot);
-
-// SAFETY: a `Retired` pointer is the sole handle to a `Box` allocation
-// displaced from `current`; sending it between threads transfers that
-// ownership. Nothing aliases it except readers covered by the quiescence
-// protocol documented on the module.
-unsafe impl Send for Retired {}
+struct State {
+    /// The latest sealed snapshot.
+    current: Arc<TelemetrySnapshot>,
+    /// Set by [`SnapshotRegistry::close`]: no more publishes will come.
+    closed: bool,
+    /// Snapshots handed out (service-plane stat, not part of the
+    /// deterministic journal).
+    reads: u64,
+}
 
 /// A single-writer / many-reader registry holding the latest
 /// [`TelemetrySnapshot`].
 ///
-/// Reads are lock-free ([`SnapshotRegistry::read`]); publishes are
-/// wait-free with deferred reclamation ([`SnapshotRegistry::publish`]).
 /// The registry stamps each published snapshot with the next epoch and
-/// seals its checksum.
+/// seals its checksum. Readers get the snapshot as an `Arc`.
 #[derive(Debug)]
 pub struct SnapshotRegistry {
-    /// The latest sealed snapshot. Always a valid `Box` allocation.
-    current: AtomicPtr<TelemetrySnapshot>,
-    /// The last epoch the writer assigned (writer-side counter; readers
-    /// take the epoch from `current` itself).
-    epoch: AtomicU64,
-    /// Readers currently between their increment and decrement.
-    readers: AtomicUsize,
-    /// Total completed reads (service-plane stat, not part of the
-    /// deterministic journal).
-    reads: AtomicU64,
-    /// Displaced snapshots awaiting reclamation. Writer-side only: the
-    /// read path never touches this lock.
-    retired: Mutex<Vec<Retired>>,
+    state: Mutex<State>,
+    /// Notified on every publish and on close.
+    changed: Condvar,
 }
 
 impl SnapshotRegistry {
     /// A registry holding an empty epoch-0 snapshot.
     pub fn new() -> Self {
-        let initial = Box::into_raw(Box::new(TelemetrySnapshot::default().seal(0)));
         SnapshotRegistry {
-            current: AtomicPtr::new(initial),
-            epoch: AtomicU64::new(0),
-            readers: AtomicUsize::new(0),
-            reads: AtomicU64::new(0),
-            retired: Mutex::new(Vec::new()),
+            state: Mutex::new(State {
+                current: Arc::new(TelemetrySnapshot::default().seal(0)),
+                closed: false,
+                reads: 0,
+            }),
+            changed: Condvar::new(),
         }
     }
 
+    /// The lock never guards a half-done update (every critical section
+    /// is a field assignment), so a poisoned lock is still consistent.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publish a snapshot: stamp it with the next epoch, seal its
-    /// checksum, and swap it in as the current view. Never blocks on
-    /// readers. Returns the epoch assigned.
+    /// checksum, swap it in as the current view and wake every waiting
+    /// reader. Returns the epoch assigned.
     pub fn publish(&self, snapshot: TelemetrySnapshot) -> u64 {
-        let epoch = self.epoch.load(Ordering::SeqCst) + 1;
-        let sealed = snapshot.seal(epoch);
-        let fresh = Box::into_raw(Box::new(sealed));
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        self.epoch.store(epoch, Ordering::SeqCst);
-        let mut retired = self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        retired.push(Retired(old));
-        // Opportunistic reclamation at a quiescent instant; see the
-        // module docs for why this free is sound.
-        if self.readers.load(Ordering::SeqCst) == 0 {
-            for Retired(p) in retired.drain(..) {
-                // SAFETY: `p` came from `Box::into_raw` in a previous
-                // publish (or `new`), was displaced from `current` before
-                // the quiescent observation above, and per the quiescence
-                // argument no reader can still hold it.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
+        let mut state = self.lock();
+        let epoch = state.current.epoch + 1;
+        let old = std::mem::replace(&mut state.current, Arc::new(snapshot.seal(epoch)));
+        drop(state);
+        self.changed.notify_all();
+        // freed here, outside the lock, unless a reader still holds it
+        drop(old);
         epoch
+    }
+
+    /// Wake every [`wait_newer`](Self::wait_newer) caller for good: once
+    /// they have the current snapshot, they get `None`.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
     }
 
     /// The epoch of the current snapshot. Reading the epoch before and
     /// after a [`read`](Self::read) and seeing the same value proves the
-    /// snapshot was current for that whole window (seqlock check): the
-    /// epoch is read from the current pointee, and epochs only grow, so
-    /// equal reads pin the pointer in between.
+    /// snapshot was current for that whole window (seqlock check).
     pub fn epoch(&self) -> u64 {
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        let p = self.current.load(Ordering::SeqCst);
-        // SAFETY: the same reader protocol as `read` — the pointee cannot
-        // be freed while this thread's increment is outstanding.
-        let epoch = unsafe { (*p).epoch };
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        epoch
+        self.lock().current.epoch
     }
 
-    /// Clone out the current snapshot. Lock-free: the only shared-state
-    /// operations are the reader-count RMWs and the pointer load.
-    pub fn read(&self) -> TelemetrySnapshot {
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        let p = self.current.load(Ordering::SeqCst);
-        // SAFETY: `current` always points at a live `Box` allocation.
-        // The pointee cannot be freed while `readers > 0` — the writer
-        // only frees after observing `readers == 0`, and this thread's
-        // increment happens-before its pointer load in the SeqCst total
-        // order (see module docs).
-        let snapshot = unsafe { (*p).clone() };
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        snapshot
+    /// The current snapshot: a pointer copy under the lock.
+    pub fn read(&self) -> Arc<TelemetrySnapshot> {
+        let mut state = self.lock();
+        state.reads += 1;
+        Arc::clone(&state.current)
     }
 
-    /// Total completed [`read`](Self::read) calls (service-plane stat;
+    /// Block until a snapshot newer than `epoch` is current and return
+    /// it, or return `None` once the registry is closed and holds
+    /// nothing newer.
+    pub fn wait_newer(&self, epoch: u64) -> Option<Arc<TelemetrySnapshot>> {
+        let mut state = self
+            .changed
+            .wait_while(self.lock(), |s| s.current.epoch <= epoch && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.current.epoch <= epoch {
+            return None;
+        }
+        state.reads += 1;
+        Some(Arc::clone(&state.current))
+    }
+
+    /// Snapshots handed out by [`read`](Self::read) and
+    /// [`wait_newer`](Self::wait_newer) (service-plane stat;
     /// deliberately excluded from the deterministic journal).
     pub fn read_count(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Snapshots currently awaiting reclamation (test/diagnostic hook;
-    /// bounded by the number of publishes that raced an active reader).
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.lock().reads
     }
 }
 
@@ -163,26 +132,11 @@ impl Default for SnapshotRegistry {
     }
 }
 
-impl Drop for SnapshotRegistry {
-    fn drop(&mut self) {
-        // Exclusive access: no readers or writers can exist here.
-        let current = *self.current.get_mut();
-        // SAFETY: `current` is the live allocation owned by the registry.
-        drop(unsafe { Box::from_raw(current) });
-        let retired = self.retired.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for Retired(p) in retired.drain(..) {
-            // SAFETY: retired pointers are owned, displaced allocations.
-            drop(unsafe { Box::from_raw(p) });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::ModuleSample;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn snap(power: f64) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -219,18 +173,6 @@ mod tests {
         assert_eq!(s.epoch, 2);
         assert_eq!(s.total_power_w, 200.0);
         assert!(s.verify());
-    }
-
-    #[test]
-    fn quiescent_publishes_reclaim_retired_snapshots() {
-        let r = SnapshotRegistry::new();
-        for i in 0..64 {
-            r.publish(snap(i as f64));
-            let _ = r.read();
-        }
-        // with no concurrent readers every publish reclaims; at most the
-        // most recent displacement can be pending
-        assert!(r.retired_len() <= 1, "retired = {}", r.retired_len());
     }
 
     #[test]
@@ -271,5 +213,19 @@ mod tests {
         let after = r.epoch();
         assert_eq!(before, after);
         assert_eq!(s.epoch, before);
+    }
+
+    #[test]
+    fn wait_newer_wakes_on_publish_and_drains_before_close() {
+        let r = SnapshotRegistry::new();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| r.wait_newer(0).map(|s| s.epoch));
+            r.publish(snap(1.0));
+            assert_eq!(waiter.join().unwrap(), Some(1));
+        });
+        r.publish(snap(2.0));
+        r.close();
+        assert_eq!(r.wait_newer(1).map(|s| s.epoch), Some(2), "close keeps the last epoch");
+        assert!(r.wait_newer(2).is_none(), "a closed registry never blocks");
     }
 }

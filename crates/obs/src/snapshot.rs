@@ -7,10 +7,12 @@
 //! arbitrarily many concurrent exporters and scrapers (the *exporter*
 //! side) through a [`crate::registry::SnapshotRegistry`].
 //!
-//! Because readers never take a lock, every snapshot carries a
-//! [`checksum`](TelemetrySnapshot::checksum) sealed at publish time:
-//! [`TelemetrySnapshot::verify`] proves a read was not torn (see
-//! `tests/registry_props.rs` for the property test that hammers this).
+//! Every snapshot carries a [`checksum`](TelemetrySnapshot::checksum)
+//! sealed at publish time, so [`TelemetrySnapshot::verify`] can check
+//! that what a reader holds is exactly what the writer sealed: the
+//! registry's property test (`tests/registry_props.rs`) holds every read
+//! to it under concurrent publishes, and the daemon's determinism tests
+//! compare checksum streams.
 
 use crate::json::{self, ObjectWriter, ToJson};
 

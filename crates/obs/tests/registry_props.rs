@@ -1,4 +1,4 @@
-//! Property tests for the lock-free snapshot registry: under arbitrary
+//! Property tests for the snapshot registry: under arbitrary
 //! interleavings of publishes and concurrent reads, every observed
 //! snapshot is fully consistent — its sealed checksum verifies, its
 //! epoch is one the writer actually published, and epochs never run
@@ -102,11 +102,6 @@ fn concurrent_reads_never_tear() {
             assert!(seen >= 1);
         }
         assert_eq!(registry.epoch(), publishes as u64);
-
-        // after the barrier (all readers joined) one quiescent publish
-        // reclaims the whole retired backlog
-        registry.publish(snapshot(seed, modules));
-        assert!(registry.retired_len() <= 1);
     });
 }
 
