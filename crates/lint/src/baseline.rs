@@ -18,6 +18,7 @@
 //! count = 2
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Accepted debt for one `(rule, path)` pair.
@@ -44,8 +45,19 @@ impl Baseline {
         self.entries
             .iter()
             .filter(|e| e.rule == rule && e.path == path)
-            .map(|e| e.count)
-            .sum()
+            .fold(0, |n, e| n.saturating_add(e.count))
+    }
+
+    /// Every accepted count keyed by `(rule, path)`, with duplicate
+    /// entries summed as [`Baseline::count`] sums them: built once, so a
+    /// scan looks each finding up without rescanning the entries.
+    pub fn allowances(&self) -> BTreeMap<(&str, &str), usize> {
+        let mut map = BTreeMap::new();
+        for e in &self.entries {
+            let n: &mut usize = map.entry((e.rule.as_str(), e.path.as_str())).or_default();
+            *n = n.saturating_add(e.count);
+        }
+        map
     }
 
     /// Parse the TOML-subset baseline text.
@@ -173,6 +185,19 @@ count = 1
         assert_eq!(b.count("no-panic-in-lib", "crates/core/src/pvt.rs"), 2);
         assert_eq!(b.count("float-eq", "crates/stats/src/variation.rs"), 1);
         assert_eq!(b.count("float-eq", "crates/stats/src/other.rs"), 0);
+    }
+
+    #[test]
+    fn allowances_sum_duplicate_entries_like_count() {
+        let dup = "[[entry]]\nrule = \"float-eq\"\n\
+                   path = \"crates/stats/src/variation.rs\"\ncount = 3\n";
+        let b = Baseline::parse(&format!("{SAMPLE}\n{dup}")).unwrap();
+        let map = b.allowances();
+        assert_eq!(map.len(), 2);
+        assert_eq!(map[&("float-eq", "crates/stats/src/variation.rs")], 4);
+        for e in &b.entries {
+            assert_eq!(map[&(e.rule.as_str(), e.path.as_str())], b.count(&e.rule, &e.path));
+        }
     }
 
     #[test]

@@ -197,14 +197,24 @@ pub fn scan(opts: &Options) -> Result<Outcome, String> {
 
     // Classify against the baseline: within each (rule, path) group the
     // first `baseline.count()` non-allowed findings are accepted debt,
-    // anything beyond is new.
-    let mut seen: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for f in findings.iter_mut().filter(|f| f.status != Status::Allowed) {
-        let n = seen.entry((f.rule.to_string(), f.path.clone())).or_insert(0);
-        f.status =
-            if *n < baseline.count(f.rule, &f.path) { Status::Baselined } else { Status::New };
-        *n += 1;
+    // anything beyond is new. Findings are sorted by path, so each path's
+    // findings are one run, counted per rule and cloned into `counts`
+    // once.
+    let allowance = baseline.allowances();
+    let mut counts: Vec<(String, String, usize)> = Vec::new();
+    let mut per_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
+    for run in findings.chunk_by_mut(|a, b| a.path == b.path) {
+        for f in run.iter_mut().filter(|f| f.status != Status::Allowed) {
+            let n = per_rule.entry(f.rule).or_insert(0);
+            let accepted = allowance.get(&(f.rule, f.path.as_str())).copied().unwrap_or(0);
+            f.status = if *n < accepted { Status::Baselined } else { Status::New };
+            *n += 1;
+        }
+        let path = &run[0].path;
+        counts.extend(per_rule.iter().map(|(rule, n)| (rule.to_string(), path.clone(), *n)));
+        per_rule.clear();
     }
+    counts.sort();
 
     let mut summary = Summary { files: sources.len(), ..Summary::default() };
     for f in &findings {
@@ -222,11 +232,15 @@ pub fn scan(opts: &Options) -> Result<Outcome, String> {
         .iter()
         .filter(|e| active.iter().any(|r| r.name() == e.rule))
         .filter(|e| {
-            seen.get(&(e.rule.clone(), e.path.clone())).copied().unwrap_or(0) < e.count
+            let seen = counts
+                .binary_search_by(|(rule, path, _)| {
+                    (rule.as_str(), path.as_str()).cmp(&(e.rule.as_str(), e.path.as_str()))
+                })
+                .map_or(0, |k| counts[k].2);
+            seen < e.count
         })
         .count();
 
-    let counts = seen.into_iter().map(|((rule, path), n)| (rule, path, n)).collect();
     Ok(Outcome { findings, summary, counts })
 }
 
@@ -353,19 +367,65 @@ mod tests {
 
     /// Build a scratch workspace with one offending crate.
     fn scratch_workspace(tag: &str) -> PathBuf {
+        workspace_with(
+            tag,
+            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n\
+             pub fn g(y: Option<u32>) -> u32 {\n    y.unwrap()\n}\n",
+        )
+    }
+
+    /// Build a scratch workspace whose one crate, `vap-core`, has `lib`
+    /// as its only source file.
+    fn workspace_with(tag: &str, lib: &str) -> PathBuf {
         let root =
             std::env::temp_dir().join(format!("vap-lint-cli-{}-{}", tag, std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("crates/core/src")).unwrap();
         fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"vap-core\"\n")
             .unwrap();
-        fs::write(
-            root.join("crates/core/src/lib.rs"),
-            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n\
-             pub fn g(y: Option<u32>) -> u32 {\n    y.unwrap()\n}\n",
-        )
-        .unwrap();
+        fs::write(root.join("crates/core/src/lib.rs"), lib).unwrap();
         root
+    }
+
+    #[test]
+    fn truncated_sources_scan_without_panicking() {
+        // a half-saved file is input from outside the process: a file
+        // that stops inside any construct must still scan
+        let tails = ["g(", "struct W(", "fn f(", "impl X {", "r#\"open", "/* open", "'"];
+        for (k, tail) in tails.iter().enumerate() {
+            let lib = format!("pub fn ok() {{}}\n{tail}");
+            let root = workspace_with(&format!("truncated-{k}"), &lib);
+            assert!(scan(&Options::new(&root)).is_ok(), "file ending in {tail:?}");
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn finding_positions_survive_hostile_lexing() {
+        // A column is the byte offset in the scrubbed line, where each
+        // blanked character is one space whatever its UTF-8 width. These
+        // positions were recorded from the char-by-char scrubber that the
+        // byte-level one replaced.
+        let src = crate::lexer::tests::HOSTILE.join("\r\n") + "\r\n";
+        let root = workspace_with("hostile", &src);
+        let out = scan(&Options::new(&root)).unwrap();
+        let found: Vec<(&str, usize, usize)> =
+            out.findings.iter().map(|f| (f.rule, f.line, f.column)).collect();
+        assert_eq!(
+            found,
+            [
+                ("no-panic-in-lib", 1, 52),
+                ("float-eq", 2, 57),
+                ("no-panic-in-lib", 5, 31),
+                ("no-panic-in-lib", 7, 69),
+                ("no-panic-in-lib", 8, 59),
+                ("no-panic-in-lib", 9, 79),
+                ("no-panic-in-lib", 11, 21),
+                ("determinism", 12, 38),
+                ("determinism", 12, 56),
+            ]
+        );
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

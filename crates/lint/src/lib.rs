@@ -11,20 +11,29 @@
 //! every workspace file ([`lexer`], [`parse`]) and builds a symbol index
 //! ([`index::SymbolIndex`]): function signatures with typed parameters,
 //! newtype structs, `static`/`thread_local!` items, per-function panic
-//! counts, and the crate dependency graph. **Pass 2** runs the rules per
+//! counts, and the crate dependency graph. The index is keyed by bare
+//! function name and holds no call graph. **Pass 2** runs the rules per
 //! file with the index in scope, so cross-function facts (a callee's
-//! parameter types three crates away) are one lookup.
+//! parameter types three crates away) are one lookup. A call resolves to
+//! every indexed function with the callee's name, receiver kind and
+//! arity, and an index-aware rule fires only when all of those
+//! candidates agree.
+//!
+//! The front end holds each file's text once per form: the source and
+//! its scrubbed copy are each one buffer with a line table
+//! ([`lexer::Lines`]), tokens borrow from the scrubbed buffer, and a call
+//! argument is a range into the file's one token list.
 //!
 //! | Rule | What it forbids |
 //! |------|-----------------|
-//! | `raw-unit-f64` | bare `f64` carrying power/frequency/time/energy in `vap-core`/`vap-model`/`vap-sim` APIs — use the `Watts`/`GigaHertz`/`Seconds`/`Joules` newtypes |
-//! | `unit-flow` | bare `f64` expressions flowing into unit-typed parameters at any workspace call site, `.0` re-wrapping between units, and `pub` fns returning raw `f64` from unit-typed inputs |
+//! | `raw-unit-f64` | a power/frequency/energy-named declaration (`name: <type with f64>`, or `fn name(..) -> f64`) typed bare `f64` in `vap-core`/`vap-model`/`vap-sim` — use the `Watts`/`GigaHertz`/`Seconds`/`Joules` newtypes |
+//! | `unit-flow` | a float-literal arithmetic or `.0`-projection argument passed where every candidate callee declares a unit-typed parameter, a unit constructor re-wrapping a `.0` projection (`Watts(f.0 * 8.0)`), and `pub` library fns returning bare `f64` from unit-typed inputs |
 //! | `no-panic-in-lib` | `.unwrap()` / `.expect(..)` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` outside `#[cfg(test)]` in library code |
-//! | `panic-propagation` | library calls into workspace functions whose bodies contain (baselined) panics — debt must not hide behind wrappers |
-//! | `no-println-in-lib` | `println!` / `eprintln!` / `dbg!` in library code — emit through `vap-obs` or return data |
-//! | `float-eq` | `==` / `!=` against floating-point literals outside tests |
-//! | `determinism` | `HashMap`/`HashSet` state and `thread_rng` / `SystemTime::now` / `Instant::now` wall-clock or OS entropy in `vap-sim`/`vap-mpi`/`vap-core` |
-//! | `shared-state-in-par` | mutable `static`s in crates reachable from `vap-exec` worker closures, and order-sensitive float reductions inside `par_map`/`par_grid`/`par_map_fleet` closures |
+//! | `panic-propagation` | a library call whose every candidate callee contains a panic that is not `vap:allow`ed (baselined debt counts) — one call level deep, across the whole workspace |
+//! | `no-println-in-lib` | `println!` / `print!` / `eprintln!` / `eprint!` in library code outside `vap-report` and `vap-lint` — emit through `vap-obs` or return data |
+//! | `float-eq` | `==` / `!=` with a float literal (`0.0`, `1e-6`, `2f64`) or an `f64::`/`f32::` constant on either side, outside tests |
+//! | `determinism` | `HashMap`/`HashSet` state, `thread_rng` / `rand::rng()` OS entropy and `SystemTime::now` / `Instant::now` wall clocks in `vap-sim`, `vap-mpi`, `vap-core`, `vap-exec`, `vap-sched`, `vap-scenario` and `vap-daemon`, and in `vap-obs`'s `ledger`, `hist`, `decision` and `drift` modules |
+//! | `shared-state-in-par` | mutable `static`s in crates reachable from `vap-exec` worker closures (and in `vap-daemon`), and float reductions (`sum`/`product` turbofished to `f64`/`f32`, `fold` seeded with a float literal) inside `par_map`/`par_grid`/`par_map_fleet` closures |
 //!
 //! The analyzer is deliberately dependency-free: it carries its own
 //! comment/string-scrubbing lexer, token-tree parser, directory walker,

@@ -1,6 +1,6 @@
 //! A lightweight token-tree parser over the scrubbed source.
 //!
-//! The per-line rules of PR 1 see one line at a time; the index-aware
+//! The per-line rules see one line at a time; the index-aware
 //! rules (`unit-flow`, `shared-state-in-par`, `panic-propagation`) need
 //! *items*: function signatures with typed parameters, newtype structs,
 //! `impl` blocks, `static`/`thread_local!` state, and call sites with
@@ -11,30 +11,41 @@
 //! bodies, patterns and generics are skipped or approximated, which is
 //! exactly the right trade for a zero-dependency analyzer — unresolvable
 //! constructs degrade to "not indexed", never to a false parse.
+//!
+//! Nothing here copies the file's text. A [`Tok`] borrows its text from
+//! the scrubbed [`Lines`], so [`tokenize`] allocates only the token
+//! vector. A [`ParsedFile`] keeps the file's tokens once, as compact
+//! (line, column, length) spans, and a call's [`Arg`] is a range of
+//! indices into them rather than a copy of its tokens, so a token nested
+//! three calls deep is still stored once; [`ParsedFile::arg_toks`] reads
+//! an argument back from the lines. Owned strings remain only where the
+//! symbol index keeps them: item names, parameter and return types, and
+//! callee paths.
 
-/// One lexical token of scrubbed code.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+use std::ops::Range;
+
+use crate::lexer::Lines;
+
+/// One lexical token of scrubbed code, borrowed from the file's lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tok<'a> {
     /// Token text (`foo`, `42.5`, `::`, `->`, `(` …).
-    pub text: String,
+    pub text: &'a str,
     /// 0-based source line.
     pub line: usize,
     /// 0-based starting column (byte offset in the scrubbed line).
     pub col: usize,
 }
 
-impl Tok {
+impl Tok<'_> {
     fn is_ident(&self) -> bool {
-        self.text
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        self.text.as_bytes().first().is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_')
     }
 }
 
 /// Tokenize scrubbed lines. Identifier/number runs become one token;
 /// `::` and `->` fuse; every other non-space byte is a one-char token.
-pub fn tokenize(code: &[String]) -> Vec<Tok> {
+pub fn tokenize(code: &Lines) -> Vec<Tok<'_>> {
     let mut toks = Vec::new();
     for (line_no, line) in code.iter().enumerate() {
         let bytes = line.as_bytes();
@@ -45,8 +56,8 @@ pub fn tokenize(code: &[String]) -> Vec<Tok> {
                 i += 1;
                 continue;
             }
+            let start = i;
             if c.is_ascii_alphanumeric() || c == '_' {
-                let start = i;
                 while i < bytes.len()
                     && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
                 {
@@ -80,32 +91,42 @@ pub fn tokenize(code: &[String]) -> Vec<Tok> {
                         }
                     }
                 }
-                toks.push(Tok { text: line[start..i].to_string(), line: line_no, col: start });
-                continue;
-            }
-            // multi-byte UTF-8 punctuation (·, α in scrubbed code should
-            // not appear — it is blanked — but be byte-safe regardless)
-            if !c.is_ascii() {
-                let ch_len = line[i..].chars().next().map_or(1, char::len_utf8);
-                toks.push(Tok { text: line[i..i + ch_len].to_string(), line: line_no, col: i });
-                i += ch_len;
-                continue;
-            }
-            let two = &bytes[i..(i + 2).min(bytes.len())];
-            if two == b"::" || two == b"->" {
-                toks.push(Tok {
-                    text: String::from_utf8_lossy(two).into_owned(),
-                    line: line_no,
-                    col: i,
-                });
+            } else if !c.is_ascii() {
+                // multi-byte UTF-8 punctuation (·, α in scrubbed code should
+                // not appear — it is blanked — but be byte-safe regardless)
+                i += line[i..].chars().next().map_or(1, char::len_utf8);
+            } else if matches!(&bytes[i..(i + 2).min(bytes.len())], b"::" | b"->") {
                 i += 2;
-                continue;
+            } else {
+                i += 1;
             }
-            toks.push(Tok { text: c.to_string(), line: line_no, col: i });
-            i += 1;
+            toks.push(Tok { text: &line[start..i], line: line_no, col: start });
         }
     }
     toks
+}
+
+/// Where a token sits in the scrubbed lines: the compact form a
+/// [`ParsedFile`] keeps its tokens in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    line: u32,
+    col: u32,
+    len: u32,
+}
+
+impl Span {
+    fn of(t: &Tok<'_>) -> Span {
+        let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Span { line: narrow(t.line), col: narrow(t.col), len: narrow(t.text.len()) }
+    }
+
+    /// The token back, read from the lines it was cut from.
+    fn read(self, code: &Lines) -> Tok<'_> {
+        let (line, col) = (self.line as usize, self.col as usize);
+        let text = code.get(line).and_then(|l| l.get(col..col + self.len as usize));
+        Tok { text: text.unwrap_or(""), line, col }
+    }
 }
 
 /// One `name: Type` parameter of an indexed function.
@@ -184,19 +205,10 @@ pub struct StaticItem {
     pub line: usize,
 }
 
-/// One argument expression at a call site, as raw tokens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Arg {
-    /// The argument's tokens (delimiters included, commas excluded).
-    pub toks: Vec<Tok>,
-}
-
-impl Arg {
-    /// Canonical text form (for diagnostics).
-    pub fn text(&self) -> String {
-        join_tokens(&self.toks)
-    }
-}
+/// One argument expression at a call site: the range of its tokens
+/// (delimiters included, commas excluded) in the file's token list. Read
+/// it with [`ParsedFile::arg_toks`] or [`ParsedFile::arg_text`].
+pub type Arg = Range<usize>;
 
 /// One call site `path::to::f(args)` or `recv.method(args)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,6 +242,8 @@ pub struct ParsedFile {
     pub statics: Vec<StaticItem>,
     /// Call sites.
     pub calls: Vec<Call>,
+    /// Every token of the file, in order; each [`Arg`] indexes into it.
+    toks: Vec<Span>,
 }
 
 impl ParsedFile {
@@ -240,6 +254,21 @@ impl ParsedFile {
             .filter(|f| f.body.is_some_and(|(a, b)| a <= line && line <= b))
             .min_by_key(|f| f.body.map(|(a, b)| b - a).unwrap_or(usize::MAX))
     }
+
+    /// The tokens of `arg`, read from `code`: the scrubbed lines this
+    /// file was parsed from.
+    pub fn arg_toks<'a>(
+        &'a self,
+        code: &'a Lines,
+        arg: &Arg,
+    ) -> impl Iterator<Item = Tok<'a>> + Clone + 'a {
+        self.toks.get(arg.clone()).unwrap_or_default().iter().map(move |s| s.read(code))
+    }
+
+    /// Canonical text form of `arg` (for diagnostics).
+    pub fn arg_text(&self, code: &Lines, arg: &Arg) -> String {
+        join_tokens(self.arg_toks(code, arg))
+    }
 }
 
 /// Keywords that look like `ident (` but are not calls.
@@ -247,19 +276,18 @@ const NON_CALL_KEYWORDS: [&str; 10] =
     ["if", "while", "for", "match", "return", "in", "as", "move", "loop", "else"];
 
 /// Parse one scrubbed file into items and call sites.
-pub fn parse_file(code: &[String]) -> ParsedFile {
+pub fn parse_file(code: &Lines) -> ParsedFile {
     let toks = tokenize(code);
     let mut out = ParsedFile::default();
     // (self type, brace depth the impl body opened at)
-    let mut impl_stack: Vec<(String, i32)> = Vec::new();
+    let mut impl_stack: Vec<(&str, i32)> = Vec::new();
     // brace depth at which an open thread_local! body closes
     let mut thread_local_until: Option<i32> = None;
     let mut depth = 0i32;
     let mut pending_pub = false;
     let mut i = 0usize;
     while i < toks.len() {
-        let t = &toks[i];
-        match t.text.as_str() {
+        match toks[i].text {
             "{" => {
                 depth += 1;
                 i += 1;
@@ -299,7 +327,7 @@ pub fn parse_file(code: &[String]) -> ParsedFile {
                 pending_pub = false;
             }
             "fn" => {
-                let self_ty = impl_stack.last().map(|(ty, _)| ty.as_str());
+                let self_ty = impl_stack.last().map(|(ty, _)| *ty);
                 if let Some((sig, next)) = parse_fn(&toks, i, pending_pub, self_ty) {
                     // continue *inside* the body so nested items and call
                     // sites are still visited; only the signature tokens
@@ -357,21 +385,22 @@ pub fn parse_file(code: &[String]) -> ParsedFile {
             }
         }
     }
+    out.toks = toks.iter().map(Span::of).collect();
     out
 }
 
 /// `impl [<..>] Path [for Path] {` → (self type base name, index after `{`).
-fn parse_impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
+fn parse_impl_header<'a>(toks: &[Tok<'a>], at: usize) -> Option<(&'a str, usize)> {
     let mut i = at + 1;
     if toks.get(i).is_some_and(|t| t.text == "<") {
         i = skip_generics(toks, i);
     }
     // read path segments; remember the base ident of the last path seen
     // before `{`, preferring the path after `for`
-    let mut self_ty = String::new();
+    let mut self_ty = "";
     let mut saw_for = false;
     while let Some(t) = toks.get(i) {
-        match t.text.as_str() {
+        match t.text {
             "{" => {
                 if self_ty.is_empty() {
                     return None;
@@ -381,7 +410,7 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
             ";" => return None, // `impl Trait for Type;`-like degenerate
             "for" => {
                 saw_for = true;
-                self_ty.clear();
+                self_ty = "";
                 i += 1;
             }
             "<" => i = skip_generics(toks, i),
@@ -393,7 +422,7 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
             }
             _ => {
                 if t.is_ident() && (self_ty.is_empty() || !saw_for) {
-                    self_ty = t.text.clone();
+                    self_ty = t.text;
                 }
                 i += 1;
             }
@@ -403,11 +432,11 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
 }
 
 /// Skip a balanced `<...>` starting at the `<`; returns index after `>`.
-fn skip_generics(toks: &[Tok], at: usize) -> usize {
+fn skip_generics(toks: &[Tok<'_>], at: usize) -> usize {
     let mut depth = 0i32;
     let mut i = at;
     while let Some(t) = toks.get(i) {
-        match t.text.as_str() {
+        match t.text {
             "<" => depth += 1,
             ">" => {
                 depth -= 1;
@@ -426,11 +455,11 @@ fn skip_generics(toks: &[Tok], at: usize) -> usize {
 }
 
 /// Skip a balanced `(..)` / `[..]` / `{..}` starting at the opener.
-fn skip_balanced(toks: &[Tok], at: usize) -> usize {
+fn skip_balanced(toks: &[Tok<'_>], at: usize) -> usize {
     let mut depth = 0i32;
     let mut i = at;
     while let Some(t) = toks.get(i) {
-        match t.text.as_str() {
+        match t.text {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => {
                 depth -= 1;
@@ -445,12 +474,21 @@ fn skip_balanced(toks: &[Tok], at: usize) -> usize {
     i
 }
 
+/// The token range strictly inside the group whose opener is at `at`,
+/// and the index after its closer. Input that ends before the group
+/// closes lends its last token as the closer; a group opened by the very
+/// last token is empty.
+fn group(toks: &[Tok<'_>], at: usize) -> (Range<usize>, usize) {
+    let close = skip_balanced(toks, at);
+    (at + 1..(close - 1).max(at + 1), close)
+}
+
 /// Parse `fn name<..>(params) [-> Ret] [where ..] ({ | ;)`.
 ///
 /// Returns the signature and the token index to resume from (just inside
 /// the body brace, so nested items are still visited).
 fn parse_fn(
-    toks: &[Tok],
+    toks: &[Tok<'_>],
     at: usize,
     is_pub: bool,
     self_ty: Option<&str>,
@@ -459,7 +497,6 @@ fn parse_fn(
     if !name_tok.is_ident() {
         return None;
     }
-    let name = name_tok.text.clone();
     let mut i = at + 2;
     if toks.get(i).is_some_and(|t| t.text == "<") {
         i = skip_generics(toks, i);
@@ -468,36 +505,35 @@ fn parse_fn(
         return None;
     }
     // split the parameter list at top-level commas
-    let mut params_toks: Vec<Vec<Tok>> = vec![Vec::new()];
+    let mut param_ranges: Vec<Range<usize>> = Vec::new();
     let mut pdepth = 0i32;
     let mut adepth = 0i32; // angle depth, only sane inside type position
     i += 1;
+    let mut start = i;
     while let Some(t) = toks.get(i) {
-        match t.text.as_str() {
+        match t.text {
             "(" | "[" | "{" => pdepth += 1,
             ")" | "]" | "}" if pdepth > 0 => pdepth -= 1,
             ")" => break,
             "<" => adepth += 1,
             ">" if adepth > 0 => adepth -= 1,
             "," if pdepth == 0 && adepth <= 0 => {
-                params_toks.push(Vec::new());
-                i += 1;
-                continue;
+                param_ranges.push(start..i);
+                start = i + 1;
             }
             _ => {}
-        }
-        if let Some(last) = params_toks.last_mut() {
-            last.push(t.clone());
         }
         i += 1;
     }
     if toks.get(i).is_none_or(|t| t.text != ")") {
         return None;
     }
+    param_ranges.push(start..i);
     i += 1;
     let mut has_self = false;
     let mut params = Vec::new();
-    for ptoks in &params_toks {
+    for range in param_ranges {
+        let ptoks = &toks[range];
         if ptoks.is_empty() {
             continue;
         }
@@ -512,9 +548,9 @@ fn parse_fn(
             .iter()
             .rev()
             .find(|t| t.is_ident() && t.text != "mut")
-            .map(|t| t.text.clone())
-            .unwrap_or_else(|| "_".to_string());
-        params.push(Param { name: pname, ty: join_tokens(&ptoks[c + 1..]) });
+            .map_or("_", |t| t.text);
+        let ty = join_tokens(ptoks[c + 1..].iter().copied());
+        params.push(Param { name: pname.to_string(), ty });
     }
     // return type
     let mut ret = None;
@@ -523,7 +559,7 @@ fn parse_fn(
         let start = i;
         let mut adepth = 0i32;
         while let Some(t) = toks.get(i) {
-            match t.text.as_str() {
+            match t.text {
                 "<" | "(" | "[" => adepth += 1,
                 ">" | ")" | "]" if adepth > 0 => adepth -= 1,
                 "{" | ";" | "where" if adepth <= 0 => break,
@@ -531,7 +567,7 @@ fn parse_fn(
             }
             i += 1;
         }
-        ret = Some(join_tokens(&toks[start..i]));
+        ret = Some(join_tokens(toks[start..i].iter().copied()));
     }
     // where clause
     if toks.get(i).is_some_and(|t| t.text == "where") {
@@ -542,7 +578,7 @@ fn parse_fn(
     // body extent
     let mut body = None;
     let resume;
-    match toks.get(i).map(|t| t.text.as_str()) {
+    match toks.get(i).map(|t| t.text) {
         Some("{") => {
             let close = skip_balanced(toks, i);
             let end_line = toks.get(close.saturating_sub(1)).map_or(toks[i].line, |t| t.line);
@@ -551,6 +587,7 @@ fn parse_fn(
         }
         _ => resume = i, // trait method or declaration without body
     }
+    let name = name_tok.text.to_string();
     let qualified = match self_ty {
         Some(ty) => format!("{ty}::{name}"),
         None => name.clone(),
@@ -571,26 +608,25 @@ fn parse_fn(
 }
 
 /// Parse `struct Name<..> ( .. ) ;` / `struct Name { .. }` / `struct Name;`.
-fn parse_struct(toks: &[Tok], at: usize) -> Option<(StructDef, usize)> {
+fn parse_struct(toks: &[Tok<'_>], at: usize) -> Option<(StructDef, usize)> {
     let name_tok = toks.get(at + 1)?;
     if !name_tok.is_ident() {
         return None; // `$name` inside a macro definition, etc.
     }
-    let name = name_tok.text.clone();
     let mut i = at + 2;
     if toks.get(i).is_some_and(|t| t.text == "<") {
         i = skip_generics(toks, i);
     }
     let mut newtype_of = None;
-    match toks.get(i).map(|t| t.text.as_str()) {
+    match toks.get(i).map(|t| t.text) {
         Some("(") => {
-            let close = skip_balanced(toks, i);
-            let inner = &toks[i + 1..close.saturating_sub(1)];
+            let (inner, close) = group(toks, i);
+            let inner = &toks[inner];
             let top_commas = {
                 let mut depth = 0i32;
                 let mut n = 0usize;
                 for t in inner {
-                    match t.text.as_str() {
+                    match t.text {
                         "(" | "[" | "<" => depth += 1,
                         ")" | "]" | ">" if depth > 0 => depth -= 1,
                         "," if depth == 0 => n += 1,
@@ -600,15 +636,12 @@ fn parse_struct(toks: &[Tok], at: usize) -> Option<(StructDef, usize)> {
                 n
             };
             if top_commas == 0 && !inner.is_empty() {
-                let field: Vec<Tok> = inner
+                // `pub(crate)` leaves bare parens behind; strip them too
+                let field = inner
                     .iter()
-                    .filter(|t| !matches!(t.text.as_str(), "pub" | "crate" | "super"))
-                    .cloned()
-                    .collect();
-                // `pub(crate)` leaves bare parens behind; strip them
-                let field: Vec<Tok> =
-                    field.into_iter().filter(|t| t.text != "(" && t.text != ")").collect();
-                newtype_of = Some(join_tokens(&field));
+                    .copied()
+                    .filter(|t| !matches!(t.text, "pub" | "crate" | "super" | "(" | ")"));
+                newtype_of = Some(join_tokens(field));
             }
             i = close;
         }
@@ -617,11 +650,15 @@ fn parse_struct(toks: &[Tok], at: usize) -> Option<(StructDef, usize)> {
         }
         _ => {}
     }
-    Some((StructDef { name, newtype_of, line: toks[at].line }, i))
+    Some((StructDef { name: name_tok.text.to_string(), newtype_of, line: toks[at].line }, i))
 }
 
 /// Parse `static [mut] NAME: Type` (inside or outside `thread_local!`).
-fn parse_static(toks: &[Tok], at: usize, in_thread_local: bool) -> Option<(StaticItem, usize)> {
+fn parse_static(
+    toks: &[Tok<'_>],
+    at: usize,
+    in_thread_local: bool,
+) -> Option<(StaticItem, usize)> {
     let mut i = at + 1;
     let mut kind = if in_thread_local { StaticKind::ThreadLocal } else { StaticKind::Static };
     if toks.get(i).is_some_and(|t| t.text == "mut") {
@@ -634,7 +671,6 @@ fn parse_static(toks: &[Tok], at: usize, in_thread_local: bool) -> Option<(Stati
     if !name_tok.is_ident() {
         return None;
     }
-    let name = name_tok.text.clone();
     i += 1;
     if toks.get(i).is_none_or(|t| t.text != ":") {
         return None;
@@ -643,7 +679,7 @@ fn parse_static(toks: &[Tok], at: usize, in_thread_local: bool) -> Option<(Stati
     let start = i;
     let mut adepth = 0i32;
     while let Some(t) = toks.get(i) {
-        match t.text.as_str() {
+        match t.text {
             "<" | "(" | "[" => adepth += 1,
             ">" | ")" | "]" if adepth > 0 => adepth -= 1,
             "=" | ";" if adepth <= 0 => break,
@@ -651,12 +687,18 @@ fn parse_static(toks: &[Tok], at: usize, in_thread_local: bool) -> Option<(Stati
         }
         i += 1;
     }
-    Some((StaticItem { name, kind, ty: join_tokens(&toks[start..i]), line: toks[at].line }, i))
+    let item = StaticItem {
+        name: name_tok.text.to_string(),
+        kind,
+        ty: join_tokens(toks[start..i].iter().copied()),
+        line: toks[at].line,
+    };
+    Some((item, i))
 }
 
 /// Parse the call whose argument list opens at the `(` at `at`, if the
 /// tokens before it name a callee.
-fn parse_call(toks: &[Tok], at: usize) -> Option<Call> {
+fn parse_call(toks: &[Tok<'_>], at: usize) -> Option<Call> {
     // step back over a turbofish `::<..>`
     let mut j = at.checked_sub(1)?;
     let mut turbofish = None;
@@ -664,7 +706,7 @@ fn parse_call(toks: &[Tok], at: usize) -> Option<Call> {
         let close = j;
         let mut depth = 0i32;
         loop {
-            match toks[j].text.as_str() {
+            match toks[j].text {
                 ">" => depth += 1,
                 "<" => {
                     depth -= 1;
@@ -676,7 +718,7 @@ fn parse_call(toks: &[Tok], at: usize) -> Option<Call> {
             }
             j = j.checked_sub(1)?;
         }
-        turbofish = Some(join_tokens(&toks[j + 1..close]));
+        turbofish = Some(j + 1..close);
         // expect `::` before the `<`
         j = j.checked_sub(1)?;
         if toks[j].text != "::" {
@@ -685,39 +727,32 @@ fn parse_call(toks: &[Tok], at: usize) -> Option<Call> {
         j = j.checked_sub(1)?;
     }
     let callee_tok = &toks[j];
-    if !callee_tok.is_ident() || NON_CALL_KEYWORDS.contains(&callee_tok.text.as_str()) {
+    if !callee_tok.is_ident() || NON_CALL_KEYWORDS.contains(&callee_tok.text) {
         return None;
     }
     // walk the path backwards: ident (:: ident)*
-    let mut path = vec![callee_tok.text.clone()];
     let mut k = j;
     while k >= 2 && toks[k - 1].text == "::" && toks[k - 2].is_ident() {
-        path.push(toks[k - 2].text.clone());
         k -= 2;
     }
-    path.reverse();
-    let before = k.checked_sub(1).map(|p| toks[p].text.clone());
+    let before = k.checked_sub(1).map(|p| toks[p].text);
     // definitions and macros are not calls
-    if matches!(
-        before.as_deref(),
-        Some("fn") | Some("struct") | Some("enum") | Some("union") | Some("trait") | Some("mod")
-    ) {
+    if matches!(before, Some("fn" | "struct" | "enum" | "union" | "trait" | "mod")) {
         return None;
     }
     if toks.get(j + 1).is_some_and(|t| t.text == "!") {
         return None; // macro, and its `(` follows the `!` anyway
     }
-    let is_method = before.as_deref() == Some(".");
+    let is_method = before == Some(".");
     // split args at top-level commas
-    let close = skip_balanced(toks, at);
-    let inner = &toks[at + 1..close.saturating_sub(1)];
+    let (inner, close) = group(toks, at);
     let mut args: Vec<Arg> = Vec::new();
-    let mut cur: Vec<Tok> = Vec::new();
+    let mut start = inner.start;
     let mut pdepth = 0i32;
     // commas inside a closure head `|a, b|` do not split arguments
     let mut in_closure_head = false;
-    for t in inner {
-        match t.text.as_str() {
+    for m in inner.clone() {
+        match toks[m].text {
             "(" | "[" | "{" => pdepth += 1,
             ")" | "]" | "}" => pdepth -= 1,
             "|" if pdepth == 0 => {
@@ -727,26 +762,25 @@ fn parse_call(toks: &[Tok], at: usize) -> Option<Call> {
                     // `|` opens a closure head when an argument starts
                     // with it (bitwise-or never begins an expression);
                     // only `move` may precede the opening pipe
-                    in_closure_head = cur.iter().all(|t| t.text == "move");
+                    in_closure_head = toks[start..m].iter().all(|t| t.text == "move");
                 }
             }
             "," if pdepth == 0 && !in_closure_head => {
-                args.push(Arg { toks: std::mem::take(&mut cur) });
-                continue;
+                args.push(start..m);
+                start = m + 1;
             }
             _ => {}
         }
-        cur.push(t.clone());
     }
-    if !cur.is_empty() {
-        args.push(Arg { toks: cur });
+    if start < inner.end {
+        args.push(start..inner.end);
     }
     let end_line = toks.get(close.saturating_sub(1)).map_or(callee_tok.line, |t| t.line);
     Some(Call {
-        callee: callee_tok.text.clone(),
-        path,
+        callee: callee_tok.text.to_string(),
+        path: (k..=j).step_by(2).map(|p| toks[p].text.to_string()).collect(),
         is_method,
-        turbofish,
+        turbofish: turbofish.map(|r| join_tokens(toks[r].iter().copied())),
         line: callee_tok.line,
         col: callee_tok.col,
         args,
@@ -757,18 +791,17 @@ fn parse_call(toks: &[Tok], at: usize) -> Option<Call> {
 /// Join tokens into canonical type/expression text: no spaces around
 /// `::`, `.`, `<`, `>`, `&`, `'` or inside delimiters; single spaces
 /// elsewhere.
-pub fn join_tokens(toks: &[Tok]) -> String {
-    let tight_after = ["::", ".", "<", "&", "'", "(", "[", "-", "->"];
-    let tight_before = ["::", ".", "<", ">", ",", ";", "(", ")", "[", "]"];
+pub fn join_tokens<'a>(toks: impl IntoIterator<Item = Tok<'a>>) -> String {
+    const TIGHT_AFTER: [&str; 9] = ["::", ".", "<", "&", "'", "(", "[", "-", "->"];
+    const TIGHT_BEFORE: [&str; 10] = ["::", ".", "<", ">", ",", ";", "(", ")", "[", "]"];
     let mut out = String::new();
-    for (i, t) in toks.iter().enumerate() {
-        if i > 0
-            && !tight_after.contains(&toks[i - 1].text.as_str())
-            && !tight_before.contains(&t.text.as_str())
-        {
+    let mut prev: Option<&str> = None;
+    for t in toks {
+        if prev.is_some_and(|p| !TIGHT_AFTER.contains(&p)) && !TIGHT_BEFORE.contains(&t.text) {
             out.push(' ');
         }
-        out.push_str(&t.text);
+        out.push_str(t.text);
+        prev = Some(t.text);
     }
     out
 }
@@ -792,15 +825,15 @@ pub fn type_mentions(ty: &str, name: &str) -> bool {
 
 /// Is this argument a "bare f64" expression: a float-literal arithmetic
 /// expression, or anything containing a `.0` tuple/newtype projection?
-pub fn is_bare_f64_arg(arg: &Arg) -> bool {
-    if has_projection(&arg.toks) {
+pub fn is_bare_f64_arg<'a>(toks: impl Iterator<Item = Tok<'a>> + Clone) -> bool {
+    if has_projection(toks.clone()) {
         return true;
     }
     // pure literal arithmetic: every token is a number or an operator,
     // and at least one number is float-shaped
     let mut saw_float = false;
-    for t in &arg.toks {
-        let s = t.text.as_str();
+    for t in toks {
+        let s = t.text;
         if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
             if is_float_literal(s) {
                 saw_float = true;
@@ -817,11 +850,14 @@ pub fn is_bare_f64_arg(arg: &Arg) -> bool {
 
 /// Does the token run contain an `x.0` / `(..).0` projection (as opposed
 /// to the `.0` inside a float literal, which tokenizes as one number)?
-pub fn has_projection(toks: &[Tok]) -> bool {
-    toks.windows(3).any(|w| {
-        w[1].text == "."
-            && w[2].text == "0"
-            && (w[0].is_ident() || w[0].text == ")" || w[0].text == "]")
+pub fn has_projection<'a>(toks: impl IntoIterator<Item = Tok<'a>>) -> bool {
+    let mut before: [Option<Tok<'a>>; 2] = [None, None];
+    toks.into_iter().any(|t| {
+        let hit = matches!(before, [Some(base), Some(dot)]
+            if dot.text == "." && t.text == "0"
+                && (base.is_ident() || base.text == ")" || base.text == "]"));
+        before = [before[1], Some(t)];
+        hit
     })
 }
 
@@ -927,7 +963,8 @@ mod tests {
     #[test]
     fn call_sites_with_args_and_paths() {
         let src = "fn f() {\n    plan(2.5, n);\n    vap_core::budget::plan(x.0 * 1.05);\n    c.set_cap(Watts(60.0));\n}\n";
-        let p = parse(src);
+        let code = crate::lexer::scrub(src).code;
+        let p = parse_file(&code);
         let names: Vec<&str> = p.calls.iter().map(|c| c.callee.as_str()).collect();
         assert!(names.contains(&"plan"));
         assert!(names.contains(&"set_cap"));
@@ -935,11 +972,11 @@ mod tests {
         let qualified = p.calls.iter().find(|c| c.path.len() == 3).unwrap();
         assert_eq!(qualified.path, ["vap_core", "budget", "plan"]);
         assert_eq!(qualified.args.len(), 1);
-        assert!(has_projection(&qualified.args[0].toks));
+        assert!(has_projection(p.arg_toks(&code, &qualified.args[0])));
         let method = p.calls.iter().find(|c| c.callee == "set_cap").unwrap();
         assert!(method.is_method);
         assert_eq!(method.args.len(), 1);
-        assert!(!is_bare_f64_arg(&method.args[0]));
+        assert!(!is_bare_f64_arg(p.arg_toks(&code, &method.args[0])));
     }
 
     #[test]
@@ -966,20 +1003,22 @@ mod tests {
 
     #[test]
     fn bare_f64_classification() {
-        let arg = |src: &str| {
-            let p = parse(&format!("fn f() {{ g({src}); }}\n"));
-            p.calls.iter().find(|c| c.callee == "g").unwrap().args[0].clone()
+        let bare = |src: &str| {
+            let code = crate::lexer::scrub(&format!("fn f() {{ g({src}); }}\n")).code;
+            let p = parse_file(&code);
+            let g = p.calls.iter().find(|c| c.callee == "g").unwrap();
+            is_bare_f64_arg(p.arg_toks(&code, &g.args[0]))
         };
-        assert!(is_bare_f64_arg(&arg("2.5")));
-        assert!(is_bare_f64_arg(&arg("1e-6")));
-        assert!(is_bare_f64_arg(&arg("2.0 * 3.5")));
-        assert!(is_bare_f64_arg(&arg("x.0")));
-        assert!(is_bare_f64_arg(&arg("cap.0 * 1.05")));
-        assert!(is_bare_f64_arg(&arg("(a + b).0")));
-        assert!(!is_bare_f64_arg(&arg("x")));
-        assert!(!is_bare_f64_arg(&arg("Watts(2.5)")));
-        assert!(!is_bare_f64_arg(&arg("3")));
-        assert!(!is_bare_f64_arg(&arg("n + 1")));
+        assert!(bare("2.5"));
+        assert!(bare("1e-6"));
+        assert!(bare("2.0 * 3.5"));
+        assert!(bare("x.0"));
+        assert!(bare("cap.0 * 1.05"));
+        assert!(bare("(a + b).0"));
+        assert!(!bare("x"));
+        assert!(!bare("Watts(2.5)"));
+        assert!(!bare("3"));
+        assert!(!bare("n + 1"));
     }
 
     #[test]

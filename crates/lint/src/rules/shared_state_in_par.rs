@@ -112,8 +112,8 @@ impl Rule for SharedStateInPar {
                 "fold" => call
                     .args
                     .first()
-                    .and_then(|a| a.toks.first())
-                    .is_some_and(|t| is_float_literal(&t.text)),
+                    .and_then(|a| file.parsed.arg_toks(&file.code, a).next())
+                    .is_some_and(|t| is_float_literal(t.text)),
                 _ => false,
             };
             if !float_reduce {

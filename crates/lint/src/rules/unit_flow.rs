@@ -51,7 +51,7 @@ impl Rule for UnitFlow {
             // unit constructor laundering: Watts(x.0), Watts((a + b).0)
             if index.is_unit_type(&call.callee) {
                 if let [arg] = call.args.as_slice() {
-                    if has_projection(&arg.toks) {
+                    if has_projection(file.parsed.arg_toks(&file.code, arg)) {
                         out.push(Finding {
                             rule: "unit-flow",
                             path: file.path.clone(),
@@ -60,7 +60,7 @@ impl Rule for UnitFlow {
                             message: format!(
                                 "`{}({})` re-wraps a raw `.0` projection — the source unit is lost",
                                 call.callee,
-                                arg.text(),
+                                file.parsed.arg_text(&file.code, arg),
                             ),
                             snippet: file.snippet(call.line).to_string(),
                             help: "convert through the dimensional ops in vap-model \
@@ -79,7 +79,7 @@ impl Rule for UnitFlow {
                 continue;
             }
             for (p, arg) in call.args.iter().enumerate() {
-                if !is_bare_f64_arg(arg) {
+                if !is_bare_f64_arg(file.parsed.arg_toks(&file.code, arg)) {
                     continue;
                 }
                 // conservative: only fire when every candidate agrees the
@@ -103,7 +103,7 @@ impl Rule for UnitFlow {
                     column: call.col + 1,
                     message: format!(
                         "bare f64 `{}` passed to `{}` parameter `{}: {unit}`",
-                        arg.text(),
+                        file.parsed.arg_text(&file.code, arg),
                         call.callee,
                         cands[0].sig.params[p].name,
                     ),

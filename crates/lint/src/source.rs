@@ -1,7 +1,12 @@
 //! The per-file view the rules operate on: scrubbed code, test-region
 //! flags and inline `vap:allow` suppression markers.
+//!
+//! A file's text is held twice, each time as one buffer: `raw`, the
+//! source itself, and `code`, its scrubbed copy. Both are [`Lines`], so a
+//! line is a `&str` borrowed from its buffer and a snippet is a trimmed
+//! slice of `raw`, not a `String` per line.
 
-use crate::lexer;
+use crate::lexer::{self, Lines};
 use crate::parse;
 
 /// One analyzed source file.
@@ -13,10 +18,10 @@ pub struct SourceFile {
     /// Cargo package the file belongs to (e.g. `vap-core`).
     pub crate_name: String,
     /// Raw source lines (for snippets in diagnostics).
-    pub raw: Vec<String>,
+    pub raw: Lines,
     /// Scrubbed lines: comments and literal contents blanked, columns
     /// preserved.
-    pub code: Vec<String>,
+    pub code: Lines,
     /// Whether each line sits inside a `#[cfg(test)]` region.
     pub in_test: Vec<bool>,
     /// Parsed items and call sites (pass-1 input to the symbol index).
@@ -51,7 +56,7 @@ impl SourceFile {
         SourceFile {
             path: path.replace('\\', "/"),
             crate_name: crate_name.to_string(),
-            raw: src.lines().map(str::to_string).collect(),
+            raw: Lines::new(src.to_string()),
             code: scrubbed.code,
             in_test,
             parsed,
@@ -69,7 +74,7 @@ impl SourceFile {
 
     /// The raw text of 0-based `line`, trimmed, for diagnostics.
     pub fn snippet(&self, line: usize) -> &str {
-        self.raw.get(line).map(|s| s.trim()).unwrap_or("")
+        self.raw.get(line).map_or("", str::trim)
     }
 }
 
