@@ -17,6 +17,10 @@
 use vap_daemon::soak::{soak, SoakConfig, SoakReport};
 use vap_obs::json::ToJson;
 
+/// The most scrape loops or held streams of either kind one soak opens
+/// (the CI soak runs 8 and 4): each is an OS thread.
+const MAX_CLIENTS: usize = 1024;
+
 struct Args {
     prom: String,
     json: String,
@@ -41,12 +45,10 @@ impl Args {
                 "--prom" => args.prom = take("--prom")?,
                 "--json" => args.json = take("--json")?,
                 "--prom-clients" => {
-                    args.soak.prom_clients =
-                        take("--prom-clients")?.parse().map_err(|e| format!("--prom-clients: {e}"))?;
+                    args.soak.prom_clients = clients("--prom-clients", &take("--prom-clients")?)?;
                 }
                 "--json-clients" => {
-                    args.soak.json_clients =
-                        take("--json-clients")?.parse().map_err(|e| format!("--json-clients: {e}"))?;
+                    args.soak.json_clients = clients("--json-clients", &take("--json-clients")?)?;
                 }
                 "--seconds" => {
                     let seconds: f64 =
@@ -69,6 +71,15 @@ impl Args {
         }
         Ok(args)
     }
+}
+
+/// Parse `flag`'s client count, refusing more than [`MAX_CLIENTS`].
+fn clients(flag: &str, value: &str) -> Result<usize, String> {
+    let n = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if n > MAX_CLIENTS {
+        return Err(format!("{flag} must be at most {MAX_CLIENTS}"));
+    }
+    Ok(n)
 }
 
 fn main() {
@@ -103,6 +114,8 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vap_model::rng::check;
+    use vap_report::cli::{hostile_args, HOSTILE_CASES};
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         Args::parse(args.iter().map(|s| s.to_string()))
@@ -115,5 +128,29 @@ mod tests {
             let err = parse(&["--seconds", bad]).err().unwrap();
             assert!(err.contains("--seconds"), "--seconds {bad}: {err}");
         }
+    }
+
+    #[test]
+    fn client_counts_are_bounded() {
+        let max = MAX_CLIENTS.to_string();
+        let over = (MAX_CLIENTS + 1).to_string();
+        for flag in ["--prom-clients", "--json-clients"] {
+            assert!(parse(&[flag, &max]).is_ok());
+            let err = parse(&[flag, &over]).err().unwrap();
+            assert_eq!(err, format!("{flag} must be at most 1024"));
+            assert!(parse(&[flag, "1000000000"]).is_err());
+        }
+    }
+
+    #[test]
+    fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
+        let flags =
+            ["--prom", "--json", "--prom-clients", "--json-clients", "--seconds", "--out", "--help"];
+        check("loadgen_args", 0x10ad, HOSTILE_CASES, |rng| {
+            if let Ok(a) = Args::parse(hostile_args(rng, &flags).into_iter()) {
+                assert!(a.soak.prom_clients <= MAX_CLIENTS && a.soak.json_clients <= MAX_CLIENTS);
+                assert!(a.soak.seconds.is_finite() && a.soak.seconds > 0.0);
+            }
+        });
     }
 }

@@ -82,7 +82,8 @@ pub const USAGE: &str = "vap-daemon flags: [--mode sweep|sched] [--prom-port N] 
 impl DaemonConfig {
     /// Parse the daemon's own flags from the tokens the shared parser
     /// left over. Unknown tokens are an error here — this is the last
-    /// parser in the chain.
+    /// parser in the chain, so `--help` prints the shared flags and the
+    /// daemon's own.
     pub fn parse(extras: Vec<String>) -> Result<Self, String> {
         let mut cfg = DaemonConfig::default();
         let mut it = extras.into_iter();
@@ -127,6 +128,12 @@ impl DaemonConfig {
                         format!("--scenario: unknown scenario `{name}` ({USAGE})")
                     })?;
                 }
+                "--help" | "-h" => {
+                    return Err(format!(
+                        "usage: vap-daemon {}\n{USAGE}",
+                        vap_report::options::USAGE
+                    ))
+                }
                 _ => return Err(format!("unknown flag {flag} ({USAGE})")),
             }
         }
@@ -137,6 +144,8 @@ impl DaemonConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vap_model::rng::check;
+    use vap_report::cli::{hostile_args, HOSTILE_CASES};
 
     fn parse(args: &[&str]) -> Result<DaemonConfig, String> {
         DaemonConfig::parse(args.iter().map(|s| s.to_string()).collect())
@@ -210,5 +219,32 @@ mod tests {
         assert!(parse(&["--scenario", "meteor"]).is_err());
         assert!(parse(&["--scenario"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+    }
+
+    #[test]
+    fn help_lists_the_shared_flags_and_the_daemons_own() {
+        let (_, extras) =
+            vap_report::RunOptions::parse_partial(["--help".to_string()].into_iter()).unwrap();
+        let usage = DaemonConfig::parse(extras).unwrap_err();
+        for flag in ["--modules", "--trace-out", "--mode", "--prom-port", "--scenario"] {
+            assert!(usage.contains(flag), "{usage}");
+        }
+    }
+
+    #[test]
+    fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
+        let flags = [
+            "--mode", "sweep", "sched", "--prom-port", "--json-port", "--stdout-every", "--accel",
+            "--duration-s", "--ticks", "--scenario", "heatwave", "--modules", "--help",
+        ];
+        check("daemon_config", 0xdae0, HOSTILE_CASES, |rng| {
+            let args = hostile_args(rng, &flags);
+            let parsed = vap_report::RunOptions::parse_partial(args.into_iter())
+                .and_then(|(_, extras)| DaemonConfig::parse(extras));
+            if let Ok(cfg) = parsed {
+                assert!(cfg.accel.is_finite() && cfg.accel >= 0.0, "{cfg:?}");
+                assert!(cfg.duration_s.is_finite() && cfg.duration_s >= 0.0, "{cfg:?}");
+            }
+        });
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! # Architecture
 //!
-//! * A [`Session`] is installed on the driver thread (by `run_main` when
-//!   `--metrics`/`--trace-out` is given, or by a test). Installation is
+//! * A [`Session`] is installed on the driver thread (by `vap-report`'s
+//!   `run_main_with` when `--metrics`/`--trace-out` is given, or by a
+//!   test). Installation is
 //!   **thread-local**: concurrent sessions on other threads — `cargo
 //!   test` runs tests in parallel in one process — never cross-talk.
 //! * `vap-exec` captures the installing thread's [`SessionRef`] before

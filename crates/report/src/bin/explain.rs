@@ -193,6 +193,8 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vap_model::rng::check;
+    use vap_report::cli::{hostile_args, HOSTILE_CASES};
     use vap_obs::{BudgetDelta, WidthProbe};
 
     fn parse(args: &[&str]) -> Result<Query, String> {
@@ -210,6 +212,17 @@ mod tests {
         assert!(parse(&[]).is_err(), "--journal is required");
         assert!(parse(&["--journal", "j", "--window", "-1"]).is_err());
         assert!(parse(&["--journal", "j", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
+        let flags = ["--journal", "--job", "--at", "--window", "--help", "-h"];
+        check("explain_args", 0xe8a1, HOSTILE_CASES, |rng| {
+            if let Ok(q) = parse_args(hostile_args(rng, &flags).into_iter()) {
+                assert!(q.at.is_none_or(f64::is_finite), "--at {:?}", q.at);
+                assert!(q.window.is_finite() && q.window >= 0.0, "--window {}", q.window);
+            }
+        });
     }
 
     #[test]

@@ -1,27 +1,29 @@
-//! Shared entry point for the experiment binaries.
+//! Shared entry point for `vap-report` and `vap-daemon`.
 //!
-//! Every binary in `src/bin/` is a thin wrapper around [`run_main`]:
-//! it parses the common [`RunOptions`], installs a [`vap_obs::Session`]
-//! when `--metrics`, `--trace-out` or `--ledger` asks for one (the
-//! ledger flag arms the watt-provenance channel on top of the session),
-//! runs the experiment body, and exports the observability artifacts on
+//! [`run_main_with`] parses the common [`RunOptions`], hands the tokens
+//! they do not cover to the binary's own parser (experiment names for
+//! `vap-report`, ports and pacing for `vap-daemon`), installs a
+//! [`vap_obs::Session`] when `--metrics`, `--trace-out` or `--ledger` asks
+//! for one (the ledger flag arms the watt-provenance channel on top of the
+//! session), runs the body, and exports the observability artifacts on
 //! the way out.
 //!
 //! Exit codes are distinct by failure class so scripts can tell them
 //! apart: `0` success, [`EXIT_RUNTIME`] (`1`) for a failure while running
-//! or exporting, [`EXIT_USAGE`] (`2`) for a command-line problem.
+//! or writing outputs, [`EXIT_USAGE`] (`2`) for a command-line problem.
 
 use crate::options::RunOptions;
 use std::error::Error;
+use vap_model::rng::SplitMix64;
 
-/// Exit code for runtime failures (the experiment body or artifact
-/// export returned an error).
+/// Exit code for runtime failures (the body returned an error, or an
+/// output could not be written).
 pub const EXIT_RUNTIME: i32 = 1;
 
 /// Exit code for command-line errors (unknown flag, bad value, `--help`).
 pub const EXIT_USAGE: i32 = 2;
 
-/// The error type experiment bodies report through [`run_main`].
+/// The error type bodies report through [`run_main_with`].
 pub type MainError = Box<dyn Error>;
 
 /// Print `err` and its whole `source()` chain to stderr.
@@ -34,23 +36,10 @@ fn report_error(err: &(dyn Error + 'static)) {
     }
 }
 
-/// Parse the standard options, run `body`, export observability
-/// artifacts, and exit with a class-distinct code. Never returns.
-pub fn run_main(body: impl FnOnce(&RunOptions) -> Result<(), MainError>) -> ! {
-    run_main_with(
-        |extras| match extras.first() {
-            Some(flag) => Err(format!("unknown flag {flag} (try --help)")),
-            None => Ok(()),
-        },
-        |opts, ()| body(opts),
-    )
-}
-
-/// [`run_main`] for binaries with flags beyond the shared set: tokens
-/// `RunOptions` does not recognize are handed to `parse_extras`, whose
-/// result is passed to `body` alongside the standard options. Session
-/// install, artifact export and exit-code discipline are identical to
-/// [`run_main`]. Never returns.
+/// Parse the standard options, hand the tokens `RunOptions` does not
+/// recognize to `parse_extras`, run `body` with both, export
+/// observability artifacts, and exit with a class-distinct code. Never
+/// returns.
 pub fn run_main_with<X>(
     parse_extras: impl FnOnce(Vec<String>) -> Result<X, String>,
     body: impl FnOnce(&RunOptions, X) -> Result<(), MainError>,
@@ -84,7 +73,7 @@ pub fn run_main_with<X>(
         }
         // The per-cell metrics CSV also rides along with the figure CSVs
         // when only `--csv` output is in play.
-        opts.maybe_write_csv("metrics.csv", &report.metrics_csv);
+        opts.maybe_write_csv("metrics.csv", &report.metrics_csv)?;
         if opts.metrics {
             println!("{}", report.summary);
         }
@@ -117,4 +106,50 @@ impl Error for ExportError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         Some(&self.source)
     }
+}
+
+/// Seeded argument lists per parser in the hostile-input tests.
+pub const HOSTILE_CASES: usize = 2_000;
+
+/// Values no flag may turn into a panic, a hang or an out-of-range
+/// setting: empty, negative, zero, non-finite and overflowing numbers, a
+/// lone `--`, non-ASCII text, and the edges of the `--modules` and client
+/// bounds.
+const HOSTILE_VALUES: [&str; 16] = [
+    "",
+    "-1",
+    "0",
+    "nan",
+    "inf",
+    "1e309",
+    "18446744073709551616",
+    "--",
+    "ünïcödé ✓ 電力",
+    "1",
+    "3",
+    "0.02",
+    "1024",
+    "1025",
+    "1000000",
+    "1000001",
+];
+
+/// A seeded hostile argument list for a command-line parser's robustness
+/// test: up to eight tokens, about half drawn from `flags` (the parser's
+/// own) and the rest from the experiment names, `all`, a fixed set of
+/// hostile values and a 10 KB string.
+pub fn hostile_args(rng: &mut SplitMix64, flags: &[&str]) -> Vec<String> {
+    let mut words: Vec<&str> = crate::registry::EXPERIMENTS.iter().map(|e| e.name).collect();
+    words.push("all");
+    words.extend(HOSTILE_VALUES);
+    let len = rng.next_index(9);
+    (0..len)
+        .map(|_| {
+            if rng.next_index(10) == 0 {
+                return "9".repeat(10 * 1024);
+            }
+            let pool = if rng.next_index(2) == 0 && !flags.is_empty() { flags } else { &words };
+            pool[rng.next_index(pool.len())].to_string()
+        })
+        .collect()
 }

@@ -1,12 +1,12 @@
 //! Raw plottable series for every figure, as CSV.
 //!
-//! The tables the binaries print summarize each figure; these functions
+//! The tables `vap-report` prints summarize each figure; these functions
 //! emit the *series the paper actually plots* (per-socket scatter points,
 //! per-module frequency/power pairs, per-rank normalized times …) so the
 //! figures can be redrawn with any plotting tool:
 //!
 //! ```console
-//! $ cargo run --release -p vap-report --bin fig2 -- --csv out/
+//! $ cargo run --release -p vap-report -- fig2 --csv out/
 //! $ python -c "import pandas; ..."   # or gnuplot, or R
 //! ```
 

@@ -55,14 +55,40 @@ pub const POLICIES: [PartitionPolicy; 3] = [
     PartitionPolicy::ThroughputGreedy,
 ];
 
+/// The fleet is too small to give each of the three tenants a module.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FleetTooSmall {
+    /// Modules requested.
+    pub modules: usize,
+}
+
+impl std::fmt::Display for FleetTooSmall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the multi-tenant study needs at least 3 modules (one per tenant), got {}",
+            self.modules
+        )
+    }
+}
+
+impl std::error::Error for FleetTooSmall {}
+
 /// Run the study.
 ///
 /// The (budget level, policy) cells are independent: each executes its
 /// three tenants on a private clone of the pristine post-PVT fleet,
 /// fanned over `opts.threads()` workers with identical results at any
 /// thread count.
-pub fn run(opts: &RunOptions) -> MultijobResult {
+///
+/// # Errors
+///
+/// [`FleetTooSmall`] below 3 modules.
+pub fn run(opts: &RunOptions) -> Result<MultijobResult, FleetTooSmall> {
     let n = opts.modules_or(1920);
+    if n < 3 {
+        return Err(FleetTooSmall { modules: n });
+    }
     let n = (n / 3) * 3; // three equal tenants
     let threads = opts.threads();
     let tenants = vec![WorkloadId::Dgemm, WorkloadId::Mhd, WorkloadId::Stream];
@@ -126,7 +152,7 @@ pub fn run(opts: &RunOptions) -> MultijobResult {
     });
     let rows = per_cell.into_iter().flatten().collect();
 
-    MultijobResult { rows, modules: n, tenants }
+    Ok(MultijobResult { rows, modules: n, tenants })
 }
 
 fn policy_name(p: PartitionPolicy) -> &'static str {
@@ -192,6 +218,17 @@ mod tests {
 
     fn result() -> MultijobResult {
         run(&RunOptions { modules: Some(96), seed: 2015, scale: 0.03, ..RunOptions::default() })
+            .unwrap()
+    }
+
+    #[test]
+    fn fleets_without_a_module_per_tenant_are_an_error() {
+        for n in [1, 2] {
+            let opts = RunOptions { modules: Some(n), scale: 0.02, ..RunOptions::default() };
+            assert_eq!(run(&opts).unwrap_err(), FleetTooSmall { modules: n });
+        }
+        let opts = RunOptions { modules: Some(3), scale: 0.02, ..RunOptions::default() };
+        assert_eq!(run(&opts).unwrap().modules, 3);
     }
 
     #[test]

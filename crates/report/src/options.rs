@@ -1,6 +1,16 @@
-//! Shared command-line options for the experiment binaries.
+//! Shared command-line options for `vap-report` and `vap-daemon`.
 
-/// Options every experiment binary understands.
+use std::path::Path;
+
+/// The largest fleet `--modules` accepts: the 1M-module construction and
+/// PVT sweep are the largest fleets any recorded run builds.
+pub const MAX_MODULES: usize = 1_000_000;
+
+/// The shared flags, as printed by `--help`.
+pub const USAGE: &str = "[--modules N] [--seed S] [--scale X] [--csv DIR] [--threads N] \
+                         [--trace-out DIR] [--metrics] [--ledger]";
+
+/// Options every experiment understands, shared with `vap-daemon`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOptions {
     /// Fleet size; `None` means the paper's scale for the experiment.
@@ -53,16 +63,19 @@ impl RunOptions {
     /// abort with a usage message.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let (opts, extras) = Self::parse_partial(args)?;
-        if let Some(flag) = extras.first() {
-            return Err(format!("unknown flag {flag} (try --help)"));
+        match extras.first().map(String::as_str) {
+            Some("--help" | "-h") => Err(format!("usage: {USAGE}")),
+            Some(flag) => Err(format!("unknown flag {flag} (try --help)")),
+            None => Ok(opts),
         }
-        Ok(opts)
     }
 
     /// Like [`parse`](Self::parse), but tokens this parser does not
     /// recognize are collected (in order) instead of rejected, so a
-    /// binary with extra flags — `vap-daemon` and its ports, modes and
-    /// pacing — can layer its own parser on top of the shared one.
+    /// binary with its own arguments — `vap-report`'s experiment names,
+    /// `vap-daemon`'s ports, modes and pacing — can layer its own parser
+    /// on top of the shared one. `--help` is passed on too: the last
+    /// parser in the chain knows the whole usage.
     pub fn parse_partial(
         args: impl Iterator<Item = String>,
     ) -> Result<(Self, Vec<String>), String> {
@@ -79,6 +92,9 @@ impl RunOptions {
                         take("--modules")?.parse().map_err(|e| format!("--modules: {e}"))?;
                     if n == 0 {
                         return Err("--modules must be at least 1".into());
+                    }
+                    if n > MAX_MODULES {
+                        return Err(format!("--modules must be at most {MAX_MODULES}"));
                     }
                     opts.modules = Some(n);
                 }
@@ -111,13 +127,6 @@ impl RunOptions {
                 "--ledger" => {
                     opts.ledger = true;
                 }
-                "--help" | "-h" => {
-                    return Err(
-                        "usage: [--modules N] [--seed S] [--scale X] [--csv DIR] [--threads N] \
-                         [--trace-out DIR] [--metrics] [--ledger]"
-                            .into(),
-                    );
-                }
                 _ => extras.push(flag),
             }
         }
@@ -137,16 +146,32 @@ impl RunOptions {
 
     /// If `--csv DIR` was given, write `content` to `DIR/name` (creating
     /// the directory) and report the path on stdout.
-    pub fn maybe_write_csv(&self, name: &str, content: &str) {
-        let Some(dir) = &self.csv_dir else { return };
-        if let Err(e) = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(dir.join(name), content))
-        {
-            eprintln!("failed to write {name}: {e}");
-        } else {
-            println!("wrote {}", dir.join(name).display());
-        }
+    ///
+    /// # Errors
+    ///
+    /// A failed write, naming the path.
+    pub fn maybe_write_csv(&self, name: &str, content: &str) -> std::io::Result<()> {
+        write_into(self.csv_dir.as_deref(), name, content)
     }
+
+    /// [`maybe_write_csv`](Self::maybe_write_csv) for `--trace-out DIR`.
+    ///
+    /// # Errors
+    ///
+    /// A failed write, naming the path.
+    pub fn maybe_write_trace(&self, name: &str, content: &str) -> std::io::Result<()> {
+        write_into(self.trace_out.as_deref(), name, content)
+    }
+}
+
+fn write_into(dir: Option<&Path>, name: &str, content: &str) -> std::io::Result<()> {
+    let Some(dir) = dir else { return Ok(()) };
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, content)).map_err(|e| {
+        std::io::Error::new(e.kind(), format!("could not write {}: {e}", path.display()))
+    })?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -215,7 +240,46 @@ mod tests {
 
     #[test]
     fn csv_writing_is_silent_without_the_flag() {
-        RunOptions::default().maybe_write_csv("x.csv", "a,b\n");
+        assert!(RunOptions::default().maybe_write_csv("x.csv", "a,b\n").is_ok());
+        assert!(RunOptions::default().maybe_write_trace("x.json", "{}").is_ok());
+    }
+
+    #[test]
+    fn an_unwritable_csv_is_an_error_naming_the_path() {
+        // a directory cannot be made under a regular file
+        let file = std::env::temp_dir().join(format!("vap-csv-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let opts = RunOptions { csv_dir: Some(file.join("out")), ..RunOptions::default() };
+        let err = opts.maybe_write_csv("table4.csv", "a,b\n").unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        let path = file.join("out").join("table4.csv");
+        assert!(err.to_string().contains(&path.display().to_string()), "{err}");
+    }
+
+    #[test]
+    fn fleets_beyond_the_largest_recorded_one_are_refused() {
+        let max = MAX_MODULES.to_string();
+        assert_eq!(parse(&["--modules", &max]).unwrap().modules, Some(MAX_MODULES));
+        let over = (MAX_MODULES + 1).to_string();
+        assert_eq!(parse(&["--modules", &over]).unwrap_err(), "--modules must be at most 1000000");
+        assert!(parse(&["--modules", "18446744073709551615"]).is_err());
+        assert!(parse(&["--modules", "18446744073709551616"]).is_err());
+    }
+
+    #[test]
+    fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
+        let flags = [
+            "--modules", "--seed", "--scale", "--csv", "--threads", "--trace-out", "--metrics",
+            "--ledger", "--help", "-h",
+        ];
+        vap_model::rng::check("parse_partial", 0x0b75, crate::cli::HOSTILE_CASES, |rng| {
+            let args = crate::cli::hostile_args(rng, &flags);
+            if let Ok((o, _)) = RunOptions::parse_partial(args.into_iter()) {
+                assert!(o.modules.is_none_or(|n| (1..=MAX_MODULES).contains(&n)), "{o:?}");
+                assert!(o.scale.is_finite() && o.scale > 0.0, "{o:?}");
+                assert!(o.threads.is_none_or(|n| n >= 1), "{o:?}");
+            }
+        });
     }
 
     #[test]

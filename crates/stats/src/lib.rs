@@ -16,7 +16,6 @@
 //!   linear power-vs-frequency model (Fig. 5, R² ≥ 0.99).
 //! * [`correlation`] — Pearson correlation, quantifying Fig. 1(C)'s
 //!   negative slowdown-power relationship on Teller.
-//! * [`histogram`] — fixed-width binning for distribution plots.
 //! * [`speedup`] — per-benchmark speedup aggregation for Fig. 7 (maximum and
 //!   average speedup across benchmarks and power constraints).
 
@@ -25,14 +24,12 @@
 
 pub mod correlation;
 pub mod descriptive;
-pub mod histogram;
 pub mod regression;
 pub mod speedup;
 pub mod variation;
 
 pub use correlation::pearson;
 pub use descriptive::Summary;
-pub use histogram::Histogram;
 pub use regression::LinearFit;
 pub use speedup::SpeedupTable;
 pub use variation::{worst_case_variation, Variation};

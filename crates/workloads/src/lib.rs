@@ -1,22 +1,14 @@
 //! # vap-workloads
 //!
-//! The seven benchmarks of the paper (§3.3), in two complementary forms:
-//!
-//! 1. **Simulation models** ([`spec`], [`catalog`]) — each benchmark as a
-//!    [`spec::WorkloadSpec`]: power activity factors for the CPU and DRAM
-//!    domains, CPU-boundedness, communication shape (embarrassingly
-//!    parallel / stencil / reduction), a reference SPMD program for the
-//!    `vap-mpi` engine, and its *variation response* — how faithfully the
-//!    module-to-module power spread under this workload tracks the spread
-//!    under the *STREAM PVT microbenchmark (the source of the per-workload
-//!    calibration errors in Fig. 6; NPB-BT is the outlier at ≈10%).
-//!
-//! 2. **Real compute kernels** ([`kernels`]) — runnable Rust
-//!    implementations of the computational cores (blocked DGEMM, STREAM
-//!    triad, NPB-EP's Marsaglia-polar Gaussian tallies, an MHD-style
-//!    leapfrog stencil, an mVMC-style Monte Carlo sampler), used by the
-//!    `kernels` bench and as ground truth for the activity-factor
-//!    calibration narrative.
+//! The seven benchmarks of the paper (§3.3) as simulation models
+//! ([`spec`], [`catalog`]): each benchmark is a [`spec::WorkloadSpec`] with
+//! power activity factors for the CPU and DRAM domains, CPU-boundedness,
+//! communication shape (embarrassingly parallel / stencil / reduction), a
+//! reference SPMD program for the `vap-mpi` engine, and its *variation
+//! response* — how faithfully the module-to-module power spread under
+//! this workload tracks the spread under the *STREAM PVT microbenchmark
+//! (the source of the per-workload calibration errors in Fig. 6; NPB-BT
+//! is the outlier at ≈10%).
 //!
 //! | Benchmark | Character | Communication |
 //! |---|---|---|
@@ -32,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod kernels;
 pub mod spec;
 
 pub use spec::{CommShape, VariationResponse, WorkloadId, WorkloadSpec};

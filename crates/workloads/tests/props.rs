@@ -1,119 +1,11 @@
-//! Property tests for the workload models and compute kernels, run as
-//! seeded loops ([`vap_model::rng::check`]): a failure names the case
+//! Property tests for the workload models, run as seeded loops ([`vap_model::rng::check`]): a failure names the case
 //! seed to replay.
 
 use vap_model::rng::check;
 use vap_workloads::catalog;
-use vap_workloads::kernels::{dgemm, ep, montecarlo, stencil, stream};
 use vap_workloads::spec::WorkloadId;
 
 const CASES: usize = 256;
-
-/// DGEMM: the blocked kernel equals the naive kernel at arbitrary
-/// sizes and thread counts (the classic metamorphic check).
-#[test]
-fn dgemm_blocked_equals_naive() {
-    check("dgemm_blocked_equals_naive", 1, CASES, |rng| {
-        let n = 1 + rng.next_index(47);
-        let threads = 1 + rng.next_index(8);
-        let seed = rng.next_index(100) as u64;
-        let a = dgemm::Matrix::pseudo_random(n, seed);
-        let b = dgemm::Matrix::pseudo_random(n, seed + 1);
-        let fast = dgemm::matmul_blocked(&a, &b, threads);
-        let slow = dgemm::matmul_naive(&a, &b);
-        for i in 0..n {
-            for j in 0..n {
-                assert!((fast.get(i, j) - slow.get(i, j)).abs() < 1e-9);
-            }
-        }
-    });
-}
-
-/// DGEMM is linear: (k·A)·B = k·(A·B).
-#[test]
-fn dgemm_scalar_linearity() {
-    check("dgemm_scalar_linearity", 2, CASES, |rng| {
-        let n = 2 + rng.next_index(22);
-        let k = rng.next_range(-3.0, 3.0);
-        let seed = rng.next_index(50) as u64;
-        let a = dgemm::Matrix::pseudo_random(n, seed);
-        let b = dgemm::Matrix::pseudo_random(n, seed + 7);
-        let ka = dgemm::Matrix::from_fn(n, |i, j| k * a.get(i, j));
-        let left = dgemm::matmul_blocked(&ka, &b, 2);
-        let right = dgemm::matmul_blocked(&a, &b, 2);
-        for i in 0..n {
-            for j in 0..n {
-                assert!((left.get(i, j) - k * right.get(i, j)).abs() < 1e-7);
-            }
-        }
-    });
-}
-
-/// STREAM triad satisfies its definition element-wise for arbitrary
-/// inputs and chunkings.
-#[test]
-fn stream_triad_definition() {
-    check("stream_triad_definition", 3, CASES, |rng| {
-        let n = 1 + rng.next_index(199);
-        let vals: Vec<f64> = (0..n).map(|_| rng.next_range(-1e6, 1e6)).collect();
-        let s = rng.next_range(-10.0, 10.0);
-        let threads = 1 + rng.next_index(6);
-        let b: Vec<f64> = vals.clone();
-        let c: Vec<f64> = vals.iter().rev().cloned().collect();
-        let mut a = vec![0.0; n];
-        stream::triad(&b, &c, &mut a, s, threads);
-        for i in 0..n {
-            assert_eq!(a[i], b[i] + s * c[i]);
-        }
-    });
-}
-
-/// EP tallies are conserved: counts sum to accepted pairs, acceptance
-/// never exceeds attempts, and parallel merging loses nothing.
-#[test]
-fn ep_tally_conservation() {
-    check("ep_tally_conservation", 4, CASES, |rng| {
-        let attempts = 1_000 + rng.next_index(49_000) as u64;
-        let seed = rng.next_index(100) as u64;
-        let threads = 1 + rng.next_index(8);
-        let r = ep::generate_parallel(attempts, seed, threads);
-        assert!(r.pairs <= attempts);
-        assert_eq!(r.counts.iter().sum::<u64>(), r.pairs);
-    });
-}
-
-/// The Dufort–Frankel stencil conserves mass for any initial field and
-/// stable nu.
-#[test]
-fn stencil_mass_conservation() {
-    check("stencil_mass_conservation", 5, CASES, |rng| {
-        let n = 3 + rng.next_index(7);
-        let nu = rng.next_range(0.01, 0.5);
-        let steps = 1 + rng.next_index(19);
-        let field: Vec<f64> = (0..n * n * n).map(|_| rng.next_f64()).collect();
-        let mut g =
-            stencil::LeapfrogGrid::from_fn(n, n, n, |x, y, z| field[(x * n + y) * n + z]);
-        let m0 = g.total_mass();
-        g.run(steps, nu);
-        assert!((g.total_mass() - m0).abs() < 1e-6 * m0.abs().max(1.0));
-    });
-}
-
-/// Monte Carlo: the variational bound ⟨E⟩ ≥ 0.5 holds for any trial
-/// parameter, and the reduction is sample-weight exact.
-#[test]
-fn montecarlo_variational_bound() {
-    check("montecarlo_variational_bound", 6, CASES, |rng| {
-        let alpha = rng.next_range(0.2, 1.2);
-        let seed = 1 + rng.next_index(49) as u64;
-        let mut s = montecarlo::Sampler::new(alpha, seed);
-        s.block(5_000); // warm-up
-        let blocks = s.run(8, 5_000);
-        let total = montecarlo::reduce(&blocks).unwrap();
-        assert!(total.mean_energy > 0.5 - 0.02, "E = {} at alpha {alpha}", total.mean_energy);
-        assert_eq!(total.samples, 8 * 5_000);
-    });
-}
 
 /// Workload programs conserve their budgeted work across scales and
 /// always produce runnable op sequences.

@@ -2,7 +2,7 @@
 //! the Fig. 1 / Fig. 2(i) story as a fleet-inspection tool.
 //!
 //! For each system, runs the single-socket EP probe uncapped and prints
-//! the power distribution (histogram, summary, worst-case variation),
+//! the power distribution (summary and worst-case variation),
 //! then demonstrates on HA8K how a uniform cap converts the power spread
 //! into a frequency spread.
 //!
@@ -10,13 +10,14 @@
 
 use vap::prelude::*;
 use vap::sim::rapl::RaplLimit;
-use vap::stats::{Histogram, Summary};
+use vap::stats::Summary;
 
 fn main() {
     println!("== Manufacturing variability survey ==\n");
     for id in [SystemId::Cab, SystemId::Vulcan, SystemId::Teller, SystemId::Ha8k] {
         survey_system(id);
     }
+    println!();
     cap_demo();
 }
 
@@ -39,10 +40,6 @@ fn survey_system(id: SystemId) {
         s.worst_case_variation(),
         (s.worst_case_variation() - 1.0) * 100.0
     );
-    if let Some(h) = Histogram::of(&powers, 8) {
-        print!("{}", h.render(40));
-    }
-    println!();
 }
 
 fn cap_demo() {

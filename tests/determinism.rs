@@ -83,23 +83,23 @@ fn experiment_drivers_are_deterministic() {
 #[test]
 fn campaigns_are_thread_count_invariant() {
     // The contract of the vap-exec layer: a 1-thread and a 4-thread run
-    // of the same campaign must emit byte-identical CSV.
-    use vap_report::experiments::{fig7, table4};
-    use vap_report::{csv, RunOptions};
+    // of every registered experiment must write and print the same bytes.
+    use vap_report::registry::{Context, EXPERIMENTS};
+    use vap_report::RunOptions;
     let at = |threads: usize| RunOptions {
-        modules: Some(48),
+        modules: Some(24),
         seed: 2015,
         scale: 0.02,
         threads: Some(threads),
         ..RunOptions::default()
     };
-    let serial = csv::fig7(&fig7::run(&at(1)));
-    let parallel = csv::fig7(&fig7::run(&at(4)));
-    assert_eq!(serial, parallel, "fig7 CSV must not depend on --threads");
-
-    let serial = csv::table4(&table4::run(&at(1)));
-    let parallel = csv::table4(&table4::run(&at(4)));
-    assert_eq!(serial, parallel, "table4 CSV must not depend on --threads");
+    let (serial, parallel) = (at(1), at(4));
+    let (serial, parallel) = (Context::new(&serial), Context::new(&parallel));
+    for e in EXPERIMENTS {
+        let a = (e.run)(&serial).unwrap_or_else(|err| panic!("{}: {err}", e.name));
+        let b = (e.run)(&parallel).unwrap_or_else(|err| panic!("{}: {err}", e.name));
+        assert_eq!(a, b, "{} output must not depend on --threads", e.name);
+    }
 }
 
 #[test]

@@ -9,6 +9,10 @@
 //! truncate, flip a bit, duplicate a span, or insert one of `[`, `{`,
 //! `"`, `\` — and feeds the result to every reader. The case budget is
 //! fixed; a failure names the case seed to replay.
+//!
+//! The smallest fleets the command line admits are hostile input too:
+//! every registered experiment at one to three modules must return its
+//! output or an error, never panic.
 
 use vap::prelude::*;
 use vap_model::rng::{check, SplitMix64};
@@ -109,5 +113,26 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         // closed nesting is refused just the same
         let closed = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
         assert!(PowerVariationTable::from_json(&closed).is_err());
+    }
+}
+
+#[test]
+fn tiny_fleets_return_output_or_an_error_never_a_panic() {
+    use vap_report::registry::{Context, EXPERIMENTS};
+    for modules in 1..=3 {
+        let opts = RunOptions {
+            modules: Some(modules),
+            seed: 2015,
+            scale: 0.02,
+            threads: Some(1),
+            ..RunOptions::default()
+        };
+        let cx = Context::new(&opts);
+        for e in EXPERIMENTS {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (e.run)(&cx).map(drop).map_err(|err| err.to_string())
+            }));
+            assert!(outcome.is_ok(), "{} panicked at --modules {modules}", e.name);
+        }
     }
 }
