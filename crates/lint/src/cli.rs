@@ -429,6 +429,47 @@ mod tests {
     }
 
     #[test]
+    fn words_match_only_whole_and_unbroken() {
+        // Near misses of the lexical rules' words: a space inside a word,
+        // an identifier or digit touching either end, or a line break
+        // splits it; punctuation and non-ASCII text beside it do not. The
+        // findings were recorded from the per-line substring search that
+        // the parser's site list replaced.
+        let src = "pub fn a(x: Option<u8>) { x. unwrap(); x.unwrap (); x.unwrap()y; \
+                   x.unwrap()·; x.unwrap() }\n\
+                   pub fn b() { panic !(); panic!x; ·panic!·; eprint!(); print!(); }\n\
+                   pub fn c() { rand::rngs::StdRng; rand::rng (); rand::rng(); \
+                   Instant::now_or(); Instant :: now(); }\n\
+                   pub fn d() { 1e-5HashMap; 1e-HashMap; _HashMap; éHashMap; \
+                   x.expect_err(); x.expect (); x.expect(); }\n\
+                   pub fn e(x: Option<u8>) { x.\n\
+                   unwrap(); x..unwrap(); 2.HashSet; SystemTime::now(); thread_rng(); }\n";
+        let root = workspace_with("words", src);
+        let out = scan(&Options::new(&root)).unwrap();
+        let found: Vec<(&str, usize, usize)> =
+            out.findings.iter().map(|f| (f.rule, f.line, f.column)).collect();
+        assert_eq!(
+            found,
+            [
+                ("no-panic-in-lib", 1, 67),
+                ("no-panic-in-lib", 1, 81),
+                ("no-panic-in-lib", 2, 36),
+                ("no-println-in-lib", 2, 46),
+                ("no-println-in-lib", 2, 57),
+                ("determinism", 3, 48),
+                ("determinism", 4, 30),
+                ("determinism", 4, 51),
+                ("no-panic-in-lib", 4, 90),
+                ("no-panic-in-lib", 6, 13),
+                ("determinism", 6, 26),
+                ("determinism", 6, 35),
+                ("determinism", 6, 54),
+            ]
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn baseline_splits_old_debt_from_new() {
         let root = scratch_workspace("split");
         fs::write(

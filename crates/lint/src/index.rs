@@ -5,6 +5,12 @@
 //! parameter types a callee declares three crates away, which functions
 //! contain (baselined) panics, which crates hold mutable module state,
 //! and which crates' code can run inside `vap-exec` worker closures.
+//!
+//! A function's panic count comes from the parser's site list
+//! ([`crate::parse::ParsedFile::sites`]), not from its body's text: a
+//! binary search finds the first site on the body's first line, and the
+//! count takes the `no-panic-in-lib` sites up to its last line that are
+//! neither in a test region nor `vap:allow`ed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,9 +86,8 @@ impl SymbolIndex {
         };
         let mut par_roots: BTreeSet<String> = BTreeSet::new();
         for file in files {
-            let is_bin = file.path.contains("/bin/") || file.path.ends_with("src/main.rs");
             for sig in &file.parsed.fns {
-                let panics = if is_bin { 0 } else { count_body_panics(file, sig) };
+                let panics = if file.is_bin() { 0 } else { count_body_panics(file, sig) };
                 index.fns.entry(sig.name.clone()).or_default().push(FnInfo {
                     crate_name: file.crate_name.clone(),
                     path: file.path.clone(),
@@ -196,21 +201,21 @@ impl SymbolIndex {
     }
 }
 
-/// Count panic-capable constructs inside `sig`'s body in `file`,
-/// skipping test regions and lines with a `no-panic-in-lib` allow.
+/// Count the `no-panic-in-lib` sites on the lines of `sig`'s body in
+/// `file`, skipping test regions and lines with a `no-panic-in-lib` allow.
 fn count_body_panics(file: &SourceFile, sig: &FnSig) -> usize {
+    const RULE: &str = "no-panic-in-lib";
     let Some((start, end)) = sig.body else { return 0 };
-    let mut n = 0usize;
-    for line_no in start..=end.min(file.code.len().saturating_sub(1)) {
-        if file.in_test.get(line_no).copied().unwrap_or(false) {
-            continue;
-        }
-        if file.is_allowed("no-panic-in-lib", line_no) {
-            continue;
-        }
-        n += crate::rules::no_panic::panic_count(&file.code[line_no]);
-    }
-    n
+    // the sites are sorted by line, so the body's sites are one run
+    let sites = &file.parsed.sites;
+    let first = sites.partition_point(|s| s.line < start);
+    sites[first..]
+        .iter()
+        .take_while(|s| s.line <= end)
+        .filter(|s| s.word.rule() == RULE)
+        .filter(|s| !file.in_test.get(s.line).copied().unwrap_or(false))
+        .filter(|s| !file.is_allowed(RULE, s.line))
+        .count()
 }
 
 #[cfg(test)]
@@ -251,13 +256,52 @@ mod tests {
 
     #[test]
     fn allowed_and_test_panics_are_not_counted() {
-        let files = vec![sf(
-            "crates/core/src/x.rs",
-            "vap-core",
-            "pub fn f() {\n    // vap:allow(no-panic-in-lib): provably infallible\n    let v = o.unwrap();\n}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        o.unwrap();\n    }\n}\n",
-        )];
+        let files = vec![
+            sf(
+                "crates/core/src/x.rs",
+                "vap-core",
+                "pub fn f() {\n    // vap:allow(no-panic-in-lib): provably infallible\n    let v = o.unwrap();\n}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        o.unwrap();\n    }\n}\n",
+            ),
+            // two panics on one line, then a one-line body right below
+            sf(
+                "crates/core/src/a.rs",
+                "vap-core",
+                "pub fn two(a: Option<u8>, b: Option<u8>) -> u8 {\n    a.unwrap() + b.expect(\"b\")\n}\nfn next(o: Option<u8>) { o.unwrap(); }\n",
+            ),
+            // an allowed line between two counted ones
+            sf(
+                "crates/core/src/b.rs",
+                "vap-core",
+                "pub fn around(a: Option<u8>, b: Option<u8>) {\n    a.unwrap();\n    // vap:allow(no-panic-in-lib): checked by the caller\n    b.unwrap();\n    panic!(\"after\");\n}\n",
+            ),
+            // a test module nested inside the body
+            sf(
+                "crates/core/src/c.rs",
+                "vap-core",
+                "pub fn outer(x: Option<u8>, z: Option<u8>) {\n    x.unwrap();\n    #[cfg(test)]\n    mod inner {\n        fn inner_t(y: Option<u8>) { y.unwrap(); }\n    }\n    z.unwrap();\n}\n",
+            ),
+            // a body that ends on the last line, with no newline after it
+            sf(
+                "crates/core/src/d.rs",
+                "vap-core",
+                "pub fn last(x: Option<u8>) -> u8 {\n    x.expect(\"set\") }",
+            ),
+        ];
         let index = SymbolIndex::build(&files, BTreeMap::new());
-        assert_eq!(index.fns["f"][0].panics, 0);
+        // recorded from the per-line needle count the site list replaced
+        let counts = [
+            ("f", 0),
+            ("t", 0),
+            ("two", 2),
+            ("next", 1),
+            ("around", 2),
+            ("outer", 2),
+            ("inner_t", 0),
+            ("last", 1),
+        ];
+        for (name, panics) in counts {
+            assert_eq!(index.fns[name][0].panics, panics, "{name}");
+        }
     }
 
     #[test]

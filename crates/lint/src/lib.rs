@@ -22,7 +22,13 @@
 //! The front end holds each file's text once per form: the source and
 //! its scrubbed copy are each one buffer with a line table
 //! ([`lexer::Lines`]), tokens borrow from the scrubbed buffer, and a call
-//! argument is a range into the file's one token list.
+//! argument is a range into the file's one token list. The parser's token
+//! pass also finds each word the lexical rules look for (`.unwrap()`,
+//! `println!`, `HashMap`, … — [`rules::Word`]) once per file and keeps
+//! the hits as a site list ([`parse::ParsedFile::sites`]):
+//! `no-panic-in-lib`, `no-println-in-lib` and `determinism` walk that
+//! list instead of searching lines, and the index counts a function's
+//! panics with a range lookup in it.
 //!
 //! | Rule | What it forbids |
 //! |------|-----------------|

@@ -1,13 +1,17 @@
 //! A lightweight token-tree parser over the scrubbed source.
 //!
-//! The per-line rules see one line at a time; the index-aware
+//! The lexical rules (`no-panic-in-lib`, `no-println-in-lib`,
+//! `determinism`) need the *words* of one vocabulary
+//! ([`crate::rules::Word`]); the index-aware
 //! rules (`unit-flow`, `shared-state-in-par`, `panic-propagation`) need
 //! *items*: function signatures with typed parameters, newtype structs,
 //! `impl` blocks, `static`/`thread_local!` state, and call sites with
 //! their argument expressions. This module turns [`crate::lexer::scrub`]
 //! output into a flat token stream (identifiers, numbers, and punctuation
 //! with `::`/`->` fused), then walks it once with balanced-delimiter
-//! tracking to extract those items. It is *not* a Rust grammar: macro
+//! tracking to extract those items. Every word is found once, in the same
+//! token pass that keeps the tokens, and kept as a [`Site`] in
+//! [`ParsedFile::sites`]. It is *not* a Rust grammar: macro
 //! bodies, patterns and generics are skipped or approximated, which is
 //! exactly the right trade for a zero-dependency analyzer — unresolvable
 //! constructs degrade to "not indexed", never to a false parse.
@@ -25,6 +29,7 @@
 use std::ops::Range;
 
 use crate::lexer::Lines;
+use crate::rules::{self, Word};
 
 /// One lexical token of scrubbed code, borrowed from the file's lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,6 +236,17 @@ pub struct Call {
     pub end_line: usize,
 }
 
+/// Where a vocabulary word starts in the scrubbed lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Site {
+    /// Which word.
+    pub word: Word,
+    /// 0-based line of its first token.
+    pub line: usize,
+    /// 0-based column of its first token.
+    pub col: usize,
+}
+
 /// Everything extracted from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
@@ -242,6 +258,9 @@ pub struct ParsedFile {
     pub statics: Vec<StaticItem>,
     /// Call sites.
     pub calls: Vec<Call>,
+    /// Every vocabulary word in the file, in token order (by line, then
+    /// column).
+    pub sites: Vec<Site>,
     /// Every token of the file, in order; each [`Arg`] indexes into it.
     toks: Vec<Span>,
 }
@@ -385,7 +404,14 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
             }
         }
     }
-    out.toks = toks.iter().map(Span::of).collect();
+    // one pass keeps every token and notes each word that starts at it
+    out.toks = Vec::with_capacity(toks.len());
+    for (i, t) in toks.iter().enumerate() {
+        out.toks.push(Span::of(t));
+        if let Some(word) = rules::word_at(&toks, i) {
+            out.sites.push(Site { word, line: t.line, col: t.col });
+        }
+    }
     out
 }
 

@@ -10,19 +10,13 @@
 //! — top-level error reporting in a CLI may abort. Existing debt is
 //! carried by `lint-baseline.toml` and burned down over time.
 
-use super::{on_word_boundary, word_occurrences, Context, Rule};
-use crate::diag::{Finding, Status};
+use super::{report_sites, Context, Rule};
+use crate::diag::Finding;
 use crate::source::SourceFile;
 
-/// `(needle, must_be_followed_by, message)` per forbidden construct.
-const PANICS: [(&str, Option<char>, &str); 6] = [
-    (".unwrap()", None, "`.unwrap()` can panic"),
-    (".expect", Some('('), "`.expect(..)` can panic"),
-    ("panic!", None, "explicit `panic!`"),
-    ("unreachable!", None, "`unreachable!` can panic"),
-    ("todo!", None, "`todo!` panics when reached"),
-    ("unimplemented!", None, "`unimplemented!` panics when reached"),
-];
+const HELP: &str = "return a Result (e.g. vap_core::error::BudgetError) or restructure so the \
+                    failure case cannot arise; vap:allow with a reason if the panic is \
+                    provably unreachable";
 
 /// The `no-panic-in-lib` rule.
 pub struct NoPanicInLib;
@@ -38,75 +32,9 @@ impl Rule for NoPanicInLib {
 
     fn check(&self, file: &SourceFile, _ctx: &Context<'_>, out: &mut Vec<Finding>) {
         // binaries may panic at top level
-        if file.path.contains("/bin/") || file.path.ends_with("src/main.rs") {
-            return;
+        if !file.is_bin() {
+            report_sites(file, self.name(), |_| HELP, out);
         }
-        for (i, line) in file.code.iter().enumerate() {
-            if file.in_test[i] {
-                continue;
-            }
-            for (needle, followed_by, message) in PANICS {
-                for pos in occurrences(line, needle) {
-                    if let Some(req) = followed_by {
-                        if !line[pos + needle.len()..].starts_with(req) {
-                            continue;
-                        }
-                    }
-                    out.push(Finding {
-                        rule: "no-panic-in-lib",
-                        path: file.path.clone(),
-                        line: i + 1,
-                        column: pos + 1,
-                        message: format!("{message} in library code"),
-                        snippet: file.snippet(i).to_string(),
-                        help: "return a Result (e.g. vap_core::error::BudgetError) or restructure \
-                               so the failure case cannot arise; vap:allow with a reason if the \
-                               panic is provably unreachable",
-                        status: Status::New,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Panic-capable constructs on one scrubbed line — shared with the
-/// symbol index, which counts panics per function body so
-/// `panic-propagation` can follow debt through wrappers.
-pub(crate) fn panic_count(line: &str) -> usize {
-    PANICS
-        .iter()
-        .map(|(needle, followed_by, _)| {
-            occurrences(line, needle)
-                .into_iter()
-                .filter(|&pos| match followed_by {
-                    Some(req) => line[pos + needle.len()..].starts_with(*req),
-                    None => true,
-                })
-                .count()
-        })
-        .sum()
-}
-
-/// Occurrences of `needle` in `line`; for needles starting with `.` the
-/// word boundary only applies at the end (method calls follow idents).
-fn occurrences(line: &str, needle: &str) -> Vec<usize> {
-    if needle.starts_with('.') {
-        let mut hits = Vec::new();
-        let mut from = 0usize;
-        while let Some(rel) = line[from..].find(needle) {
-            let pos = from + rel;
-            if !line[pos + needle.len()..].chars().next().is_some_and(super::is_ident_char) {
-                hits.push(pos);
-            }
-            from = pos + needle.len();
-        }
-        hits
-    } else {
-        word_occurrences(line, needle)
-            .into_iter()
-            .filter(|&p| on_word_boundary(line, p, needle.len()))
-            .collect()
     }
 }
 

@@ -12,17 +12,13 @@
 //! and the two crates whose *job* is terminal output — `vap-report`
 //! (drivers print rendered tables) and `vap-lint` (diagnostic renderer).
 
-use super::{word_occurrences, Context, Rule};
-use crate::diag::{Finding, Status};
+use super::{report_sites, Context, Rule};
+use crate::diag::Finding;
 use crate::source::SourceFile;
 
-/// Macros that write to stdout/stderr.
-const PRINTS: [(&str, &str); 4] = [
-    ("println!", "`println!` writes to stdout"),
-    ("print!", "`print!` writes to stdout"),
-    ("eprintln!", "`eprintln!` writes to stderr"),
-    ("eprint!", "`eprint!` writes to stderr"),
-];
+const HELP: &str = "route output through the CLI layer or record it via vap_obs \
+                    (incr/observe/span) so it lands in the journal; vap:allow with a reason \
+                    if terminal output is genuinely intended here";
 
 /// Crates whose library code legitimately talks to the terminal.
 const EXEMPT_CRATES: [&str; 2] = ["vap-report", "vap-lint"];
@@ -41,34 +37,8 @@ impl Rule for NoPrintlnInLib {
 
     fn check(&self, file: &SourceFile, _ctx: &Context<'_>, out: &mut Vec<Finding>) {
         // binaries and the terminal-facing crates may print
-        if file.path.contains("/bin/")
-            || file.path.ends_with("src/main.rs")
-            || EXEMPT_CRATES.contains(&file.crate_name.as_str())
-        {
-            return;
-        }
-        for (i, line) in file.code.iter().enumerate() {
-            if file.in_test[i] {
-                continue;
-            }
-            for (needle, message) in PRINTS {
-                // word boundaries keep `print!` from also matching inside
-                // `println!`/`eprint!`/`eprintln!`
-                for pos in word_occurrences(line, needle) {
-                    out.push(Finding {
-                        rule: "no-println-in-lib",
-                        path: file.path.clone(),
-                        line: i + 1,
-                        column: pos + 1,
-                        message: format!("{message} in library code"),
-                        snippet: file.snippet(i).to_string(),
-                        help: "route output through the CLI layer or record it via vap_obs \
-                               (incr/observe/span) so it lands in the journal; vap:allow with \
-                               a reason if terminal output is genuinely intended here",
-                        status: Status::New,
-                    });
-                }
-            }
+        if !file.is_bin() && !EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
+            report_sites(file, self.name(), |_| HELP, out);
         }
     }
 }

@@ -31,7 +31,7 @@ impl Rule for PanicPropagation {
 
     fn check(&self, file: &SourceFile, ctx: &Context<'_>, out: &mut Vec<Finding>) {
         // binaries may panic at top level, so they may also call panickers
-        if file.path.contains("/bin/") || file.path.ends_with("src/main.rs") {
+        if file.is_bin() {
             return;
         }
         for call in &file.parsed.calls {

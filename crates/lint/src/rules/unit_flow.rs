@@ -115,8 +115,7 @@ impl Rule for UnitFlow {
             }
         }
         // pub library fns returning bare f64 computed from unit inputs
-        let is_bin = file.path.contains("/bin/") || file.path.ends_with("src/main.rs");
-        if is_bin {
+        if file.is_bin() {
             return;
         }
         for sig in &file.parsed.fns {

@@ -64,6 +64,12 @@ impl SourceFile {
         }
     }
 
+    /// Is this file a binary entry point (`src/bin/**` or a crate's
+    /// `src/main.rs`)? Binaries may panic and print at top level.
+    pub fn is_bin(&self) -> bool {
+        self.path.contains("/bin/") || self.path.ends_with("src/main.rs")
+    }
+
     /// Is the finding at 0-based `line` suppressed for `rule`?
     ///
     /// A trailing marker applies to its own line; a marker in a comment

@@ -63,12 +63,20 @@ fn member_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// Recursively visit `.rs` files under `dir` in sorted order.
+///
+/// A symlinked directory is not descended into: a link back up the tree
+/// (`src/up -> ..`) would otherwise repeat every file below it until the
+/// kernel's link-depth limit, and two such links grow the walk
+/// exponentially. A symlinked `.rs` file is visited like any other.
 fn collect_rs(dir: &Path, visit: &mut dyn FnMut(&Path)) -> io::Result<()> {
-    let mut entries: Vec<PathBuf> =
-        fs::read_dir(dir)?.filter_map(|e| e.ok()).map(|e| e.path()).collect();
+    // `DirEntry::file_type` does not follow symlinks
+    let mut entries: Vec<(PathBuf, bool)> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| (e.path(), e.file_type().is_ok_and(|t| t.is_dir())))
+        .collect();
     entries.sort();
-    for path in entries {
-        if path.is_dir() {
+    for (path, is_dir) in entries {
+        if is_dir {
             collect_rs(&path, visit)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             visit(&path);
@@ -188,6 +196,31 @@ mod tests {
         assert_eq!(rels, ["crates/core/src/lib.rs", "crates/core/src/sub/m.rs", "src/lib.rs"]);
         assert_eq!(files[0].crate_name, "vap-core");
         assert_eq!(files[2].crate_name, "vap");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinked_directories_are_not_walked() {
+        use std::os::unix::fs::symlink;
+        let root = scratch("symlink");
+        let src = root.join("crates/core/src");
+        fs::create_dir_all(&src).unwrap();
+        fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"vap-core\"\n")
+            .unwrap();
+        fs::write(src.join("lib.rs"), "").unwrap();
+        let rels = |root: &Path| -> Vec<String> {
+            workspace_files(root).unwrap().into_iter().map(|f| f.rel).collect()
+        };
+        // following `up` would read lib.rs again under src/up/src/up/…
+        symlink("..", src.join("up")).unwrap();
+        assert_eq!(rels(&root), ["crates/core/src/lib.rs"]);
+        // a second link would double the walk at every level
+        symlink("..", src.join("up2")).unwrap();
+        assert_eq!(rels(&root), ["crates/core/src/lib.rs"]);
+        // a symlinked source file is still read
+        symlink("lib.rs", src.join("alias.rs")).unwrap();
+        assert_eq!(rels(&root), ["crates/core/src/alias.rs", "crates/core/src/lib.rs"]);
         let _ = fs::remove_dir_all(&root);
     }
 
