@@ -30,7 +30,7 @@ pub mod unit_flow;
 /// Shared workspace facts available to every rule during pass 2.
 pub struct Context<'a> {
     /// The pass-1 symbol index over the whole workspace.
-    pub index: &'a SymbolIndex,
+    pub index: &'a SymbolIndex<'a>,
 }
 
 /// A domain-invariant check.

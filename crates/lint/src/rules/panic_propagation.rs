@@ -9,9 +9,11 @@
 //!
 //! Resolution is conservative: when several workspace functions share the
 //! callee's shape, the call is flagged only if **every** candidate
-//! panics; a single clean candidate keeps name collisions quiet.
-//! Functions whose panics are all `vap:allow`'d count as clean — the
-//! allow already argued unreachability.
+//! panics; a single clean candidate keeps name collisions quiet. The index
+//! decides that once per shape ([`crate::index::CallShape::all_panic`]),
+//! and the finding names the shape's first member. Functions whose
+//! panics are all `vap:allow`'d count as clean — the allow already argued
+//! unreachability.
 
 use super::{Context, Rule};
 use crate::diag::{Finding, Status};
@@ -38,24 +40,24 @@ impl Rule for PanicPropagation {
             if file.in_test.get(call.line).copied().unwrap_or(false) {
                 continue;
             }
-            let cands = ctx.index.candidates(&call.callee, call.is_method, call.args.len());
-            if cands.is_empty() || !cands.iter().all(|c| c.panics > 0) {
+            let Some(shape) = ctx.index.resolve(&call.callee, call.is_method, call.args.len())
+            else {
+                continue;
+            };
+            if !shape.all_panic {
                 continue;
             }
+            let def = ctx.index.first_member(&call.callee, shape);
             // the panicking function's own body reports via no-panic-in-lib;
             // don't double-flag recursion onto itself
-            if cands.len() == 1
-                && cands[0].path == file.path
-                && cands[0]
-                    .sig
-                    .body
-                    .is_some_and(|(a, b)| call.line >= a && call.line <= b)
-                && cands[0].sig.line
+            if shape.count == 1
+                && def.path == file.path
+                && def.sig.body.is_some_and(|(a, b)| call.line >= a && call.line <= b)
+                && def.sig.line
                     == file.parsed.enclosing_fn(call.line).map_or(usize::MAX, |f| f.line)
             {
                 continue;
             }
-            let def = cands[0];
             out.push(Finding {
                 rule: "panic-propagation",
                 path: file.path.clone(),

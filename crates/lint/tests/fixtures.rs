@@ -7,11 +7,12 @@
 //! dependency edges, index build, rule dispatch, `vap:allow` — the way CI
 //! runs it, rather than the unit tests' hand-built indices.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
 
 use vap_lint::cli::{scan, Options};
-use vap_lint::index::SymbolIndex;
+use vap_lint::index::{FnInfo, SymbolIndex};
 use vap_lint::source::SourceFile;
 use vap_lint::{walker, Finding, Status};
 
@@ -111,8 +112,10 @@ fn panic_propagation_catches_the_wrapper_around_the_panicker() {
     assert_eq!(new_of(&all, "no-panic-in-lib").len(), 1);
 }
 
-/// Build the index over the *real* workspace exactly as `scan` does.
-fn real_index() -> SymbolIndex {
+/// The *real* workspace's sources and manifest edges, loaded exactly as
+/// `scan` loads them (the index borrows the sources, so the caller
+/// builds it).
+fn real_workspace() -> (Vec<SourceFile>, BTreeMap<String, BTreeSet<String>>) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files = walker::workspace_files(&root).expect("walk real workspace");
     let sources: Vec<SourceFile> = files
@@ -123,12 +126,37 @@ fn real_index() -> SymbolIndex {
         })
         .collect();
     let deps = walker::crate_dependencies(&root).expect("read manifests");
-    SymbolIndex::build(&sources, deps)
+    (sources, deps)
+}
+
+/// The functions a call to `name` with `argc` arguments resolves to, read
+/// from `fns` and checked against the shape [`SymbolIndex::resolve`]
+/// returns: same count, same first member.
+fn members<'i, 's>(
+    index: &'i SymbolIndex<'s>,
+    name: &str,
+    is_method: bool,
+    argc: usize,
+) -> Vec<&'i FnInfo<'s>> {
+    let found: Vec<_> = index
+        .fns
+        .get(name)
+        .into_iter()
+        .flatten()
+        .filter(|f| f.sig.has_self == is_method && f.sig.params.len() == argc)
+        .collect();
+    let shape = index.resolve(name, is_method, argc);
+    assert_eq!(shape.map_or(0, |s| s.count), found.len(), "{name}/{argc}");
+    if let Some(s) = shape {
+        assert!(std::ptr::eq(index.first_member(name, s), found[0]), "{name}/{argc}");
+    }
+    found
 }
 
 #[test]
 fn index_round_trips_real_workspace_signatures() {
-    let index = real_index();
+    let (sources, deps) = real_workspace();
+    let index = SymbolIndex::build(&sources, deps);
 
     // the four campaign units plus the discovered `Alpha` f64 newtype
     for unit in ["Watts", "GigaHertz", "Seconds", "Joules", "Alpha"] {
@@ -136,7 +164,7 @@ fn index_round_trips_real_workspace_signatures() {
     }
 
     // a free associated fn: Alpha::saturating(raw: f64) -> Alpha
-    let sat = index.candidates("saturating", false, 1);
+    let sat = members(&index, "saturating", false, 1);
     let sat: Vec<_> = sat.iter().filter(|c| c.crate_name == "vap-model").collect();
     assert_eq!(sat.len(), 1, "{sat:#?}");
     assert_eq!(sat[0].path, "crates/model/src/linear.rs");
@@ -145,7 +173,7 @@ fn index_round_trips_real_workspace_signatures() {
     assert!(sat[0].sig.is_pub && !sat[0].sig.has_self);
 
     // a 5-ary free fn with a Result return: vap_sim::dynamics::enforce
-    let enf = index.candidates("enforce", false, 5);
+    let enf = members(&index, "enforce", false, 5);
     assert!(
         enf.iter().any(|c| c.crate_name == "vap-sim"
             && c.path == "crates/sim/src/dynamics.rs"
@@ -154,15 +182,15 @@ fn index_round_trips_real_workspace_signatures() {
     );
 
     // a method: DynamicsResult::converged_frequency(&self) -> GigaHertz
-    let cf = index.candidates("converged_frequency", true, 0);
+    let cf = members(&index, "converged_frequency", true, 0);
     assert!(
         cf.iter().any(|c| c.path == "crates/sim/src/dynamics.rs"
             && c.sig.ret.as_deref() == Some("GigaHertz")),
         "{cf:#?}"
     );
     // receiver kind and arity are part of the key
-    assert!(index.candidates("converged_frequency", false, 0).is_empty());
-    assert!(index.candidates("saturating", false, 2).is_empty());
+    assert!(members(&index, "converged_frequency", false, 0).is_empty());
+    assert!(members(&index, "saturating", false, 2).is_empty());
 
     // par reachability covers the executor and its heaviest users
     for krate in ["vap-exec", "vap-workloads", "vap-sim"] {
