@@ -3,7 +3,9 @@
 //! Dependency-free stand-in for `cargo metadata` + `walkdir`: the
 //! workspace layout is known (a root package plus `crates/*`), so the
 //! walker enumerates each member's `src/` tree and reads the package name
-//! from the first `name = "..."` line of its `Cargo.toml`. Results are
+//! from the first `name = "..."` (or `'...'`) line of its `Cargo.toml`'s
+//! `[package]` table. A manifest line's trailing `#` comment is dropped
+//! before any header or key is matched. Results are
 //! sorted so runs are reproducible byte-for-byte — the ordering is part
 //! of the JSON output and baseline contract.
 
@@ -100,7 +102,7 @@ pub fn crate_dependencies(
         let mut edges = std::collections::BTreeSet::new();
         let mut in_deps = false;
         for raw in text.lines() {
-            let line = raw.trim();
+            let line = strip_comment(raw);
             if line.starts_with('[') {
                 in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]")
                     || line.starts_with("[dependencies.")
@@ -131,12 +133,13 @@ pub fn crate_dependencies(
     Ok(deps)
 }
 
-/// The `name = "..."` of a `[package]`, straight off the manifest text.
+/// The `name = "..."` (or `name = '...'`) of a `[package]`, straight off
+/// the manifest text.
 fn package_name(manifest: &Path) -> Option<String> {
     let text = fs::read_to_string(manifest).ok()?;
     let mut in_package = false;
     for raw in text.lines() {
-        let line = raw.trim();
+        let line = strip_comment(raw);
         if line.starts_with('[') {
             in_package = line == "[package]";
             continue;
@@ -147,8 +150,7 @@ fn package_name(manifest: &Path) -> Option<String> {
         if let Some(rest) = line.strip_prefix("name") {
             let rest = rest.trim_start();
             if let Some(value) = rest.strip_prefix('=') {
-                let value = value.trim();
-                let name = value.trim_matches('"');
+                let name = value.trim().trim_matches(['"', '\'']);
                 if !name.is_empty() {
                     return Some(name.to_string());
                 }
@@ -156,6 +158,26 @@ fn package_name(manifest: &Path) -> Option<String> {
         }
     }
     None
+}
+
+/// One manifest line without its trailing `#` comment, trimmed: the text
+/// before the first `#` that is not inside a `"..."` or `'...'` string.
+fn strip_comment(line: &str) -> &str {
+    let mut quote = None;
+    let mut escaped = false;
+    for (i, c) in line.char_indices() {
+        match quote {
+            // a basic string escapes with `\`; a literal string has no escapes
+            Some('"') if escaped => escaped = false,
+            Some('"') if c == '\\' => escaped = true,
+            Some(q) if c == q => quote = None,
+            Some(_) => {}
+            None if c == '"' || c == '\'' => quote = Some(c),
+            None if c == '#' => return line[..i].trim(),
+            None => {}
+        }
+    }
+    line.trim()
 }
 
 /// `path` relative to `root`, with forward slashes.
@@ -254,6 +276,65 @@ mod tests {
         }
         assert!(!sim.contains("serde"));
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Write `manifest` as the `Cargo.toml` of a scratch crate and read
+    /// its package name back.
+    fn name_of(tag: &str, manifest: &str) -> Option<String> {
+        let root = scratch(tag);
+        fs::write(root.join("Cargo.toml"), manifest).unwrap();
+        let name = package_name(&root.join("Cargo.toml"));
+        let _ = fs::remove_dir_all(&root);
+        name
+    }
+
+    #[test]
+    fn a_comment_after_the_package_header_keeps_the_name() {
+        let name = name_of("header-comment", "[package] # the simulator\nname = \"vap-sim\"\n");
+        assert_eq!(name.as_deref(), Some("vap-sim"));
+    }
+
+    #[test]
+    fn a_comment_after_the_name_is_not_part_of_it() {
+        let name = name_of("name-comment", "[package]\nname = \"vap-sim\" # the simulator\n");
+        assert_eq!(name.as_deref(), Some("vap-sim"));
+        // a `#` inside the quotes is text, not a comment
+        let name = name_of("hash-in-name", "[package]\nname = \"vap-#1\" # first\n");
+        assert_eq!(name.as_deref(), Some("vap-#1"));
+    }
+
+    #[test]
+    fn a_literal_string_name_is_unquoted() {
+        let name = name_of("literal-name", "[package]\nname = 'vap-core'\n");
+        assert_eq!(name.as_deref(), Some("vap-core"));
+    }
+
+    #[test]
+    fn a_comment_after_the_dependencies_header_keeps_the_edges() {
+        let root = scratch("deps-comment");
+        fs::create_dir_all(root.join("crates/par/src")).unwrap();
+        fs::write(
+            root.join("crates/par/Cargo.toml"),
+            "[package]\nname = \"vap-par\"\n\n[dependencies] # workspace crates\n\
+             vap-obs = { path = \"../obs\" } # the recorder\n\
+             # vap-old = { path = \"../old\" }\n\
+             [dev-dependencies.vap-stats] # tests only\npath = \"../stats\"\n",
+        )
+        .unwrap();
+        let deps = crate_dependencies(&root).unwrap();
+        let edges: Vec<&str> = deps["vap-par"].iter().map(String::as_str).collect();
+        assert_eq!(edges, ["vap-obs", "vap-stats"]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn comments_end_at_the_first_hash_outside_a_string() {
+        assert_eq!(strip_comment("  [package]   # x"), "[package]");
+        assert_eq!(strip_comment("name = \"a#b\" # c"), "name = \"a#b\"");
+        assert_eq!(strip_comment("name = 'a#b' # c"), "name = 'a#b'");
+        assert_eq!(strip_comment("name = \"a\\\"#b\" # c"), "name = \"a\\\"#b\"");
+        assert_eq!(strip_comment("# all comment"), "");
+        assert_eq!(strip_comment("name = \"open # c"), "name = \"open # c");
     }
 
     #[test]
