@@ -11,13 +11,17 @@
 //! every workspace file ([`lexer`], [`parse`]) and builds a symbol index
 //! ([`index::SymbolIndex`]): function signatures with typed parameters,
 //! newtype structs, `static`/`thread_local!` items, per-function panic
-//! counts, and the crate dependency graph. The index is keyed by bare
+//! counts, and the crate dependency graph. The index borrows the parsed
+//! items from the sources instead of copying them, is keyed by bare
 //! function name and holds no call graph. **Pass 2** runs the rules per
 //! file with the index in scope, so cross-function facts (a callee's
 //! parameter types three crates away) are one lookup. A call resolves to
 //! every indexed function with the callee's name, receiver kind and
-//! arity, and an index-aware rule fires only when all of those
-//! candidates agree.
+//! arity — its call shape — and an index-aware rule fires only when all
+//! of those candidates agree. The index decides that once per shape
+//! ([`index::CallShape`]: per parameter, is it unit-typed in every
+//! candidate; does every candidate panic), so a call site costs one
+//! lookup however many candidates it has.
 //!
 //! The front end holds each file's text once per form: the source and
 //! its scrubbed copy are each one buffer with a line table

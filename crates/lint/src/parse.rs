@@ -22,9 +22,9 @@
 //! (line, column, length) spans, and a call's [`Arg`] is a range of
 //! indices into them rather than a copy of its tokens, so a token nested
 //! three calls deep is still stored once; [`ParsedFile::arg_toks`] reads
-//! an argument back from the lines. Owned strings remain only where the
-//! symbol index keeps them: item names, parameter and return types, and
-//! callee paths.
+//! an argument back from the lines. Owned strings remain only in the
+//! items: item names, parameter and return types, and callee paths, which
+//! the symbol index borrows.
 
 use std::ops::Range;
 
