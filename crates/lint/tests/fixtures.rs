@@ -5,11 +5,15 @@
 //! (see its README). Scanning it end-to-end through [`vap_lint::cli::scan`]
 //! exercises the whole two-pass pipeline — walk, parse, manifest-derived
 //! dependency edges, index build, rule dispatch, `vap:allow` — the way CI
-//! runs it, rather than the unit tests' hand-built indices.
+//! runs it, rather than the unit tests' hand-built indices. The
+//! released binary's `--format json` and `--index-dump` output for it
+//! are pinned byte for byte in `tests/fixtures/ws.json` and
+//! `tests/fixtures/ws.index-dump`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use vap_lint::cli::{scan, Options};
 use vap_lint::index::{FnInfo, SymbolIndex};
@@ -110,6 +114,36 @@ fn panic_propagation_catches_the_wrapper_around_the_panicker() {
     assert!(hits[0].message.contains("parse_width"), "{}", hits[0].message);
     // and the panic itself is still reported by no-panic-in-lib
     assert_eq!(new_of(&all, "no-panic-in-lib").len(), 1);
+}
+
+/// `vap-lint`'s stdout for the fixture workspace with `flag`, which must
+/// exit 0 with nothing on stderr.
+fn fixture_output(flag: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_vap-lint"))
+        .arg("--root")
+        .arg(fixture_root())
+        .args(flag)
+        .output()
+        .expect("run vap-lint");
+    assert!(out.status.success(), "{flag:?}: {}", out.status);
+    assert!(out.stderr.is_empty(), "{flag:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// The committed expected output `tests/fixtures/<name>`.
+fn golden(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn json_output_matches_the_committed_file() {
+    assert_eq!(fixture_output(&["--format", "json"]), golden("ws.json"));
+}
+
+#[test]
+fn index_dump_matches_the_committed_file() {
+    assert_eq!(fixture_output(&["--index-dump"]), golden("ws.index-dump"));
 }
 
 /// The *real* workspace's sources and manifest edges, loaded exactly as
