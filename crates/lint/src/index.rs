@@ -154,7 +154,7 @@ impl<'a> SymbolIndex<'a> {
                 statics.push(StaticInfo { crate_name, path, item });
             }
             for call in &file.parsed.calls {
-                if PAR_ENTRY_POINTS.contains(&call.callee.as_str())
+                if PAR_ENTRY_POINTS.contains(&file.parsed.callee(&file.code, call))
                     && !file.in_test.get(call.line).copied().unwrap_or(false)
                 {
                     par_roots.insert(crate_name);

@@ -25,8 +25,12 @@
 //!
 //! The front end holds each file's text once per form: the source and
 //! its scrubbed copy are each one buffer with a line table
-//! ([`lexer::Lines`]), tokens borrow from the scrubbed buffer, and a call
-//! argument is a range into the file's one token list. The parser's token
+//! ([`lexer::Lines`]) and tokens borrow from the scrubbed buffer. A call
+//! ([`parse::Call`]) is positions in the file's one token list — its
+//! callee, its path, its turbofish and a run of the file's argument
+//! list — read back from the lines, so a call site allocates nothing of
+//! its own; only the parsed items own strings (names, parameter and
+//! return types), and the index borrows those. The parser's token
 //! pass also finds each word the lexical rules look for (`.unwrap()`,
 //! `println!`, `HashMap`, … — [`rules::Word`]) once per file and keeps
 //! the hits as a site list ([`parse::ParsedFile::sites`]):

@@ -40,14 +40,15 @@ impl Rule for PanicPropagation {
             if file.in_test.get(call.line).copied().unwrap_or(false) {
                 continue;
             }
-            let Some(shape) = ctx.index.resolve(&call.callee, call.is_method, call.args.len())
-            else {
+            let callee = file.parsed.callee(&file.code, call);
+            let argc = file.parsed.args(call).len();
+            let Some(shape) = ctx.index.resolve(callee, call.is_method, argc) else {
                 continue;
             };
             if !shape.all_panic {
                 continue;
             }
-            let def = ctx.index.first_member(&call.callee, shape);
+            let def = ctx.index.first_member(callee, shape);
             // the panicking function's own body reports via no-panic-in-lib;
             // don't double-flag recursion onto itself
             if shape.count == 1

@@ -85,34 +85,32 @@ impl Rule for SharedStateInPar {
             }
         }
         // order-sensitive float reductions inside par closures
-        let par_extents: Vec<(usize, usize)> = file
-            .parsed
+        let parsed = &file.parsed;
+        let par_extents: Vec<(usize, usize)> = parsed
             .calls
             .iter()
-            .filter(|c| PAR_ENTRY_POINTS.contains(&c.callee.as_str()))
+            .filter(|c| PAR_ENTRY_POINTS.contains(&parsed.callee(&file.code, c)))
             .filter(|c| !file.in_test.get(c.line).copied().unwrap_or(false))
             .map(|c| (c.line, c.end_line))
             .collect();
         if par_extents.is_empty() {
             return;
         }
-        for call in &file.parsed.calls {
-            let inside = par_extents
-                .iter()
-                .any(|&(a, b)| call.line >= a && call.line <= b)
-                && !PAR_ENTRY_POINTS.contains(&call.callee.as_str());
-            if !inside || !call.is_method {
+        for call in &parsed.calls {
+            if !call.is_method
+                || !par_extents.iter().any(|&(a, b)| call.line >= a && call.line <= b)
+            {
                 continue;
             }
-            let float_reduce = match call.callee.as_str() {
-                "sum" | "product" => call
-                    .turbofish
-                    .as_deref()
+            let callee = parsed.callee(&file.code, call);
+            let float_reduce = match callee {
+                "sum" | "product" => parsed
+                    .turbofish(&file.code, call)
                     .is_some_and(|t| t.contains("f64") || t.contains("f32")),
-                "fold" => call
-                    .args
+                "fold" => parsed
+                    .args(call)
                     .first()
-                    .and_then(|a| file.parsed.arg_toks(&file.code, a).next())
+                    .and_then(|a| parsed.arg_toks(&file.code, a).next())
                     .is_some_and(|t| is_float_literal(t.text)),
                 _ => false,
             };
@@ -125,8 +123,7 @@ impl Rule for SharedStateInPar {
                 line: call.line + 1,
                 column: call.col + 1,
                 message: format!(
-                    "order-sensitive float `{}` inside a par closure — float addition is not associative",
-                    call.callee,
+                    "order-sensitive float `{callee}` inside a par closure — float addition is not associative",
                 ),
                 snippet: file.snippet(call.line).to_string(),
                 help: "reduce over a deterministically ordered collection (index order, as the \

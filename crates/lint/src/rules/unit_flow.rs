@@ -57,9 +57,10 @@ impl Rule for UnitFlow {
             if file.in_test.get(call.line).copied().unwrap_or(false) {
                 continue;
             }
+            let (callee, args) = (file.parsed.callee(&file.code, call), file.parsed.args(call));
             // unit constructor laundering: Watts(x.0), Watts((a + b).0)
-            if index.is_unit_type(&call.callee) {
-                if let [arg] = call.args.as_slice() {
+            if index.is_unit_type(callee) {
+                if let [arg] = args {
                     if has_projection(file.parsed.arg_toks(&file.code, arg)) {
                         out.push(Finding {
                             rule: "unit-flow",
@@ -67,8 +68,7 @@ impl Rule for UnitFlow {
                             line: call.line + 1,
                             column: call.col + 1,
                             message: format!(
-                                "`{}({})` re-wraps a raw `.0` projection — the source unit is lost",
-                                call.callee,
+                                "`{callee}({})` re-wraps a raw `.0` projection — the source unit is lost",
                                 file.parsed.arg_text(&file.code, arg),
                             ),
                             snippet: file.snippet(call.line).to_string(),
@@ -85,24 +85,23 @@ impl Rule for UnitFlow {
             // bare f64 expression into a unit-typed parameter; conservative:
             // only where every candidate agrees the parameter is unit-typed
             // (name collisions stay quiet), which the shape knows already
-            let Some(shape) = index.resolve(&call.callee, call.is_method, call.args.len()) else {
+            let Some(shape) = index.resolve(callee, call.is_method, args.len()) else {
                 continue;
             };
             let units = index.unit_params(shape);
-            for (p, arg) in call.args.iter().enumerate() {
+            for (p, arg) in args.iter().enumerate() {
                 if !units[p] || !is_bare_f64_arg(file.parsed.arg_toks(&file.code, arg)) {
                     continue;
                 }
-                let param = &index.first_member(&call.callee, shape).sig.params[p];
+                let param = &index.first_member(callee, shape).sig.params[p];
                 out.push(Finding {
                     rule: "unit-flow",
                     path: file.path.clone(),
                     line: call.line + 1,
                     column: call.col + 1,
                     message: format!(
-                        "bare f64 `{}` passed to `{}` parameter `{}: {}`",
+                        "bare f64 `{}` passed to `{callee}` parameter `{}: {}`",
                         file.parsed.arg_text(&file.code, arg),
-                        call.callee,
                         param.name,
                         referent(&param.ty),
                     ),
