@@ -53,7 +53,7 @@ fn main() {
     // The observability ledger with no session installed: the closures
     // must never run (they'd panic) and the disabled path must not touch
     // the allocator at all — each call site is one relaxed atomic load.
-    assert!(!vap_obs::ledger_enabled(), "no session installed in this binary");
+    assert!(!vap_obs::recorder::ledger_enabled(), "no session installed in this binary");
     ALLOC.start();
     for _ in 0..100_000 {
         vap_obs::ledger_tick(|| unreachable!("ledger closures must not run when disabled"));

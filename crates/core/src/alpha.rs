@@ -103,18 +103,12 @@ pub fn allocations(pmt: &PowerModelTable, alpha: Alpha) -> Vec<ModuleAllocation>
         .collect()
 }
 
-/// Total allocated power across modules (must not exceed the budget the
-/// α was solved for — checked in tests and by the Fig. 9 experiment).
-pub fn total_allocated(allocs: &[ModuleAllocation]) -> Watts {
-    allocs.iter().map(|a| a.p_module).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pmt::{PmtEntry, PowerModelTable};
+    use vap_model::linear::TwoPointModel;
     use vap_model::units::GigaHertz;
-    use vap_model::TwoPointModel;
 
     /// A hand-built PMT: two modules, one 20% hungrier than the other.
     fn pmt() -> PowerModelTable {
@@ -162,7 +156,7 @@ mod tests {
         let budget = Watts(185.0);
         let a = max_alpha(budget, &t).unwrap();
         let allocs = allocations(&t, a);
-        let total = total_allocated(&allocs);
+        let total: Watts = allocs.iter().map(|a| a.p_module).sum();
         assert!((total.value() - budget.value()).abs() < 1e-9, "total {total}");
     }
 

@@ -14,8 +14,7 @@ use crate::pmt::PowerModelTable;
 use crate::pvt::PowerVariationTable;
 use crate::schemes::{ControlKind, PowerPlan, SchemeId};
 use crate::testrun::single_module_test_run;
-use vap_model::power::PowerActivity;
-use vap_model::units::{Seconds, Watts};
+use vap_model::units::Watts;
 use vap_sim::cluster::Cluster;
 use vap_workloads::spec::{WorkloadId, WorkloadSpec};
 
@@ -95,16 +94,6 @@ impl MultiPvt {
         // a hand-built empty MultiPvt — report it as an empty selection.
         best.ok_or(BudgetError::NoModules)
     }
-}
-
-/// One phase of a phase-structured application: its power activity and
-/// its share of the total reference time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Phase {
-    /// Power activity during this phase.
-    pub activity: PowerActivity,
-    /// Reference duration of the phase.
-    pub duration: Seconds,
 }
 
 /// Per-phase re-budgeting: for each phase, re-solve α against a PMT scaled

@@ -65,8 +65,8 @@ impl std::fmt::Display for Feasibility {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vap_model::linear::TwoPointModel;
     use vap_model::units::GigaHertz;
-    use vap_model::TwoPointModel;
 
     fn pmt() -> PowerModelTable {
         // two modules, each module power 110→55

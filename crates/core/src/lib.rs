@@ -52,11 +52,7 @@ pub mod pvt;
 pub mod schemes;
 pub mod testrun;
 
-pub use alpha::{allocations, max_alpha, ModuleAllocation};
 pub use budgeter::Budgeter;
 pub use error::BudgetError;
 pub use feasibility::Feasibility;
-pub use pmt::PowerModelTable;
-pub use pvt::PowerVariationTable;
-pub use schemes::{apply_plan, PowerPlan, SchemeId};
-pub use testrun::TestRunResult;
+pub use schemes::{apply_plan, SchemeId};

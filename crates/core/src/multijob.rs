@@ -316,11 +316,6 @@ impl Budgeter {
         &self.keys
     }
 
-    /// The admitted jobs, in insertion order.
-    pub fn jobs(&self) -> &[JobRequest] {
-        &self.jobs
-    }
-
     /// Admit a job under `key`, caching its PMT extrema once.
     ///
     /// Re-admitting an existing key replaces the previous request (the
@@ -355,8 +350,8 @@ impl Budgeter {
     }
 
     /// Partition `system_budget` across the admitted jobs (insertion
-    /// order), using the cached extrema. Bit-identical to
-    /// [`partition`]`(system_budget, self.jobs(), policy)`.
+    /// order), using the cached extrema. Bit-identical to [`partition`]
+    /// over the admitted jobs.
     pub fn partition(
         &self,
         system_budget: Watts,

@@ -221,7 +221,7 @@ mod tests {
         let tick = region_ledger_tick(&c, &plan, Seconds(120.0));
         // 8 modules × 2 domains × 2 rows + job residue
         assert_eq!(tick.entries.len(), 8 * 2 * 2 + 1);
-        let mut table = vap_obs::LedgerTable::new();
+        let mut table = vap_obs::ledger::LedgerTable::new();
         table.record(tick);
         assert_eq!(table.violations, 0, "telescoped bins must sum to the budget");
         let [useful, throttle, headroom, _stranded] = table.energy_by_category();

@@ -181,11 +181,6 @@ impl PowerModelTable {
         &self.entries
     }
 
-    /// Look up a module's entry.
-    pub fn entry(&self, module_id: usize) -> Option<&PmtEntry> {
-        self.entries.iter().find(|e| e.module_id == module_id)
-    }
-
     /// Σ of predicted minimum module power (the feasibility floor and the
     /// numerator offset of Eq. 6).
     pub fn fleet_minimum(&self) -> Watts {
@@ -232,7 +227,7 @@ mod tests {
         let pmt = PowerModelTable::calibrate(&pvt, &test, &ids).unwrap();
         // the test module's own prediction must closely match its measured
         // power (same scales divided back in)
-        let own = pmt.entry(4).unwrap();
+        let own = pmt.entries.iter().find(|e| e.module_id == 4).unwrap();
         assert!((own.cpu.p_max.value() - test.cpu_max.value()).abs() < 1e-6);
         assert!((own.dram.p_min.value() - test.dram_min.value()).abs() < 1e-6);
     }
@@ -334,7 +329,7 @@ mod tests {
         let ids = [3usize, 7, 11];
         let pmt = PowerModelTable::calibrate(&pvt, &test, &ids).unwrap();
         assert_eq!(pmt.len(), 3);
-        assert!(pmt.entry(7).is_some());
-        assert!(pmt.entry(0).is_none());
+        let ids: Vec<usize> = pmt.entries.iter().map(|e| e.module_id).collect();
+        assert_eq!(ids, [3, 7, 11]);
     }
 }

@@ -237,11 +237,6 @@ impl PowerVariationTable {
         self.entries.get(module_id).filter(|e| e.module_id == module_id)
     }
 
-    /// All entries.
-    pub fn entries(&self) -> &[PvtEntry] {
-        &self.entries
-    }
-
     /// Serialize to compact JSON (the PVT is a per-system artifact worth
     /// persisting — it is generated once at install time). Every scale
     /// reads back bit-for-bit.
@@ -296,7 +291,7 @@ mod tests {
             |e: &PvtEntry| e.dram_max,
             |e: &PvtEntry| e.dram_min,
         ] {
-            let mean: f64 = pvt.entries().iter().map(field).sum::<f64>() / pvt.len() as f64;
+            let mean: f64 = pvt.entries.iter().map(field).sum::<f64>() / pvt.len() as f64;
             assert!((mean - 1.0).abs() < 1e-6, "mean scale {mean}");
         }
     }
@@ -304,12 +299,12 @@ mod tests {
     #[test]
     fn scales_spread_reflects_manufacturing_variation() {
         let (_, pvt) = pvt_for(256, 5);
-        let max = pvt.entries().iter().map(|e| e.cpu_max).fold(f64::MIN, f64::max);
-        let min = pvt.entries().iter().map(|e| e.cpu_max).fold(f64::MAX, f64::min);
+        let max = pvt.entries.iter().map(|e| e.cpu_max).fold(f64::MIN, f64::max);
+        let min = pvt.entries.iter().map(|e| e.cpu_max).fold(f64::MAX, f64::min);
         assert!(max / min > 1.1, "CPU scale spread {max}/{min}");
         // DRAM varies more than CPU (paper: DRAM Vp ≈ 2.8 vs module ≈ 1.3)
-        let dmax = pvt.entries().iter().map(|e| e.dram_max).fold(f64::MIN, f64::max);
-        let dmin = pvt.entries().iter().map(|e| e.dram_max).fold(f64::MAX, f64::min);
+        let dmax = pvt.entries.iter().map(|e| e.dram_max).fold(f64::MIN, f64::max);
+        let dmin = pvt.entries.iter().map(|e| e.dram_max).fold(f64::MAX, f64::min);
         assert!(dmax / dmin > max / min, "DRAM spread should exceed CPU spread");
     }
 
@@ -438,7 +433,7 @@ mod tests {
         let stream = catalog::get(WorkloadId::Stream);
         let again = pvt.recalibrate_modules(&mut c, &stream, &[], 23);
         assert_eq!(again.len(), pvt.len());
-        for (a, b) in pvt.entries().iter().zip(again.entries()) {
+        for (a, b) in pvt.entries.iter().zip(again.entries) {
             assert!((a.cpu_max - b.cpu_max).abs() < 1e-12, "round-trip scale drifted");
             assert!((a.dram_min - b.dram_min).abs() < 1e-12);
         }
@@ -463,7 +458,7 @@ mod tests {
             assert!((a - b).abs() < 0.01, "module {i} moved {b} -> {a}");
         }
         // scales still average to 1.0 after renormalization
-        let mean: f64 = fresh.entries().iter().map(|e| e.cpu_max).sum::<f64>() / fresh.len() as f64;
+        let mean: f64 = fresh.entries.iter().map(|e| e.cpu_max).sum::<f64>() / fresh.len() as f64;
         assert!((mean - 1.0).abs() < 1e-6);
         // affected module left idle, like the boot-time sweep leaves it
         assert_eq!(c.module(3).activity(), PowerActivity::IDLE);

@@ -70,16 +70,6 @@ impl SchemeId {
         }
     }
 
-    /// Whether the scheme accounts for manufacturing variability.
-    pub fn is_variation_aware(self) -> bool {
-        !matches!(self, SchemeId::Naive | SchemeId::Pc)
-    }
-
-    /// Whether the scheme uses oracle information unavailable in practice.
-    pub fn is_oracle(self) -> bool {
-        matches!(self, SchemeId::VaPcOr | SchemeId::VaFsOr)
-    }
-
     /// The control mechanism the scheme applies with.
     pub fn control(self) -> ControlKind {
         match self {
@@ -349,12 +339,6 @@ mod tests {
 
     #[test]
     fn scheme_taxonomy() {
-        assert!(!SchemeId::Naive.is_variation_aware());
-        assert!(!SchemeId::Pc.is_variation_aware());
-        assert!(SchemeId::VaPc.is_variation_aware());
-        assert!(SchemeId::VaFs.is_variation_aware());
-        assert!(SchemeId::VaPcOr.is_oracle());
-        assert!(!SchemeId::VaPc.is_oracle());
         assert_eq!(SchemeId::VaFs.control(), ControlKind::FrequencySelection);
         assert_eq!(SchemeId::VaPc.control(), ControlKind::PowerCapping);
         assert_eq!(SchemeId::ALL.len(), 6);

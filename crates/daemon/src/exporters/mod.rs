@@ -12,5 +12,5 @@ mod prometheus;
 mod stdout;
 
 pub use json::serve_json;
-pub use prometheus::{render_prometheus, serve_prometheus};
+pub use prometheus::serve_prometheus;
 pub use stdout::serve_stdout;

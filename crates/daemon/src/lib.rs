@@ -52,9 +52,8 @@ pub mod service;
 pub mod signal;
 pub mod soak;
 
-pub use config::{DaemonConfig, Mode};
-pub use service::{run, DaemonSummary, Service};
-pub use signal::ShutdownFlag;
+pub use config::DaemonConfig;
+pub use service::{DaemonSummary, Service};
 
 /// The daemon's error type: an operation that failed and why.
 #[derive(Debug)]

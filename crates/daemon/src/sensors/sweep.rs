@@ -172,7 +172,8 @@ impl CapSweepSensor {
 mod tests {
     use super::*;
     use vap_model::variability::DriftSkew;
-    use vap_scenario::{PerturbationKind, Scenario, ScenarioEvent};
+    use vap_scenario::stream::{PerturbationKind, ScenarioEvent};
+    use vap_scenario::Scenario;
 
     #[test]
     fn ticks_advance_time_and_respect_the_budget() {

@@ -222,15 +222,14 @@ fn drive_sensor(
     Ok(SensorOutcome { published, sim_time_s, completed_jobs })
 }
 
-/// [`Service::bind`] + [`Service::run`] in one call, for embedders that
-/// do not need the addresses up front.
-pub fn run(opts: &RunOptions, cfg: &DaemonConfig) -> Result<DaemonSummary, DaemonError> {
-    Service::bind(opts, cfg)?.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`Service::bind`] + [`Service::run`] in one call.
+    fn run(opts: &RunOptions, cfg: &DaemonConfig) -> Result<DaemonSummary, DaemonError> {
+        Service::bind(opts, cfg)?.run()
+    }
 
     fn opts(modules: usize) -> RunOptions {
         RunOptions { modules: Some(modules), threads: Some(1), ..RunOptions::default() }

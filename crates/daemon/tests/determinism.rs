@@ -7,7 +7,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use vap_daemon::{DaemonConfig, Mode, Service};
+use vap_daemon::config::Mode;
+use vap_daemon::{DaemonConfig, Service};
 use vap_obs::SnapshotRegistry;
 use vap_report::RunOptions;
 

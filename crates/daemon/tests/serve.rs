@@ -3,8 +3,9 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use vap_daemon::config::Mode;
 use vap_daemon::soak::SoakConfig;
-use vap_daemon::{DaemonConfig, Mode, Service};
+use vap_daemon::{DaemonConfig, Service};
 use vap_report::RunOptions;
 
 fn service() -> Service {

@@ -25,7 +25,7 @@
 //!
 //! When a `vap_obs` session is live on the calling thread, every fan-out
 //! registers a grid and brackets each item with
-//! [`vap_obs::SessionRef::run_item`]: metrics recorded inside the item
+//! [`vap_obs::recorder::SessionRef::run_item`]: metrics recorded inside the item
 //! accumulate into its `(grid, index)` cell, and the item's wall time
 //! lands on the worker's timeline lane. The serial short-circuit runs
 //! through the identical bracket (on lane 0), so the deterministic
@@ -53,25 +53,14 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 }
 
 /// Map `f` over `items` on up to `threads` OS threads, returning results
-/// in item order.
+/// in item order. `kind` (`"cell"`, `"module"`) is the label under which
+/// the fan-out's grid and cells appear in a `vap_obs` journal.
 ///
 /// `f(i, &items[i])` must be a pure function of its arguments (plus any
 /// captured *shared immutable* state). Items are claimed from an atomic
 /// counter, so thread scheduling decides only *who* computes an item,
 /// never *what* is computed or *where* the result lands. With
 /// `threads <= 1` the items run serially through the identical closure.
-pub fn par_map<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    par_map_kind(items, threads, "item", f)
-}
-
-/// [`par_map`] with an observability item kind (`"item"`, `"cell"`,
-/// `"module"`) — the label under which the fan-out's grid and cells
-/// appear in a `vap_obs` journal.
 fn par_map_kind<I, T, F>(items: &[I], threads: usize, kind: &'static str, f: F) -> Vec<T>
 where
     I: Sync,
@@ -186,7 +175,7 @@ mod tests {
     #[test]
     fn par_map_preserves_item_order() {
         let items: Vec<usize> = (0..97).collect();
-        let out = par_map(&items, 4, |i, &x| {
+        let out = par_map_kind(&items, 4, "item", |i, &x| {
             assert_eq!(i, x);
             x * 3
         });
@@ -197,9 +186,9 @@ mod tests {
     fn serial_and_parallel_agree_exactly() {
         let items: Vec<u64> = (0..64).collect();
         let f = |_: usize, &x: &u64| module_seed(x, 17) as f64 / u64::MAX as f64;
-        let serial = par_map(&items, 1, f);
+        let serial = par_map_kind(&items, 1, "item", f);
         for threads in [2, 3, 8, 64] {
-            let parallel = par_map(&items, threads, f);
+            let parallel = par_map_kind(&items, threads, "item", f);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -207,8 +196,8 @@ mod tests {
     #[test]
     fn par_map_handles_empty_and_single() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(par_map(&[5u32], 8, |_, &x| x + 1), vec![6]);
+        assert!(par_map_kind(&empty, 8, "item", |_, &x| x).is_empty());
+        assert_eq!(par_map_kind(&[5u32], 8, "item", |_, &x| x + 1), vec![6]);
     }
 
     #[test]
@@ -270,7 +259,7 @@ mod tests {
     fn observed_fanouts_record_cells_per_item() {
         let session = vap_obs::Session::install();
         let items: Vec<u32> = (0..5).collect();
-        let out = par_map(&items, 3, |_, &x| {
+        let out = par_map_kind(&items, 3, "item", |_, &x| {
             vap_obs::incr("test.work");
             x * 2
         });
@@ -285,7 +274,7 @@ mod tests {
         let journal = |threads: usize| {
             let session = vap_obs::Session::install();
             let items: Vec<u64> = (0..40).collect();
-            let _ = par_map(&items, threads, |i, &x| {
+            let _ = par_map_kind(&items, threads, "item", |i, &x| {
                 vap_obs::incr("test.items");
                 vap_obs::observe("test.values", (x * 3) as f64);
                 vap_obs::label_item(|| format!("item-{i}"));

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Write;
 use std::path::PathBuf;
 
 use crate::baseline::Baseline;
@@ -244,63 +245,62 @@ pub fn scan(opts: &Options) -> Result<Outcome, String> {
     Ok(Outcome { findings, summary, counts })
 }
 
-/// Full CLI behavior; returns the process exit code.
+/// Full CLI behavior; returns the process exit code. Standard output goes
+/// out in one write to a locked stdout, so a reader that closes the pipe
+/// early makes this an I/O error (exit code 2), not a panic.
 pub fn run(opts: &Options) -> i32 {
-    if opts.help {
-        print!("{USAGE}");
-        return 0;
-    }
-    if opts.list_rules {
-        for rule in rules::all_rules() {
-            println!("{:<20} {}", rule.name(), rule.description());
-        }
-        return 0;
-    }
-    if opts.index_dump {
-        // the index borrows the sources, so it is rendered while they live
-        let dumped = load_files(opts).and_then(|srcs| Ok(build_index(opts, &srcs)?.dump()));
-        return match dumped {
-            Ok(dump) => {
-                print!("{dump}");
-                0
-            }
-            Err(e) => {
-                eprintln!("vap-lint: error: {e}");
-                2
-            }
-        };
-    }
-    let outcome = match scan(opts) {
+    let (out, code) = match output(opts) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("vap-lint: error: {e}");
             return 2;
         }
     };
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(out.as_bytes()).and_then(|()| stdout.flush()) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("vap-lint: error: writing output: {e}");
+            2
+        }
+    }
+}
+
+/// What [`run`] prints on stdout, and its exit code.
+fn output(opts: &Options) -> Result<(String, i32), String> {
+    if opts.help {
+        return Ok((USAGE.to_string(), 0));
+    }
+    if opts.list_rules {
+        let mut out = String::new();
+        for rule in rules::all_rules() {
+            out.push_str(&format!("{:<20} {}\n", rule.name(), rule.description()));
+        }
+        return Ok((out, 0));
+    }
+    if opts.index_dump {
+        // the index borrows the sources, so it is rendered while they live
+        let srcs = load_files(opts)?;
+        return Ok((build_index(opts, &srcs)?.dump(), 0));
+    }
+    let outcome = scan(opts)?;
     if opts.write_baseline {
         let b = Baseline::from_counts(&outcome.counts);
         let path = baseline_path(opts);
-        if let Err(e) = fs::write(&path, b.render()) {
-            eprintln!("vap-lint: error: writing {}: {e}", path.display());
-            return 2;
-        }
-        println!(
-            "vap-lint: wrote {} baseline entr{} to {}",
+        fs::write(&path, b.render()).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let out = format!(
+            "vap-lint: wrote {} baseline entr{} to {}\n",
             b.entries.len(),
             if b.entries.len() == 1 { "y" } else { "ies" },
             path.display()
         );
-        return 0;
+        return Ok((out, 0));
     }
-    match opts.format {
-        Format::Human => print!("{}", diag::render_human(&outcome.findings, &outcome.summary, opts.deny)),
-        Format::Json => print!("{}", diag::render_json(&outcome.findings, &outcome.summary)),
-    }
-    if opts.deny && outcome.summary.new > 0 {
-        1
-    } else {
-        0
-    }
+    let out = match opts.format {
+        Format::Human => diag::render_human(&outcome.findings, &outcome.summary, opts.deny),
+        Format::Json => diag::render_json(&outcome.findings, &outcome.summary),
+    };
+    Ok((out, if opts.deny && outcome.summary.new > 0 { 1 } else { 0 }))
 }
 
 /// Effective baseline path for `opts`.

@@ -5,7 +5,7 @@
 //! into `inf`. Comparisons must use an explicit tolerance.
 //!
 //! Without type inference the rule keys on the operands: a comparison
-//! fires when either side is a floating-point literal (`0.0`, `1e-6`,
+//! fires when either side is a floating-point literal (`0.0`, `-1.0`, `1e-6`,
 //! `2f64`) or an `f64::`/`f32::` associated constant. Variable-vs-
 //! variable float comparisons are out of reach of a lexical pass — the
 //! literal form is both the common and the dangerous one.
@@ -34,7 +34,7 @@ impl Rule for FloatEq {
             for (pos, op) in comparison_ops(line) {
                 let lhs = token_before(line, pos);
                 let rhs = token_after(line, pos + 2);
-                if is_float_operand(&lhs) || is_float_operand(&rhs) {
+                if is_float_operand(lhs) || is_float_operand(rhs) {
                     out.push(Finding {
                         rule: "float-eq",
                         path: file.path.clone(),
@@ -80,29 +80,51 @@ fn comparison_ops(line: &str) -> Vec<(usize, &'static str)> {
     out
 }
 
+/// Can byte `c` sit inside an operand-ish token?
+fn is_word_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b':')
+}
+
 /// The operand-ish token ending just before byte `pos` (skipping spaces).
-fn token_before(line: &str, pos: usize) -> String {
-    let trimmed = line[..pos].trim_end();
-    let tail: Vec<char> = trimmed
-        .chars()
-        .rev()
-        .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | ':'))
-        .collect();
-    tail.into_iter().rev().collect()
+/// An exponent sign belongs to the token only after a digit mantissa and
+/// `e`/`E` (`1e-9`, `2.5E+3`), so `n-1` and `e-1` end at the `1`.
+fn token_before(line: &str, pos: usize) -> &str {
+    let head = line[..pos].trim_end();
+    let b = head.as_bytes();
+    let mut start = b.len();
+    while start > 0 {
+        let c = b[start - 1];
+        let exponent_sign = matches!(c, b'-' | b'+')
+            && start >= 3
+            && matches!(b[start - 2], b'e' | b'E')
+            && b[start - 3].is_ascii_digit()
+            && b.get(start).is_some_and(u8::is_ascii_digit);
+        if is_word_byte(c) || exponent_sign {
+            start -= 1;
+        } else {
+            break;
+        }
+    }
+    // every byte taken is ASCII, so `start` is a char boundary
+    &head[start..]
 }
 
-/// The operand-ish token starting at/after byte `pos` (skipping spaces).
-fn token_after(line: &str, pos: usize) -> String {
-    line[pos..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | ':'))
-        .collect()
+/// The operand-ish token starting at/after byte `pos` (skipping spaces),
+/// with a leading unary minus (`-1.0`).
+fn token_after(line: &str, pos: usize) -> &str {
+    let rest = line[pos..].trim_start();
+    let sign = usize::from(rest.starts_with('-'));
+    let len = rest.as_bytes()[sign..]
+        .iter()
+        .take_while(|&&c| is_word_byte(c))
+        .count();
+    &rest[..sign + len]
 }
 
-/// Is `tok` a float literal (`1.0`, `1e-6`, `2f64`) or an `f64::`/`f32::`
-/// constant path?
+/// Is `tok` a float literal (`1.0`, `-1.0`, `1e-6`, `2f64`) or an
+/// `f64::`/`f32::` constant path?
 fn is_float_operand(tok: &str) -> bool {
+    let tok = tok.strip_prefix('-').unwrap_or(tok);
     if tok.starts_with("f64::") || tok.starts_with("f32::") {
         return true;
     }
@@ -141,13 +163,20 @@ mod tests {
         assert_eq!(findings("if 2.5 == y {\n").len(), 1);
         assert_eq!(findings("if x == 2f64 {\n").len(), 1);
         assert_eq!(findings("if x == f64::INFINITY {\n").len(), 1);
+        // negative literals and signed exponents, on either side
+        assert_eq!(findings("if x == 1e-9 {\n").len(), 1);
+        assert_eq!(findings("if 1e-9 == x {\n").len(), 1);
+        assert_eq!(findings("if x == -1.0 {\n").len(), 1);
+        assert_eq!(findings("if x != 2.5E+3 {\n").len(), 1);
+        assert_eq!(findings("if 2.5E+3 != x {\n").len(), 1);
     }
 
     #[test]
     fn quiet_on_integer_and_structural_comparisons() {
         let src = "if xs.len() != ys.len() { }\nif i % 2 == 0 { }\n\
                    if name == other { }\nlet f = |x| x <= 0.5;\nlet g = x >= 1.0;\n\
-                   for i in 0..=3 { }\nif version == 1 { }\n";
+                   for i in 0..=3 { }\nif version == 1 { }\n\
+                   if i == -1 { }\nif n-1 == m { }\nif e-1 == x { }\n";
         assert!(findings(src).is_empty());
     }
 

@@ -16,7 +16,7 @@
 //! stalls, bandwidth-limited traffic) is frequency-invariant. *DGEMM and EP
 //! have `χ ≈ 1`; *STREAM `χ ≈ 0.2`.
 
-use crate::units::{GigaHertz, Seconds};
+use crate::units::GigaHertz;
 
 /// CPU-boundedness of a compute phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,12 +50,6 @@ impl Boundedness {
     pub fn slowdown(&self, f: GigaHertz) -> f64 {
         assert!(f.value() > 0.0, "frequency must be positive");
         self.cpu_fraction * (self.f_ref.value() / f.value()) + (1.0 - self.cpu_fraction)
-    }
-
-    /// Phase duration at frequency `f`, given its duration at the reference
-    /// frequency.
-    pub fn duration(&self, t_ref: Seconds, f: GigaHertz) -> Seconds {
-        t_ref * self.slowdown(f)
     }
 
     /// Instantaneous execution rate relative to the reference
@@ -93,11 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn duration_and_rate_are_consistent() {
+    fn rate_is_the_inverse_slowdown() {
         let b = Boundedness::new(0.8, GigaHertz(2.7));
         let f = GigaHertz(1.8);
-        let t = b.duration(Seconds(10.0), f);
-        assert!((t.value() - 10.0 * b.slowdown(f)).abs() < 1e-12);
         assert!((b.relative_rate(f) * b.slowdown(f) - 1.0).abs() < 1e-12);
     }
 

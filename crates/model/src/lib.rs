@@ -46,11 +46,5 @@ pub mod thermal;
 pub mod units;
 pub mod variability;
 
-pub use boundedness::Boundedness;
-pub use linear::{Alpha, TwoPointModel};
-pub use power::{CpuPowerModel, DramPowerModel, ModulePowerModel, VoltageCurve};
-pub use pstate::PStateTable;
-pub use rng::SplitMix64;
 pub use systems::{SystemId, SystemSpec};
-pub use units::{GigaHertz, Joules, Seconds, Watts};
-pub use variability::{ModuleVariation, VariabilityModel};
+pub use units::{Seconds, Watts};

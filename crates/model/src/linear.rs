@@ -139,12 +139,6 @@ impl TwoPointModel {
             p_min: cpu.p_min + dram.p_min,
         }
     }
-
-    /// Scale both power anchors by `k` — how PVT variation scales turn a
-    /// system-average model into a per-module model during calibration.
-    pub fn scaled(&self, k: f64) -> TwoPointModel {
-        TwoPointModel { f_max: self.f_max, f_min: self.f_min, p_max: self.p_max * k, p_min: self.p_min * k }
-    }
 }
 
 #[cfg(test)]
@@ -216,17 +210,6 @@ mod tests {
         assert_eq!(module.p_max, Watts(150.0));
         assert_eq!(module.p_min, Watts(90.0));
         assert_eq!(module.span(), Watts(60.0));
-    }
-
-    #[test]
-    fn scaled_applies_variation_scale() {
-        // Fig. 6 narrative: Module-k measures 120 W with scale 1.2 →
-        // system average 100 W; Module-1 with scale 0.9 → predicted 90 W.
-        let measured = model();
-        let avg = measured.scaled(1.0 / 1.2);
-        assert!((avg.p_max.value() - 100.0).abs() < 1e-9);
-        let module1 = avg.scaled(0.9);
-        assert!((module1.p_max.value() - 90.0).abs() < 1e-9);
     }
 
     #[test]

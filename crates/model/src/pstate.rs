@@ -84,11 +84,6 @@ impl PStateTable {
         self.freqs.last().copied().unwrap_or_else(|| self.f_min())
     }
 
-    /// The opportunistic turbo frequency, if any.
-    pub fn turbo(&self) -> Option<GigaHertz> {
-        self.turbo
-    }
-
     /// The frequency hardware actually runs at when uncapped: turbo if
     /// available, otherwise `f_max`.
     pub fn uncapped(&self) -> GigaHertz {
@@ -98,16 +93,6 @@ impl PStateTable {
     /// All non-turbo operating points, ascending.
     pub fn frequencies(&self) -> &[GigaHertz] {
         &self.freqs
-    }
-
-    /// Number of non-turbo P-states.
-    pub fn len(&self) -> usize {
-        self.freqs.len()
-    }
-
-    /// Always `false`; present for API completeness.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Largest supported frequency `<= f`, or `f_min` when `f` is below the
@@ -125,28 +110,6 @@ impl PStateTable {
         best
     }
 
-    /// Smallest supported frequency `>= f`, or `f_max` when `f` is above the
-    /// whole table (turbo excluded).
-    pub fn ceil(&self, f: GigaHertz) -> GigaHertz {
-        for &p in &self.freqs {
-            if p.value() + 1e-9 >= f.value() {
-                return p;
-            }
-        }
-        self.f_max()
-    }
-
-    /// Supported frequency closest to `f` (ties resolve downward).
-    pub fn nearest(&self, f: GigaHertz) -> GigaHertz {
-        let lo = self.floor(f);
-        let hi = self.ceil(f);
-        if (f.value() - lo.value()) <= (hi.value() - f.value()) {
-            lo
-        } else {
-            hi
-        }
-    }
-
     /// The next P-state strictly below `f`, or `None` at the bottom of the
     /// table. Used by the RAPL feedback loop when throttling down.
     pub fn step_down(&self, f: GigaHertz) -> Option<GigaHertz> {
@@ -157,12 +120,6 @@ impl PStateTable {
     /// the top. Used by the RAPL feedback loop when head-room opens up.
     pub fn step_up(&self, f: GigaHertz) -> Option<GigaHertz> {
         self.freqs.iter().find(|p| p.value() > f.value() + 1e-9).copied()
-    }
-
-    /// Whether `f` is one of the supported operating points (turbo included).
-    pub fn supports(&self, f: GigaHertz) -> bool {
-        self.freqs.iter().any(|p| (p.value() - f.value()).abs() < 1e-9)
-            || self.turbo.is_some_and(|t| (t.value() - f.value()).abs() < 1e-9)
     }
 }
 
@@ -179,20 +136,16 @@ mod tests {
         let t = ha8k_like();
         assert_eq!(t.f_min(), GigaHertz(1.2));
         assert_eq!(t.f_max(), GigaHertz(2.7));
-        assert_eq!(t.len(), 16);
-        assert!(t.supports(GigaHertz(2.0)));
+        assert_eq!(t.frequencies().len(), 16);
     }
 
     #[test]
-    fn floor_ceil_nearest() {
+    fn floor_snaps_down() {
         let t = ha8k_like();
         assert_eq!(t.floor(GigaHertz(2.04)), GigaHertz(2.0));
-        assert_eq!(t.ceil(GigaHertz(2.04)), GigaHertz(2.1));
-        assert_eq!(t.nearest(GigaHertz(2.04)), GigaHertz(2.0));
-        assert_eq!(t.nearest(GigaHertz(2.06)), GigaHertz(2.1));
-        // below / above the table
+        assert_eq!(t.floor(GigaHertz(2.06)), GigaHertz(2.0));
+        // below the table
         assert_eq!(t.floor(GigaHertz(0.5)), GigaHertz(1.2));
-        assert_eq!(t.ceil(GigaHertz(9.9)), GigaHertz(2.7));
     }
 
     #[test]
@@ -209,7 +162,6 @@ mod tests {
         let t = PStateTable::new(&[GigaHertz(1.2), GigaHertz(2.6)], Some(GigaHertz(3.3)));
         assert_eq!(t.uncapped(), GigaHertz(3.3));
         assert_eq!(t.f_max(), GigaHertz(2.6));
-        assert!(t.supports(GigaHertz(3.3)));
         let nt = PStateTable::new(&[GigaHertz(1.2), GigaHertz(2.6)], None);
         assert_eq!(nt.uncapped(), GigaHertz(2.6));
     }
@@ -217,7 +169,7 @@ mod tests {
     #[test]
     fn unordered_duplicated_input_is_normalized() {
         let t = PStateTable::new(&[GigaHertz(2.0), GigaHertz(1.0), GigaHertz(2.0), GigaHertz(1.5)], None);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.frequencies().len(), 3);
         assert_eq!(t.f_min(), GigaHertz(1.0));
         assert_eq!(t.f_max(), GigaHertz(2.0));
     }

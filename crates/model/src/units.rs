@@ -26,12 +26,6 @@ macro_rules! unit {
                 self.0
             }
 
-            /// `true` if the value is finite (not NaN / infinite).
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// Element-wise maximum.
             #[inline]
             pub fn max(self, other: Self) -> Self {
@@ -42,12 +36,6 @@ macro_rules! unit {
             #[inline]
             pub fn min(self, other: Self) -> Self {
                 Self(self.0.min(other.0))
-            }
-
-            /// Clamp into `[lo, hi]`.
-            #[inline]
-            pub fn clamp(self, lo: Self, hi: Self) -> Self {
-                Self(self.0.clamp(lo.0, hi.0))
             }
 
             /// Absolute value.
@@ -170,13 +158,6 @@ unit!(
 );
 
 impl Watts {
-    /// Convert from kilowatts (system-level constraints `Cs` are quoted in
-    /// kW in the paper, e.g. "211 KW").
-    #[inline]
-    pub fn from_kilowatts(kw: f64) -> Self {
-        Watts(kw * 1e3)
-    }
-
     /// Value in kilowatts.
     #[inline]
     // vap:allow(raw-unit-f64): deliberate unwrap to a raw scalar, mirroring
@@ -197,14 +178,6 @@ impl Seconds {
     #[inline]
     pub fn millis(self) -> f64 {
         self.0 * 1e3
-    }
-}
-
-impl GigaHertz {
-    /// Cycles per second.
-    #[inline]
-    pub fn hertz(self) -> f64 {
-        self.0 * 1e9
     }
 }
 
@@ -283,17 +256,13 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Watts::from_kilowatts(211.0), Watts(211_000.0));
         assert_eq!(Watts(96_000.0).kilowatts(), 96.0);
         assert_eq!(Seconds::from_millis(1.0), Seconds(0.001));
         assert_eq!(Seconds(0.3).millis(), 300.0);
-        assert_eq!(GigaHertz(2.7).hertz(), 2.7e9);
     }
 
     #[test]
-    fn clamp_min_max() {
-        let f = GigaHertz(3.5);
-        assert_eq!(f.clamp(GigaHertz(1.2), GigaHertz(2.7)), GigaHertz(2.7));
+    fn min_max() {
         assert_eq!(GigaHertz(1.0).max(GigaHertz(1.2)), GigaHertz(1.2));
         assert_eq!(GigaHertz(1.0).min(GigaHertz(1.2)), GigaHertz(1.0));
     }

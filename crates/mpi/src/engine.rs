@@ -50,14 +50,6 @@ impl RunResult {
         vap_stats::worst_case_variation(&times)
     }
 
-    /// Worst-case variation of cumulative synchronization wait across
-    /// ranks — the paper's Fig. 3 `Vt` (computed over `MPI_Sendrecv`
-    /// overhead, where one nearly-zero-wait rank can push it past 50).
-    pub fn wait_variation(&self) -> Option<f64> {
-        let waits: Vec<f64> = self.sync_wait.iter().map(|t| t.value()).collect();
-        vap_stats::worst_case_variation(&waits)
-    }
-
     /// Per-rank times normalized to the matching ranks of a baseline run
     /// (Fig. 2(iii)'s x-axis: capped time / uncapped time, per MPI
     /// process). `None` on rank-count mismatch or zero baseline times.
@@ -272,7 +264,8 @@ mod tests {
 
         assert!(r_free.vt().unwrap() > 1.4);
         assert!(r_sync.vt().unwrap() < 1.05, "Vt = {:?}", r_sync.vt());
-        assert!(r_sync.wait_variation().unwrap() > 5.0);
+        let waits: Vec<f64> = r_sync.sync_wait.iter().map(|t| t.value()).collect();
+        assert!(vap_stats::worst_case_variation(&waits).unwrap() > 5.0);
         // slowest rank waits (almost) nothing
         let min_wait = r_sync.sync_wait.iter().copied().fold(Seconds(f64::MAX), Seconds::min);
         assert!(min_wait.value() < 1e-9);

@@ -18,10 +18,10 @@
 //! * [`engine`] — the executor: ranks progress at their module's effective
 //!   rate; matching operations synchronize; per-rank compute, wait and
 //!   total times are accounted exactly.
-//! * [`timeline`] — op-level execution traces (the TAU-instrumentation
-//!   counterpart): Gantt data, straggler identification, critical-rank
-//!   analysis behind the paper's "perfectly load balanced application will
-//!   now experience load imbalance" narrative.
+//! * [`timeline`] — per-rank waits at every synchronizing op (the
+//!   TAU-instrumentation counterpart): straggler identification and the
+//!   critical-rank analysis behind the paper's "perfectly load balanced
+//!   application will now experience load imbalance" narrative.
 //!
 //! Because the programs are SPMD (every rank runs the same op sequence —
 //! true of all seven benchmarks in the paper), the executor can run in
@@ -38,5 +38,3 @@ pub mod program;
 pub mod timeline;
 
 pub use comm::CommParams;
-pub use engine::{run, RunResult};
-pub use program::{Op, Program};

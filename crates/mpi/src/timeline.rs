@@ -1,12 +1,13 @@
-//! Op-level execution timelines.
+//! Per-rank synchronization waits, and the critical rank they reveal.
 //!
 //! The paper instruments applications with TAU to see *where* time goes;
-//! this module is the simulator's equivalent. A [`Timeline`] records every
-//! (rank, op) interval from a run — enough to draw a Gantt chart, rank the
-//! stragglers each synchronization waited for, and find the **critical
-//! rank** whose silicon paces the whole application. Under a uniform power
-//! cap the critical rank is overwhelmingly the most power-hungry module;
-//! under variation-aware budgeting the distinction dissolves.
+//! this module is the simulator's equivalent. A [`Timeline`] records how
+//! long every rank waited at every synchronizing op of a run — enough to
+//! name the straggler each synchronization waited for and find the
+//! **critical rank** whose silicon paces the whole application. Under a
+//! uniform power cap the critical rank is overwhelmingly the most
+//! power-hungry module; under variation-aware budgeting the distinction
+//! dissolves.
 
 use crate::comm::CommParams;
 use crate::engine::{self, Recorder, RunResult};
@@ -30,85 +31,58 @@ impl OpKind {
     pub fn is_sync(self) -> bool {
         !matches!(self, OpKind::Compute)
     }
-
-    /// Short label for CSV/Gantt output.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Compute => "compute",
-            OpKind::Sendrecv => "sendrecv",
-            OpKind::Allreduce => "allreduce",
-            OpKind::Barrier => "barrier",
-        }
-    }
 }
 
-/// One recorded (rank, op) interval.
+/// One rank's arrival at one synchronizing op.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpEvent {
-    /// The rank.
-    pub rank: usize,
+struct SyncWait {
+    rank: usize,
     /// Op index within the program.
-    pub step: usize,
-    /// What the op was.
-    pub kind: OpKind,
-    /// Start time (s).
-    pub start: f64,
-    /// End time (s).
-    pub end: f64,
-    /// Of which, time spent blocked on partners (s).
-    pub wait: f64,
+    step: usize,
+    /// Time spent blocked on partners (s).
+    wait: f64,
 }
 
-/// A full run's event log.
+/// A run's synchronization log.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    events: Vec<OpEvent>,
+    sync: Vec<SyncWait>,
     ranks: usize,
 }
 
 impl Recorder for Timeline {
-    fn record(&mut self, rank: usize, step: usize, kind: OpKind, start: f64, end: f64, wait: f64) {
+    fn record(&mut self, rank: usize, step: usize, kind: OpKind, _start: f64, _end: f64, wait: f64) {
         self.ranks = self.ranks.max(rank + 1);
-        self.events.push(OpEvent { rank, step, kind, start, end, wait });
+        if kind.is_sync() {
+            self.sync.push(SyncWait { rank, step, wait });
+        }
     }
 }
 
 impl Timeline {
-    /// Run `program` while recording the full timeline.
+    /// Run `program` while recording its synchronization log.
     pub fn capture(program: &Program, rates: &[f64], comm: &CommParams) -> (RunResult, Timeline) {
         let mut tl = Timeline::default();
         let result = engine::run_recorded(program, rates, comm, &mut tl);
         (result, tl)
     }
 
-    /// All events, in execution order per op step.
-    pub fn events(&self) -> &[OpEvent] {
-        &self.events
-    }
-
-    /// Number of ranks observed.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// For each synchronizing op step, the rank that arrived last — the
     /// straggler everyone else waited for (wait ≈ 0 identifies it).
-    pub fn stragglers(&self) -> Vec<(usize, usize)> {
+    fn stragglers(&self) -> Vec<(usize, usize)> {
         use std::collections::BTreeMap;
         let mut per_step: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
-        for e in &self.events {
-            if e.kind.is_sync() {
-                let entry = per_step.entry(e.step).or_insert((e.rank, f64::INFINITY));
-                if e.wait < entry.1 {
-                    *entry = (e.rank, e.wait);
-                }
+        for e in &self.sync {
+            let entry = per_step.entry(e.step).or_insert((e.rank, f64::INFINITY));
+            if e.wait < entry.1 {
+                *entry = (e.rank, e.wait);
             }
         }
         per_step.into_iter().map(|(step, (rank, _))| (step, rank)).collect()
     }
 
     /// How many synchronization steps each rank was the straggler of.
-    pub fn straggler_counts(&self) -> Vec<usize> {
+    fn straggler_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.ranks];
         for (_, rank) in self.stragglers() {
             counts[rank] += 1;
@@ -139,25 +113,6 @@ impl Timeline {
         let max = counts.iter().max().copied().unwrap_or(0);
         Some(max as f64 / stragglers.len() as f64)
     }
-
-    /// Gantt data as CSV (`rank,step,kind,start,end,wait`).
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("rank,step,kind,start_s,end_s,wait_s\n");
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "{},{},{},{:.6},{:.6},{:.6}",
-                e.rank,
-                e.step,
-                e.kind.label(),
-                e.start,
-                e.end,
-                e.wait
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -177,23 +132,9 @@ mod tests {
         let plain = engine::run(&p, &rates, &CommParams::ideal());
         let (recorded, tl) = Timeline::capture(&p, &rates, &CommParams::ideal());
         assert_eq!(plain, recorded, "recording must not perturb execution");
-        assert_eq!(tl.ranks(), 4);
-        // one event per (rank, op)
-        assert_eq!(tl.events().len(), 4 * p.ops().len());
-    }
-
-    #[test]
-    fn events_are_causally_ordered_per_rank() {
-        let p = stencil_program(5);
-        let (_, tl) = Timeline::capture(&p, &[1.0, 0.5], &CommParams::ideal());
-        for rank in 0..2 {
-            let mut last_end = 0.0;
-            for e in tl.events().iter().filter(|e| e.rank == rank) {
-                assert!(e.start >= last_end - 1e-12, "overlap at step {}", e.step);
-                assert!(e.end >= e.start);
-                last_end = e.end;
-            }
-        }
+        // one synchronizing op per iteration, one arrival per rank each
+        assert_eq!(tl.sync.len(), 4 * 10);
+        assert_eq!(tl.ranks, 4);
     }
 
     #[test]
@@ -236,14 +177,5 @@ mod tests {
         assert_eq!(tl.critical_rank(), None);
         assert_eq!(tl.critical_dominance(), None);
         assert!(tl.stragglers().is_empty());
-    }
-
-    #[test]
-    fn csv_has_one_row_per_event() {
-        let p = stencil_program(3);
-        let (_, tl) = Timeline::capture(&p, &[1.0, 1.0], &CommParams::ideal());
-        let csv = tl.to_csv();
-        assert_eq!(csv.lines().count(), tl.events().len() + 1);
-        assert!(csv.contains("sendrecv"));
     }
 }

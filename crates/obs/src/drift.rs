@@ -71,16 +71,6 @@ impl DriftDetector {
         DriftDetector { cfg, modules: vec![ModuleState::default(); n], alerts_total: 0 }
     }
 
-    /// Number of modules tracked.
-    pub fn len(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Whether the detector tracks no modules.
-    pub fn is_empty(&self) -> bool {
-        self.modules.is_empty()
-    }
-
     /// Alerts raised over the detector's lifetime.
     pub fn alerts_total(&self) -> u64 {
         self.alerts_total

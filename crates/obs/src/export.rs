@@ -985,7 +985,7 @@ mod tests {
         for i in 0..3usize {
             r.run_item(grid, "cell", i, (i % 2 + 1) as u32, || {
                 crate::label_item(|| format!("w{i}@100W"));
-                crate::incr_by("scheme.plans", 6);
+                crate::recorder::incr_by("scheme.plans", 6);
                 crate::observe("mpi.wait_s", i as f64 + 0.5);
                 crate::observe("mpi.wait_s", f64::INFINITY);
                 let _g = crate::span("inner.phase");

@@ -61,19 +61,16 @@ pub mod span;
 
 pub use decision::{BudgetDelta, DecisionKind, DecisionRecord, WidthProbe};
 pub use drift::{DriftAlert, DriftConfig, DriftDetector};
-pub use export::{
-    validate_journal, validate_ledger_csv, validate_metrics_csv, validate_trace, LedgerCsvStats,
-    ObsReport,
-};
-pub use ledger::{Category, Domain, LedgerEntry, LedgerTable, LedgerTick};
-pub use metrics::{Histogram, Metrics};
+pub use export::{validate_journal, validate_ledger_csv, validate_metrics_csv, validate_trace};
+pub use ledger::{Category, Domain, LedgerEntry, LedgerTick};
+pub use metrics::Histogram;
 pub use recorder::{
-    decision, enabled, grid_session, incr, incr_by, label_item, ledger_enabled, ledger_tick,
-    observe, scenario_event, Session, SessionRef,
+    decision, enabled, grid_session, incr, label_item, ledger_tick, observe, scenario_event,
+    Session,
 };
 pub use registry::SnapshotRegistry;
 pub use scenario::{ScenarioKind, ScenarioRecord};
 pub use snapshot::{
     BucketCount, DriftAlertSample, HistogramSample, ModuleSample, TelemetrySnapshot,
 };
-pub use span::{span, Span};
+pub use span::span;

@@ -182,11 +182,6 @@ impl Metrics {
         }
     }
 
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     /// Counter values, sorted by name.
     pub fn counters(&self) -> &BTreeMap<&'static str, u64> {
         &self.counters

@@ -21,8 +21,8 @@
 //!
 //! The deterministic journal is a pure function of the work executed:
 //! cell records are keyed `(grid, index)` where grid ids are assigned in
-//! driver-thread call order and indices are the item indices `par_map`
-//! already guarantees; counter/histogram merges are commutative. Thread
+//! driver-thread call order and indices are the item indices `vap-exec`'s
+//! fan-outs already guarantee; counter/histogram merges are commutative. Thread
 //! scheduling decides only *which lane* wall-clock spans land on — and
 //! spans live exclusively in the Chrome-trace side channel, never in the
 //! journal.
@@ -76,10 +76,10 @@ pub fn ledger_enabled() -> bool {
     LEDGER.load(Ordering::Relaxed) != 0
 }
 
-/// One grid registered by a `par_map`/`par_grid`/`par_map_fleet` call.
+/// One grid registered by a `par_grid`/`par_map_fleet` call.
 #[derive(Debug, Clone)]
 pub(crate) struct GridRecord {
-    /// Item kind: `"item"`, `"cell"` or `"module"`.
+    /// Item kind: `"cell"` or `"module"` (`"item"` in `vap-exec`'s tests).
     pub kind: &'static str,
     /// Number of items in the grid.
     pub items: u64,
@@ -508,7 +508,8 @@ impl Session {
     }
 
     /// A handle other threads (or nested scopes) can record through.
-    pub fn handle(&self) -> Option<SessionRef> {
+    #[cfg(test)]
+    pub(crate) fn handle(&self) -> Option<SessionRef> {
         self.shared.clone()
     }
 

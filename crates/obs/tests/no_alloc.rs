@@ -50,7 +50,7 @@ fn disabled_hot_path_does_not_allocate() {
     let before = THREAD_ALLOCATIONS.with(Cell::get);
     for i in 0..100_000u64 {
         vap_obs::incr("exec.cells");
-        vap_obs::incr_by("scheme.plans", 6);
+        vap_obs::recorder::incr_by("scheme.plans", 6);
         vap_obs::observe("mpi.wait_s", i as f64);
         vap_obs::label_item(|| unreachable!("label closures must not run when disabled"));
         vap_obs::ledger_tick(|| unreachable!("ledger closures must not run when disabled"));

@@ -4,7 +4,7 @@ use vap_model::linear::{Alpha, TwoPointModel};
 use vap_model::systems::SystemSpec;
 use vap_model::units::{GigaHertz, Watts};
 use vap_sim::cluster::Cluster;
-use vap_workloads::spec::{WorkloadId, WorkloadSpec};
+use vap_workloads::spec::WorkloadSpec;
 
 /// The paper's system-level power constraints on HA8K (Table 4): the
 /// average per-module constraint `Cm` in watts; at the paper's 1,920
@@ -97,15 +97,11 @@ pub fn load_jitter(n: usize, sigma: f64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Short id for file/CSV labels (`dgemm`, `npb-bt`, ...).
-pub fn slug(id: WorkloadId) -> String {
-    id.name().to_lowercase().replace('*', "").replace(' ', "-")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vap_workloads::catalog;
+    use vap_workloads::spec::WorkloadId;
 
     #[test]
     fn cs_matches_paper_at_full_scale() {
@@ -153,12 +149,5 @@ mod tests {
         let dgemm = catalog::get(WorkloadId::Dgemm);
         let floor = offline_ccpu(&c, &dgemm, Watts(90.0), 3);
         assert!(floor > Watts(0.0));
-    }
-
-    #[test]
-    fn slugs_are_filename_safe() {
-        assert_eq!(slug(WorkloadId::Dgemm), "dgemm");
-        assert_eq!(slug(WorkloadId::Bt), "npb-bt");
-        assert_eq!(slug(WorkloadId::Mvmc), "mvmc");
     }
 }

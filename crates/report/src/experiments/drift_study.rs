@@ -87,15 +87,6 @@ pub struct DriftStudyResult {
     pub modules: usize,
 }
 
-impl DriftStudyResult {
-    /// The row for one cell.
-    pub fn row(&self, scenario: Scenario, policy: RecalPolicy, cap_w: f64) -> Option<&DriftStudyRow> {
-        self.rows.iter().find(|r| {
-            r.scenario == scenario && r.policy.name() == policy.name() && r.cap_w_per_module == cap_w
-        })
-    }
-}
-
 /// Everything a cell accumulates before erosion is computed grid-wide.
 struct CellStats {
     mean_crit_ghz: f64,
@@ -426,8 +417,13 @@ mod tests {
         // it, and alert-driven re-calibration claws speed back.
         let r = result();
         let cap = CAP_LEVELS_W[1];
-        let never = r.row(Scenario::Heatwave, RecalPolicy::Never, cap).expect("never row");
-        let onres = r.row(Scenario::Heatwave, RecalPolicy::OnResidual, cap).expect("onres row");
+        let row = |policy: RecalPolicy| {
+            r.rows.iter().find(|x| {
+                x.scenario == Scenario::Heatwave && x.policy.name() == policy.name() && x.cap_w_per_module == cap
+            })
+        };
+        let never = row(RecalPolicy::Never).expect("never row");
+        let onres = row(RecalPolicy::OnResidual).expect("onres row");
         assert!(
             never.erosion_pct > 0.0,
             "a heatwave must slow the critical path under a stale table: {never:?}"

@@ -34,13 +34,6 @@ pub struct Fig6Result {
     pub modules: usize,
 }
 
-impl Fig6Result {
-    /// The accuracy for one workload.
-    pub fn error_for(&self, w: WorkloadId) -> Option<f64> {
-        self.rows.iter().find(|r| r.workload == w).map(|r| r.error_pct)
-    }
-}
-
 /// Run the calibration-accuracy study.
 ///
 /// The PVT is generated once; the six workload rows then calibrate
@@ -96,6 +89,11 @@ mod tests {
         run(&RunOptions { modules: Some(128), seed: 2015, scale: 1.0, ..RunOptions::default() })
     }
 
+    /// The calibration error for one workload.
+    fn error_for(r: &Fig6Result, w: WorkloadId) -> Option<f64> {
+        r.rows.iter().find(|row| row.workload == w).map(|row| row.error_pct)
+    }
+
     #[test]
     fn most_workloads_calibrate_under_five_percent() {
         let r = result();
@@ -115,7 +113,7 @@ mod tests {
     #[test]
     fn bt_is_the_outlier() {
         let r = result();
-        let bt = r.error_for(WorkloadId::Bt).unwrap();
+        let bt = error_for(&r, WorkloadId::Bt).unwrap();
         assert!(bt > 3.0, "BT error {bt}% should stand out");
         for row in &r.rows {
             if row.workload != WorkloadId::Bt {
@@ -129,7 +127,7 @@ mod tests {
         let r = result();
         // STREAM is the microbenchmark itself; residual error is just the
         // linear-model error
-        assert!(r.error_for(WorkloadId::Stream).unwrap() < 1.0);
+        assert!(error_for(&r, WorkloadId::Stream).unwrap() < 1.0);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 use crate::experiments::common::cs_kw;
 use crate::experiments::fig7::{Fig7Result, Fig7Row};
-use crate::options::RunOptions;
 use crate::render::{f, Table};
 use vap_core::schemes::SchemeId;
 use vap_workloads::spec::WorkloadId;
@@ -87,11 +86,6 @@ pub fn audit(campaign: &Fig7Result) -> Fig9Result {
     Fig9Result { audits, modules: campaign.modules }
 }
 
-/// Run the campaign and audit it.
-pub fn run(opts: &RunOptions) -> Fig9Result {
-    audit(&crate::experiments::fig7::run(opts))
-}
-
 /// Render the audit (total power per scheme, violations flagged).
 pub fn render(result: &Fig9Result) -> String {
     let mut t = Table::new(
@@ -126,9 +120,15 @@ pub fn render(result: &Fig9Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::RunOptions;
 
     fn result() -> Fig9Result {
-        run(&RunOptions { modules: Some(96), seed: 2015, scale: 0.05, ..RunOptions::default() })
+        audit(&crate::experiments::fig7::run(&RunOptions {
+            modules: Some(96),
+            seed: 2015,
+            scale: 0.05,
+            ..RunOptions::default()
+        }))
     }
 
     #[test]

@@ -61,13 +61,6 @@ pub struct SchedStudyResult {
     pub timeline_json: String,
 }
 
-impl SchedStudyResult {
-    /// The row for a (cap, policy) cell.
-    pub fn row(&self, cap_w: f64, policy: ReallocPolicy) -> Option<&SchedStudyRow> {
-        self.rows.iter().find(|r| r.cap_w_per_module == cap_w && r.policy == policy)
-    }
-}
-
 fn distill(cap_w: f64, policy: ReallocPolicy, r: &SchedReport) -> SchedStudyRow {
     SchedStudyRow {
         cap_w_per_module: cap_w,
@@ -229,11 +222,14 @@ mod tests {
         // The study's headline: at >= 1 cap level an online policy's mean
         // JCT beats frozen-at-admission budgets on the same trace.
         let r = result();
+        let row = |cap: f64, policy: ReallocPolicy| {
+            r.rows.iter().find(|x| x.cap_w_per_module == cap && x.policy == policy)
+        };
         let wins = CAP_LEVELS_W.iter().any(|&cap| {
-            let frozen = r.row(cap, ReallocPolicy::Frozen).map(|x| x.mean_jct_s);
+            let frozen = row(cap, ReallocPolicy::Frozen).map(|x| x.mean_jct_s);
             let online = [ReallocPolicy::UniformRebalance, ReallocPolicy::ThroughputGreedy]
                 .iter()
-                .filter_map(|&p| r.row(cap, p))
+                .filter_map(|&p| row(cap, p))
                 .map(|x| x.mean_jct_s)
                 .fold(f64::INFINITY, f64::min);
             matches!(frozen, Some(fz) if online < fz)

@@ -44,4 +44,3 @@ pub mod registry;
 pub mod render;
 
 pub use options::RunOptions;
-pub use render::Table;

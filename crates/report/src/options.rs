@@ -58,21 +58,10 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parse `--modules N --seed S --scale X` from an argument iterator
-    /// (no external CLI dependency needed for three flags). Unknown flags
-    /// abort with a usage message.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let (opts, extras) = Self::parse_partial(args)?;
-        match extras.first().map(String::as_str) {
-            Some("--help" | "-h") => Err(format!("usage: {USAGE}")),
-            Some(flag) => Err(format!("unknown flag {flag} (try --help)")),
-            None => Ok(opts),
-        }
-    }
-
-    /// Like [`parse`](Self::parse), but tokens this parser does not
-    /// recognize are collected (in order) instead of rejected, so a
-    /// binary with its own arguments — `vap-report`'s experiment names,
+    /// Parse the shared flags (`--modules N --seed S --scale X`, ...) from
+    /// an argument iterator. Tokens this parser does not recognize are
+    /// collected (in order) instead of rejected, so a binary with its own
+    /// arguments — `vap-report`'s experiment names,
     /// `vap-daemon`'s ports, modes and pacing — can layer its own parser
     /// on top of the shared one. `--help` is passed on too: the last
     /// parser in the chain knows the whole usage.
@@ -178,8 +167,13 @@ fn write_into(dir: Option<&Path>, name: &str, content: &str) -> std::io::Result<
 mod tests {
     use super::*;
 
+    /// The shared flags alone: any token they leave over is an error.
     fn parse(args: &[&str]) -> Result<RunOptions, String> {
-        RunOptions::parse(args.iter().map(|s| s.to_string()))
+        let (opts, extras) = RunOptions::parse_partial(args.iter().map(|s| s.to_string()))?;
+        match extras.first() {
+            Some(token) => Err(format!("unknown flag {token}")),
+            None => Ok(opts),
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Plain-text table and CSV rendering.
+//! Plain-text tables and the number formats they print. Experiment CSVs
+//! are written by [`crate::csv`].
 
 /// A simple aligned-column table.
 #[derive(Debug, Clone, Default)]
@@ -33,14 +34,10 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
+    /// Number of data rows (the experiments' render tests count them).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render as an aligned text table.
@@ -82,26 +79,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (RFC-4180-style quoting for cells containing commas
-    /// or quotes).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with `prec` decimals.
@@ -136,7 +113,6 @@ mod tests {
         // all data lines same width
         assert_eq!(lines[2].len(), lines[3].len());
         assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -151,16 +127,6 @@ mod tests {
     fn overlong_row_panics() {
         let mut t = Table::new("", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("", &["k", "v"]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "k,v");
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Three layers:
 //!
 //! * [`stream`] — named [`Scenario`] presets expand into sorted
-//!   [`ScenarioEvent`] schedules (drift, entropy shifts, sensor faults,
+//!   [`stream::ScenarioEvent`] schedules (drift, entropy shifts, sensor faults,
 //!   cap shocks, failure/replacement churn) as a pure function of
 //!   `(scenario, fleet size, horizon, seed)`.
 //! * [`apply`] — [`ScenarioRuntime`] replays a schedule against a
@@ -34,4 +34,4 @@ pub mod stream;
 
 pub use apply::{Effect, ScenarioRuntime};
 pub use recal::{RecalPolicy, Recalibrator};
-pub use stream::{FaultKind, PerturbationKind, Scenario, ScenarioEvent};
+pub use stream::Scenario;

@@ -63,11 +63,6 @@ impl Recalibrator {
         Recalibrator { policy, last_s: 0.0, recals: 0 }
     }
 
-    /// The policy being driven.
-    pub fn policy(&self) -> RecalPolicy {
-        self.policy
-    }
-
     /// Should a sweep run now? `fresh_alerts` is the number of drift
     /// alerts observed since the last sweep.
     pub fn due(&self, now_s: f64, fresh_alerts: u64) -> bool {

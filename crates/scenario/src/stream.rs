@@ -93,20 +93,6 @@ pub enum PerturbationKind {
     },
 }
 
-impl PerturbationKind {
-    /// The module the perturbation targets, if module-scoped.
-    pub fn module(&self) -> Option<usize> {
-        match *self {
-            PerturbationKind::Drift { module, .. }
-            | PerturbationKind::EntropyShift { module, .. }
-            | PerturbationKind::SensorFault { module, .. }
-            | PerturbationKind::Fail { module }
-            | PerturbationKind::Replace { module, .. } => Some(module),
-            PerturbationKind::CapShock { .. } => None,
-        }
-    }
-}
-
 /// One timed scenario event. Orders by `(at_s, seq)` — the same tie
 /// break the scheduler's event queue uses, with `seq` assigned in
 /// schedule order at generation time.
@@ -175,20 +161,6 @@ impl Scenario {
     /// Parse a `--scenario` name.
     pub fn parse(s: &str) -> Option<Scenario> {
         Scenario::ALL.into_iter().find(|sc| sc.name() == s)
-    }
-
-    /// One-line description for usage text.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Scenario::Null => "no perturbations (stationary control)",
-            Scenario::Heatwave => "mid-campaign thermal excursion on a rack section",
-            Scenario::Aging => "slow fleet-wide silicon aging",
-            Scenario::Entropy => "input-entropy phase changes per module",
-            Scenario::Faults => "stuck/noisy/offset power-sensor faults",
-            Scenario::Shocks => "demand-response global cap dips",
-            Scenario::Churn => "module failure and replacement",
-            Scenario::Mixed => "heatwave + shocks + faults + churn",
-        }
     }
 
     /// Per-scenario salt so each preset draws an independent stream from
@@ -388,11 +360,22 @@ fn churn(
 mod tests {
     use super::*;
 
+    /// The module a perturbation targets, if module-scoped.
+    fn target(kind: &PerturbationKind) -> Option<usize> {
+        match *kind {
+            PerturbationKind::Drift { module, .. }
+            | PerturbationKind::EntropyShift { module, .. }
+            | PerturbationKind::SensorFault { module, .. }
+            | PerturbationKind::Fail { module }
+            | PerturbationKind::Replace { module, .. } => Some(module),
+            PerturbationKind::CapShock { .. } => None,
+        }
+    }
+
     #[test]
     fn names_parse_round_trip() {
         for sc in Scenario::ALL {
             assert_eq!(Scenario::parse(sc.name()), Some(sc), "{sc}");
-            assert!(!sc.describe().is_empty());
         }
         assert_eq!(Scenario::parse("bogus"), None);
     }
@@ -420,7 +403,7 @@ mod tests {
                 last = e.at_s;
                 assert_eq!(e.seq, i as u64, "{sc}: seq is schedule order");
                 assert!(e.at_s >= 0.0 && e.at_s <= 3600.0 * 1.1, "{sc}: inside horizon");
-                if let Some(m) = e.kind.module() {
+                if let Some(m) = target(&e.kind) {
                     assert!(m < 48, "{sc}: module {m} out of range");
                 }
             }

@@ -97,16 +97,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(f64, Event)> {
         self.heap.pop().map(|Reverse(q)| (q.time, q.event))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -148,10 +138,8 @@ mod tests {
         assert!(matches!(q.pop(), Some((_, Event::CapChange { .. }))));
         q.push(1.5, Event::Completion { job: 0, epoch: 0 });
         assert!(matches!(q.pop(), Some((t, Event::Completion { .. })) if t == 1.5));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        let _ = q.pop();
-        assert!(q.is_empty());
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use vap_core::pmt::PowerModelTable;
 use vap_model::linear::Alpha;
 use vap_model::units::Watts;
-use vap_workloads::spec::WorkloadId;
 
 use crate::trace::JobArrival;
 
@@ -87,11 +86,6 @@ impl Job {
         }
     }
 
-    /// The application.
-    pub fn workload(&self) -> WorkloadId {
-        self.spec.workload
-    }
-
     /// Progress rate under `alpha`: the boundedness-weighted frequency
     /// ratio `1 / (χ·f_max/f + (1−χ))` — the same fluid model
     /// `vap_core::multijob` scores partitions with, here integrated over
@@ -107,11 +101,6 @@ impl Job {
             return 0.0;
         }
         1.0 / (cpu_fraction * (f_max / f) + (1.0 - cpu_fraction))
-    }
-
-    /// Queue wait: first admission minus arrival.
-    pub fn wait_s(&self) -> Option<f64> {
-        self.started_at_s.map(|s| s - self.spec.at_s)
     }
 
     /// Job completion time: completion minus arrival.
@@ -134,6 +123,7 @@ impl Job {
 mod tests {
     use super::*;
     use vap_model::units::GigaHertz;
+    use vap_workloads::spec::WorkloadId;
 
     fn job() -> Job {
         Job::new(
@@ -166,7 +156,6 @@ mod tests {
         let j = job();
         assert_eq!(j.state, JobState::Queued);
         assert_eq!(j.remaining_s, 100.0);
-        assert!(j.wait_s().is_none());
         assert!(j.jct_s().is_none());
         assert!(j.stretch().is_none());
     }
@@ -188,7 +177,6 @@ mod tests {
         let mut j = job();
         j.started_at_s = Some(25.0);
         j.completed_at_s = Some(210.0);
-        assert_eq!(j.wait_s(), Some(15.0));
         assert_eq!(j.jct_s(), Some(200.0));
         assert_eq!(j.stretch(), Some(2.0));
     }

@@ -37,7 +37,6 @@ pub mod runtime;
 pub mod trace;
 
 pub use event::{Event, EventQueue};
-pub use job::{Job, JobState};
-pub use report::{JobRecord, PowerSample, SchedReport};
+pub use report::SchedReport;
 pub use runtime::{QueueDiscipline, ReallocPolicy, SchedConfig, SchedRuntime};
-pub use trace::{CapChange, JobArrival, Trace, TraceGen};
+pub use trace::{Trace, TraceGen};

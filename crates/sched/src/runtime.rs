@@ -225,11 +225,6 @@ impl SchedRuntime {
         self
     }
 
-    /// The installed scenario runtime, if any.
-    pub fn scenario(&self) -> Option<&ScenarioRuntime> {
-        self.scenario.as_ref()
-    }
-
     /// Replay `trace` to completion and report.
     pub fn run(self, trace: &Trace) -> SchedReport {
         self.run_with(trace, |_| std::ops::ControlFlow::Continue(()))

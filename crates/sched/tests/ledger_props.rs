@@ -10,7 +10,7 @@ use vap_core::pvt::PowerVariationTable;
 use vap_model::rng::check;
 use vap_model::systems::SystemSpec;
 use vap_model::units::Watts;
-use vap_obs::LedgerTable;
+use vap_obs::ledger::LedgerTable;
 use vap_sched::{QueueDiscipline, ReallocPolicy, SchedConfig, SchedRuntime, Trace, TraceGen};
 use vap_sim::cluster::Cluster;
 use vap_sim::scheduler::AllocationPolicy;

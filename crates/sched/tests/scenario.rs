@@ -8,10 +8,12 @@ use vap_core::pvt::PowerVariationTable;
 use vap_model::systems::SystemSpec;
 use vap_model::units::Watts;
 use vap_model::variability::DriftSkew;
-use vap_scenario::{PerturbationKind, Scenario, ScenarioEvent, ScenarioRuntime};
+use vap_scenario::stream::{PerturbationKind, ScenarioEvent};
+use vap_scenario::{Scenario, ScenarioRuntime};
+use vap_sched::job::JobState;
+use vap_sched::trace::JobArrival;
 use vap_sched::{
-    JobArrival, JobState, QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime,
-    Trace, TraceGen,
+    QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen,
 };
 use vap_sim::cluster::Cluster;
 use vap_sim::scheduler::AllocationPolicy;

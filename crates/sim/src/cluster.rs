@@ -1,6 +1,6 @@
 //! The simulated fleet, one column per module field.
 //!
-//! [`Cluster::new`] "manufactures" the fleet: it samples each module's
+//! [`Cluster::with_size`] "manufactures" the fleet: it samples each module's
 //! variability fingerprint from the system's distributions, which is the
 //! moment the die-to-die lottery of §2.1 happens. Everything downstream —
 //! the variability studies of §4 and the budgeting evaluation of §6 — runs
@@ -126,13 +126,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build the fleet the paper studied on this system
-    /// (`spec.modules_studied` modules), deterministically in `seed`.
-    pub fn new(spec: SystemSpec, seed: u64) -> Self {
-        let n = spec.modules_studied;
-        Self::with_size(spec, n, seed)
-    }
-
     /// Build a fleet of `n` modules (reduced-scale experiments, tests).
     pub fn with_size(spec: SystemSpec, n: usize, seed: u64) -> Self {
         Self::with_thermal(spec, n, seed, None)
@@ -314,16 +307,6 @@ impl Cluster {
         for i in 0..self.len() {
             self.set_cap(i, limit);
         }
-    }
-
-    /// Program per-module RAPL caps (the VaPc scheme). `caps` must have one
-    /// entry per module; a mismatched vector programs nothing.
-    pub fn set_caps(&mut self, caps: &[Watts]) -> Result<(), ClusterError> {
-        self.check_len(caps.len())?;
-        for (i, &c) in caps.iter().enumerate() {
-            self.set_cap(i, RaplLimit::with_default_window(c));
-        }
-        Ok(())
     }
 
     /// Pin per-module frequencies through the userspace governor (the VaFs
@@ -511,11 +494,6 @@ impl<'a> ModuleView<'a> {
         OperatingPoint { clock: self.cluster.clock[self.id], duty: self.cluster.duty[self.id] }
     }
 
-    /// The installed cpufreq governor.
-    pub fn governor(&self) -> Governor {
-        self.cluster.governor[self.id]
-    }
-
     /// The programmed (quantized) cap, if any.
     pub fn cap(&self) -> Option<RaplLimit> {
         self.cluster.cap[self.id]
@@ -694,12 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_size_defaults_to_study_size() {
-        let c = Cluster::new(SystemSpec::teller(), 1);
-        assert_eq!(c.len(), 64);
-    }
-
-    #[test]
     fn deterministic_in_seed() {
         let a = small_ha8k(16, 3);
         let b = small_ha8k(16, 3);
@@ -737,7 +709,9 @@ mod tests {
     #[test]
     fn per_module_caps_and_frequencies_apply() {
         let mut c = small_ha8k(4, 7);
-        c.set_caps(&[Watts(50.0), Watts(60.0), Watts(70.0), Watts(80.0)]).unwrap();
+        for i in 0..4 {
+            c.set_cap(i, RaplLimit::with_default_window(Watts(50.0 + 10.0 * i as f64)));
+        }
         for (i, m) in c.modules().enumerate() {
             let expected = 50.0 + 10.0 * i as f64;
             assert!((m.cap().unwrap().cap.value() - expected).abs() < 0.1);
@@ -775,11 +749,6 @@ mod tests {
     fn mismatched_vectors_are_rejected_and_program_nothing() {
         let mut c = small_ha8k(4, 1);
         assert_eq!(
-            c.set_caps(&[Watts(50.0); 3]),
-            Err(ClusterError::LengthMismatch { expected: 4, got: 3 })
-        );
-        assert!(c.modules().all(|m| m.cap().is_none()), "nothing programmed");
-        assert_eq!(
             c.set_frequencies(&[GigaHertz(1.5); 5]),
             Err(ClusterError::LengthMismatch { expected: 4, got: 5 })
         );
@@ -810,7 +779,7 @@ mod tests {
     #[test]
     fn thermal_gradient_raises_hot_end_power() {
         let mut spec = SystemSpec::ha8k();
-        spec.variability = vap_model::VariabilityModel::none();
+        spec.variability = vap_model::variability::VariabilityModel::none();
         let gradient = RackGradient { cold_c: 20.0, hot_c: 40.0 };
         let mut c = Cluster::with_thermal(spec, 32, 0, Some(gradient));
         c.set_activity_all(busy());

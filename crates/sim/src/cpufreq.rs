@@ -34,15 +34,6 @@ impl Governor {
             Governor::Userspace(f) => pstates.floor(f),
         }
     }
-
-    /// Short name as `cpufreq-info` would print it.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Governor::Performance => "performance",
-            Governor::Powersave => "powersave",
-            Governor::Userspace(_) => "userspace",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,10 +69,7 @@ mod tests {
     }
 
     #[test]
-    fn names_match_cpufreq() {
-        assert_eq!(Governor::Performance.name(), "performance");
-        assert_eq!(Governor::Powersave.name(), "powersave");
-        assert_eq!(Governor::Userspace(GigaHertz(2.0)).name(), "userspace");
+    fn default_is_performance() {
         assert_eq!(Governor::default(), Governor::Performance);
     }
 }

@@ -9,8 +9,9 @@
 //! records the power/frequency trajectory, so convergence time and
 //! steady-state agreement can be measured rather than assumed.
 //!
-//! It also powers the `rapl_dynamics` example and the window-length
-//! ablation bench.
+//! The `rapl_dynamics` example and this module's
+//! `dynamic_matches_analytic_steady_state_within_one_pstate` test compare
+//! it with the analytic steady state.
 
 use crate::cluster::Cluster;
 use crate::cpufreq::Governor;

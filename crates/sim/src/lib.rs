@@ -18,12 +18,13 @@
 //!   PowerInsight, BG/Q EMON) with their granularities and noise.
 //! * [`cluster`] — the fleet built from a [`vap_model::SystemSpec`]: one
 //!   column per module field (fingerprint, governor, cap, operating point,
-//!   energy counters), read through the borrowed [`ModuleView`] row view
+//!   energy counters), read through the borrowed [`cluster::ModuleView`] row view
 //!   and written through index methods, for fleets of one module to 10⁶.
 //! * [`scheduler`] — job-scheduler module-allocation policies (the paper
 //!   notes performance "will depend significantly on the physical
 //!   processors allocated").
-//! * [`trace`] — time-series power traces and energy integration.
+//! * [`trace`] — the equally spaced power samples a [`dynamics`] run
+//!   records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,9 +38,5 @@ pub mod rapl;
 pub mod scheduler;
 pub mod trace;
 
-pub use cluster::{Cluster, ModuleView, OperatingPoint};
-pub use cpufreq::Governor;
-pub use measurement::PowerSensor;
-pub use rapl::{RaplLimit, RaplSteadyState};
+pub use cluster::Cluster;
 pub use scheduler::AllocationPolicy;
-pub use trace::PowerTrace;

@@ -43,7 +43,6 @@ impl PowerDomain {
 /// A sensor-style sampler with technology-appropriate noise.
 #[derive(Debug, Clone)]
 pub struct PowerSensor {
-    tech: MeasurementTech,
     noise_frac: f64,
     rng: SplitMix64,
 }
@@ -59,17 +58,7 @@ impl PowerSensor {
             MeasurementTech::PowerInsight => 0.01,
             MeasurementTech::BgqEmon => 0.01,
         };
-        PowerSensor { tech, noise_frac, rng: SplitMix64::new(seed) }
-    }
-
-    /// The underlying technology.
-    pub fn tech(&self) -> MeasurementTech {
-        self.tech
-    }
-
-    /// The sampling interval this technology supports.
-    pub fn interval(&self) -> Seconds {
-        Seconds(self.tech.granularity_s())
+        PowerSensor { noise_frac, rng: SplitMix64::new(seed) }
     }
 
     /// Sample one domain of one module (instantaneous, with sensor noise).
@@ -224,11 +213,5 @@ mod tests {
         let board: Vec<ModuleView<'_>> = c.modules().collect();
         let measured = board_power(&board, &mut s, PowerDomain::Cpu);
         assert!((measured.value() - truth.value()).abs() / truth.value() < 0.05);
-    }
-
-    #[test]
-    fn interval_matches_table1() {
-        assert_eq!(PowerSensor::new(MeasurementTech::Rapl, 0).interval(), Seconds(1e-3));
-        assert_eq!(PowerSensor::new(MeasurementTech::BgqEmon, 0).interval(), Seconds(0.3));
     }
 }

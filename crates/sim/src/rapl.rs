@@ -79,14 +79,6 @@ impl RaplSteadyState {
             RaplSteadyState::ClockModulated { duty, .. } => pstates.f_min() * duty,
         }
     }
-
-    /// Run duty (1.0 except under clock modulation).
-    pub fn duty(&self) -> f64 {
-        match *self {
-            RaplSteadyState::ClockModulated { duty, .. } => duty,
-            _ => 1.0,
-        }
-    }
 }
 
 /// Throughput efficiency of RAPL's *dynamic* cap enforcement in the DVFS
@@ -203,11 +195,6 @@ impl RaplController {
         RaplController { limit, avg_power: Watts::ZERO, primed: false, hysteresis: 0.02 }
     }
 
-    /// The programmed limit.
-    pub fn limit(&self) -> RaplLimit {
-        self.limit
-    }
-
     /// Current running-average power estimate.
     pub fn average_power(&self) -> Watts {
         self.avg_power
@@ -270,7 +257,6 @@ mod tests {
     fn generous_cap_is_unconstrained() {
         let s = steady_state(Watts(500.0), &model(), 1.0, &nominal(), 1.0, &pstates());
         assert_eq!(s, RaplSteadyState::Unconstrained { freq: GigaHertz(2.7) });
-        assert_eq!(s.duty(), 1.0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Time-series power traces.
 //!
-//! A [`PowerTrace`] records equally spaced power samples and supports the
-//! integrations the experiments need: total energy, interval averages, and
-//! peak detection. Traces back the dynamic-RAPL validation experiments and
-//! the total-power accounting of Fig. 9.
+//! A [`PowerTrace`] records equally spaced power samples. It holds the
+//! power trajectory of a [`crate::dynamics`] run, whose settled tail is
+//! compared with the analytic RAPL steady state.
 
-use vap_model::units::{Joules, Seconds, Watts};
+use vap_model::units::{Seconds, Watts};
 
 /// A rejected trace configuration: the sampling interval must be a
 /// positive, finite duration for the integrations to make sense.
@@ -71,54 +70,6 @@ impl PowerTrace {
     pub fn duration(&self) -> Seconds {
         self.dt * self.samples.len() as f64
     }
-
-    /// Total energy (rectangle rule — exact for the piecewise-constant
-    /// power the simulator produces).
-    pub fn energy(&self) -> Joules {
-        self.samples.iter().map(|&p| p * self.dt).sum()
-    }
-
-    /// Mean power over the whole trace. `None` if empty.
-    pub fn average(&self) -> Option<Watts> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().copied().sum::<Watts>() / self.samples.len() as f64)
-        }
-    }
-
-    /// Peak power. `None` if empty.
-    pub fn peak(&self) -> Option<Watts> {
-        self.samples.iter().copied().reduce(Watts::max)
-    }
-
-    /// Rolling average over a window of `w` seconds, evaluated at each
-    /// sample — what a RAPL-style limiter "sees". Windows are truncated at
-    /// the start of the trace.
-    pub fn rolling_average(&self, w: Seconds) -> Vec<Watts> {
-        let win = ((w.value() / self.dt.value()).round() as usize).max(1);
-        let mut out = Vec::with_capacity(self.samples.len());
-        let mut acc = Watts::ZERO;
-        for (i, &p) in self.samples.iter().enumerate() {
-            acc += p;
-            if i >= win {
-                acc -= self.samples[i - win];
-            }
-            out.push(acc / win.min(i + 1) as f64);
-        }
-        out
-    }
-
-    /// Fraction of samples whose rolling average exceeds `cap` — the
-    /// constraint-violation check used by the Fig. 9 power accounting.
-    // vap:allow(unit-flow): a fraction of samples is dimensionless
-    pub fn violation_fraction(&self, cap: Watts, window: Seconds) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let rolled = self.rolling_average(window);
-        rolled.iter().filter(|&&p| p > cap).count() as f64 / rolled.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -134,39 +85,11 @@ mod tests {
     }
 
     #[test]
-    fn energy_and_average() {
+    fn length_and_duration() {
         let t = trace_of(&[100.0; 1000]);
-        assert!((t.energy().value() - 100.0).abs() < 1e-9);
-        assert_eq!(t.average(), Some(Watts(100.0)));
+        assert_eq!(t.len(), 1000);
         assert_eq!(t.duration(), Seconds(1.0));
-        assert_eq!(t.peak(), Some(Watts(100.0)));
-    }
-
-    #[test]
-    fn empty_trace() {
-        let t = PowerTrace::new(Seconds(0.001)).unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.average(), None);
-        assert_eq!(t.peak(), None);
-        assert_eq!(t.energy(), Joules::ZERO);
-        assert_eq!(t.violation_fraction(Watts(1.0), Seconds(0.01)), 0.0);
-    }
-
-    #[test]
-    fn rolling_average_smooths() {
-        let t = trace_of(&[0.0, 100.0, 0.0, 100.0, 0.0, 100.0]);
-        let rolled = t.rolling_average(Seconds(0.002)); // window = 2 samples
-        assert_eq!(rolled[0], Watts(0.0));
-        assert_eq!(rolled[1], Watts(50.0));
-        assert_eq!(rolled[2], Watts(50.0));
-    }
-
-    #[test]
-    fn violation_fraction_counts_window_averages() {
-        // spiky 0/100 signal: instantaneous peaks 100, 2-sample average 50.
-        let t = trace_of(&[0.0, 100.0, 0.0, 100.0, 0.0, 100.0, 0.0, 100.0]);
-        assert_eq!(t.violation_fraction(Watts(60.0), Seconds(0.002)), 0.0);
-        assert!(t.violation_fraction(Watts(40.0), Seconds(0.002)) > 0.0);
+        assert!(PowerTrace::new(Seconds(0.001)).unwrap().is_empty());
     }
 
     #[test]

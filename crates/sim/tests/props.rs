@@ -146,7 +146,7 @@ fn userspace_governor_snaps_safely() {
         let mut c = module_with(1.0, 1.0);
         c.set_governor(0, Governor::Userspace(GigaHertz(req)));
         let clock = c.module(0).operating_point().clock;
-        assert!(c.module(0).pstates().supports(clock));
+        assert!(c.module(0).pstates().frequencies().contains(&clock));
         if req >= 1.2 {
             assert!(clock.value() <= req + 1e-9);
         } else {

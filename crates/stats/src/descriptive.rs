@@ -66,20 +66,6 @@ impl Summary {
             self.max / self.min
         }
     }
-
-    /// Coefficient of variation (`std_dev / mean`), dimensionless.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if is_near_zero(self.mean) {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
-
-    /// Range (`max - min`).
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
 }
 
 /// Quantile of a population using linear interpolation between order
@@ -98,20 +84,6 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (50th percentile) of a population.
-pub fn median(samples: &[f64]) -> Option<f64> {
-    quantile(samples, 0.5)
-}
-
-/// Geometric mean; requires all samples strictly positive.
-pub fn geometric_mean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|&x| x <= 0.0 || !x.is_finite()) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
 }
 
 #[cfg(test)]
@@ -136,7 +108,6 @@ mod tests {
         // population variance of 1..4 is 1.25
         assert!((s.std_dev - 1.25f64.sqrt()).abs() < 1e-12);
         assert_eq!(s.sum, 10.0);
-        assert_eq!(s.range(), 3.0);
     }
 
     #[test]
@@ -157,10 +128,10 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
+        assert_eq!(quantile(&xs, 0.5), Some(2.5));
         // order independence
         let shuffled = [3.0, 1.0, 4.0, 2.0];
-        assert_eq!(median(&shuffled), Some(2.5));
+        assert_eq!(quantile(&shuffled, 0.5), Some(2.5));
     }
 
     #[test]
@@ -168,18 +139,5 @@ mod tests {
         let xs = [1.0, 2.0];
         assert_eq!(quantile(&xs, -1.0), Some(1.0));
         assert_eq!(quantile(&xs, 2.0), Some(2.0));
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert!(geometric_mean(&[1.0, 0.0]).is_none());
-        assert!(geometric_mean(&[]).is_none());
-    }
-
-    #[test]
-    fn coefficient_of_variation_zero_mean() {
-        let s = Summary::of(&[-1.0, 1.0]).unwrap();
-        assert_eq!(s.coefficient_of_variation(), 0.0);
     }
 }

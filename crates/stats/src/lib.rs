@@ -9,9 +9,10 @@
 //!
 //! * [`descriptive`] — mean / standard deviation / extrema summaries, as
 //!   printed in Fig. 2(i) ("Average=112.8W, Standard Deviation=4.51, ...").
-//! * [`variation`] — the paper's worst-case variation metrics (Table 3):
-//!   `Vp` (power), `Vf` (CPU frequency) and `Vt` (execution time), all
-//!   defined as `max / min` over a population.
+//! * [`variation`] — [`worst_case_variation`], the one `max / min` ratio
+//!   over a population that Table 3 defines as `Vp` (power), `Vf` (CPU
+//!   frequency) and `Vt` (execution time), plus Fig. 1's percent-over-best
+//!   axes.
 //! * [`regression`] — ordinary least squares with `R²`, used to validate the
 //!   linear power-vs-frequency model (Fig. 5, R² ≥ 0.99).
 //! * [`correlation`] — Pearson correlation, quantifying Fig. 1(C)'s
@@ -32,7 +33,7 @@ pub use correlation::pearson;
 pub use descriptive::Summary;
 pub use regression::LinearFit;
 pub use speedup::SpeedupTable;
-pub use variation::{worst_case_variation, Variation};
+pub use variation::worst_case_variation;
 
 /// Threshold below which a magnitude is treated as zero by the guards that
 /// previously compared floats with `==`.

@@ -70,24 +70,6 @@ impl LinearFit {
         };
         Some(LinearFit { slope, intercept, r_squared, n: xs.len() })
     }
-
-    /// Evaluate the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
-    /// Invert the fitted line: the `x` at which the line reaches `y`.
-    ///
-    /// Returns `None` for a (near-)zero slope. Used to answer "what CPU
-    /// frequency does this power level correspond to?" when analyzing RAPL
-    /// steady states.
-    pub fn invert(&self, y: f64) -> Option<f64> {
-        if self.slope.abs() < 1e-12 {
-            None
-        } else {
-            Some((y - self.intercept) / self.slope)
-        }
-    }
 }
 
 /// Mean absolute percentage error between predictions and observations,
@@ -121,8 +103,6 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 1e-12);
         assert!((fit.intercept - 3.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(5.0) - 13.0).abs() < 1e-12);
-        assert!((fit.invert(13.0).unwrap() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -149,7 +129,6 @@ mod tests {
         let fit = LinearFit::fit(&[1.0, 2.0, 3.0], &[7.0, 7.0, 7.0]).unwrap();
         assert_eq!(fit.slope, 0.0);
         assert_eq!(fit.r_squared, 1.0);
-        assert!(fit.invert(7.0).is_none());
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl SpeedupTable {
         });
     }
 
-    /// All recorded cells.
-    pub fn cells(&self) -> &[SpeedupCell] {
-        &self.cells
-    }
-
     /// Speedup of `scheme` over `baseline` at one (benchmark, constraint)
     /// point: `time(baseline) / time(scheme)`. `None` if either cell is
     /// missing or the scheme time is zero.
@@ -97,22 +92,6 @@ impl SpeedupTable {
         let mean = sps.iter().sum::<f64>() / sps.len() as f64;
         Some((max, mean))
     }
-
-    /// Benchmarks present in the table, deduplicated and sorted.
-    pub fn benchmarks(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.cells.iter().map(|c| c.benchmark.clone()).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// Schemes present in the table, deduplicated and sorted.
-    pub fn schemes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.cells.iter().map(|c| c.scheme.clone()).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +139,6 @@ mod tests {
         t.record("BT", 96_000.0, "Naive", 10.0);
         t.record("BT", 96_000.0, "VaFs", 0.0);
         assert_eq!(t.speedup_at("BT", 96_000.0, "VaFs", "Naive"), None);
-    }
-
-    #[test]
-    fn enumeration_sorted_and_deduped() {
-        let t = sample_table();
-        assert_eq!(t.benchmarks(), vec!["BT".to_string(), "SP".to_string()]);
-        assert_eq!(t.schemes(), vec!["Naive".to_string(), "VaFs".to_string()]);
     }
 
     #[test]

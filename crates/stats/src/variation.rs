@@ -16,64 +16,6 @@
 
 use crate::is_near_zero;
 
-/// Which quantity a worst-case variation value describes.
-///
-/// Purely a label — the arithmetic is identical for all three — but carrying
-/// it around keeps experiment output self-describing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VariationKind {
-    /// `Vp`: worst-case power variation.
-    Power,
-    /// `Vf`: worst-case CPU frequency variation.
-    Frequency,
-    /// `Vt`: worst-case execution time variation.
-    Time,
-}
-
-impl VariationKind {
-    /// The paper's abbreviation for this metric.
-    pub fn label(self) -> &'static str {
-        match self {
-            VariationKind::Power => "Vp",
-            VariationKind::Frequency => "Vf",
-            VariationKind::Time => "Vt",
-        }
-    }
-}
-
-/// A labelled worst-case variation measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Variation {
-    /// What is varying.
-    pub kind: VariationKind,
-    /// `max / min` over the population.
-    pub value: f64,
-    /// Population size the metric was computed over.
-    pub n: usize,
-}
-
-impl Variation {
-    /// Compute a labelled variation over a population.
-    ///
-    /// Returns `None` for empty input, or if any sample is negative or
-    /// non-finite (power, frequency and time are all non-negative physical
-    /// quantities).
-    pub fn over(kind: VariationKind, samples: &[f64]) -> Option<Self> {
-        worst_case_variation(samples).map(|value| Variation { kind, value, n: samples.len() })
-    }
-
-    /// Excess variation as a percentage, e.g. `Vp = 1.30` → `30.0`.
-    pub fn percent_spread(&self) -> f64 {
-        (self.value - 1.0) * 100.0
-    }
-}
-
-impl std::fmt::Display for Variation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:.2}", self.kind.label(), self.value)
-    }
-}
-
 /// Worst-case variation: `max(samples) / min(samples)`.
 ///
 /// * Empty input, negative samples or non-finite samples → `None`.
@@ -160,14 +102,6 @@ mod tests {
         assert_eq!(worst_case_variation(&[]), None);
         assert_eq!(worst_case_variation(&[-1.0, 2.0]), None);
         assert_eq!(worst_case_variation(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn labelled_variation_display() {
-        let v = Variation::over(VariationKind::Power, &[100.0, 130.0]).unwrap();
-        assert_eq!(v.to_string(), "Vp=1.30");
-        assert!((v.percent_spread() - 30.0).abs() < 1e-9);
-        assert_eq!(v.n, 2);
     }
 
     #[test]

@@ -25,16 +25,6 @@ pub fn get(id: WorkloadId) -> WorkloadSpec {
     }
 }
 
-/// All seven benchmark models.
-pub fn all() -> Vec<WorkloadSpec> {
-    WorkloadId::ALL.iter().map(|&id| get(id)).collect()
-}
-
-/// The six power-budgeted benchmarks of Table 4 / Fig. 7.
-pub fn evaluated() -> Vec<WorkloadSpec> {
-    WorkloadId::EVALUATED.iter().map(|&id| get(id)).collect()
-}
-
 /// *DGEMM: 12,288² MKL-threaded matrix multiply per module. Fully
 /// vectorized compute; working set blocked into cache, modest DRAM
 /// traffic; no inter-module communication — which is why power capping
@@ -234,10 +224,9 @@ mod tests {
 
     #[test]
     fn catalog_is_complete_and_consistent() {
-        assert_eq!(all().len(), 7);
-        assert_eq!(evaluated().len(), 6);
-        for spec in all() {
-            assert_eq!(get(spec.id).id, spec.id);
+        for id in WorkloadId::ALL {
+            let spec = get(id);
+            assert_eq!(spec.id, id);
             assert!(spec.activity.cpu > 0.0 && spec.activity.cpu <= 1.2);
             assert!(spec.activity.dram >= 0.0 && spec.activity.dram <= 1.0);
             assert!((0.0..=1.0).contains(&spec.cpu_fraction));

@@ -26,4 +26,4 @@
 pub mod catalog;
 pub mod spec;
 
-pub use spec::{CommShape, VariationResponse, WorkloadId, WorkloadSpec};
+pub use spec::WorkloadId;

@@ -29,7 +29,7 @@
 //! | [`model`] | units, variability distributions, ground-truth power physics, the paper's linear model, the four systems of Table 2 |
 //! | [`sim`] | MSR encodings, RAPL (capping, clock modulation), cpufreq, sensors, the fleet (one column per module field, read through module views), scheduler |
 //! | [`mpi`] | discrete-event SPMD runtime (compute / Sendrecv / Allreduce / Barrier) |
-//! | [`workloads`] | the seven benchmarks as power/comm models + real compute kernels |
+//! | [`workloads`] | the seven benchmarks as power/comm models |
 //! | [`core`] | **the contribution**: PVT, test runs, PMT calibration, α solver, the six schemes, PMMDs |
 //! | [`stats`] | Vp/Vf/Vt, summaries, OLS + R², speedup accounting |
 //! | [`sched`] | deterministic discrete-event cluster runtime with online variation-aware power scheduling |
@@ -82,23 +82,19 @@ pub use vap_workloads as workloads;
 pub mod prelude {
     pub use vap_core::budgeter::Budgeter;
     pub use vap_core::feasibility::Feasibility;
-    pub use vap_core::pmmd::{run_region, RegionReport};
-    pub use vap_core::pmt::PowerModelTable;
+    pub use vap_core::pmmd::run_region;
     pub use vap_core::pvt::PowerVariationTable;
-    pub use vap_core::schemes::{apply_plan, PowerPlan, SchemeId};
+    pub use vap_core::schemes::{apply_plan, SchemeId};
     pub use vap_core::BudgetError;
     pub use vap_model::linear::{Alpha, TwoPointModel};
     pub use vap_model::systems::{SystemId, SystemSpec};
-    pub use vap_model::units::{GigaHertz, Joules, Seconds, Watts};
+    pub use vap_model::units::{GigaHertz, Seconds, Watts};
     pub use vap_mpi::comm::CommParams;
-    pub use vap_mpi::program::{Op, Program, ProgramBuilder};
-    pub use vap_sched::{
-        QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen,
-    };
-    pub use vap_sim::cluster::{Cluster, ModuleView};
+    pub use vap_sched::Trace;
+    pub use vap_sim::cluster::Cluster;
     pub use vap_sim::scheduler::AllocationPolicy;
     pub use vap_workloads::catalog;
-    pub use vap_workloads::spec::{WorkloadId, WorkloadSpec};
+    pub use vap_workloads::spec::WorkloadId;
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! seed to replay.
 
 use vap::prelude::*;
-use vap_core::alpha::{allocations, max_alpha, total_allocated};
+use vap_core::alpha::{allocations, max_alpha};
 use vap_core::pmt::{PmtEntry, PowerModelTable};
 use vap_model::power::{CpuPowerModel, VoltageCurve};
 use vap_model::pstate::PStateTable;
@@ -63,7 +63,7 @@ fn alpha_allocations_respect_budget() {
         let budget = Watts(min + slack * (max - min));
         let alpha = max_alpha(budget, &pmt).expect("budget >= fleet minimum");
         let allocs = allocations(&pmt, alpha);
-        let total = total_allocated(&allocs).value();
+        let total = allocs.iter().map(|a| a.p_module).sum::<Watts>().value();
         assert!(total <= budget.value() + 1e-6, "total {total} exceeds budget {}", budget.value());
         for (a, e) in allocs.iter().zip(pmt.entries()) {
             assert!(a.p_module.value() >= e.module().p_min.value() - 1e-9);
