@@ -1197,6 +1197,137 @@ mod tests {
         assert!(JournalLine::from_json("{\"type\":\"cell\"}").unwrap_err().contains("missing"));
     }
 
+    /// Driver records before and after a 3-cell grid whose items run in
+    /// order 2, 0, 1: cell 0 is labelled, cell 2 records only a counter.
+    fn pinned_report() -> ObsReport {
+        let s = Session::install_with_ledger();
+        let r = s.handle().expect("live session");
+        crate::incr("driver.before");
+        crate::observe("driver.h", 1.5);
+        crate::ledger_tick(|| balanced_tick(0.0, 7, 95.1));
+        crate::decision(|| decision_record(0.0, 7));
+        crate::scenario_event(|| scenario_record(0.5, 1));
+        let grid = r.begin_grid("cell", 3);
+        for i in [2usize, 0, 1] {
+            r.run_item(grid, "cell", i, 1, || {
+                if i == 2 {
+                    crate::incr("cell.counter");
+                    return;
+                }
+                if i == 0 {
+                    crate::label_item(|| "w0@110W".to_string());
+                }
+                crate::recorder::incr_by("cell.counter", i as u64 + 2);
+                crate::observe("cell.h", 0.25 + i as f64);
+                crate::ledger_tick(|| balanced_tick(1.0 + i as f64, 3, 80.2 + i as f64));
+                crate::decision(|| decision_record(1.0 + i as f64, 3));
+                crate::decision(|| decision_record(2.0 + i as f64, 4));
+                crate::scenario_event(|| scenario_record(1.5 + i as f64, i as u64));
+            });
+        }
+        crate::recorder::incr_by("driver.after", 3);
+        crate::observe("driver.h", 4.0);
+        crate::ledger_tick(|| balanced_tick(5.0, 7, 90.3));
+        crate::decision(|| decision_record(5.0, 8));
+        crate::scenario_event(|| scenario_record(6.0, 2));
+        s.finish()
+    }
+
+    /// Every deterministic export of [`pinned_report`], byte for byte.
+    /// The constants are never edited: a failure means an output byte moved.
+    #[test]
+    fn pinned_session_exports_exact_bytes() {
+        let report = pinned_report();
+        assert_eq!(report.journal_jsonl, PINNED_JOURNAL);
+        assert_eq!(report.ledger_csv, PINNED_LEDGER_CSV);
+        assert_eq!(report.metrics_csv, PINNED_METRICS_CSV);
+        assert_eq!(report.summary, PINNED_SUMMARY);
+        validate_journal(&report.journal_jsonl).expect("valid journal");
+        validate_ledger_csv(&report.ledger_csv).expect("valid ledger csv");
+    }
+
+    const PINNED_JOURNAL: &str = r#"{"type":"meta","version":4}
+{"type":"grid","id":0,"kind":"cell","items":3}
+{"type":"cell","grid":0,"index":0,"kind":"cell","label":"w0@110W","counters":{"cell.counter":2},"histograms":{"cell.h":{"count":1,"sum":0.25,"min":0.25,"max":0.25,"nonfinite":0,"buckets":{"-32":1}}}}
+{"type":"cell","grid":0,"index":1,"kind":"cell","label":null,"counters":{"cell.counter":3},"histograms":{"cell.h":{"count":1,"sum":1.25,"min":1.25,"max":1.25,"nonfinite":0,"buckets":{"4":1}}}}
+{"type":"cell","grid":0,"index":2,"kind":"cell","label":null,"counters":{"cell.counter":1},"histograms":{}}
+{"type":"ledger","grid":0,"index":0,"ticks":1,"violations":0,"worst_residual_w":0,"bins":[{"job":null,"module":null,"domain":null,"category":"stranded","watt_s":5.100000000000001},{"job":3,"module":0,"domain":"cpu","category":"useful","watt_s":30},{"job":3,"module":0,"domain":"cpu","category":"headroom","watt_s":5}]}
+{"type":"ledger","grid":0,"index":1,"ticks":1,"violations":0,"worst_residual_w":0,"bins":[{"job":null,"module":null,"domain":null,"category":"stranded","watt_s":5.600000000000001},{"job":3,"module":0,"domain":"cpu","category":"useful","watt_s":30},{"job":3,"module":0,"domain":"cpu","category":"headroom","watt_s":5}]}
+{"type":"ledger","grid":null,"index":null,"ticks":2,"violations":0,"worst_residual_w":0,"bins":[{"job":null,"module":null,"domain":null,"category":"stranded","watt_s":22.699999999999996},{"job":7,"module":0,"domain":"cpu","category":"useful","watt_s":60},{"job":7,"module":0,"domain":"cpu","category":"headroom","watt_s":10}]}
+{"type":"decision","grid":0,"index":0,"seq":0,"t_s":1,"job":3,"cap_w":95,"avail_w":25,"decision":{"kind":"defer","reason":"insufficient_power"}}
+{"type":"decision","grid":0,"index":0,"seq":1,"t_s":2,"job":4,"cap_w":95,"avail_w":25,"decision":{"kind":"defer","reason":"insufficient_power"}}
+{"type":"decision","grid":0,"index":1,"seq":0,"t_s":2,"job":3,"cap_w":95,"avail_w":25,"decision":{"kind":"defer","reason":"insufficient_power"}}
+{"type":"decision","grid":0,"index":1,"seq":1,"t_s":3,"job":4,"cap_w":95,"avail_w":25,"decision":{"kind":"defer","reason":"insufficient_power"}}
+{"type":"decision","grid":null,"index":null,"seq":0,"t_s":0,"job":7,"cap_w":95,"avail_w":25,"decision":{"kind":"defer","reason":"insufficient_power"}}
+{"type":"decision","grid":null,"index":null,"seq":1,"t_s":5,"job":8,"cap_w":95,"avail_w":25,"decision":{"kind":"defer","reason":"insufficient_power"}}
+{"type":"scenario","grid":0,"index":0,"seq":0,"t_s":1.5,"fleet":8,"event":{"kind":"drift","module":0,"dynamic":1.03,"leakage":1.2,"dram":1}}
+{"type":"scenario","grid":0,"index":1,"seq":0,"t_s":2.5,"fleet":8,"event":{"kind":"drift","module":1,"dynamic":1.03,"leakage":1.2,"dram":1}}
+{"type":"scenario","grid":null,"index":null,"seq":0,"t_s":0.5,"fleet":8,"event":{"kind":"drift","module":1,"dynamic":1.03,"leakage":1.2,"dram":1}}
+{"type":"scenario","grid":null,"index":null,"seq":1,"t_s":6,"fleet":8,"event":{"kind":"drift","module":2,"dynamic":1.03,"leakage":1.2,"dram":1}}
+{"type":"total","counters":{"cell.counter":6,"driver.after":3,"driver.before":1,"exec.cells":3},"histograms":{"cell.h":{"count":2,"sum":1.5,"min":0.25,"max":1.25,"nonfinite":0,"buckets":{"-32":1,"4":1}},"driver.h":{"count":2,"sum":5.5,"min":1.5,"max":4,"nonfinite":0,"buckets":{"8":1,"32":1}}}}
+"#;
+
+    const PINNED_LEDGER_CSV: &str = r#"scope,grid,index,tick,t_s,dt_s,cap_w,job,module,domain,category,value
+tick,0,0,0,1,0.5,80.2,,,,useful,60
+tick,0,0,0,1,0.5,80.2,,,,throttle,0
+tick,0,0,0,1,0.5,80.2,,,,headroom,10
+tick,0,0,0,1,0.5,80.2,,,,stranded,10.200000000000003
+bin,0,0,,,,,,,,stranded,5.100000000000001
+bin,0,0,,,,,3,0,cpu,useful,30
+bin,0,0,,,,,3,0,cpu,headroom,5
+tick,0,1,0,2,0.5,81.2,,,,useful,60
+tick,0,1,0,2,0.5,81.2,,,,throttle,0
+tick,0,1,0,2,0.5,81.2,,,,headroom,10
+tick,0,1,0,2,0.5,81.2,,,,stranded,11.200000000000003
+bin,0,1,,,,,,,,stranded,5.600000000000001
+bin,0,1,,,,,3,0,cpu,useful,30
+bin,0,1,,,,,3,0,cpu,headroom,5
+tick,,,0,0,0.5,95.1,,,,useful,60
+tick,,,0,0,0.5,95.1,,,,throttle,0
+tick,,,0,0,0.5,95.1,,,,headroom,10
+tick,,,0,0,0.5,95.1,,,,stranded,25.099999999999994
+tick,,,1,5,0.5,90.3,,,,useful,60
+tick,,,1,5,0.5,90.3,,,,throttle,0
+tick,,,1,5,0.5,90.3,,,,headroom,10
+tick,,,1,5,0.5,90.3,,,,stranded,20.299999999999997
+bin,,,,,,,,,,stranded,22.699999999999996
+bin,,,,,,,7,0,cpu,useful,60
+bin,,,,,,,7,0,cpu,headroom,10
+"#;
+
+    const PINNED_METRICS_CSV: &str = r#"scope,grid,index,kind,label,metric,value,count,sum,min,max
+cell,0,0,cell,w0@110W,cell.counter,2,,,,
+cell,0,0,cell,w0@110W,cell.h,,1,0.25,0.25,0.25
+cell,0,1,cell,,cell.counter,3,,,,
+cell,0,1,cell,,cell.h,,1,1.25,1.25,1.25
+cell,0,2,cell,,cell.counter,1,,,,
+total,,,,,cell.counter,6,,,,
+total,,,,,driver.after,3,,,,
+total,,,,,driver.before,1,,,,
+total,,,,,exec.cells,3,,,,
+total,,,,,cell.h,,2,1.5,0.25,1.25
+total,,,,,driver.h,,2,5.5,1.5,4
+"#;
+
+    const PINNED_SUMMARY: &str = r#"== vap-obs session summary ==
+grids: 1   cells: 3   spans: 3
+ledger: 4 ticks, 0 violations (worst residual 0.000e0 W)
+  useful              120.000 W·s
+  throttle              0.000 W·s
+  headroom             20.000 W·s
+  stranded             33.400 W·s
+decisions: 6
+scenario events: 4
+counter                                   value
+cell.counter                                  6
+driver.after                                  3
+driver.before                                 1
+exec.cells                                    3
+histogram                             count            sum          min          max    n/f
+cell.h                                    2       1.500000     0.250000     1.250000      0
+driver.h                                  2       5.500000     1.500000     4.000000      0
+"#;
+
     #[test]
     fn validators_reject_corruption() {
         let report = sample_report();
