@@ -137,10 +137,11 @@ mod tests {
         let mut c = cluster();
         catalog::get(WorkloadId::Dgemm).apply_to(&mut c, 3);
         let f = c.spec().pstates.f_max();
-        let energy_before = c.module(2).pkg_energy();
+        let counters = |c: &Cluster| (c.module(2).pkg_counter(), c.module(2).dram_counter());
+        let counters_before = counters(&c);
         let anchors = c.module(2).measure_anchors(f);
-        // read-only: the real module's energy accounting did not advance
-        assert_eq!(c.module(2).pkg_energy(), energy_before);
+        // read-only: the real module's energy counters did not advance
+        assert_eq!(counters(&c), counters_before);
         // same starting state, same stepping → same reading as the
         // in-place measurement
         let in_place = measure_module_at(&mut c, 2, f);

@@ -6,8 +6,8 @@
 
 use vap_model::systems::SystemSpec;
 use vap_model::units::{Seconds, Watts};
-use vap_obs::{DriftAlertSample, DriftConfig, DriftDetector};
-use vap_scenario::{Effect, ScenarioRuntime};
+use vap_obs::{DriftAlertSample, DriftDetector};
+use vap_scenario::{observe_drift, Effect, ScenarioRuntime};
 use vap_sim::cluster::Cluster;
 use vap_sim::rapl::RaplLimit;
 use vap_workloads::{catalog, WorkloadId};
@@ -19,9 +19,6 @@ const CAP_LADDER_W: [Option<f64>; 4] = [Some(95.0), Some(80.0), Some(68.0), None
 /// Simulated seconds spent at each ladder rung before stepping.
 const DWELL_TICKS: u64 = 30;
 
-/// Live drift alerts kept in each snapshot.
-const RECENT_ALERTS: usize = 8;
-
 /// A capped fleet under load, stepped one simulated second per tick.
 pub struct CapSweepSensor {
     cluster: Cluster,
@@ -31,7 +28,6 @@ pub struct CapSweepSensor {
     max_ticks: u64,
     rung: usize,
     drift: DriftDetector,
-    recent_alerts: Vec<DriftAlertSample>,
     scenario: Option<ScenarioRuntime>,
 }
 
@@ -41,7 +37,7 @@ impl CapSweepSensor {
     pub fn new(n: usize, seed: u64, max_ticks: u64) -> Self {
         let mut cluster = Cluster::with_size(SystemSpec::ha8k(), n, seed);
         catalog::get(WorkloadId::Dgemm).apply_to(&mut cluster, seed);
-        let drift = DriftDetector::new(cluster.len(), DriftConfig::default());
+        let drift = DriftDetector::new(cluster.len());
         let mut sensor = CapSweepSensor {
             cluster,
             seed,
@@ -50,7 +46,6 @@ impl CapSweepSensor {
             max_ticks,
             rung: 0,
             drift,
-            recent_alerts: Vec::new(),
             scenario: None,
         };
         sensor.apply_rung();
@@ -130,26 +125,16 @@ impl CapSweepSensor {
         self.sim_time_s += 1.0;
         self.advance_scenario();
         vap_obs::incr("daemon.ticks");
-        for idx in 0..self.cluster.len() {
-            let Some(m) = self.cluster.get(idx) else { continue };
-            let true_w = m.module_power().value();
-            let predicted = m.pvt_predicted_power().value();
-            let measured = match self.scenario.as_mut() {
-                Some(sc) => sc.read_power(idx, true_w),
-                None => true_w,
-            };
-            let residual = measured - predicted;
-            if let Some(alert) = self.drift.observe(idx, self.sim_time_s, residual) {
-                vap_obs::incr("daemon.drift_alerts");
-                self.recent_alerts.push(DriftAlertSample {
-                    module: alert.module,
-                    residual_w: alert.residual_w,
-                    z: alert.z,
-                });
-                if self.recent_alerts.len() > RECENT_ALERTS {
-                    self.recent_alerts.remove(0);
-                }
-            }
+        let n = self.cluster.len();
+        let alerts = observe_drift(
+            &mut self.drift,
+            &self.cluster,
+            self.scenario.as_mut(),
+            0..n,
+            self.sim_time_s,
+        );
+        if alerts > 0 {
+            vap_obs::recorder::incr_by("daemon.drift_alerts", alerts);
         }
         let modules = self.cluster.telemetry();
         let total_power_w = modules.iter().map(|m| m.power_w).sum();
@@ -161,7 +146,7 @@ impl CapSweepSensor {
             running_jobs: 0,
             queued_jobs: 0,
             drift_alerts: self.drift.alerts_total(),
-            alerts: self.recent_alerts.clone(),
+            alerts: self.drift.recent().iter().map(DriftAlertSample::from).collect(),
             modules,
             ..vap_obs::TelemetrySnapshot::default()
         })
@@ -172,6 +157,7 @@ impl CapSweepSensor {
 mod tests {
     use super::*;
     use vap_model::variability::DriftSkew;
+    use vap_obs::drift::RECENT_ALERTS;
     use vap_scenario::stream::{PerturbationKind, ScenarioEvent};
     use vap_scenario::Scenario;
 

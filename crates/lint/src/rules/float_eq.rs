@@ -53,7 +53,8 @@ impl Rule for FloatEq {
 }
 
 /// Byte positions of real `==` / `!=` operators (not `<=`, `>=`, `=>`,
-/// `+=`, `===`-like runs, or pattern `..=`).
+/// `+=`, `===`-like runs, or pattern `..=`). A `-` right after `==` is a
+/// unary minus (`x ==-1.0`), not part of an operator run.
 fn comparison_ops(line: &str) -> Vec<(usize, &'static str)> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();
@@ -66,7 +67,7 @@ fn comparison_ops(line: &str) -> Vec<(usize, &'static str)> {
             let op_char = |b: Option<&u8>| {
                 matches!(b, Some(b'=' | b'<' | b'>' | b'!' | b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^' | b'.'))
             };
-            if !op_char(before.as_ref()) && !op_char(after) {
+            if !op_char(before.as_ref()) && (after == Some(&b'-') || !op_char(after)) {
                 out.push((i, "=="));
             }
             i += 2;
@@ -167,6 +168,7 @@ mod tests {
         assert_eq!(findings("if x == 1e-9 {\n").len(), 1);
         assert_eq!(findings("if 1e-9 == x {\n").len(), 1);
         assert_eq!(findings("if x == -1.0 {\n").len(), 1);
+        assert_eq!(findings("if x ==-1.0 {\n").len(), 1);
         assert_eq!(findings("if x != 2.5E+3 {\n").len(), 1);
         assert_eq!(findings("if 2.5E+3 != x {\n").len(), 1);
     }
@@ -176,7 +178,8 @@ mod tests {
         let src = "if xs.len() != ys.len() { }\nif i % 2 == 0 { }\n\
                    if name == other { }\nlet f = |x| x <= 0.5;\nlet g = x >= 1.0;\n\
                    for i in 0..=3 { }\nif version == 1 { }\n\
-                   if i == -1 { }\nif n-1 == m { }\nif e-1 == x { }\n";
+                   if i == -1 { }\nif n-1 == m { }\nif e-1 == x { }\n\
+                   if i ==-1 { }\nif x ==-y { }\n";
         assert!(findings(src).is_empty());
     }
 

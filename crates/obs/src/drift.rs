@@ -6,34 +6,28 @@
 //! The detector tracks the residual `measured − predicted` per module
 //! with an exponentially weighted mean and variance (the standard
 //! EW-mean / EW-variance recursion), and raises a [`DriftAlert`] when a
-//! new residual sits more than [`DriftConfig::z_threshold`] standard
-//! deviations from the tracked mean — the "silent drift" signal that
-//! Schuchart et al. and Sinha et al. call out on production fleets.
+//! new residual sits more than four standard deviations from the
+//! tracked mean — the "silent drift" signal that Schuchart et al. and
+//! Sinha et al. call out on production fleets. The detector keeps the
+//! latest [`RECENT_ALERTS`] alerts for the telemetry plane.
 //!
 //! Determinism: state advances only on [`DriftDetector::observe`] calls,
 //! which the producers drive from *simulated* time; no wall-clock enters
 //! the recursion, so alert streams are reproducible run-to-run.
 
-/// Detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// EWMA smoothing factor (weight of the newest residual).
-    pub lambda: f64,
-    /// Alert when `|residual − mean| > z_threshold · sigma`.
-    pub z_threshold: f64,
-    /// Observations per module before alerting arms (the EWMA needs a
-    /// few samples to learn the baseline residual level).
-    pub warmup: u32,
-    /// Floor on the tracked sigma (W) so a perfectly stationary baseline
-    /// does not alert on float dust.
-    pub min_sigma_w: f64,
-}
+/// EWMA smoothing factor (weight of the newest residual).
+const LAMBDA: f64 = 0.05;
+/// Alert when `|residual − mean| > Z_THRESHOLD · sigma`.
+const Z_THRESHOLD: f64 = 4.0;
+/// Observations per module before alerting arms (the EWMA needs a few
+/// samples to learn the baseline residual level).
+const WARMUP: u32 = 16;
+/// Floor on the tracked sigma (W) so a perfectly stationary baseline
+/// does not alert on float dust.
+const MIN_SIGMA_W: f64 = 0.5;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig { lambda: 0.05, z_threshold: 4.0, warmup: 16, min_sigma_w: 0.5 }
-    }
-}
+/// How many of the latest alerts [`DriftDetector::recent`] keeps.
+pub const RECENT_ALERTS: usize = 8;
 
 /// One raised alert: which module drifted, by how much, and how far out.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,20 +54,29 @@ struct ModuleState {
 /// Per-module EWMA residual tracker.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
-    cfg: DriftConfig,
     modules: Vec<ModuleState>,
     alerts_total: u64,
+    recent: Vec<DriftAlert>,
 }
 
 impl DriftDetector {
     /// A detector over `n` modules.
-    pub fn new(n: usize, cfg: DriftConfig) -> Self {
-        DriftDetector { cfg, modules: vec![ModuleState::default(); n], alerts_total: 0 }
+    pub fn new(n: usize) -> Self {
+        DriftDetector {
+            modules: vec![ModuleState::default(); n],
+            alerts_total: 0,
+            recent: Vec::new(),
+        }
     }
 
     /// Alerts raised over the detector's lifetime.
     pub fn alerts_total(&self) -> u64 {
         self.alerts_total
+    }
+
+    /// The latest [`RECENT_ALERTS`] alerts raised, oldest first.
+    pub fn recent(&self) -> &[DriftAlert] {
+        &self.recent
     }
 
     /// Feed one residual for `module` at simulated time `at_s`. Returns
@@ -84,21 +87,19 @@ impl DriftDetector {
         if !residual_w.is_finite() {
             return None;
         }
-        let cfg = self.cfg;
         let st = &mut self.modules[module];
         let mut alert = None;
-        if st.seen >= cfg.warmup {
-            let sigma = st.var.sqrt().max(cfg.min_sigma_w);
+        if st.seen >= WARMUP {
+            let sigma = st.var.sqrt().max(MIN_SIGMA_W);
             let z = (residual_w - st.mean) / sigma;
-            if z.abs() > cfg.z_threshold {
-                alert = Some(DriftAlert {
-                    module: module as u64,
-                    at_s,
-                    residual_w,
-                    mean_w: st.mean,
-                    z,
-                });
+            if z.abs() > Z_THRESHOLD {
+                let a = DriftAlert { module: module as u64, at_s, residual_w, mean_w: st.mean, z };
                 self.alerts_total += 1;
+                if self.recent.len() == RECENT_ALERTS {
+                    self.recent.remove(0);
+                }
+                self.recent.push(a);
+                alert = Some(a);
             }
         }
         if st.seen == 0 {
@@ -108,8 +109,8 @@ impl DriftDetector {
             // EW mean/variance recursion (West 1979 exponential form):
             // var absorbs the pre-update deviation, then the mean moves.
             let delta = residual_w - st.mean;
-            st.var = (1.0 - cfg.lambda) * (st.var + cfg.lambda * delta * delta);
-            st.mean += cfg.lambda * delta;
+            st.var = (1.0 - LAMBDA) * (st.var + LAMBDA * delta * delta);
+            st.mean += LAMBDA * delta;
         }
         st.seen = st.seen.saturating_add(1);
         alert
@@ -122,7 +123,7 @@ mod tests {
 
     #[test]
     fn stationary_residuals_never_alert() {
-        let mut d = DriftDetector::new(4, DriftConfig::default());
+        let mut d = DriftDetector::new(4);
         for step in 0..500 {
             for m in 0..4 {
                 // constant per-module offset with tiny deterministic ripple
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn step_change_alerts_on_first_drifted_sample() {
-        let mut d = DriftDetector::new(1, DriftConfig::default());
+        let mut d = DriftDetector::new(1);
         for step in 0..100 {
             assert!(d.observe(0, step as f64, 1.0).is_none());
         }
@@ -149,8 +150,7 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_early_alerts() {
-        let cfg = DriftConfig { warmup: 16, ..DriftConfig::default() };
-        let mut d = DriftDetector::new(1, cfg);
+        let mut d = DriftDetector::new(1);
         // wildly different first samples: still no alerts during warmup
         for (i, r) in [0.0, 50.0, -30.0, 100.0, 0.0, 75.0].iter().enumerate() {
             assert!(d.observe(0, i as f64, *r).is_none(), "warmup sample {i} alerted");
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn nonfinite_residuals_are_ignored() {
-        let mut d = DriftDetector::new(1, DriftConfig::default());
+        let mut d = DriftDetector::new(1);
         for step in 0..50 {
             d.observe(0, step as f64, 1.0);
         }
@@ -171,13 +171,26 @@ mod tests {
 
     #[test]
     fn slow_ramp_tracks_without_alerting_fast_jump_fires() {
-        let cfg = DriftConfig::default();
-        let mut d = DriftDetector::new(1, cfg);
+        let mut d = DriftDetector::new(1);
         for step in 0..200 {
             // 0.002 W per step: far under min_sigma_w per EWMA window
             let r = 1.0 + 0.002 * step as f64;
             assert!(d.observe(0, step as f64, r).is_none(), "slow ramp alerted at {step}");
         }
         assert!(d.observe(0, 200.0, 20.0).is_some(), "jump after ramp must alert");
+    }
+
+    #[test]
+    fn recent_keeps_the_latest_alerts_oldest_first() {
+        let mut d = DriftDetector::new(RECENT_ALERTS + 3);
+        for m in 0..RECENT_ALERTS + 3 {
+            for step in 0..20 {
+                d.observe(m, step as f64, 1.0);
+            }
+            assert!(d.observe(m, 20.0 + m as f64, 50.0).is_some());
+        }
+        assert_eq!(d.alerts_total(), RECENT_ALERTS as u64 + 3);
+        let modules: Vec<u64> = d.recent().iter().map(|a| a.module).collect();
+        assert_eq!(modules, (3..RECENT_ALERTS as u64 + 3).collect::<Vec<_>>());
     }
 }

@@ -23,12 +23,12 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::decision::{DecisionKind, DecisionRecord};
+use crate::decision::DecisionRecord;
 use crate::json::{Fields, FromJson, ObjectWriter, ToJson, Value};
-use crate::ledger::{conservation_epsilon, Category, LedgerBin, LedgerTable};
+use crate::ledger::{conservation_epsilon, Category, LedgerBin};
 use crate::metrics::{Histogram, Metrics};
 use crate::recorder::Inner;
-use crate::scenario::{ScenarioKind, ScenarioRecord};
+use crate::scenario::ScenarioRecord;
 
 /// Journal schema version. v2 added the watt-provenance `ledger` and
 /// scheduler `decision` line types (between the cells and the total);
@@ -87,7 +87,8 @@ pub enum JournalLine {
         /// category)`.
         bins: Vec<LedgerBin>,
     },
-    /// One scheduler decision, with the alternatives it weighed.
+    /// One scheduler decision, with the alternatives it weighed. The
+    /// record's fields follow `seq`, its `kind` under the `decision` key.
     Decision {
         /// Owning grid, or `None` for driver-thread decisions.
         grid: Option<u64>,
@@ -95,18 +96,11 @@ pub enum JournalLine {
         index: Option<u64>,
         /// Record order within the scope (0-based).
         seq: u64,
-        /// Simulated time of the decision (s).
-        t_s: f64,
-        /// The job concerned, if job-scoped.
-        job: Option<u64>,
-        /// Global cap in effect (W).
-        cap_w: f64,
-        /// Unallocated budget at decision time (W).
-        avail_w: f64,
-        /// The decision and its evidence.
-        decision: DecisionKind,
+        /// The decision as recorded.
+        record: DecisionRecord,
     },
-    /// One applied scenario perturbation.
+    /// One applied scenario perturbation. The record's fields follow
+    /// `seq`, its `kind` under the `event` key.
     Scenario {
         /// Owning grid, or `None` for driver-thread perturbations.
         grid: Option<u64>,
@@ -114,12 +108,8 @@ pub enum JournalLine {
         index: Option<u64>,
         /// Record order within the scope (0-based).
         seq: u64,
-        /// Simulated time the perturbation was applied (s).
-        t_s: f64,
-        /// Fleet size it was applied against (module-id range check).
-        fleet: u64,
-        /// The perturbation and its payload.
-        event: ScenarioKind,
+        /// The perturbation as recorded.
+        record: ScenarioRecord,
     },
     /// Whole-session rollup: always the last line.
     Total {
@@ -172,23 +162,23 @@ impl ToJson for JournalLine {
                     .field("worst_residual_w", worst_residual_w)
                     .field("bins", bins);
             }
-            JournalLine::Decision { grid, index, seq, t_s, job, cap_w, avail_w, decision } => {
+            JournalLine::Decision { grid, index, seq, record: r } => {
                 o.field("grid", grid)
                     .field("index", index)
                     .field("seq", seq)
-                    .field("t_s", t_s)
-                    .field("job", job)
-                    .field("cap_w", cap_w)
-                    .field("avail_w", avail_w)
-                    .field("decision", decision);
+                    .field("t_s", &r.t_s)
+                    .field("job", &r.job)
+                    .field("cap_w", &r.cap_w)
+                    .field("avail_w", &r.avail_w)
+                    .field("decision", &r.kind);
             }
-            JournalLine::Scenario { grid, index, seq, t_s, fleet, event } => {
+            JournalLine::Scenario { grid, index, seq, record: r } => {
                 o.field("grid", grid)
                     .field("index", index)
                     .field("seq", seq)
-                    .field("t_s", t_s)
-                    .field("fleet", fleet)
-                    .field("event", event);
+                    .field("t_s", &r.t_s)
+                    .field("fleet", &r.fleet)
+                    .field("event", &r.kind);
             }
             JournalLine::Total { counters, histograms } => {
                 o.field("counters", counters).field("histograms", histograms);
@@ -229,19 +219,23 @@ impl FromJson for JournalLine {
                 grid: f.get("grid")?,
                 index: f.get("index")?,
                 seq: f.get("seq")?,
-                t_s: f.get("t_s")?,
-                job: f.get("job")?,
-                cap_w: f.get("cap_w")?,
-                avail_w: f.get("avail_w")?,
-                decision: f.get("decision")?,
+                record: DecisionRecord {
+                    t_s: f.get("t_s")?,
+                    job: f.get("job")?,
+                    cap_w: f.get("cap_w")?,
+                    avail_w: f.get("avail_w")?,
+                    kind: f.get("decision")?,
+                },
             },
             "scenario" => JournalLine::Scenario {
                 grid: f.get("grid")?,
                 index: f.get("index")?,
                 seq: f.get("seq")?,
-                t_s: f.get("t_s")?,
-                fleet: f.get("fleet")?,
-                event: f.get("event")?,
+                record: ScenarioRecord {
+                    t_s: f.get("t_s")?,
+                    fleet: f.get("fleet")?,
+                    kind: f.get("event")?,
+                },
             },
             "total" => JournalLine::Total {
                 counters: f.get("counters")?,
@@ -375,41 +369,6 @@ fn snapshot_maps(m: &Metrics) -> (BTreeMap<String, u64>, BTreeMap<String, Histog
     (counters, histograms)
 }
 
-fn ledger_line(grid: Option<u64>, index: Option<u64>, t: &LedgerTable) -> JournalLine {
-    JournalLine::Ledger {
-        grid,
-        index,
-        ticks: t.ticks.len() as u64,
-        violations: t.violations,
-        worst_residual_w: t.worst_residual_w,
-        bins: t.bin_records(),
-    }
-}
-
-fn decision_line(grid: Option<u64>, index: Option<u64>, seq: u64, r: &DecisionRecord) -> JournalLine {
-    JournalLine::Decision {
-        grid,
-        index,
-        seq,
-        t_s: r.t_s,
-        job: r.job,
-        cap_w: r.cap_w,
-        avail_w: r.avail_w,
-        decision: r.kind.clone(),
-    }
-}
-
-fn scenario_line(grid: Option<u64>, index: Option<u64>, seq: u64, r: &ScenarioRecord) -> JournalLine {
-    JournalLine::Scenario {
-        grid,
-        index,
-        seq,
-        t_s: r.t_s,
-        fleet: r.fleet,
-        event: r.kind.clone(),
-    }
-}
-
 /// Append one journal line and its newline.
 fn line_to(journal: &mut String, line: &JournalLine) {
     line.write_json(journal);
@@ -428,10 +387,10 @@ pub(crate) fn build_report(inner: &Inner) -> ObsReport {
             items: g.items,
         });
     }
-    let mut totals = inner.direct.clone();
+    let mut totals = inner.direct.metrics.clone();
     for ((grid, index), cell) in &inner.cells {
-        totals.merge(&cell.metrics);
-        let (counters, histograms) = snapshot_maps(&cell.metrics);
+        totals.merge(&cell.scope.metrics);
+        let (counters, histograms) = snapshot_maps(&cell.scope.metrics);
         line_to(&mut journal, &JournalLine::Cell {
             grid: *grid,
             index: *index,
@@ -441,35 +400,31 @@ pub(crate) fn build_report(inner: &Inner) -> ObsReport {
             histograms,
         });
     }
-    // ledger rollups: cell scopes in (grid, index) order, direct last —
-    // the same deterministic order the cells themselves export in
-    for ((grid, index), cell) in &inner.cells {
-        if !cell.ledger.is_empty() {
-            line_to(&mut journal, &ledger_line(Some(*grid), Some(*index), &cell.ledger));
+    // ledger rollups, then decisions, then scenario perturbations: each
+    // block walks the scopes (cells in (grid, index) order, driver last),
+    // each scope's records in record order (seq)
+    for (grid, index, scope) in inner.scopes() {
+        let t = &scope.ledger;
+        if !t.is_empty() {
+            line_to(&mut journal, &JournalLine::Ledger {
+                grid,
+                index,
+                ticks: t.ticks.len() as u64,
+                violations: t.violations,
+                worst_residual_w: t.worst_residual_w,
+                bins: t.bin_records(),
+            });
         }
     }
-    if !inner.ledger.is_empty() {
-        line_to(&mut journal, &ledger_line(None, None, &inner.ledger));
-    }
-    // decisions: cell scopes in (grid, index) order, then driver-direct,
-    // each scope in record order (seq)
-    for ((grid, index), cell) in &inner.cells {
-        for (seq, rec) in cell.decisions.iter().enumerate() {
-            line_to(&mut journal, &decision_line(Some(*grid), Some(*index), seq as u64, rec));
+    for (grid, index, scope) in inner.scopes() {
+        for (seq, record) in scope.decisions.iter().cloned().enumerate() {
+            line_to(&mut journal, &JournalLine::Decision { grid, index, seq: seq as u64, record });
         }
     }
-    for (seq, rec) in inner.decisions.iter().enumerate() {
-        line_to(&mut journal, &decision_line(None, None, seq as u64, rec));
-    }
-    // scenario perturbations: cell scopes in (grid, index) order, then
-    // driver-direct, each scope in record order (seq)
-    for ((grid, index), cell) in &inner.cells {
-        for (seq, rec) in cell.scenarios.iter().enumerate() {
-            line_to(&mut journal, &scenario_line(Some(*grid), Some(*index), seq as u64, rec));
+    for (grid, index, scope) in inner.scopes() {
+        for (seq, record) in scope.scenarios.iter().cloned().enumerate() {
+            line_to(&mut journal, &JournalLine::Scenario { grid, index, seq: seq as u64, record });
         }
-    }
-    for (seq, rec) in inner.scenarios.iter().enumerate() {
-        line_to(&mut journal, &scenario_line(None, None, seq as u64, rec));
     }
     let (counters, histograms) = snapshot_maps(&totals);
     line_to(&mut journal, &JournalLine::Total { counters, histograms });
@@ -514,7 +469,7 @@ fn metrics_csv(inner: &Inner, totals: &Metrics) -> String {
             index.to_string(),
             cell.kind,
             csv_label(&cell.label),
-            &cell.metrics,
+            &cell.scope.metrics,
         );
     }
     emit("total", String::new(), String::new(), "", String::new(), totals);
@@ -529,21 +484,18 @@ pub const LEDGER_CSV_HEADER: &str =
     "scope,grid,index,tick,t_s,dt_s,cap_w,job,module,domain,category,value";
 
 fn ledger_csv(inner: &Inner) -> String {
-    let mut scopes: Vec<(String, String, &LedgerTable)> = inner
-        .cells
-        .iter()
-        .filter(|(_, c)| !c.ledger.is_empty())
-        .map(|((g, i), c)| (g.to_string(), i.to_string(), &c.ledger))
-        .collect();
-    if !inner.ledger.is_empty() {
-        scopes.push((String::new(), String::new(), &inner.ledger));
-    }
-    if scopes.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from(LEDGER_CSV_HEADER);
-    out.push('\n');
-    for (grid, index, table) in &scopes {
+    let mut out = String::new();
+    for (grid, index, scope) in inner.scopes() {
+        let table = &scope.ledger;
+        if table.is_empty() {
+            continue;
+        }
+        if out.is_empty() {
+            out.push_str(LEDGER_CSV_HEADER);
+            out.push('\n');
+        }
+        let grid = grid.map(|g| g.to_string()).unwrap_or_default();
+        let index = index.map(|i| i.to_string()).unwrap_or_default();
         for (tick, t) in table.ticks.iter().enumerate() {
             for cat in Category::ALL {
                 out.push_str(&format!(
@@ -691,9 +643,10 @@ fn summary(totals: &Metrics, inner: &Inner) -> String {
         inner.cells.len(),
         inner.spans.len()
     ));
-    let mut ledger = inner.ledger.clone();
+    // driver first, then cells: the W·s totals below are float sums
+    let mut ledger = inner.direct.ledger.clone();
     for cell in inner.cells.values() {
-        ledger.merge(&cell.ledger);
+        ledger.merge(&cell.scope.ledger);
     }
     if !ledger.is_empty() {
         let by_cat = ledger.energy_by_category();
@@ -707,13 +660,11 @@ fn summary(totals: &Metrics, inner: &Inner) -> String {
             out.push_str(&format!("  {:<10} {:>16.3} W·s\n", cat.name(), by_cat[cat.index()]));
         }
     }
-    let decisions = inner.decisions.len()
-        + inner.cells.values().map(|c| c.decisions.len()).sum::<usize>();
+    let decisions: usize = inner.scopes().map(|(_, _, s)| s.decisions.len()).sum();
     if decisions > 0 {
         out.push_str(&format!("decisions: {decisions}\n"));
     }
-    let scenarios = inner.scenarios.len()
-        + inner.cells.values().map(|c| c.scenarios.len()).sum::<usize>();
+    let scenarios: usize = inner.scopes().map(|(_, _, s)| s.scenarios.len()).sum();
     if scenarios > 0 {
         out.push_str(&format!("scenario events: {scenarios}\n"));
     }
@@ -867,7 +818,8 @@ pub fn validate_journal(journal: &str) -> Result<JournalStats, String> {
                 last_decision = Some(key);
                 stats.decisions += 1;
             }
-            JournalLine::Scenario { grid, index, seq, t_s, fleet, event } => {
+            JournalLine::Scenario { grid, index, seq, record } => {
+                let ScenarioRecord { t_s, fleet, kind } = record;
                 let key = (scope_key(*grid, *index).0, scope_key(*grid, *index).1, *seq);
                 if last_scenario.is_some_and(|prev| prev >= key) {
                     return Err(format!(
@@ -891,7 +843,7 @@ pub fn validate_journal(journal: &str) -> Result<JournalStats, String> {
                     ));
                 }
                 last_scenario_t = Some(*t_s);
-                if let Some(m) = event.module() {
+                if let Some(m) = kind.module() {
                     if m >= *fleet {
                         return Err(format!(
                             "line {n}: scenario module {m} out of range for fleet {fleet}"
@@ -975,6 +927,7 @@ pub fn validate_metrics_csv(csv: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::DecisionKind;
     use crate::recorder::Session;
 
     fn sample_report() -> ObsReport {
@@ -1183,11 +1136,13 @@ mod tests {
             grid: None,
             index: None,
             seq: 0,
-            t_s: 30.0,
-            job: None,
-            cap_w: 80.0,
-            avail_w: 5.0,
-            decision: DecisionKind::CapChange { old_w: 95.0, new_w: 80.0 },
+            record: DecisionRecord {
+                t_s: 30.0,
+                job: None,
+                cap_w: 80.0,
+                avail_w: 5.0,
+                kind: DecisionKind::CapChange { old_w: 95.0, new_w: 80.0 },
+            },
         };
         let json = line.to_json();
         assert!(json.starts_with("{\"type\":\"decision\",\"grid\":null"), "{json}");

@@ -14,7 +14,7 @@
 //!   a pure function of the work executed: the exported `journal.jsonl`
 //!   is byte-identical between `--threads 1` and `--threads 4`
 //!   (`tests/determinism.rs`).
-//! * **Wall-clock side channel** — [`span`]s and per-item timing, which
+//! * **Wall-clock side channel** — [`span()`]s and per-item timing, which
 //!   measure real elapsed time and export only into the Chrome-trace
 //!   timeline (`trace.json`, loadable in Perfetto). Explicitly *not*
 //!   deterministic, by design.
@@ -60,7 +60,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use decision::{BudgetDelta, DecisionKind, DecisionRecord, WidthProbe};
-pub use drift::{DriftAlert, DriftConfig, DriftDetector};
+pub use drift::{DriftAlert, DriftDetector};
 pub use export::{validate_journal, validate_ledger_csv, validate_metrics_csv, validate_trace};
 pub use ledger::{Category, Domain, LedgerEntry, LedgerTick};
 pub use metrics::Histogram;

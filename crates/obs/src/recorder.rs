@@ -10,12 +10,13 @@
 //! * `vap-exec` captures the installing thread's [`SessionRef`] before
 //!   spawning workers and brackets every work item with
 //!   [`SessionRef::run_item`], which gives the worker an *item context*:
-//!   a thread-local [`Metrics`] buffer plus the item's `(grid, index)`
-//!   identity and worker lane.
-//! * Instrumentation sites ([`incr`], [`observe`], [`label_item`]) write
-//!   into the item buffer lock-free; the buffer is committed into the
-//!   session's per-cell record when the item completes. Outside an item
-//!   the calls fall through to the session's direct registry.
+//!   a thread-local `Scope` plus the item's `(grid, index)` identity
+//!   and worker lane.
+//! * Instrumentation sites ([`incr`], [`observe`], [`ledger_tick`],
+//!   [`decision`], [`scenario_event`]) write into the item's scope
+//!   lock-free; the scope is merged into the session's per-cell record
+//!   when the item completes. Outside an item the calls fall through to
+//!   the session's driver scope.
 //!
 //! # Determinism contract
 //!
@@ -85,22 +86,39 @@ pub(crate) struct GridRecord {
     pub items: u64,
 }
 
-/// Deterministic per-item record: what one work item counted.
-#[derive(Debug, Clone)]
+/// Everything one scope records: the driver, an in-flight work item, or
+/// a committed cell.
+#[derive(Debug, Default)]
+pub(crate) struct Scope {
+    /// Counters and histograms.
+    pub metrics: Metrics,
+    /// Watt-provenance ledger ticks.
+    pub ledger: LedgerTable,
+    /// Scheduler decisions, in record order.
+    pub decisions: Vec<DecisionRecord>,
+    /// Applied scenario perturbations, in record order.
+    pub scenarios: Vec<ScenarioRecord>,
+}
+
+impl Scope {
+    /// Fold `other` in after this scope's records.
+    fn merge(&mut self, other: Scope) {
+        self.metrics.merge(&other.metrics);
+        self.ledger.merge(&other.ledger);
+        self.decisions.extend(other.decisions);
+        self.scenarios.extend(other.scenarios);
+    }
+}
+
+/// Deterministic per-item record: what one work item recorded.
+#[derive(Debug)]
 pub(crate) struct CellRecord {
     /// Item kind (same vocabulary as [`GridRecord::kind`]).
     pub kind: &'static str,
     /// Human label set via [`label_item`] (e.g. `dgemm@110W`).
     pub label: Option<String>,
-    /// Metrics recorded while the item ran.
-    pub metrics: Metrics,
-    /// Watt-provenance ledger recorded while the item ran.
-    pub ledger: LedgerTable,
-    /// Scheduler decisions recorded while the item ran, in record order.
-    pub decisions: Vec<DecisionRecord>,
-    /// Scenario perturbations applied while the item ran, in record
-    /// order.
-    pub scenarios: Vec<ScenarioRecord>,
+    /// What the item recorded.
+    pub scope: Scope,
 }
 
 /// Wall-clock span for the Chrome-trace side channel.
@@ -120,21 +138,23 @@ pub(crate) struct SpanRecord {
 
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
-    /// Metrics recorded outside any item (driver-thread bookkeeping).
-    pub direct: Metrics,
+    /// What the driver recorded outside any item.
+    pub direct: Scope,
     /// Per-item records, keyed `(grid id, item index)`.
     pub cells: std::collections::BTreeMap<(u64, u64), CellRecord>,
     /// Registered grids, in driver call order (the vec index is the id).
     pub grids: Vec<GridRecord>,
     /// Wall-clock spans (side channel — excluded from the journal).
     pub spans: Vec<SpanRecord>,
-    /// Ledger ticks recorded outside any item (driver-thread runs).
-    pub ledger: LedgerTable,
-    /// Decisions recorded outside any item, in record order.
-    pub decisions: Vec<DecisionRecord>,
-    /// Scenario perturbations recorded outside any item, in record
-    /// order.
-    pub scenarios: Vec<ScenarioRecord>,
+}
+
+impl Inner {
+    /// Every scope with its `(grid, index)`: the cells in `(grid, index)`
+    /// order, then the driver's with `None`s.
+    pub fn scopes(&self) -> impl Iterator<Item = (Option<u64>, Option<u64>, &Scope)> {
+        let cells = self.cells.iter().map(|(&(g, i), c)| (Some(g), Some(i), &c.scope));
+        cells.chain([(None, None, &self.direct)])
+    }
 }
 
 #[derive(Debug)]
@@ -161,10 +181,7 @@ struct ItemCtx {
     index: u64,
     lane: u32,
     label: Option<String>,
-    metrics: Metrics,
-    ledger: LedgerTable,
-    decisions: Vec<DecisionRecord>,
-    scenarios: Vec<ScenarioRecord>,
+    scope: Scope,
     start: Instant,
 }
 
@@ -203,10 +220,7 @@ impl SessionRef {
             index: index as u64,
             lane,
             label: None,
-            metrics: Metrics::new(),
-            ledger: LedgerTable::new(),
-            decisions: Vec::new(),
-            scenarios: Vec::new(),
+            scope: Scope::default(),
             start: Instant::now(),
         };
         // Stack the previous item (nested instrumented grids on the same
@@ -248,22 +262,16 @@ impl SessionRef {
             "module" => "exec.modules",
             _ => "exec.items",
         };
-        inner.direct.incr_by(items_counter, 1);
+        inner.direct.metrics.incr_by(items_counter, 1);
         let cell = inner.cells.entry((ctx.grid, ctx.index)).or_insert_with(|| CellRecord {
             kind: ctx.kind,
             label: None,
-            metrics: Metrics::new(),
-            ledger: LedgerTable::new(),
-            decisions: Vec::new(),
-            scenarios: Vec::new(),
+            scope: Scope::default(),
         });
         if ctx.label.is_some() {
             cell.label = ctx.label;
         }
-        cell.metrics.merge(&ctx.metrics);
-        cell.ledger.merge(&ctx.ledger);
-        cell.decisions.extend(ctx.decisions);
-        cell.scenarios.extend(ctx.scenarios);
+        cell.scope.merge(ctx.scope);
     }
 
     pub(crate) fn record_span(&self, span: SpanRecord) {
@@ -272,10 +280,6 @@ impl SessionRef {
 
     pub(crate) fn epoch(&self) -> Instant {
         self.0.epoch
-    }
-
-    fn record_direct(&self, f: impl FnOnce(&mut Metrics)) {
-        f(&mut lock(&self.0).direct);
     }
 }
 
@@ -316,6 +320,28 @@ pub(crate) fn span_target() -> Option<(SessionRef, u32)> {
     CURRENT.with(|slot| slot.borrow().as_ref().map(|s| (s.clone(), 0)))
 }
 
+/// Build one record with `make` and apply it with `put` to the calling
+/// thread's scope: its work item's if inside one, else its session's
+/// driver scope. With no live session `make` never runs; it always runs
+/// before any `RefCell` borrow or lock is taken.
+#[inline]
+fn record<T>(make: impl FnOnce() -> T, put: impl FnOnce(&mut Scope, T)) {
+    if !enabled() {
+        return;
+    }
+    let value = make();
+    let unplaced = ITEM.with(|slot| match slot.borrow_mut().as_mut() {
+        Some(ctx) => {
+            put(&mut ctx.scope, value);
+            None
+        }
+        None => Some((put, value)),
+    });
+    if let (Some((put, value)), Some(s)) = (unplaced, current_session()) {
+        put(&mut lock(&s.0).direct, value);
+    }
+}
+
 /// Add 1 to counter `name` in the current scope (item if inside one,
 /// session otherwise; no-op without a session).
 #[inline]
@@ -326,45 +352,13 @@ pub fn incr(name: &'static str) {
 /// Add `by` to counter `name` in the current scope.
 #[inline]
 pub fn incr_by(name: &'static str, by: u64) {
-    if !enabled() {
-        return;
-    }
-    let buffered = ITEM.with(|slot| {
-        if let Some(ctx) = slot.borrow_mut().as_mut() {
-            ctx.metrics.incr_by(name, by);
-            true
-        } else {
-            false
-        }
-    });
-    if buffered {
-        return;
-    }
-    if let Some(s) = current_session() {
-        s.record_direct(|m| m.incr_by(name, by));
-    }
+    record(|| by, |scope, by| scope.metrics.incr_by(name, by));
 }
 
 /// Record `v` into histogram `name` in the current scope.
 #[inline]
 pub fn observe(name: &'static str, v: f64) {
-    if !enabled() {
-        return;
-    }
-    let buffered = ITEM.with(|slot| {
-        if let Some(ctx) = slot.borrow_mut().as_mut() {
-            ctx.metrics.observe(name, v);
-            true
-        } else {
-            false
-        }
-    });
-    if buffered {
-        return;
-    }
-    if let Some(s) = current_session() {
-        s.record_direct(|m| m.observe(name, v));
-    }
+    record(|| v, |scope, v| scope.metrics.observe(name, v));
 }
 
 /// Record one watt-provenance ledger tick in the current scope. The
@@ -377,27 +371,13 @@ pub fn ledger_tick(f: impl FnOnce() -> LedgerTick) {
     if !ledger_enabled() {
         return;
     }
-    // Resolve the scope (and its armed bit) *before* building the tick:
-    // a plain session sharing the process with an armed one must not pay.
-    let item_armed = ITEM.with(|slot| slot.borrow().as_ref().map(|c| c.session.0.ledger));
-    match item_armed {
-        Some(true) => {
-            let tick = f();
-            ITEM.with(|slot| {
-                if let Some(ctx) = slot.borrow_mut().as_mut() {
-                    ctx.ledger.record(tick);
-                }
-            });
-        }
-        Some(false) => {}
-        None => {
-            if let Some(s) = current_session() {
-                if s.0.ledger {
-                    let tick = f();
-                    lock(&s.0).ledger.record(tick);
-                }
-            }
-        }
+    // Resolve the scope's armed bit *before* building the tick: a plain
+    // session sharing the process with an armed one must not pay.
+    let armed = ITEM
+        .with(|slot| slot.borrow().as_ref().map(|c| c.session.0.ledger))
+        .or_else(|| current_session().map(|s| s.0.ledger));
+    if armed == Some(true) {
+        record(f, |scope, tick| scope.ledger.record(tick));
     }
 }
 
@@ -406,26 +386,7 @@ pub fn ledger_tick(f: impl FnOnce() -> LedgerTick) {
 /// separate flag): when no session is live the closure never runs.
 #[inline]
 pub fn decision(f: impl FnOnce() -> DecisionRecord) {
-    if !enabled() {
-        return;
-    }
-    let mut rec = Some(f());
-    let buffered = ITEM.with(|slot| {
-        if let Some(ctx) = slot.borrow_mut().as_mut() {
-            if let Some(r) = rec.take() {
-                ctx.decisions.push(r);
-            }
-            true
-        } else {
-            false
-        }
-    });
-    if buffered {
-        return;
-    }
-    if let (Some(s), Some(r)) = (current_session(), rec.take()) {
-        lock(&s.0).decisions.push(r);
-    }
+    record(f, |scope, r| scope.decisions.push(r));
 }
 
 /// Record one applied scenario perturbation in the current scope. Gated
@@ -433,26 +394,7 @@ pub fn decision(f: impl FnOnce() -> DecisionRecord) {
 /// never runs, so producers pay one relaxed atomic load.
 #[inline]
 pub fn scenario_event(f: impl FnOnce() -> ScenarioRecord) {
-    if !enabled() {
-        return;
-    }
-    let mut rec = Some(f());
-    let buffered = ITEM.with(|slot| {
-        if let Some(ctx) = slot.borrow_mut().as_mut() {
-            if let Some(r) = rec.take() {
-                ctx.scenarios.push(r);
-            }
-            true
-        } else {
-            false
-        }
-    });
-    if buffered {
-        return;
-    }
-    if let (Some(s), Some(r)) = (current_session(), rec.take()) {
-        lock(&s.0).scenarios.push(r);
-    }
+    record(f, |scope, r| scope.scenarios.push(r));
 }
 
 /// Label the current work item (e.g. `dgemm@110W`). The closure only

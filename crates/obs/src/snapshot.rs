@@ -14,6 +14,7 @@
 //! to it under concurrent publishes, and the daemon's determinism tests
 //! compare checksum streams.
 
+use crate::drift::DriftAlert;
 use crate::json::{self, ObjectWriter, ToJson};
 
 /// One module's telemetry at a snapshot instant.
@@ -33,7 +34,8 @@ pub struct ModuleSample {
     pub throttled: bool,
 }
 
-/// One module's live drift alert (EWMA residual outside the z-band).
+/// One raised drift alert (EWMA residual outside the z-band), as the
+/// telemetry plane serves it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftAlertSample {
     /// The drifting module.
@@ -42,6 +44,12 @@ pub struct DriftAlertSample {
     pub residual_w: f64,
     /// How many tracked standard deviations out the residual sits.
     pub z: f64,
+}
+
+impl From<&DriftAlert> for DriftAlertSample {
+    fn from(a: &DriftAlert) -> Self {
+        DriftAlertSample { module: a.module, residual_w: a.residual_w, z: a.z }
+    }
 }
 
 /// One `(bucket upper bound, cumulative-ready count)` pair; serializes
@@ -98,7 +106,8 @@ pub struct TelemetrySnapshot {
     pub queued_jobs: u64,
     /// Drift alerts raised over the producer's lifetime.
     pub drift_alerts: u64,
-    /// Modules currently outside the drift z-band, in module-id order.
+    /// The latest drift alerts raised (at most
+    /// [`RECENT_ALERTS`](crate::drift::RECENT_ALERTS)), oldest first.
     pub alerts: Vec<DriftAlertSample>,
     /// Named histograms (JCT, solver iterations, latencies), name-sorted.
     pub hists: Vec<HistogramSample>,

@@ -162,13 +162,11 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        if let JournalLine::Decision { grid, index, seq, t_s, job, cap_w, avail_w, decision } =
-            parsed
-        {
+        if let JournalLine::Decision { grid, index, seq, record: r } = parsed {
             decisions += 1;
-            if relevant(&q, t_s, job, &decision) {
+            if relevant(&q, r.t_s, r.job, &r.kind) {
                 let key = (grid.unwrap_or(u64::MAX), index.unwrap_or(u64::MAX), seq);
-                hits.push((t_s, key, describe(job, avail_w, cap_w, &decision)));
+                hits.push((r.t_s, key, describe(r.job, r.avail_w, r.cap_w, &r.kind)));
             }
         }
     }

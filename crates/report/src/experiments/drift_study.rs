@@ -20,8 +20,8 @@ use crate::render::{f, Table};
 use vap_core::pvt::PowerVariationTable;
 use vap_core::schemes::{apply_plan, PlanRequest, PowerPlan, SchemeId};
 use vap_model::units::{Seconds, Watts};
-use vap_obs::{DriftConfig, DriftDetector};
-use vap_scenario::{Effect, RecalPolicy, Recalibrator, Scenario, ScenarioRuntime};
+use vap_obs::DriftDetector;
+use vap_scenario::{observe_drift, Effect, RecalPolicy, Recalibrator, Scenario, ScenarioRuntime};
 use vap_sim::cluster::Cluster;
 use vap_workloads::spec::{WorkloadId, WorkloadSpec};
 use vap_workloads::catalog;
@@ -132,7 +132,7 @@ fn run_cell(
     let mut pvt = pvt0.clone();
     let mut sc = ScenarioRuntime::new(scenario, n, HORIZON_S, seed);
     let mut recal = Recalibrator::new(policy);
-    let mut detector = DriftDetector::new(n, DriftConfig::default());
+    let mut detector = DriftDetector::new(n);
     let mut active: Vec<usize> = (0..n).collect();
 
     let budget = |active: &[usize], sc: &ScenarioRuntime| {
@@ -179,16 +179,10 @@ fn run_cell(
 
         // The operator's sensor pass: faulted readings against the
         // install-time prediction, through the online drift detector.
-        for &i in &active {
-            let Some(m) = cluster.get(i) else { continue };
-            let true_w = m.module_power().value();
-            let predicted = m.pvt_predicted_power().value();
-            let measured = sc.read_power(i, true_w);
-            if detector.observe(i, t, measured - predicted).is_some() {
-                stats.alerts += 1;
-                fresh_alerts += 1;
-            }
-        }
+        let alerts =
+            observe_drift(&mut detector, &cluster, Some(&mut sc), active.iter().copied(), t);
+        stats.alerts += alerts;
+        fresh_alerts += alerts;
 
         if recal.due(t, fresh_alerts) {
             let affected: Vec<usize> =

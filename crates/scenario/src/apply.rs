@@ -8,6 +8,7 @@
 //! replay is bit-identical across thread counts.
 
 use vap_model::variability::DriftSkew;
+use vap_obs::DriftDetector;
 use vap_sim::cluster::Cluster;
 
 use vap_model::rng::{SplitMix64, MIX_GAMMA};
@@ -277,6 +278,35 @@ impl ScenarioRuntime {
         }
         effects
     }
+}
+
+/// One drift-detection pass at simulated time `t`: for each listed
+/// module, read its power — through the sensor-fault plane when a
+/// scenario is installed, so a stuck or offset sensor corrupts what the
+/// detector sees, never the physics — subtract the PVT prediction and
+/// feed the residual to `detector`. Modules the cluster does not hold
+/// are skipped. Returns the number of alerts raised.
+pub fn observe_drift(
+    detector: &mut DriftDetector,
+    cluster: &Cluster,
+    mut scenario: Option<&mut ScenarioRuntime>,
+    ids: impl IntoIterator<Item = usize>,
+    t: f64,
+) -> u64 {
+    let mut alerts = 0;
+    for i in ids {
+        let Some(m) = cluster.get(i) else { continue };
+        let true_w = m.module_power().value();
+        let predicted = m.pvt_predicted_power().value();
+        let measured = match scenario.as_deref_mut() {
+            Some(sc) => sc.read_power(i, true_w),
+            None => true_w,
+        };
+        if detector.observe(i, t, measured - predicted).is_some() {
+            alerts += 1;
+        }
+    }
+    alerts
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!   `(scenario, fleet size, horizon, seed)`.
 //! * [`apply`] — [`ScenarioRuntime`] replays a schedule against a
 //!   [`vap_sim::cluster::Cluster`], tracks the sensor-fault plane and the
-//!   cap-shock scale, and records which modules need re-measurement.
+//!   cap-shock scale, and records which modules need re-measurement;
+//!   [`observe_drift`] feeds the fleet's sensor readings to a
+//!   [`vap_obs::DriftDetector`].
 //! * [`recal`] — [`RecalPolicy`] (`Never` / `Periodic` / `OnResidual`)
 //!   decides when to re-run the PVT sweep over the dirty modules via
 //!   [`vap_core::pvt::PowerVariationTable::recalibrate_modules`].
@@ -32,6 +34,6 @@ pub mod apply;
 pub mod recal;
 pub mod stream;
 
-pub use apply::{Effect, ScenarioRuntime};
+pub use apply::{observe_drift, Effect, ScenarioRuntime};
 pub use recal::{RecalPolicy, Recalibrator};
 pub use stream::Scenario;

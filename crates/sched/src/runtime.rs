@@ -31,10 +31,10 @@ use vap_model::linear::Alpha;
 use vap_model::power::PowerActivity;
 use vap_model::units::Watts;
 use vap_obs::{
-    BudgetDelta, Category, DecisionKind, DecisionRecord, Domain, DriftAlert, DriftConfig,
-    DriftDetector, Histogram, LedgerEntry, LedgerTick, WidthProbe,
+    BudgetDelta, Category, DecisionKind, DecisionRecord, Domain, DriftAlert, DriftDetector,
+    Histogram, LedgerEntry, LedgerTick, WidthProbe,
 };
-use vap_scenario::{Effect, ScenarioRuntime};
+use vap_scenario::{observe_drift, Effect, ScenarioRuntime};
 use vap_sim::cluster::Cluster;
 use vap_sim::cpufreq::Governor;
 use vap_sim::scheduler::AllocationPolicy;
@@ -154,8 +154,6 @@ pub struct SchedRuntime {
     last_sample_t: f64,
     /// Online drift detector over measured − PVT-predicted residuals.
     drift: DriftDetector,
-    /// The most recent drift alerts (bounded), for the telemetry plane.
-    recent_alerts: Vec<DriftAlert>,
     /// Job completion times (s).
     hist_jct: Histogram,
     /// Queue wait before admission (s).
@@ -167,9 +165,6 @@ pub struct SchedRuntime {
     /// iteration count — the α-solve work per placement).
     hist_width_probes: Histogram,
 }
-
-/// How many drift alerts the live telemetry snapshot carries.
-const RECENT_ALERTS: usize = 8;
 
 impl SchedRuntime {
     /// Build a runtime over a pristine (post-PVT) cluster clone. The PVT
@@ -185,7 +180,7 @@ impl SchedRuntime {
         }
         let free: Vec<usize> = (0..cluster.len()).collect();
         let cap = config.cap;
-        let drift = DriftDetector::new(cluster.len(), DriftConfig::default());
+        let drift = DriftDetector::new(cluster.len());
         SchedRuntime {
             cluster,
             pvt,
@@ -208,7 +203,6 @@ impl SchedRuntime {
             base_cap: cap,
             last_sample_t: 0.0,
             drift,
-            recent_alerts: Vec::new(),
             hist_jct: Histogram::default(),
             hist_wait: Histogram::default(),
             hist_event_gap: Histogram::default(),
@@ -844,9 +838,9 @@ impl SchedRuntime {
     }
 
     /// The most recent drift alerts (bounded to the last
-    /// [`RECENT_ALERTS`]), oldest first.
+    /// [`RECENT_ALERTS`](vap_obs::drift::RECENT_ALERTS)), oldest first.
     pub fn recent_drift_alerts(&self) -> &[DriftAlert] {
-        &self.recent_alerts
+        self.drift.recent()
     }
 
     /// The runtime's live telemetry as an unsealed snapshot (the daemon's
@@ -859,15 +853,7 @@ impl SchedRuntime {
             running_jobs: self.running.len() as u64,
             queued_jobs: self.pending.len() as u64,
             drift_alerts: self.drift.alerts_total(),
-            alerts: self
-                .recent_alerts
-                .iter()
-                .map(|a| vap_obs::DriftAlertSample {
-                    module: a.module,
-                    residual_w: a.residual_w,
-                    z: a.z,
-                })
-                .collect(),
+            alerts: self.drift.recent().iter().map(vap_obs::DriftAlertSample::from).collect(),
             hists: vec![
                 vap_obs::HistogramSample::from_histogram("sched_jct_s", &self.hist_jct),
                 vap_obs::HistogramSample::from_histogram("sched_wait_s", &self.hist_wait),
@@ -899,29 +885,12 @@ impl SchedRuntime {
 
         // Drift: every module's measured − PVT-predicted residual. Part
         // of the deterministic replay state (the daemon serves it), so
-        // it runs whether or not a journal session is live. The measured
-        // side goes through the scenario's sensor-fault plane when one is
-        // installed — a stuck or offset sensor corrupts what the detector
-        // sees, never the physics.
-        for idx in 0..self.cluster.len() {
-            let Some(m) = self.cluster.get(idx) else {
-                continue;
-            };
-            let true_w = m.module_power().value();
-            let predicted = m.pvt_predicted_power().value();
-            let measured = match self.scenario.as_mut() {
-                Some(sc) => sc.read_power(idx, true_w),
-                None => true_w,
-            };
-            let residual = measured - predicted;
-            if let Some(alert) = self.drift.observe(idx, self.now, residual) {
-                vap_obs::incr("sched.drift_alerts");
-                self.recent_alerts.push(alert);
-                if self.recent_alerts.len() > RECENT_ALERTS {
-                    let excess = self.recent_alerts.len() - RECENT_ALERTS;
-                    self.recent_alerts.drain(..excess);
-                }
-            }
+        // it runs whether or not a journal session is live.
+        let n = self.cluster.len();
+        let alerts =
+            observe_drift(&mut self.drift, &self.cluster, self.scenario.as_mut(), 0..n, self.now);
+        if alerts > 0 {
+            vap_obs::recorder::incr_by("sched.drift_alerts", alerts);
         }
 
         let dt = self.now - self.last_sample_t;

@@ -37,7 +37,7 @@ use vap_model::power::{ModulePowerModel, PowerActivity};
 use vap_model::pstate::PStateTable;
 use vap_model::systems::SystemSpec;
 use vap_model::thermal::{RackGradient, ThermalEnv};
-use vap_model::units::{GigaHertz, Joules, Seconds, Watts};
+use vap_model::units::{GigaHertz, Seconds, Watts};
 use vap_model::variability::{DriftSkew, ModuleVariation};
 
 /// Fleet-level operations that can fail on malformed input.
@@ -121,8 +121,6 @@ pub struct Cluster {
     throttled: Vec<bool>,
     pkg_counter: Vec<EnergyCounter>,
     dram_counter: Vec<EnergyCounter>,
-    pkg_energy: Vec<Joules>,
-    dram_energy: Vec<Joules>,
 }
 
 impl Cluster {
@@ -155,8 +153,6 @@ impl Cluster {
             throttled: vec![false; n],
             pkg_counter: vec![EnergyCounter::default(); n],
             dram_counter: vec![EnergyCounter::default(); n],
-            pkg_energy: vec![Joules::ZERO; n],
-            dram_energy: vec![Joules::ZERO; n],
         };
         for i in 0..n {
             cluster.resolve(i);
@@ -237,8 +233,6 @@ impl Cluster {
         self.drifted[i] = None;
         self.pkg_counter[i] = EnergyCounter::default();
         self.dram_counter[i] = EnergyCounter::default();
-        self.pkg_energy[i] = Joules::ZERO;
-        self.dram_energy[i] = Joules::ZERO;
         self.resolve(i);
     }
 
@@ -284,13 +278,11 @@ impl Cluster {
     }
 
     /// Advance module `i` by `dt`: accumulate energy into its RAPL
-    /// counters and lifetime totals.
+    /// counters.
     pub fn step(&mut self, i: usize, dt: Seconds) {
         let m = self.module(i);
         let pkg = m.cpu_power() * dt;
         let dram = m.dram_power() * dt;
-        self.pkg_energy[i] += pkg;
-        self.dram_energy[i] += dram;
         self.pkg_counter[i].accumulate(pkg);
         self.dram_counter[i].accumulate(dram);
     }
@@ -597,16 +589,6 @@ impl<'a> ModuleView<'a> {
         self.cluster.dram_counter[self.id]
     }
 
-    /// Lifetime package energy.
-    pub fn pkg_energy(&self) -> Joules {
-        self.cluster.pkg_energy[self.id]
-    }
-
-    /// Lifetime DRAM energy.
-    pub fn dram_energy(&self) -> Joules {
-        self.cluster.dram_energy[self.id]
-    }
-
     /// Measure the module's `(pkg, dram)` average power pinned at `f`
     /// with its current workload, through the RAPL energy-counter
     /// protocol of [`crate::measurement::RaplEnergyMeter`]: uncapped, on
@@ -646,6 +628,16 @@ mod tests {
     use super::*;
     use crate::measurement::RaplEnergyMeter;
     use vap_stats::{worst_case_variation, Summary};
+
+    /// Joules a RAPL counter has counted since reset.
+    fn counted(c: EnergyCounter) -> f64 {
+        EnergyCounter::delta(0, c.raw()).value()
+    }
+
+    /// One counter unit: the most energy a counter holds back.
+    fn quantum() -> f64 {
+        EnergyCounter::delta(0, 1).value()
+    }
 
     fn busy() -> PowerActivity {
         PowerActivity { cpu: 1.0, dram: 0.25 }
@@ -741,8 +733,10 @@ mod tests {
         let sum: Watts = c.module_powers().into_iter().sum();
         assert!((total.value() - sum.value()).abs() < 1e-9);
         c.step_all(Seconds(1.0));
-        let e: f64 = c.modules().map(|m| (m.pkg_energy() + m.dram_energy()).value()).sum();
-        assert!((e - total.value()).abs() < 1e-6);
+        let e: f64 =
+            c.modules().map(|m| counted(m.pkg_counter()) + counted(m.dram_counter())).sum();
+        // each counter holds back less than one quantum
+        assert!((e - total.value()).abs() < 1e-6 + 2.0 * c.len() as f64 * quantum());
     }
 
     #[test]
@@ -909,12 +903,10 @@ mod tests {
         for _ in 0..1000 {
             c.step(0, Seconds::from_millis(1.0));
         }
+        // 1 s at constant power, no wrap
         let m = c.module(0);
-        assert!((m.pkg_energy().value() - p_pkg.value()).abs() < 1e-6);
-        assert!((m.dram_energy().value() - p_dram.value()).abs() < 1e-6);
-        // the RAPL counter agrees with the lifetime total (1 s, no wrap)
-        let pkg_counter = EnergyCounter::delta(0, m.pkg_counter().raw());
-        assert!((pkg_counter.value() - m.pkg_energy().value()).abs() < 1e-3);
+        assert!((counted(m.pkg_counter()) - p_pkg.value()).abs() < 1e-6 + quantum());
+        assert!((counted(m.dram_counter()) - p_dram.value()).abs() < 1e-6 + quantum());
     }
 
     #[test]
@@ -981,16 +973,15 @@ mod tests {
         c.set_cap(0, RaplLimit::with_default_window(Watts(68.25)));
         c.apply_drift(0, &DriftSkew { dynamic: 1.1, leakage: 1.3, dram: 1.05 });
         c.step(0, Seconds::from_millis(50.0));
-        assert!(c.module(0).pkg_energy() > Joules::ZERO);
+        assert!(c.module(0).pkg_counter().raw() > 0);
         let fresh = ModuleVariation::nominal(0, 12);
         c.replace_silicon(0, fresh.clone());
         let m = c.module(0);
         assert_eq!(m.base_variation(), &fresh);
         assert!(m.drift_skew().is_identity());
         assert!(m.workload_variation().is_none());
-        assert_eq!(m.pkg_energy(), Joules::ZERO);
-        assert_eq!(m.dram_energy(), Joules::ZERO);
         assert_eq!(m.pkg_counter(), EnergyCounter::default());
+        assert_eq!(m.dram_counter(), EnergyCounter::default());
         assert!(m.cap().is_some(), "the slot keeps its programmed cap");
         assert_eq!(m.activity(), busy());
         let residual = (m.module_power().value() - m.pvt_predicted_power().value()).abs();
@@ -1032,7 +1023,7 @@ mod tests {
             assert_eq!(a.operating_point(), b.operating_point());
             assert_eq!(a.cap(), b.cap());
             assert_eq!(a.pkg_counter(), b.pkg_counter());
-            assert_eq!(a.dram_energy(), b.dram_energy());
+            assert_eq!(a.dram_counter(), b.dram_counter());
         }
     }
 }
