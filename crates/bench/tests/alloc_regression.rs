@@ -28,10 +28,7 @@ fn main() {
         counts.reallocs
     );
     assert!(counts.allocs > 0, "counting window saw no allocations at all");
-    println!(
-        "alloc_regression: Cluster::with_size(100k): {} allocs, 0 reallocs",
-        counts.allocs
-    );
+    println!("alloc_regression: Cluster::with_size(100k): {} allocs, 0 reallocs", counts.allocs);
 
     // The rack-gradient path builds its thermal column through a map over
     // the module index: still exact-size, still zero reallocs.

@@ -64,10 +64,8 @@ pub fn max_alpha(budget: Watts, pmt: &PowerModelTable) -> Result<Alpha, BudgetEr
         return Err(BudgetError::NoModules);
     }
     let raw = raw_alpha(budget, pmt);
-    Alpha::try_new(raw).ok_or(BudgetError::InfeasibleBudget {
-        budget,
-        fleet_minimum: pmt.fleet_minimum(),
-    })
+    Alpha::try_new(raw)
+        .ok_or(BudgetError::InfeasibleBudget { budget, fleet_minimum: pmt.fleet_minimum() })
 }
 
 /// One module's derived power allocation.

@@ -60,13 +60,7 @@ impl Budgeter {
         budget: Watts,
         module_ids: &[usize],
     ) -> Result<PowerPlan, BudgetError> {
-        let req = PlanRequest {
-            budget,
-            module_ids,
-            workload,
-            pvt: &self.pvt,
-            seed: self.seed,
-        };
+        let req = PlanRequest { budget, module_ids, workload, pvt: &self.pvt, seed: self.seed };
         scheme.plan(cluster, &req)
     }
 

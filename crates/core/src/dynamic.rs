@@ -136,8 +136,7 @@ mod tests {
     #[test]
     fn multi_pvt_holds_one_table_per_micro() {
         let mut c = Cluster::with_size(SystemSpec::ha8k(), 12, SEED);
-        let micros =
-            vec![catalog::get(WorkloadId::Stream), catalog::get(WorkloadId::Ep)];
+        let micros = vec![catalog::get(WorkloadId::Stream), catalog::get(WorkloadId::Ep)];
         let multi = MultiPvt::generate(&mut c, &micros, SEED);
         assert_eq!(multi.len(), 2);
         assert!(multi.table(WorkloadId::Stream).is_some());
@@ -149,13 +148,11 @@ mod tests {
     #[test]
     fn selection_returns_a_candidate_with_finite_error() {
         let mut c = Cluster::with_size(SystemSpec::ha8k(), 24, SEED);
-        let micros =
-            vec![catalog::get(WorkloadId::Stream), catalog::get(WorkloadId::Ep)];
+        let micros = vec![catalog::get(WorkloadId::Stream), catalog::get(WorkloadId::Ep)];
         let multi = MultiPvt::generate(&mut c, &micros, SEED);
         let ids: Vec<usize> = (0..24).collect();
         let bt = catalog::get(WorkloadId::Bt);
-        let (winner, err) =
-            multi.select(&mut c, &bt, &ids, &[5, 11, 17], SEED).unwrap();
+        let (winner, err) = multi.select(&mut c, &bt, &ids, &[5, 11, 17], SEED).unwrap();
         assert!(micros.iter().any(|m| m.id == winner));
         assert!(err.is_finite() && err >= 0.0);
     }
@@ -164,13 +161,11 @@ mod tests {
     fn faithful_workload_selects_its_own_microbenchmark() {
         // STREAM predicted with the STREAM PVT should beat the EP PVT.
         let mut c = Cluster::with_size(SystemSpec::ha8k(), 24, SEED);
-        let micros =
-            vec![catalog::get(WorkloadId::Stream), catalog::get(WorkloadId::Ep)];
+        let micros = vec![catalog::get(WorkloadId::Stream), catalog::get(WorkloadId::Ep)];
         let multi = MultiPvt::generate(&mut c, &micros, SEED);
         let ids: Vec<usize> = (0..24).collect();
         let stream = catalog::get(WorkloadId::Stream);
-        let (winner, err) =
-            multi.select(&mut c, &stream, &ids, &[3, 9, 20], SEED).unwrap();
+        let (winner, err) = multi.select(&mut c, &stream, &ids, &[3, 9, 20], SEED).unwrap();
         assert_eq!(winner, WorkloadId::Stream);
         assert!(err < 1.0, "self-prediction should be near-exact, err = {err}%");
     }
@@ -182,11 +177,7 @@ mod tests {
         // phase A: DGEMM-like (hot); phase B: mVMC-like (cooler)
         let hot = catalog::get(WorkloadId::Dgemm);
         let cool = catalog::get(WorkloadId::Mvmc);
-        let pvt = PowerVariationTable::generate(
-            &mut c,
-            &catalog::get(WorkloadId::Stream),
-            SEED,
-        );
+        let pvt = PowerVariationTable::generate(&mut c, &catalog::get(WorkloadId::Stream), SEED);
         let t_hot = single_module_test_run(&mut c, 0, &hot, SEED);
         let t_cool = single_module_test_run(&mut c, 0, &cool, SEED);
         let pmt_hot = PowerModelTable::calibrate(&pvt, &t_hot, &ids).unwrap();

@@ -217,8 +217,7 @@ fn greedy_budgets(
                 continue; // already unconstrained
             }
             let a1 = ((budgets[i] + step - mins[i].value()) / spans[i]).clamp(0.0, 1.0);
-            let gain = (job.progress(Alpha::saturating(a1))
-                - job.progress(Alpha::saturating(a0)))
+            let gain = (job.progress(Alpha::saturating(a1)) - job.progress(Alpha::saturating(a0)))
                 * job.module_ids.len() as f64;
             if best.is_none_or(|(_, g)| gain > g) {
                 best = Some((i, gain));
@@ -366,11 +365,7 @@ impl Budgeter {
 /// second is the machine doing versus unconstrained").
 pub fn system_throughput(budgets: &[JobBudget], jobs: &[JobRequest]) -> f64 {
     let total_modules: usize = jobs.iter().map(|j| j.module_ids.len()).sum();
-    budgets
-        .iter()
-        .zip(jobs)
-        .map(|(b, j)| b.progress * j.module_ids.len() as f64)
-        .sum::<f64>()
+    budgets.iter().zip(jobs).map(|(b, j)| b.progress * j.module_ids.len() as f64).sum::<f64>()
         / total_modules as f64
 }
 
@@ -390,11 +385,8 @@ mod tests {
     fn setup() -> (Vec<JobRequest>, Watts) {
         let n = 96;
         let mut cluster = Cluster::with_size(SystemSpec::ha8k(), n, SEED);
-        let pvt = PowerVariationTable::generate(
-            &mut cluster,
-            &catalog::get(WorkloadId::Stream),
-            SEED,
-        );
+        let pvt =
+            PowerVariationTable::generate(&mut cluster, &catalog::get(WorkloadId::Stream), SEED);
         let mut jobs = Vec::new();
         for (w, ids) in [
             (WorkloadId::Dgemm, (0..48).collect::<Vec<_>>()),
@@ -448,8 +440,8 @@ mod tests {
     fn below_floor_budget_errors() {
         let (jobs, _) = setup();
         let floor: Watts = jobs.iter().map(|j| j.pmt.fleet_minimum()).sum();
-        let err = partition(floor * 0.9, &jobs, PartitionPolicy::FairFloorPlusUniformAlpha)
-            .unwrap_err();
+        let err =
+            partition(floor * 0.9, &jobs, PartitionPolicy::FairFloorPlusUniformAlpha).unwrap_err();
         assert!(matches!(err, BudgetError::InfeasibleBudget { .. }));
         assert!(partition(Watts(1e6), &[], PartitionPolicy::ThroughputGreedy).is_err());
     }
@@ -460,8 +452,7 @@ mod tests {
         // barely does. The greedy policy should give DGEMM a higher α than
         // the uniform-α policy does.
         let (jobs, budget) = setup();
-        let uniform =
-            partition(budget, &jobs, PartitionPolicy::FairFloorPlusUniformAlpha).unwrap();
+        let uniform = partition(budget, &jobs, PartitionPolicy::FairFloorPlusUniformAlpha).unwrap();
         let greedy = partition(budget, &jobs, PartitionPolicy::ThroughputGreedy).unwrap();
         let dgemm_uniform = uniform.iter().find(|p| p.workload == WorkloadId::Dgemm).unwrap();
         let dgemm_greedy = greedy.iter().find(|p| p.workload == WorkloadId::Dgemm).unwrap();
@@ -480,10 +471,9 @@ mod tests {
     #[test]
     fn generous_budget_makes_everyone_unconstrained() {
         let (jobs, _) = setup();
-        for policy in [
-            PartitionPolicy::FairFloorPlusUniformAlpha,
-            PartitionPolicy::ThroughputGreedy,
-        ] {
+        for policy in
+            [PartitionPolicy::FairFloorPlusUniformAlpha, PartitionPolicy::ThroughputGreedy]
+        {
             let parts = partition(Watts(1e6), &jobs, policy).unwrap();
             for p in &parts {
                 assert_eq!(p.alpha, Alpha::MAX, "{policy:?}/{}", p.workload);

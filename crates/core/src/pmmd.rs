@@ -226,10 +226,7 @@ mod tests {
         assert_eq!(table.violations, 0, "telescoped bins must sum to the budget");
         let [useful, throttle, headroom, _stranded] = table.energy_by_category();
         assert!(useful > 0.0, "a busy region burns useful watts");
-        assert!(
-            throttle + headroom >= 0.0,
-            "losses are non-negative by construction"
-        );
+        assert!(throttle + headroom >= 0.0, "losses are non-negative by construction");
 
         release_plan(&plan, &mut c);
     }

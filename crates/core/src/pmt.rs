@@ -307,18 +307,12 @@ mod tests {
         let (mut c, pvt) = setup(8);
         let dgemm = catalog::get(WorkloadId::Dgemm);
         let test = single_module_test_run(&mut c, 0, &dgemm, 13);
-        assert_eq!(
-            PowerModelTable::calibrate(&pvt, &test, &[]),
-            Err(BudgetError::NoModules)
-        );
+        assert_eq!(PowerModelTable::calibrate(&pvt, &test, &[]), Err(BudgetError::NoModules));
         assert_eq!(
             PowerModelTable::calibrate(&pvt, &test, &[99]),
             Err(BudgetError::UnknownModule { module_id: 99 })
         );
-        assert_eq!(
-            PowerModelTable::oracle(&mut c, &dgemm, &[], 13),
-            Err(BudgetError::NoModules)
-        );
+        assert_eq!(PowerModelTable::oracle(&mut c, &dgemm, &[], 13), Err(BudgetError::NoModules));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! *once per system*, which is the paper's key scalability argument versus
 //! per-job profiling of every allocation.
 
-use vap_obs::json::{self, Fields, FromJson, ObjectWriter, ToJson, Value};
 use vap_model::power::PowerActivity;
 use vap_model::units::GigaHertz;
+use vap_obs::json::{self, Fields, FromJson, ObjectWriter, ToJson, Value};
 use vap_sim::cluster::{Cluster, ModuleView};
 use vap_workloads::spec::WorkloadSpec;
 
@@ -386,9 +386,8 @@ mod tests {
                 },
             ],
         };
-        let with_means = pretty_pvt(
-            "\n  \"anchor_means\": [\n    95.5,\n    50.25,\n    12.0,\n    8.0\n  ],",
-        );
+        let with_means =
+            pretty_pvt("\n  \"anchor_means\": [\n    95.5,\n    50.25,\n    12.0,\n    8.0\n  ],");
         assert_eq!(
             PowerVariationTable::from_json(&with_means).unwrap(),
             expected([95.5, 50.25, 12.0, 8.0])

@@ -55,8 +55,14 @@ pub enum SchemeId {
 
 impl SchemeId {
     /// All six schemes, in the paper's legend order.
-    pub const ALL: [SchemeId; 6] =
-        [SchemeId::Naive, SchemeId::Pc, SchemeId::VaPcOr, SchemeId::VaPc, SchemeId::VaFsOr, SchemeId::VaFs];
+    pub const ALL: [SchemeId; 6] = [
+        SchemeId::Naive,
+        SchemeId::Pc,
+        SchemeId::VaPcOr,
+        SchemeId::VaPc,
+        SchemeId::VaFsOr,
+        SchemeId::VaFs,
+    ];
 
     /// Display name matching the paper's figures.
     pub fn name(self) -> &'static str {
@@ -136,7 +142,11 @@ impl SchemeId {
     /// Produce a plan. The cluster is needed mutably because the
     /// non-oracle schemes run (cheap) single-module tests on it and the
     /// oracle schemes measure the whole fleet.
-    pub fn plan(self, cluster: &mut Cluster, req: &PlanRequest<'_>) -> Result<PowerPlan, BudgetError> {
+    pub fn plan(
+        self,
+        cluster: &mut Cluster,
+        req: &PlanRequest<'_>,
+    ) -> Result<PowerPlan, BudgetError> {
         vap_obs::incr("scheme.plans");
         vap_obs::incr(self.plan_counter());
         if req.module_ids.is_empty() {
@@ -181,8 +191,7 @@ impl SchemeId {
             SchemeId::Naive => {
                 let spec = cluster.spec();
                 let cpu_tdp = spec.tdp.ok_or(BudgetError::MissingTdp { domain: "CPU" })?;
-                let dram_tdp =
-                    spec.dram_tdp.ok_or(BudgetError::MissingTdp { domain: "DRAM" })?;
+                let dram_tdp = spec.dram_tdp.ok_or(BudgetError::MissingTdp { domain: "DRAM" })?;
                 Ok(PowerModelTable::naive(
                     req.module_ids,
                     spec.pstates.f_max(),
@@ -385,9 +394,11 @@ mod tests {
     #[test]
     fn infeasible_budget_is_reported() {
         let (mut c, pvt) = setup(8);
-        let err = plan_for(SchemeId::VaPc, &mut c, &pvt, WorkloadId::Stream, Watts(40.0)).unwrap_err();
+        let err =
+            plan_for(SchemeId::VaPc, &mut c, &pvt, WorkloadId::Stream, Watts(40.0)).unwrap_err();
         assert!(matches!(err, BudgetError::InfeasibleBudget { .. }));
-        let err = plan_for(SchemeId::VaFsOr, &mut c, &pvt, WorkloadId::Stream, Watts(40.0)).unwrap_err();
+        let err =
+            plan_for(SchemeId::VaFsOr, &mut c, &pvt, WorkloadId::Stream, Watts(40.0)).unwrap_err();
         assert!(matches!(err, BudgetError::InfeasibleBudget { .. }));
     }
 
@@ -448,15 +459,13 @@ mod tests {
         let pc = plan_for(SchemeId::Pc, &mut c, &pvt, WorkloadId::Dgemm, Watts(75.0)).unwrap();
         w.apply_to(&mut c, SEED);
         apply_plan(&pc, &mut c);
-        let freqs: Vec<f64> =
-            c.effective_frequencies().iter().map(|f| f.value()).collect();
+        let freqs: Vec<f64> = c.effective_frequencies().iter().map(|f| f.value()).collect();
         let vf_pc = vap_stats::worst_case_variation(&freqs).unwrap();
 
         // Variation-aware FS: frequencies equalized.
         let fs = plan_for(SchemeId::VaFs, &mut c, &pvt, WorkloadId::Dgemm, Watts(75.0)).unwrap();
         apply_plan(&fs, &mut c);
-        let freqs: Vec<f64> =
-            c.effective_frequencies().iter().map(|f| f.value()).collect();
+        let freqs: Vec<f64> = c.effective_frequencies().iter().map(|f| f.value()).collect();
         let vf_fs = vap_stats::worst_case_variation(&freqs).unwrap();
 
         assert!(vf_pc > 1.04, "uniform caps should spread frequency, Vf = {vf_pc}");

@@ -93,7 +93,8 @@ fn partitions_conserve_the_budget_and_respect_floors() {
         let floor = floor_of(&jobs);
         let ceiling = ceiling_of(&jobs);
         // sweep from exactly-feasible to 30% past everyone-unconstrained
-        let budget = floor + (ceiling * 1.0 - floor) * headroom.min(1.0)
+        let budget = floor
+            + (ceiling * 1.0 - floor) * headroom.min(1.0)
             + ceiling * (headroom - 1.0).max(0.0);
         for policy in POLICIES {
             let parts = partition(budget, &jobs, policy).unwrap();
@@ -147,8 +148,7 @@ fn fair_policy_equalizes_alpha() {
         let jobs = requests(&shapes);
         let floor = floor_of(&jobs);
         let budget = floor + (ceiling_of(&jobs) - floor) * headroom;
-        let parts =
-            partition(budget, &jobs, PartitionPolicy::FairFloorPlusUniformAlpha).unwrap();
+        let parts = partition(budget, &jobs, PartitionPolicy::FairFloorPlusUniformAlpha).unwrap();
         for pair in parts.windows(2) {
             assert!(
                 (pair[0].alpha.value() - pair[1].alpha.value()).abs() < 1e-6,

@@ -144,8 +144,15 @@ mod tests {
 
     #[test]
     fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
-        let flags =
-            ["--prom", "--json", "--prom-clients", "--json-clients", "--seconds", "--out", "--help"];
+        let flags = [
+            "--prom",
+            "--json",
+            "--prom-clients",
+            "--json-clients",
+            "--seconds",
+            "--out",
+            "--help",
+        ];
         check("loadgen_args", 0x10ad, HOSTILE_CASES, |rng| {
             if let Ok(a) = Args::parse(hostile_args(rng, &flags).into_iter()) {
                 assert!(a.soak.prom_clients <= MAX_CLIENTS && a.soak.json_clients <= MAX_CLIENTS);

@@ -234,8 +234,19 @@ mod tests {
     #[test]
     fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
         let flags = [
-            "--mode", "sweep", "sched", "--prom-port", "--json-port", "--stdout-every", "--accel",
-            "--duration-s", "--ticks", "--scenario", "heatwave", "--modules", "--help",
+            "--mode",
+            "sweep",
+            "sched",
+            "--prom-port",
+            "--json-port",
+            "--stdout-every",
+            "--accel",
+            "--duration-s",
+            "--ticks",
+            "--scenario",
+            "heatwave",
+            "--modules",
+            "--help",
         ];
         check("daemon_config", 0xdae0, HOSTILE_CASES, |rng| {
             let args = hostile_args(rng, &flags);

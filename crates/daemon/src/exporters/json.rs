@@ -57,12 +57,10 @@ mod tests {
             assert!(first.contains("\"epoch\":1"), "{first}");
             assert!(first.contains("\"sim_time_s\":1"), "{first}");
             // publish two more epochs; the stream must deliver each once
-            registry
-                .publish(TelemetrySnapshot { sim_time_s: 2.0, ..TelemetrySnapshot::default() });
+            registry.publish(TelemetrySnapshot { sim_time_s: 2.0, ..TelemetrySnapshot::default() });
             let second = lines.next().unwrap().unwrap();
             assert!(second.contains("\"epoch\":2"), "{second}");
-            registry
-                .publish(TelemetrySnapshot { sim_time_s: 3.0, ..TelemetrySnapshot::default() });
+            registry.publish(TelemetrySnapshot { sim_time_s: 3.0, ..TelemetrySnapshot::default() });
             let third = lines.next().unwrap().unwrap();
             assert!(third.contains("\"epoch\":3"), "{third}");
             stop.raise();

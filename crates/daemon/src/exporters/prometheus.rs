@@ -23,7 +23,9 @@ pub fn serve_prometheus(listener: &TcpListener, registry: &SnapshotRegistry, sto
         ("GET", "/metrics") => {
             Response::ok("text/plain; version=0.0.4", render_prometheus(&registry.read()))
         }
-        ("GET", "/alerts") => Response::ok("application/json", render_alerts_json(&registry.read())),
+        ("GET", "/alerts") => {
+            Response::ok("application/json", render_alerts_json(&registry.read()))
+        }
         ("GET", "/") => Response::ok(
             "text/plain",
             "vap-daemon: live telemetry for the simulated fleet\n\
@@ -99,12 +101,8 @@ pub fn render_prometheus(snap: &TelemetrySnapshot) -> String {
         "1 when RAPL is actively limiting the module, else 0.",
     );
     for m in &snap.modules {
-        let _ = writeln!(
-            out,
-            "vap_module_throttled{{module=\"{}\"}} {}",
-            m.id,
-            u8::from(m.throttled)
-        );
+        let _ =
+            writeln!(out, "vap_module_throttled{{module=\"{}\"}} {}", m.id, u8::from(m.throttled));
     }
 
     gauge_header(

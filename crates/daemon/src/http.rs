@@ -132,11 +132,9 @@ fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Resul
 fn handle_connection(mut stream: TcpStream, handler: &(impl Fn(&Request) -> Response + Sync)) {
     let response = match read_request(&stream) {
         Ok(request) => handler(&request),
-        Err(_) => Response {
-            status: 400,
-            content_type: "text/plain",
-            body: "bad request\n".to_string(),
-        },
+        Err(_) => {
+            Response { status: 400, content_type: "text/plain", body: "bad request\n".to_string() }
+        }
     };
     // A scraper that hung up early is its problem, not ours.
     let _ = write_response(&mut stream, &response);

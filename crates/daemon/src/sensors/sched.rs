@@ -12,7 +12,9 @@ use vap_obs::TelemetrySnapshot;
 use vap_report::experiments::common;
 use vap_report::options::RunOptions;
 use vap_scenario::{Scenario, ScenarioRuntime};
-use vap_sched::{QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen};
+use vap_sched::{
+    QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen,
+};
 use vap_sim::scheduler::AllocationPolicy;
 
 /// Per-module cap level for the campaign (W): the middle rung of the
@@ -59,8 +61,7 @@ impl SchedCampaign {
         };
         let mut runtime = SchedRuntime::new(cluster, budgeter.pvt().clone(), opts.seed, cfg);
         if scenario != Scenario::Null {
-            let last_arrival_s =
-                trace.jobs.last().map_or(0.0, |j| j.at_s).max(1.0);
+            let last_arrival_s = trace.jobs.last().map_or(0.0, |j| j.at_s).max(1.0);
             runtime = runtime.with_scenario(ScenarioRuntime::new(
                 scenario,
                 n,
@@ -75,10 +76,7 @@ impl SchedCampaign {
     /// Returning [`ControlFlow::Break`] from `publish` stops the replay
     /// early (shutdown); either way the scheduler's final report comes
     /// back for the exit summary.
-    pub fn run(
-        self,
-        mut publish: impl FnMut(TelemetrySnapshot) -> ControlFlow<()>,
-    ) -> SchedReport {
+    pub fn run(self, mut publish: impl FnMut(TelemetrySnapshot) -> ControlFlow<()>) -> SchedReport {
         let SchedCampaign { runtime, trace } = self;
         runtime.run_with(&trace, |rt| {
             vap_obs::incr("daemon.ticks");
@@ -125,7 +123,11 @@ mod tests {
         let mut count = 0usize;
         SchedCampaign::from_options(&small()).run(|_| {
             count += 1;
-            if count == 3 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+            if count == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         });
         assert_eq!(count, 3);
     }

@@ -66,8 +66,7 @@ impl CapSweepSensor {
         let scale = self.scenario.as_ref().map_or(1.0, |s| s.shock_scale());
         match CAP_LADDER_W[self.rung] {
             Some(cap_w) => {
-                self.cluster
-                    .set_uniform_cap(RaplLimit::with_default_window(Watts(cap_w * scale)));
+                self.cluster.set_uniform_cap(RaplLimit::with_default_window(Watts(cap_w * scale)));
             }
             None => self.cluster.uncap_all(),
         }
@@ -224,8 +223,12 @@ mod tests {
             stream
         };
         let mut plain = CapSweepSensor::new(3, 2015, 40);
-        let mut null = CapSweepSensor::new(3, 2015, 40)
-            .with_scenario(ScenarioRuntime::new(Scenario::Null, 3, 40.0, 2015));
+        let mut null = CapSweepSensor::new(3, 2015, 40).with_scenario(ScenarioRuntime::new(
+            Scenario::Null,
+            3,
+            40.0,
+            2015,
+        ));
         assert_eq!(checksums(&mut plain), checksums(&mut null));
     }
 

@@ -185,8 +185,12 @@ fn drive_sensor(
                 // Spread the schedule over the tick budget; an unbounded
                 // run gets a one-hour horizon (the ladder repeats anyway).
                 let horizon_s = if cfg.ticks > 0 { cfg.ticks as f64 } else { 3600.0 };
-                sensor = sensor
-                    .with_scenario(ScenarioRuntime::new(cfg.scenario, n, horizon_s, opts.seed));
+                sensor = sensor.with_scenario(ScenarioRuntime::new(
+                    cfg.scenario,
+                    n,
+                    horizon_s,
+                    opts.seed,
+                ));
             }
             while !stop.raised() && !deadline.expired() {
                 let Some(snap) = sensor.tick() else { break };
@@ -251,8 +255,7 @@ mod tests {
 
     #[test]
     fn sched_run_finishes_the_trace() {
-        let options =
-            RunOptions { scale: 0.05, ..opts(16) };
+        let options = RunOptions { scale: 0.05, ..opts(16) };
         let summary = run(&options, &cfg(Mode::Sched, 0)).unwrap();
         assert_eq!(summary.mode, Mode::Sched);
         assert!(summary.published > 0);

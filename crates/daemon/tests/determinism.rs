@@ -13,7 +13,13 @@ use vap_obs::SnapshotRegistry;
 use vap_report::RunOptions;
 
 fn small_opts() -> RunOptions {
-    RunOptions { modules: Some(12), seed: 2015, scale: 0.05, threads: Some(1), ..RunOptions::default() }
+    RunOptions {
+        modules: Some(12),
+        seed: 2015,
+        scale: 0.05,
+        threads: Some(1),
+        ..RunOptions::default()
+    }
 }
 
 /// Replay the sched campaign, publishing into a registry while `readers`

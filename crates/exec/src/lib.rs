@@ -202,8 +202,7 @@ mod tests {
 
     #[test]
     fn par_grid_matches_serial_enumeration() {
-        let cells: Vec<(usize, usize)> =
-            (0..6).flat_map(|w| (0..7).map(move |c| (w, c))).collect();
+        let cells: Vec<(usize, usize)> = (0..6).flat_map(|w| (0..7).map(move |c| (w, c))).collect();
         let serial = par_grid(&cells, 1, |&(w, c)| w * 100 + c);
         let parallel = par_grid(&cells, 5, |&(w, c)| w * 100 + c);
         assert_eq!(serial, parallel);

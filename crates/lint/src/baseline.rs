@@ -89,9 +89,9 @@ impl Baseline {
                 "rule" => entry.rule = unquote(value, lineno)?,
                 "path" => entry.path = unquote(value, lineno)?,
                 "count" => {
-                    entry.count = value
-                        .parse()
-                        .map_err(|_| format!("line {lineno}: count is not an integer: `{value}`"))?;
+                    entry.count = value.parse().map_err(|_| {
+                        format!("line {lineno}: count is not an integer: `{value}`")
+                    })?;
                 }
                 other => return Err(format!("line {lineno}: unknown key `{other}`")),
             }

@@ -698,8 +698,7 @@ mod tests {
 
     #[test]
     fn empty_or_missing_root_is_an_error_not_a_clean_pass() {
-        let root = std::env::temp_dir()
-            .join(format!("vap-lint-cli-empty-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("vap-lint-cli-empty-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(&root).unwrap();
         assert!(scan(&Options::new(&root)).is_err(), "empty dir must not scan clean");

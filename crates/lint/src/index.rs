@@ -577,10 +577,8 @@ mod tests {
             "vap-report",
             "pub fn run() {\n    vap_exec::par_grid(&cells, 4, |c| cell(c));\n}\n",
         )];
-        let d = deps(&[
-            ("vap-report", &["vap-scenario", "vap-sched"]),
-            ("vap-scenario", &["vap-sim"]),
-        ]);
+        let d =
+            deps(&[("vap-report", &["vap-scenario", "vap-sched"]), ("vap-scenario", &["vap-sim"])]);
         let index = SymbolIndex::build(&files, d);
         for c in ["vap-report", "vap-scenario", "vap-sim"] {
             assert!(index.par_crates.contains(c), "{c} should be par-reachable");

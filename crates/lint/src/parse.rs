@@ -75,10 +75,7 @@ pub fn tokenize(code: &Lines) -> Vec<Tok<'_>> {
                 // extend numeric runs across `1.5` and `1e-6` shapes so a
                 // float literal is a single token
                 if bytes.get(start).is_some_and(u8::is_ascii_digit) {
-                    if i + 1 < bytes.len()
-                        && bytes[i] == b'.'
-                        && bytes[i + 1].is_ascii_digit()
-                    {
+                    if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
                         i += 1;
                         while i < bytes.len()
                             && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
@@ -413,8 +410,7 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 // `&'static T` has a lifetime tick right before it
                 let after_lifetime = i > 0 && toks[i - 1].text == "'";
                 if !after_lifetime {
-                    if let Some((item, next)) =
-                        parse_static(&toks, i, thread_local_until.is_some())
+                    if let Some((item, next)) = parse_static(&toks, i, thread_local_until.is_some())
                     {
                         out.statics.push(item);
                         i = next;
@@ -719,11 +715,7 @@ fn parse_struct(toks: &[Tok<'_>], at: usize) -> Option<(StructDef, usize)> {
 }
 
 /// Parse `static [mut] NAME: Type` (inside or outside `thread_local!`).
-fn parse_static(
-    toks: &[Tok<'_>],
-    at: usize,
-    in_thread_local: bool,
-) -> Option<(StaticItem, usize)> {
+fn parse_static(toks: &[Tok<'_>], at: usize, in_thread_local: bool) -> Option<(StaticItem, usize)> {
     let mut i = at + 1;
     let mut kind = if in_thread_local { StaticKind::ThreadLocal } else { StaticKind::Static };
     if toks.get(i).is_some_and(|t| t.text == "mut") {
@@ -1006,7 +998,9 @@ mod tests {
     #[test]
     fn macro_definition_structs_are_skipped() {
         // `$name` is not an ident token, so the macro template is ignored
-        let p = parse("macro_rules! unit {\n    () => {\n        pub struct $name(pub f64);\n    };\n}\n");
+        let p = parse(
+            "macro_rules! unit {\n    () => {\n        pub struct $name(pub f64);\n    };\n}\n",
+        );
         assert!(p.structs.is_empty());
     }
 

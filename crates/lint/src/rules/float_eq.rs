@@ -65,7 +65,23 @@ fn comparison_ops(line: &str) -> Vec<(usize, &'static str)> {
             let before = i.checked_sub(1).map(|j| bytes[j]);
             let after = bytes.get(i + 2);
             let op_char = |b: Option<&u8>| {
-                matches!(b, Some(b'=' | b'<' | b'>' | b'!' | b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^' | b'.'))
+                matches!(
+                    b,
+                    Some(
+                        b'=' | b'<'
+                            | b'>'
+                            | b'!'
+                            | b'+'
+                            | b'-'
+                            | b'*'
+                            | b'/'
+                            | b'%'
+                            | b'&'
+                            | b'|'
+                            | b'^'
+                            | b'.'
+                    )
+                )
             };
             if !op_char(before.as_ref()) && (after == Some(&b'-') || !op_char(after)) {
                 out.push((i, "=="));
@@ -115,10 +131,7 @@ fn token_before(line: &str, pos: usize) -> &str {
 fn token_after(line: &str, pos: usize) -> &str {
     let rest = line[pos..].trim_start();
     let sign = usize::from(rest.starts_with('-'));
-    let len = rest.as_bytes()[sign..]
-        .iter()
-        .take_while(|&&c| is_word_byte(c))
-        .count();
+    let len = rest.as_bytes()[sign..].iter().take_while(|&&c| is_word_byte(c)).count();
     &rest[..sign + len]
 }
 

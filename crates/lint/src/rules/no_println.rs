@@ -51,7 +51,11 @@ mod tests {
     fn findings(path: &str, krate: &str, src: &str) -> Vec<Finding> {
         let f = SourceFile::from_source(path, krate, src);
         let mut out = Vec::new();
-        NoPrintlnInLib.check(&f, &Context { index: &crate::index::SymbolIndex::default() }, &mut out);
+        NoPrintlnInLib.check(
+            &f,
+            &Context { index: &crate::index::SymbolIndex::default() },
+            &mut out,
+        );
         out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
         out
     }

@@ -161,12 +161,8 @@ mod tests {
                 "pub fn lookup(n: usize) -> usize {\n    n\n}\n",
             ),
         ];
-        let hits = findings(
-            &defs,
-            "crates/sim/src/x.rs",
-            "vap-sim",
-            "pub fn f() {\n    lookup(1);\n}\n",
-        );
+        let hits =
+            findings(&defs, "crates/sim/src/x.rs", "vap-sim", "pub fn f() {\n    lookup(1);\n}\n");
         assert!(hits.is_empty());
     }
 

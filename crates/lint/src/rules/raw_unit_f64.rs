@@ -160,13 +160,7 @@ fn is_unit_name(name: &str) -> bool {
     if STOPLIST.iter().any(|s| lower.contains(s)) {
         return false;
     }
-    UNIT_HINTS.iter().any(|h| {
-        if *h == "_w" {
-            lower.ends_with("_w")
-        } else {
-            lower.contains(h)
-        }
-    })
+    UNIT_HINTS.iter().any(|h| if *h == "_w" { lower.ends_with("_w") } else { lower.contains(h) })
 }
 
 #[cfg(test)]

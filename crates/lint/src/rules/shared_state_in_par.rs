@@ -29,8 +29,17 @@ use crate::source::SourceFile;
 
 /// Type heads that give a `static` interior mutability.
 const INTERIOR_MUTABLE: [&str; 11] = [
-    "Mutex", "RwLock", "RefCell", "Cell", "UnsafeCell", "OnceLock", "OnceCell", "LazyLock",
-    "AtomicUsize", "AtomicU64", "AtomicBool",
+    "Mutex",
+    "RwLock",
+    "RefCell",
+    "Cell",
+    "UnsafeCell",
+    "OnceLock",
+    "OnceCell",
+    "LazyLock",
+    "AtomicUsize",
+    "AtomicU64",
+    "AtomicBool",
 ];
 
 /// The `shared-state-in-par` rule.
@@ -54,11 +63,9 @@ impl Rule for SharedStateInPar {
                 }
                 let mutable = match item.kind {
                     StaticKind::StaticMut | StaticKind::ThreadLocal => true,
-                    StaticKind::Static => {
-                        INTERIOR_MUTABLE.iter().any(|t| {
-                            item.ty.starts_with(t) || item.ty.contains("Atomic")
-                        })
-                    }
+                    StaticKind::Static => INTERIOR_MUTABLE
+                        .iter()
+                        .any(|t| item.ty.starts_with(t) || item.ty.contains("Atomic")),
                 };
                 if !mutable {
                     continue; // a plain immutable static cannot race
@@ -217,13 +224,7 @@ mod tests {
         let src = "static TABLE: [f64; 4] = [1.0, 2.0, 3.0, 4.0];\n\
                    static mut COUNTER: u64 = 0;\n\
                    thread_local! {\n    static SCRATCH: RefCell<Vec<f64>> = x;\n}\n";
-        let hits = findings_with_deps(
-            "crates/sim/src/state.rs",
-            "vap-sim",
-            src,
-            &[SIM_PAR],
-            &[],
-        );
+        let hits = findings_with_deps("crates/sim/src/state.rs", "vap-sim", src, &[SIM_PAR], &[]);
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits[0].message.contains("static mut"));
         assert!(hits[1].message.contains("thread_local"));

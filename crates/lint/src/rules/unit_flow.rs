@@ -155,10 +155,8 @@ mod tests {
 
     /// Build an index over `defs` and lint `src` against it.
     fn findings(defs: &[(&str, &str, &str)], path: &str, krate: &str, src: &str) -> Vec<Finding> {
-        let mut files: Vec<SourceFile> = defs
-            .iter()
-            .map(|(p, k, s)| SourceFile::from_source(p, k, s))
-            .collect();
+        let mut files: Vec<SourceFile> =
+            defs.iter().map(|(p, k, s)| SourceFile::from_source(p, k, s)).collect();
         files.push(SourceFile::from_source(path, krate, src));
         let index = SymbolIndex::build(&files, BTreeMap::new());
         let f = files.last().unwrap();

@@ -207,8 +207,7 @@ mod tests {
         fs::write(root.join("Cargo.toml"), "[package]\nname = \"vap\"\n").unwrap();
         fs::write(root.join("src/lib.rs"), "").unwrap();
         fs::create_dir_all(root.join("crates/core/src/sub")).unwrap();
-        fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"vap-core\"\n")
-            .unwrap();
+        fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"vap-core\"\n").unwrap();
         fs::write(root.join("crates/core/src/lib.rs"), "").unwrap();
         fs::write(root.join("crates/core/src/sub/m.rs"), "").unwrap();
         fs::write(root.join("crates/core/src/notes.txt"), "").unwrap();
@@ -228,8 +227,7 @@ mod tests {
         let root = scratch("symlink");
         let src = root.join("crates/core/src");
         fs::create_dir_all(&src).unwrap();
-        fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"vap-core\"\n")
-            .unwrap();
+        fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"vap-core\"\n").unwrap();
         fs::write(src.join("lib.rs"), "").unwrap();
         let rels = |root: &Path| -> Vec<String> {
             workspace_files(root).unwrap().into_iter().map(|f| f.rel).collect()

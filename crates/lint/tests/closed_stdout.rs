@@ -23,8 +23,5 @@ fn closed_stdout_is_an_error_not_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(
-        stderr.starts_with("vap-lint: error: writing output: "),
-        "stderr: {stderr}"
-    );
+    assert!(stderr.starts_with("vap-lint: error: writing output: "), "stderr: {stderr}");
 }

@@ -42,13 +42,13 @@ fn unit_flow_catches_the_seeded_cross_crate_violations() {
     // across the flow -> units crate boundary
     let flow = "crates/flow/src/lib.rs";
     assert!(
-        hits.iter().any(|f| f.path == flow && f.message.contains("95.0")
-            && f.message.contains("Watts")),
+        hits.iter()
+            .any(|f| f.path == flow && f.message.contains("95.0") && f.message.contains("Watts")),
         "literal into Watts param not caught: {hits:#?}"
     );
     assert!(
-        hits.iter().any(|f| f.path == flow && f.message.contains("old.0")
-            && f.message.contains("Watts")),
+        hits.iter()
+            .any(|f| f.path == flow && f.message.contains("old.0") && f.message.contains("Watts")),
         "projection arithmetic into Watts param not caught: {hits:#?}"
     );
     // part C: constructor laundering
@@ -58,8 +58,7 @@ fn unit_flow_catches_the_seeded_cross_crate_violations() {
     );
     // part B: pub fn returning raw f64 from unit inputs
     assert!(
-        hits.iter().any(|f| f.path == "crates/units/src/lib.rs"
-            && f.message.contains("headroom")),
+        hits.iter().any(|f| f.path == "crates/units/src/lib.rs" && f.message.contains("headroom")),
         "pub raw-f64 return not caught: {hits:#?}"
     );
     // exactly the seeded set — the clean fns must stay quiet
@@ -218,8 +217,9 @@ fn index_round_trips_real_workspace_signatures() {
     // a method: DynamicsResult::converged_frequency(&self) -> GigaHertz
     let cf = members(&index, "converged_frequency", true, 0);
     assert!(
-        cf.iter().any(|c| c.path == "crates/sim/src/dynamics.rs"
-            && c.sig.ret.as_deref() == Some("GigaHertz")),
+        cf.iter()
+            .any(|c| c.path == "crates/sim/src/dynamics.rs"
+                && c.sig.ret.as_deref() == Some("GigaHertz")),
         "{cf:#?}"
     );
     // receiver kind and arity are part of the key

@@ -72,10 +72,7 @@ fn baseline_carries_no_accepted_debt() {
     // baseline entry.
     let text = std::fs::read_to_string(workspace_root().join("lint-baseline.toml"))
         .expect("baseline file");
-    assert!(
-        !text.contains("[[entry]]"),
-        "lint-baseline.toml has regrown entries:\n{text}"
-    );
+    assert!(!text.contains("[[entry]]"), "lint-baseline.toml has regrown entries:\n{text}");
 }
 
 #[test]

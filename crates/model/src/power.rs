@@ -104,8 +104,8 @@ impl CpuPowerModel {
         variation: &ModuleVariation,
         thermal: f64,
     ) -> Watts {
-        let dynamic =
-            self.dynamic_scale * (variation.effective_dynamic() * activity * self.voltage.dynamic_shape(f));
+        let dynamic = self.dynamic_scale
+            * (variation.effective_dynamic() * activity * self.voltage.dynamic_shape(f));
         let leak = self.leakage * (variation.leakage * thermal);
         dynamic + leak + self.idle
     }
@@ -178,7 +178,13 @@ pub struct ModulePowerModel {
 
 impl ModulePowerModel {
     /// CPU package power.
-    pub fn cpu_power(&self, f: GigaHertz, act: PowerActivity, v: &ModuleVariation, thermal: f64) -> Watts {
+    pub fn cpu_power(
+        &self,
+        f: GigaHertz,
+        act: PowerActivity,
+        v: &ModuleVariation,
+        thermal: f64,
+    ) -> Watts {
         self.cpu.power(f, act.cpu, v, thermal)
     }
 
@@ -189,7 +195,13 @@ impl ModulePowerModel {
 
     /// Module (CPU + DRAM) power — the quantity the paper budgets
     /// (`P_module = P_cpu + P_dram`, Eq. 4).
-    pub fn module_power(&self, f: GigaHertz, act: PowerActivity, v: &ModuleVariation, thermal: f64) -> Watts {
+    pub fn module_power(
+        &self,
+        f: GigaHertz,
+        act: PowerActivity,
+        v: &ModuleVariation,
+        thermal: f64,
+    ) -> Watts {
         self.cpu_power(f, act, v, thermal) + self.dram_power(f, act, v)
     }
 }
@@ -286,7 +298,8 @@ mod tests {
 
     #[test]
     fn dram_power_scales_with_activity_and_variation() {
-        let d = DramPowerModel { standby: Watts(4.0), base: Watts(10.0), slope_per_ghz: Watts(3.0) };
+        let d =
+            DramPowerModel { standby: Watts(4.0), base: Watts(10.0), slope_per_ghz: Watts(3.0) };
         let v = nominal();
         let idle = d.power(GigaHertz(2.0), 0.0, &v);
         assert_eq!(idle, Watts(4.0));
@@ -301,7 +314,11 @@ mod tests {
     fn module_power_is_sum_of_domains() {
         let mm = ModulePowerModel {
             cpu: model(),
-            dram: DramPowerModel { standby: Watts(4.0), base: Watts(10.0), slope_per_ghz: Watts(3.0) },
+            dram: DramPowerModel {
+                standby: Watts(4.0),
+                base: Watts(10.0),
+                slope_per_ghz: Watts(3.0),
+            },
         };
         let v = nominal();
         let act = PowerActivity { cpu: 1.0, dram: 0.5 };

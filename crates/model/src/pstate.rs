@@ -168,7 +168,10 @@ mod tests {
 
     #[test]
     fn unordered_duplicated_input_is_normalized() {
-        let t = PStateTable::new(&[GigaHertz(2.0), GigaHertz(1.0), GigaHertz(2.0), GigaHertz(1.5)], None);
+        let t = PStateTable::new(
+            &[GigaHertz(2.0), GigaHertz(1.0), GigaHertz(2.0), GigaHertz(1.5)],
+            None,
+        );
         assert_eq!(t.frequencies().len(), 3);
         assert_eq!(t.f_min(), GigaHertz(1.0));
         assert_eq!(t.f_max(), GigaHertz(2.0));

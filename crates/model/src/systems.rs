@@ -35,7 +35,8 @@ pub enum SystemId {
 
 impl SystemId {
     /// All four systems.
-    pub const ALL: [SystemId; 4] = [SystemId::Cab, SystemId::Vulcan, SystemId::Teller, SystemId::Ha8k];
+    pub const ALL: [SystemId; 4] =
+        [SystemId::Cab, SystemId::Vulcan, SystemId::Teller, SystemId::Ha8k];
 }
 
 /// The power measurement technique available on a system (Table 1).
@@ -196,7 +197,8 @@ impl SystemSpec {
             tdp: Some(Watts(115.0)),
             dram_tdp: None, // DRAM readings unavailable (BIOS restrictions)
             measurement: MeasurementTech::Rapl,
-            pstates: PStateTable::evenly_spaced(GigaHertz(1.2), GigaHertz(2.6), GigaHertz(0.1)).with_turbo(GigaHertz(3.3)),
+            pstates: PStateTable::evenly_spaced(GigaHertz(1.2), GigaHertz(2.6), GigaHertz(0.1))
+                .with_turbo(GigaHertz(3.3)),
             power_model: ModulePowerModel {
                 cpu: CpuPowerModel {
                     voltage: VoltageCurve { v0: 0.60, v1: 0.10 },
@@ -285,7 +287,8 @@ impl SystemSpec {
             tdp: Some(Watts(100.0)),
             dram_tdp: None,
             measurement: MeasurementTech::PowerInsight,
-            pstates: PStateTable::evenly_spaced(GigaHertz(1.4), GigaHertz(3.8), GigaHertz(0.2)).with_turbo(GigaHertz(4.2)),
+            pstates: PStateTable::evenly_spaced(GigaHertz(1.4), GigaHertz(3.8), GigaHertz(0.2))
+                .with_turbo(GigaHertz(4.2)),
             power_model: ModulePowerModel {
                 cpu: CpuPowerModel {
                     voltage: VoltageCurve { v0: 0.55, v1: 0.11 },

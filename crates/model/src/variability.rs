@@ -203,9 +203,7 @@ impl DriftSkew {
     /// is only ever produced by the `IDENTITY` constant, never computed).
     pub fn is_identity(&self) -> bool {
         let one = 1.0f64.to_bits();
-        self.dynamic.to_bits() == one
-            && self.leakage.to_bits() == one
-            && self.dram.to_bits() == one
+        self.dynamic.to_bits() == one && self.leakage.to_bits() == one && self.dram.to_bits() == one
     }
 
     /// Sequential drift events accumulate multiplicatively.

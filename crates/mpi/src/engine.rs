@@ -75,7 +75,15 @@ pub trait Recorder {
     /// Rank `rank` executed op `step` of kind `kind` over
     /// `[start, end)` seconds, of which `wait` was spent blocked on
     /// partners.
-    fn record(&mut self, rank: usize, step: usize, kind: crate::timeline::OpKind, start: f64, end: f64, wait: f64);
+    fn record(
+        &mut self,
+        rank: usize,
+        step: usize,
+        kind: crate::timeline::OpKind,
+        start: f64,
+        end: f64,
+        wait: f64,
+    );
 }
 
 /// A recorder that records nothing.
@@ -131,7 +139,15 @@ pub fn run_recorded(
                 }
             }
             Op::Barrier => {
-                sync_all(&mut t, &mut wait, &mut comm_t, comm.barrier(n).value(), step, OpKind::Barrier, rec);
+                sync_all(
+                    &mut t,
+                    &mut wait,
+                    &mut comm_t,
+                    comm.barrier(n).value(),
+                    step,
+                    OpKind::Barrier,
+                    rec,
+                );
             }
             Op::Allreduce { bytes } => {
                 sync_all(
@@ -151,7 +167,14 @@ pub fn run_recorded(
                     let left = snapshot[(r + n - offset % n) % n];
                     let right = snapshot[(r + offset) % n];
                     let ready = snapshot[r].max(left).max(right);
-                    rec.record(r, step, OpKind::Sendrecv, snapshot[r], ready + cost, ready - snapshot[r]);
+                    rec.record(
+                        r,
+                        step,
+                        OpKind::Sendrecv,
+                        snapshot[r],
+                        ready + cost,
+                        ready - snapshot[r],
+                    );
                     wait[r] += ready - snapshot[r];
                     comm_t[r] += cost;
                     t[r] = ready + cost;
@@ -299,10 +322,7 @@ mod tests {
 
     #[test]
     fn load_multipliers_create_imbalance() {
-        let p = ProgramBuilder::new()
-            .compute(10.0)
-            .build()
-            .with_load_multipliers(vec![1.0, 2.0]);
+        let p = ProgramBuilder::new().compute(10.0).build().with_load_multipliers(vec![1.0, 2.0]);
         let res = run(&p, &[1.0, 1.0], &ideal());
         assert_eq!(res.rank_times[1], Seconds(20.0));
         assert_eq!(res.vt(), Some(2.0));

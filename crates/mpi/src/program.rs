@@ -127,10 +127,7 @@ impl Program {
 
     /// Total compute work per rank at multiplier 1.0, in reference seconds.
     pub fn total_work(&self) -> f64 {
-        self.ops
-            .iter()
-            .map(|op| if let Op::Compute { work } = op { *work } else { 0.0 })
-            .sum()
+        self.ops.iter().map(|op| if let Op::Compute { work } = op { *work } else { 0.0 }).sum()
     }
 
     /// Number of synchronizing ops.
@@ -227,8 +224,7 @@ mod tests {
         assert_eq!(nm.factor(3, 7), nm.factor(3, 7));
         assert_ne!(nm.factor(3, 7), nm.factor(3, 8));
         assert_ne!(nm.factor(3, 7), nm.factor(4, 7));
-        let mean: f64 =
-            (0..5000).map(|i| nm.factor(i % 13, i)).sum::<f64>() / 5000.0;
+        let mean: f64 = (0..5000).map(|i| nm.factor(i % 13, i)).sum::<f64>() / 5000.0;
         assert!((mean - 1.0).abs() < 0.002, "noise mean {mean}");
         // all factors positive and bounded
         for i in 0..1000 {

@@ -51,7 +51,15 @@ pub struct Timeline {
 }
 
 impl Recorder for Timeline {
-    fn record(&mut self, rank: usize, step: usize, kind: OpKind, _start: f64, _end: f64, wait: f64) {
+    fn record(
+        &mut self,
+        rank: usize,
+        step: usize,
+        kind: OpKind,
+        _start: f64,
+        _end: f64,
+        wait: f64,
+    ) {
         self.ranks = self.ranks.max(rank + 1);
         if kind.is_sync() {
             self.sync.push(SyncWait { rank, step, wait });
@@ -94,12 +102,7 @@ impl Timeline {
     /// `None` when the program has no synchronizing ops.
     pub fn critical_rank(&self) -> Option<usize> {
         let counts = self.straggler_counts();
-        counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .filter(|(_, &c)| c > 0)
-            .map(|(r, _)| r)
+        counts.iter().enumerate().max_by_key(|(_, &c)| c).filter(|(_, &c)| c > 0).map(|(r, _)| r)
     }
 
     /// Fraction of synchronization steps paced by the critical rank — 1.0
@@ -150,23 +153,19 @@ mod tests {
 
     #[test]
     fn equal_rates_have_no_dominant_straggler() {
-        let p = ProgramBuilder::new()
-            .compute(1.0)
-            .barrier()
-            .build()
-            .with_compute_noise(0.02, 7);
+        let p = ProgramBuilder::new().compute(1.0).barrier().build().with_compute_noise(0.02, 7);
         let rates = vec![1.0; 16];
         let (_, tl) = Timeline::capture(&p, &rates, &CommParams::ideal());
         // someone is always last, but with one sync op dominance is trivially 1;
         // use a longer noisy program to see rotation
         let body = [Op::Compute { work: 1.0 }, Op::Barrier];
-        let p = ProgramBuilder::new()
-            .iterations(50, &body)
-            .build()
-            .with_compute_noise(0.02, 7);
+        let p = ProgramBuilder::new().iterations(50, &body).build().with_compute_noise(0.02, 7);
         let (_, tl2) = Timeline::capture(&p, &rates, &CommParams::ideal());
-        assert!(tl2.critical_dominance().unwrap() < 0.5,
-            "noise should rotate the straggler, got {}", tl2.critical_dominance().unwrap());
+        assert!(
+            tl2.critical_dominance().unwrap() < 0.5,
+            "noise should rotate the straggler, got {}",
+            tl2.critical_dominance().unwrap()
+        );
         drop(tl);
     }
 

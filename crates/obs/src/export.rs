@@ -381,24 +381,26 @@ pub(crate) fn build_report(inner: &Inner) -> ObsReport {
     let mut journal = String::new();
     line_to(&mut journal, &JournalLine::Meta { version: JOURNAL_VERSION });
     for (id, g) in inner.grids.iter().enumerate() {
-        line_to(&mut journal, &JournalLine::Grid {
-            id: id as u64,
-            kind: g.kind.to_string(),
-            items: g.items,
-        });
+        line_to(
+            &mut journal,
+            &JournalLine::Grid { id: id as u64, kind: g.kind.to_string(), items: g.items },
+        );
     }
     let mut totals = inner.direct.metrics.clone();
     for ((grid, index), cell) in &inner.cells {
         totals.merge(&cell.scope.metrics);
         let (counters, histograms) = snapshot_maps(&cell.scope.metrics);
-        line_to(&mut journal, &JournalLine::Cell {
-            grid: *grid,
-            index: *index,
-            kind: cell.kind.to_string(),
-            label: cell.label.clone(),
-            counters,
-            histograms,
-        });
+        line_to(
+            &mut journal,
+            &JournalLine::Cell {
+                grid: *grid,
+                index: *index,
+                kind: cell.kind.to_string(),
+                label: cell.label.clone(),
+                counters,
+                histograms,
+            },
+        );
     }
     // ledger rollups, then decisions, then scenario perturbations: each
     // block walks the scopes (cells in (grid, index) order, driver last),
@@ -406,14 +408,17 @@ pub(crate) fn build_report(inner: &Inner) -> ObsReport {
     for (grid, index, scope) in inner.scopes() {
         let t = &scope.ledger;
         if !t.is_empty() {
-            line_to(&mut journal, &JournalLine::Ledger {
-                grid,
-                index,
-                ticks: t.ticks.len() as u64,
-                violations: t.violations,
-                worst_residual_w: t.worst_residual_w,
-                bins: t.bin_records(),
-            });
+            line_to(
+                &mut journal,
+                &JournalLine::Ledger {
+                    grid,
+                    index,
+                    ticks: t.ticks.len() as u64,
+                    violations: t.violations,
+                    worst_residual_w: t.worst_residual_w,
+                    bins: t.bin_records(),
+                },
+            );
         }
     }
     for (grid, index, scope) in inner.scopes() {
@@ -451,17 +456,18 @@ fn csv_label(label: &Option<String>) -> String {
 fn metrics_csv(inner: &Inner, totals: &Metrics) -> String {
     let mut out = String::from(METRICS_CSV_HEADER);
     out.push('\n');
-    let mut emit = |scope: &str, grid: String, index: String, kind: &str, label: String, m: &Metrics| {
-        for (name, v) in m.counters() {
-            out.push_str(&format!("{scope},{grid},{index},{kind},{label},{name},{v},,,,\n"));
-        }
-        for (name, h) in m.histograms() {
-            out.push_str(&format!(
-                "{scope},{grid},{index},{kind},{label},{name},,{},{},{},{}\n",
-                h.count, h.sum, h.min, h.max
-            ));
-        }
-    };
+    let mut emit =
+        |scope: &str, grid: String, index: String, kind: &str, label: String, m: &Metrics| {
+            for (name, v) in m.counters() {
+                out.push_str(&format!("{scope},{grid},{index},{kind},{label},{name},{v},,,,\n"));
+            }
+            for (name, h) in m.histograms() {
+                out.push_str(&format!(
+                    "{scope},{grid},{index},{kind},{label},{name},,{},{},{},{}\n",
+                    h.count, h.sum, h.min, h.max
+                ));
+            }
+        };
     for ((grid, index), cell) in &inner.cells {
         emit(
             "cell",
@@ -559,8 +565,7 @@ pub fn validate_ledger_csv(csv: &str) -> Result<LedgerCsvStats, String> {
                 let value: f64 = fields[11]
                     .parse()
                     .map_err(|e| format!("row {n}: bad value {:?}: {e}", fields[11]))?;
-                let key =
-                    (fields[1].to_string(), fields[2].to_string(), fields[3].to_string());
+                let key = (fields[1].to_string(), fields[2].to_string(), fields[3].to_string());
                 let entry = ticks.entry(key).or_insert((cap, 0.0, 0));
                 if entry.0 != cap {
                     return Err(format!("row {n}: cap_w disagrees within a tick"));

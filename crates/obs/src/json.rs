@@ -763,9 +763,27 @@ mod tests {
     #[test]
     fn rejects_malformed_structure() {
         for bad in [
-            "", " ", "[", "]", "[1,]", "[1 2]", "{\"a\"}", "{\"a\":}", "{a:1}", "{\"a\":1,}",
-            "\"abc", "\"\\x\"", "\"\\u12\"", "\"a\u{1}b\"", "tru", "nul", "[1] 2", "{} {}",
-            "\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\"",
+            "",
+            " ",
+            "[",
+            "]",
+            "[1,]",
+            "[1 2]",
+            "{\"a\"}",
+            "{\"a\":}",
+            "{a:1}",
+            "{\"a\":1,}",
+            "\"abc",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"a\u{1}b\"",
+            "tru",
+            "nul",
+            "[1] 2",
+            "{} {}",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\ud800\\u0041\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

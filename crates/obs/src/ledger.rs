@@ -148,12 +148,7 @@ impl LedgerEntry {
     /// A domain-resolved per-module entry.
     pub fn module(job: u64, module: u64, domain: Domain, category: Category, watts: f64) -> Self {
         LedgerEntry {
-            key: BinKey {
-                job: Some(job),
-                module: Some(module),
-                domain: Some(domain),
-                category,
-            },
+            key: BinKey { job: Some(job), module: Some(module), domain: Some(domain), category },
             watts,
         }
     }
@@ -161,7 +156,12 @@ impl LedgerEntry {
     /// A job-level residue entry (budget minus Σ module allocations).
     pub fn job_residue(job: u64, watts: f64) -> Self {
         LedgerEntry {
-            key: BinKey { job: Some(job), module: None, domain: None, category: Category::Stranded },
+            key: BinKey {
+                job: Some(job),
+                module: None,
+                domain: None,
+                category: Category::Stranded,
+            },
             watts,
         }
     }
@@ -410,12 +410,7 @@ mod tests {
         a.record(balanced_tick(1.0, 160.0));
         let mut b = LedgerTable::new();
         b.record(balanced_tick(2.0, 160.0));
-        b.record(LedgerTick {
-            t_s: 3.0,
-            dt_s: 1.0,
-            cap_w: 10.0,
-            entries: vec![],
-        });
+        b.record(LedgerTick { t_s: 3.0, dt_s: 1.0, cap_w: 10.0, entries: vec![] });
         a.merge(&b);
         assert_eq!(a.ticks.len(), 3);
         assert_eq!(a.violations, 1, "the empty 10 W tick is unbalanced");

@@ -312,8 +312,7 @@ pub(crate) fn span_target() -> Option<(SessionRef, u32)> {
     if !enabled() {
         return None;
     }
-    let from_item =
-        ITEM.with(|slot| slot.borrow().as_ref().map(|c| (c.session.clone(), c.lane)));
+    let from_item = ITEM.with(|slot| slot.borrow().as_ref().map(|c| (c.session.clone(), c.lane)));
     if from_item.is_some() {
         return from_item;
     }

@@ -31,9 +31,7 @@ fn snapshot(seed: u64, modules: usize) -> TelemetrySnapshot {
         cap_w: 80.0 * modules as f64,
         running_jobs: seed % 7,
         queued_jobs: seed % 5,
-        modules: (0..modules as u64)
-            .map(|id| module_sample(id, seed.wrapping_add(id)))
-            .collect(),
+        modules: (0..modules as u64).map(|id| module_sample(id, seed.wrapping_add(id))).collect(),
         ..TelemetrySnapshot::default()
     }
 }
@@ -71,11 +69,15 @@ fn concurrent_reads_never_tear() {
                         // seqlock check: a stable epoch window pins the
                         // snapshot to exactly that publish
                         if before == after {
-                            assert_eq!(snap.epoch, before, "stale pointer inside stable epoch window");
+                            assert_eq!(
+                                snap.epoch, before,
+                                "stale pointer inside stable epoch window"
+                            );
                         }
                         assert!(
                             snap.epoch <= published.load(Ordering::SeqCst),
-                            "epoch {} never published", snap.epoch
+                            "epoch {} never published",
+                            snap.epoch
                         );
                         assert!(snap.epoch >= last, "epoch ran backwards");
                         last = snap.epoch;

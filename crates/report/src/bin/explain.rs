@@ -25,8 +25,7 @@ struct Query {
     window: f64,
 }
 
-const USAGE: &str =
-    "usage: explain --journal PATH [--job N] [--at SECONDS] [--window SECONDS]";
+const USAGE: &str = "usage: explain --journal PATH [--job N] [--at SECONDS] [--window SECONDS]";
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Query, String> {
     let mut journal = None;
@@ -192,8 +191,8 @@ fn main() {
 mod tests {
     use super::*;
     use vap_model::rng::check;
-    use vap_report::cli::{hostile_args, HOSTILE_CASES};
     use vap_obs::{BudgetDelta, WidthProbe};
+    use vap_report::cli::{hostile_args, HOSTILE_CASES};
 
     fn parse(args: &[&str]) -> Result<Query, String> {
         parse_args(args.iter().map(|s| s.to_string()))
@@ -201,8 +200,8 @@ mod tests {
 
     #[test]
     fn args_parse_and_validate() {
-        let q = parse(&["--journal", "j.jsonl", "--job", "3", "--at", "120", "--window", "5"])
-            .unwrap();
+        let q =
+            parse(&["--journal", "j.jsonl", "--job", "3", "--at", "120", "--window", "5"]).unwrap();
         assert_eq!(q.journal, "j.jsonl");
         assert_eq!(q.job, Some(3));
         assert_eq!(q.at, Some(120.0));

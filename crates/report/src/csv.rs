@@ -29,9 +29,8 @@ pub fn fig1(r: &fig1::Fig1Result) -> String {
 /// Fig. 2: one row per module per scenario per workload (all three panels'
 /// coordinates in one table).
 pub fn fig2(r: &fig2::Fig2Result) -> String {
-    let mut out = String::from(
-        "workload,cm_w,module_id,freq_ghz,cpu_power_w,module_power_w,norm_time\n",
-    );
+    let mut out =
+        String::from("workload,cm_w,module_id,freq_ghz,cpu_power_w,module_power_w,norm_time\n");
     for w in &r.workloads {
         for s in &w.scenarios {
             let cm = s.cm_w.map_or("uncapped".to_string(), |x| format!("{x:.0}"));
@@ -94,12 +93,7 @@ pub fn table4(r: &table4::Table4Result) -> String {
     let mut out = String::from("workload,cm_w,cs_kw,mark\n");
     for (w, marks) in &r.rows {
         for (cm, m) in r.cm_levels_w.iter().zip(marks) {
-            let _ = writeln!(
-                out,
-                "{w},{cm:.0},{:.1},{}",
-                cm * r.modules as f64 / 1e3,
-                m.mark()
-            );
+            let _ = writeln!(out, "{w},{cm:.0},{:.1},{}", cm * r.modules as f64 / 1e3, m.mark());
         }
     }
     out
@@ -190,10 +184,7 @@ mod tests {
 
     #[test]
     fn fig1_csv_has_one_row_per_unit() {
-        let r = crate::experiments::fig1::run(&RunOptions {
-            modules: Some(64),
-            ..opts()
-        });
+        let r = crate::experiments::fig1::run(&RunOptions { modules: Some(64), ..opts() });
         let csv = fig1(&r);
         let expected: usize = r.series.iter().map(|s| s.units).sum();
         assert_eq!(csv.lines().count(), expected + 1);
@@ -204,19 +195,14 @@ mod tests {
     fn fig2_csv_covers_all_scenarios() {
         let r = crate::experiments::fig2::run(&opts());
         let csv = fig2(&r);
-        let rows: usize = r
-            .workloads
-            .iter()
-            .map(|w| w.scenarios.len() * 16)
-            .sum();
+        let rows: usize = r.workloads.iter().map(|w| w.scenarios.len() * 16).sum();
         assert_eq!(csv.lines().count(), rows + 1);
         assert!(csv.contains("uncapped"));
     }
 
     #[test]
     fn fig5_and_fig6_csvs_parse_back() {
-        let r5 =
-            crate::experiments::fig5::run(&RunOptions { modules: Some(8), ..opts() }).unwrap();
+        let r5 = crate::experiments::fig5::run(&RunOptions { modules: Some(8), ..opts() }).unwrap();
         let csv = fig5(&r5);
         // 2 workloads × 16 p-states + header
         assert_eq!(csv.lines().count(), 33);

@@ -27,11 +27,11 @@ use vap_core::pmt::PowerModelTable;
 use vap_core::pvt::PowerVariationTable;
 use vap_core::schemes::SchemeId;
 use vap_core::testrun::single_module_test_run;
-use vap_model::units::Watts;
-use vap_mpi::comm::CommParams;
 use vap_model::systems::SystemSpec;
 use vap_model::thermal::RackGradient;
+use vap_model::units::Watts;
 use vap_model::variability::VariabilityModel;
+use vap_mpi::comm::CommParams;
 use vap_sim::cluster::Cluster;
 use vap_stats::{worst_case_variation, Summary};
 use vap_workloads::catalog;
@@ -144,21 +144,16 @@ fn payoff_sweep(n: usize, seed: u64, scale: f64, threads: usize) -> Vec<PayoffPo
             // infeasible plan poisons the point's ratios with NaN
             // instead of panicking
             match budgeter.plan(cluster, scheme, &bt, budget, &ids) {
-                Ok(plan) => run_region(cluster, &plan, &bt, &program, &ids, &comm, seed)
-                    .makespan()
-                    .value(),
+                Ok(plan) => {
+                    run_region(cluster, &plan, &bt, &program, &ids, &comm, seed).makespan().value()
+                }
                 Err(_) => f64::NAN,
             }
         };
         let naive = time_of(SchemeId::Naive, &mut cluster);
         let pc = time_of(SchemeId::Pc, &mut cluster);
         let vafs = time_of(SchemeId::VaFs, &mut cluster);
-        PayoffPoint {
-            leakage_sigma: sigma,
-            vp,
-            vs_naive: naive / vafs,
-            vs_pc: pc / vafs,
-        }
+        PayoffPoint { leakage_sigma: sigma, vp, vs_naive: naive / vafs, vs_pc: pc / vafs }
     })
 }
 
@@ -187,7 +182,9 @@ fn variation_sources(n: usize, seed: u64, threads: usize) -> Vec<VariationSource
         cluster.set_activity_all(catalog::get(WorkloadId::Dgemm).activity);
         let powers: Vec<f64> = cluster.cpu_powers().iter().map(|p| p.value()).collect();
         match Summary::of(&powers) {
-            Some(s) => VariationSource { label, std_dev_w: s.std_dev, vp: s.worst_case_variation() },
+            Some(s) => {
+                VariationSource { label, std_dev_w: s.std_dev, vp: s.worst_case_variation() }
+            }
             // empty fleet: render as NaN, don't panic
             None => VariationSource { label, std_dev_w: f64::NAN, vp: f64::NAN },
         }
@@ -340,8 +337,7 @@ mod tests {
     #[test]
     fn stream_pvt_wins_for_stream_and_memory_coupled_codes() {
         let r = result();
-        let stream_row =
-            r.pvt_choice.iter().find(|x| x.workload == WorkloadId::Stream).unwrap();
+        let stream_row = r.pvt_choice.iter().find(|x| x.workload == WorkloadId::Stream).unwrap();
         assert_eq!(stream_row.winner(), WorkloadId::Stream);
         assert!(stream_row.stream_pct < 0.5);
     }
@@ -367,8 +363,12 @@ mod tests {
         // application-awareness is worth something even at sigma 0
         assert!(first.vs_naive > 1.0);
         // more variability → more for variation-awareness to win back
-        assert!(last.vs_pc > first.vs_pc + 0.2,
-            "variation payoff should grow: {} -> {}", first.vs_pc, last.vs_pc);
+        assert!(
+            last.vs_pc > first.vs_pc + 0.2,
+            "variation payoff should grow: {} -> {}",
+            first.vs_pc,
+            last.vs_pc
+        );
         assert!(last.vs_naive > first.vs_naive + 0.2);
         // and the fleet Vp grows monotonically with sigma
         for pair in r.payoff.windows(2) {

@@ -23,8 +23,8 @@ use vap_model::units::{Seconds, Watts};
 use vap_obs::DriftDetector;
 use vap_scenario::{observe_drift, Effect, RecalPolicy, Recalibrator, Scenario, ScenarioRuntime};
 use vap_sim::cluster::Cluster;
-use vap_workloads::spec::{WorkloadId, WorkloadSpec};
 use vap_workloads::catalog;
+use vap_workloads::spec::{WorkloadId, WorkloadSpec};
 
 /// Campaign horizon (simulated seconds). Long enough for every scenario
 /// generator to place its full event schedule and for the drift
@@ -218,11 +218,8 @@ fn run_cell(
         if crit.is_finite() {
             stats.mean_crit_ghz += crit;
         }
-        let fleet_w: f64 = active
-            .iter()
-            .filter_map(|&i| cluster.get(i))
-            .map(|m| m.module_power().value())
-            .sum();
+        let fleet_w: f64 =
+            active.iter().filter_map(|&i| cluster.get(i)).map(|m| m.module_power().value()).sum();
         stats.mean_power_w += fleet_w;
         if let Some(p) = &plan {
             let over: f64 = p
@@ -265,9 +262,7 @@ pub fn run(opts: &RunOptions) -> DriftStudyResult {
     let cells: Vec<(Scenario, RecalPolicy, f64)> = Scenario::ALL
         .into_iter()
         .flat_map(|s| {
-            POLICIES
-                .into_iter()
-                .flat_map(move |p| CAP_LEVELS_W.into_iter().map(move |c| (s, p, c)))
+            POLICIES.into_iter().flat_map(move |p| CAP_LEVELS_W.into_iter().map(move |c| (s, p, c)))
         })
         .collect();
 
@@ -323,10 +318,7 @@ pub fn run(opts: &RunOptions) -> DriftStudyResult {
 /// Render the study.
 pub fn render(result: &DriftStudyResult) -> Table {
     let mut t = Table::new(
-        &format!(
-            "Stale-PVT drift study ({} modules, {:.0} s horizon)",
-            result.modules, HORIZON_S
-        ),
+        &format!("Stale-PVT drift study ({} modules, {:.0} s horizon)", result.modules, HORIZON_S),
         &[
             "Scenario",
             "Recal",
@@ -413,7 +405,9 @@ mod tests {
         let cap = CAP_LEVELS_W[1];
         let row = |policy: RecalPolicy| {
             r.rows.iter().find(|x| {
-                x.scenario == Scenario::Heatwave && x.policy.name() == policy.name() && x.cap_w_per_module == cap
+                x.scenario == Scenario::Heatwave
+                    && x.policy.name() == policy.name()
+                    && x.cap_w_per_module == cap
             })
         };
         let never = row(RecalPolicy::Never).expect("never row");

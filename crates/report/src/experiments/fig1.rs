@@ -150,7 +150,13 @@ fn id_seed(id: SystemId) -> u64 {
 pub fn render(result: &Fig1Result) -> Table {
     let mut t = Table::new(
         "Fig. 1: Processor Power and Performance Variation (single-socket EP)",
-        &["System", "Units", "Max power variation [%]", "Max perf variation [%]", "corr(slowdown, power)"],
+        &[
+            "System",
+            "Units",
+            "Max power variation [%]",
+            "Max perf variation [%]",
+            "corr(slowdown, power)",
+        ],
     );
     for s in &result.series {
         t.row(vec![
@@ -177,8 +183,16 @@ mod tests {
         let r = run(&small_opts());
         let cab = &r.series[0];
         assert_eq!(cab.system, SystemId::Cab);
-        assert!(cab.max_power_variation_pct() > 10.0, "Cab power var {}", cab.max_power_variation_pct());
-        assert!(cab.max_perf_variation_pct() < 1.0, "Cab perf var {}", cab.max_perf_variation_pct());
+        assert!(
+            cab.max_power_variation_pct() > 10.0,
+            "Cab power var {}",
+            cab.max_power_variation_pct()
+        );
+        assert!(
+            cab.max_perf_variation_pct() < 1.0,
+            "Cab perf var {}",
+            cab.max_perf_variation_pct()
+        );
 
         let vulcan = &r.series[1];
         // board-level aggregation tempers variation (paper: 11%)
@@ -194,7 +208,11 @@ mod tests {
         assert_eq!(teller.system, SystemId::Teller);
         assert_eq!(teller.units, 64); // studied fleet is smaller than --modules
         assert!(teller.max_power_variation_pct() > 10.0);
-        assert!(teller.max_perf_variation_pct() > 8.0, "Teller perf var {}", teller.max_perf_variation_pct());
+        assert!(
+            teller.max_perf_variation_pct() > 8.0,
+            "Teller perf var {}",
+            teller.max_perf_variation_pct()
+        );
         // the paper's negative slowdown-power correlation
         let corr = teller.slowdown_power_correlation().expect("both axes vary");
         assert!(corr < -0.3, "expected clearly negative correlation, got {corr}");
@@ -215,14 +233,16 @@ mod tests {
 
     #[test]
     fn vulcan_units_are_whole_boards() {
-        let r = run(&RunOptions { modules: Some(100), seed: 1, scale: 1.0, ..RunOptions::default() });
+        let r =
+            run(&RunOptions { modules: Some(100), seed: 1, scale: 1.0, ..RunOptions::default() });
         // 100 modules → 3 whole boards of 32
         assert_eq!(r.series[1].units, 3);
     }
 
     #[test]
     fn render_lists_three_systems() {
-        let r = run(&RunOptions { modules: Some(64), seed: 1, scale: 1.0, ..RunOptions::default() });
+        let r =
+            run(&RunOptions { modules: Some(64), seed: 1, scale: 1.0, ..RunOptions::default() });
         let t = render(&r);
         assert_eq!(t.len(), 3);
         assert!(t.render().contains("Teller"));

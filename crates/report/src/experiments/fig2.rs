@@ -105,7 +105,11 @@ pub struct Fig2Workload {
 impl Fig2Workload {
     /// Fig. 2(i)'s three annotation lines.
     pub fn breakdown(&self) -> (DomainStats, DomainStats, DomainStats) {
-        (DomainStats::of(&self.module_w), DomainStats::of(&self.cpu_w), DomainStats::of(&self.dram_w))
+        (
+            DomainStats::of(&self.module_w),
+            DomainStats::of(&self.cpu_w),
+            DomainStats::of(&self.dram_w),
+        )
     }
 }
 
@@ -212,9 +216,16 @@ pub fn render(result: &Fig2Result) -> String {
             t2.row(vec![
                 cm.clone(),
                 s.ccpu_w.map_or("-".to_string(), |x| f(x, 1)),
-                f(common::mean_ghz(
-                    &s.freqs_ghz.iter().map(|&x| vap_model::units::GigaHertz(x)).collect::<Vec<_>>(),
-                ).value(), 2),
+                f(
+                    common::mean_ghz(
+                        &s.freqs_ghz
+                            .iter()
+                            .map(|&x| vap_model::units::GigaHertz(x))
+                            .collect::<Vec<_>>(),
+                    )
+                    .value(),
+                    2,
+                ),
                 var(s.vf()),
                 var(s.vp_cpu()),
             ]);
@@ -295,7 +306,8 @@ mod tests {
 
     #[test]
     fn render_produces_all_panels() {
-        let r = run(&RunOptions { modules: Some(32), seed: 1, scale: 0.02, ..RunOptions::default() });
+        let r =
+            run(&RunOptions { modules: Some(32), seed: 1, scale: 0.02, ..RunOptions::default() });
         let s = render(&r);
         assert!(s.contains("Fig. 2(i) *DGEMM"));
         assert!(s.contains("Fig. 2(ii) MHD"));

@@ -79,12 +79,8 @@ pub fn run(opts: &RunOptions) -> Fig3Result {
     let mut scenarios = Vec::new();
     let mut push_scenario = |cluster: &vap_sim::cluster::Cluster, cm: Option<f64>| {
         let run = engine::run_on_cluster(&program, cluster, &ids, &boundedness, &comm);
-        let sendrecv_s = run
-            .sync_wait
-            .iter()
-            .zip(&run.comm_time)
-            .map(|(w, c)| w.value() + c.value())
-            .collect();
+        let sendrecv_s =
+            run.sync_wait.iter().zip(&run.comm_time).map(|(w, c)| w.value() + c.value()).collect();
         scenarios.push(WaitScenario {
             cm_w: cm,
             sendrecv_s,
@@ -105,7 +101,10 @@ pub fn run(opts: &RunOptions) -> Fig3Result {
 /// Render the summary table.
 pub fn render(result: &Fig3Result) -> Table {
     let mut t = Table::new(
-        &format!("Fig. 3: MHD synchronization overhead under uniform caps ({} modules)", result.modules),
+        &format!(
+            "Fig. 3: MHD synchronization overhead under uniform caps ({} modules)",
+            result.modules
+        ),
         &["Cm [W]", "Mean sendrecv [s]", "Max sendrecv [s]", "Vt", "Vp"],
     );
     for s in &result.scenarios {
@@ -137,8 +136,12 @@ mod tests {
         let tightest = r.scenarios.last().unwrap();
         assert_eq!(tightest.cm_w, Some(60.0));
         // mean wait grows as power tightens
-        assert!(tightest.mean_wait() > uncapped.mean_wait() * 1.5,
-            "waits: uncapped {} vs capped {}", uncapped.mean_wait(), tightest.mean_wait());
+        assert!(
+            tightest.mean_wait() > uncapped.mean_wait() * 1.5,
+            "waits: uncapped {} vs capped {}",
+            uncapped.mean_wait(),
+            tightest.mean_wait()
+        );
         // and the wait spread (paper's Vt) explodes relative to uncapped
         assert!(tightest.vt() > uncapped.vt());
         assert!(tightest.vt() > 5.0, "tight-cap wait Vt = {}", tightest.vt());
@@ -174,7 +177,12 @@ mod tests {
 
     #[test]
     fn render_has_all_rows() {
-        let t = render(&run(&RunOptions { modules: Some(16), seed: 1, scale: 0.02, ..RunOptions::default() }));
+        let t = render(&run(&RunOptions {
+            modules: Some(16),
+            seed: 1,
+            scale: 0.02,
+            ..RunOptions::default()
+        }));
         assert_eq!(t.len(), 5);
         assert!(t.render().contains("Mean sendrecv"));
     }

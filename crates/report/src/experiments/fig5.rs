@@ -106,8 +106,7 @@ pub fn run(opts: &RunOptions) -> Result<Fig5Result, FitError> {
         cluster.uncap_all();
 
         let fit = |domain: &'static str, ys: &[f64]| {
-            LinearFit::fit(&freqs, ys)
-                .ok_or(FitError { workload: w, domain, points: freqs.len() })
+            LinearFit::fit(&freqs, ys).ok_or(FitError { workload: w, domain, points: freqs.len() })
         };
         workloads.push(LinearityResult {
             workload: w,
@@ -134,9 +133,7 @@ pub fn render(result: &Fig5Result) -> Table {
         &["Workload", "Domain", "Slope [W/GHz]", "Intercept [W]", "R^2"],
     );
     for w in &result.workloads {
-        for (domain, fit) in
-            [("Module", w.module_fit), ("CPU", w.cpu_fit), ("DRAM", w.dram_fit)]
-        {
+        for (domain, fit) in [("Module", w.module_fit), ("CPU", w.cpu_fit), ("DRAM", w.dram_fit)] {
             t.row(vec![
                 w.workload.to_string(),
                 domain.to_string(),

@@ -117,7 +117,12 @@ mod tests {
         assert!(bt > 3.0, "BT error {bt}% should stand out");
         for row in &r.rows {
             if row.workload != WorkloadId::Bt {
-                assert!(bt > row.error_pct, "BT ({bt}%) must exceed {} ({}%)", row.workload, row.error_pct);
+                assert!(
+                    bt > row.error_pct,
+                    "BT ({bt}%) must exceed {} ({}%)",
+                    row.workload,
+                    row.error_pct
+                );
             }
         }
     }
@@ -132,7 +137,12 @@ mod tests {
 
     #[test]
     fn render_lists_all_workloads() {
-        let t = render(&run(&RunOptions { modules: Some(24), seed: 1, scale: 1.0, ..RunOptions::default() }));
+        let t = render(&run(&RunOptions {
+            modules: Some(24),
+            seed: 1,
+            scale: 1.0,
+            ..RunOptions::default()
+        }));
         assert_eq!(t.len(), 6);
         assert!(t.render().contains("NPB-BT"));
     }

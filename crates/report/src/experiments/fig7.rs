@@ -60,12 +60,8 @@ impl Fig7Result {
 
     /// The constraint levels that ran for a workload.
     pub fn levels_for(&self, w: WorkloadId) -> Vec<f64> {
-        let mut v: Vec<f64> = self
-            .rows
-            .iter()
-            .filter(|r| r.workload == w)
-            .map(|r| r.cm_w)
-            .collect();
+        let mut v: Vec<f64> =
+            self.rows.iter().filter(|r| r.workload == w).map(|r| r.cm_w).collect();
         v.sort_by(|a, b| b.total_cmp(a));
         v.dedup();
         v
@@ -173,14 +169,15 @@ pub fn render(result: &Fig7Result) -> String {
     for &w in &WorkloadId::EVALUATED {
         for cm in result.levels_for(w) {
             let mut row = vec![w.to_string(), f(cs_kw(cm, result.modules), 0)];
-            for scheme in
-                [SchemeId::Naive, SchemeId::Pc, SchemeId::VaPcOr, SchemeId::VaPc, SchemeId::VaFsOr, SchemeId::VaFs]
-            {
-                row.push(
-                    result
-                        .speedup(w, cm, scheme)
-                        .map_or("-".to_string(), |s| f(s, 2)),
-                );
+            for scheme in [
+                SchemeId::Naive,
+                SchemeId::Pc,
+                SchemeId::VaPcOr,
+                SchemeId::VaPc,
+                SchemeId::VaFsOr,
+                SchemeId::VaFs,
+            ] {
+                row.push(result.speedup(w, cm, scheme).map_or("-".to_string(), |s| f(s, 2)));
             }
             t.row(row);
         }
@@ -243,7 +240,10 @@ mod tests {
         let tightest = *levels.last().unwrap();
         let s_loose = r.speedup(WorkloadId::Bt, loosest, SchemeId::VaFs).unwrap();
         let s_tight = r.speedup(WorkloadId::Bt, tightest, SchemeId::VaFs).unwrap();
-        assert!(s_tight > s_loose, "BT VaFs: {s_loose} at {loosest} W vs {s_tight} at {tightest} W");
+        assert!(
+            s_tight > s_loose,
+            "BT VaFs: {s_loose} at {loosest} W vs {s_tight} at {tightest} W"
+        );
     }
 
     #[test]

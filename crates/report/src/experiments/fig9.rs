@@ -153,9 +153,10 @@ mod tests {
     fn naive_violates_on_stream() {
         // The paper's one documented violation.
         let r = result();
-        let naive_stream_violates = r.violations().iter().any(|a| {
-            a.workload == WorkloadId::Stream && a.scheme == SchemeId::Naive
-        });
+        let naive_stream_violates = r
+            .violations()
+            .iter()
+            .any(|a| a.workload == WorkloadId::Stream && a.scheme == SchemeId::Naive);
         assert!(naive_stream_violates, "expected Naive/*STREAM to exceed its constraint");
     }
 

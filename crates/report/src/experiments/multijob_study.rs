@@ -165,8 +165,7 @@ fn policy_name(p: PartitionPolicy) -> &'static str {
 
 /// Render the study.
 pub fn render(result: &MultijobResult) -> Table {
-    let tenant_names: Vec<&str> =
-        result.tenants.iter().map(|w| w.name()).collect();
+    let tenant_names: Vec<&str> = result.tenants.iter().map(|w| w.name()).collect();
     let mut t = Table::new(
         &format!(
             "Multi-tenant partitioning ({} modules, thirds: {})",
@@ -191,9 +190,8 @@ pub fn render(result: &MultijobResult) -> Table {
 /// CSV of all rows.
 pub fn to_csv(result: &MultijobResult) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from(
-        "cm_w,policy,predicted_throughput,tenant,alpha,makespan_s,total_power_w\n",
-    );
+    let mut out =
+        String::from("cm_w,policy,predicted_throughput,tenant,alpha,makespan_s,total_power_w\n");
     for r in &result.rows {
         for (k, w) in result.tenants.iter().enumerate() {
             let _ = writeln!(
@@ -271,10 +269,9 @@ mod tests {
                     .map(|x| x.predicted_throughput)
             };
             let greedy = of(PartitionPolicy::ThroughputGreedy).unwrap();
-            for other in [
-                PartitionPolicy::ProportionalToModules,
-                PartitionPolicy::FairFloorPlusUniformAlpha,
-            ] {
+            for other in
+                [PartitionPolicy::ProportionalToModules, PartitionPolicy::FairFloorPlusUniformAlpha]
+            {
                 if let Some(t) = of(other) {
                     assert!(greedy >= t - 1e-6, "greedy {greedy} < {other:?} {t} at {cm} W");
                 }

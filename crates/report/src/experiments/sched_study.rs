@@ -113,23 +113,18 @@ pub fn run(opts: &RunOptions) -> SchedStudyResult {
             queue: QueueDiscipline::Backfill,
             cap: Watts(cap_w * n as f64),
         };
-        let runtime =
-            SchedRuntime::new(cluster.clone(), budgeter.pvt().clone(), opts.seed, cfg);
+        let runtime = SchedRuntime::new(cluster.clone(), budgeter.pvt().clone(), opts.seed, cfg);
         runtime.run(&trace)
     });
 
-    let rows = cells
-        .iter()
-        .zip(&reports)
-        .map(|(&(cap_w, policy), r)| distill(cap_w, policy, r))
-        .collect();
+    let rows =
+        cells.iter().zip(&reports).map(|(&(cap_w, policy), r)| distill(cap_w, policy, r)).collect();
     // Exemplar timeline: the tightest cap under uniform rebalance — the
     // cell where online reallocation has the most work to do.
     let exemplar = cells
         .iter()
         .position(|&(cap_w, p)| {
-            cap_w == CAP_LEVELS_W[CAP_LEVELS_W.len() - 1]
-                && p == ReallocPolicy::UniformRebalance
+            cap_w == CAP_LEVELS_W[CAP_LEVELS_W.len() - 1] && p == ReallocPolicy::UniformRebalance
         })
         .map(|i| reports[i].chrome_trace_json())
         .unwrap_or_default();
@@ -140,21 +135,8 @@ pub fn run(opts: &RunOptions) -> SchedStudyResult {
 /// Render the study.
 pub fn render(result: &SchedStudyResult) -> Table {
     let mut t = Table::new(
-        &format!(
-            "Online power scheduling ({} modules, {} jobs)",
-            result.modules, result.jobs
-        ),
-        &[
-            "Cap [W/mod]",
-            "Policy",
-            "Done",
-            "Killed",
-            "Jobs/h",
-            "Wait [s]",
-            "JCT [s]",
-            "Util",
-            "Vt",
-        ],
+        &format!("Online power scheduling ({} modules, {} jobs)", result.modules, result.jobs),
+        &["Cap [W/mod]", "Policy", "Done", "Killed", "Jobs/h", "Wait [s]", "JCT [s]", "Util", "Vt"],
     );
     for r in &result.rows {
         t.row(vec![

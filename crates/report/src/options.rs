@@ -263,8 +263,16 @@ mod tests {
     #[test]
     fn hostile_argument_lists_parse_to_documented_ranges_or_fail() {
         let flags = [
-            "--modules", "--seed", "--scale", "--csv", "--threads", "--trace-out", "--metrics",
-            "--ledger", "--help", "-h",
+            "--modules",
+            "--seed",
+            "--scale",
+            "--csv",
+            "--threads",
+            "--trace-out",
+            "--metrics",
+            "--ledger",
+            "--help",
+            "-h",
         ];
         vap_model::rng::check("parse_partial", 0x0b75, crate::cli::HOSTILE_CASES, |rng| {
             let args = crate::cli::hostile_args(rng, &flags);
@@ -279,9 +287,7 @@ mod tests {
     #[test]
     fn partial_parse_collects_unknown_tokens_in_order() {
         let (o, extras) = RunOptions::parse_partial(
-            ["--mode", "sweep", "--seed", "7", "--prom-port", "9500"]
-                .iter()
-                .map(|s| s.to_string()),
+            ["--mode", "sweep", "--seed", "7", "--prom-port", "9500"].iter().map(|s| s.to_string()),
         )
         .unwrap();
         assert_eq!(o.seed, 7);

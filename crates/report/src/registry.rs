@@ -189,9 +189,12 @@ pub fn select(args: Vec<String>) -> Result<Vec<&'static Experiment>, String> {
         match arg.as_str() {
             "all" => picked.extend(EXPERIMENTS),
             "--help" | "-h" => return Err(usage()),
-            name => picked.push(EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
-                format!("unknown experiment or flag `{name}`\n{}", usage())
-            })?),
+            name => picked.push(
+                EXPERIMENTS
+                    .iter()
+                    .find(|e| e.name == name)
+                    .ok_or_else(|| format!("unknown experiment or flag `{name}`\n{}", usage()))?,
+            ),
         }
     }
     if picked.is_empty() {
@@ -225,8 +228,8 @@ mod tests {
         let flags = ["--modules", "--seed", "--scale", "--csv", "--threads", "--help", "-h"];
         vap_model::rng::check("select", 0x5e1e, crate::cli::HOSTILE_CASES, |rng| {
             let args = crate::cli::hostile_args(rng, &flags);
-            let parsed = RunOptions::parse_partial(args.into_iter())
-                .and_then(|(_, extras)| select(extras));
+            let parsed =
+                RunOptions::parse_partial(args.into_iter()).and_then(|(_, extras)| select(extras));
             if let Ok(picked) = parsed {
                 assert!(!picked.is_empty());
             }

@@ -53,11 +53,7 @@ impl Table {
         if !self.title.is_empty() {
             out.push_str(&format!("== {} ==\n", self.title));
         }
-        let sep: String = widths
-            .iter()
-            .map(|w| "-".repeat(w + 2))
-            .collect::<Vec<_>>()
-            .join("+");
+        let sep: String = widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("+");
         let fmt_row = |cells: &[String]| -> String {
             let mut line = String::new();
             for (i, width) in widths.iter().enumerate().take(cols) {

@@ -44,7 +44,11 @@ fn an_unwritable_csv_exits_1_naming_the_path() {
     let out = vap_report(&["table4", "--modules", "8", "--csv", dir.to_str().unwrap()]);
     std::fs::remove_file(&file).unwrap();
     assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains(&dir.join("table4.csv").display().to_string()), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(&dir.join("table4.csv").display().to_string()),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]

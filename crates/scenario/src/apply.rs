@@ -11,8 +11,8 @@ use vap_model::variability::DriftSkew;
 use vap_obs::DriftDetector;
 use vap_sim::cluster::Cluster;
 
-use vap_model::rng::{SplitMix64, MIX_GAMMA};
 use crate::stream::{FaultKind, PerturbationKind, Scenario, ScenarioEvent};
+use vap_model::rng::{SplitMix64, MIX_GAMMA};
 
 /// What a consumer must do after one event is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +117,7 @@ impl ScenarioRuntime {
     /// Modules whose silicon changed since the last call, sorted; clears
     /// the flags. This is the re-calibration work list.
     pub fn take_dirty(&mut self) -> Vec<usize> {
-        let ids: Vec<usize> =
-            (0..self.n).filter(|&i| self.dirty[i]).collect();
+        let ids: Vec<usize> = (0..self.n).filter(|&i| self.dirty[i]).collect();
         for &i in &ids {
             self.dirty[i] = false;
         }
@@ -329,8 +328,7 @@ mod tests {
     fn drift_events_open_a_pvt_residual() {
         let mut cluster = fleet(8);
         cluster.set_activity_all(BUSY);
-        let before: Vec<f64> =
-            (0..8).map(|i| cluster.module(i).module_power().value()).collect();
+        let before: Vec<f64> = (0..8).map(|i| cluster.module(i).module_power().value()).collect();
         let mut rt = ScenarioRuntime::new(Scenario::Heatwave, 8, 3600.0, SEED);
         rt.advance_cluster(3600.0, &mut cluster);
         let mut worst = Watts::ZERO;

@@ -322,10 +322,7 @@ fn faults(
 /// Two demand-response cap dips with recovery.
 fn shocks(horizon_s: f64, rng: &mut SplitMix64, out: &mut Vec<(f64, PerturbationKind)>) {
     let jitter = 0.02 * horizon_s;
-    let dips = [
-        (0.30, rng.next_range(0.80, 0.88)),
-        (0.60, rng.next_range(0.68, 0.76)),
-    ];
+    let dips = [(0.30, rng.next_range(0.80, 0.88)), (0.60, rng.next_range(0.68, 0.76))];
     for (frac, scale) in dips {
         let at = frac * horizon_s + rng.next_range(0.0, jitter);
         out.push((at, PerturbationKind::CapShock { scale }));

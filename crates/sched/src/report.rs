@@ -328,11 +328,8 @@ mod tests {
         // 1 process + 3 thread names + 2×(wait+run)
         assert_eq!(n, 8);
         let t = r.chrome_trace();
-        let run0 = t
-            .trace_events
-            .iter()
-            .find(|e| e.cat == "run" && e.tid == 1)
-            .expect("job 0 run span");
+        let run0 =
+            t.trace_events.iter().find(|e| e.cat == "run" && e.tid == 1).expect("job 0 run span");
         assert_eq!(run0.ts, 10_000_000);
         assert_eq!(run0.dur, Some(100_000_000));
     }

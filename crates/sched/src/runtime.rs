@@ -169,7 +169,12 @@ pub struct SchedRuntime {
 impl SchedRuntime {
     /// Build a runtime over a pristine (post-PVT) cluster clone. The PVT
     /// must cover the cluster's modules.
-    pub fn new(mut cluster: Cluster, pvt: PowerVariationTable, seed: u64, config: SchedConfig) -> Self {
+    pub fn new(
+        mut cluster: Cluster,
+        pvt: PowerVariationTable,
+        seed: u64,
+        config: SchedConfig,
+    ) -> Self {
         // The whole fleet starts idle, uncapped, on the performance
         // governor — whatever the PVT sweep left behind.
         for i in 0..cluster.len() {
@@ -268,8 +273,8 @@ impl SchedRuntime {
                     self.resolve();
                 }
                 Event::Completion { job, epoch } => {
-                    let stale = self.jobs[job].state != JobState::Running
-                        || self.jobs[job].epoch != epoch;
+                    let stale =
+                        self.jobs[job].state != JobState::Running || self.jobs[job].epoch != epoch;
                     if stale {
                         vap_obs::incr("sched.stale_completions");
                     } else {
@@ -405,10 +410,7 @@ impl SchedRuntime {
             job: Some(id as u64),
             cap_w: self.cap.value(),
             avail_w: self.available().value(),
-            kind: DecisionKind::Preempt {
-                freed_w: budget.value(),
-                width: placement.len() as u64,
-            },
+            kind: DecisionKind::Preempt { freed_w: budget.value(), width: placement.len() as u64 },
         });
     }
 
@@ -437,8 +439,7 @@ impl SchedRuntime {
     /// scheduler deliberately keeps planning from its stale PVT until a
     /// re-calibration policy intervenes.
     fn apply_scenario(&mut self, idx: usize) {
-        let Some(ev) = self.scenario.as_ref().and_then(|sc| sc.events().get(idx)).copied()
-        else {
+        let Some(ev) = self.scenario.as_ref().and_then(|sc| sc.events().get(idx)).copied() else {
             return;
         };
         let effect = match self.scenario.as_mut() {
@@ -552,9 +553,8 @@ impl SchedRuntime {
         // Only if something is running (will free modules/watts), a cap
         // change is still scheduled, or a scenario event (shock release,
         // module replacement) is still pending.
-        let idle_system = self.running.is_empty()
-            && self.pending_cap_changes == 0
-            && self.pending_scenario == 0;
+        let idle_system =
+            self.running.is_empty() && self.pending_cap_changes == 0 && self.pending_scenario == 0;
         if self.free.len() < arrival.min_width {
             self.defer_or_kill_decision(id, "insufficient_modules", false);
             return Placement::Deferred;
@@ -574,8 +574,7 @@ impl SchedRuntime {
         // cost nothing.
         let tracing = vap_obs::enabled();
         let mut probes: Vec<WidthProbe> = Vec::new();
-        let calibrate =
-            |w: usize| PowerModelTable::calibrate(&self.pvt, &test, &pref[..w]).ok();
+        let calibrate = |w: usize| PowerModelTable::calibrate(&self.pvt, &test, &pref[..w]).ok();
         // Feasibility floor is monotone in width: check the narrowest
         // shape first, then binary-search the widest feasible width.
         let Some(pmt_min) = calibrate(arrival.min_width) else {
@@ -857,10 +856,7 @@ impl SchedRuntime {
             hists: vec![
                 vap_obs::HistogramSample::from_histogram("sched_jct_s", &self.hist_jct),
                 vap_obs::HistogramSample::from_histogram("sched_wait_s", &self.hist_wait),
-                vap_obs::HistogramSample::from_histogram(
-                    "sched_event_gap_s",
-                    &self.hist_event_gap,
-                ),
+                vap_obs::HistogramSample::from_histogram("sched_event_gap_s", &self.hist_event_gap),
                 vap_obs::HistogramSample::from_histogram(
                     "sched_width_probes",
                     &self.hist_width_probes,
@@ -936,8 +932,7 @@ impl SchedRuntime {
                             Category::Useful,
                             useful,
                         ));
-                        let cat =
-                            if throttled { Category::Throttle } else { Category::Headroom };
+                        let cat = if throttled { Category::Throttle } else { Category::Headroom };
                         entries.push(LedgerEntry::module(
                             id as u64,
                             module,
@@ -994,7 +989,10 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), 6, "{allocation:?}: duplicate module ids");
-            assert!(sorted.iter().all(|m| rt.free.contains(m)), "{allocation:?}: picked a busy module");
+            assert!(
+                sorted.iter().all(|m| rt.free.contains(m)),
+                "{allocation:?}: picked a busy module"
+            );
         }
     }
 

@@ -27,7 +27,13 @@ fn fleet(n: usize, seed: u64) -> (Cluster, PowerVariationTable) {
 
 /// Replay `trace`, auditing the provenance tick after every event.
 /// Returns the accumulated ledger.
-fn audit(cluster: &Cluster, pvt: &PowerVariationTable, trace: &Trace, cfg: SchedConfig, seed: u64) -> LedgerTable {
+fn audit(
+    cluster: &Cluster,
+    pvt: &PowerVariationTable,
+    trace: &Trace,
+    cfg: SchedConfig,
+    seed: u64,
+) -> LedgerTable {
     let mut table = LedgerTable::new();
     let mut last_t = 0.0_f64;
     let rt = SchedRuntime::new(cluster.clone(), pvt.clone(), seed, cfg);
@@ -109,11 +115,8 @@ fn conservation_holds_for_random_caps_and_traces() {
         let drop_cap = rng.next_u64() & 1 == 1;
         let dropped_per_module = rng.next_range(30.0, 80.0);
         let (cluster, pvt) = fleet(n, seed);
-        let mut trace = TraceGen {
-            mean_interarrival_s: interarrival,
-            ..TraceGen::new(jobs, n)
-        }
-        .generate(seed);
+        let mut trace =
+            TraceGen { mean_interarrival_s: interarrival, ..TraceGen::new(jobs, n) }.generate(seed);
         if drop_cap {
             trace = trace.with_cap_change(60.0, Watts(dropped_per_module * n as f64));
         }

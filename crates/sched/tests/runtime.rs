@@ -35,11 +35,7 @@ fn config(realloc: ReallocPolicy, cap_per_module_w: f64, n: usize) -> SchedConfi
 
 /// A congested trace: arrivals faster than the fleet drains them.
 fn congested_trace(fleet_size: usize) -> Trace {
-    TraceGen {
-        mean_interarrival_s: 20.0,
-        ..TraceGen::new(12, fleet_size)
-    }
-    .generate(SEED)
+    TraceGen { mean_interarrival_s: 20.0, ..TraceGen::new(12, fleet_size) }.generate(SEED)
 }
 
 fn replay(
@@ -98,8 +94,7 @@ fn online_rebalance_beats_frozen_budgets_under_a_tight_cap() {
     // High arrival pressure is where frozen budgets strand the most
     // watts: many concurrent jobs admitted at small leftover budgets
     // that never grow, while rebalance recycles every completion.
-    let trace =
-        TraceGen { mean_interarrival_s: 10.0, ..TraceGen::new(12, n) }.generate(SEED);
+    let trace = TraceGen { mean_interarrival_s: 10.0, ..TraceGen::new(12, n) }.generate(SEED);
     let frozen = replay(&cluster, &pvt, &trace, config(ReallocPolicy::Frozen, 68.0, n));
     let rebalance =
         replay(&cluster, &pvt, &trace, config(ReallocPolicy::UniformRebalance, 68.0, n));
@@ -234,12 +229,7 @@ fn jobs_shrink_gracefully_when_modules_are_scarce() {
         ],
         cap_changes: vec![],
     };
-    let r = replay(
-        &cluster,
-        &pvt,
-        &trace,
-        config(ReallocPolicy::UniformRebalance, 110.0, n),
-    );
+    let r = replay(&cluster, &pvt, &trace, config(ReallocPolicy::UniformRebalance, 110.0, n));
     let j = &r.jobs[1];
     assert_eq!(j.state, JobState::Completed);
     assert!((j.start_s.unwrap() - 1.0).abs() < 1e-9, "shrunk job should start on arrival");

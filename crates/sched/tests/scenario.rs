@@ -100,13 +100,8 @@ fn module_failure_preempts_and_replacement_recovers() {
         },
     ];
     let sc = ScenarioRuntime::from_events(events, n, SEED);
-    let r = replay(
-        &cluster,
-        &pvt,
-        &trace,
-        config(ReallocPolicy::UniformRebalance, 110.0, n),
-        Some(sc),
-    );
+    let r =
+        replay(&cluster, &pvt, &trace, config(ReallocPolicy::UniformRebalance, 110.0, n), Some(sc));
     assert_eq!(r.jobs[0].state, JobState::Completed, "job must finish after the repair");
     assert!(r.preemption_count() >= 1, "the failure must preempt the placed job");
     assert!(

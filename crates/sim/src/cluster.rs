@@ -133,7 +133,12 @@ impl Cluster {
     /// experiments; `None` puts every module at reference temperature like
     /// the paper's study). Every module starts idle under the performance
     /// governor with no cap.
-    pub fn with_thermal(spec: SystemSpec, n: usize, seed: u64, gradient: Option<RackGradient>) -> Self {
+    pub fn with_thermal(
+        spec: SystemSpec,
+        n: usize,
+        seed: u64,
+        gradient: Option<RackGradient>,
+    ) -> Self {
         let variation = spec.variability.sample_fleet(n, spec.cores_per_proc, seed);
         let thermal_factor = (0..n)
             .map(|i| gradient.map_or_else(ThermalEnv::reference, |g| g.env_for(i, n)).factor())
@@ -264,8 +269,12 @@ impl Cluster {
     /// path). The cap round-trips through the `MSR_PKG_POWER_LIMIT`
     /// encoding, so it inherits hardware quantization (1/8 W).
     pub fn set_cap(&mut self, i: usize, limit: RaplLimit) {
-        let reg =
-            PowerLimitRegister { limit: limit.cap, enabled: true, clamp: true, window: limit.window };
+        let reg = PowerLimitRegister {
+            limit: limit.cap,
+            enabled: true,
+            clamp: true,
+            window: limit.window,
+        };
         let quantized = PowerLimitRegister::decode(reg.encode());
         self.cap[i] = Some(RaplLimit { cap: quantized.limit, window: quantized.window });
         self.resolve(i);
@@ -932,7 +941,10 @@ mod tests {
         c.set_workload_variation(0, Some(hot));
         let m = c.module(0);
         let residual = m.module_power().value() - m.pvt_predicted_power().value();
-        assert!(residual > 1.0, "hungrier workload fingerprint must overshoot PVT prediction by watts, got {residual}");
+        assert!(
+            residual > 1.0,
+            "hungrier workload fingerprint must overshoot PVT prediction by watts, got {residual}"
+        );
     }
 
     #[test]

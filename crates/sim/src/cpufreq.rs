@@ -10,8 +10,7 @@ use vap_model::pstate::PStateTable;
 use vap_model::units::GigaHertz;
 
 /// A CPU frequency governor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Governor {
     /// Run at the highest available frequency (turbo if enabled) — the
     /// default for uncapped HPC nodes.
@@ -47,7 +46,8 @@ mod tests {
     #[test]
     fn performance_reaches_top() {
         assert_eq!(Governor::Performance.resolve(&table()), GigaHertz(2.7));
-        let turbo = PStateTable::evenly_spaced(GigaHertz(1.2), GigaHertz(2.6), GigaHertz(0.1)).with_turbo(GigaHertz(3.3));
+        let turbo = PStateTable::evenly_spaced(GigaHertz(1.2), GigaHertz(2.6), GigaHertz(0.1))
+            .with_turbo(GigaHertz(3.3));
         assert_eq!(Governor::Performance.resolve(&turbo), GigaHertz(3.3));
     }
 

@@ -253,8 +253,14 @@ mod tests {
     #[test]
     fn trace_is_fully_recorded() {
         let mut c = busy_module();
-        let r = enforce(&mut c, 0, RaplLimit::with_default_window(Watts(70.0)),
-                        Seconds::from_millis(1.0), 123).unwrap();
+        let r = enforce(
+            &mut c,
+            0,
+            RaplLimit::with_default_window(Watts(70.0)),
+            Seconds::from_millis(1.0),
+            123,
+        )
+        .unwrap();
         assert_eq!(r.power.len(), 123);
         assert_eq!(r.freq.len(), 123);
         assert_eq!(r.duty.len(), 123);
@@ -274,16 +280,20 @@ mod tests {
         // the error chain names the offending interval
         let source = std::error::Error::source(&err).expect("chained cause");
         assert!(source.to_string().contains("sampling interval"));
-        assert!(
-            validate_against_steady_state(&mut c, 0, limit, Seconds(-1.0), 10).is_err()
-        );
+        assert!(validate_against_steady_state(&mut c, 0, limit, Seconds(-1.0), 10).is_err());
     }
 
     #[test]
     fn module_is_restored_after_enforcement() {
         let mut c = busy_module();
-        let _ = enforce(&mut c, 0, RaplLimit::with_default_window(Watts(60.0)),
-                        Seconds::from_millis(1.0), 50).unwrap();
+        let _ = enforce(
+            &mut c,
+            0,
+            RaplLimit::with_default_window(Watts(60.0)),
+            Seconds::from_millis(1.0),
+            50,
+        )
+        .unwrap();
         assert_eq!(c.module(0).operating_point().clock, GigaHertz(2.7));
     }
 }

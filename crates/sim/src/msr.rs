@@ -44,8 +44,8 @@ impl PowerLimitRegister {
     /// bits 14:0 power, 15 enable, 16 clamp, 23:17 time window
     /// (`window = 2^Y · (1 + Z/4) · time_unit` with Y in 21:17, Z in 23:22).
     pub fn encode(&self) -> u64 {
-        let power_units = ((self.limit.value() * (1u64 << POWER_UNIT_EXP) as f64).round() as u64)
-            .min(0x7FFF);
+        let power_units =
+            ((self.limit.value() * (1u64 << POWER_UNIT_EXP) as f64).round() as u64).min(0x7FFF);
         let mut bits = power_units & 0x7FFF;
         if self.enabled {
             bits |= 1 << 15;

@@ -124,7 +124,8 @@ pub fn steady_state(
     if model.power(f_top, activity, variation, thermal) <= cap {
         return RaplSteadyState::Unconstrained { freq: f_top };
     }
-    if let Some(freq) = model.max_frequency_within(cap, activity, variation, thermal, f_min, f_top) {
+    if let Some(freq) = model.max_frequency_within(cap, activity, variation, thermal, f_min, f_top)
+    {
         return RaplSteadyState::Dvfs { freq };
     }
     // Below P(f_min): duty-cycle between running at f_min and clock-gated.
@@ -355,10 +356,7 @@ mod tests {
         for i in 1..=steps {
             let duty = f64::from(i) / f64::from(steps);
             let e = modulation_efficiency(duty);
-            assert!(
-                e > last,
-                "efficiency not strictly increasing at duty {duty}: {e} <= {last}"
-            );
+            assert!(e > last, "efficiency not strictly increasing at duty {duty}: {e} <= {last}");
             assert!(e > 0.0 && e <= 1.0);
             last = e;
         }
@@ -436,10 +434,8 @@ mod tests {
 
     #[test]
     fn ewma_priming_and_window() {
-        let mut ctl = RaplController::new(RaplLimit {
-            cap: Watts(50.0),
-            window: Seconds::from_millis(10.0),
-        });
+        let mut ctl =
+            RaplController::new(RaplLimit { cap: Watts(50.0), window: Seconds::from_millis(10.0) });
         assert_eq!(ctl.decide(), RaplDecision::Hold);
         ctl.observe(Watts(100.0), Seconds::from_millis(1.0));
         assert_eq!(ctl.average_power(), Watts(100.0)); // primed directly

@@ -9,8 +9,8 @@
 //! most power-efficient modules for a power-capped job.
 
 use crate::cluster::Cluster;
-use vap_model::rng::SplitMix64;
 use vap_model::power::PowerActivity;
+use vap_model::rng::SplitMix64;
 
 /// How the scheduler picks `n` modules out of the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,8 +175,7 @@ mod tests {
             let m = c.module(id);
             m.power_model().module_power(f_max, act(), m.variation(), 1.0)
         };
-        let worst_picked =
-            picked.iter().map(|&id| power_of(id)).fold(Watts::ZERO, Watts::max);
+        let worst_picked = picked.iter().map(|&id| power_of(id)).fold(Watts::ZERO, Watts::max);
         for id in 0..c.len() {
             if !picked.contains(&id) {
                 assert!(power_of(id) >= worst_picked - Watts(1e-9));

@@ -108,8 +108,11 @@ mod tests {
     #[test]
     fn noisy_line_has_high_but_imperfect_r2() {
         let xs: Vec<f64> = (0..50).map(|i| i as f64 / 10.0).collect();
-        let ys: Vec<f64> =
-            xs.iter().enumerate().map(|(i, x)| 1.0 + 4.0 * x + if i % 2 == 0 { 0.05 } else { -0.05 }).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| 1.0 + 4.0 * x + if i % 2 == 0 { 0.05 } else { -0.05 })
+            .collect();
         let fit = LinearFit::fit(&xs, &ys).unwrap();
         assert!(fit.r_squared > 0.99);
         assert!(fit.r_squared < 1.0);

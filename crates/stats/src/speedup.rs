@@ -55,7 +55,9 @@ impl SpeedupTable {
     ) -> Option<f64> {
         let find = |name: &str| {
             self.cells.iter().find(|c| {
-                c.benchmark == benchmark && c.scheme == name && (c.constraint_w - constraint_w).abs() < 1e-6
+                c.benchmark == benchmark
+                    && c.scheme == name
+                    && (c.constraint_w - constraint_w).abs() < 1e-6
             })
         };
         let base = find(baseline)?;

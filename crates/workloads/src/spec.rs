@@ -229,8 +229,8 @@ impl WorkloadSpec {
         );
         let mut v = base.clone();
         let z_dyn = rng.next_normal();
-        v.dynamic = (1.0 + r.dynamic_rho * (base.dynamic - 1.0) + r.dynamic_idio * z_dyn)
-            .clamp(0.5, 2.0);
+        v.dynamic =
+            (1.0 + r.dynamic_rho * (base.dynamic - 1.0) + r.dynamic_idio * z_dyn).clamp(0.5, 2.0);
         let z_dram = rng.next_normal();
         v.dram = (1.0 + r.dram_rho * (base.dram - 1.0) + r.dram_idio * z_dram).clamp(0.5, 2.0);
         v

@@ -33,21 +33,24 @@ fn main() {
 
     for cm in [110.0, 100.0, 90.0, 80.0, 70.0, 60.0, 50.0] {
         let budget = Watts(cm * MODULES as f64);
-        let feas = budgeter.feasibility(&mut cluster, &bt, budget, &ids).expect("fleet is calibrated");
+        let feas =
+            budgeter.feasibility(&mut cluster, &bt, budget, &ids).expect("fleet is calibrated");
         let mut line = format!("{cm:>6.0} {:>6}  ", feas.mark());
         if !feas.runnable() {
-            println!("{line}   (skipped — {})", match feas {
-                Feasibility::NotConstrained => "budget does not bind",
-                _ => "modules cannot run even at f_min",
-            });
+            println!(
+                "{line}   (skipped — {})",
+                match feas {
+                    Feasibility::NotConstrained => "budget does not bind",
+                    _ => "modules cannot run even at f_min",
+                }
+            );
             continue;
         }
         let mut naive_time = None;
         for scheme in SchemeId::ALL {
             let cell = match budgeter.plan(&mut cluster, scheme, &bt, budget, &ids) {
                 Ok(plan) => {
-                    let report =
-                        run_region(&mut cluster, &plan, &bt, &program, &ids, &comm, SEED);
+                    let report = run_region(&mut cluster, &plan, &bt, &program, &ids, &comm, SEED);
                     let t = report.makespan().value();
                     if scheme == SchemeId::Naive {
                         naive_time = Some(t);

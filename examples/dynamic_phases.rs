@@ -31,7 +31,12 @@ fn main() {
         let (winner, err) = multi
             .select(&mut cluster, &spec, &ids, &[7, 41, 83], SEED)
             .expect("validation modules exist");
-        println!("{:<8} -> best PVT: {:<8} (validation error {:.2}%)", w.name(), winner.name(), err);
+        println!(
+            "{:<8} -> best PVT: {:<8} (validation error {:.2}%)",
+            w.name(),
+            winner.name(),
+            err
+        );
     }
 
     // --- Part 2: per-phase re-budgeting -----------------------------------

@@ -43,16 +43,14 @@ fn main() {
     );
     let mut naive_time = None;
     for scheme in [SchemeId::Naive, SchemeId::Pc, SchemeId::VaPc, SchemeId::VaFs] {
-        let plan = budgeter
-            .plan(&mut cluster, scheme, &mhd, budget, &ids)
-            .expect("feasible budget");
+        let plan =
+            budgeter.plan(&mut cluster, scheme, &mhd, budget, &ids).expect("feasible budget");
         let report = run_region(&mut cluster, &plan, &mhd, &program, &ids, &comm, SEED);
 
         // re-apply briefly to inspect the frequency spread the scheme leaves
         mhd.apply_to(&mut cluster, SEED);
         apply_plan(&plan, &mut cluster);
-        let freqs: Vec<f64> =
-            cluster.effective_frequencies().iter().map(|f| f.value()).collect();
+        let freqs: Vec<f64> = cluster.effective_frequencies().iter().map(|f| f.value()).collect();
         let vf = vap::stats::worst_case_variation(&freqs).expect("non-empty fleet");
         cluster.uncap_all();
 

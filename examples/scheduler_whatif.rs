@@ -41,17 +41,13 @@ fn main() {
     for (name, policy) in policies {
         let ids = policy.allocate(&cluster, JOB, mhd.activity, SEED);
 
-        let vafs_plan = budgeter
-            .plan(&mut cluster, SchemeId::VaFs, &mhd, budget, &ids)
-            .expect("feasible");
-        let vafs =
-            run_region(&mut cluster, &vafs_plan, &mhd, &program, &ids, &comm, SEED);
+        let vafs_plan =
+            budgeter.plan(&mut cluster, SchemeId::VaFs, &mhd, budget, &ids).expect("feasible");
+        let vafs = run_region(&mut cluster, &vafs_plan, &mhd, &program, &ids, &comm, SEED);
 
-        let naive_plan = budgeter
-            .plan(&mut cluster, SchemeId::Naive, &mhd, budget, &ids)
-            .expect("feasible");
-        let naive =
-            run_region(&mut cluster, &naive_plan, &mhd, &program, &ids, &comm, SEED);
+        let naive_plan =
+            budgeter.plan(&mut cluster, SchemeId::Naive, &mhd, budget, &ids).expect("feasible");
+        let naive = run_region(&mut cluster, &naive_plan, &mhd, &program, &ids, &comm, SEED);
 
         println!(
             "{:<18} {:>12.1} {:>12.1} {:>9.2}x {:>12.2}",

@@ -54,8 +54,7 @@ fn cap_demo() {
         } else {
             cluster.uncap_all();
         }
-        let freqs: Vec<f64> =
-            cluster.effective_frequencies().iter().map(|f| f.value()).collect();
+        let freqs: Vec<f64> = cluster.effective_frequencies().iter().map(|f| f.value()).collect();
         let powers: Vec<f64> = cluster.cpu_powers().iter().map(|p| p.value()).collect();
         let vf = vap::stats::worst_case_variation(&freqs).expect("non-empty fleet");
         let vp = vap::stats::worst_case_variation(&powers).expect("non-empty fleet");

@@ -148,15 +148,8 @@ fn job_on_a_subset_leaves_the_rest_of_the_fleet_alone() {
         .filter(|i| !ids.contains(i))
         .map(|i| cluster.module(i).module_power().value())
         .collect();
-    let _ = run_region(
-        &mut cluster,
-        &plan,
-        &mhd,
-        &mhd.program(0.01),
-        &ids,
-        &CommParams::ideal(),
-        SEED,
-    );
+    let _ =
+        run_region(&mut cluster, &plan, &mhd, &mhd.program(0.01), &ids, &CommParams::ideal(), SEED);
     let outside_after: Vec<f64> = (0..MODULES)
         .filter(|i| !ids.contains(i))
         .map(|i| cluster.module(i).module_power().value())
@@ -201,9 +194,7 @@ fn naive_pins_the_critical_rank_to_the_hungriest_module_vafs_dissolves_it() {
     // (note: not necessarily the one that draws the most power *uncapped* —
     // leakage-heavy silicon throttles worse than dynamic-heavy silicon)
     let rates = vap::mpi::engine::rates_on(&cluster, &ids, &boundedness);
-    let slowest = (0..n)
-        .min_by(|&a, &b| rates[a].partial_cmp(&rates[b]).unwrap())
-        .unwrap();
+    let slowest = (0..n).min_by(|&a, &b| rates[a].partial_cmp(&rates[b]).unwrap()).unwrap();
     assert_eq!(critical, slowest, "the straggler should be the deepest-throttled module");
     cluster.uncap_all();
 

@@ -26,13 +26,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn opts(modules: usize, seed: u64, scale: f64) -> RunOptions {
-    RunOptions {
-        modules: Some(modules),
-        seed,
-        scale,
-        threads: Some(2),
-        ..RunOptions::default()
-    }
+    RunOptions { modules: Some(modules), seed, scale, threads: Some(2), ..RunOptions::default() }
 }
 
 /// Run `artifacts` at every seed and compare the digests of what it
@@ -42,10 +36,8 @@ fn check<const K: usize>(
     golden: [[u64; K]; 3],
     artifacts: impl Fn(u64) -> [String; K],
 ) {
-    let actual: Vec<[u64; K]> = SEEDS
-        .iter()
-        .map(|&seed| artifacts(seed).map(|a| fnv1a(a.as_bytes())))
-        .collect();
+    let actual: Vec<[u64; K]> =
+        SEEDS.iter().map(|&seed| artifacts(seed).map(|a| fnv1a(a.as_bytes()))).collect();
     assert!(
         actual == golden,
         "{family} digests moved\n  expected: {}\n  actual:   {}",
@@ -79,11 +71,7 @@ fn schedstudy_csv_timeline_and_journal_match_their_digests() {
     check("schedstudy [csv, timeline, journal]", SCHEDSTUDY, |seed| {
         let session = vap_obs::Session::install();
         let run = sched_study::run(&opts(48, seed, 0.05));
-        [
-            sched_study::to_csv(&run),
-            run.timeline_json,
-            session.finish().journal_jsonl,
-        ]
+        [sched_study::to_csv(&run), run.timeline_json, session.finish().journal_jsonl]
     });
 }
 
@@ -112,21 +100,9 @@ const FIG7: [[u64; 2]; 3] = [
 ];
 
 const SCHEDSTUDY: [[u64; 3]; 3] = [
-    [
-        0x9725_d82b_9b7e_98b8,
-        0xeaf2_efed_1172_0129,
-        0x26bf_c68e_d9bc_744d,
-    ],
-    [
-        0x6b8c_d384_1604_27a9,
-        0x727d_9e72_d21a_7ca2,
-        0x0cba_c17c_5cd3_7c6f,
-    ],
-    [
-        0x3c42_65bc_21ea_2b7f,
-        0xd6ea_9ea7_a8f8_8576,
-        0x4a92_370d_b529_1e4f,
-    ],
+    [0x9725_d82b_9b7e_98b8, 0xeaf2_efed_1172_0129, 0x26bf_c68e_d9bc_744d],
+    [0x6b8c_d384_1604_27a9, 0x727d_9e72_d21a_7ca2, 0x0cba_c17c_5cd3_7c6f],
+    [0x3c42_65bc_21ea_2b7f, 0xd6ea_9ea7_a8f8_8576, 0x4a92_370d_b529_1e4f],
 ];
 
 const DRIFTSTUDY: [[u64; 2]; 3] = [
@@ -135,8 +111,5 @@ const DRIFTSTUDY: [[u64; 2]; 3] = [
     [0x3e87_a702_052c_c79c, 0x3e01_ca7e_0100_ea5f],
 ];
 
-const PVT: [[u64; 1]; 3] = [
-    [0x170f_9db4_2e19_546a],
-    [0x3215_6842_3723_8c91],
-    [0xc120_f03d_0158_3b96],
-];
+const PVT: [[u64; 1]; 3] =
+    [[0x170f_9db4_2e19_546a], [0x3215_6842_3723_8c91], [0xc120_f03d_0158_3b96]];

@@ -121,6 +121,7 @@ fn fig7_and_fig9_headline_shape() {
             "capping scheme violated its budget: {v:?}"
         );
     }
-    assert!(violations.iter().any(|v| v.workload == WorkloadId::Stream
-        && v.scheme == SchemeId::Naive));
+    assert!(violations
+        .iter()
+        .any(|v| v.workload == WorkloadId::Stream && v.scheme == SchemeId::Naive));
 }
