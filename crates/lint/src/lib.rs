@@ -23,9 +23,12 @@
 //! candidate; does every candidate panic), so a call site costs one
 //! lookup however many candidates it has.
 //!
-//! The front end holds each file's text once per form: the source and
-//! its scrubbed copy are each one buffer with a line table
-//! ([`lexer::Lines`]) and tokens borrow from the scrubbed buffer. A call
+//! The front end reads each file's text once and holds it once per form:
+//! one pass of [`lexer::scrub`] writes the scrubbed copy, finds the line
+//! ends and gathers every comment into one buffer, so the source and its
+//! scrubbed copy are each one buffer with a line table
+//! ([`lexer::Lines`]), `vap:allow` markers come from one search of the
+//! comment buffer, and tokens borrow from the scrubbed buffer. A call
 //! ([`parse::Call`]) is positions in the file's one token list — its
 //! callee, its path, its turbofish and a run of the file's argument
 //! list — read back from the lines, so a call site allocates nothing of
