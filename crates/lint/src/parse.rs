@@ -52,8 +52,9 @@ impl Tok<'_> {
     }
 }
 
-/// Tokenize scrubbed lines. Identifier/number runs become one token;
-/// `::` and `->` fuse; every other non-space byte is a one-char token.
+/// Tokenize scrubbed lines. Identifier/number runs, raw identifiers
+/// included, become one token; `::` and `->` fuse; every other non-space
+/// byte is a one-char token.
 pub fn tokenize(code: &Lines) -> Vec<Tok<'_>> {
     let mut toks = Vec::new();
     for (line_no, line) in code.iter().enumerate() {
@@ -67,6 +68,12 @@ pub fn tokenize(code: &Lines) -> Vec<Tok<'_>> {
             }
             let start = i;
             if c.is_ascii_alphanumeric() || c == '_' {
+                // a raw identifier (`r#match`) is one token
+                if bytes[i..].starts_with(b"r#")
+                    && bytes.get(i + 2).is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_')
+                {
+                    i += 2;
+                }
                 while i < bytes.len()
                     && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
                 {

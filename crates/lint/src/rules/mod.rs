@@ -144,11 +144,12 @@ const STARTS: [u16; 256] = {
 /// identifier byte (`x.unwrap()y` and `panic!x` are not words). The
 /// tokenizer's identifier and number runs are maximal, so an identifier
 /// at either end of a word is never part of a longer one (`_HashMap`,
-/// `1e-5HashMap` and `Instant::now_or` hold no word).
+/// `1e-5HashMap` and `Instant::now_or` hold no word). A raw identifier
+/// is read as its bare name (`r#HashMap`, `x.r#unwrap()`).
 #[inline]
 pub(crate) fn word_at(toks: &[Tok<'_>], i: usize) -> Option<Word> {
     // one table lookup turns most tokens away before the string match
-    let text = toks.get(i)?.text.as_bytes();
+    let text = bare(toks.get(i)?.text).as_bytes();
     let first = *text.first()?;
     if text.len() >= 16 || STARTS[usize::from(first)] & (1 << text.len()) == 0 {
         return None;
@@ -158,8 +159,8 @@ pub(crate) fn word_at(toks: &[Tok<'_>], i: usize) -> Option<Word> {
 
 /// [`word_at`] for a token that passed the first-token table.
 fn spelled_word_at(toks: &[Tok<'_>], i: usize) -> Option<Word> {
-    let word = match toks[i].text {
-        "." => match toks.get(i + 1)?.text {
+    let word = match bare(toks[i].text) {
+        "." => match bare(toks.get(i + 1)?.text) {
             "unwrap" => Word::Unwrap,
             "expect" => Word::Expect,
             _ => return None,
@@ -183,12 +184,17 @@ fn spelled_word_at(toks: &[Tok<'_>], i: usize) -> Option<Word> {
     let spelling = word.tokens();
     let run = toks.get(i..i + spelling.len())?;
     let touch = |a: &Tok<'_>, b: &Tok<'_>| a.line == b.line && a.col + a.text.len() == b.col;
-    let spelled = run.iter().zip(spelling).all(|(t, s)| t.text == *s)
+    let spelled = run.iter().zip(spelling).all(|(t, s)| bare(t.text) == *s)
         && run.windows(2).all(|pair| touch(&pair[0], &pair[1]));
     let extended = toks.get(i + spelling.len()).zip(run.last()).is_some_and(|(next, last)| {
         touch(last, next) && next.text.chars().next().is_some_and(is_ident_char)
     });
     (spelled && (spelling.last() == Some(&"(") || !extended)).then_some(word)
+}
+
+/// A token's text, a raw identifier (`r#panic`) read as its bare name.
+fn bare(text: &str) -> &str {
+    text.strip_prefix("r#").unwrap_or(text)
 }
 
 /// Report every site of `rule`'s words in `file` outside test regions,
@@ -283,6 +289,14 @@ mod tests {
             let toks = crate::parse::tokenize(&code);
             assert_eq!(word_at(&toks, 0), Some(word), "{:?}", word.tokens());
         }
+    }
+
+    #[test]
+    fn raw_identifiers_are_read_as_their_bare_names() {
+        let src = "let m = r#HashMap::new();\nr#panic!();\nx.r#unwrap();\nr#match(x);\n";
+        let parsed = crate::parse::parse_file(&crate::lexer::scrub(src).code);
+        let words: Vec<_> = parsed.sites.iter().map(|s| (s.line, s.word)).collect();
+        assert_eq!(words, [(0, Word::HashMap), (1, Word::Panic), (2, Word::Unwrap)]);
     }
 
     #[test]

@@ -255,6 +255,15 @@ mod tests {
     }
 
     #[test]
+    fn raw_identifier_names_are_indexed() {
+        // `r#match` is one name, so both findings fire as they do for `m`
+        let src = "pub fn r#match(cap: Watts) -> f64 {\n    cap.0\n}\n\
+                   fn sweep() {\n    let f = r#match(1.5 * 2.0);\n}\n";
+        let hits = findings(&[], "crates/core/src/x.rs", "vap-core", src);
+        assert_eq!(hits.iter().map(|f| f.line).collect::<Vec<_>>(), [5, 1]);
+    }
+
+    #[test]
     fn private_fns_and_unit_returns_are_quiet() {
         let src = "fn headroom(cap: Watts) -> f64 {\n    cap.value()\n}\n\
                    pub fn scaled(cap: Watts) -> Watts {\n    cap\n}\n\
