@@ -102,59 +102,46 @@ fn is_word_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b':')
 }
 
-/// The operand-ish token ending just before byte `pos` (skipping spaces).
-/// An exponent sign belongs to the token only after a digit mantissa and
-/// `e`/`E` (`1e-9`, `2.5E+3`), so `n-1` and `e-1` end at the `1`.
+/// Is `b[i]` an exponent's sign: a `-`/`+` after a digit mantissa and
+/// `e`/`E`, before a digit (`1e-9`, `2.5E+3`, but not `n-1` or `e-1`)?
+fn is_exponent_sign(b: &[u8], i: usize) -> bool {
+    matches!(b[i], b'-' | b'+')
+        && i >= 2
+        && matches!(b[i - 1], b'e' | b'E')
+        && b[i - 2].is_ascii_digit()
+        && b.get(i + 1).is_some_and(u8::is_ascii_digit)
+}
+
+/// The operand-ish token ending just before byte `pos` (skipping spaces),
+/// an exponent's sign included.
 fn token_before(line: &str, pos: usize) -> &str {
     let head = line[..pos].trim_end();
     let b = head.as_bytes();
     let mut start = b.len();
-    while start > 0 {
-        let c = b[start - 1];
-        let exponent_sign = matches!(c, b'-' | b'+')
-            && start >= 3
-            && matches!(b[start - 2], b'e' | b'E')
-            && b[start - 3].is_ascii_digit()
-            && b.get(start).is_some_and(u8::is_ascii_digit);
-        if is_word_byte(c) || exponent_sign {
-            start -= 1;
-        } else {
-            break;
-        }
+    while start > 0 && (is_word_byte(b[start - 1]) || is_exponent_sign(b, start - 1)) {
+        start -= 1;
     }
     // every byte taken is ASCII, so `start` is a char boundary
     &head[start..]
 }
 
 /// The operand-ish token starting at/after byte `pos` (skipping spaces),
-/// with a leading unary minus (`-1.0`).
+/// with a leading unary minus (`-1.0`) and an exponent's sign.
 fn token_after(line: &str, pos: usize) -> &str {
     let rest = line[pos..].trim_start();
-    let sign = usize::from(rest.starts_with('-'));
-    let len = rest.as_bytes()[sign..].iter().take_while(|&&c| is_word_byte(c)).count();
-    &rest[..sign + len]
+    let b = rest.as_bytes();
+    let mut end = usize::from(rest.starts_with('-'));
+    while end < b.len() && (is_word_byte(b[end]) || is_exponent_sign(b, end)) {
+        end += 1;
+    }
+    &rest[..end]
 }
 
 /// Is `tok` a float literal (`1.0`, `-1.0`, `1e-6`, `2f64`) or an
 /// `f64::`/`f32::` constant path?
 fn is_float_operand(tok: &str) -> bool {
     let tok = tok.strip_prefix('-').unwrap_or(tok);
-    if tok.starts_with("f64::") || tok.starts_with("f32::") {
-        return true;
-    }
-    let t = tok.trim_end_matches("f64").trim_end_matches("f32");
-    let mut chars = t.chars();
-    let Some(first) = chars.next() else { return false };
-    if !first.is_ascii_digit() {
-        return false;
-    }
-    if t.starts_with("0x") || t.starts_with("0b") || t.starts_with("0o") {
-        return false;
-    }
-    // a float literal has a decimal point or an exponent; `2f64` had its
-    // suffix stripped above, leaving a bare int — catch it by comparing
-    // lengths
-    t.contains('.') || t.contains('e') || t.contains('E') || t.len() != tok.len()
+    tok.starts_with("f64::") || tok.starts_with("f32::") || crate::parse::is_float_literal(tok)
 }
 
 #[cfg(test)]
@@ -194,6 +181,16 @@ mod tests {
                    if i == -1 { }\nif n-1 == m { }\nif e-1 == x { }\n\
                    if i ==-1 { }\nif x ==-y { }\n";
         assert!(findings(src).is_empty());
+    }
+
+    #[test]
+    fn integer_suffixes_are_not_exponents() {
+        // the `e` of `usize`/`isize` ends the token; a signed exponent
+        // is read whole on either side
+        assert!(findings("if n == 1usize {\n").is_empty());
+        assert!(findings("if i != 0isize {\n").is_empty());
+        assert_eq!(findings("if x == 1e-9 {\n").len(), 1);
+        assert_eq!(findings("if 2.5E+3 != x {\n").len(), 1);
     }
 
     #[test]
