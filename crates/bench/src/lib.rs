@@ -1,7 +1,7 @@
 //! The vap benchmark harness: one timing path, [`Runner`], behind the
-//! `harness = false` benches in `benches/` and the `profile` bin that
-//! writes `BENCH.json`, plus the counting allocator behind the
-//! zero-realloc capacity regression test (`tests/alloc_regression.rs`).
+//! `profile` bin, the one program that times anything and writes
+//! `BENCH.json`, plus the counting allocator behind the zero-realloc
+//! capacity regression test (`tests/alloc_regression.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -90,17 +90,15 @@ impl ToJson for Lines<'_> {
     }
 }
 
-/// Usage of a binary whose cases run through [`Runner`].
+/// Usage of `profile`, whose cases run through [`Runner`].
 const USAGE: &str = "\
 usage: profile [FILTER]
-       cargo bench -p vap-bench --bench algorithm -- [FILTER]
 
 Times every case whose name contains FILTER (every case without one),
-printing each row to stderr as it lands; profile then prints the
-BENCH.json record to stdout.
+printing each row to stderr as it lands, then prints the BENCH.json
+record to stdout.
 
 options:
-  --bench     ignored (cargo passes it to bench targets)
   -h, --help  print this help
 ";
 
@@ -117,15 +115,14 @@ enum Args {
 }
 
 impl Args {
-    /// Parse the arguments after the program name: at most one filter,
-    /// `--bench` (which cargo passes to bench targets) and `-h`/`--help`.
-    /// Any other argument starting with `-` is an error.
+    /// Parse the arguments after the program name: at most one filter
+    /// and `-h`/`--help`. Any other argument starting with `-` is an
+    /// error.
     fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut filter = None;
         for arg in args {
             match arg.as_str() {
                 "-h" | "--help" => return Ok(Args::Help),
-                "--bench" => {}
                 flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
                 _ => match &filter {
                     Some(first) => {
@@ -144,8 +141,8 @@ impl Args {
 /// stderr as it lands; [`Runner::report`] renders them all as the
 /// `BENCH.json` document.
 ///
-/// The command-line filter (`cargo bench -- alpha`, `profile ledger`)
-/// runs only the cases whose name contains it.
+/// The command-line filter (`profile ledger`, `profile report/`) runs
+/// only the cases whose name contains it.
 #[derive(Debug, Clone)]
 pub struct Runner {
     filter: Option<String>,
@@ -157,19 +154,19 @@ impl Runner {
     pub const SAMPLES: usize = 10;
 
     /// A runner configured from the process arguments: at most one
-    /// filter, and `--bench` (which cargo passes to bench targets).
-    /// `-h`/`--help` prints the usage and exits 0; any other flag or a
-    /// second filter prints the error and the usage to stderr and exits 2.
+    /// filter. `-h`/`--help` prints the usage and exits 0; any other flag
+    /// or a second filter prints the error and the usage to stderr and
+    /// exits 2.
     pub fn from_args() -> Self {
         match Args::parse(std::env::args().skip(1)) {
             Ok(Args::Run { filter }) => Runner { filter, rows: Vec::new() },
             Ok(Args::Help) => {
-                // vap:allow(no-println-in-lib): usage is the bench binaries' output
+                // vap:allow(no-println-in-lib): usage is profile's output
                 print!("{USAGE}");
                 std::process::exit(0)
             }
             Err(e) => {
-                // vap:allow(no-println-in-lib): usage is the bench binaries' output
+                // vap:allow(no-println-in-lib): usage is profile's output
                 eprint!("{e}\n\n{USAGE}");
                 std::process::exit(vap_report::cli::EXIT_USAGE)
             }
@@ -490,13 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn cargo_bench_flag_is_accepted() {
-        assert_eq!(parse(&["--bench"]), run(None));
-        assert_eq!(parse(&["alpha", "--bench"]), run(Some("alpha")));
-        assert_eq!(parse(&["--bench", "alpha"]), run(Some("alpha")));
-    }
-
-    #[test]
     fn help_flags_ask_for_usage() {
         for flag in ["-h", "--help"] {
             assert_eq!(parse(&[flag]), Ok(Args::Help));
@@ -506,7 +496,7 @@ mod tests {
 
     #[test]
     fn other_flags_are_usage_errors() {
-        for flag in ["--bogus", "-x", "--", "-", "--benchmark", "-1"] {
+        for flag in ["--bench", "--bogus", "-x", "--", "-", "--benchmark", "-1"] {
             let err = parse(&[flag]).unwrap_err();
             assert!(err.contains(flag), "{flag}: {err}");
         }
@@ -518,13 +508,11 @@ mod tests {
         vap_model::rng::check("runner_args", 0xbe7c, vap_report::cli::HOSTILE_CASES, |rng| {
             let args = vap_report::cli::hostile_args(rng, &flags);
             let plain: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
-            let known = |a: &String| {
-                !a.starts_with('-') || ["--bench", "-h", "--help"].contains(&a.as_str())
-            };
+            let known = |a: &String| !a.starts_with('-') || ["-h", "--help"].contains(&a.as_str());
             match Args::parse(args.clone()) {
                 Ok(Args::Help) => assert!(args.iter().any(|a| a == "-h" || a == "--help")),
                 Ok(Args::Run { filter }) => {
-                    assert!(args.iter().all(|a| a == "--bench" || !a.starts_with('-')));
+                    assert!(args.iter().all(|a| !a.starts_with('-')));
                     assert!(plain.len() <= 1, "{plain:?}");
                     assert_eq!(filter.as_ref(), plain.first().copied());
                 }
