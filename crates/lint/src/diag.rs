@@ -200,6 +200,73 @@ mod tests {
         assert!(text.contains("warning[float-eq]"));
     }
 
+    /// The gutter is as wide as the line number, from 1 to 20 digits;
+    /// an allowed finding prints nothing. Recorded from the renderer that
+    /// built each gutter with `" ".repeat(line.to_string().len())`.
+    #[test]
+    fn human_gutters_are_as_wide_as_the_line_number() {
+        let at = |line, status| Finding { line, status, ..finding() };
+        let findings = [
+            at(7, Status::New),
+            at(42, Status::Baselined),
+            at(333, Status::Allowed),
+            at(333, Status::New),
+            at(4096, Status::New),
+            at(usize::MAX, Status::Baselined),
+        ];
+        let s = Summary {
+            files: 3,
+            total: 6,
+            new: 3,
+            baselined: 2,
+            allowed: 1,
+            stale_baseline_entries: 1,
+        };
+        let want = r"warning[float-eq]: floating-point `==` comparison
+ --> crates/stats/src/x.rs:7:12
+  |
+7 | if sxx == 0.0 {
+  |
+  = help: compare with an explicit tolerance
+
+warning[float-eq]: floating-point `==` comparison (baselined)
+  --> crates/stats/src/x.rs:42:12
+   |
+42 | if sxx == 0.0 {
+   |
+   = help: compare with an explicit tolerance
+
+warning[float-eq]: floating-point `==` comparison
+   --> crates/stats/src/x.rs:333:12
+    |
+333 | if sxx == 0.0 {
+    |
+    = help: compare with an explicit tolerance
+
+warning[float-eq]: floating-point `==` comparison
+    --> crates/stats/src/x.rs:4096:12
+     |
+4096 | if sxx == 0.0 {
+     |
+     = help: compare with an explicit tolerance
+
+warning[float-eq]: floating-point `==` comparison (baselined)
+                    --> crates/stats/src/x.rs:18446744073709551615:12
+                     |
+18446744073709551615 | if sxx == 0.0 {
+                     |
+                     = help: compare with an explicit tolerance
+
+vap-lint: 3 files scanned, 6 findings (3 new, 2 baselined, 1 allowed)
+vap-lint: 1 baseline entry now overcount — run with --write-baseline to burn down
+";
+        assert_eq!(render_human(&findings, &s, false), want);
+        let stale = Summary { stale_baseline_entries: 2, ..Summary::default() };
+        assert!(render_human(&[], &stale, false).ends_with(
+            "\nvap-lint: 2 baseline entries now overcount — run with --write-baseline to burn down\n"
+        ));
+    }
+
     /// Snapshot of the JSON schema: field names, order and escaping are a
     /// contract for CI consumers; change `version` if you change them.
     #[test]
@@ -214,6 +281,46 @@ mod tests {
                         \"help\": \"compare with an explicit tolerance\", \"status\": \"new\"}\n  ],\n  \
                         \"summary\": {\"files\": 2, \"total\": 1, \"new\": 1, \"baselined\": 0, \"allowed\": 0}\n}\n";
         assert_eq!(render_json(&[f], &s), expected);
+    }
+
+    /// Each string field escapes every byte below 0x20 (`\t`, `\n`, `\r`
+    /// by name, the rest as `\u00xx`), `"` and `\`, and keeps DEL and
+    /// multi-byte text as they are; findings are joined by `,`. Recorded
+    /// from the renderer that escaped each field into a `String` of its
+    /// own.
+    #[test]
+    fn json_escapes_are_pinned_for_every_string_field() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            (
+                controls.as_str(),
+                "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\
+                 \\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\
+                 \\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f",
+            ),
+            ("del \u{7f} stays", "del \u{7f} stays"),
+            ("a \"quoted\" \\ path\\", "a \\\"quoted\\\" \\\\ path\\\\"),
+            ("\"", "\\\""),
+            ("é·\u{3000}🦀 and é\u{1f}·\n", "é·\u{3000}🦀 and é\\u001f·\\n"),
+            ("", ""),
+        ];
+        let s = Summary { files: 1, total: 2, new: 1, baselined: 1, ..Summary::default() };
+        for (raw, esc) in cases {
+            let f =
+                Finding { path: raw.into(), message: raw.into(), snippet: raw.into(), ..finding() };
+            let second = Finding { line: 4096, column: 1, status: Status::Baselined, ..finding() };
+            let want = format!(
+                "{{\n  \"version\": 1,\n  \"findings\": [\n    {{\"rule\": \"float-eq\", \
+                 \"path\": \"{esc}\", \"line\": 33, \"column\": 12, \"message\": \"{esc}\", \
+                 \"snippet\": \"{esc}\", \"help\": \"compare with an explicit tolerance\", \
+                 \"status\": \"new\"}},\n    {{\"rule\": \"float-eq\", \
+                 \"path\": \"crates/stats/src/x.rs\", \"line\": 4096, \"column\": 1, \
+                 \"message\": \"floating-point `==` comparison\", \"snippet\": \"if sxx == 0.0 {{\", \
+                 \"help\": \"compare with an explicit tolerance\", \"status\": \"baselined\"}}\n  ],\n  \
+                 \"summary\": {{\"files\": 1, \"total\": 2, \"new\": 1, \"baselined\": 1, \"allowed\": 0}}\n}}\n"
+            );
+            assert_eq!(render_json(&[f, second], &s), want, "{raw:?}");
+        }
     }
 
     #[test]

@@ -587,6 +587,37 @@ pub(crate) mod tests {
         assert_eq!(test_regions(&spaced.code), [true, true, false]);
     }
 
+    /// Recorded from the per-line search: the first `#` on a line that
+    /// opens `#[cfg(test)]` (Unicode whitespace ignored) starts a region,
+    /// and the search resumes at the line after the region.
+    #[test]
+    fn cfg_test_search_keeps_its_line_semantics() {
+        let regions = |src: &str| test_regions(&scrub(src).code);
+        // `#`s that open no attribute before one that does
+        assert_eq!(
+            regions("#![allow(x)] x # y ##[cfg(test)] mod t {\n}\nfn tail() {}"),
+            [true, true, false]
+        );
+        // the second attribute sits on the region's last line, so it
+        // starts no region of its own
+        assert_eq!(
+            regions("#[cfg(test)] mod a { } #[cfg(test)] mod b {\n    fn t() {}\n}\nfn tail() {}"),
+            [true, false, false, false]
+        );
+        // an attribute on a last line without a newline
+        assert_eq!(regions("fn a() {}\n#[cfg(test)]"), [false, true]);
+        assert_eq!(regions("fn a() {}\n#[cfg(test)] mod t { fn x() {} }"), [false, true]);
+        // Unicode whitespace inside the attribute, and near misses
+        assert_eq!(
+            regions("#\u{3000}[cfg(\u{a0}test) ] mod t {\n}\nfn tail() {}"),
+            [true, true, false]
+        );
+        assert_eq!(
+            regions("#[cfg(tests)] mod t {\n#[cfg(test)\n}\n#[cfg(test)]"),
+            [false, false, false, true]
+        );
+    }
+
     #[test]
     fn cfg_test_on_braceless_item() {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn lib() {}";

@@ -194,6 +194,15 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_code_before_an_operator() {
+        // a scrubbed line may start with a multi-byte identifier
+        // character, so the scan for `=` must not slice inside it
+        let found = findings("é == 1.0\nlet é·x = a != 2.0;\n");
+        let at: Vec<(usize, usize)> = found.iter().map(|f| (f.line, f.column)).collect();
+        assert_eq!(at, [(1, 4), (2, 15)]);
+    }
+
+    #[test]
     fn test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { assert!(x == 0.0); }\n}\n";
         assert!(findings(src).is_empty());
