@@ -66,7 +66,11 @@ pub struct Summary {
 
 /// Render findings the way rustc renders lints.
 pub fn render_human(findings: &[Finding], summary: &Summary, deny: bool) -> String {
-    let mut out = String::new();
+    // a gutter is as wide as its line number, and a `usize` has at most
+    // 20 digits
+    const GUTTERS: &str = "                    ";
+    let mut out = String::with_capacity(reserve(findings));
+    let (mut line_digits, mut column_digits) = ([0; 20], [0; 20]);
     for f in findings {
         if f.status == Status::Allowed {
             continue;
@@ -76,14 +80,21 @@ pub fn render_human(findings: &[Finding], summary: &Summary, deny: bool) -> Stri
             Status::New => ("warning", ""),
             _ => ("warning", " (baselined)"),
         };
-        let gutter = " ".repeat(f.line.to_string().len());
-        let _ = writeln!(out, "{level}[{rule}]: {msg}{note}", rule = f.rule, msg = f.message);
-        let _ = writeln!(out, "{gutter}--> {}:{}:{}", f.path, f.line, f.column);
-        let _ = writeln!(out, "{gutter} |");
-        let _ = writeln!(out, "{} | {}", f.line, f.snippet);
-        let _ = writeln!(out, "{gutter} |");
-        let _ = writeln!(out, "{gutter} = help: {}", f.help);
-        out.push('\n');
+        let line = decimal(f.line, &mut line_digits);
+        let gutter = &GUTTERS[..line.len()];
+        out.extend([level, "[", f.rule, "]: ", &f.message, note, "\n"]);
+        out.extend([
+            gutter,
+            "--> ",
+            &f.path,
+            ":",
+            line,
+            ":",
+            decimal(f.column, &mut column_digits),
+            "\n",
+        ]);
+        out.extend([gutter, " |\n", line, " | ", &f.snippet, "\n", gutter, " |\n"]);
+        out.extend([gutter, " = help: ", f.help, "\n\n"]);
     }
     let _ = writeln!(
         out,
@@ -115,23 +126,24 @@ pub fn render_human(findings: &[Finding], summary: &Summary, deny: bool) -> Stri
 /// }
 /// ```
 pub fn render_json(findings: &[Finding], summary: &Summary) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
+    let mut out = String::with_capacity(reserve(findings));
+    let (mut line_digits, mut column_digits) = ([0; 20], [0; 20]);
+    out.push_str("{\n  \"version\": 1,\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"column\": {}, \"message\": {}, \"snippet\": {}, \"help\": {}, \"status\": {}}}",
-            json_str(f.rule),
-            json_str(&f.path),
-            f.line,
-            f.column,
-            json_str(&f.message),
-            json_str(&f.snippet),
-            json_str(f.help),
-            json_str(f.status.name()),
-        );
+        out.push_str(if i == 0 { "\n    {\"rule\": " } else { ",\n    {\"rule\": " });
+        json_str(&mut out, f.rule);
+        out.push_str(", \"path\": ");
+        json_str(&mut out, &f.path);
+        out.extend([", \"line\": ", decimal(f.line, &mut line_digits)]);
+        out.extend([", \"column\": ", decimal(f.column, &mut column_digits), ", \"message\": "]);
+        json_str(&mut out, &f.message);
+        out.push_str(", \"snippet\": ");
+        json_str(&mut out, &f.snippet);
+        out.push_str(", \"help\": ");
+        json_str(&mut out, f.help);
+        out.push_str(", \"status\": ");
+        json_str(&mut out, f.status.name());
+        out.push('}');
     }
     if !findings.is_empty() {
         out.push_str("\n  ");
@@ -144,25 +156,56 @@ pub fn render_json(findings: &[Finding], summary: &Summary) -> String {
     out
 }
 
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// About the bytes either rendering of `findings` takes: their text
+/// fields plus each one's fixed frame and the summary.
+fn reserve(findings: &[Finding]) -> usize {
+    let text = |f: &Finding| f.rule.len() + f.path.len() + f.message.len() + f.snippet.len();
+    findings.iter().map(|f| 160 + text(f) + f.help.len()).sum::<usize>() + 160
+}
+
+/// `n` in decimal, written into the end of `buf`.
+fn decimal(mut n: usize, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    std::str::from_utf8(&buf[at..]).unwrap_or_default()
+}
+
+/// Append `s` to `out` as a JSON string literal.
+///
+/// Every byte that needs an escape is ASCII, so each run of bytes between
+/// two of them ends on a char boundary and is copied whole.
+fn json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    out
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
