@@ -63,6 +63,11 @@ impl Lines {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
         self.spans.iter().map(|&(a, b)| &self.text[a..b])
     }
+
+    /// Bytes in the buffer, line terminators included if it holds any.
+    pub(crate) fn text_len(&self) -> usize {
+        self.text.len()
+    }
 }
 
 impl Index<usize> for Lines {
@@ -147,12 +152,18 @@ impl Out {
 /// in-state so multi-line strings scrub correctly.
 pub fn scrub(src: &str) -> Scrubbed {
     let bytes = src.as_bytes();
+    // `str::lines` ends a line only at a `\n`, plus a last line that has
+    // none, so this is the exact line count
+    let lines = bytes.iter().filter(|&&c| c == b'\n').count()
+        + usize::from(bytes.last().is_some_and(|&c| c != b'\n'));
     let mut out = Out {
         code: String::with_capacity(src.len()),
-        spans: Vec::new(),
+        spans: Vec::with_capacity(lines),
         comments: Vec::new(),
-        comment_text: String::new(),
-        raw_spans: Vec::new(),
+        // the comment text is read for markers and dropped, so it may
+        // take the whole source's room
+        comment_text: String::with_capacity(src.len()),
+        raw_spans: Vec::with_capacity(lines),
         line: (0, 0, 0),
     };
     let mut state = State::Code;
@@ -380,33 +391,42 @@ fn is_lifetime(text: &str, i: usize) -> bool {
     }
 }
 
-/// Where the first `#[cfg(test)]` in `line` ends, just past its `]`, if
-/// the line holds one once its whitespace is ignored.
-fn cfg_test_end(line: &str) -> Option<usize> {
+/// The length of the `#[cfg(test)]` that opens `text`, through its `]`,
+/// if `text` starts with one once its whitespace is ignored.
+fn cfg_test_len(text: &str) -> Option<usize> {
     const ATTR: &str = "#[cfg(test)]";
-    line.match_indices('#').find_map(|(pos, _)| {
-        let mut rest = line[pos..].char_indices().filter(|(_, c)| !c.is_whitespace());
-        let mut end = pos;
-        for a in ATTR.chars() {
-            let (at, c) = rest.next().filter(|&(_, c)| c == a)?;
-            end = pos + at + c.len_utf8();
-        }
-        Some(end)
-    })
+    let mut rest = text.char_indices().filter(|(_, c)| !c.is_whitespace());
+    let mut len = 0;
+    for a in ATTR.chars() {
+        let (at, c) = rest.next().filter(|&(_, c)| c == a)?;
+        len = at + c.len_utf8();
+    }
+    Some(len)
 }
 
 /// Per-line flags marking `#[cfg(test)]`-gated regions (the attribute
 /// line through the closing brace of the item it gates). Attributes that
 /// gate a braceless item (`#[cfg(test)] use foo;`) end at the `;`.
+///
+/// One search over the buffer finds every `#`; the lines sit in it in
+/// order, so a hit's line is found by walking the line table forward. A
+/// line's first `#` that opens the attribute within that line starts a
+/// region, and the search resumes at the line after the region.
 pub fn test_regions(code: &Lines) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
-    let mut line = 0usize;
-    while line < code.len() {
-        let Some(attr_end) = cfg_test_end(&code[line]) else {
+    // the search resumes at byte `from` of the buffer, which `line` holds
+    let (mut from, mut line) = (0, 0);
+    while let Some(hit) = code.text[from..].find('#').map(|p| from + p) {
+        while code.spans.get(line).is_some_and(|&(_, end)| end <= hit) {
             line += 1;
+        }
+        let Some(&(start, end)) = code.spans.get(line) else { break };
+        let Some(len) = cfg_test_len(&code.text[hit..end]) else {
+            from = hit + 1;
             continue;
         };
-        // walk forward from the end of this line to the gated item's body
+        let attr_end = hit - start + len;
+        // walk forward from the end of the attribute to the gated item's body
         let mut depth = 0i32;
         let mut end = code.len() - 1;
         let mut entered = false;
@@ -442,6 +462,8 @@ pub fn test_regions(code: &Lines) -> Vec<bool> {
             *flag = true;
         }
         line = end + 1;
+        let Some(&(next, _)) = code.spans.get(line) else { break };
+        from = next;
     }
     in_test
 }
