@@ -60,6 +60,11 @@ fn comparison_ops(line: &str) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 1 < bytes.len() {
+        // both operators end in `=`: jump to the byte before the next one.
+        // Search the bytes, since `i + 1` may fall inside a multi-byte
+        // character (`é == 1.0`), where slicing the `&str` would panic
+        let Some(skip) = bytes[i + 1..].iter().position(|&c| c == b'=') else { break };
+        i += skip;
         let pair = &bytes[i..i + 2];
         if pair == b"==" {
             let before = i.checked_sub(1).map(|j| bytes[j]);
