@@ -29,10 +29,9 @@ pub struct WorkspaceFile {
 pub fn workspace_files(root: &Path) -> io::Result<Vec<WorkspaceFile>> {
     let mut files = Vec::new();
     for member in member_dirs(root)? {
-        let manifest = member.join("Cargo.toml");
-        let Some(crate_name) = package_name(&manifest) else {
-            continue; // not a package (or unreadable): nothing to attribute
-        };
+        // not a package (or unreadable): nothing to attribute
+        let Ok(text) = fs::read_to_string(member.join("Cargo.toml")) else { continue };
+        let Some(crate_name) = package_name(&text) else { continue };
         let src = member.join("src");
         if src.is_dir() {
             collect_rs(&src, &mut |p| {
@@ -96,9 +95,8 @@ pub fn crate_dependencies(
 ) -> io::Result<std::collections::BTreeMap<String, std::collections::BTreeSet<String>>> {
     let mut deps = std::collections::BTreeMap::new();
     for member in member_dirs(root)? {
-        let manifest = member.join("Cargo.toml");
-        let Some(crate_name) = package_name(&manifest) else { continue };
-        let Ok(text) = fs::read_to_string(&manifest) else { continue };
+        let Ok(text) = fs::read_to_string(member.join("Cargo.toml")) else { continue };
+        let Some(crate_name) = package_name(&text) else { continue };
         let mut edges = std::collections::BTreeSet::new();
         let mut in_deps = false;
         for raw in text.lines() {
@@ -135,8 +133,7 @@ pub fn crate_dependencies(
 
 /// The `name = "..."` (or `name = '...'`) of a `[package]`, straight off
 /// the manifest text.
-fn package_name(manifest: &Path) -> Option<String> {
-    let text = fs::read_to_string(manifest).ok()?;
+fn package_name(text: &str) -> Option<String> {
     let mut in_package = false;
     for raw in text.lines() {
         let line = strip_comment(raw);
@@ -276,34 +273,24 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// Write `manifest` as the `Cargo.toml` of a scratch crate and read
-    /// its package name back.
-    fn name_of(tag: &str, manifest: &str) -> Option<String> {
-        let root = scratch(tag);
-        fs::write(root.join("Cargo.toml"), manifest).unwrap();
-        let name = package_name(&root.join("Cargo.toml"));
-        let _ = fs::remove_dir_all(&root);
-        name
-    }
-
     #[test]
     fn a_comment_after_the_package_header_keeps_the_name() {
-        let name = name_of("header-comment", "[package] # the simulator\nname = \"vap-sim\"\n");
+        let name = package_name("[package] # the simulator\nname = \"vap-sim\"\n");
         assert_eq!(name.as_deref(), Some("vap-sim"));
     }
 
     #[test]
     fn a_comment_after_the_name_is_not_part_of_it() {
-        let name = name_of("name-comment", "[package]\nname = \"vap-sim\" # the simulator\n");
+        let name = package_name("[package]\nname = \"vap-sim\" # the simulator\n");
         assert_eq!(name.as_deref(), Some("vap-sim"));
         // a `#` inside the quotes is text, not a comment
-        let name = name_of("hash-in-name", "[package]\nname = \"vap-#1\" # first\n");
+        let name = package_name("[package]\nname = \"vap-#1\" # first\n");
         assert_eq!(name.as_deref(), Some("vap-#1"));
     }
 
     #[test]
     fn a_literal_string_name_is_unquoted() {
-        let name = name_of("literal-name", "[package]\nname = 'vap-core'\n");
+        let name = package_name("[package]\nname = 'vap-core'\n");
         assert_eq!(name.as_deref(), Some("vap-core"));
     }
 
@@ -337,14 +324,8 @@ mod tests {
 
     #[test]
     fn package_name_ignores_dependency_tables() {
-        let root = scratch("deps");
-        let manifest = root.join("Cargo.toml");
-        fs::write(
-            &manifest,
-            "[dependencies]\nname-like = \"1\"\n[package]\nname = \"vap-x\"\nversion = \"0.1.0\"\n",
-        )
-        .unwrap();
-        assert_eq!(package_name(&manifest).as_deref(), Some("vap-x"));
-        let _ = fs::remove_dir_all(&root);
+        let manifest =
+            "[dependencies]\nname-like = \"1\"\n[package]\nname = \"vap-x\"\nversion = \"0.1.0\"\n";
+        assert_eq!(package_name(manifest).as_deref(), Some("vap-x"));
     }
 }
