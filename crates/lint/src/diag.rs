@@ -81,18 +81,10 @@ pub fn render_human(findings: &[Finding], summary: &Summary, deny: bool) -> Stri
             _ => ("warning", " (baselined)"),
         };
         let line = decimal(f.line, &mut line_digits);
+        let column = decimal(f.column, &mut column_digits);
         let gutter = &GUTTERS[..line.len()];
         out.extend([level, "[", f.rule, "]: ", &f.message, note, "\n"]);
-        out.extend([
-            gutter,
-            "--> ",
-            &f.path,
-            ":",
-            line,
-            ":",
-            decimal(f.column, &mut column_digits),
-            "\n",
-        ]);
+        out.extend([gutter, "--> ", &f.path, ":", line, ":", column, "\n"]);
         out.extend([gutter, " |\n", line, " | ", &f.snippet, "\n", gutter, " |\n"]);
         out.extend([gutter, " = help: ", f.help, "\n\n"]);
     }

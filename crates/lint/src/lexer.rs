@@ -22,6 +22,10 @@
 //! offset in the scrubbed line — is the same whether the text before it
 //! was ASCII or not. The comment text of every line goes into one buffer
 //! per file, with one `(line, range)` entry per line that carries any.
+//! The line tables are sized from the file's count of `\n` bytes, its
+//! exact line count, and the code and comment buffers from its length,
+//! so none of them regrows. [`test_regions`] finds every `#` of a file
+//! with one search over its scrubbed buffer.
 //!
 //! [`Lines`] pairs a buffer with a line table, so a line is a `&str`
 //! borrowed from it, and the parser's tokens borrow from those lines in
@@ -420,12 +424,12 @@ pub fn test_regions(code: &Lines) -> Vec<bool> {
         while code.spans.get(line).is_some_and(|&(_, end)| end <= hit) {
             line += 1;
         }
-        let Some(&(start, end)) = code.spans.get(line) else { break };
-        let Some(len) = cfg_test_len(&code.text[hit..end]) else {
+        let Some(&(line_start, line_end)) = code.spans.get(line) else { break };
+        let Some(len) = cfg_test_len(&code.text[hit..line_end]) else {
             from = hit + 1;
             continue;
         };
-        let attr_end = hit - start + len;
+        let attr_end = hit - line_start + len;
         // walk forward from the end of the attribute to the gated item's body
         let mut depth = 0i32;
         let mut end = code.len() - 1;
