@@ -418,7 +418,8 @@ fn cfg_test_len(text: &str) -> Option<usize> {
 /// region, and the search resumes at the line after the region.
 pub fn test_regions(code: &Lines) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
-    // the search resumes at byte `from` of the buffer, which `line` holds
+    // the `#` search resumes at byte `from`; `line` is at or before the
+    // line that holds it
     let (mut from, mut line) = (0, 0);
     while let Some(hit) = code.text[from..].find('#').map(|p| from + p) {
         while code.spans.get(line).is_some_and(|&(_, end)| end <= hit) {
