@@ -137,7 +137,16 @@ impl SystemSpec {
     /// **HA8K** — the 1,920-module Ivy Bridge system all power-capped
     /// experiments use. Calibrated so an uncapped *DGEMM-class workload
     /// (CPU activity 1.0) draws ≈101 W CPU / ≈12 W DRAM per module with
-    /// module Vp ≈ 1.3 and DRAM Vp ≈ 2.8 across 1,920 samples.
+    /// module Vp ≈ 1.3 and DRAM Vp ≈ 2.84 across 1,920 samples.
+    ///
+    /// `dram_sigma` comes from the paper's DRAM Vp of 2.84 (Fig. 2(i)).
+    /// Uncapped, every module runs at the same frequency and activity, so
+    /// the fleet's DRAM Vp is the max/min of its multipliers `1 + σz`.
+    /// The median largest of n standard normals is
+    /// z* = Φ⁻¹(1 − ln 2 / n) = 3.381 at n = 1,920, and the smallest is
+    /// −z*, so a median fleet has Vp = (1 + σz*) / (1 − σz*). Solving for
+    /// σ gives (Vp − 1) / ((Vp + 1)·z*) = 1.84 / (3.84 × 3.381) = 0.1417,
+    /// written 0.142.
     pub fn ha8k() -> SystemSpec {
         SystemSpec {
             id: SystemId::Ha8k,
@@ -171,7 +180,7 @@ impl SystemSpec {
             variability: VariabilityModel {
                 dynamic_sigma: 0.035,
                 leakage_sigma: 0.20,
-                dram_sigma: 0.125,
+                dram_sigma: 0.142,
                 within_die_sigma: 0.05,
                 perf_sigma: 0.0,
                 perf_power_corr: 0.0,
@@ -323,6 +332,8 @@ mod tests {
     use crate::power::PowerActivity;
     use crate::units::GigaHertz;
     use crate::variability::ModuleVariation;
+    use vap_stats::descriptive::quantile;
+    use vap_stats::Summary;
 
     #[test]
     fn table2_facts() {
@@ -376,6 +387,26 @@ mod tests {
         let p_dram = spec.power_model.dram_power(spec.pstates.f_max(), act, &v);
         // paper: DRAM average ≈ 12.0 W
         assert!((p_dram.value() - 12.0).abs() < 2.0, "p_dram = {p_dram}");
+    }
+
+    #[test]
+    fn ha8k_dram_vp_ensemble_brackets_the_paper() {
+        // Uncapped *DGEMM's DRAM Vp is the max/min of the fleet's DRAM
+        // multipliers. Over 200 fleets of 1,920 modules, the paper's 2.84
+        // (Fig. 2(i)) must lie inside the central 80% of that ratio.
+        let spec = SystemSpec::ha8k();
+        let vps: Vec<f64> = (0..200)
+            .map(|seed| {
+                let fleet =
+                    spec.variability.sample_fleet(spec.modules_studied, spec.cores_per_proc, seed);
+                let drams: Vec<f64> = fleet.iter().map(|v| v.dram).collect();
+                let s = Summary::of(&drams).unwrap();
+                s.max / s.min
+            })
+            .collect();
+        let p10 = quantile(&vps, 0.1).unwrap();
+        let p90 = quantile(&vps, 0.9).unwrap();
+        assert!(p10 < 2.84 && p90 > 2.84, "paper's 2.84 outside p10–p90 [{p10:.3}, {p90:.3}]");
     }
 
     #[test]
