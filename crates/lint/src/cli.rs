@@ -595,6 +595,118 @@ mod tests {
     }
 
     #[test]
+    fn every_finding_kind_is_pinned() {
+        // One site of each kind of finding a rule builds, and one word per
+        // lexical help text. The findings were recorded from the rules
+        // while each still built its own.
+        let root = workspace_of(
+            "kinds",
+            &[
+                ("crates/core/Cargo.toml", "[package]\nname = \"vap-core\"\n"),
+                (
+                    "crates/core/src/lib.rs",
+                    "pub fn set_cap(cap: Watts, n: usize) {}\n\
+                     pub fn draw(budget_w: f64) {}\n\
+                     pub fn total_power(n: usize) -> f64 {\n    n as f64\n}\n\
+                     pub fn rewrap(freq: GigaHertz) -> Watts {\n    Watts(freq.0 * 8.0)\n}\n\
+                     pub fn sweep() {\n    set_cap(47.5, 4);\n}\n\
+                     pub fn headroom(cap: Watts, used: Watts) -> f64 {\n    cap.value()\n}\n\
+                     pub fn risky(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n\
+                     pub fn caller() -> u8 {\n    risky(None)\n}\n\
+                     pub fn is_zero(x: f64) -> bool {\n    x == 0.0\n}\n\
+                     pub fn noisy() {\n    println!(\"p\");\n    let m = HashMap::new();\n    \
+                     let s = HashSet::new();\n    let r = thread_rng();\n    \
+                     let t = Instant::now();\n}\n",
+                ),
+                ("crates/daemon/Cargo.toml", "[package]\nname = \"vap-daemon\"\n"),
+                (
+                    "crates/daemon/src/lib.rs",
+                    "static LIVE: AtomicUsize = AtomicUsize::new(0);\n\
+                     pub fn fan(xs: &[Vec<f64>]) {\n    \
+                     vap_exec::par_map(xs, 2, |_, x| x.iter().sum::<f64>());\n}\n",
+                ),
+            ],
+        );
+        let out = scan(&Options::new(&root)).unwrap();
+        assert!(out.findings.iter().all(|f| f.status == Status::New));
+        let found: Vec<String> = out
+            .findings
+            .iter()
+            .map(|f| {
+                let (at, rule) = (format!("{}:{}:{}", f.path, f.line, f.column), f.rule);
+                format!("{at} {rule}: {} | {} | {}", f.message, f.snippet, f.help)
+            })
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "crates/core/src/lib.rs:2:13 raw-unit-f64: `budget_w` names a physical quantity \
+                 but is typed bare `f64` | pub fn draw(budget_w: f64) {} | use the unit \
+                 newtypes from vap-model (crates/model/src/units.rs): Watts, GigaHertz, Seconds \
+                 or Joules",
+                "crates/core/src/lib.rs:3:5 raw-unit-f64: `fn total_power` names a physical \
+                 quantity but returns bare `f64` | pub fn total_power(n: usize) -> f64 { | use \
+                 the unit newtypes from vap-model (crates/model/src/units.rs): Watts, GigaHertz, \
+                 Seconds or Joules",
+                "crates/core/src/lib.rs:7:5 unit-flow: `Watts(freq.0 * 8.0)` re-wraps a raw `.0` \
+                 projection — the source unit is lost | Watts(freq.0 * 8.0) | convert through \
+                 the dimensional ops in vap-model (crates/model/src/units.rs) or name the \
+                 conversion in a dedicated function; vap:allow with a reason if the rewrap is a \
+                 deliberate unit change",
+                "crates/core/src/lib.rs:10:5 unit-flow: bare f64 `47.5` passed to `set_cap` \
+                 parameter `cap: Watts` | set_cap(47.5, 4); | wrap the value in the unit the \
+                 callee declares (e.g. Watts(x)) at the point where its meaning is known",
+                "crates/core/src/lib.rs:12:1 unit-flow: pub fn `headroom` takes unit-typed `cap: \
+                 Watts` but returns bare `f64` | pub fn headroom(cap: Watts, used: Watts) -> f64 \
+                 { | return a unit newtype (or a named dimensionless wrapper) so the quantity's \
+                 meaning survives the API boundary; vap:allow with a reason for genuinely \
+                 dimensionless ratios",
+                "crates/core/src/lib.rs:16:6 no-panic-in-lib: `.unwrap()` can panic in library \
+                 code | x.unwrap() | return a Result (e.g. vap_core::error::BudgetError) or \
+                 restructure so the failure case cannot arise; vap:allow with a reason if the \
+                 panic is provably unreachable",
+                "crates/core/src/lib.rs:19:5 panic-propagation: `caller` calls `risky` \
+                 (crates/core/src/lib.rs:15), which contains 1 baselined panic | risky(None) | \
+                 burn down the panic in the callee (return a Result) so the debt stops \
+                 spreading; vap:allow with a reason if this call provably cannot hit the \
+                 panicking path",
+                "crates/core/src/lib.rs:22:7 float-eq: floating-point `==` comparison | x == 0.0 \
+                 | compare with an explicit tolerance, e.g. `(a - b).abs() < EPS` or a \
+                 documented near-zero guard",
+                "crates/core/src/lib.rs:25:5 no-println-in-lib: `println!` writes to stdout in \
+                 library code | println!(\"p\"); | route output through the CLI layer or record \
+                 it via vap_obs (incr/observe/span) so it lands in the journal; vap:allow with a \
+                 reason if terminal output is genuinely intended here",
+                "crates/core/src/lib.rs:26:13 determinism: `HashMap` has nondeterministic \
+                 iteration order | let m = HashMap::new(); | use BTreeMap or a Vec keyed by \
+                 module id — campaign replays must be bit-identical",
+                "crates/core/src/lib.rs:27:13 determinism: `HashSet` has nondeterministic \
+                 iteration order | let s = HashSet::new(); | use BTreeSet or a sorted Vec — \
+                 campaign replays must be bit-identical",
+                "crates/core/src/lib.rs:28:13 determinism: `thread_rng()` draws OS entropy | let \
+                 r = thread_rng(); | use a seeded vap_model::rng::SplitMix64 threaded from the \
+                 campaign seed",
+                "crates/core/src/lib.rs:29:13 determinism: monotonic clock in simulation logic | \
+                 let t = Instant::now(); | simulation time is stepped explicitly (Seconds); wall \
+                 clocks break replay",
+                "crates/daemon/src/lib.rs:1:1 shared-state-in-par: static `LIVE: AtomicUsize` \
+                 lives in `vap-daemon`, which is reachable from vap-exec worker closures | static \
+                 LIVE: AtomicUsize = AtomicUsize::new(0); | thread state through per-item \
+                 closure arguments (the par_* APIs reduce in index order) or move it behind an \
+                 explicit campaign-scoped handle; vap:allow at the definition with a reason if \
+                 the state is deliberately process-wide and race-safe",
+                "crates/daemon/src/lib.rs:3:46 shared-state-in-par: order-sensitive float `sum` \
+                 inside a par closure — float addition is not associative | \
+                 vap_exec::par_map(xs, 2, |_, x| x.iter().sum::<f64>()); | reduce over a \
+                 deterministically ordered collection (index order, as the par_* APIs hand back) \
+                 or hoist the reduction out of the closure; vap:allow with a reason if the \
+                 iteration order is provably fixed",
+            ]
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn manifest_comments_and_literal_names_keep_crates_in_scope() {
         // A comment after `[package]`, after the name or after
         // `[dependencies]`, and a TOML literal-string name, each hid a
