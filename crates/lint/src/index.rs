@@ -21,6 +21,10 @@
 //! flags in another, so building them allocates a few times, not once per
 //! name.
 //!
+//! A crate is a root of the par closure when one of its files has a call
+//! [`SourceFile::par_calls`] yields, the same non-test fan-out calls whose
+//! closures `shared-state-in-par` searches for float reductions.
+//!
 //! A function's panic count comes from the parser's site list
 //! ([`crate::parse::ParsedFile::sites`]), not from its body's text: a
 //! binary search finds the first site on the body's first line, and the
@@ -31,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use crate::parse::{FnSig, StaticItem};
-use crate::rules::is_ident_char;
+use crate::rules::{is_ident_char, no_panic};
 use crate::source::SourceFile;
 
 /// The four canonical quantity newtypes from `vap-model`. They are
@@ -106,8 +110,6 @@ pub struct SymbolIndex<'a> {
     /// Unit newtype names: the canonical four plus every discovered
     /// direct `f64` tuple newtype.
     pub unit_types: BTreeSet<&'a str>,
-    /// `vap-*` dependency edges per crate (from each member's manifest).
-    pub deps: BTreeMap<String, BTreeSet<String>>,
     /// Crates whose code can execute inside a `vap-exec` worker closure:
     /// every crate with a non-test `par_map`/`par_grid`/`par_map_fleet`
     /// call site, plus that crate's transitive `vap-*` dependencies.
@@ -122,7 +124,8 @@ pub struct SymbolIndex<'a> {
 }
 
 impl<'a> SymbolIndex<'a> {
-    /// Build the index from parsed files and the crate dependency graph.
+    /// Build the index from parsed files and the crate dependency graph
+    /// (`vap-*` dependency edges per crate, from each member's manifest).
     pub fn build(
         files: &'a [SourceFile],
         deps: BTreeMap<String, BTreeSet<String>>,
@@ -148,17 +151,12 @@ impl<'a> SymbolIndex<'a> {
                 }
             }
             for item in &file.parsed.statics {
-                if file.in_test.get(item.line).copied().unwrap_or(false) {
-                    continue;
+                if !file.is_test(item.line) {
+                    statics.push(StaticInfo { crate_name, path, item });
                 }
-                statics.push(StaticInfo { crate_name, path, item });
             }
-            for call in &file.parsed.calls {
-                if PAR_ENTRY_POINTS.contains(&file.parsed.callee(&file.code, call))
-                    && !file.in_test.get(call.line).copied().unwrap_or(false)
-                {
-                    par_roots.insert(crate_name);
-                }
+            if file.par_calls().next().is_some() {
+                par_roots.insert(crate_name);
             }
         }
         // Only now is every unit type known: a newtype declared in a file
@@ -196,7 +194,7 @@ impl<'a> SymbolIndex<'a> {
         for c in ALWAYS_PAR_SCOPED {
             par_crates.insert(c.to_string());
         }
-        SymbolIndex { fns, statics, unit_types, deps, par_crates, shapes, call_shapes, unit_flags }
+        SymbolIndex { fns, statics, unit_types, par_crates, shapes, call_shapes, unit_flags }
     }
 
     /// The shape a call site resolves to: the functions with the callee's
@@ -324,7 +322,6 @@ fn push_shapes(
 /// Count the `no-panic-in-lib` sites on the lines of `sig`'s body in
 /// `file`, skipping test regions and lines with a `no-panic-in-lib` allow.
 fn count_body_panics(file: &SourceFile, sig: &FnSig) -> usize {
-    const RULE: &str = "no-panic-in-lib";
     let Some((start, end)) = sig.body else { return 0 };
     // the sites are sorted by line, so the body's sites are one run
     let sites = &file.parsed.sites;
@@ -332,9 +329,9 @@ fn count_body_panics(file: &SourceFile, sig: &FnSig) -> usize {
     sites[first..]
         .iter()
         .take_while(|s| s.line <= end)
-        .filter(|s| s.word.rule() == RULE)
-        .filter(|s| !file.in_test.get(s.line).copied().unwrap_or(false))
-        .filter(|s| !file.is_allowed(RULE, s.line))
+        .filter(|s| s.word.rule() == no_panic::NAME)
+        .filter(|s| !file.is_test(s.line))
+        .filter(|s| !file.is_allowed(no_panic::NAME, s.line))
         .count()
 }
 

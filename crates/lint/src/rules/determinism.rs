@@ -24,6 +24,9 @@ use super::{report_sites, Context, Rule, Word};
 use crate::diag::Finding;
 use crate::source::SourceFile;
 
+/// The rule's name.
+pub(crate) const NAME: &str = "determinism";
+
 /// Crates whose state must replay deterministically.
 const SCOPE: [&str; 7] =
     ["vap-sim", "vap-mpi", "vap-core", "vap-exec", "vap-sched", "vap-scenario", "vap-daemon"];
@@ -60,7 +63,7 @@ pub struct Determinism;
 
 impl Rule for Determinism {
     fn name(&self) -> &'static str {
-        "determinism"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -71,7 +74,7 @@ impl Rule for Determinism {
         let crate_in_scope = SCOPE.contains(&file.crate_name.as_str());
         let module_in_scope = MODULE_SCOPE.iter().any(|suffix| file.path.ends_with(suffix));
         if crate_in_scope || module_in_scope {
-            report_sites(file, self.name(), help, out);
+            report_sites(file, NAME, help, out);
         }
     }
 }
@@ -79,14 +82,13 @@ impl Rule for Determinism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
 
     fn findings(crate_name: &str, src: &str) -> Vec<Finding> {
-        let f = SourceFile::from_source("crates/sim/src/x.rs", crate_name, src);
-        let mut out = Vec::new();
-        Determinism.check(&f, &Context { index: &crate::index::SymbolIndex::default() }, &mut out);
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+        in_file("crates/sim/src/x.rs", crate_name, src)
+    }
+
+    fn in_file(path: &str, crate_name: &str, src: &str) -> Vec<Finding> {
+        crate::rules::tests::findings(&Determinism, &[(path, crate_name, src)], &[])
     }
 
     #[test]
@@ -147,13 +149,8 @@ mod tests {
         // the fleet's columns live in vap-sim: a stray wall clock or
         // hash-ordered column there would break the byte-identity that
         // tests/golden_digests.rs pins
-        let f = SourceFile::from_source(
-            "crates/sim/src/fleet.rs",
-            "vap-sim",
-            "let order = HashMap::new();\nlet t0 = Instant::now();\n",
-        );
-        let mut out = Vec::new();
-        Determinism.check(&f, &Context { index: &crate::index::SymbolIndex::default() }, &mut out);
+        let src = "let order = HashMap::new();\nlet t0 = Instant::now();\n";
+        let out = in_file("crates/sim/src/fleet.rs", "vap-sim", src);
         assert_eq!(out.len(), 2, "{out:?}");
     }
 
@@ -162,23 +159,11 @@ mod tests {
         // wall clocks must stay out of watt-provenance binning even
         // though the wider vap-obs crate is exempt
         for path in super::MODULE_SCOPE {
-            let f = SourceFile::from_source(path, "vap-obs", "let t = Instant::now();\n");
-            let mut out = Vec::new();
-            Determinism.check(
-                &f,
-                &Context { index: &crate::index::SymbolIndex::default() },
-                &mut out,
-            );
+            let out = in_file(path, "vap-obs", "let t = Instant::now();\n");
             assert_eq!(out.len(), 1, "{path} must be in scope");
         }
         // the session/recorder plumbing stays host-side glue
-        let f = SourceFile::from_source(
-            "crates/obs/src/recorder.rs",
-            "vap-obs",
-            "let t = Instant::now();\n",
-        );
-        let mut out = Vec::new();
-        Determinism.check(&f, &Context { index: &crate::index::SymbolIndex::default() }, &mut out);
+        let out = in_file("crates/obs/src/recorder.rs", "vap-obs", "let t = Instant::now();\n");
         assert!(out.is_empty(), "recorder.rs is out of scope");
     }
 

@@ -11,15 +11,21 @@
 //! literal form is both the common and the dangerous one.
 
 use super::{Context, Rule};
-use crate::diag::{Finding, Status};
+use crate::diag::Finding;
 use crate::source::SourceFile;
+
+/// The rule's name.
+pub(crate) const NAME: &str = "float-eq";
+
+const HELP: &str = "compare with an explicit tolerance, e.g. `(a - b).abs() < EPS` or a \
+                    documented near-zero guard";
 
 /// The `float-eq` rule.
 pub struct FloatEq;
 
 impl Rule for FloatEq {
     fn name(&self) -> &'static str {
-        "float-eq"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -28,24 +34,15 @@ impl Rule for FloatEq {
 
     fn check(&self, file: &SourceFile, _ctx: &Context<'_>, out: &mut Vec<Finding>) {
         for (i, line) in file.code.iter().enumerate() {
-            if file.in_test[i] {
+            if file.is_test(i) {
                 continue;
             }
             for (pos, op) in comparison_ops(line) {
                 let lhs = token_before(line, pos);
                 let rhs = token_after(line, pos + 2);
                 if is_float_operand(lhs) || is_float_operand(rhs) {
-                    out.push(Finding {
-                        rule: "float-eq",
-                        path: file.path.clone(),
-                        line: i + 1,
-                        column: pos + 1,
-                        message: format!("floating-point `{op}` comparison"),
-                        snippet: file.snippet(i).to_string(),
-                        help: "compare with an explicit tolerance, e.g. \
-                               `(a - b).abs() < EPS` or a documented near-zero guard",
-                        status: Status::New,
-                    });
+                    let message = format!("floating-point `{op}` comparison");
+                    out.push(file.finding(NAME, i, pos, message, HELP));
                 }
             }
         }
@@ -152,14 +149,9 @@ fn is_float_operand(tok: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
 
     fn findings(src: &str) -> Vec<Finding> {
-        let f = SourceFile::from_source("crates/stats/src/x.rs", "vap-stats", src);
-        let mut out = Vec::new();
-        FloatEq.check(&f, &Context { index: &crate::index::SymbolIndex::default() }, &mut out);
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+        crate::rules::tests::findings(&FloatEq, &[("crates/stats/src/x.rs", "vap-stats", src)], &[])
     }
 
     #[test]

@@ -14,6 +14,9 @@ use super::{report_sites, Context, Rule};
 use crate::diag::Finding;
 use crate::source::SourceFile;
 
+/// The rule's name.
+pub(crate) const NAME: &str = "no-panic-in-lib";
+
 const HELP: &str = "return a Result (e.g. vap_core::error::BudgetError) or restructure so the \
                     failure case cannot arise; vap:allow with a reason if the panic is \
                     provably unreachable";
@@ -23,7 +26,7 @@ pub struct NoPanicInLib;
 
 impl Rule for NoPanicInLib {
     fn name(&self) -> &'static str {
-        "no-panic-in-lib"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -33,7 +36,7 @@ impl Rule for NoPanicInLib {
     fn check(&self, file: &SourceFile, _ctx: &Context<'_>, out: &mut Vec<Finding>) {
         // binaries may panic at top level
         if !file.is_bin() {
-            report_sites(file, self.name(), |_| HELP, out);
+            report_sites(file, NAME, |_| HELP, out);
         }
     }
 }
@@ -41,15 +44,9 @@ impl Rule for NoPanicInLib {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
 
     fn findings(path: &str, src: &str) -> Vec<Finding> {
-        let f = SourceFile::from_source(path, "vap-core", src);
-        let index = crate::index::SymbolIndex::default();
-        let mut out = Vec::new();
-        NoPanicInLib.check(&f, &Context { index: &index }, &mut out);
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+        crate::rules::tests::findings(&NoPanicInLib, &[(path, "vap-core", src)], &[])
     }
 
     #[test]

@@ -16,6 +16,9 @@ use super::{report_sites, Context, Rule};
 use crate::diag::Finding;
 use crate::source::SourceFile;
 
+/// The rule's name.
+pub(crate) const NAME: &str = "no-println-in-lib";
+
 const HELP: &str = "route output through the CLI layer or record it via vap_obs \
                     (incr/observe/span) so it lands in the journal; vap:allow with a reason \
                     if terminal output is genuinely intended here";
@@ -28,7 +31,7 @@ pub struct NoPrintlnInLib;
 
 impl Rule for NoPrintlnInLib {
     fn name(&self) -> &'static str {
-        "no-println-in-lib"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -38,7 +41,7 @@ impl Rule for NoPrintlnInLib {
     fn check(&self, file: &SourceFile, _ctx: &Context<'_>, out: &mut Vec<Finding>) {
         // binaries and the terminal-facing crates may print
         if !file.is_bin() && !EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
-            report_sites(file, self.name(), |_| HELP, out);
+            report_sites(file, NAME, |_| HELP, out);
         }
     }
 }
@@ -46,18 +49,9 @@ impl Rule for NoPrintlnInLib {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
 
     fn findings(path: &str, krate: &str, src: &str) -> Vec<Finding> {
-        let f = SourceFile::from_source(path, krate, src);
-        let mut out = Vec::new();
-        NoPrintlnInLib.check(
-            &f,
-            &Context { index: &crate::index::SymbolIndex::default() },
-            &mut out,
-        );
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+        crate::rules::tests::findings(&NoPrintlnInLib, &[(path, krate, src)], &[])
     }
 
     #[test]

@@ -16,15 +16,22 @@
 //! unreachability.
 
 use super::{Context, Rule};
-use crate::diag::{Finding, Status};
+use crate::diag::Finding;
 use crate::source::SourceFile;
+
+/// The rule's name.
+pub(crate) const NAME: &str = "panic-propagation";
+
+const HELP: &str = "burn down the panic in the callee (return a Result) so the debt stops \
+                    spreading; vap:allow with a reason if this call provably cannot hit the \
+                    panicking path";
 
 /// The `panic-propagation` rule.
 pub struct PanicPropagation;
 
 impl Rule for PanicPropagation {
     fn name(&self) -> &'static str {
-        "panic-propagation"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -37,7 +44,7 @@ impl Rule for PanicPropagation {
             return;
         }
         for call in &file.parsed.calls {
-            if file.in_test.get(call.line).copied().unwrap_or(false) {
+            if file.is_test(call.line) {
                 continue;
             }
             let callee = file.parsed.callee(&file.code, call);
@@ -59,28 +66,18 @@ impl Rule for PanicPropagation {
             {
                 continue;
             }
-            out.push(Finding {
-                rule: "panic-propagation",
-                path: file.path.clone(),
-                line: call.line + 1,
-                column: call.col + 1,
-                message: format!(
-                    "{} calls `{}` ({}:{}), which contains {} baselined panic{}",
-                    file.parsed
-                        .enclosing_fn(call.line)
-                        .map_or_else(|| "this code".to_string(), |f| format!("`{}`", f.qualified)),
-                    def.sig.qualified,
-                    def.path,
-                    def.sig.line + 1,
-                    def.panics,
-                    if def.panics == 1 { "" } else { "s" },
-                ),
-                snippet: file.snippet(call.line).to_string(),
-                help: "burn down the panic in the callee (return a Result) so the debt stops \
-                       spreading; vap:allow with a reason if this call provably cannot hit \
-                       the panicking path",
-                status: Status::New,
-            });
+            let message = format!(
+                "{} calls `{}` ({}:{}), which contains {} baselined panic{}",
+                file.parsed
+                    .enclosing_fn(call.line)
+                    .map_or_else(|| "this code".to_string(), |f| format!("`{}`", f.qualified)),
+                def.sig.qualified,
+                def.path,
+                def.sig.line + 1,
+                def.panics,
+                if def.panics == 1 { "" } else { "s" },
+            );
+            out.push(file.finding(NAME, call.line, call.col, message, HELP));
         }
     }
 }
@@ -88,20 +85,9 @@ impl Rule for PanicPropagation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::SymbolIndex;
-    use crate::source::SourceFile;
-    use std::collections::BTreeMap;
 
-    fn findings(defs: &[(&str, &str, &str)], path: &str, krate: &str, src: &str) -> Vec<Finding> {
-        let mut files: Vec<SourceFile> =
-            defs.iter().map(|(p, k, s)| SourceFile::from_source(p, k, s)).collect();
-        files.push(SourceFile::from_source(path, krate, src));
-        let index = SymbolIndex::build(&files, BTreeMap::new());
-        let f = files.last().unwrap();
-        let mut out = Vec::new();
-        PanicPropagation.check(f, &Context { index: &index }, &mut out);
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+    fn findings(files: &[(&str, &str, &str)]) -> Vec<Finding> {
+        crate::rules::tests::findings(&PanicPropagation, files, &[])
     }
 
     const PANICKER: (&str, &str, &str) = (
@@ -112,12 +98,14 @@ mod tests {
 
     #[test]
     fn call_into_baselined_panicker_fires() {
-        let hits = findings(
-            &[PANICKER],
-            "crates/sim/src/bench.rs",
-            "vap-sim",
-            "pub fn calibrate() -> f64 {\n    run_pairs(1 << 16)\n}\n",
-        );
+        let hits = findings(&[
+            PANICKER,
+            (
+                "crates/sim/src/bench.rs",
+                "vap-sim",
+                "pub fn calibrate() -> f64 {\n    run_pairs(1 << 16)\n}\n",
+            ),
+        ]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("run_pairs"));
         assert!(hits[0].message.contains("kernels/ep.rs:1"));
@@ -126,7 +114,7 @@ mod tests {
 
     #[test]
     fn clean_callees_and_allowed_panics_are_quiet() {
-        let defs = [
+        let files = [
             (
                 "crates/core/src/a.rs",
                 "vap-core",
@@ -137,19 +125,15 @@ mod tests {
                 "vap-core",
                 "pub fn vetted(n: usize) -> usize {\n    // vap:allow(no-panic-in-lib): n is validated at the API boundary\n    TABLE.get(n).unwrap()\n}\n",
             ),
+            ("crates/sim/src/x.rs", "vap-sim", "pub fn f() {\n    clean(1);\n    vetted(2);\n}\n"),
         ];
-        let hits = findings(
-            &defs,
-            "crates/sim/src/x.rs",
-            "vap-sim",
-            "pub fn f() {\n    clean(1);\n    vetted(2);\n}\n",
-        );
+        let hits = findings(&files);
         assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]
     fn name_collisions_with_one_clean_candidate_stay_quiet() {
-        let defs = [
+        let files = [
             (
                 "crates/core/src/a.rs",
                 "vap-core",
@@ -160,49 +144,47 @@ mod tests {
                 "vap-stats",
                 "pub fn lookup(n: usize) -> usize {\n    n\n}\n",
             ),
+            ("crates/sim/src/x.rs", "vap-sim", "pub fn f() {\n    lookup(1);\n}\n"),
         ];
-        let hits =
-            findings(&defs, "crates/sim/src/x.rs", "vap-sim", "pub fn f() {\n    lookup(1);\n}\n");
+        let hits = findings(&files);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn arity_and_receiver_kind_must_match() {
-        let hits = findings(
-            &[PANICKER],
-            "crates/sim/src/x.rs",
-            "vap-sim",
-            "pub fn f() {\n    run_pairs(1, 2);\n    x.run_pairs(3);\n}\n",
-        );
+        let hits = findings(&[
+            PANICKER,
+            (
+                "crates/sim/src/x.rs",
+                "vap-sim",
+                "pub fn f() {\n    run_pairs(1, 2);\n    x.run_pairs(3);\n}\n",
+            ),
+        ]);
         assert!(hits.is_empty(), "wrong arity / method kind must not match");
     }
 
     #[test]
     fn binaries_and_tests_are_exempt() {
-        let hits = findings(
-            &[PANICKER],
-            "crates/report/src/bin/fig9.rs",
-            "vap-report",
-            "fn main() {\n    run_pairs(16);\n}\n",
-        );
+        let hits = findings(&[
+            PANICKER,
+            ("crates/report/src/bin/fig9.rs", "vap-report", "fn main() {\n    run_pairs(16);\n}\n"),
+        ]);
         assert!(hits.is_empty());
-        let hits = findings(
-            &[PANICKER],
-            "crates/sim/src/x.rs",
-            "vap-sim",
-            "#[cfg(test)]\nmod tests {\n    fn t() {\n        run_pairs(16);\n    }\n}\n",
-        );
+        let hits = findings(&[
+            PANICKER,
+            (
+                "crates/sim/src/x.rs",
+                "vap-sim",
+                "#[cfg(test)]\nmod tests {\n    fn t() {\n        run_pairs(16);\n    }\n}\n",
+            ),
+        ]);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses() {
-        let hits = findings(
-            &[PANICKER],
-            "crates/sim/src/x.rs",
-            "vap-sim",
-            "pub fn f() {\n    // vap:allow(panic-propagation): n is a compile-time power of two\n    run_pairs(16);\n}\n",
-        );
+        let src = "pub fn f() {\n    // vap:allow(panic-propagation): n is a compile-time power of two\n    run_pairs(16);\n}\n";
+        let hits = findings(&[PANICKER, ("crates/sim/src/x.rs", "vap-sim", src)]);
         assert!(hits.is_empty());
     }
 }

@@ -22,10 +22,22 @@
 //! definition site.
 
 use super::{Context, Rule};
-use crate::diag::{Finding, Status};
-use crate::index::PAR_ENTRY_POINTS;
+use crate::diag::Finding;
 use crate::parse::{is_float_literal, StaticKind};
 use crate::source::SourceFile;
+
+/// The rule's name.
+pub(crate) const NAME: &str = "shared-state-in-par";
+
+const STATIC_HELP: &str = "thread state through per-item closure arguments (the par_* APIs \
+                           reduce in index order) or move it behind an explicit campaign-scoped \
+                           handle; vap:allow at the definition with a reason if the state is \
+                           deliberately process-wide and race-safe";
+
+const REDUCTION_HELP: &str = "reduce over a deterministically ordered collection (index order, \
+                              as the par_* APIs hand back) or hoist the reduction out of the \
+                              closure; vap:allow with a reason if the iteration order is \
+                              provably fixed";
 
 /// Type heads that give a `static` interior mutability.
 const INTERIOR_MUTABLE: [&str; 11] = [
@@ -47,7 +59,7 @@ pub struct SharedStateInPar;
 
 impl Rule for SharedStateInPar {
     fn name(&self) -> &'static str {
-        "shared-state-in-par"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -58,7 +70,7 @@ impl Rule for SharedStateInPar {
         // mutable module state in crates reachable from worker closures
         if ctx.index.par_crates.contains(&file.crate_name) {
             for item in &file.parsed.statics {
-                if file.in_test.get(item.line).copied().unwrap_or(false) {
+                if file.is_test(item.line) {
                     continue;
                 }
                 let mutable = match item.kind {
@@ -70,36 +82,20 @@ impl Rule for SharedStateInPar {
                 if !mutable {
                     continue; // a plain immutable static cannot race
                 }
-                out.push(Finding {
-                    rule: "shared-state-in-par",
-                    path: file.path.clone(),
-                    line: item.line + 1,
-                    column: 1,
-                    message: format!(
-                        "{} `{}: {}` lives in `{}`, which is reachable from vap-exec worker closures",
-                        item.kind.label(),
-                        item.name,
-                        item.ty,
-                        file.crate_name,
-                    ),
-                    snippet: file.snippet(item.line).to_string(),
-                    help: "thread state through per-item closure arguments (the par_* APIs \
-                           reduce in index order) or move it behind an explicit campaign-scoped \
-                           handle; vap:allow at the definition with a reason if the state is \
-                           deliberately process-wide and race-safe",
-                    status: Status::New,
-                });
+                let message = format!(
+                    "{} `{}: {}` lives in `{}`, which is reachable from vap-exec worker closures",
+                    item.kind.label(),
+                    item.name,
+                    item.ty,
+                    file.crate_name,
+                );
+                out.push(file.finding(NAME, item.line, 0, message, STATIC_HELP));
             }
         }
         // order-sensitive float reductions inside par closures
         let parsed = &file.parsed;
-        let par_extents: Vec<(usize, usize)> = parsed
-            .calls
-            .iter()
-            .filter(|c| PAR_ENTRY_POINTS.contains(&parsed.callee(&file.code, c)))
-            .filter(|c| !file.in_test.get(c.line).copied().unwrap_or(false))
-            .map(|c| (c.line, c.end_line))
-            .collect();
+        let par_extents: Vec<(usize, usize)> =
+            file.par_calls().map(|c| (c.line, c.end_line)).collect();
         if par_extents.is_empty() {
             return;
         }
@@ -124,20 +120,10 @@ impl Rule for SharedStateInPar {
             if !float_reduce {
                 continue;
             }
-            out.push(Finding {
-                rule: "shared-state-in-par",
-                path: file.path.clone(),
-                line: call.line + 1,
-                column: call.col + 1,
-                message: format!(
-                    "order-sensitive float `{callee}` inside a par closure — float addition is not associative",
-                ),
-                snippet: file.snippet(call.line).to_string(),
-                help: "reduce over a deterministically ordered collection (index order, as the \
-                       par_* APIs hand back) or hoist the reduction out of the closure; \
-                       vap:allow with a reason if the iteration order is provably fixed",
-                status: Status::New,
-            });
+            let message = format!(
+                "order-sensitive float `{callee}` inside a par closure — float addition is not associative",
+            );
+            out.push(file.finding(NAME, call.line, call.col, message, REDUCTION_HELP));
         }
     }
 }
@@ -145,30 +131,9 @@ impl Rule for SharedStateInPar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::SymbolIndex;
-    use crate::source::SourceFile;
-    use std::collections::{BTreeMap, BTreeSet};
 
-    fn findings_with_deps(
-        path: &str,
-        krate: &str,
-        src: &str,
-        extra: &[(&str, &str, &str)],
-        deps: &[(&str, &[&str])],
-    ) -> Vec<Finding> {
-        let mut files: Vec<SourceFile> =
-            extra.iter().map(|(p, k, s)| SourceFile::from_source(p, k, s)).collect();
-        files.push(SourceFile::from_source(path, krate, src));
-        let dep_map: BTreeMap<String, BTreeSet<String>> = deps
-            .iter()
-            .map(|(c, ds)| (c.to_string(), ds.iter().map(|d| d.to_string()).collect()))
-            .collect();
-        let index = SymbolIndex::build(&files, dep_map);
-        let f = files.last().unwrap();
-        let mut out = Vec::new();
-        SharedStateInPar.check(f, &Context { index: &index }, &mut out);
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+    fn findings(files: &[(&str, &str, &str)], deps: &[(&str, &[&str])]) -> Vec<Finding> {
+        crate::rules::tests::findings(&SharedStateInPar, files, deps)
     }
 
     const SIM_PAR: (&str, &str, &str) = (
@@ -179,11 +144,15 @@ mod tests {
 
     #[test]
     fn static_in_par_reachable_crate_fires() {
-        let hits = findings_with_deps(
-            "crates/obs/src/recorder.rs",
-            "vap-obs",
-            "static LIVE: AtomicUsize = AtomicUsize::new(0);\n",
-            &[SIM_PAR],
+        let hits = findings(
+            &[
+                SIM_PAR,
+                (
+                    "crates/obs/src/recorder.rs",
+                    "vap-obs",
+                    "static LIVE: AtomicUsize = AtomicUsize::new(0);\n",
+                ),
+            ],
             &[("vap-sim", &["vap-core", "vap-exec"]), ("vap-core", &["vap-obs"])],
         );
         assert_eq!(hits.len(), 1);
@@ -196,11 +165,15 @@ mod tests {
         // par_grid campaign cells, so any hidden static accumulator in the
         // ledger module races across workers — per-cell tables merged in
         // index order (what vap-obs actually does) is the sanctioned shape
-        let hits = findings_with_deps(
-            "crates/obs/src/ledger.rs",
-            "vap-obs",
-            "static TOTALS: Mutex<Vec<f64>> = Mutex::new(Vec::new());\n",
-            &[SIM_PAR],
+        let hits = findings(
+            &[
+                SIM_PAR,
+                (
+                    "crates/obs/src/ledger.rs",
+                    "vap-obs",
+                    "static TOTALS: Mutex<Vec<f64>> = Mutex::new(Vec::new());\n",
+                ),
+            ],
             &[("vap-sim", &["vap-core", "vap-exec"]), ("vap-core", &["vap-obs"])],
         );
         assert_eq!(hits.len(), 1, "{hits:?}");
@@ -209,11 +182,15 @@ mod tests {
 
     #[test]
     fn static_in_unreachable_crate_is_quiet() {
-        let hits = findings_with_deps(
-            "crates/report/src/table.rs",
-            "vap-report",
-            "static CACHE: Mutex<u32> = Mutex::new(0);\n",
-            &[SIM_PAR],
+        let hits = findings(
+            &[
+                SIM_PAR,
+                (
+                    "crates/report/src/table.rs",
+                    "vap-report",
+                    "static CACHE: Mutex<u32> = Mutex::new(0);\n",
+                ),
+            ],
             &[("vap-sim", &["vap-core"]), ("vap-report", &["vap-sim"])],
         );
         assert!(hits.is_empty(), "reverse dependency must not taint");
@@ -224,7 +201,7 @@ mod tests {
         let src = "static TABLE: [f64; 4] = [1.0, 2.0, 3.0, 4.0];\n\
                    static mut COUNTER: u64 = 0;\n\
                    thread_local! {\n    static SCRATCH: RefCell<Vec<f64>> = x;\n}\n";
-        let hits = findings_with_deps("crates/sim/src/state.rs", "vap-sim", src, &[SIM_PAR], &[]);
+        let hits = findings(&[SIM_PAR, ("crates/sim/src/state.rs", "vap-sim", src)], &[]);
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits[0].message.contains("static mut"));
         assert!(hits[1].message.contains("thread_local"));
@@ -233,7 +210,7 @@ mod tests {
     #[test]
     fn float_sum_inside_par_closure_fires() {
         let src = "pub fn sweep(xs: &[Vec<f64>]) {\n    let r = vap_exec::par_map(xs, 8, |i, x| {\n        x.iter().sum::<f64>()\n    });\n}\n";
-        let hits = findings_with_deps("crates/sim/src/run.rs", "vap-sim", src, &[], &[]);
+        let hits = findings(&[("crates/sim/src/run.rs", "vap-sim", src)], &[]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("sum"));
         assert_eq!(hits[0].line, 3);
@@ -242,7 +219,7 @@ mod tests {
     #[test]
     fn float_fold_inside_par_grid_fires() {
         let src = "pub fn sweep(xs: &[Vec<f64>]) {\n    par_grid(cells, 8, |c| {\n        c.iter().fold(0.0, |a, b| a + b)\n    });\n}\n";
-        let hits = findings_with_deps("crates/sim/src/run.rs", "vap-sim", src, &[], &[]);
+        let hits = findings(&[("crates/sim/src/run.rs", "vap-sim", src)], &[]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("fold"));
     }
@@ -253,7 +230,7 @@ mod tests {
         // inside its closure would break the byte-identity the golden
         // digests pin
         let src = "pub fn sweep(fleet: &mut Cluster) {\n    vap_exec::par_map_fleet(fleet, 8, |i, m| {\n        m.samples.iter().sum::<f64>()\n    });\n}\n";
-        let hits = findings_with_deps("crates/sim/src/fleet.rs", "vap-sim", src, &[], &[]);
+        let hits = findings(&[("crates/sim/src/fleet.rs", "vap-sim", src)], &[]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("sum"));
     }
@@ -265,11 +242,8 @@ mod tests {
             "vap-sim",
             "pub fn sweep() {\n    vap_exec::par_map_fleet(fleet, 8, |i, m| f(m));\n}\n",
         );
-        let hits = findings_with_deps(
-            "crates/sim/src/state.rs",
-            "vap-sim",
-            "static mut SCRATCH: u64 = 0;\n",
-            &[fleet_par],
+        let hits = findings(
+            &[fleet_par, ("crates/sim/src/state.rs", "vap-sim", "static mut SCRATCH: u64 = 0;\n")],
             &[],
         );
         assert_eq!(hits.len(), 1, "{hits:?}");
@@ -279,21 +253,21 @@ mod tests {
     fn reductions_outside_par_and_integer_reductions_are_quiet() {
         let src = "pub fn total(xs: &[f64]) -> f64 {\n    xs.iter().sum::<f64>()\n}\n\
                    pub fn sweep(xs: &[Vec<u64>]) {\n    par_map(xs, 8, |i, x| {\n        x.iter().sum::<u64>()\n    });\n}\n";
-        let hits = findings_with_deps("crates/sim/src/run.rs", "vap-sim", src, &[], &[]);
+        let hits = findings(&[("crates/sim/src/run.rs", "vap-sim", src)], &[]);
         assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]
     fn test_code_par_calls_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        par_map(&xs, 2, |i, x| x.iter().sum::<f64>());\n    }\n}\n";
-        let hits = findings_with_deps("crates/sim/src/run.rs", "vap-sim", src, &[], &[]);
+        let hits = findings(&[("crates/sim/src/run.rs", "vap-sim", src)], &[]);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses() {
         let src = "pub fn sweep(xs: &[Vec<f64>]) {\n    par_map(xs, 8, |i, x| {\n        // vap:allow(shared-state-in-par): per-item slice order is fixed\n        x.iter().sum::<f64>()\n    });\n}\n";
-        let hits = findings_with_deps("crates/sim/src/run.rs", "vap-sim", src, &[], &[]);
+        let hits = findings(&[("crates/sim/src/run.rs", "vap-sim", src)], &[]);
         assert!(hits.is_empty());
     }
 }

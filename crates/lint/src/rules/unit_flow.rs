@@ -30,17 +30,32 @@
 //! raw inner values.
 
 use super::{Context, Rule};
-use crate::diag::{Finding, Status};
+use crate::diag::Finding;
 use crate::index::referent;
 use crate::parse::{has_projection, is_bare_f64_arg, type_mentions};
 use crate::source::SourceFile;
+
+/// The rule's name.
+pub(crate) const NAME: &str = "unit-flow";
+
+const REWRAP_HELP: &str = "convert through the dimensional ops in vap-model \
+                           (crates/model/src/units.rs) or name the conversion in a dedicated \
+                           function; vap:allow with a reason if the rewrap is a deliberate unit \
+                           change";
+
+const ARG_HELP: &str = "wrap the value in the unit the callee declares (e.g. Watts(x)) at the \
+                        point where its meaning is known";
+
+const RETURN_HELP: &str = "return a unit newtype (or a named dimensionless wrapper) so the \
+                           quantity's meaning survives the API boundary; vap:allow with a \
+                           reason for genuinely dimensionless ratios";
 
 /// The `unit-flow` rule.
 pub struct UnitFlow;
 
 impl Rule for UnitFlow {
     fn name(&self) -> &'static str {
-        "unit-flow"
+        NAME
     }
 
     fn description(&self) -> &'static str {
@@ -54,7 +69,7 @@ impl Rule for UnitFlow {
         }
         let index = ctx.index;
         for call in &file.parsed.calls {
-            if file.in_test.get(call.line).copied().unwrap_or(false) {
+            if file.is_test(call.line) {
                 continue;
             }
             let (callee, args) = (file.parsed.callee(&file.code, call), file.parsed.args(call));
@@ -62,22 +77,11 @@ impl Rule for UnitFlow {
             if index.is_unit_type(callee) {
                 if let [arg] = args {
                     if has_projection(file.parsed.arg_toks(&file.code, arg)) {
-                        out.push(Finding {
-                            rule: "unit-flow",
-                            path: file.path.clone(),
-                            line: call.line + 1,
-                            column: call.col + 1,
-                            message: format!(
-                                "`{callee}({})` re-wraps a raw `.0` projection — the source unit is lost",
-                                file.parsed.arg_text(&file.code, arg),
-                            ),
-                            snippet: file.snippet(call.line).to_string(),
-                            help: "convert through the dimensional ops in vap-model \
-                                   (crates/model/src/units.rs) or name the conversion in a \
-                                   dedicated function; vap:allow with a reason if the rewrap \
-                                   is a deliberate unit change",
-                            status: Status::New,
-                        });
+                        let message = format!(
+                            "`{callee}({})` re-wraps a raw `.0` projection — the source unit is lost",
+                            file.parsed.arg_text(&file.code, arg),
+                        );
+                        out.push(file.finding(NAME, call.line, call.col, message, REWRAP_HELP));
                     }
                 }
                 continue;
@@ -94,22 +98,13 @@ impl Rule for UnitFlow {
                     continue;
                 }
                 let param = &index.first_member(callee, shape).sig.params[p];
-                out.push(Finding {
-                    rule: "unit-flow",
-                    path: file.path.clone(),
-                    line: call.line + 1,
-                    column: call.col + 1,
-                    message: format!(
-                        "bare f64 `{}` passed to `{callee}` parameter `{}: {}`",
-                        file.parsed.arg_text(&file.code, arg),
-                        param.name,
-                        referent(&param.ty),
-                    ),
-                    snippet: file.snippet(call.line).to_string(),
-                    help: "wrap the value in the unit the callee declares (e.g. Watts(x)) \
-                           at the point where its meaning is known",
-                    status: Status::New,
-                });
+                let message = format!(
+                    "bare f64 `{}` passed to `{callee}` parameter `{}: {}`",
+                    file.parsed.arg_text(&file.code, arg),
+                    param.name,
+                    referent(&param.ty),
+                );
+                out.push(file.finding(NAME, call.line, call.col, message, ARG_HELP));
             }
         }
         // pub library fns returning bare f64 computed from unit inputs
@@ -117,7 +112,7 @@ impl Rule for UnitFlow {
             return;
         }
         for sig in &file.parsed.fns {
-            if !sig.is_pub || file.in_test.get(sig.line).copied().unwrap_or(false) {
+            if !sig.is_pub || file.is_test(sig.line) {
                 continue;
             }
             let Some(ret) = sig.ret.as_deref() else { continue };
@@ -127,21 +122,11 @@ impl Rule for UnitFlow {
             let Some(up) = sig.params.iter().find(|p| index.mentions_unit(&p.ty)) else {
                 continue;
             };
-            out.push(Finding {
-                rule: "unit-flow",
-                path: file.path.clone(),
-                line: sig.line + 1,
-                column: 1,
-                message: format!(
-                    "pub fn `{}` takes unit-typed `{}: {}` but returns bare `{ret}`",
-                    sig.qualified, up.name, up.ty,
-                ),
-                snippet: file.snippet(sig.line).to_string(),
-                help: "return a unit newtype (or a named dimensionless wrapper) so the \
-                       quantity's meaning survives the API boundary; vap:allow with a \
-                       reason for genuinely dimensionless ratios",
-                status: Status::New,
-            });
+            let message = format!(
+                "pub fn `{}` takes unit-typed `{}: {}` but returns bare `{ret}`",
+                sig.qualified, up.name, up.ty,
+            );
+            out.push(file.finding(NAME, sig.line, 0, message, RETURN_HELP));
         }
     }
 }
@@ -149,21 +134,9 @@ impl Rule for UnitFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::SymbolIndex;
-    use crate::source::SourceFile;
-    use std::collections::BTreeMap;
 
-    /// Build an index over `defs` and lint `src` against it.
-    fn findings(defs: &[(&str, &str, &str)], path: &str, krate: &str, src: &str) -> Vec<Finding> {
-        let mut files: Vec<SourceFile> =
-            defs.iter().map(|(p, k, s)| SourceFile::from_source(p, k, s)).collect();
-        files.push(SourceFile::from_source(path, krate, src));
-        let index = SymbolIndex::build(&files, BTreeMap::new());
-        let f = files.last().unwrap();
-        let mut out = Vec::new();
-        UnitFlow.check(f, &Context { index: &index }, &mut out);
-        out.retain(|fi| !f.is_allowed(fi.rule, fi.line - 1));
-        out
+    fn findings(files: &[(&str, &str, &str)]) -> Vec<Finding> {
+        crate::rules::tests::findings(&UnitFlow, files, &[])
     }
 
     const CORE: (&str, &str, &str) = (
@@ -174,12 +147,10 @@ mod tests {
 
     #[test]
     fn literal_into_unit_param_across_crates_fires() {
-        let hits = findings(
-            &[CORE],
-            "crates/sim/src/run.rs",
-            "vap-sim",
-            "fn sweep() {\n    let f = plan(47.5, 4);\n}\n",
-        );
+        let hits = findings(&[
+            CORE,
+            ("crates/sim/src/run.rs", "vap-sim", "fn sweep() {\n    let f = plan(47.5, 4);\n}\n"),
+        ]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("Watts"), "{}", hits[0].message);
         assert_eq!(hits[0].line, 2);
@@ -187,69 +158,64 @@ mod tests {
 
     #[test]
     fn projection_arithmetic_into_unit_param_fires() {
-        let hits = findings(
-            &[CORE],
-            "crates/sim/src/run.rs",
-            "vap-sim",
-            "fn sweep(old: Watts) {\n    let f = plan(old.0 * 1.05, 4);\n}\n",
-        );
+        let hits = findings(&[
+            CORE,
+            (
+                "crates/sim/src/run.rs",
+                "vap-sim",
+                "fn sweep(old: Watts) {\n    let f = plan(old.0 * 1.05, 4);\n}\n",
+            ),
+        ]);
         assert_eq!(hits.len(), 1);
     }
 
     #[test]
     fn wrapped_value_and_plain_ident_are_quiet() {
-        let hits = findings(
-            &[CORE],
-            "crates/sim/src/run.rs",
-            "vap-sim",
-            "fn sweep(cap: Watts) {\n    let a = plan(Watts(47.5), 4);\n    let b = plan(cap, 4);\n}\n",
-        );
+        let src = "fn sweep(cap: Watts) {\n    let a = plan(Watts(47.5), 4);\n    let b = plan(cap, 4);\n}\n";
+        let hits = findings(&[CORE, ("crates/sim/src/run.rs", "vap-sim", src)]);
         assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]
     fn non_unit_params_accept_literals() {
         // the usize position takes a literal without complaint
-        let hits = findings(
-            &[CORE],
-            "crates/sim/src/run.rs",
-            "vap-sim",
-            "fn sweep(cap: Watts) {\n    let f = plan(cap, 4);\n}\n",
-        );
+        let hits = findings(&[
+            CORE,
+            (
+                "crates/sim/src/run.rs",
+                "vap-sim",
+                "fn sweep(cap: Watts) {\n    let f = plan(cap, 4);\n}\n",
+            ),
+        ]);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn constructor_laundering_fires() {
-        let hits = findings(
-            &[],
+        let hits = findings(&[(
             "crates/core/src/x.rs",
             "vap-core",
             "fn f(freq: GigaHertz) -> Watts {\n    Watts(freq.0 * 8.0)\n}\n",
-        );
+        )]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("re-wraps"));
     }
 
     #[test]
     fn constructor_from_literal_is_fine() {
-        let hits = findings(
-            &[],
+        let hits = findings(&[(
             "crates/core/src/x.rs",
             "vap-core",
             "fn f() -> Watts {\n    Watts(47.5)\n}\n",
-        );
+        )]);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn pub_fn_returning_f64_from_unit_inputs_fires() {
-        let hits = findings(
-            &[],
-            "crates/core/src/x.rs",
-            "vap-core",
-            "pub fn headroom(cap: Watts, used: Watts) -> f64 {\n    cap.value() - used.value()\n}\n",
-        );
+        let src =
+            "pub fn headroom(cap: Watts, used: Watts) -> f64 {\n    cap.value() - used.value()\n}\n";
+        let hits = findings(&[("crates/core/src/x.rs", "vap-core", src)]);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("headroom"));
     }
@@ -259,7 +225,7 @@ mod tests {
         // `r#match` is one name, so both findings fire as they do for `m`
         let src = "pub fn r#match(cap: Watts) -> f64 {\n    cap.0\n}\n\
                    fn sweep() {\n    let f = r#match(1.5 * 2.0);\n}\n";
-        let hits = findings(&[], "crates/core/src/x.rs", "vap-core", src);
+        let hits = findings(&[("crates/core/src/x.rs", "vap-core", src)]);
         assert_eq!(hits.iter().map(|f| f.line).collect::<Vec<_>>(), [5, 1]);
     }
 
@@ -268,29 +234,27 @@ mod tests {
         let src = "fn headroom(cap: Watts) -> f64 {\n    cap.value()\n}\n\
                    pub fn scaled(cap: Watts) -> Watts {\n    cap\n}\n\
                    pub fn count(n: usize) -> f64 {\n    n as f64\n}\n";
-        assert!(findings(&[], "crates/core/src/x.rs", "vap-core", src).is_empty());
+        assert!(findings(&[("crates/core/src/x.rs", "vap-core", src)]).is_empty());
     }
 
     #[test]
     fn units_rs_is_exempt() {
-        let hits = findings(
-            &[],
+        let hits = findings(&[(
             "crates/model/src/units.rs",
             "vap-model",
             "pub fn kilowatts(w: Watts) -> f64 {\n    Watts(w.0 / 1000.0).0\n}\n",
-        );
+        )]);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses() {
-        let hits = findings(
-            &[],
+        let hits = findings(&[(
             "crates/core/src/x.rs",
             "vap-core",
             "// vap:allow(unit-flow): efficiency is a documented dimensionless ratio\n\
              pub fn efficiency(p: Watts, f: GigaHertz) -> f64 {\n    f.0 / p.0\n}\n",
-        );
+        )]);
         assert!(hits.is_empty());
     }
 }

@@ -9,9 +9,17 @@
 //! Markers are found with one search over the file's comment buffer, each
 //! read back within its own line's comment text, and kept as one sorted
 //! `(line, rule)` list that [`SourceFile::is_allowed`] searches.
+//!
+//! The questions every rule asks of a file have one answer here:
+//! [`SourceFile::is_test`] for a line in a test region,
+//! [`SourceFile::par_calls`] for the non-test fan-out calls, and
+//! [`SourceFile::finding`], the one place a finding's path, snippet and
+//! 1-based position are filled in.
 
+use crate::diag::{Finding, Status};
+use crate::index::PAR_ENTRY_POINTS;
 use crate::lexer::{self, Lines, Scrubbed};
-use crate::parse;
+use crate::parse::{self, Call};
 
 /// One analyzed source file.
 #[derive(Debug, Clone)]
@@ -26,7 +34,8 @@ pub struct SourceFile {
     /// Scrubbed lines: comments and literal contents blanked, columns
     /// preserved.
     pub code: Lines,
-    /// Whether each line sits inside a `#[cfg(test)]` region.
+    /// Whether each line sits inside a `#[cfg(test)]` region; ask
+    /// [`SourceFile::is_test`].
     pub in_test: Vec<bool>,
     /// Parsed items and call sites (pass-1 input to the symbol index).
     pub parsed: parse::ParsedFile,
@@ -67,9 +76,45 @@ impl SourceFile {
         self.allows.binary_search_by(|(l, r)| (*l, r.as_str()).cmp(&(line, rule))).is_ok()
     }
 
+    /// Does 0-based `line` sit inside a `#[cfg(test)]` region? A line
+    /// past the end of the file does not.
+    pub fn is_test(&self, line: usize) -> bool {
+        self.in_test.get(line).copied().unwrap_or(false)
+    }
+
     /// The raw text of 0-based `line`, trimmed, for diagnostics.
     pub fn snippet(&self, line: usize) -> &str {
         self.raw.get(line).map_or("", str::trim)
+    }
+
+    /// A new finding of `rule` at 0-based `line` and `column` of this
+    /// file, with the line's [`snippet`](SourceFile::snippet).
+    pub fn finding(
+        &self,
+        rule: &'static str,
+        line: usize,
+        column: usize,
+        message: String,
+        help: &'static str,
+    ) -> Finding {
+        Finding {
+            rule,
+            path: self.path.clone(),
+            line: line + 1,
+            column: column + 1,
+            message,
+            snippet: self.snippet(line).to_string(),
+            help,
+            status: Status::New,
+        }
+    }
+
+    /// The calls outside test regions to a `vap-exec` fan-out entry point
+    /// ([`PAR_ENTRY_POINTS`]), whose closures run on worker threads.
+    pub fn par_calls(&self) -> impl Iterator<Item = &Call> {
+        self.parsed.calls.iter().filter(|c| {
+            PAR_ENTRY_POINTS.contains(&self.parsed.callee(&self.code, c)) && !self.is_test(c.line)
+        })
     }
 }
 
