@@ -115,7 +115,7 @@ fn queue_push_drain(total: usize) {
         let ev = match i % 3 {
             0 => Event::Arrival { job: i },
             1 => Event::Completion { job: i, epoch: i as u64 },
-            _ => Event::CapChange { cap: Watts(50.0 + (i % 64) as f64) },
+            _ => Event::Scenario { idx: i },
         };
         q.push(t, ev);
     }

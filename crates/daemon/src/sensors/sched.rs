@@ -12,10 +12,7 @@ use vap_obs::TelemetrySnapshot;
 use vap_report::experiments::common;
 use vap_report::options::RunOptions;
 use vap_scenario::{Scenario, ScenarioRuntime};
-use vap_sched::{
-    QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen,
-};
-use vap_sim::scheduler::AllocationPolicy;
+use vap_sched::{ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, Trace, TraceGen};
 
 /// Per-module cap level for the campaign (W): the middle rung of the
 /// paper's ladder — tight enough that rebalancing visibly matters,
@@ -54,9 +51,7 @@ impl SchedCampaign {
         };
         let trace = gen.generate(opts.seed);
         let cfg = SchedConfig {
-            allocation: AllocationPolicy::LowestPowerFirst,
             realloc: ReallocPolicy::UniformRebalance,
-            queue: QueueDiscipline::Backfill,
             cap: Watts(CAP_W_PER_MODULE * n as f64),
         };
         let mut runtime = SchedRuntime::new(cluster, budgeter.pvt().clone(), opts.seed, cfg);

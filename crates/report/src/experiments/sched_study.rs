@@ -15,8 +15,7 @@ use crate::options::RunOptions;
 use crate::render::{f, Table};
 use vap_core::budgeter::Budgeter;
 use vap_model::units::Watts;
-use vap_sched::{QueueDiscipline, ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, TraceGen};
-use vap_sim::scheduler::AllocationPolicy;
+use vap_sched::{ReallocPolicy, SchedConfig, SchedReport, SchedRuntime, TraceGen};
 
 /// Per-module cap levels swept (W); the paper's Cm ladder, truncated to
 /// the levels where the full trace stays feasible.
@@ -107,12 +106,7 @@ pub fn run(opts: &RunOptions) -> SchedStudyResult {
         .collect();
 
     let reports = vap_exec::par_grid(&cells, threads, |&(cap_w, policy)| {
-        let cfg = SchedConfig {
-            allocation: AllocationPolicy::LowestPowerFirst,
-            realloc: policy,
-            queue: QueueDiscipline::Backfill,
-            cap: Watts(cap_w * n as f64),
-        };
+        let cfg = SchedConfig { realloc: policy, cap: Watts(cap_w * n as f64) };
         let runtime = SchedRuntime::new(cluster.clone(), budgeter.pvt().clone(), opts.seed, cfg);
         runtime.run(&trace)
     });

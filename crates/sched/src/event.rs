@@ -12,8 +12,6 @@ use std::cmp::Ordering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use vap_model::units::Watts;
-
 /// What happens at an event's timestamp.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -30,11 +28,6 @@ pub enum Event {
         job: usize,
         /// The job epoch this prediction was made under.
         epoch: u64,
-    },
-    /// The cluster-level power cap changes mid-run.
-    CapChange {
-        /// The new system cap.
-        cap: Watts,
     },
     /// A scenario perturbation (drift step, sensor fault, cap shock,
     /// module failure/replacement) fires.
@@ -134,8 +127,8 @@ mod tests {
         // same inputs → same pop order, regardless of interleaving with pops
         let mut q = EventQueue::new();
         q.push(2.0, Event::Arrival { job: 0 });
-        q.push(1.0, Event::CapChange { cap: Watts(10.0) });
-        assert!(matches!(q.pop(), Some((_, Event::CapChange { .. }))));
+        q.push(1.0, Event::Scenario { idx: 0 });
+        assert!(matches!(q.pop(), Some((_, Event::Scenario { .. }))));
         q.push(1.5, Event::Completion { job: 0, epoch: 0 });
         assert!(matches!(q.pop(), Some((t, Event::Completion { .. })) if t == 1.5));
         assert!(q.pop().is_some());

@@ -5,7 +5,7 @@
 //! a production machine-room takes jobs as they arrive, under a cluster
 //! cap that can change mid-run. `vap-sched` replays a seeded arrival
 //! trace ([`trace::TraceGen`]) against a [`vap_sim::cluster::Cluster`],
-//! placing each job with a pluggable allocation policy, solving a
+//! placing each job on the lowest-power free modules, solving a
 //! variation-aware (VaPc) power plan for the job's module set at
 //! admission, and — under the online policies — re-partitioning the
 //! global power budget across *all* running jobs on every arrival and
@@ -15,9 +15,12 @@
 //!
 //! The runtime is a textbook discrete-event simulation: a min-heap of
 //! `(time, seq)`-ordered events ([`event::EventQueue`]) drives a fluid
-//! job-progress model. Completion times are *predicted* from each job's
-//! current rate and invalidated by epoch counters whenever a re-solve
-//! changes the rate, so stale predictions are simply skipped.
+//! job-progress model. Arrivals come from the trace; cap shocks, module
+//! failures and the other perturbations come from an installed
+//! `vap_scenario::ScenarioRuntime`. Completion times are *predicted*
+//! from each job's current rate and invalidated by epoch counters
+//! whenever a re-solve changes the rate, so stale predictions are simply
+//! skipped.
 //!
 //! ## Determinism contract
 //!
@@ -38,5 +41,5 @@ pub mod trace;
 
 pub use event::{Event, EventQueue};
 pub use report::SchedReport;
-pub use runtime::{QueueDiscipline, ReallocPolicy, SchedConfig, SchedRuntime};
+pub use runtime::{ReallocPolicy, SchedConfig, SchedRuntime};
 pub use trace::{Trace, TraceGen};

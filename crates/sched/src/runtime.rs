@@ -1,14 +1,15 @@
 //! The discrete-event scheduling runtime.
 //!
-//! Replays a [`Trace`] against a [`Cluster`]: jobs arrive, get placed by
-//! a [`vap_sim::scheduler::AllocationPolicy`] over the *free* modules,
-//! receive a variation-aware power plan (PMT calibration + α solve via
-//! `vap-core`, VaPc flavor), and progress as fluid work under the
-//! boundedness-weighted frequency model. On **every** arrival,
-//! completion, and cap-change event the global power partition is
-//! re-solved per the configured [`ReallocPolicy`], so freed watts flow to
-//! running jobs; completion predictions scheduled under an older
-//! partition are invalidated by an epoch counter.
+//! Replays a [`Trace`] against a [`Cluster`]: jobs arrive, get placed on
+//! the lowest-power *free* modules
+//! ([`AllocationPolicy::LowestPowerFirst`]), receive a variation-aware
+//! power plan (PMT calibration + α solve via `vap-core`, VaPc flavor),
+//! and progress as fluid work under the boundedness-weighted frequency
+//! model. On **every** arrival, completion, scenario cap shock, module
+//! failure and replacement the global power partition is re-solved per
+//! the configured [`ReallocPolicy`], so freed watts flow to running jobs;
+//! completion predictions scheduled under an older partition are
+//! invalidated by an epoch counter.
 //!
 //! # Determinism contract
 //!
@@ -84,26 +85,12 @@ impl std::fmt::Display for ReallocPolicy {
     }
 }
 
-/// How the admission loop walks the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// Strict FIFO: the head of the queue blocks everything behind it.
-    Fifo,
-    /// Power-aware backfill: when the head does not fit (modules *or*
-    /// watts), later jobs that do fit may start ahead of it.
-    Backfill,
-}
-
 /// Runtime configuration for one replay.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// How modules are picked from the free pool.
-    pub allocation: AllocationPolicy,
     /// What happens to budgets on job churn.
     pub realloc: ReallocPolicy,
-    /// Queue walk order at admission.
-    pub queue: QueueDiscipline,
-    /// Initial cluster-level power cap (cap-change events override it).
+    /// Cluster-level power cap; a scenario cap shock scales it.
     pub cap: Watts,
 }
 
@@ -139,16 +126,12 @@ pub struct SchedRuntime {
     /// Single-module test runs, cached per (workload, probe module).
     test_cache: BTreeMap<(u64, usize), TestRunResult>,
     samples: Vec<PowerSample>,
-    pending_cap_changes: usize,
     /// Optional non-stationary perturbation schedule (drift, faults,
     /// shocks, churn) replayed alongside the trace.
     scenario: Option<ScenarioRuntime>,
-    /// Scenario events still scheduled — like `pending_cap_changes`,
-    /// part of the "can this admission ever improve?" check.
+    /// Scenario events still scheduled — part of the "can this
+    /// admission ever improve?" check.
     pending_scenario: usize,
-    /// The trace-level cap (shock-free): cap shocks scale this, and a
-    /// shock release restores it.
-    base_cap: Watts,
     /// Simulated time of the previous [`Self::sample`] call — the width
     /// of the next watt-provenance ledger tick.
     last_sample_t: f64,
@@ -202,10 +185,8 @@ impl SchedRuntime {
             free,
             test_cache: BTreeMap::new(),
             samples: Vec::new(),
-            pending_cap_changes: 0,
             scenario: None,
             pending_scenario: 0,
-            base_cap: cap,
             last_sample_t: 0.0,
             drift,
             hist_jct: Histogram::default(),
@@ -249,10 +230,6 @@ impl SchedRuntime {
         for (idx, a) in trace.jobs.iter().enumerate() {
             self.events.push(a.at_s, Event::Arrival { job: idx });
         }
-        for c in &trace.cap_changes {
-            self.events.push(c.at_s, Event::CapChange { cap: c.cap });
-            self.pending_cap_changes += 1;
-        }
         if let Some(sc) = self.scenario.as_ref() {
             let times: Vec<f64> = sc.events().iter().map(|e| e.at_s).collect();
             self.pending_scenario = times.len();
@@ -282,28 +259,6 @@ impl SchedRuntime {
                         self.try_admit();
                         self.resolve();
                     }
-                }
-                Event::CapChange { cap } => {
-                    vap_obs::incr("sched.cap_changes");
-                    let old = self.cap;
-                    // An active cap shock scales the new trace cap too
-                    // (scale 1.0 is exact: the no-scenario replay is
-                    // bit-identical to before scenarios existed).
-                    let scale = self.scenario.as_ref().map_or(1.0, |s| s.shock_scale());
-                    self.base_cap = cap;
-                    let cap = Watts(cap.value() * scale);
-                    self.cap = cap;
-                    self.pending_cap_changes = self.pending_cap_changes.saturating_sub(1);
-                    vap_obs::decision(|| DecisionRecord {
-                        t_s: self.now,
-                        job: None,
-                        cap_w: cap.value(),
-                        avail_w: self.available().value(),
-                        kind: DecisionKind::CapChange { old_w: old.value(), new_w: cap.value() },
-                    });
-                    self.enforce_cap();
-                    self.try_admit();
-                    self.resolve();
                 }
                 Event::Scenario { idx } => {
                     vap_obs::incr("sched.scenario_events");
@@ -433,11 +388,11 @@ impl SchedRuntime {
     }
 
     /// Replay the `idx`-th scenario event against the cluster and react:
-    /// cap shocks flow through the cap-change path, failures preempt and
-    /// shrink the pool, replacements rejoin it. Drift/entropy/sensor
-    /// events mutate only the physics (and the sensor plane) — the
-    /// scheduler deliberately keeps planning from its stale PVT until a
-    /// re-calibration policy intervenes.
+    /// cap shocks rescale the cap, failures preempt and shrink the pool,
+    /// replacements rejoin it. Drift/entropy/sensor events mutate only
+    /// the physics (and the sensor plane) — the scheduler deliberately
+    /// keeps planning from its stale PVT until a re-calibration policy
+    /// intervenes.
     fn apply_scenario(&mut self, idx: usize) {
         let Some(ev) = self.scenario.as_ref().and_then(|sc| sc.events().get(idx)).copied() else {
             return;
@@ -454,12 +409,12 @@ impl SchedRuntime {
         }
     }
 
-    /// Re-derive the effective cap as `shock scale × base cap` and push
-    /// the change through the same machinery a trace cap change uses.
+    /// Re-derive the effective cap as `shock scale × configured cap`,
+    /// preempt down to it, and re-admit and re-partition under it.
     fn shock_cap(&mut self) {
         let scale = self.scenario.as_ref().map_or(1.0, |s| s.shock_scale());
         let old = self.cap;
-        let cap = Watts(self.base_cap.value() * scale);
+        let cap = Watts(self.config.cap.value() * scale);
         self.cap = cap;
         vap_obs::decision(|| DecisionRecord {
             t_s: self.now,
@@ -515,7 +470,9 @@ impl SchedRuntime {
         self.budgeter.floor_total()
     }
 
-    /// Walk the queue admitting whatever fits under the discipline.
+    /// Walk the queue admitting whatever fits. A job that does not fit
+    /// (modules *or* watts) stays queued, and later jobs that do fit
+    /// start ahead of it (power-aware backfill).
     fn try_admit(&mut self) {
         let mut i = 0;
         while i < self.pending.len() {
@@ -524,12 +481,7 @@ impl SchedRuntime {
                 Placement::Placed => {
                     self.pending.remove(i);
                 }
-                Placement::Deferred => {
-                    if self.config.queue == QueueDiscipline::Fifo {
-                        break;
-                    }
-                    i += 1;
-                }
+                Placement::Deferred => i += 1,
                 Placement::Impossible => {
                     self.pending.remove(i);
                     self.jobs[id].state = JobState::Killed;
@@ -540,9 +492,10 @@ impl SchedRuntime {
         vap_obs::observe("sched.queue_depth", self.pending.len() as f64);
     }
 
-    /// Attempt to place one queued job: pick modules from the free pool,
-    /// calibrate its PMT, shrink its width down to `min_width` if the
-    /// watts are tight, and admit if (and only if) its floor fits.
+    /// Attempt to place one queued job: rank the free pool lowest power
+    /// first (a shrunk width takes a prefix), calibrate its PMT, shrink
+    /// its width down to `min_width` if the watts are tight, and admit if
+    /// (and only if) its floor fits.
     fn try_place(&mut self, id: usize) -> Placement {
         let arrival = self.jobs[id].spec.clone();
         if arrival.min_width > self.cluster.len() {
@@ -550,18 +503,23 @@ impl SchedRuntime {
             return Placement::Impossible;
         }
         // Can the job's admission ever improve without our intervention?
-        // Only if something is running (will free modules/watts), a cap
-        // change is still scheduled, or a scenario event (shock release,
-        // module replacement) is still pending.
-        let idle_system =
-            self.running.is_empty() && self.pending_cap_changes == 0 && self.pending_scenario == 0;
+        // Only if something is running (will free modules/watts) or a
+        // scenario event (shock release, module replacement) is still
+        // pending.
+        let idle_system = self.running.is_empty() && self.pending_scenario == 0;
         if self.free.len() < arrival.min_width {
             self.defer_or_kill_decision(id, "insufficient_modules", false);
             return Placement::Deferred;
         }
         let spec = catalog::get(arrival.workload);
         let w_max = arrival.width.min(self.free.len());
-        let pref = self.pick_modules(w_max, &spec, id);
+        let pref = AllocationPolicy::LowestPowerFirst.pick(
+            &self.cluster,
+            &self.free,
+            w_max,
+            spec.activity,
+            self.seed,
+        );
         let Some(&probe) = pref.first() else {
             self.defer_or_kill_decision(id, "insufficient_modules", false);
             return Placement::Deferred;
@@ -698,14 +656,6 @@ impl SchedRuntime {
                 DecisionKind::Defer { reason: reason.to_string() }
             },
         });
-    }
-
-    /// Pick up to `n` modules from the free pool in *preference order*
-    /// (the width-shrink path takes prefixes). `Random` is seeded per job
-    /// so a replay is exact at any thread count.
-    fn pick_modules(&self, n: usize, spec: &WorkloadSpec, job_id: usize) -> Vec<usize> {
-        let seed = self.seed ^ (job_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.config.allocation.pick(&self.cluster, &self.free, n, spec.activity, seed)
     }
 
     /// The job's single-module test run, cached per (workload, probe).
@@ -948,80 +898,5 @@ impl SchedRuntime {
         }
         entries.push(LedgerEntry::system_stranded(self.cap.value() - budgets_total));
         LedgerTick { t_s: self.now, dt_s, cap_w: self.cap.value(), entries }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vap_model::systems::SystemSpec;
-
-    const SEED: u64 = 2015;
-
-    fn runtime(n: usize, allocation: AllocationPolicy) -> SchedRuntime {
-        let mut cluster = Cluster::with_size(SystemSpec::ha8k(), n, SEED);
-        let stream = catalog::get(WorkloadId::Stream);
-        let pvt = PowerVariationTable::generate(&mut cluster, &stream, SEED);
-        let config = SchedConfig {
-            allocation,
-            realloc: ReallocPolicy::Frozen,
-            queue: QueueDiscipline::Fifo,
-            cap: Watts(95.0 * n as f64),
-        };
-        SchedRuntime::new(cluster, pvt, SEED, config)
-    }
-
-    const POLICIES: [AllocationPolicy; 4] = [
-        AllocationPolicy::Contiguous,
-        AllocationPolicy::Strided { stride: 3 },
-        AllocationPolicy::Random,
-        AllocationPolicy::LowestPowerFirst,
-    ];
-
-    #[test]
-    fn oversized_requests_short_allocate_under_every_policy() {
-        let spec = catalog::get(WorkloadId::Stream);
-        for allocation in POLICIES {
-            let rt = runtime(6, allocation);
-            let picked = rt.pick_modules(64, &spec, 0);
-            assert_eq!(picked.len(), 6, "{allocation:?}: short allocation expected");
-            let mut sorted = picked.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 6, "{allocation:?}: duplicate module ids");
-            assert!(
-                sorted.iter().all(|m| rt.free.contains(m)),
-                "{allocation:?}: picked a busy module"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_free_list_yields_empty_allocation_under_every_policy() {
-        // Regression guard: the strided walk used to be one `n > 0` away
-        // from `seen[0]` / `% 0` panics on an empty free list.
-        let spec = catalog::get(WorkloadId::Stream);
-        for allocation in POLICIES {
-            let mut rt = runtime(4, allocation);
-            rt.free.clear();
-            for n in [0, 1, 7] {
-                assert!(
-                    rt.pick_modules(n, &spec, 0).is_empty(),
-                    "{allocation:?}: n={n} on empty free list"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn strided_allocation_spreads_and_covers() {
-        let spec = catalog::get(WorkloadId::Stream);
-        let rt = runtime(8, AllocationPolicy::Strided { stride: 3 });
-        // a partial request strides across the free list...
-        assert_eq!(rt.pick_modules(3, &spec, 0), vec![0, 3, 6]);
-        // ...and a full-width request still covers every module exactly once
-        let mut all = rt.pick_modules(8, &spec, 0);
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>());
     }
 }

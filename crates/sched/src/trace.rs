@@ -7,7 +7,6 @@
 //! any platform.
 
 use vap_model::rng::SplitMix64;
-use vap_model::units::Watts;
 use vap_workloads::catalog;
 use vap_workloads::spec::WorkloadId;
 
@@ -29,30 +28,11 @@ pub struct JobArrival {
     pub work_s: f64,
 }
 
-/// A scheduled change of the cluster-level power cap.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CapChange {
-    /// When the cap changes (simulated seconds).
-    pub at_s: f64,
-    /// The new system cap.
-    pub cap: Watts,
-}
-
 /// A complete input to one runtime replay.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Jobs in arrival order (`at_s` non-decreasing).
     pub jobs: Vec<JobArrival>,
-    /// Cap changes in time order.
-    pub cap_changes: Vec<CapChange>,
-}
-
-impl Trace {
-    /// Append a cap change (kept in time order by the caller).
-    pub fn with_cap_change(mut self, at_s: f64, cap: Watts) -> Self {
-        self.cap_changes.push(CapChange { at_s, cap });
-        self
-    }
 }
 
 /// Seeded trace generator.
@@ -64,34 +44,22 @@ pub struct TraceGen {
     pub fleet: usize,
     /// Mean exponential interarrival gap (seconds).
     pub mean_interarrival_s: f64,
-    /// Smallest requested width.
-    pub min_width: usize,
-    /// Largest requested width.
-    pub max_width: usize,
     /// Multiplier on each workload's catalog reference time.
     pub work_scale: f64,
 }
 
 impl TraceGen {
-    /// Defaults sized for `fleet`: widths between fleet/8 and fleet/3,
-    /// paper-scale work, one arrival per minute.
+    /// Defaults: paper-scale work, one arrival per minute.
     pub fn new(jobs: usize, fleet: usize) -> Self {
-        let min_width = (fleet / 8).max(1);
-        TraceGen {
-            jobs,
-            fleet,
-            mean_interarrival_s: 60.0,
-            min_width,
-            max_width: (fleet / 3).max(min_width),
-            work_scale: 1.0,
-        }
+        TraceGen { jobs, fleet, mean_interarrival_s: 60.0, work_scale: 1.0 }
     }
 
-    /// Generate the trace for `seed`.
+    /// Generate the trace for `seed`. Widths are drawn between fleet/8
+    /// and fleet/3, at least one module and at most the fleet.
     pub fn generate(&self, seed: u64) -> Trace {
         let mut rng = SplitMix64::new(seed);
-        let lo = self.min_width.clamp(1, self.fleet.max(1));
-        let hi = self.max_width.clamp(lo, self.fleet.max(1));
+        let lo = (self.fleet / 8).clamp(1, self.fleet.max(1));
+        let hi = (self.fleet / 3).clamp(lo, self.fleet.max(1));
         let mut t = 0.0;
         let jobs = (0..self.jobs)
             .map(|id| {
@@ -109,7 +77,7 @@ impl TraceGen {
                 }
             })
             .collect();
-        Trace { jobs, cap_changes: Vec::new() }
+        Trace { jobs }
     }
 }
 
@@ -135,7 +103,7 @@ mod tests {
         for j in &t.jobs {
             assert!(j.at_s >= last, "arrivals must be time-ordered");
             last = j.at_s;
-            assert!(j.width >= gen.min_width && j.width <= gen.max_width);
+            assert!(j.width >= 96 / 8 && j.width <= 96 / 3);
             assert!(j.min_width >= 1 && j.min_width <= j.width);
             assert!(j.work_s > 0.0);
             assert!(WorkloadId::EVALUATED.contains(&j.workload));
@@ -143,13 +111,6 @@ mod tests {
         // the exponential gaps should average near the configured mean
         let mean = last / 200.0;
         assert!((mean - 60.0).abs() < 15.0, "observed mean gap {mean}");
-    }
-
-    #[test]
-    fn cap_changes_attach() {
-        let t = TraceGen::new(1, 8).generate(1).with_cap_change(100.0, Watts(500.0));
-        assert_eq!(t.cap_changes.len(), 1);
-        assert_eq!(t.cap_changes[0].cap, Watts(500.0));
     }
 
     #[test]
