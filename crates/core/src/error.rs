@@ -21,8 +21,6 @@ pub enum BudgetError {
         /// The offending id.
         module_id: usize,
     },
-    /// PVT and test run disagree about the frequency anchors.
-    AnchorMismatch,
     /// The scheme needs a published TDP the system spec does not provide
     /// (e.g. the Naive scheme on a part without vendor TDP data).
     MissingTdp {
@@ -42,9 +40,6 @@ impl std::fmt::Display for BudgetError {
             BudgetError::NoModules => write!(f, "no modules allocated"),
             BudgetError::UnknownModule { module_id } => {
                 write!(f, "module {module_id} is not covered by the model tables")
-            }
-            BudgetError::AnchorMismatch => {
-                write!(f, "PVT and test run were taken at different frequency anchors")
             }
             BudgetError::MissingTdp { domain } => {
                 write!(f, "system spec publishes no {domain} TDP, required by this scheme")

@@ -14,7 +14,7 @@ use crate::render::{f, Table};
 use vap_model::systems::{SystemId, SystemSpec};
 use vap_model::units::Seconds;
 use vap_sim::cluster::{Cluster, ModuleView};
-use vap_sim::measurement::{board_power, PowerDomain, PowerSensor};
+use vap_sim::measurement::{board_power, PowerSensor};
 use vap_stats::variation::{increase_percent_vs_min, slowdown_percent_vs_best};
 use vap_workloads::catalog;
 use vap_workloads::spec::WorkloadId;
@@ -100,12 +100,12 @@ fn run_system(id: SystemId, opts: &RunOptions) -> SystemSeries {
             .map(|&m| single_socket_ep_time(m, &boundedness, &ep, opts.scale).value())
             .fold(0.0f64, f64::max);
         let power = if group == 1 {
-            sensor.sample_averaged(chunk[0], PowerDomain::Cpu, 32).value()
+            sensor.sample_averaged(chunk[0], 32).value()
         } else {
             // EMON instantaneous board sample, averaged over a few reads
             let mut acc = 0.0;
             for _ in 0..8 {
-                acc += board_power(chunk, &mut sensor, PowerDomain::Cpu).value();
+                acc += board_power(chunk, &mut sensor).value();
             }
             acc / 8.0
         };

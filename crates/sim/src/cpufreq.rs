@@ -16,8 +16,6 @@ pub enum Governor {
     /// default for uncapped HPC nodes.
     #[default]
     Performance,
-    /// Run at the lowest available frequency.
-    Powersave,
     /// Pin a specific frequency — what `cpufreq-set -f` does and what the
     /// FS scheme uses. The request is snapped **down** to a supported
     /// P-state so the power intent is never exceeded.
@@ -29,7 +27,6 @@ impl Governor {
     pub fn resolve(&self, pstates: &PStateTable) -> GigaHertz {
         match *self {
             Governor::Performance => pstates.uncapped(),
-            Governor::Powersave => pstates.f_min(),
             Governor::Userspace(f) => pstates.floor(f),
         }
     }
@@ -49,11 +46,6 @@ mod tests {
         let turbo = PStateTable::evenly_spaced(GigaHertz(1.2), GigaHertz(2.6), GigaHertz(0.1))
             .with_turbo(GigaHertz(3.3));
         assert_eq!(Governor::Performance.resolve(&turbo), GigaHertz(3.3));
-    }
-
-    #[test]
-    fn powersave_reaches_bottom() {
-        assert_eq!(Governor::Powersave.resolve(&table()), GigaHertz(1.2));
     }
 
     #[test]

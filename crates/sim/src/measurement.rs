@@ -18,29 +18,8 @@ use vap_model::rng::SplitMix64;
 use vap_model::systems::MeasurementTech;
 use vap_model::units::{Seconds, Watts};
 
-/// Which power domain a sample covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PowerDomain {
-    /// CPU package (RAPL PKG).
-    Cpu,
-    /// DRAM.
-    Dram,
-    /// CPU + DRAM (the paper's "module power").
-    Module,
-}
-
-impl PowerDomain {
-    /// The module's ground-truth power in this domain.
-    fn power(self, module: ModuleView<'_>) -> Watts {
-        match self {
-            PowerDomain::Cpu => module.cpu_power(),
-            PowerDomain::Dram => module.dram_power(),
-            PowerDomain::Module => module.module_power(),
-        }
-    }
-}
-
-/// A sensor-style sampler with technology-appropriate noise.
+/// A sensor-style sampler of CPU package power with
+/// technology-appropriate noise.
 #[derive(Debug, Clone)]
 pub struct PowerSensor {
     noise_frac: f64,
@@ -61,37 +40,23 @@ impl PowerSensor {
         PowerSensor { noise_frac, rng: SplitMix64::new(seed) }
     }
 
-    /// Sample one domain of one module (instantaneous, with sensor noise).
-    pub fn sample(&mut self, module: ModuleView<'_>, domain: PowerDomain) -> Watts {
-        self.add_noise(domain.power(module))
+    /// Sample one module's CPU power (instantaneous, with sensor noise).
+    pub fn sample(&mut self, module: ModuleView<'_>) -> Watts {
+        self.add_noise(module.cpu_power())
     }
 
     /// Average several samples over a measurement period — the standard
     /// procedure for characterizing steady workloads.
-    pub fn sample_averaged(
-        &mut self,
-        module: ModuleView<'_>,
-        domain: PowerDomain,
-        n: usize,
-    ) -> Watts {
+    pub fn sample_averaged(&mut self, module: ModuleView<'_>, n: usize) -> Watts {
         assert!(n > 0);
         let mut acc = Watts::ZERO;
         for _ in 0..n {
-            acc += self.sample(module, domain);
+            acc += self.sample(module);
         }
         acc / n as f64
     }
 
     fn add_noise(&mut self, truth: Watts) -> Watts {
-        // `<=` rather than a float `==` zero test: a non-positive noise
-        // fraction means "noise-free meter" either way.
-        if self.noise_frac <= 0.0 {
-            return truth;
-        }
-        // A non-finite configuration (e.g. NaN) keeps the meter noise-free.
-        if !self.noise_frac.is_finite() {
-            return truth;
-        }
         let eps = self.noise_frac * self.rng.next_normal();
         (truth * (1.0 + eps)).max(Watts::ZERO)
     }
@@ -126,16 +91,12 @@ impl RaplEnergyMeter {
 }
 
 /// EMON-style node-board measurement: the sum of a group of modules'
-/// power, sampled with one sensor reading. On Vulcan each board aggregates
-/// 32 compute cards.
-pub fn board_power(
-    modules: &[ModuleView<'_>],
-    sensor: &mut PowerSensor,
-    domain: PowerDomain,
-) -> Watts {
+/// CPU power, sampled with one sensor reading. On Vulcan each board
+/// aggregates 32 compute cards.
+pub fn board_power(modules: &[ModuleView<'_>], sensor: &mut PowerSensor) -> Watts {
     let mut total = Watts::ZERO;
     for &m in modules {
-        total += domain.power(m);
+        total += m.cpu_power();
     }
     sensor.add_noise(total)
 }
@@ -162,11 +123,11 @@ mod tests {
         let m = c.module(0);
         let truth = m.cpu_power();
         let mut s = PowerSensor::new(MeasurementTech::PowerInsight, 1);
-        let avg = s.sample_averaged(m, PowerDomain::Cpu, 2000);
+        let avg = s.sample_averaged(m, 2000);
         assert!((avg.value() - truth.value()).abs() / truth.value() < 0.002);
         // individual samples do vary
-        let a = s.sample(m, PowerDomain::Cpu);
-        let b = s.sample(m, PowerDomain::Cpu);
+        let a = s.sample(m);
+        let b = s.sample(m);
         assert_ne!(a, b);
     }
 
@@ -176,18 +137,7 @@ mod tests {
         let mut s1 = PowerSensor::new(MeasurementTech::Rapl, 42);
         let mut s2 = PowerSensor::new(MeasurementTech::Rapl, 42);
         let m = c.module(0);
-        assert_eq!(s1.sample(m, PowerDomain::Module), s2.sample(m, PowerDomain::Module));
-    }
-
-    #[test]
-    fn domains_decompose() {
-        let c = busy_module();
-        let m = c.module(0);
-        let mut s = PowerSensor::new(MeasurementTech::Rapl, 7);
-        let cpu = s.sample_averaged(m, PowerDomain::Cpu, 500);
-        let dram = s.sample_averaged(m, PowerDomain::Dram, 500);
-        let module = s.sample_averaged(m, PowerDomain::Module, 500);
-        assert!((module.value() - (cpu + dram).value()).abs() / module.value() < 0.01);
+        assert_eq!(s1.sample(m), s2.sample(m));
     }
 
     #[test]
@@ -211,7 +161,7 @@ mod tests {
         let truth: Watts = c.cpu_powers().into_iter().sum();
         let mut s = PowerSensor::new(MeasurementTech::BgqEmon, 9);
         let board: Vec<ModuleView<'_>> = c.modules().collect();
-        let measured = board_power(&board, &mut s, PowerDomain::Cpu);
+        let measured = board_power(&board, &mut s);
         assert!((measured.value() - truth.value()).abs() / truth.value() < 0.05);
     }
 }
