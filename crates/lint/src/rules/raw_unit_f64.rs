@@ -14,7 +14,8 @@
 //! bindings and every line strictly inside a parsed fn body are exempt:
 //! locals routinely unwrap to `f64` for statistics via `.value()`, and a
 //! struct literal's `field: value` there is not a declaration. The
-//! signature lines of a fn nested in a body are checked again.
+//! signature lines of a fn nested in a body, and every line of a struct
+//! declared in one, are checked again.
 
 use super::{is_ident_char, Context, Rule};
 use crate::diag::Finding;
@@ -59,9 +60,10 @@ impl Rule for RawUnitF64 {
                 lines.fill(true);
             }
         }
-        for sig in &file.parsed.fns {
-            let open = sig.body.map_or(sig.line, |(a, _)| a);
-            if let Some(lines) = in_body.get_mut(sig.line..=open) {
+        let signatures =
+            file.parsed.fns.iter().map(|sig| (sig.line, sig.body.map_or(sig.line, |(a, _)| a)));
+        for (a, b) in signatures.chain(file.parsed.structs.iter().map(|s| s.lines)) {
+            if let Some(lines) = in_body.get_mut(a..=b) {
                 lines.fill(false);
             }
         }
@@ -208,6 +210,10 @@ mod tests {
                    \x20   Row { power: cap_w }\n}\n";
         let at: Vec<_> = findings("vap-core", src).iter().map(|f| (f.line, f.column)).collect();
         assert_eq!(at, [(2, 9), (5, 5), (7, 14)]);
+        // so does a field of a struct declared in a body
+        let src = "fn f() {\n    struct Local {\n        power: f64,\n    }\n}\n";
+        let at: Vec<_> = findings("vap-core", src).iter().map(|f| (f.line, f.column)).collect();
+        assert_eq!(at, [(3, 9)]);
     }
 
     #[test]
