@@ -28,11 +28,11 @@
 //! ends and gathers every comment into one buffer, so the source and its
 //! scrubbed copy are each one buffer with a line table
 //! ([`lexer::Lines`]), `vap:allow` markers come from one search of the
-//! comment buffer, and tokens borrow from the scrubbed buffer. A call
-//! ([`parse::Call`]) is positions in the file's one token list — its
-//! callee, its turbofish and a run of the file's argument list — read
-//! back from the lines, so a call site allocates nothing of
-//! its own; only the parsed items own strings (names, parameter and
+//! comment buffer, and tokens borrow from the scrubbed buffer and live
+//! only while the file is parsed. A call ([`parse::Call`]) is positions
+//! in the scrubbed text — its callee, its turbofish and a run of the
+//! file's argument list — whose tokens are cut again from the lines when
+//! a rule reads them, so a call site allocates nothing of its own; only the parsed items own strings (names, parameter and
 //! return types), and the index borrows those. The parser's token
 //! pass also finds each word the lexical rules look for (`.unwrap()`,
 //! `println!`, `HashMap`, … — [`rules::Word`]) once per file and keeps
