@@ -132,7 +132,13 @@ pub struct Outcome {
     pub counts: Vec<(String, String, usize)>,
 }
 
-/// Pass 0: walk the workspace and lex/parse every source file.
+/// The most bytes one source file may hold: every offset a [`SourceFile`]
+/// keeps into its buffers is 32 bits.
+const MAX_SOURCE_BYTES: u64 = u32::MAX as u64;
+
+/// Pass 0: walk the workspace and lex/parse every source file. A file
+/// longer than [`MAX_SOURCE_BYTES`] is an error, found from its metadata
+/// before it is read.
 fn load_files(opts: &Options) -> Result<Vec<SourceFile>, String> {
     let files = walker::workspace_files(&opts.root)
         .map_err(|e| format!("walking {}: {e}", opts.root.display()))?;
@@ -146,8 +152,23 @@ fn load_files(opts: &Options) -> Result<Vec<SourceFile>, String> {
     }
     let mut sources = Vec::with_capacity(files.len());
     for wf in &files {
-        let text = fs::read_to_string(&wf.abs)
-            .map_err(|e| format!("reading {}: {e}", wf.abs.display()))?;
+        let reading = |e: std::io::Error| format!("reading {}: {e}", wf.abs.display());
+        let too_long = |len: u64| {
+            format!(
+                "reading {}: {len} bytes, more than the {MAX_SOURCE_BYTES} a source file may hold",
+                wf.abs.display()
+            )
+        };
+        let len = fs::metadata(&wf.abs).map_err(reading)?.len();
+        if len > MAX_SOURCE_BYTES {
+            return Err(too_long(len));
+        }
+        let text = fs::read_to_string(&wf.abs).map_err(reading)?;
+        // the file may have grown since its metadata was read
+        let len = text.len() as u64;
+        if len > MAX_SOURCE_BYTES {
+            return Err(too_long(len));
+        }
         sources.push(SourceFile::from_source(&wf.rel, &wf.crate_name, &text));
     }
     Ok(sources)
@@ -401,6 +422,29 @@ mod tests {
     }
 
     #[test]
+    fn a_source_past_four_gib_is_an_error_found_before_reading_it() {
+        let root = workspace_with("huge", "pub fn ok() {}\n");
+        let huge = root.join("crates/core/src/huge.rs");
+        // sparse: the file takes no disk, and reading it would take 4 GiB
+        // of memory, so only a check of its length before the read passes
+        let file = fs::File::create(&huge).unwrap();
+        file.set_len(u64::from(u32::MAX) + 1).unwrap();
+        let opts = Options::new(&root);
+        let err = scan(&opts).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "reading {}: 4294967296 bytes, more than the 4294967295 a source file may hold",
+                huge.display()
+            )
+        );
+        assert_eq!(run(&opts), 2);
+        let dump = Options { index_dump: true, ..Options::new(&root) };
+        assert_eq!(run(&dump), 2);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn truncated_sources_scan_without_panicking() {
         // a half-saved file is input from outside the process: a file
         // that stops inside any construct must still scan
@@ -547,7 +591,7 @@ mod tests {
             .findings
             .iter()
             .filter(|f| matches!(f.rule, "unit-flow" | "panic-propagation"))
-            .map(|f| (f.rule, f.path.as_str(), f.line, f.column, f.message.as_str()))
+            .map(|f| (f.rule, f.path.as_str(), f.line, f.column, f.message.as_ref()))
             .collect();
         let caller = "crates/caller/src/lib.rs";
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Diagnostics: the [`Finding`] record plus rustc-style human rendering
 //! and a stable JSON format (`--format json`).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// How a finding is classified after suppression and baselining.
@@ -36,8 +37,9 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column number.
     pub column: usize,
-    /// Human message for this site.
-    pub message: String,
+    /// Human message for this site: borrowed when a rule gives every
+    /// site of a kind the same one.
+    pub message: Cow<'static, str>,
     /// Trimmed raw source line.
     pub snippet: String,
     /// Rule-level remediation hint.
@@ -341,8 +343,12 @@ vap-lint: 1 baseline entry now overcount — run with --write-baseline to burn d
         ];
         let s = Summary { files: 1, total: 2, new: 1, baselined: 1, ..Summary::default() };
         for (raw, esc) in cases {
-            let f =
-                Finding { path: raw.into(), message: raw.into(), snippet: raw.into(), ..finding() };
+            let f = Finding {
+                path: raw.into(),
+                message: raw.to_string().into(),
+                snippet: raw.into(),
+                ..finding()
+            };
             let second = Finding { line: 4096, column: 1, status: Status::Baselined, ..finding() };
             let want = format!(
                 "{{\n  \"version\": 1,\n  \"findings\": [\n    {{\"rule\": \"float-eq\", \

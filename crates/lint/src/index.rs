@@ -7,9 +7,9 @@
 //! and which crates' code can run inside `vap-exec` worker closures.
 //!
 //! The index borrows what it indexes: a [`FnInfo`] or [`StaticInfo`]
-//! points at the signature or item, crate name and path of the
-//! [`SourceFile`] it came from, so the index lives no longer than the
-//! sources and copies none of their strings.
+//! points at the signature or item and at the [`SourceFile`] it came
+//! from, whose parsed item text holds its names and types, so the index
+//! lives no longer than the sources and copies none of their strings.
 //!
 //! A call resolves by its *shape*: the callee's bare name, receiver kind
 //! and arity. Once every file is indexed, and so every unit newtype is
@@ -56,10 +56,9 @@ const ALWAYS_PAR_SCOPED: [&str; 1] = ["vap-daemon"];
 /// One indexed function or method, borrowed from its source file.
 #[derive(Debug, Clone)]
 pub struct FnInfo<'a> {
-    /// Defining crate (e.g. `vap-core`).
-    pub crate_name: &'a str,
-    /// Workspace-relative file path.
-    pub path: &'a str,
+    /// The defining file: its crate, its path, and the item text `sig`
+    /// is read through (`file.parsed.qualified(sig)`).
+    pub file: &'a SourceFile,
     /// The parsed signature (line numbers are 0-based file positions).
     pub sig: &'a FnSig,
     /// Panic-capable constructs (`unwrap`/`expect`/`panic!`/…) in the
@@ -71,10 +70,8 @@ pub struct FnInfo<'a> {
 /// One indexed module-state item, borrowed from its source file.
 #[derive(Debug, Clone)]
 pub struct StaticInfo<'a> {
-    /// Defining crate.
-    pub crate_name: &'a str,
-    /// Workspace-relative file path.
-    pub path: &'a str,
+    /// The defining file, whose item text holds the item's name and type.
+    pub file: &'a SourceFile,
     /// The parsed item (line is a 0-based file position).
     pub item: &'a StaticItem,
 }
@@ -135,28 +132,23 @@ impl<'a> SymbolIndex<'a> {
         let mut unit_types: BTreeSet<&'a str> = CANONICAL_UNITS.into_iter().collect();
         let mut par_roots: BTreeSet<&'a str> = BTreeSet::new();
         for file in files {
-            let (crate_name, path) = (file.crate_name.as_str(), file.path.as_str());
-            for sig in &file.parsed.fns {
+            let parsed = &file.parsed;
+            for sig in &parsed.fns {
                 let panics = if file.is_bin() { 0 } else { count_body_panics(file, sig) };
-                fns.entry(sig.name.as_str()).or_default().push(FnInfo {
-                    crate_name,
-                    path,
-                    sig,
-                    panics,
-                });
+                fns.entry(parsed.name(sig)).or_default().push(FnInfo { file, sig, panics });
             }
-            for s in &file.parsed.structs {
-                if s.newtype_of.as_deref() == Some("f64") {
-                    unit_types.insert(s.name.as_str());
+            for s in &parsed.structs {
+                if s.newtype_of.as_ref().is_some_and(|ty| parsed.text(ty) == "f64") {
+                    unit_types.insert(parsed.text(&s.name));
                 }
             }
-            for item in &file.parsed.statics {
-                if !file.is_test(item.line) {
-                    statics.push(StaticInfo { crate_name, path, item });
+            for item in &parsed.statics {
+                if !file.is_test(item.line()) {
+                    statics.push(StaticInfo { file, item });
                 }
             }
             if file.par_calls().next().is_some() {
-                par_roots.insert(crate_name);
+                par_roots.insert(file.crate_name.as_str());
             }
         }
         // Only now is every unit type known: a newtype declared in a file
@@ -245,16 +237,20 @@ impl<'a> SymbolIndex<'a> {
             self.par_crates.iter().cloned().collect::<Vec<_>>().join(", ")
         ));
         for f in self.fns.values().flatten() {
-            let params: Vec<String> =
-                f.sig.params.iter().map(|p| format!("{}: {}", p.name, p.ty)).collect();
+            let parsed = &f.file.parsed;
+            let params: Vec<String> = parsed
+                .params(f.sig)
+                .iter()
+                .map(|p| format!("{}: {}", parsed.text(&p.name), parsed.text(&p.ty)))
+                .collect();
             out.push_str(&format!(
                 "fn {} [{}] {}:{} ({}){}{}{}\n",
-                f.sig.qualified,
-                f.crate_name,
-                f.path,
-                f.sig.line + 1,
+                parsed.qualified(f.sig),
+                f.file.crate_name,
+                f.file.path,
+                f.sig.line() + 1,
                 params.join(", "),
-                f.sig.ret.as_deref().map(|r| format!(" -> {r}")).unwrap_or_default(),
+                parsed.ret(f.sig).map(|r| format!(" -> {r}")).unwrap_or_default(),
                 if f.sig.is_pub { " pub" } else { "" },
                 if f.panics > 0 { format!(" panics={}", f.panics) } else { String::new() },
             ));
@@ -263,11 +259,11 @@ impl<'a> SymbolIndex<'a> {
             out.push_str(&format!(
                 "{} {}: {} [{}] {}:{}\n",
                 s.item.kind.label(),
-                s.item.name,
-                s.item.ty,
-                s.crate_name,
-                s.path,
-                s.item.line + 1,
+                s.file.parsed.text(&s.item.name),
+                s.file.parsed.text(&s.item.ty),
+                s.file.crate_name,
+                s.file.path,
+                s.item.line() + 1,
             ));
         }
         out
@@ -293,8 +289,11 @@ fn push_shapes(
 ) {
     let start = shapes.len();
     for (k, f) in fns.iter().enumerate() {
-        let (has_self, arity) = (f.sig.has_self, f.sig.params.len());
-        let unit = f.sig.params.iter().map(|p| units.binary_search(&referent(&p.ty)).is_ok());
+        let (has_self, arity, parsed) = (f.sig.has_self, f.sig.arity(), &f.file.parsed);
+        let unit = parsed
+            .params(f.sig)
+            .iter()
+            .map(|p| units.binary_search(&referent(parsed.text(&p.ty))).is_ok());
         let same = |s: &&mut CallShape| s.has_self == has_self && s.params.len() == arity;
         match shapes[start..].iter_mut().find(same) {
             Some(s) => {
@@ -322,16 +321,16 @@ fn push_shapes(
 /// Count the `no-panic-in-lib` sites on the lines of `sig`'s body in
 /// `file`, skipping test regions and lines with a `no-panic-in-lib` allow.
 fn count_body_panics(file: &SourceFile, sig: &FnSig) -> usize {
-    let Some((start, end)) = sig.body else { return 0 };
+    let Some((start, end)) = sig.body() else { return 0 };
     // the sites are sorted by line, so the body's sites are one run
     let sites = &file.parsed.sites;
-    let first = sites.partition_point(|s| s.line < start);
+    let first = sites.partition_point(|s| s.line() < start);
     sites[first..]
         .iter()
-        .take_while(|s| s.line <= end)
+        .take_while(|s| s.line() <= end)
         .filter(|s| s.word.rule() == no_panic::NAME)
-        .filter(|s| !file.is_test(s.line))
-        .filter(|s| !file.is_allowed(no_panic::NAME, s.line))
+        .filter(|s| !file.is_test(s.line()))
+        .filter(|s| !file.is_allowed(no_panic::NAME, s.line()))
         .count()
 }
 
@@ -361,15 +360,17 @@ mod tests {
         )];
         let index = SymbolIndex::build(&files, BTreeMap::new());
         let plan = &index.fns["plan"][0];
-        assert_eq!(plan.sig.params.len(), 2);
-        assert_eq!(plan.sig.params[0].ty, "Watts");
+        assert_eq!(plan.sig.arity(), 2);
+        let parsed = &plan.file.parsed;
+        assert_eq!(parsed.text(&parsed.params(plan.sig)[0].ty), "Watts");
         assert_eq!(plan.panics, 1);
         assert_eq!(index.fns["inner"][0].panics, 0);
         let shape = index.resolve("plan", false, 2).expect("plan/2 resolves");
         assert_eq!((shape.first, shape.count), (0, 1));
         assert_eq!(index.unit_params(shape), [true, false]);
         assert!(shape.all_panic);
-        assert_eq!(index.first_member("plan", shape).sig.qualified, "plan");
+        let first = index.first_member("plan", shape);
+        assert_eq!(first.file.parsed.qualified(first.sig), "plan");
         assert!(index.resolve("plan", true, 2).is_none());
         assert!(index.resolve("plan", false, 1).is_none());
         assert!(index.resolve("nope", false, 0).is_none());

@@ -20,57 +20,79 @@
 //! own line table beside the scrubbed one. A blanked character becomes
 //! exactly one space whatever its UTF-8 width, so a column — the byte
 //! offset in the scrubbed line — is the same whether the text before it
-//! was ASCII or not. The comment text of every line goes into one buffer
-//! per file, with one `(line, range)` entry per line that carries any.
-//! The line tables are sized from the file's count of `\n` bytes, its
-//! exact line count, and the code and comment buffers from its length,
-//! so none of them regrows. [`test_regions`] finds every `#` of a file
-//! with one search over its scrubbed buffer.
+//! was ASCII or not. The scrubbed copy keeps the source's line ends, so it
+//! is as long as the source unless it blanked a multi-byte character or a
+//! string's `\` before a line end (which blanks to two spaces). The comment
+//! text of every line goes into one buffer per file, with one
+//! `(line, range)` entry per line that carries any. The line tables and
+//! the comment entries are sized from the file's count of `\n` bytes, its
+//! exact line count, and the code and comment buffers from its length, so
+//! none of them regrows; the code buffer is then sized to what it holds.
+//! [`test_regions`] finds every `#` of a file with one search over its
+//! scrubbed buffer.
 //!
-//! [`Lines`] pairs a buffer with a line table, so a line is a `&str`
-//! borrowed from it, and the parser's tokens borrow from those lines in
-//! turn. The parser keeps none of them: a call's arguments are (line,
-//! column) ranges of the scrubbed lines, and their tokens are cut from
-//! those lines again when a rule reads them.
+//! [`Lines`] pairs a buffer with a line table of one `u32` per line, the
+//! offset where the line ends, terminator included; a read drops the
+//! trailing `\n` or `\r\n` as [`str::lines`] does, for the source and its
+//! scrubbed copy alike. A line is a `&str` borrowed from the buffer, and
+//! the parser's tokens borrow from those lines in turn. The parser keeps
+//! none of them: a call's arguments are (line, column) ranges of the
+//! scrubbed lines, and their tokens are cut from those lines again when a
+//! rule reads them. The 32-bit offsets bound a file to 4 GiB.
 
 use std::ops::{Index, Range};
 
 /// The lines of one file, held as one buffer plus a table of where each
-/// line sits in it.
+/// line ends in it.
 #[derive(Debug, Clone, Default)]
 pub struct Lines {
     text: String,
-    /// Byte range of each line in `text`, line terminator excluded.
-    spans: Vec<(usize, usize)>,
+    /// Where each line ends in `text`, its terminator included, so line
+    /// `i` runs from the end of line `i - 1` (or 0) to `ends[i]`.
+    ends: Vec<u32>,
 }
 
 impl Lines {
-    /// `text` read through `spans`, a line table [`scrub`] found in it.
-    pub(crate) fn from_spans(text: String, spans: Vec<(usize, usize)>) -> Lines {
-        Lines { text, spans }
+    /// `text` read through `ends`, a line table [`scrub`] found in it.
+    pub(crate) fn from_ends(text: String, ends: Vec<u32>) -> Lines {
+        Lines { text, ends }
     }
 
     /// Number of lines.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.ends.len()
     }
 
     /// Whether there are no lines at all.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The 0-based line `i`, if it exists.
+    /// The 0-based line `i`, if it exists, without its terminator.
     pub fn get(&self, i: usize) -> Option<&str> {
-        self.spans.get(i).map(|&(a, b)| &self.text[a..b])
+        self.ends.get(i).map(|&end| self.read(i, end))
     }
 
     /// Every line, in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.spans.iter().map(|&(a, b)| &self.text[a..b])
+        self.ends.iter().enumerate().map(|(i, &end)| self.read(i, end))
     }
 
-    /// Bytes in the buffer, line terminators included if it holds any.
+    /// Line `i`, which ends at byte `end`, without its terminator: a `\n`
+    /// ends a line, and a `\r` before it is part of the terminator, as
+    /// [`str::lines`] reads them.
+    fn read(&self, i: usize, end: u32) -> &str {
+        let line = self.text.get(self.start(i)..end as usize).unwrap_or_default();
+        line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l))
+    }
+
+    /// Byte offset in the buffer where line `i` starts: where line `i - 1`
+    /// ends, or 0.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).and_then(|p| self.ends.get(p)).map_or(0, |&e| e as usize)
+    }
+
+    /// Bytes in the buffer, line terminators included.
     pub(crate) fn text_len(&self) -> usize {
         self.text.len()
     }
@@ -80,9 +102,15 @@ impl Index<usize> for Lines {
     type Output = str;
 
     fn index(&self, i: usize) -> &str {
-        let (a, b) = self.spans[i];
-        &self.text[a..b]
+        self.read(i, self.ends[i])
     }
+}
+
+/// `n`, a byte offset into a buffer of at most `u32::MAX` bytes, as 32
+/// bits. A larger one saturates, so what is read past that bound comes
+/// back cut short or empty, never out of bounds.
+pub(crate) fn narrow(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// The result of scrubbing one source file.
@@ -96,9 +124,9 @@ pub struct Scrubbed {
     pub comments: Vec<(usize, Range<usize>)>,
     /// The comment text of those lines, one line after another.
     pub comment_text: String,
-    /// Byte range of each line in the source, line terminator excluded:
-    /// the lines of `code`, split as [`str::lines`] splits.
-    pub raw_spans: Vec<(usize, usize)>,
+    /// Where each line ends in the source, its terminator included: the
+    /// lines of `code`, split as [`str::lines`] splits.
+    pub raw_ends: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,14 +140,14 @@ enum State {
 }
 
 /// What [`scrub`] has written so far, and where the current line starts
-/// in the source, in `code` and in `comment_text`.
+/// in the source and in `comment_text`.
 struct Out {
     code: String,
-    spans: Vec<(usize, usize)>,
+    ends: Vec<u32>,
     comments: Vec<(usize, Range<usize>)>,
     comment_text: String,
-    raw_spans: Vec<(usize, usize)>,
-    line: (usize, usize, usize),
+    raw_ends: Vec<u32>,
+    line: (usize, usize),
 }
 
 impl Out {
@@ -136,18 +164,20 @@ impl Out {
         }
     }
 
-    /// End the current line, whose source text ends at byte `end`; the
-    /// next one starts at byte `next`.
-    fn end_line(&mut self, end: usize, next: usize) {
-        let (start, code_start, comment_start) = self.line;
+    /// End the current line with `terminator` (`\n`, `\r\n`, or nothing
+    /// at the end of the source); the next line starts at source byte
+    /// `next`.
+    fn end_line(&mut self, terminator: &str, next: usize) {
+        let comment_start = self.line.1;
         if self.comment_text[comment_start..].trim().is_empty() {
             self.comment_text.truncate(comment_start);
         } else {
-            self.comments.push((self.spans.len(), comment_start..self.comment_text.len()));
+            self.comments.push((self.ends.len(), comment_start..self.comment_text.len()));
         }
-        self.raw_spans.push((start, end));
-        self.spans.push((code_start, self.code.len()));
-        self.line = (next, self.code.len(), self.comment_text.len());
+        self.code.push_str(terminator);
+        self.ends.push(narrow(self.code.len()));
+        self.raw_ends.push(narrow(next));
+        self.line = (next, self.comment_text.len());
     }
 }
 
@@ -164,13 +194,13 @@ pub fn scrub(src: &str) -> Scrubbed {
         + usize::from(bytes.last().is_some_and(|&c| c != b'\n'));
     let mut out = Out {
         code: String::with_capacity(src.len()),
-        spans: Vec::with_capacity(lines),
-        comments: Vec::new(),
-        // the comment text is read for markers and dropped, so it may
-        // take the whole source's room
+        ends: Vec::with_capacity(lines),
+        // the comments are read for markers and dropped, so they may take
+        // room for a comment on every line and the whole source's text
+        comments: Vec::with_capacity(lines),
         comment_text: String::with_capacity(src.len()),
-        raw_spans: Vec::with_capacity(lines),
-        line: (0, 0, 0),
+        raw_ends: Vec::with_capacity(lines),
+        line: (0, 0),
     };
     let mut state = State::Code;
     let mut i = 0usize;
@@ -203,7 +233,7 @@ pub fn scrub(src: &str) -> Scrubbed {
             if state == State::LineComment {
                 state = State::Code;
             }
-            out.end_line(i, i + len);
+            out.end_line(&src[i..i + len], i + len);
             i += len;
             continue;
         }
@@ -309,13 +339,16 @@ pub fn scrub(src: &str) -> Scrubbed {
     }
     if out.line.0 < bytes.len() {
         // the last line has no terminator
-        out.end_line(bytes.len(), bytes.len());
+        out.end_line("", bytes.len());
     }
+    // the copy is as long as the source, so this frees nothing, unless a
+    // multi-byte character or a string's `\` before a line end was blanked
+    out.code.shrink_to_fit();
     Scrubbed {
-        code: Lines { text: out.code, spans: out.spans },
+        code: Lines { text: out.code, ends: out.ends },
         comments: out.comments,
         comment_text: out.comment_text,
-        raw_spans: out.raw_spans,
+        raw_ends: out.raw_ends,
     }
 }
 
@@ -424,15 +457,18 @@ pub fn test_regions(code: &Lines) -> Vec<bool> {
     // line that holds it
     let (mut from, mut line) = (0, 0);
     while let Some(hit) = code.text[from..].find('#').map(|p| from + p) {
-        while code.spans.get(line).is_some_and(|&(_, end)| end <= hit) {
+        // no `#` sits in a terminator, so the hit is on the first line
+        // that ends past it
+        while code.ends.get(line).is_some_and(|&end| end as usize <= hit) {
             line += 1;
         }
-        let Some(&(line_start, line_end)) = code.spans.get(line) else { break };
-        let Some(len) = cfg_test_len(&code.text[hit..line_end]) else {
+        let Some(text) = code.get(line) else { break };
+        let attr_start = hit - code.start(line);
+        let Some(len) = text.get(attr_start..).and_then(cfg_test_len) else {
             from = hit + 1;
             continue;
         };
-        let attr_end = hit - line_start + len;
+        let attr_end = attr_start + len;
         // walk forward from the end of the attribute to the gated item's body
         let mut depth = 0i32;
         let mut end = code.len() - 1;
@@ -469,8 +505,10 @@ pub fn test_regions(code: &Lines) -> Vec<bool> {
             *flag = true;
         }
         line = end + 1;
-        let Some(&(next, _)) = code.spans.get(line) else { break };
-        from = next;
+        if line >= code.len() {
+            break;
+        }
+        from = code.start(line);
     }
     in_test
 }
@@ -542,7 +580,7 @@ pub(crate) mod tests {
         assert!(empty.code.is_empty());
         assert_eq!(empty.code.len(), 0);
         assert_eq!(empty.code.get(0), None);
-        assert!(empty.raw_spans.is_empty());
+        assert!(empty.raw_ends.is_empty());
         // the split is `str::lines`', a lone `\r` included, for the
         // scrubbed lines and the source's own
         for text in ["\n", "x", "a\rb\r\n\r\nc", "tail\r", "\r\r\n"] {
@@ -550,7 +588,10 @@ pub(crate) mod tests {
             let want: Vec<&str> = text.lines().collect();
             assert_eq!(s.code.iter().collect::<Vec<_>>(), want, "{text:?}");
             assert_eq!(s.code.len(), text.lines().count());
-            let raw = Lines::from_spans(text.to_string(), s.raw_spans);
+            // the scrubbed copy keeps the line ends, so it is as long as
+            // the source
+            assert_eq!(s.code.text_len(), text.len(), "{text:?}");
+            let raw = Lines::from_ends(text.to_string(), s.raw_ends);
             assert_eq!(raw.iter().collect::<Vec<_>>(), want, "{text:?}");
         }
     }

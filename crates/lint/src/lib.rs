@@ -30,10 +30,13 @@
 //! ([`lexer::Lines`]), `vap:allow` markers come from one search of the
 //! comment buffer, and tokens borrow from the scrubbed buffer and live
 //! only while the file is parsed. A call ([`parse::Call`]) is positions
-//! in the scrubbed text — its callee, its turbofish and a run of the
-//! file's argument list — whose tokens are cut again from the lines when
-//! a rule reads them, so a call site allocates nothing of its own; only the parsed items own strings (names, parameter and
-//! return types), and the index borrows those. The parser's token
+//! in the scrubbed text — its callee and a run of the file's argument
+//! list, its turbofish first — whose tokens are cut again from the lines
+//! when a rule reads them, so a call site allocates nothing of its own.
+//! The parsed items' names and types sit in one text buffer per file,
+//! which the items index by 32-bit ranges and the index borrows. Every
+//! offset a file keeps is 32 bits, down to its line tables' one `u32` per
+//! line, so a source file holds at most 4 GiB. The parser's token
 //! pass also finds each word the lexical rules look for (`.unwrap()`,
 //! `println!`, `HashMap`, … — [`rules::Word`]) once per file and keeps
 //! the hits as a site list ([`parse::ParsedFile::sites`]):

@@ -16,24 +16,35 @@
 //! exactly the right trade for a zero-dependency analyzer — unresolvable
 //! constructs degrade to "not indexed", never to a false parse.
 //!
-//! Nothing here copies the file's text. A [`Tok`] borrows its text from
-//! the scrubbed [`Lines`], so [`tokenize`] allocates only the token
-//! vector, and the tokens are transient: [`parse_file`] walks them and
-//! drops them, and a [`ParsedFile`] keeps none. A [`Call`] is a set of
-//! positions in the scrubbed text: its callee's line, column and length,
-//! its turbofish as a range of [`Pos`] (line, column) places, and its
-//! arguments as one run of the file's argument list. An [`Arg`] is such
-//! a range too, from its first token's start to its last token's end.
-//! The ranges start and end where tokens do, so [`ParsedFile::arg_toks`]
-//! and [`ParsedFile::turbofish`] cut them again, with the per-line
-//! cutting [`tokenize`] does, into exactly the tokens the parse saw, and
-//! [`ParsedFile::callee`] slices its name from the line. A call allocates
-//! nothing of its own. Only the items own strings: item names and
-//! parameter and return types, which the symbol index borrows.
+//! Nothing here copies the file's text per token or per call. A [`Tok`]
+//! borrows its text from the scrubbed [`Lines`], so [`tokenize`]
+//! allocates only the token vector, and the tokens are transient:
+//! [`parse_file`] walks them and drops them, and a [`ParsedFile`] keeps
+//! none. A [`Call`] is a set of 32-bit positions in the scrubbed text:
+//! where its callee starts and how long it is, the line of its `)`, and
+//! one run of the file's argument list that holds its turbofish, when it
+//! has one, as the run's first entry, then its arguments. Each entry is
+//! an [`Arg`], a range of [`Pos`] (line, column) places from its first
+//! token's start to its last token's end. The ranges start and end where
+//! tokens do, so [`ParsedFile::arg_toks`] and [`ParsedFile::turbofish`]
+//! cut them again, with the per-line cutting [`tokenize`] does, into
+//! exactly the tokens the parse saw, and [`ParsedFile::callee`] slices
+//! its name from the line. A call allocates nothing of its own.
+//!
+//! The items' text — names, the `Type::name` qualifier of a method (its
+//! name is the qualifier's tail), and every parameter, return, newtype
+//! and static type — is written into one buffer per file. [`FnSig`],
+//! [`Param`], [`StructDef`] and [`StaticItem`] hold `Range<u32>`s of it,
+//! read through [`ParsedFile::text`], [`ParsedFile::name`],
+//! [`ParsedFile::qualified`] and [`ParsedFile::ret`], and a fn's
+//! parameters are one run of the file's parameter list
+//! ([`ParsedFile::params`]), so an item allocates nothing of its own
+//! either. Every list and the text buffer are sized to what they hold
+//! when [`parse_file`] returns. The symbol index borrows the text.
 
 use std::ops::Range;
 
-use crate::lexer::Lines;
+use crate::lexer::{narrow, Lines};
 use crate::rules::{self, Word};
 
 /// One lexical token of scrubbed code, borrowed from the file's lines.
@@ -55,8 +66,8 @@ impl Tok<'_> {
 
 /// Fewer scrubbed bytes per token than nearly any file holds, so
 /// [`tokenize`] sizes its vector once: the densest file of this workspace
-/// and of perfbench's trees holds 3.6–4.1 bytes per token, the median
-/// file about 5.
+/// and of perfbench's trees holds 3.6–4.1 bytes per token, line ends not
+/// counted, the median file about 5.
 const TOKEN_BYTES: usize = 3;
 
 /// Tokenize scrubbed lines. Identifier/number runs, raw identifiers
@@ -148,7 +159,6 @@ pub struct Pos {
 
 impl Pos {
     fn new(line: usize, col: usize) -> Pos {
-        let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Pos { line: narrow(line), col: narrow(col) }
     }
 }
@@ -175,48 +185,79 @@ fn recut(code: &Lines, run: Range<Pos>) -> impl Iterator<Item = Tok<'_>> + Clone
     })
 }
 
-/// One `name: Type` parameter of an indexed function.
+/// One `name: Type` parameter of an indexed function, read through
+/// [`ParsedFile::text`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Binding name (`_` for patterns the parser does not resolve).
-    pub name: String,
+    pub name: Range<u32>,
     /// Type text with tokens joined canonically (`Vec<f64>`, `&Watts`).
-    pub ty: String,
+    pub ty: Range<u32>,
 }
 
-/// One `fn` signature (free function or `impl` method).
+/// One `fn` signature (free function or `impl` method). Its text is read
+/// through [`ParsedFile::name`], [`ParsedFile::qualified`],
+/// [`ParsedFile::params`] and [`ParsedFile::ret`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSig {
-    /// Bare function name.
-    pub name: String,
     /// `Type::name` inside an `impl Type` block, else the bare name.
-    pub qualified: String,
+    qualified: Range<u32>,
+    /// Where the bare name, the tail of `qualified`, starts.
+    name: u32,
+    /// This fn's run of the file's parameter list, the receiver excluded.
+    params: Range<u32>,
+    /// The return type, empty for `()` or none.
+    ret: Range<u32>,
+    /// Where the `fn` keyword sits.
+    at: Pos,
+    /// 0-based inclusive line range of the body, if the fn has one.
+    body: Option<(u32, u32)>,
     /// Declared `pub` (any visibility restriction counts as pub).
     pub is_pub: bool,
     /// Takes `self` / `&self` / `&mut self`.
     pub has_self: bool,
-    /// Typed parameters, excluding the receiver.
-    pub params: Vec<Param>,
-    /// Return type text (`None` for `()`).
-    pub ret: Option<String>,
+}
+
+impl FnSig {
     /// 0-based line of the `fn` keyword.
-    pub line: usize,
+    pub fn line(&self) -> usize {
+        self.at.line as usize
+    }
+
     /// 0-based column of the `fn` keyword.
-    pub col: usize,
+    pub fn col(&self) -> usize {
+        self.at.col as usize
+    }
+
     /// 0-based inclusive line range of the body, if the fn has one.
-    pub body: Option<(usize, usize)>,
+    pub fn body(&self) -> Option<(usize, usize)> {
+        self.body.map(|(a, b)| (a as usize, b as usize))
+    }
+
+    /// Number of typed parameters, the receiver excluded.
+    pub fn arity(&self) -> usize {
+        self.params.len()
+    }
 }
 
 /// A `struct` definition (newtype detection only needs tuple structs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDef {
     /// Type name.
-    pub name: String,
+    pub name: Range<u32>,
     /// For single-field tuple structs, the field's type text.
-    pub newtype_of: Option<String>,
+    pub newtype_of: Option<Range<u32>>,
     /// 0-based inclusive line range from the `struct` keyword to its
     /// closing `}`, `)` or `;`.
-    pub lines: (usize, usize),
+    lines: (u32, u32),
+}
+
+impl StructDef {
+    /// 0-based inclusive line range from the `struct` keyword to its
+    /// closing `}`, `)` or `;`.
+    pub fn lines(&self) -> (usize, usize) {
+        (self.lines.0 as usize, self.lines.1 as usize)
+    }
 }
 
 /// Flavor of a module-level state item.
@@ -245,13 +286,20 @@ impl StaticKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticItem {
     /// Item name.
-    pub name: String,
+    pub name: Range<u32>,
     /// Which flavor of state.
     pub kind: StaticKind,
     /// Type text.
-    pub ty: String,
+    pub ty: Range<u32>,
     /// 0-based line of the `static` keyword.
-    pub line: usize,
+    line: u32,
+}
+
+impl StaticItem {
+    /// 0-based line of the `static` keyword.
+    pub fn line(&self) -> usize {
+        self.line as usize
+    }
 }
 
 /// One argument expression at a call site: where its tokens (delimiters
@@ -266,22 +314,37 @@ pub type Arg = Range<Pos>;
 /// [`ParsedFile::args`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Call {
-    /// Length of the final path segment (the function or method name),
-    /// which starts at `line`/`col`.
-    callee_len: usize,
+    /// Where the final path segment (the function or method name) starts.
+    at: Pos,
+    /// Length of that segment.
+    callee_len: u32,
+    /// 0-based line of the matching close paren.
+    end_line: u32,
+    /// This call's run of the file's argument list: where the turbofish
+    /// type arguments (`f64` in `.sum::<f64>()`) sit, when it has them,
+    /// then its arguments.
+    args: Range<u32>,
     /// `recv.method(..)` rather than `path(..)`.
     pub is_method: bool,
-    /// Where the turbofish type arguments (`f64` in `.sum::<f64>()`) sit,
-    /// as an [`Arg`] does.
-    turbofish: Option<Arg>,
+    /// The run starts with the turbofish.
+    has_turbofish: bool,
+}
+
+impl Call {
     /// 0-based line of the callee token.
-    pub line: usize,
+    pub fn line(&self) -> usize {
+        self.at.line as usize
+    }
+
     /// 0-based column of the callee token.
-    pub col: usize,
-    /// This call's run of the file's argument list.
-    args: Range<usize>,
+    pub fn col(&self) -> usize {
+        self.at.col as usize
+    }
+
     /// 0-based line of the matching close paren.
-    pub end_line: usize,
+    pub fn end_line(&self) -> usize {
+        self.end_line as usize
+    }
 }
 
 /// Where a vocabulary word starts in the scrubbed lines.
@@ -289,13 +352,35 @@ pub struct Call {
 pub struct Site {
     /// Which word.
     pub word: Word,
-    /// 0-based line of its first token.
-    pub line: usize,
-    /// 0-based column of its first token.
-    pub col: usize,
+    /// Where its first token starts.
+    at: Pos,
 }
 
-/// Everything extracted from one file.
+impl Site {
+    /// 0-based line of the word's first token.
+    pub fn line(&self) -> usize {
+        self.at.line as usize
+    }
+
+    /// 0-based column of the word's first token.
+    pub fn col(&self) -> usize {
+        self.at.col as usize
+    }
+}
+
+// The sizes the per-file representation is built around, checked when
+// the crate compiles: a call is six 32-bit words and two flags.
+const _: () = {
+    assert!(size_of::<Pos>() == 8);
+    assert!(size_of::<Site>() == 12);
+    assert!(size_of::<Call>() <= 32);
+    assert!(size_of::<Param>() == 16);
+    assert!(size_of::<FnSig>() == 52);
+};
+
+/// Everything extracted from one file. Item names and types sit in one
+/// text buffer, read through the accessors; every list is sized to what
+/// it holds when [`parse_file`] returns.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     /// Function and method signatures, in source order.
@@ -309,17 +394,49 @@ pub struct ParsedFile {
     /// Every vocabulary word in the file, in token order (by line, then
     /// column).
     pub sites: Vec<Site>,
-    /// Every call's arguments, one contiguous run per call, in call order.
+    /// Every call's turbofish and arguments, one contiguous run per call,
+    /// in call order.
     args: Vec<Arg>,
+    /// Every fn's parameters, one contiguous run per fn, in fn order.
+    params: Vec<Param>,
+    /// Item names, qualifiers and types, one after another.
+    text: String,
 }
 
 impl ParsedFile {
+    /// The item text at `r`: a [`Param`]'s, [`StructDef`]'s or
+    /// [`StaticItem`]'s name or type.
+    pub fn text(&self, r: &Range<u32>) -> &str {
+        self.text.get(widen(r)).unwrap_or_default()
+    }
+
+    /// `sig`'s bare name.
+    pub fn name(&self, sig: &FnSig) -> &str {
+        self.text(&(sig.name..sig.qualified.end))
+    }
+
+    /// `Type::name` for a method in an `impl Type` block, else `sig`'s
+    /// bare name.
+    pub fn qualified(&self, sig: &FnSig) -> &str {
+        self.text(&sig.qualified)
+    }
+
+    /// `sig`'s typed parameters, the receiver excluded.
+    pub fn params(&self, sig: &FnSig) -> &[Param] {
+        self.params.get(widen(&sig.params)).unwrap_or_default()
+    }
+
+    /// `sig`'s return type text, `None` for `()`.
+    pub fn ret(&self, sig: &FnSig) -> Option<&str> {
+        (!sig.ret.is_empty()).then(|| self.text(&sig.ret))
+    }
+
     /// The innermost function whose body contains 0-based `line`.
     pub fn enclosing_fn(&self, line: usize) -> Option<&FnSig> {
         self.fns
             .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= line && line <= b))
-            .min_by_key(|f| f.body.map(|(a, b)| b - a).unwrap_or(usize::MAX))
+            .filter(|f| f.body().is_some_and(|(a, b)| a <= line && line <= b))
+            .min_by_key(|f| f.body().map_or(usize::MAX, |(a, b)| b - a))
     }
 
     /// The tokens of `arg`, read from `code`: the scrubbed lines this
@@ -339,20 +456,46 @@ impl ParsedFile {
 
     /// `call`'s callee: the function or method name.
     pub fn callee<'a>(&self, code: &'a Lines, call: &Call) -> &'a str {
-        let name = code.get(call.line).and_then(|l| l.get(call.col..call.col + call.callee_len));
-        name.unwrap_or("")
+        let end = call.col() + call.callee_len as usize;
+        code.get(call.line()).and_then(|l| l.get(call.col()..end)).unwrap_or_default()
     }
 
     /// `call`'s turbofish type arguments, joined (`f64` for
     /// `.sum::<f64>()`).
     pub fn turbofish(&self, code: &Lines, call: &Call) -> Option<String> {
-        call.turbofish.as_ref().map(|r| join_tokens(self.arg_toks(code, r)))
+        let at = call.has_turbofish.then_some(call.args.start as usize)?;
+        self.args.get(at).map(|r| join_tokens(self.arg_toks(code, r)))
     }
 
     /// `call`'s argument expressions, split at top-level commas.
     pub fn args(&self, call: &Call) -> &[Arg] {
-        self.args.get(call.args.clone()).unwrap_or_default()
+        let run = self.args.get(widen(&call.args)).unwrap_or_default();
+        run.get(usize::from(call.has_turbofish)..).unwrap_or_default()
     }
+
+    /// Give back the room no list or the text buffer fills.
+    fn fit(&mut self) {
+        self.fns.shrink_to_fit();
+        self.structs.shrink_to_fit();
+        self.statics.shrink_to_fit();
+        self.calls.shrink_to_fit();
+        self.sites.shrink_to_fit();
+        self.args.shrink_to_fit();
+        self.params.shrink_to_fit();
+        self.text.shrink_to_fit();
+    }
+}
+
+/// `r` as a range of `usize` offsets.
+fn widen(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+/// Append what `write` writes to `text`, and return where it sits.
+fn push_text(text: &mut String, write: impl FnOnce(&mut String)) -> Range<u32> {
+    let start = narrow(text.len());
+    write(text);
+    start..narrow(text.len())
 }
 
 /// Keywords that look like `ident (` but are not calls.
@@ -412,7 +555,7 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
             }
             "fn" => {
                 let self_ty = impl_stack.last().map(|(ty, _)| *ty);
-                if let Some((sig, next)) = parse_fn(&toks, i, pending_pub, self_ty) {
+                if let Some((sig, next)) = parse_fn(&toks, i, pending_pub, self_ty, &mut out) {
                     // continue *inside* the body so nested items and call
                     // sites are still visited; only the signature tokens
                     // are consumed here
@@ -427,7 +570,7 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 pending_pub = false;
             }
             "struct" => {
-                if let Some((def, next)) = parse_struct(&toks, i) {
+                if let Some((def, next)) = parse_struct(&toks, i, &mut out.text) {
                     out.structs.push(def);
                     i = next;
                 } else {
@@ -439,7 +582,9 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 // `&'static T` has a lifetime tick right before it
                 let after_lifetime = i > 0 && toks[i - 1].text == "'";
                 if !after_lifetime {
-                    if let Some((item, next)) = parse_static(&toks, i, thread_local_until.is_some())
+                    let in_thread_local = thread_local_until.is_some();
+                    if let Some((item, next)) =
+                        parse_static(&toks, i, in_thread_local, &mut out.text)
                     {
                         out.statics.push(item);
                         i = next;
@@ -471,9 +616,10 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
     // one pass notes each word that starts at a token
     for (i, t) in toks.iter().enumerate() {
         if let Some(word) = rules::word_at(&toks, i) {
-            out.sites.push(Site { word, line: t.line, col: t.col });
+            out.sites.push(Site { word, at: Pos::new(t.line, t.col) });
         }
     }
+    out.fit();
     out
 }
 
@@ -571,7 +717,9 @@ fn group(toks: &[Tok<'_>], at: usize) -> (Range<usize>, usize) {
     (at + 1..(close - 1).max(at + 1), close)
 }
 
-/// Parse `fn name<..>(params) [-> Ret] [where ..] ({ | ;)`.
+/// Parse `fn name<..>(params) [-> Ret] [where ..] ({ | ;)`, writing its
+/// name, parameters and return type into `out`'s item text and parameter
+/// list.
 ///
 /// Returns the signature and the token index to resume from (just inside
 /// the body brace, so nested items are still visited).
@@ -580,6 +728,7 @@ fn parse_fn(
     at: usize,
     is_pub: bool,
     self_ty: Option<&str>,
+    out: &mut ParsedFile,
 ) -> Option<(FnSig, usize)> {
     let name_tok = toks.get(at + 1)?;
     if !name_tok.is_ident() {
@@ -592,8 +741,17 @@ fn parse_fn(
     if toks.get(i).is_none_or(|t| t.text != "(") {
         return None;
     }
-    // split the parameter list at top-level commas
-    let mut param_ranges: Vec<Range<usize>> = Vec::new();
+    let (text_len, first_param) = (out.text.len(), out.params.len());
+    let qualified_start = narrow(text_len);
+    if let Some(ty) = self_ty {
+        out.text.extend([ty, "::"]);
+    }
+    let name = narrow(out.text.len());
+    out.text.push_str(name_tok.text);
+    let qualified = qualified_start..narrow(out.text.len());
+    // each parameter is kept as the top-level comma or the `)` that ends
+    // it is reached
+    let mut has_self = false;
     let mut pdepth = 0i32;
     let mut adepth = 0i32; // angle depth, only sane inside type position
     i += 1;
@@ -606,7 +764,7 @@ fn parse_fn(
             "<" => adepth += 1,
             ">" if adepth > 0 => adepth -= 1,
             "," if pdepth == 0 && adepth <= 0 => {
-                param_ranges.push(start..i);
+                has_self |= push_param(&toks[start..i], out);
                 start = i + 1;
             }
             _ => {}
@@ -614,34 +772,16 @@ fn parse_fn(
         i += 1;
     }
     if toks.get(i).is_none_or(|t| t.text != ")") {
+        // the file ends inside the list: take back what this fn wrote
+        out.text.truncate(text_len);
+        out.params.truncate(first_param);
         return None;
     }
-    param_ranges.push(start..i);
+    has_self |= push_param(&toks[start..i], out);
+    let params = narrow(first_param)..narrow(out.params.len());
     i += 1;
-    let mut has_self = false;
-    let mut params = Vec::new();
-    for range in param_ranges {
-        let ptoks = &toks[range];
-        if ptoks.is_empty() {
-            continue;
-        }
-        if ptoks.iter().any(|t| t.text == "self") {
-            has_self = true;
-            continue;
-        }
-        let colon = ptoks.iter().position(|t| t.text == ":");
-        let Some(c) = colon else { continue };
-        // binding name: the last ident before the colon (`mut x: T`)
-        let pname = ptoks[..c]
-            .iter()
-            .rev()
-            .find(|t| t.is_ident() && t.text != "mut")
-            .map_or("_", |t| t.text);
-        let ty = join_tokens(ptoks[c + 1..].iter().copied());
-        params.push(Param { name: pname.to_string(), ty });
-    }
     // return type
-    let mut ret = None;
+    let mut ret = qualified.end..qualified.end;
     if toks.get(i).is_some_and(|t| t.text == "->") {
         i += 1;
         let start = i;
@@ -655,7 +795,11 @@ fn parse_fn(
             }
             i += 1;
         }
-        ret = Some(join_tokens(toks[start..i].iter().copied()));
+        ret = push_text(&mut out.text, |text| join_into(text, &toks[start..i]));
+        if matches!(out.text(&ret), "" | "()") {
+            out.text.truncate(ret.start as usize);
+            ret = ret.start..ret.start;
+        }
     }
     // where clause
     if toks.get(i).is_some_and(|t| t.text == "where") {
@@ -670,34 +814,36 @@ fn parse_fn(
         Some("{") => {
             let close = skip_balanced(toks, i);
             let end_line = toks.get(close.saturating_sub(1)).map_or(toks[i].line, |t| t.line);
-            body = Some((toks[i].line, end_line));
+            body = Some((narrow(toks[i].line), narrow(end_line)));
             resume = i + 1; // step inside the body
         }
         _ => resume = i, // trait method or declaration without body
     }
-    let name = name_tok.text.to_string();
-    let qualified = match self_ty {
-        Some(ty) => format!("{ty}::{name}"),
-        None => name.clone(),
-    };
-    Some((
-        FnSig {
-            name,
-            qualified,
-            is_pub,
-            has_self,
-            params,
-            ret: ret.filter(|r| !r.is_empty() && r != "()"),
-            line: toks[at].line,
-            col: toks[at].col,
-            body,
-        },
-        resume,
-    ))
+    let at = Pos::new(toks[at].line, toks[at].col);
+    Some((FnSig { qualified, name, params, ret, at, body, is_pub, has_self }, resume))
 }
 
-/// Parse `struct Name<..> ( .. ) ;` / `struct Name { .. }` / `struct Name;`.
-fn parse_struct(toks: &[Tok<'_>], at: usize) -> Option<(StructDef, usize)> {
+/// Add the parameter whose tokens are `ptoks` to `out`'s parameter list
+/// and item text, unless it is empty, untyped or the receiver; whether it
+/// is the receiver.
+fn push_param(ptoks: &[Tok<'_>], out: &mut ParsedFile) -> bool {
+    if ptoks.iter().any(|t| t.text == "self") {
+        return true;
+    }
+    let Some(c) = ptoks.iter().position(|t| t.text == ":") else { return false };
+    // binding name: the last ident before the colon (`mut x: T`)
+    let name =
+        ptoks[..c].iter().rev().find(|t| t.is_ident() && t.text != "mut").map_or("_", |t| t.text);
+    let name = push_text(&mut out.text, |text| text.push_str(name));
+    let ty = push_text(&mut out.text, |text| join_into(text, &ptoks[c + 1..]));
+    out.params.push(Param { name, ty });
+    false
+}
+
+/// Parse `struct Name<..> ( .. ) [where ..] ;` / `struct Name<..> [where ..]
+/// { .. }` / `struct Name<..> [where ..] ;`, writing its name and a
+/// newtype's field type into `text`.
+fn parse_struct(toks: &[Tok<'_>], at: usize, text: &mut String) -> Option<(StructDef, usize)> {
     let name_tok = toks.get(at + 1)?;
     if !name_tok.is_ident() {
         return None; // `$name` inside a macro definition, etc.
@@ -706,6 +852,7 @@ fn parse_struct(toks: &[Tok<'_>], at: usize) -> Option<(StructDef, usize)> {
     if toks.get(i).is_some_and(|t| t.text == "<") {
         i = skip_generics(toks, i);
     }
+    i = skip_where(toks, i);
     let mut newtype_of = None;
     match toks.get(i).map(|t| t.text) {
         Some("(") => {
@@ -728,11 +875,11 @@ fn parse_struct(toks: &[Tok<'_>], at: usize) -> Option<(StructDef, usize)> {
                 // `pub(crate)` leaves bare parens behind; strip them too
                 let field = inner
                     .iter()
-                    .copied()
                     .filter(|t| !matches!(t.text, "pub" | "crate" | "super" | "(" | ")"));
-                newtype_of = Some(join_tokens(field));
+                newtype_of = Some(push_text(text, |text| join_into(text, field)));
             }
-            i = close;
+            // a tuple struct's `where` clause follows its fields
+            i = skip_where(toks, close);
         }
         Some("{") => {
             i = skip_balanced(toks, i);
@@ -742,12 +889,41 @@ fn parse_struct(toks: &[Tok<'_>], at: usize) -> Option<(StructDef, usize)> {
     // the last token read is the closing `}` or `)`, or the name or its
     // generics; a `;` right after it ends a unit or tuple struct
     let closer = toks.get(i).filter(|t| t.text == ";").or(toks.get(i - 1));
-    let lines = (toks[at].line, closer.map_or(name_tok.line, |t| t.line));
-    Some((StructDef { name: name_tok.text.to_string(), newtype_of, lines }, i))
+    let lines = (narrow(toks[at].line), narrow(closer.map_or(name_tok.line, |t| t.line)));
+    let name = push_text(text, |text| text.push_str(name_tok.text));
+    Some((StructDef { name, newtype_of, lines }, i))
 }
 
-/// Parse `static [mut] NAME: Type` (inside or outside `thread_local!`).
-fn parse_static(toks: &[Tok<'_>], at: usize, in_thread_local: bool) -> Option<(StaticItem, usize)> {
+/// The index of the `{` or `;` that ends the `where` clause at `at`,
+/// outside the `(..)`, `[..]` and `<..>` in it (`F: Fn(u8) -> f64`,
+/// `T: Into<[u8; 4]>`), or of the end of the tokens; `at` itself when no
+/// clause starts there.
+fn skip_where(toks: &[Tok<'_>], at: usize) -> usize {
+    if toks.get(at).is_none_or(|t| t.text != "where") {
+        return at;
+    }
+    let mut depth = 0i32;
+    let mut i = at + 1;
+    while let Some(t) = toks.get(i) {
+        match t.text {
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" | ">" if depth > 0 => depth -= 1,
+            "{" | ";" if depth == 0 => break,
+            _ => {}
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Parse `static [mut] NAME: Type` (inside or outside `thread_local!`),
+/// writing its name and type into `text`.
+fn parse_static(
+    toks: &[Tok<'_>],
+    at: usize,
+    in_thread_local: bool,
+    text: &mut String,
+) -> Option<(StaticItem, usize)> {
     let mut i = at + 1;
     let mut kind = if in_thread_local { StaticKind::ThreadLocal } else { StaticKind::Static };
     if toks.get(i).is_some_and(|t| t.text == "mut") {
@@ -777,18 +953,18 @@ fn parse_static(toks: &[Tok<'_>], at: usize, in_thread_local: bool) -> Option<(S
         i += 1;
     }
     let item = StaticItem {
-        name: name_tok.text.to_string(),
+        name: push_text(text, |text| text.push_str(name_tok.text)),
         kind,
-        ty: join_tokens(toks[start..i].iter().copied()),
-        line: toks[at].line,
+        ty: push_text(text, |text| join_into(text, &toks[start..i])),
+        line: narrow(toks[at].line),
     };
     Some((item, i))
 }
 
 /// Parse the call whose argument list opens at the `(` at `at`, if the
-/// tokens before it name a callee, pushing its arguments onto `args`.
-/// The calls nested in them are parsed later, so each call's arguments
-/// stay one run.
+/// tokens before it name a callee, pushing its turbofish and arguments
+/// onto `args`. The calls nested in them are parsed later, so each call's
+/// entries stay one run.
 fn parse_call(toks: &[Tok<'_>], at: usize, args: &mut Vec<Arg>) -> Option<Call> {
     // step back over a turbofish `::<..>`
     let mut j = at.checked_sub(1)?;
@@ -835,9 +1011,11 @@ fn parse_call(toks: &[Tok<'_>], at: usize, args: &mut Vec<Arg>) -> Option<Call> 
         return None; // macro, and its `(` follows the `!` anyway
     }
     let is_method = before == Some(".");
+    let first = args.len();
+    let has_turbofish = turbofish.is_some();
+    args.extend(turbofish);
     // split args at top-level commas
     let (inner, close) = group(toks, at);
-    let first_arg = args.len();
     let mut start = inner.start;
     let mut pdepth = 0i32;
     // commas inside a closure head `|a, b|` do not split arguments
@@ -868,13 +1046,12 @@ fn parse_call(toks: &[Tok<'_>], at: usize, args: &mut Vec<Arg>) -> Option<Call> 
     }
     let end_line = toks.get(close.saturating_sub(1)).map_or(callee_tok.line, |t| t.line);
     Some(Call {
-        callee_len: callee_tok.text.len(),
+        at: Pos::new(callee_tok.line, callee_tok.col),
+        callee_len: narrow(callee_tok.text.len()),
+        end_line: narrow(end_line),
+        args: narrow(first)..narrow(args.len()),
         is_method,
-        turbofish,
-        line: callee_tok.line,
-        col: callee_tok.col,
-        args: first_arg..args.len(),
-        end_line,
+        has_turbofish,
     })
 }
 
@@ -882,18 +1059,27 @@ fn parse_call(toks: &[Tok<'_>], at: usize, args: &mut Vec<Arg>) -> Option<Call> 
 /// `::`, `.`, `<`, `>`, `&`, `'` or inside delimiters; single spaces
 /// elsewhere.
 pub fn join_tokens<'a>(toks: impl IntoIterator<Item = Tok<'a>>) -> String {
+    let mut out = String::new();
+    join_into(&mut out, toks);
+    out
+}
+
+/// Append `toks` to `out` as [`join_tokens`] joins them.
+fn join_into<'a, T: std::borrow::Borrow<Tok<'a>>>(
+    out: &mut String,
+    toks: impl IntoIterator<Item = T>,
+) {
     const TIGHT_AFTER: [&str; 9] = ["::", ".", "<", "&", "'", "(", "[", "-", "->"];
     const TIGHT_BEFORE: [&str; 10] = ["::", ".", "<", ">", ",", ";", "(", ")", "[", "]"];
-    let mut out = String::new();
     let mut prev: Option<&str> = None;
     for t in toks {
-        if prev.is_some_and(|p| !TIGHT_AFTER.contains(&p)) && !TIGHT_BEFORE.contains(&t.text) {
+        let text = t.borrow().text;
+        if prev.is_some_and(|p| !TIGHT_AFTER.contains(&p)) && !TIGHT_BEFORE.contains(&text) {
             out.push(' ');
         }
-        out.push_str(t.text);
-        prev = Some(t.text);
+        out.push_str(text);
+        prev = Some(text);
     }
-    out
 }
 
 /// Does `ty` mention `name` as a whole path segment (e.g. `Watts`,
@@ -974,19 +1160,23 @@ mod tests {
         parse_file(&scrubbed.code)
     }
 
+    /// `(name, type)` of each of `f`'s parameters.
+    fn params_of<'a>(p: &'a ParsedFile, f: &FnSig) -> Vec<(&'a str, &'a str)> {
+        p.params(f).iter().map(|q| (p.text(&q.name), p.text(&q.ty))).collect()
+    }
+
     #[test]
     fn fn_signature_with_params_and_return() {
         let p = parse("pub fn plan(cap: Watts, n: usize) -> GigaHertz {\n    body()\n}\n");
         assert_eq!(p.fns.len(), 1);
         let f = &p.fns[0];
-        assert_eq!(f.name, "plan");
+        assert_eq!(p.name(f), "plan");
         assert!(f.is_pub);
         assert!(!f.has_self);
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0], Param { name: "cap".into(), ty: "Watts".into() });
-        assert_eq!(f.params[1].ty, "usize");
-        assert_eq!(f.ret.as_deref(), Some("GigaHertz"));
-        assert_eq!(f.body, Some((0, 2)));
+        assert_eq!(f.arity(), 2);
+        assert_eq!(params_of(&p, f), [("cap", "Watts"), ("n", "usize")]);
+        assert_eq!(p.ret(f), Some("GigaHertz"));
+        assert_eq!(f.body(), Some((0, 2)));
     }
 
     #[test]
@@ -995,10 +1185,11 @@ mod tests {
                    impl Display for Watts {\n    fn fmt(&self) {}\n}\n";
         let p = parse(src);
         assert_eq!(p.fns.len(), 2);
-        assert_eq!(p.fns[0].qualified, "Cluster::set_cap");
+        assert_eq!(p.qualified(&p.fns[0]), "Cluster::set_cap");
+        assert_eq!(p.name(&p.fns[0]), "set_cap");
         assert!(p.fns[0].has_self);
-        assert_eq!(p.fns[0].params.len(), 1);
-        assert_eq!(p.fns[1].qualified, "Watts::fmt");
+        assert_eq!(p.fns[0].arity(), 1);
+        assert_eq!(p.qualified(&p.fns[1]), "Watts::fmt");
     }
 
     #[test]
@@ -1007,26 +1198,36 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.fns.len(), 1);
         let f = &p.fns[0];
-        assert_eq!(f.name, "par_map");
-        assert_eq!(f.params.len(), 3);
-        assert_eq!(f.params[0].ty, "&[I]");
-        assert_eq!(f.ret.as_deref(), Some("Vec<T>"));
-        assert!(f.body.is_some());
+        assert_eq!(p.name(f), "par_map");
+        assert_eq!(params_of(&p, f), [("items", "&[I]"), ("threads", "usize"), ("f", "F")]);
+        assert_eq!(p.ret(f), Some("Vec<T>"));
+        assert!(f.body().is_some());
     }
 
     #[test]
     fn newtype_struct_detection() {
+        // the last three have `where` clauses, with a `->` and a `;`
+        // inside their brackets
         let src = "pub struct Watts(pub f64);\npub struct Pair(f64, f64);\n\
                    pub struct Named { x: f64 }\nstruct Id(usize);\n\
-                   struct Multi {\n    x: f64,\n}\nstruct Unit\n;\nstruct Row(\n    f64,\n);\n";
+                   struct Multi {\n    x: f64,\n}\nstruct Unit\n;\nstruct Row(\n    f64,\n);\n\
+                   struct W<T>\nwhere\n    T: Fn(u8) -> f64,\n{\n    x: T,\n}\n\
+                   struct U<T> where T: Copy;\nstruct P<T>(T)\nwhere\n    T: Into<[u8; 4]>;\n";
         let p = parse(src);
-        assert_eq!(p.structs.len(), 7);
-        assert_eq!(p.structs[0].newtype_of.as_deref(), Some("f64"));
-        assert_eq!(p.structs[1].newtype_of, None); // two fields
-        assert_eq!(p.structs[2].newtype_of, None); // named fields
-        assert_eq!(p.structs[3].newtype_of.as_deref(), Some("usize"));
-        let lines: Vec<_> = p.structs.iter().map(|s| s.lines).collect();
-        assert_eq!(lines, [(0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 8), (9, 11)]);
+        let newtypes: Vec<_> =
+            p.structs.iter().map(|s| s.newtype_of.as_ref().map(|ty| p.text(ty))).collect();
+        // two fields, named fields, a unit struct or a trailing comma: no
+        // newtype
+        let want =
+            [Some("f64"), None, None, Some("usize"), None, None, None, None, None, Some("T")];
+        assert_eq!(newtypes, want);
+        let lines: Vec<_> = p.structs.iter().map(StructDef::lines).collect();
+        assert_eq!(
+            lines,
+            [(0, 0), (1, 1), (2, 2), (3, 3), (4, 6), (7, 8), (9, 11), (12, 17), (18, 18), (19, 21)]
+        );
+        // the clauses' `Fn(u8)` and the body are skipped with the struct
+        assert!(p.calls.is_empty());
     }
 
     #[test]
@@ -1047,10 +1248,11 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.statics.len(), 3);
         assert_eq!(p.statics[0].kind, StaticKind::Static);
-        assert_eq!(p.statics[0].ty, "AtomicUsize");
+        assert_eq!(p.text(&p.statics[0].ty), "AtomicUsize");
         assert_eq!(p.statics[1].kind, StaticKind::StaticMut);
         assert_eq!(p.statics[2].kind, StaticKind::ThreadLocal);
-        assert_eq!(p.statics[2].name, "CURRENT");
+        assert_eq!(p.text(&p.statics[2].name), "CURRENT");
+        assert_eq!(p.text(&p.statics[2].ty), "RefCell<Option<u32>>");
         // the `&'static str` lifetime did not parse as a static item
         assert_eq!(p.fns.len(), 1);
     }
@@ -1092,8 +1294,8 @@ mod tests {
         let code = crate::lexer::scrub(src).code;
         let p = parse_file(&code);
         let c = p.calls.iter().find(|c| p.callee(&code, c) == "par_map").unwrap();
-        assert_eq!(c.line, 1);
-        assert_eq!(c.end_line, 5);
+        assert_eq!(c.line(), 1);
+        assert_eq!(c.end_line(), 5);
         assert_eq!(p.args(c).len(), 3);
     }
 
@@ -1129,9 +1331,9 @@ mod tests {
                 let args: Vec<String> = p.args(c).iter().map(|a| p.arg_text(&code, a)).collect();
                 format!(
                     "{}:{}-{} {}{}{} ({})",
-                    c.line,
-                    c.col,
-                    c.end_line,
+                    c.line(),
+                    c.col(),
+                    c.end_line(),
                     if c.is_method { "." } else { "" },
                     p.callee(&code, c),
                     p.turbofish(&code, c).map_or(String::new(), |t| format!("::<{t}>")),
@@ -1230,8 +1432,8 @@ mod tests {
     fn enclosing_fn_resolution() {
         let src = "fn outer() {\n    a();\n}\nfn later() {\n    b();\n}\n";
         let p = parse(src);
-        assert_eq!(p.enclosing_fn(1).unwrap().name, "outer");
-        assert_eq!(p.enclosing_fn(4).unwrap().name, "later");
+        assert_eq!(p.name(p.enclosing_fn(1).unwrap()), "outer");
+        assert_eq!(p.name(p.enclosing_fn(4).unwrap()), "later");
     }
 
     #[test]

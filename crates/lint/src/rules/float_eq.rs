@@ -41,7 +41,11 @@ impl Rule for FloatEq {
                 let lhs = token_before(line, pos);
                 let rhs = token_after(line, pos + 2);
                 if is_float_operand(lhs) || is_float_operand(rhs) {
-                    let message = format!("floating-point `{op}` comparison");
+                    let message = if op == "==" {
+                        "floating-point `==` comparison"
+                    } else {
+                        "floating-point `!=` comparison"
+                    };
                     out.push(file.finding(NAME, i, pos, message, HELP));
                 }
             }

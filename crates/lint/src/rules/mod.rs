@@ -208,9 +208,9 @@ pub(crate) fn report_sites(
     out: &mut Vec<Finding>,
 ) {
     for site in &file.parsed.sites {
-        if site.word.rule() == rule && !file.is_test(site.line) {
-            let message = site.word.message().to_string();
-            out.push(file.finding(rule, site.line, site.col, message, help(site.word)));
+        if site.word.rule() == rule && !file.is_test(site.line()) {
+            let (word, line) = (site.word, site.line());
+            out.push(file.finding(rule, line, site.col(), word.message(), help(word)));
         }
     }
 }
@@ -284,7 +284,7 @@ pub(crate) mod tests {
     fn raw_identifiers_are_read_as_their_bare_names() {
         let src = "let m = r#HashMap::new();\nr#panic!();\nx.r#unwrap();\nr#match(x);\n";
         let parsed = crate::parse::parse_file(&crate::lexer::scrub(src).code);
-        let words: Vec<_> = parsed.sites.iter().map(|s| (s.line, s.word)).collect();
+        let words: Vec<_> = parsed.sites.iter().map(|s| (s.line(), s.word)).collect();
         assert_eq!(words, [(0, Word::HashMap), (1, Word::Panic), (2, Word::Unwrap)]);
     }
 }

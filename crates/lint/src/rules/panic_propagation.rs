@@ -17,6 +17,7 @@
 
 use super::{Context, Rule};
 use crate::diag::Finding;
+use crate::parse::FnSig;
 use crate::source::SourceFile;
 
 /// The rule's name.
@@ -44,7 +45,8 @@ impl Rule for PanicPropagation {
             return;
         }
         for call in &file.parsed.calls {
-            if file.is_test(call.line) {
+            let line = call.line();
+            if file.is_test(line) {
                 continue;
             }
             let callee = file.parsed.callee(&file.code, call);
@@ -59,25 +61,23 @@ impl Rule for PanicPropagation {
             // the panicking function's own body reports via no-panic-in-lib;
             // don't double-flag recursion onto itself
             if shape.count == 1
-                && def.path == file.path
-                && def.sig.body.is_some_and(|(a, b)| call.line >= a && call.line <= b)
-                && def.sig.line
-                    == file.parsed.enclosing_fn(call.line).map_or(usize::MAX, |f| f.line)
+                && def.file.path == file.path
+                && def.sig.body().is_some_and(|(a, b)| line >= a && line <= b)
+                && def.sig.line() == file.parsed.enclosing_fn(line).map_or(usize::MAX, FnSig::line)
             {
                 continue;
             }
+            let caller = file.parsed.enclosing_fn(line).map(|f| file.parsed.qualified(f));
             let message = format!(
                 "{} calls `{}` ({}:{}), which contains {} baselined panic{}",
-                file.parsed
-                    .enclosing_fn(call.line)
-                    .map_or_else(|| "this code".to_string(), |f| format!("`{}`", f.qualified)),
-                def.sig.qualified,
-                def.path,
-                def.sig.line + 1,
+                caller.map_or_else(|| "this code".to_string(), |f| format!("`{f}`")),
+                def.file.parsed.qualified(def.sig),
+                def.file.path,
+                def.sig.line() + 1,
                 def.panics,
                 if def.panics == 1 { "" } else { "s" },
             );
-            out.push(file.finding(NAME, call.line, call.col, message, HELP));
+            out.push(file.finding(NAME, line, call.col(), message, HELP));
         }
     }
 }

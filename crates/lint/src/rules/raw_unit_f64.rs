@@ -19,7 +19,7 @@
 
 use super::{is_ident_char, Context, Rule};
 use crate::diag::Finding;
-use crate::parse::type_mentions;
+use crate::parse::{type_mentions, FnSig, StructDef};
 use crate::source::SourceFile;
 
 /// The rule's name.
@@ -55,14 +55,17 @@ impl Rule for RawUnitF64 {
             return;
         }
         let mut in_body = vec![false; file.code.len()];
-        for (a, b) in file.parsed.fns.iter().filter_map(|sig| sig.body) {
+        for (a, b) in file.parsed.fns.iter().filter_map(FnSig::body) {
             if let Some(lines) = in_body.get_mut(a + 1..b) {
                 lines.fill(true);
             }
         }
-        let signatures =
-            file.parsed.fns.iter().map(|sig| (sig.line, sig.body.map_or(sig.line, |(a, _)| a)));
-        for (a, b) in signatures.chain(file.parsed.structs.iter().map(|s| s.lines)) {
+        let signatures = file
+            .parsed
+            .fns
+            .iter()
+            .map(|sig| (sig.line(), sig.body().map_or(sig.line(), |(a, _)| a)));
+        for (a, b) in signatures.chain(file.parsed.structs.iter().map(StructDef::lines)) {
             if let Some(lines) = in_body.get_mut(a..=b) {
                 lines.fill(false);
             }
@@ -78,12 +81,14 @@ impl Rule for RawUnitF64 {
             }
             check_declarations(file, i, line, out);
         }
-        for sig in &file.parsed.fns {
-            let returns_f64 = sig.ret.as_deref().is_some_and(|ret| type_mentions(ret, "f64"));
-            if returns_f64 && is_unit_name(&sig.name) && !file.is_test(sig.line) {
+        let parsed = &file.parsed;
+        for sig in &parsed.fns {
+            let returns_f64 = parsed.ret(sig).is_some_and(|ret| type_mentions(ret, "f64"));
+            let name = parsed.name(sig);
+            if returns_f64 && is_unit_name(name) && !file.is_test(sig.line()) {
                 let message =
-                    format!("`fn {}` names a physical quantity but returns bare `f64`", sig.name);
-                out.push(file.finding(NAME, sig.line, sig.col, message, HELP));
+                    format!("`fn {name}` names a physical quantity but returns bare `f64`");
+                out.push(file.finding(NAME, sig.line(), sig.col(), message, HELP));
             }
         }
     }
@@ -210,10 +215,16 @@ mod tests {
                    \x20   Row { power: cap_w }\n}\n";
         let at: Vec<_> = findings("vap-core", src).iter().map(|f| (f.line, f.column)).collect();
         assert_eq!(at, [(2, 9), (5, 5), (7, 14)]);
-        // so does a field of a struct declared in a body
+        // so does a field of a struct declared in a body, also after a
+        // `where` clause
         let src = "fn f() {\n    struct Local {\n        power: f64,\n    }\n}\n";
         let at: Vec<_> = findings("vap-core", src).iter().map(|f| (f.line, f.column)).collect();
         assert_eq!(at, [(3, 9)]);
+        let src = "fn f() {\n    struct G<T, F>\n    where\n        F: Fn(u8) -> f64,\n\
+                   \x20       T: Into<[u8; 4]>,\n    {\n        power: f64,\n        t: T,\n    }\n}\n\
+                   fn g() { struct G<T> where T: Copy { power: f64, t: T } }\n";
+        let at: Vec<_> = findings("vap-core", src).iter().map(|f| (f.line, f.column)).collect();
+        assert_eq!(at, [(7, 9), (11, 38)]);
     }
 
     #[test]

@@ -70,14 +70,15 @@ impl Rule for SharedStateInPar {
         // mutable module state in crates reachable from worker closures
         if ctx.index.par_crates.contains(&file.crate_name) {
             for item in &file.parsed.statics {
-                if file.is_test(item.line) {
+                if file.is_test(item.line()) {
                     continue;
                 }
+                let ty = file.parsed.text(&item.ty);
                 let mutable = match item.kind {
                     StaticKind::StaticMut | StaticKind::ThreadLocal => true,
-                    StaticKind::Static => INTERIOR_MUTABLE
-                        .iter()
-                        .any(|t| item.ty.starts_with(t) || item.ty.contains("Atomic")),
+                    StaticKind::Static => {
+                        INTERIOR_MUTABLE.iter().any(|t| ty.starts_with(t) || ty.contains("Atomic"))
+                    }
                 };
                 if !mutable {
                     continue; // a plain immutable static cannot race
@@ -85,23 +86,23 @@ impl Rule for SharedStateInPar {
                 let message = format!(
                     "{} `{}: {}` lives in `{}`, which is reachable from vap-exec worker closures",
                     item.kind.label(),
-                    item.name,
-                    item.ty,
+                    file.parsed.text(&item.name),
+                    ty,
                     file.crate_name,
                 );
-                out.push(file.finding(NAME, item.line, 0, message, STATIC_HELP));
+                out.push(file.finding(NAME, item.line(), 0, message, STATIC_HELP));
             }
         }
         // order-sensitive float reductions inside par closures
         let parsed = &file.parsed;
         let par_extents: Vec<(usize, usize)> =
-            file.par_calls().map(|c| (c.line, c.end_line)).collect();
+            file.par_calls().map(|c| (c.line(), c.end_line())).collect();
         if par_extents.is_empty() {
             return;
         }
         for call in &parsed.calls {
             if !call.is_method
-                || !par_extents.iter().any(|&(a, b)| call.line >= a && call.line <= b)
+                || !par_extents.iter().any(|&(a, b)| call.line() >= a && call.line() <= b)
             {
                 continue;
             }
@@ -123,7 +124,7 @@ impl Rule for SharedStateInPar {
             let message = format!(
                 "order-sensitive float `{callee}` inside a par closure — float addition is not associative",
             );
-            out.push(file.finding(NAME, call.line, call.col, message, REDUCTION_HELP));
+            out.push(file.finding(NAME, call.line(), call.col(), message, REDUCTION_HELP));
         }
     }
 }

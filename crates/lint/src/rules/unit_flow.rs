@@ -69,7 +69,7 @@ impl Rule for UnitFlow {
         }
         let index = ctx.index;
         for call in &file.parsed.calls {
-            if file.is_test(call.line) {
+            if file.is_test(call.line()) {
                 continue;
             }
             let (callee, args) = (file.parsed.callee(&file.code, call), file.parsed.args(call));
@@ -81,7 +81,7 @@ impl Rule for UnitFlow {
                             "`{callee}({})` re-wraps a raw `.0` projection — the source unit is lost",
                             file.parsed.arg_text(&file.code, arg),
                         );
-                        out.push(file.finding(NAME, call.line, call.col, message, REWRAP_HELP));
+                        out.push(file.finding(NAME, call.line(), call.col(), message, REWRAP_HELP));
                     }
                 }
                 continue;
@@ -97,36 +97,41 @@ impl Rule for UnitFlow {
                 if !units[p] || !is_bare_f64_arg(file.parsed.arg_toks(&file.code, arg)) {
                     continue;
                 }
-                let param = &index.first_member(callee, shape).sig.params[p];
+                let def = index.first_member(callee, shape);
+                let (defined, param) = (&def.file.parsed, &def.file.parsed.params(def.sig)[p]);
                 let message = format!(
                     "bare f64 `{}` passed to `{callee}` parameter `{}: {}`",
                     file.parsed.arg_text(&file.code, arg),
-                    param.name,
-                    referent(&param.ty),
+                    defined.text(&param.name),
+                    referent(defined.text(&param.ty)),
                 );
-                out.push(file.finding(NAME, call.line, call.col, message, ARG_HELP));
+                out.push(file.finding(NAME, call.line(), call.col(), message, ARG_HELP));
             }
         }
         // pub library fns returning bare f64 computed from unit inputs
         if file.is_bin() {
             return;
         }
-        for sig in &file.parsed.fns {
-            if !sig.is_pub || file.is_test(sig.line) {
+        let parsed = &file.parsed;
+        for sig in &parsed.fns {
+            if !sig.is_pub || file.is_test(sig.line()) {
                 continue;
             }
-            let Some(ret) = sig.ret.as_deref() else { continue };
+            let Some(ret) = parsed.ret(sig) else { continue };
             if !type_mentions(ret, "f64") {
                 continue;
             }
-            let Some(up) = sig.params.iter().find(|p| index.mentions_unit(&p.ty)) else {
+            let params = parsed.params(sig);
+            let Some(up) = params.iter().find(|p| index.mentions_unit(parsed.text(&p.ty))) else {
                 continue;
             };
             let message = format!(
                 "pub fn `{}` takes unit-typed `{}: {}` but returns bare `{ret}`",
-                sig.qualified, up.name, up.ty,
+                parsed.qualified(sig),
+                parsed.text(&up.name),
+                parsed.text(&up.ty),
             );
-            out.push(file.finding(NAME, sig.line, 0, message, RETURN_HELP));
+            out.push(file.finding(NAME, sig.line(), 0, message, RETURN_HELP));
         }
     }
 }

@@ -5,7 +5,11 @@
 //! source itself, and `code`, its scrubbed copy. Both are [`Lines`], so a
 //! line is a `&str` borrowed from its buffer and a snippet is a trimmed
 //! slice of `raw`, not a `String` per line. `raw` reads the source through
-//! the line table [`lexer::scrub`] found, so the text is split once.
+//! the line table [`lexer::scrub`] found, so the text is split once. Every
+//! offset a `SourceFile` keeps into its buffers — its line tables', its
+//! parsed items', calls' and sites' — is 32 bits, so a file holds at most
+//! `u32::MAX` bytes, and the lists behind them are sized to what they
+//! hold.
 //! Markers are found with one search over the file's comment buffer, each
 //! read back within its own line's comment text, and kept as one sorted
 //! `(line, rule)` list that [`SourceFile::is_allowed`] searches.
@@ -15,6 +19,8 @@
 //! [`SourceFile::par_calls`] for the non-test fan-out calls, and
 //! [`SourceFile::finding`], the one place a finding's path, snippet and
 //! 1-based position are filled in.
+
+use std::borrow::Cow;
 
 use crate::diag::{Finding, Status};
 use crate::index::PAR_ENTRY_POINTS;
@@ -46,6 +52,12 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Analyze `src` as the contents of `path` inside `crate_name`.
+    ///
+    /// Every offset a `SourceFile` keeps into its buffers is 32 bits, so
+    /// `src` must be at most `u32::MAX` bytes long (4 GiB less one byte);
+    /// the CLI rejects a longer file before reading it. Past that bound
+    /// the offsets saturate, and what lies past it reads back cut short or
+    /// empty.
     pub fn from_source(path: &str, crate_name: &str, src: &str) -> Self {
         let scrubbed = lexer::scrub(src);
         let in_test = lexer::test_regions(&scrubbed.code);
@@ -54,7 +66,7 @@ impl SourceFile {
         SourceFile {
             path: path.replace('\\', "/"),
             crate_name: crate_name.to_string(),
-            raw: Lines::from_spans(src.to_string(), scrubbed.raw_spans),
+            raw: Lines::from_ends(src.to_string(), scrubbed.raw_ends),
             code: scrubbed.code,
             in_test,
             parsed,
@@ -88,13 +100,14 @@ impl SourceFile {
     }
 
     /// A new finding of `rule` at 0-based `line` and `column` of this
-    /// file, with the line's [`snippet`](SourceFile::snippet).
+    /// file, with the line's [`snippet`](SourceFile::snippet). A message
+    /// that is the same at every site is borrowed, not copied.
     pub fn finding(
         &self,
         rule: &'static str,
         line: usize,
         column: usize,
-        message: String,
+        message: impl Into<Cow<'static, str>>,
         help: &'static str,
     ) -> Finding {
         Finding {
@@ -102,7 +115,7 @@ impl SourceFile {
             path: self.path.clone(),
             line: line + 1,
             column: column + 1,
-            message,
+            message: message.into(),
             snippet: self.snippet(line).to_string(),
             help,
             status: Status::New,
@@ -113,7 +126,7 @@ impl SourceFile {
     /// ([`PAR_ENTRY_POINTS`]), whose closures run on worker threads.
     pub fn par_calls(&self) -> impl Iterator<Item = &Call> {
         self.parsed.calls.iter().filter(|c| {
-            PAR_ENTRY_POINTS.contains(&self.parsed.callee(&self.code, c)) && !self.is_test(c.line)
+            PAR_ENTRY_POINTS.contains(&self.parsed.callee(&self.code, c)) && !self.is_test(c.line())
         })
     }
 }

@@ -176,7 +176,7 @@ fn members<'i, 's>(
         .get(name)
         .into_iter()
         .flatten()
-        .filter(|f| f.sig.has_self == is_method && f.sig.params.len() == argc)
+        .filter(|f| f.sig.has_self == is_method && f.sig.arity() == argc)
         .collect();
     let shape = index.resolve(name, is_method, argc);
     assert_eq!(shape.map_or(0, |s| s.count), found.len(), "{name}/{argc}");
@@ -198,28 +198,27 @@ fn index_round_trips_real_workspace_signatures() {
 
     // a free associated fn: Alpha::saturating(raw: f64) -> Alpha
     let sat = members(&index, "saturating", false, 1);
-    let sat: Vec<_> = sat.iter().filter(|c| c.crate_name == "vap-model").collect();
+    let sat: Vec<_> = sat.iter().filter(|c| c.file.crate_name == "vap-model").collect();
     assert_eq!(sat.len(), 1, "{sat:#?}");
-    assert_eq!(sat[0].path, "crates/model/src/linear.rs");
-    assert_eq!(sat[0].sig.qualified, "Alpha::saturating");
-    assert_eq!(sat[0].sig.ret.as_deref(), Some("Alpha"));
+    assert_eq!(sat[0].file.path, "crates/model/src/linear.rs");
+    assert_eq!(sat[0].file.parsed.qualified(sat[0].sig), "Alpha::saturating");
+    assert_eq!(sat[0].file.parsed.ret(sat[0].sig), Some("Alpha"));
     assert!(sat[0].sig.is_pub && !sat[0].sig.has_self);
 
     // a 5-ary free fn with a Result return: vap_sim::dynamics::enforce
     let enf = members(&index, "enforce", false, 5);
     assert!(
-        enf.iter().any(|c| c.crate_name == "vap-sim"
-            && c.path == "crates/sim/src/dynamics.rs"
-            && c.sig.ret.as_deref().is_some_and(|r| r.contains("DynamicsResult"))),
+        enf.iter().any(|c| c.file.crate_name == "vap-sim"
+            && c.file.path == "crates/sim/src/dynamics.rs"
+            && c.file.parsed.ret(c.sig).is_some_and(|r| r.contains("DynamicsResult"))),
         "{enf:#?}"
     );
 
     // a method: DynamicsResult::converged_frequency(&self) -> GigaHertz
     let cf = members(&index, "converged_frequency", true, 0);
     assert!(
-        cf.iter()
-            .any(|c| c.path == "crates/sim/src/dynamics.rs"
-                && c.sig.ret.as_deref() == Some("GigaHertz")),
+        cf.iter().any(|c| c.file.path == "crates/sim/src/dynamics.rs"
+            && c.file.parsed.ret(c.sig) == Some("GigaHertz")),
         "{cf:#?}"
     );
     // receiver kind and arity are part of the key
