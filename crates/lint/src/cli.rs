@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use crate::baseline::Baseline;
@@ -136,9 +136,10 @@ pub struct Outcome {
 /// keeps into its buffers is 32 bits.
 const MAX_SOURCE_BYTES: u64 = u32::MAX as u64;
 
-/// Pass 0: walk the workspace and lex/parse every source file. A file
-/// longer than [`MAX_SOURCE_BYTES`] is an error, found from its metadata
-/// before it is read.
+/// Pass 0: walk the workspace and lex/parse every source file, each
+/// opened once and read into the buffer its [`SourceFile`] keeps. A file
+/// longer than [`MAX_SOURCE_BYTES`] is an error, found from the open
+/// file's length before it is read.
 fn load_files(opts: &Options) -> Result<Vec<SourceFile>, String> {
     let files = walker::workspace_files(&opts.root)
         .map_err(|e| format!("walking {}: {e}", opts.root.display()))?;
@@ -159,17 +160,21 @@ fn load_files(opts: &Options) -> Result<Vec<SourceFile>, String> {
                 wf.abs.display()
             )
         };
-        let len = fs::metadata(&wf.abs).map_err(reading)?.len();
+        let mut file = fs::File::open(&wf.abs).map_err(reading)?;
+        let len = file.metadata().map_err(reading)?.len();
         if len > MAX_SOURCE_BYTES {
             return Err(too_long(len));
         }
-        let text = fs::read_to_string(&wf.abs).map_err(reading)?;
-        // the file may have grown since its metadata was read
+        // sized from the open file's length, so the read fills it without
+        // growing it unless the file grew
+        let mut text = String::with_capacity(usize::try_from(len).unwrap_or(0));
+        file.read_to_string(&mut text).map_err(reading)?;
+        // the file may have grown since its length was read
         let len = text.len() as u64;
         if len > MAX_SOURCE_BYTES {
             return Err(too_long(len));
         }
-        sources.push(SourceFile::from_source(&wf.rel, &wf.crate_name, &text));
+        sources.push(SourceFile::from_text(&wf.rel, &wf.crate_name, text));
     }
     Ok(sources)
 }

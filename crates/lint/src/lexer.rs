@@ -13,7 +13,8 @@
 //! that cannot change it at once — code with one slice copy, comment and
 //! literal text as one bulk append of blanks — and stops only at the
 //! bytes that can: `/`, a quote, an `r` before `"` or `#` and a `b`
-//! before `"`, `'` or `r` in code; `\` and the closing quote in literals;
+//! before `"`, `'` or `r` in code, each code byte's part read from a
+//! 256-entry class table; `\` and the closing quote in literals;
 //! `*` and `/` in block comments. Every state's run also stops at `\n` and
 //! `\r`, so the same pass finds the line ends — `\n` or `\r\n`, as
 //! [`str::lines`] splits; a lone `\r` is text — and returns the source's
@@ -29,16 +30,18 @@
 //! exact line count, and the code and comment buffers from its length, so
 //! none of them regrows; the code buffer is then sized to what it holds.
 //! [`test_regions`] finds every `#` of a file with one search over its
-//! scrubbed buffer.
+//! scrubbed buffer, and the end of each item an attribute gates by reading
+//! the buffer's bytes through a table of `{`, `}` and `;`.
 //!
 //! [`Lines`] pairs a buffer with a line table of one `u32` per line, the
 //! offset where the line ends, terminator included; a read drops the
 //! trailing `\n` or `\r\n` as [`str::lines`] does, for the source and its
 //! scrubbed copy alike. A line is a `&str` borrowed from the buffer, and
-//! the parser's tokens borrow from those lines in turn. The parser keeps
-//! none of them: a call's arguments are (line, column) ranges of the
-//! scrubbed lines, and their tokens are cut from those lines again when a
-//! rule reads them. The 32-bit offsets bound a file to 4 GiB.
+//! the parser's tokens borrow from the scrubbed buffer, which the cutter
+//! reads straight through, line ends and all. The parser keeps none of
+//! them: a call's arguments are (line, column) ranges of the scrubbed
+//! lines, and their tokens are cut from the buffer again when a rule
+//! reads them. The 32-bit offsets bound a file to 4 GiB.
 
 use std::ops::{Index, Range};
 
@@ -88,13 +91,23 @@ impl Lines {
 
     /// Byte offset in the buffer where line `i` starts: where line `i - 1`
     /// ends, or 0.
-    fn start(&self, i: usize) -> usize {
+    pub(crate) fn start(&self, i: usize) -> usize {
         i.checked_sub(1).and_then(|p| self.ends.get(p)).map_or(0, |&e| e as usize)
     }
 
     /// Bytes in the buffer, line terminators included.
     pub(crate) fn text_len(&self) -> usize {
         self.text.len()
+    }
+
+    /// The whole buffer, line terminators included.
+    pub(crate) fn buffer(&self) -> &str {
+        &self.text
+    }
+
+    /// Where each line ends in the buffer, its terminator included.
+    pub(crate) fn ends(&self) -> &[u32] {
+        &self.ends
     }
 }
 
@@ -352,6 +365,30 @@ pub fn scrub(src: &str) -> Scrubbed {
     }
 }
 
+/// What a byte does to a run of code: nothing ([`CODE`]), end it
+/// ([`STOP`]: `/`, a quote, a line end), or end it when the byte after it
+/// opens a literal ([`RAW`]: an `r` before `"` or `#`; [`BYTE`]: a `b`
+/// before `"`, `'` or `r`).
+const CODE_CLASS: [u8; 256] = {
+    let mut class = [CODE; 256];
+    class[b'/' as usize] = STOP;
+    class[b'"' as usize] = STOP;
+    class[b'\'' as usize] = STOP;
+    class[b'\n' as usize] = STOP;
+    class[b'\r' as usize] = STOP;
+    class[b'r' as usize] = RAW;
+    class[b'b' as usize] = BYTE;
+    class
+};
+/// A byte that never ends a run of code.
+const CODE: u8 = 0;
+/// A byte that always ends a run of code.
+const STOP: u8 = 1;
+/// An `r`, which may open a raw string.
+const RAW: u8 = 2;
+/// A `b`, which may open a byte string or char.
+const BYTE: u8 = 3;
+
 /// Index of the first byte at or after `from` that can end a run of
 /// code: `/`, a quote, a line end, an `r` that may open a raw string
 /// (`r"`, `r#`) or a `b` that may open a byte string or char (`b"`, `b'`,
@@ -359,11 +396,11 @@ pub fn scrub(src: &str) -> Scrubbed {
 fn code_run_end(bytes: &[u8], from: usize) -> usize {
     let mut i = from;
     while let Some(&c) = bytes.get(i) {
-        match c {
-            b'/' | b'"' | b'\'' | b'\n' | b'\r' => break,
-            b'r' if matches!(bytes.get(i + 1), Some(b'"' | b'#')) => break,
-            b'b' if matches!(bytes.get(i + 1), Some(b'"' | b'\'' | b'r')) => break,
-            _ => i += 1,
+        match CODE_CLASS[usize::from(c)] {
+            CODE => i += 1,
+            RAW if !matches!(bytes.get(i + 1), Some(b'"' | b'#')) => i += 1,
+            BYTE if !matches!(bytes.get(i + 1), Some(b'"' | b'\'' | b'r')) => i += 1,
+            _ => break,
         }
     }
     i
@@ -450,9 +487,13 @@ fn cfg_test_len(text: &str) -> Option<usize> {
 /// One search over the buffer finds every `#`; the lines sit in it in
 /// order, so a hit's line is found by walking the line table forward. A
 /// line's first `#` that opens the attribute within that line starts a
-/// region, and the search resumes at the line after the region.
+/// region, and the search resumes at the line after the region. The
+/// gated item's end is found by reading the buffer's bytes through a
+/// class table that marks `{`, `}` and `;`, and its line by a binary
+/// search of the line table.
 pub fn test_regions(code: &Lines) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
+    let bytes = code.text.as_bytes();
     // the `#` search resumes at byte `from`; `line` is at or before the
     // line that holds it
     let (mut from, mut line) = (0, 0);
@@ -468,39 +509,39 @@ pub fn test_regions(code: &Lines) -> Vec<bool> {
             from = hit + 1;
             continue;
         };
-        let attr_end = attr_start + len;
-        // walk forward from the end of the attribute to the gated item's body
-        let mut depth = 0i32;
-        let mut end = code.len() - 1;
-        let mut entered = false;
-        'scan: for (li, l) in code.iter().enumerate().skip(line) {
-            // skip past the attribute itself so `#[cfg(test)]`'s own
-            // brackets, and any code before it, don't confuse the scan
-            let start_col = if li == line { attr_end } else { 0 };
-            for (ci, c) in l.char_indices() {
-                if ci < start_col {
-                    continue;
+        // walk forward from the end of the attribute to the gated item's
+        // body, skipping the attribute itself so `#[cfg(test)]`'s own
+        // brackets, and any code before it, don't confuse the scan
+        let (mut depth, mut entered) = (0i32, false);
+        let mut at = hit + len;
+        let stop = loop {
+            let Some(skip) = bytes
+                .get(at..)
+                .and_then(|rest| rest.iter().position(|&c| ITEM_END[usize::from(c)]))
+            else {
+                break None;
+            };
+            at += skip;
+            match bytes[at] {
+                b'{' => {
+                    depth += 1;
+                    entered = true;
                 }
-                match c {
-                    '{' => {
-                        depth += 1;
-                        entered = true;
+                b'}' => {
+                    depth -= 1;
+                    if entered && depth <= 0 {
+                        break Some(at);
                     }
-                    '}' => {
-                        depth -= 1;
-                        if entered && depth <= 0 {
-                            end = li;
-                            break 'scan;
-                        }
-                    }
-                    ';' if !entered && depth == 0 => {
-                        end = li;
-                        break 'scan;
-                    }
-                    _ => {}
                 }
+                b';' if !entered && depth == 0 => break Some(at),
+                _ => {}
             }
-        }
+            at += 1;
+        };
+        // no `{`, `}` or `;` sits in a terminator, so the stop is on the
+        // first line that ends past it
+        let end =
+            stop.map_or(code.len() - 1, |at| code.ends.partition_point(|&e| e as usize <= at));
         for flag in in_test.iter_mut().take(end + 1).skip(line) {
             *flag = true;
         }
@@ -512,6 +553,15 @@ pub fn test_regions(code: &Lines) -> Vec<bool> {
     }
     in_test
 }
+
+/// The bytes that can end a `#[cfg(test)]` item: `{`, `}` and `;`.
+const ITEM_END: [bool; 256] = {
+    let mut end = [false; 256];
+    end[b'{' as usize] = true;
+    end[b'}' as usize] = true;
+    end[b';' as usize] = true;
+    end
+};
 
 #[cfg(test)]
 pub(crate) mod tests {

@@ -9,27 +9,47 @@
 //! their argument expressions. This module turns [`crate::lexer::scrub`]
 //! output into a flat token stream (identifiers, numbers, and punctuation
 //! with `::`/`->` fused), then walks it once with balanced-delimiter
-//! tracking to extract those items. Every word is found once, in one pass
-//! over the tokens after that walk, and kept as a [`Site`] in
-//! [`ParsedFile::sites`]. It is *not* a Rust grammar: macro
+//! tracking to extract those items. It is *not* a Rust grammar: macro
 //! bodies, patterns and generics are skipped or approximated, which is
 //! exactly the right trade for a zero-dependency analyzer — unresolvable
 //! constructs degrade to "not indexed", never to a false parse.
 //!
+//! Each token is classified once, as [`tokenize`] cuts it: its one-byte
+//! kind says whether it is an identifier, one of the keywords the walk
+//! branches on (`fn`, `impl`, `pub`, the keywords that precede no call,
+//! …), a number, `::`, `->`, a non-ASCII character, or any other byte,
+//! whose kind is the byte itself. The cutter reads the scrubbed buffer
+//! straight through, line ends included (they are blanks, and no token
+//! reads past a blank), looks each byte's class up in a 256-entry table,
+//! and steps over runs of spaces eight bytes at a time. The kind fits in
+//! the padding of the 32-byte [`Tok`], so it costs the token vector
+//! nothing. Everything after the cut — the walk, call and argument
+//! splitting, the `skip_*` helpers and the word pass — matches on kinds,
+//! never on token text.
+//!
+//! One pass over the tokens, before the walk, finds where every `(`, `[`
+//! and `{` group ends and notes every vocabulary word: a closer table
+//! with one entry per token, whose stack of open groups lives in the
+//! table itself, and a [`Site`] in [`ParsedFile::sites`] for each word,
+//! which starts at an identifier or a `.`. Skipping a group, finding a fn
+//! body's end and splitting a call's arguments (jumping over each nested
+//! group) are lookups in that table, so no group is scanned twice.
+//!
 //! Nothing here copies the file's text per token or per call. A [`Tok`]
 //! borrows its text from the scrubbed [`Lines`], so [`tokenize`]
-//! allocates only the token vector, and the tokens are transient:
-//! [`parse_file`] walks them and drops them, and a [`ParsedFile`] keeps
-//! none. A [`Call`] is a set of 32-bit positions in the scrubbed text:
-//! where its callee starts and how long it is, the line of its `)`, and
-//! one run of the file's argument list that holds its turbofish, when it
-//! has one, as the run's first entry, then its arguments. Each entry is
-//! an [`Arg`], a range of [`Pos`] (line, column) places from its first
-//! token's start to its last token's end. The ranges start and end where
-//! tokens do, so [`ParsedFile::arg_toks`] and [`ParsedFile::turbofish`]
-//! cut them again, with the per-line cutting [`tokenize`] does, into
-//! exactly the tokens the parse saw, and [`ParsedFile::callee`] slices
-//! its name from the line. A call allocates nothing of its own.
+//! allocates only the token vector, and the tokens and the closer table
+//! are transient: [`parse_file`] walks them and drops them, and a
+//! [`ParsedFile`] keeps neither. A [`Call`] is a set of 32-bit positions
+//! in the scrubbed text: where its callee starts and how long it is, the
+//! line of its `)`, and one run of the file's argument list that holds
+//! its turbofish, when it has one, as the run's first entry, then its
+//! arguments. Each entry is an [`Arg`], a range of [`Pos`] (line, column)
+//! places from its first token's start to its last token's end. The
+//! ranges start and end where tokens do, so [`ParsedFile::arg_toks`] and
+//! [`ParsedFile::turbofish`] cut them again, with the cutter [`tokenize`]
+//! uses, into exactly the tokens the parse saw, and
+//! [`ParsedFile::callee`] slices its name from the line. A call allocates
+//! nothing of its own.
 //!
 //! The items' text — names, the `Type::name` qualifier of a method (its
 //! name is the qualifier's tail), and every parameter, return, newtype
@@ -53,16 +73,168 @@ pub struct Tok<'a> {
     /// Token text (`foo`, `42.5`, `::`, `->`, `(` …).
     pub text: &'a str,
     /// 0-based source line.
-    pub line: usize,
+    pub line: u32,
     /// 0-based starting column (byte offset in the scrubbed line).
-    pub col: usize,
+    pub col: u32,
+    /// What the token is, found as it was cut.
+    pub(crate) kind: Kind,
 }
 
 impl Tok<'_> {
     fn is_ident(&self) -> bool {
-        self.text.as_bytes().first().is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_')
+        self.kind.is_ident()
+    }
+
+    /// Does the token start with an identifier byte: is it an
+    /// identifier, a keyword or a number?
+    pub(crate) fn starts_ident(&self) -> bool {
+        self.kind.is_ident() || self.kind == Kind::NUMBER
+    }
+
+    /// Where the token starts.
+    fn at(&self) -> Pos {
+        Pos { line: self.line, col: self.col }
+    }
+
+    /// Where the token ends.
+    fn end(&self) -> Pos {
+        Pos { line: self.line, col: self.col.saturating_add(narrow(self.text.len())) }
     }
 }
+
+/// What a token is, one byte found once as [`tokenize`] cuts it. Any
+/// ASCII byte that is not a blank and starts no identifier or number is
+/// a token of its own kind, the byte itself (`Kind(b'(')`); the other
+/// kinds sit above the ASCII range: identifiers, then the keywords the
+/// parse branches on, then numbers, `::`, `->` and a non-ASCII
+/// character. A raw identifier (`r#match`) is an identifier, never a
+/// keyword.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Kind(u8);
+
+impl Kind {
+    const IDENT: Kind = Kind(0x80);
+    const AS: Kind = Kind(0x81);
+    const CRATE: Kind = Kind(0x82);
+    const ELSE: Kind = Kind(0x83);
+    const ENUM: Kind = Kind(0x84);
+    const FN: Kind = Kind(0x85);
+    const FOR: Kind = Kind(0x86);
+    const IF: Kind = Kind(0x87);
+    const IMPL: Kind = Kind(0x88);
+    const IN: Kind = Kind(0x89);
+    const LOOP: Kind = Kind(0x8A);
+    const MATCH: Kind = Kind(0x8B);
+    const MOD: Kind = Kind(0x8C);
+    const MOVE: Kind = Kind(0x8D);
+    const MUT: Kind = Kind(0x8E);
+    const PUB: Kind = Kind(0x8F);
+    const RETURN: Kind = Kind(0x90);
+    const SELF: Kind = Kind(0x91);
+    const STATIC: Kind = Kind(0x92);
+    const STRUCT: Kind = Kind(0x93);
+    const SUPER: Kind = Kind(0x94);
+    const THREAD_LOCAL: Kind = Kind(0x95);
+    const TRAIT: Kind = Kind(0x96);
+    const UNION: Kind = Kind(0x97);
+    const WHERE: Kind = Kind(0x98);
+    const WHILE: Kind = Kind(0x99);
+    const NUMBER: Kind = Kind(0xC0);
+    const PATH: Kind = Kind(0xC1);
+    const ARROW: Kind = Kind(0xC2);
+    const WIDE: Kind = Kind(0xC3);
+
+    /// An identifier or a keyword.
+    fn is_ident(self) -> bool {
+        (Kind::IDENT.0..Kind::NUMBER.0).contains(&self.0)
+    }
+}
+
+/// The keywords the parse branches on, each with its kind.
+const KEYWORDS: [(&str, Kind); 25] = [
+    ("as", Kind::AS),
+    ("crate", Kind::CRATE),
+    ("else", Kind::ELSE),
+    ("enum", Kind::ENUM),
+    ("fn", Kind::FN),
+    ("for", Kind::FOR),
+    ("if", Kind::IF),
+    ("impl", Kind::IMPL),
+    ("in", Kind::IN),
+    ("loop", Kind::LOOP),
+    ("match", Kind::MATCH),
+    ("mod", Kind::MOD),
+    ("move", Kind::MOVE),
+    ("mut", Kind::MUT),
+    ("pub", Kind::PUB),
+    ("return", Kind::RETURN),
+    ("self", Kind::SELF),
+    ("static", Kind::STATIC),
+    ("struct", Kind::STRUCT),
+    ("super", Kind::SUPER),
+    ("thread_local", Kind::THREAD_LOCAL),
+    ("trait", Kind::TRAIT),
+    ("union", Kind::UNION),
+    ("where", Kind::WHERE),
+    ("while", Kind::WHILE),
+];
+
+/// Per first byte, one bit for the length of each keyword that starts
+/// with that byte, so most identifiers are told from keywords by one
+/// lookup.
+const KEYWORD_STARTS: [u16; 256] = {
+    let mut starts = [0u16; 256];
+    let mut k = 0;
+    while k < KEYWORDS.len() {
+        let word = KEYWORDS[k].0.as_bytes();
+        assert!(word.len() < 16, "a keyword's length must fit the bit mask");
+        starts[word[0] as usize] |= 1 << word.len();
+        k += 1;
+    }
+    starts
+};
+
+/// The kind of the identifier run `word`: its keyword's, or
+/// [`Kind::IDENT`].
+#[inline]
+fn word_kind(word: &[u8]) -> Kind {
+    let first = word.first().map_or(0, |&c| usize::from(c));
+    if word.len() >= 16 || KEYWORD_STARTS[first] & (1 << word.len()) == 0 {
+        return Kind::IDENT;
+    }
+    KEYWORDS.iter().find(|(k, _)| k.as_bytes() == word).map_or(Kind::IDENT, |&(_, kind)| kind)
+}
+
+/// The byte classes of [`CLASS`]. A blank: ASCII whitespace.
+const BLANK: u8 = 0;
+/// A byte that starts or continues an identifier or number run.
+const WORD: u8 = 1;
+/// Any other ASCII byte: a token of its own, or the start of `::`/`->`.
+const PUNCT: u8 = 2;
+/// A byte of a multi-byte UTF-8 character.
+const HIGH: u8 = 3;
+
+/// Each byte's class: the ASCII whitespace [`u8::is_ascii_whitespace`]
+/// accepts (space, `\t`, `\n`, `\x0C`, `\r`, but not `\x0B`) is
+/// [`BLANK`], ASCII letters, digits and `_` are [`WORD`].
+const CLASS: [u8; 256] = {
+    let mut class = [PUNCT; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        class[b] = if c >= 0x80 {
+            HIGH
+        } else if c.is_ascii_whitespace() {
+            BLANK
+        } else if c.is_ascii_alphanumeric() || c == b'_' {
+            WORD
+        } else {
+            PUNCT
+        };
+        b += 1;
+    }
+    class
+};
 
 /// Fewer scrubbed bytes per token than nearly any file holds, so
 /// [`tokenize`] sizes its vector once: the densest file of this workspace
@@ -72,80 +244,210 @@ const TOKEN_BYTES: usize = 3;
 
 /// Tokenize scrubbed lines. Identifier/number runs, raw identifiers
 /// included, become one token; `::` and `->` fuse; every other non-space
-/// byte is a one-char token.
+/// byte is a one-char token. Each token carries its kind.
 pub fn tokenize(code: &Lines) -> Vec<Tok<'_>> {
     // the vector is dropped once `parse_file` returns, so it may take
     // room for a dense file's tokens
     let mut toks = Vec::with_capacity(code.text_len() / TOKEN_BYTES);
-    for (line_no, line) in code.iter().enumerate() {
-        toks.extend(cut(line, line_no, 0..line.len()));
-    }
+    toks.extend(cut(code, 0, 0..code.text_len()));
     toks
 }
 
-/// The tokens of `line`, the 0-based line `line_no`, that start in
-/// `cols`. Each token is cut from the whole line, so cutting from a
-/// column where a token starts gives the same tokens as cutting from 0.
-fn cut(line: &str, line_no: usize, cols: Range<usize>) -> impl Iterator<Item = Tok<'_>> + Clone {
-    let bytes = line.as_bytes();
-    let (mut i, end) = (cols.start, cols.end);
-    std::iter::from_fn(move || {
-        while i < end && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
+/// The tokens that start in bytes `range` of `code`'s buffer, where line
+/// `line` holds `range.start`. The buffer is read straight through: line
+/// ends are blanks, and no token reads past a blank, so each token is cut
+/// as it would be from its own line alone, and cutting from a byte where
+/// a token starts gives the same tokens as cutting from its line's start.
+fn cut(code: &Lines, line: usize, range: Range<usize>) -> Cut<'_> {
+    let text = code.buffer();
+    let end = range.end.min(text.len());
+    Cut { text, ends: code.ends(), at: range.start, end, line, line_start: code.start(line) }
+}
+
+/// The iterator [`cut`] returns.
+#[derive(Clone)]
+struct Cut<'a> {
+    /// The scrubbed buffer, line ends included.
+    text: &'a str,
+    /// Where each line ends in `text`.
+    ends: &'a [u32],
+    /// Where the next token's search starts.
+    at: usize,
+    /// Where no token may start any more.
+    end: usize,
+    /// The line that holds `at`, or one before it, and where it starts.
+    line: usize,
+    line_start: usize,
+}
+
+impl<'a> Iterator for Cut<'a> {
+    type Item = Tok<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let bytes = self.text.as_bytes();
+        let end = self.end;
+        let mut i = skip_blanks(bytes, self.at, end);
         if i >= end {
+            self.at = i;
             return None;
         }
+        // no token starts in a line end, so it sits on the first line
+        // that ends past it
+        while let Some(&line_end) = self.ends.get(self.line).filter(|&&e| e as usize <= i) {
+            self.line_start = line_end as usize;
+            self.line += 1;
+        }
         let start = i;
-        let c = bytes[i] as char;
-        if c.is_ascii_alphanumeric() || c == '_' {
-            // a raw identifier (`r#match`) is one token
-            if bytes[i..].starts_with(b"r#")
-                && bytes.get(i + 2).is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_')
-            {
-                i += 2;
-            }
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            // extend numeric runs across `1.5` and `1e-6` shapes so a
-            // float literal is a single token
-            if bytes.get(start).is_some_and(u8::is_ascii_digit) {
-                if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
-                    i += 1;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
+        let c = bytes[i];
+        let kind = match CLASS[usize::from(c)] {
+            WORD => {
+                // a raw identifier (`r#match`) is one token
+                let raw = c == b'r'
+                    && bytes.get(i + 1) == Some(&b'#')
+                    && bytes.get(i + 2).is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_');
+                if raw {
+                    i += 2;
                 }
-                if i > start
-                    && (bytes[i - 1] == b'e' || bytes[i - 1] == b'E')
-                    && i + 1 < bytes.len()
-                    && (bytes[i] == b'+' || bytes[i] == b'-')
-                    && bytes[i + 1].is_ascii_digit()
-                {
-                    i += 1;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                i = word_end(bytes, i);
+                if c.is_ascii_digit() {
+                    // extend numeric runs across `1.5` and `1e-6` shapes
+                    // so a float literal is a single token
+                    if bytes.get(i) == Some(&b'.')
+                        && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)
                     {
-                        i += 1;
+                        i = word_end(bytes, i + 1);
                     }
+                    if matches!(bytes[i - 1], b'e' | b'E')
+                        && matches!(bytes.get(i), Some(b'+' | b'-'))
+                        && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)
+                    {
+                        i = word_end(bytes, i + 1);
+                    }
+                    Kind::NUMBER
+                } else if raw {
+                    Kind::IDENT
+                } else {
+                    word_kind(&bytes[start..i])
                 }
             }
-        } else if !c.is_ascii() {
             // multi-byte UTF-8 punctuation (·, α in scrubbed code should
             // not appear — it is blanked — but be byte-safe regardless)
-            i += line[i..].chars().next().map_or(1, char::len_utf8);
-        } else if matches!(&bytes[i..(i + 2).min(bytes.len())], b"::" | b"->") {
-            i += 2;
-        } else {
-            i += 1;
+            HIGH => {
+                i += self.text[i..].chars().next().map_or(1, char::len_utf8);
+                Kind::WIDE
+            }
+            _ => match bytes.get(i..i + 2) {
+                Some(b"::") => {
+                    i += 2;
+                    Kind::PATH
+                }
+                Some(b"->") => {
+                    i += 2;
+                    Kind::ARROW
+                }
+                _ => {
+                    i += 1;
+                    Kind(c)
+                }
+            },
+        };
+        self.at = i;
+        Some(Tok {
+            text: &self.text[start..i],
+            line: narrow(self.line),
+            col: narrow(start - self.line_start),
+            kind,
+        })
+    }
+}
+
+/// The first byte at or after `from` that is not a blank, or `end`.
+/// Blanked comments and indents are runs of spaces, so eight bytes are
+/// read as one word, and the spaces that start it are counted from its
+/// trailing zero bits once it is XORed with eight spaces.
+#[inline]
+fn skip_blanks(bytes: &[u8], from: usize, end: usize) -> usize {
+    const SPACES: u64 = u64::from_le_bytes([b' '; 8]);
+    let mut i = from;
+    loop {
+        if let Some(word) = bytes.get(i..end).and_then(<[u8]>::first_chunk::<8>) {
+            let rest = u64::from_le_bytes(*word) ^ SPACES;
+            if rest == 0 {
+                i += 8;
+                continue;
+            }
+            i += (rest.trailing_zeros() / 8) as usize;
         }
-        Some(Tok { text: &line[start..i], line: line_no, col: start })
-    })
+        // a space ends no run of spaces; a tab, `\x0C` or `\r` may sit
+        // between them
+        if i < end && CLASS[usize::from(bytes[i])] == BLANK {
+            i += 1;
+        } else {
+            return i;
+        }
+    }
+}
+
+/// The end of the identifier or number run that continues at `from`.
+#[inline]
+fn word_end(bytes: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while i < bytes.len() && CLASS[usize::from(bytes[i])] == WORD {
+        i += 1;
+    }
+    i
+}
+
+/// For each token that opens a `(`, `[` or `{` group, the index just past
+/// the token that closes it: the first `)`, `]` or `}`, of whichever
+/// kind, at which as many groups have closed as opened since; the end of
+/// the tokens when none does. Other tokens' entries are unused. The same
+/// pass over the tokens notes, in `sites`, each vocabulary word that
+/// starts at one; every word starts with an identifier or a `.`.
+///
+/// The stack of open groups lives in the table itself: an open group's
+/// entry holds the one it sits in, plus one (0 for none), until its
+/// closer overwrites it.
+fn closers(toks: &[Tok<'_>], sites: &mut Vec<Site>) -> Vec<u32> {
+    let mut close = vec![0u32; toks.len()];
+    let mut top = 0u32;
+    for (i, t) in toks.iter().enumerate() {
+        match t.kind {
+            Kind(b'(' | b'[' | b'{') => {
+                close[i] = top;
+                top = narrow(i + 1);
+            }
+            Kind(b')' | b']' | b'}') if top > 0 => {
+                let open = top as usize - 1;
+                top = close[open];
+                close[open] = narrow(i + 1);
+            }
+            Kind::IDENT | Kind(b'.') => {
+                if let Some(word) = rules::word_at(toks, i) {
+                    sites.push(Site { word, at: t.at() });
+                }
+            }
+            _ => {}
+        }
+    }
+    while top > 0 {
+        let open = top as usize - 1;
+        top = close[open];
+        close[open] = narrow(toks.len());
+    }
+    close
+}
+
+/// The index just past the group whose opener is `toks[at]`, read from
+/// the table [`closers`] made.
+fn past(close: &[u32], at: usize) -> usize {
+    close.get(at).map_or(at + 1, |&c| c as usize)
+}
+
+/// Is `toks[i]` of `kind`?
+fn is(toks: &[Tok<'_>], i: usize, kind: Kind) -> bool {
+    toks.get(i).is_some_and(|t| t.kind == kind)
 }
 
 /// A place in the scrubbed lines: a 0-based line and a byte column in
@@ -157,32 +459,21 @@ pub struct Pos {
     col: u32,
 }
 
-impl Pos {
-    fn new(line: usize, col: usize) -> Pos {
-        Pos { line: narrow(line), col: narrow(col) }
-    }
-}
-
 /// Where `toks[run]` sits in the scrubbed lines: from the first token's
 /// start to the last token's end. An empty run sits at the start of the
 /// token after it (the `,`, `)` or `>` that ends it).
 fn extent(toks: &[Tok<'_>], run: Range<usize>) -> Range<Pos> {
-    let first = toks.get(run.start).map_or(Pos::default(), |t| Pos::new(t.line, t.col));
+    let first = toks.get(run.start).map_or(Pos::default(), Tok::at);
     let last = toks.get(run).and_then(<[_]>::last);
-    first..last.map_or(first, |t| Pos::new(t.line, t.col + t.text.len()))
+    first..last.map_or(first, Tok::end)
 }
 
 /// The tokens of `run`, from where a token starts to where one ends,
-/// cut again from `code` line by line.
+/// cut again from `code`.
 fn recut(code: &Lines, run: Range<Pos>) -> impl Iterator<Item = Tok<'_>> + Clone {
     let (first, last) = (run.start.line as usize, run.end.line as usize);
-    let (from, to) = (run.start.col as usize, run.end.col as usize);
-    (first..=last).flat_map(move |n| {
-        let line = code.get(n).unwrap_or_default();
-        let from = if n == first { from } else { 0 };
-        let to = if n == last { to.min(line.len()) } else { line.len() };
-        cut(line, n, from..to)
-    })
+    let to = (run.end.col as usize).min(code.get(last).map_or(0, str::len));
+    cut(code, first, code.start(first) + run.start.col as usize..code.start(last) + to)
 }
 
 /// One `name: Type` parameter of an indexed function, read through
@@ -369,8 +660,11 @@ impl Site {
 }
 
 // The sizes the per-file representation is built around, checked when
-// the crate compiles: a call is six 32-bit words and two flags.
+// the crate compiles: a token is its text and three 32-bit-or-smaller
+// fields, so its kind grows no file's token vector; a call is six 32-bit
+// words and two flags.
 const _: () = {
+    assert!(size_of::<Tok<'static>>() <= 32);
     assert!(size_of::<Pos>() == 8);
     assert!(size_of::<Site>() == 12);
     assert!(size_of::<Call>() <= 32);
@@ -498,14 +792,28 @@ fn push_text(text: &mut String, write: impl FnOnce(&mut String)) -> Range<u32> {
     start..narrow(text.len())
 }
 
-/// Keywords that look like `ident (` but are not calls.
-const NON_CALL_KEYWORDS: [&str; 10] =
-    ["if", "while", "for", "match", "return", "in", "as", "move", "loop", "else"];
+/// Is `kind` a keyword that looks like `ident (` but starts no call?
+fn is_non_call_keyword(kind: Kind) -> bool {
+    matches!(
+        kind,
+        Kind::IF
+            | Kind::WHILE
+            | Kind::FOR
+            | Kind::MATCH
+            | Kind::RETURN
+            | Kind::IN
+            | Kind::AS
+            | Kind::MOVE
+            | Kind::LOOP
+            | Kind::ELSE
+    )
+}
 
 /// Parse one scrubbed file into items and call sites.
 pub fn parse_file(code: &Lines) -> ParsedFile {
     let toks = tokenize(code);
     let mut out = ParsedFile::default();
+    let close = closers(&toks, &mut out.sites);
     // (self type, brace depth the impl body opened at)
     let mut impl_stack: Vec<(&str, i32)> = Vec::new();
     // brace depth at which an open thread_local! body closes
@@ -514,12 +822,12 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
     let mut pending_pub = false;
     let mut i = 0usize;
     while i < toks.len() {
-        match toks[i].text {
-            "{" => {
+        match toks[i].kind {
+            Kind(b'{') => {
                 depth += 1;
                 i += 1;
             }
-            "}" => {
+            Kind(b'}') => {
                 depth -= 1;
                 while impl_stack.last().is_some_and(|(_, d)| depth < *d) {
                     impl_stack.pop();
@@ -530,20 +838,20 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 pending_pub = false;
                 i += 1;
             }
-            ";" => {
+            Kind(b';') => {
                 pending_pub = false;
                 i += 1;
             }
-            "pub" => {
+            Kind::PUB => {
                 pending_pub = true;
                 // skip a `(crate)` / `(super)` restriction
-                if toks.get(i + 1).is_some_and(|t| t.text == "(") {
-                    i = skip_balanced(&toks, i + 1);
+                if is(&toks, i + 1, Kind(b'(')) {
+                    i = past(&close, i + 1);
                 } else {
                     i += 1;
                 }
             }
-            "impl" => {
+            Kind::IMPL => {
                 if let Some((self_ty, next)) = parse_impl_header(&toks, i) {
                     depth += 1; // the consumed `{`
                     impl_stack.push((self_ty, depth));
@@ -553,9 +861,11 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 }
                 pending_pub = false;
             }
-            "fn" => {
+            Kind::FN => {
                 let self_ty = impl_stack.last().map(|(ty, _)| *ty);
-                if let Some((sig, next)) = parse_fn(&toks, i, pending_pub, self_ty, &mut out) {
+                if let Some((sig, next)) =
+                    parse_fn(&toks, &close, i, pending_pub, self_ty, &mut out)
+                {
                     // continue *inside* the body so nested items and call
                     // sites are still visited; only the signature tokens
                     // are consumed here
@@ -569,8 +879,8 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 }
                 pending_pub = false;
             }
-            "struct" => {
-                if let Some((def, next)) = parse_struct(&toks, i, &mut out.text) {
+            Kind::STRUCT => {
+                if let Some((def, next)) = parse_struct(&toks, &close, i, &mut out.text) {
                     out.structs.push(def);
                     i = next;
                 } else {
@@ -578,9 +888,9 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 }
                 pending_pub = false;
             }
-            "static" => {
+            Kind::STATIC => {
                 // `&'static T` has a lifetime tick right before it
-                let after_lifetime = i > 0 && toks[i - 1].text == "'";
+                let after_lifetime = i > 0 && toks[i - 1].kind == Kind(b'\'');
                 if !after_lifetime {
                     let in_thread_local = thread_local_until.is_some();
                     if let Some((item, next)) =
@@ -594,16 +904,13 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
                 }
                 i += 1;
             }
-            "thread_local"
-                if toks.get(i + 1).is_some_and(|t| t.text == "!")
-                    && toks.get(i + 2).is_some_and(|t| t.text == "{") =>
-            {
+            Kind::THREAD_LOCAL if is(&toks, i + 1, Kind(b'!')) && is(&toks, i + 2, Kind(b'{')) => {
                 depth += 1;
                 thread_local_until = Some(depth);
                 i += 3;
             }
-            "(" => {
-                if let Some(call) = parse_call(&toks, i, &mut out.args) {
+            Kind(b'(') => {
+                if let Some(call) = parse_call(&toks, &close, i, &mut out.args) {
                     out.calls.push(call);
                 }
                 i += 1;
@@ -613,12 +920,6 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
             }
         }
     }
-    // one pass notes each word that starts at a token
-    for (i, t) in toks.iter().enumerate() {
-        if let Some(word) = rules::word_at(&toks, i) {
-            out.sites.push(Site { word, at: Pos::new(t.line, t.col) });
-        }
-    }
     out.fit();
     out
 }
@@ -626,7 +927,7 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
 /// `impl [<..>] Path [for Path] {` → (self type base name, index after `{`).
 fn parse_impl_header<'a>(toks: &[Tok<'a>], at: usize) -> Option<(&'a str, usize)> {
     let mut i = at + 1;
-    if toks.get(i).is_some_and(|t| t.text == "<") {
+    if is(toks, i, Kind(b'<')) {
         i = skip_generics(toks, i);
     }
     // read path segments; remember the base ident of the last path seen
@@ -634,23 +935,23 @@ fn parse_impl_header<'a>(toks: &[Tok<'a>], at: usize) -> Option<(&'a str, usize)
     let mut self_ty = "";
     let mut saw_for = false;
     while let Some(t) = toks.get(i) {
-        match t.text {
-            "{" => {
+        match t.kind {
+            Kind(b'{') => {
                 if self_ty.is_empty() {
                     return None;
                 }
                 return Some((self_ty, i + 1));
             }
-            ";" => return None, // `impl Trait for Type;`-like degenerate
-            "for" => {
+            Kind(b';') => return None, // `impl Trait for Type;`-like degenerate
+            Kind::FOR => {
                 saw_for = true;
                 self_ty = "";
                 i += 1;
             }
-            "<" => i = skip_generics(toks, i),
-            "where" => {
+            Kind(b'<') => i = skip_generics(toks, i),
+            Kind::WHERE => {
                 // skip ahead to the `{`
-                while toks.get(i).is_some_and(|t| t.text != "{") {
+                while toks.get(i).is_some_and(|t| t.kind != Kind(b'{')) {
                     i += 1;
                 }
             }
@@ -670,9 +971,9 @@ fn skip_generics(toks: &[Tok<'_>], at: usize) -> usize {
     let mut depth = 0i32;
     let mut i = at;
     while let Some(t) = toks.get(i) {
-        match t.text {
-            "<" => depth += 1,
-            ">" => {
+        match t.kind {
+            Kind(b'<') => depth += 1,
+            Kind(b'>') => {
                 depth -= 1;
                 if depth <= 0 {
                     return i + 1;
@@ -680,27 +981,7 @@ fn skip_generics(toks: &[Tok<'_>], at: usize) -> usize {
             }
             // `->` inside fn-pointer generics contains `>` but is fused,
             // so it cannot unbalance the scan; `>>` arrives as two tokens
-            ";" | "{" => return i, // bail on malformed input
-            _ => {}
-        }
-        i += 1;
-    }
-    i
-}
-
-/// Skip a balanced `(..)` / `[..]` / `{..}` starting at the opener.
-fn skip_balanced(toks: &[Tok<'_>], at: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = at;
-    while let Some(t) = toks.get(i) {
-        match t.text {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth <= 0 {
-                    return i + 1;
-                }
-            }
+            Kind(b';' | b'{') => return i, // bail on malformed input
             _ => {}
         }
         i += 1;
@@ -712,8 +993,8 @@ fn skip_balanced(toks: &[Tok<'_>], at: usize) -> usize {
 /// and the index after its closer. Input that ends before the group
 /// closes lends its last token as the closer; a group opened by the very
 /// last token is empty.
-fn group(toks: &[Tok<'_>], at: usize) -> (Range<usize>, usize) {
-    let close = skip_balanced(toks, at);
+fn group(close: &[u32], at: usize) -> (Range<usize>, usize) {
+    let close = past(close, at);
     (at + 1..(close - 1).max(at + 1), close)
 }
 
@@ -725,6 +1006,7 @@ fn group(toks: &[Tok<'_>], at: usize) -> (Range<usize>, usize) {
 /// the body brace, so nested items are still visited).
 fn parse_fn(
     toks: &[Tok<'_>],
+    close: &[u32],
     at: usize,
     is_pub: bool,
     self_ty: Option<&str>,
@@ -735,10 +1017,10 @@ fn parse_fn(
         return None;
     }
     let mut i = at + 2;
-    if toks.get(i).is_some_and(|t| t.text == "<") {
+    if is(toks, i, Kind(b'<')) {
         i = skip_generics(toks, i);
     }
-    if toks.get(i).is_none_or(|t| t.text != "(") {
+    if !is(toks, i, Kind(b'(')) {
         return None;
     }
     let (text_len, first_param) = (out.text.len(), out.params.len());
@@ -757,13 +1039,13 @@ fn parse_fn(
     i += 1;
     let mut start = i;
     while let Some(t) = toks.get(i) {
-        match t.text {
-            "(" | "[" | "{" => pdepth += 1,
-            ")" | "]" | "}" if pdepth > 0 => pdepth -= 1,
-            ")" => break,
-            "<" => adepth += 1,
-            ">" if adepth > 0 => adepth -= 1,
-            "," if pdepth == 0 && adepth <= 0 => {
+        match t.kind {
+            Kind(b'(' | b'[' | b'{') => pdepth += 1,
+            Kind(b')' | b']' | b'}') if pdepth > 0 => pdepth -= 1,
+            Kind(b')') => break,
+            Kind(b'<') => adepth += 1,
+            Kind(b'>') if adepth > 0 => adepth -= 1,
+            Kind(b',') if pdepth == 0 && adepth <= 0 => {
                 has_self |= push_param(&toks[start..i], out);
                 start = i + 1;
             }
@@ -771,7 +1053,7 @@ fn parse_fn(
         }
         i += 1;
     }
-    if toks.get(i).is_none_or(|t| t.text != ")") {
+    if !is(toks, i, Kind(b')')) {
         // the file ends inside the list: take back what this fn wrote
         out.text.truncate(text_len);
         out.params.truncate(first_param);
@@ -782,15 +1064,15 @@ fn parse_fn(
     i += 1;
     // return type
     let mut ret = qualified.end..qualified.end;
-    if toks.get(i).is_some_and(|t| t.text == "->") {
+    if is(toks, i, Kind::ARROW) {
         i += 1;
         let start = i;
         let mut adepth = 0i32;
         while let Some(t) = toks.get(i) {
-            match t.text {
-                "<" | "(" | "[" => adepth += 1,
-                ">" | ")" | "]" if adepth > 0 => adepth -= 1,
-                "{" | ";" | "where" if adepth <= 0 => break,
+            match t.kind {
+                Kind(b'<' | b'(' | b'[') => adepth += 1,
+                Kind(b'>' | b')' | b']') if adepth > 0 => adepth -= 1,
+                Kind(b'{' | b';') | Kind::WHERE if adepth <= 0 => break,
                 _ => {}
             }
             i += 1;
@@ -802,24 +1084,23 @@ fn parse_fn(
         }
     }
     // where clause
-    if toks.get(i).is_some_and(|t| t.text == "where") {
-        while toks.get(i).is_some_and(|t| t.text != "{" && t.text != ";") {
+    if is(toks, i, Kind::WHERE) {
+        while toks.get(i).is_some_and(|t| !matches!(t.kind, Kind(b'{' | b';'))) {
             i += 1;
         }
     }
     // body extent
     let mut body = None;
     let resume;
-    match toks.get(i).map(|t| t.text) {
-        Some("{") => {
-            let close = skip_balanced(toks, i);
-            let end_line = toks.get(close.saturating_sub(1)).map_or(toks[i].line, |t| t.line);
-            body = Some((narrow(toks[i].line), narrow(end_line)));
-            resume = i + 1; // step inside the body
-        }
-        _ => resume = i, // trait method or declaration without body
+    if is(toks, i, Kind(b'{')) {
+        let close = past(close, i);
+        let end_line = toks.get(close.saturating_sub(1)).map_or(toks[i].line, |t| t.line);
+        body = Some((toks[i].line, end_line));
+        resume = i + 1; // step inside the body
+    } else {
+        resume = i; // trait method or declaration without body
     }
-    let at = Pos::new(toks[at].line, toks[at].col);
+    let at = toks[at].at();
     Some((FnSig { qualified, name, params, ret, at, body, is_pub, has_self }, resume))
 }
 
@@ -827,13 +1108,16 @@ fn parse_fn(
 /// and item text, unless it is empty, untyped or the receiver; whether it
 /// is the receiver.
 fn push_param(ptoks: &[Tok<'_>], out: &mut ParsedFile) -> bool {
-    if ptoks.iter().any(|t| t.text == "self") {
+    if ptoks.iter().any(|t| t.kind == Kind::SELF) {
         return true;
     }
-    let Some(c) = ptoks.iter().position(|t| t.text == ":") else { return false };
+    let Some(c) = ptoks.iter().position(|t| t.kind == Kind(b':')) else { return false };
     // binding name: the last ident before the colon (`mut x: T`)
-    let name =
-        ptoks[..c].iter().rev().find(|t| t.is_ident() && t.text != "mut").map_or("_", |t| t.text);
+    let name = ptoks[..c]
+        .iter()
+        .rev()
+        .find(|t| t.is_ident() && t.kind != Kind::MUT)
+        .map_or("_", |t| t.text);
     let name = push_text(&mut out.text, |text| text.push_str(name));
     let ty = push_text(&mut out.text, |text| join_into(text, &ptoks[c + 1..]));
     out.params.push(Param { name, ty });
@@ -843,29 +1127,34 @@ fn push_param(ptoks: &[Tok<'_>], out: &mut ParsedFile) -> bool {
 /// Parse `struct Name<..> ( .. ) [where ..] ;` / `struct Name<..> [where ..]
 /// { .. }` / `struct Name<..> [where ..] ;`, writing its name and a
 /// newtype's field type into `text`.
-fn parse_struct(toks: &[Tok<'_>], at: usize, text: &mut String) -> Option<(StructDef, usize)> {
+fn parse_struct(
+    toks: &[Tok<'_>],
+    close: &[u32],
+    at: usize,
+    text: &mut String,
+) -> Option<(StructDef, usize)> {
     let name_tok = toks.get(at + 1)?;
     if !name_tok.is_ident() {
         return None; // `$name` inside a macro definition, etc.
     }
     let mut i = at + 2;
-    if toks.get(i).is_some_and(|t| t.text == "<") {
+    if is(toks, i, Kind(b'<')) {
         i = skip_generics(toks, i);
     }
     i = skip_where(toks, i);
     let mut newtype_of = None;
-    match toks.get(i).map(|t| t.text) {
-        Some("(") => {
-            let (inner, close) = group(toks, i);
+    match toks.get(i).map(|t| t.kind) {
+        Some(Kind(b'(')) => {
+            let (inner, end) = group(close, i);
             let inner = &toks[inner];
             let top_commas = {
                 let mut depth = 0i32;
                 let mut n = 0usize;
                 for t in inner {
-                    match t.text {
-                        "(" | "[" | "<" => depth += 1,
-                        ")" | "]" | ">" if depth > 0 => depth -= 1,
-                        "," if depth == 0 => n += 1,
+                    match t.kind {
+                        Kind(b'(' | b'[' | b'<') => depth += 1,
+                        Kind(b')' | b']' | b'>') if depth > 0 => depth -= 1,
+                        Kind(b',') if depth == 0 => n += 1,
                         _ => {}
                     }
                 }
@@ -873,23 +1162,23 @@ fn parse_struct(toks: &[Tok<'_>], at: usize, text: &mut String) -> Option<(Struc
             };
             if top_commas == 0 && !inner.is_empty() {
                 // `pub(crate)` leaves bare parens behind; strip them too
-                let field = inner
-                    .iter()
-                    .filter(|t| !matches!(t.text, "pub" | "crate" | "super" | "(" | ")"));
+                let field = inner.iter().filter(|t| {
+                    !matches!(t.kind, Kind::PUB | Kind::CRATE | Kind::SUPER | Kind(b'(' | b')'))
+                });
                 newtype_of = Some(push_text(text, |text| join_into(text, field)));
             }
             // a tuple struct's `where` clause follows its fields
-            i = skip_where(toks, close);
+            i = skip_where(toks, end);
         }
-        Some("{") => {
-            i = skip_balanced(toks, i);
+        Some(Kind(b'{')) => {
+            i = past(close, i);
         }
         _ => {}
     }
     // the last token read is the closing `}` or `)`, or the name or its
     // generics; a `;` right after it ends a unit or tuple struct
-    let closer = toks.get(i).filter(|t| t.text == ";").or(toks.get(i - 1));
-    let lines = (narrow(toks[at].line), narrow(closer.map_or(name_tok.line, |t| t.line)));
+    let closer = toks.get(i).filter(|t| t.kind == Kind(b';')).or(toks.get(i - 1));
+    let lines = (toks[at].line, closer.map_or(name_tok.line, |t| t.line));
     let name = push_text(text, |text| text.push_str(name_tok.text));
     Some((StructDef { name, newtype_of, lines }, i))
 }
@@ -899,16 +1188,16 @@ fn parse_struct(toks: &[Tok<'_>], at: usize, text: &mut String) -> Option<(Struc
 /// `T: Into<[u8; 4]>`), or of the end of the tokens; `at` itself when no
 /// clause starts there.
 fn skip_where(toks: &[Tok<'_>], at: usize) -> usize {
-    if toks.get(at).is_none_or(|t| t.text != "where") {
+    if !is(toks, at, Kind::WHERE) {
         return at;
     }
     let mut depth = 0i32;
     let mut i = at + 1;
     while let Some(t) = toks.get(i) {
-        match t.text {
-            "(" | "[" | "<" => depth += 1,
-            ")" | "]" | ">" if depth > 0 => depth -= 1,
-            "{" | ";" if depth == 0 => break,
+        match t.kind {
+            Kind(b'(' | b'[' | b'<') => depth += 1,
+            Kind(b')' | b']' | b'>') if depth > 0 => depth -= 1,
+            Kind(b'{' | b';') if depth == 0 => break,
             _ => {}
         }
         i += 1;
@@ -926,7 +1215,7 @@ fn parse_static(
 ) -> Option<(StaticItem, usize)> {
     let mut i = at + 1;
     let mut kind = if in_thread_local { StaticKind::ThreadLocal } else { StaticKind::Static };
-    if toks.get(i).is_some_and(|t| t.text == "mut") {
+    if is(toks, i, Kind::MUT) {
         if !in_thread_local {
             kind = StaticKind::StaticMut;
         }
@@ -937,17 +1226,17 @@ fn parse_static(
         return None;
     }
     i += 1;
-    if toks.get(i).is_none_or(|t| t.text != ":") {
+    if !is(toks, i, Kind(b':')) {
         return None;
     }
     i += 1;
     let start = i;
     let mut adepth = 0i32;
     while let Some(t) = toks.get(i) {
-        match t.text {
-            "<" | "(" | "[" => adepth += 1,
-            ">" | ")" | "]" if adepth > 0 => adepth -= 1,
-            "=" | ";" if adepth <= 0 => break,
+        match t.kind {
+            Kind(b'<' | b'(' | b'[') => adepth += 1,
+            Kind(b'>' | b')' | b']') if adepth > 0 => adepth -= 1,
+            Kind(b'=' | b';') if adepth <= 0 => break,
             _ => {}
         }
         i += 1;
@@ -956,7 +1245,7 @@ fn parse_static(
         name: push_text(text, |text| text.push_str(name_tok.text)),
         kind,
         ty: push_text(text, |text| join_into(text, &toks[start..i])),
-        line: narrow(toks[at].line),
+        line: toks[at].line,
     };
     Some((item, i))
 }
@@ -965,17 +1254,17 @@ fn parse_static(
 /// tokens before it name a callee, pushing its turbofish and arguments
 /// onto `args`. The calls nested in them are parsed later, so each call's
 /// entries stay one run.
-fn parse_call(toks: &[Tok<'_>], at: usize, args: &mut Vec<Arg>) -> Option<Call> {
+fn parse_call(toks: &[Tok<'_>], close: &[u32], at: usize, args: &mut Vec<Arg>) -> Option<Call> {
     // step back over a turbofish `::<..>`
     let mut j = at.checked_sub(1)?;
     let mut turbofish = None;
-    if toks[j].text == ">" {
-        let close = j;
+    if toks[j].kind == Kind(b'>') {
+        let end = j;
         let mut depth = 0i32;
         loop {
-            match toks[j].text {
-                ">" => depth += 1,
-                "<" => {
+            match toks[j].kind {
+                Kind(b'>') => depth += 1,
+                Kind(b'<') => {
                     depth -= 1;
                     if depth == 0 {
                         break;
@@ -985,70 +1274,76 @@ fn parse_call(toks: &[Tok<'_>], at: usize, args: &mut Vec<Arg>) -> Option<Call> 
             }
             j = j.checked_sub(1)?;
         }
-        turbofish = Some(extent(toks, j + 1..close));
+        turbofish = Some(extent(toks, j + 1..end));
         // expect `::` before the `<`
         j = j.checked_sub(1)?;
-        if toks[j].text != "::" {
+        if toks[j].kind != Kind::PATH {
             return None;
         }
         j = j.checked_sub(1)?;
     }
     let callee_tok = &toks[j];
-    if !callee_tok.is_ident() || NON_CALL_KEYWORDS.contains(&callee_tok.text) {
+    if !callee_tok.is_ident() || is_non_call_keyword(callee_tok.kind) {
         return None;
     }
     // walk the path backwards: ident (:: ident)*
     let mut k = j;
-    while k >= 2 && toks[k - 1].text == "::" && toks[k - 2].is_ident() {
+    while k >= 2 && toks[k - 1].kind == Kind::PATH && toks[k - 2].is_ident() {
         k -= 2;
     }
-    let before = k.checked_sub(1).map(|p| toks[p].text);
+    let before = k.checked_sub(1).map(|p| toks[p].kind);
     // definitions and macros are not calls
-    if matches!(before, Some("fn" | "struct" | "enum" | "union" | "trait" | "mod")) {
+    if matches!(
+        before,
+        Some(Kind::FN | Kind::STRUCT | Kind::ENUM | Kind::UNION | Kind::TRAIT | Kind::MOD)
+    ) {
         return None;
     }
-    if toks.get(j + 1).is_some_and(|t| t.text == "!") {
+    if is(toks, j + 1, Kind(b'!')) {
         return None; // macro, and its `(` follows the `!` anyway
     }
-    let is_method = before == Some(".");
+    let is_method = before == Some(Kind(b'.'));
     let first = args.len();
     let has_turbofish = turbofish.is_some();
     args.extend(turbofish);
-    // split args at top-level commas
-    let (inner, close) = group(toks, at);
+    // split args at top-level commas, jumping over each nested group
+    let (inner, end) = group(close, at);
     let mut start = inner.start;
-    let mut pdepth = 0i32;
     // commas inside a closure head `|a, b|` do not split arguments
     let mut in_closure_head = false;
-    for m in inner.clone() {
-        match toks[m].text {
-            "(" | "[" | "{" => pdepth += 1,
-            ")" | "]" | "}" => pdepth -= 1,
-            "|" if pdepth == 0 => {
+    let mut m = inner.start;
+    while m < inner.end {
+        match toks[m].kind {
+            Kind(b'(' | b'[' | b'{') => {
+                m = past(close, m);
+                continue;
+            }
+            Kind(b'|') => {
                 if in_closure_head {
                     in_closure_head = false;
                 } else {
                     // `|` opens a closure head when an argument starts
                     // with it (bitwise-or never begins an expression);
                     // only `move` may precede the opening pipe
-                    in_closure_head = toks[start..m].iter().all(|t| t.text == "move");
+                    in_closure_head = toks[start..m].iter().all(|t| t.kind == Kind::MOVE);
                 }
             }
-            "," if pdepth == 0 && !in_closure_head => {
+            Kind(b',') if !in_closure_head => {
                 args.push(extent(toks, start..m));
                 start = m + 1;
             }
             _ => {}
         }
+        m += 1;
     }
     if start < inner.end {
         args.push(extent(toks, start..inner.end));
     }
-    let end_line = toks.get(close.saturating_sub(1)).map_or(callee_tok.line, |t| t.line);
+    let end_line = toks.get(end.saturating_sub(1)).map_or(callee_tok.line, |t| t.line);
     Some(Call {
-        at: Pos::new(callee_tok.line, callee_tok.col),
+        at: callee_tok.at(),
         callee_len: narrow(callee_tok.text.len()),
-        end_line: narrow(end_line),
+        end_line,
         args: narrow(first)..narrow(args.len()),
         is_method,
         has_turbofish,
@@ -1069,16 +1364,23 @@ fn join_into<'a, T: std::borrow::Borrow<Tok<'a>>>(
     out: &mut String,
     toks: impl IntoIterator<Item = T>,
 ) {
-    const TIGHT_AFTER: [&str; 9] = ["::", ".", "<", "&", "'", "(", "[", "-", "->"];
-    const TIGHT_BEFORE: [&str; 10] = ["::", ".", "<", ">", ",", ";", "(", ")", "[", "]"];
-    let mut prev: Option<&str> = None;
+    let tight_after = |k| {
+        matches!(
+            k,
+            Kind::PATH | Kind::ARROW | Kind(b'.' | b'<' | b'&' | b'\'' | b'(' | b'[' | b'-')
+        )
+    };
+    let tight_before = |k| {
+        matches!(k, Kind::PATH | Kind(b'.' | b'<' | b'>' | b',' | b';' | b'(' | b')' | b'[' | b']'))
+    };
+    let mut prev: Option<Kind> = None;
     for t in toks {
-        let text = t.borrow().text;
-        if prev.is_some_and(|p| !TIGHT_AFTER.contains(&p)) && !TIGHT_BEFORE.contains(&text) {
+        let t = t.borrow();
+        if prev.is_some_and(|p| !tight_after(p)) && !tight_before(t.kind) {
             out.push(' ');
         }
-        out.push_str(text);
-        prev = Some(text);
+        out.push_str(t.text);
+        prev = Some(t.kind);
     }
 }
 
@@ -1109,14 +1411,13 @@ pub fn is_bare_f64_arg<'a>(toks: impl Iterator<Item = Tok<'a>> + Clone) -> bool 
     // and at least one number is float-shaped
     let mut saw_float = false;
     for t in toks {
-        let s = t.text;
-        if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            if is_float_literal(s) {
+        if t.kind == Kind::NUMBER {
+            if is_float_literal(t.text) {
                 saw_float = true;
             }
             continue;
         }
-        if matches!(s, "+" | "-" | "*" | "/" | "(" | ")") {
+        if matches!(t.kind, Kind(b'+' | b'-' | b'*' | b'/' | b'(' | b')')) {
             continue;
         }
         return false;
@@ -1130,8 +1431,8 @@ pub fn has_projection<'a>(toks: impl IntoIterator<Item = Tok<'a>>) -> bool {
     let mut before: [Option<Tok<'a>>; 2] = [None, None];
     toks.into_iter().any(|t| {
         let hit = matches!(before, [Some(base), Some(dot)]
-            if dot.text == "." && t.text == "0"
-                && (base.is_ident() || base.text == ")" || base.text == "]"));
+            if dot.kind == Kind(b'.') && t.text == "0"
+                && (base.is_ident() || matches!(base.kind, Kind(b')' | b']'))));
         before = [before[1], Some(t)];
         hit
     })
@@ -1426,6 +1727,280 @@ mod tests {
             }
         }
         assert!(read > 50, "{read} argument tokens read");
+    }
+
+    /// The per-line cut that [`cut`] replaced, kept as its reference:
+    /// the tokens of `line`, the 0-based line `line_no`, that start in
+    /// `cols`, as `(text, line, column)`.
+    fn reference_cut(
+        line: &str,
+        line_no: usize,
+        cols: Range<usize>,
+    ) -> impl Iterator<Item = (&str, usize, usize)> {
+        let bytes = line.as_bytes();
+        let (mut i, end) = (cols.start, cols.end);
+        std::iter::from_fn(move || {
+            while i < end && bytes[i].is_ascii_whitespace() {
+                i += 1;
+            }
+            if i >= end {
+                return None;
+            }
+            let start = i;
+            let c = bytes[i] as char;
+            if c.is_ascii_alphanumeric() || c == '_' {
+                // a raw identifier (`r#match`) is one token
+                if bytes[i..].starts_with(b"r#")
+                    && bytes.get(i + 2).is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_')
+                {
+                    i += 2;
+                }
+                while i < bytes.len()
+                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                {
+                    i += 1;
+                }
+                // extend numeric runs across `1.5` and `1e-6` shapes so a
+                // float literal is a single token
+                if bytes.get(start).is_some_and(u8::is_ascii_digit) {
+                    if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
+                        i += 1;
+                        while i < bytes.len()
+                            && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                        {
+                            i += 1;
+                        }
+                    }
+                    if i > start
+                        && (bytes[i - 1] == b'e' || bytes[i - 1] == b'E')
+                        && i + 1 < bytes.len()
+                        && (bytes[i] == b'+' || bytes[i] == b'-')
+                        && bytes[i + 1].is_ascii_digit()
+                    {
+                        i += 1;
+                        while i < bytes.len()
+                            && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                        {
+                            i += 1;
+                        }
+                    }
+                }
+            } else if !c.is_ascii() {
+                i += line[i..].chars().next().map_or(1, char::len_utf8);
+            } else if matches!(&bytes[i..(i + 2).min(bytes.len())], b"::" | b"->") {
+                i += 2;
+            } else {
+                i += 1;
+            }
+            Some((&line[start..i], line_no, start))
+        })
+    }
+
+    /// The reference tokens of `code`: [`reference_cut`] line by line.
+    fn reference_tokens(code: &Lines) -> Vec<(&str, usize, usize)> {
+        code.iter()
+            .enumerate()
+            .flat_map(|(n, line)| reference_cut(line, n, 0..line.len()))
+            .collect()
+    }
+
+    /// The depth-counting scan that the closer table replaced, kept as
+    /// its reference: the index after the group whose opener is at `at`.
+    fn reference_skip_balanced(toks: &[Tok<'_>], at: usize) -> usize {
+        let mut depth = 0i32;
+        let mut i = at;
+        while let Some(t) = toks.get(i) {
+            match t.text {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth <= 0 {
+                        return i + 1;
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        i
+    }
+
+    /// The kind a token spelled `text` must carry, read from its text.
+    fn kind_of(text: &str) -> Kind {
+        let keywords = [
+            ("as", Kind::AS),
+            ("crate", Kind::CRATE),
+            ("else", Kind::ELSE),
+            ("enum", Kind::ENUM),
+            ("fn", Kind::FN),
+            ("for", Kind::FOR),
+            ("if", Kind::IF),
+            ("impl", Kind::IMPL),
+            ("in", Kind::IN),
+            ("loop", Kind::LOOP),
+            ("match", Kind::MATCH),
+            ("mod", Kind::MOD),
+            ("move", Kind::MOVE),
+            ("mut", Kind::MUT),
+            ("pub", Kind::PUB),
+            ("return", Kind::RETURN),
+            ("self", Kind::SELF),
+            ("static", Kind::STATIC),
+            ("struct", Kind::STRUCT),
+            ("super", Kind::SUPER),
+            ("thread_local", Kind::THREAD_LOCAL),
+            ("trait", Kind::TRAIT),
+            ("union", Kind::UNION),
+            ("where", Kind::WHERE),
+            ("while", Kind::WHILE),
+        ];
+        let first = text.as_bytes()[0];
+        if let Some(&(_, kind)) = keywords.iter().find(|(k, _)| *k == text) {
+            kind
+        } else if first.is_ascii_digit() {
+            Kind::NUMBER
+        } else if first.is_ascii_alphabetic() || first == b'_' {
+            Kind::IDENT
+        } else if text == "::" {
+            Kind::PATH
+        } else if text == "->" {
+            Kind::ARROW
+        } else if text.len() == 1 {
+            Kind(first)
+        } else {
+            assert_eq!(text.chars().count(), 1, "{text:?}");
+            Kind::WIDE
+        }
+    }
+
+    /// `n` pieces drawn from `pieces` with a SplitMix64 stream seeded by
+    /// `seed`, concatenated.
+    fn soup(seed: u64, pieces: &[&str], n: usize) -> String {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..n).map(|_| pieces[(next() % pieces.len() as u64) as usize]).collect()
+    }
+
+    /// Blanks, line ends, keywords, numbers and punctuation, and the
+    /// shapes a cut must not read across a line end.
+    const TOKEN_PIECES: [&str; 58] = [
+        " ",
+        " ",
+        "\t",
+        "        ",
+        "             ",
+        "\n",
+        "\r\n",
+        "\r",
+        "\x0B",
+        "\x01",
+        "\x0C",
+        "\u{3000}",
+        "é",
+        "·",
+        "r#match",
+        "r#fn",
+        "r#",
+        "1e-5",
+        "2.5E+3",
+        "x.0.1",
+        "1.",
+        "::",
+        "->",
+        ":",
+        "-",
+        ">",
+        ".",
+        "r#\nmatch",
+        ":\n:",
+        "-\n>",
+        "1.\n5",
+        "1e-\n5",
+        "r\r\n#x",
+        "fn",
+        "pub",
+        "self",
+        "match",
+        "thread_local",
+        "union",
+        "x",
+        "_",
+        "x1",
+        "Watts",
+        "0x1F",
+        "1usize",
+        "3f64",
+        "42",
+        "(",
+        ")",
+        "[",
+        "]",
+        "{",
+        "}",
+        ",",
+        ";",
+        "!",
+        "#",
+        "'",
+    ];
+
+    /// The tokens of `src`, each checked against the reference cut and
+    /// against the kind its text must carry; the count checked.
+    fn check_tokens(src: &str) -> usize {
+        let code = crate::lexer::scrub(src).code;
+        let toks = tokenize(&code);
+        let got: Vec<_> = toks.iter().map(|t| (t.text, t.line as usize, t.col as usize)).collect();
+        assert_eq!(got, reference_tokens(&code), "{src:?}");
+        for t in &toks {
+            assert_eq!(t.kind, kind_of(t.text), "{:?} in {src:?}", t.text);
+        }
+        // cutting from where a token starts gives the tokens from it on
+        for at in (0..toks.len()).step_by(7) {
+            let (line, col) = (toks[at].line as usize, toks[at].col as usize);
+            let from = code.start(line) + col;
+            let tail: Vec<_> = cut(&code, line, from..code.text_len()).collect();
+            assert_eq!(tail, toks[at..], "{src:?} from token {at}");
+        }
+        toks.len()
+    }
+
+    #[test]
+    fn tokens_match_the_per_line_reference_and_their_texts() {
+        let hostile = crate::lexer::tests::HOSTILE;
+        let mut checked = check_tokens(&hostile.join("\r\n")) + check_tokens(&hostile.join("\n"));
+        for (src, _) in CALL_CASES {
+            checked += check_tokens(src);
+        }
+        for seed in 0..300 {
+            checked += check_tokens(&soup(seed, &TOKEN_PIECES, 80));
+        }
+        assert!(checked > 15_000, "{checked} tokens checked");
+    }
+
+    #[test]
+    fn closer_table_matches_the_depth_scan_from_every_opener() {
+        // mixed kinds, stray closers and groups left open
+        let pieces = ["(", ")", "[", "]", "{", "}", "((", "}}", "x", ",", " ", "\n"];
+        let mut openers = 0;
+        for seed in 0..300 {
+            let text = soup(seed, &pieces, 60);
+            let code = crate::lexer::scrub(&text).code;
+            let toks = tokenize(&code);
+            let close = closers(&toks, &mut Vec::new());
+            for (at, t) in toks.iter().enumerate() {
+                if matches!(t.text, "(" | "[" | "{") {
+                    assert_eq!(close[at] as usize, reference_skip_balanced(&toks, at), "{text:?}");
+                    openers += 1;
+                }
+            }
+        }
+        assert!(openers > 5_000, "{openers} openers checked");
     }
 
     #[test]

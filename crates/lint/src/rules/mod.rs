@@ -185,12 +185,15 @@ fn spelled_word_at(toks: &[Tok<'_>], i: usize) -> Option<Word> {
     };
     let spelling = word.tokens();
     let run = toks.get(i..i + spelling.len())?;
-    let touch = |a: &Tok<'_>, b: &Tok<'_>| a.line == b.line && a.col + a.text.len() == b.col;
+    let touch = |a: &Tok<'_>, b: &Tok<'_>| {
+        a.line == b.line && a.col as usize + a.text.len() == b.col as usize
+    };
     let spelled = run.iter().zip(spelling).all(|(t, s)| bare(t.text) == *s)
         && run.windows(2).all(|pair| touch(&pair[0], &pair[1]));
-    let extended = toks.get(i + spelling.len()).zip(run.last()).is_some_and(|(next, last)| {
-        touch(last, next) && next.text.chars().next().is_some_and(is_ident_char)
-    });
+    let extended = toks
+        .get(i + spelling.len())
+        .zip(run.last())
+        .is_some_and(|(next, last)| touch(last, next) && next.starts_ident());
     (spelled && (spelling.last() == Some(&"(") || !extended)).then_some(word)
 }
 

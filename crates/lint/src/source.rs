@@ -5,7 +5,9 @@
 //! source itself, and `code`, its scrubbed copy. Both are [`Lines`], so a
 //! line is a `&str` borrowed from its buffer and a snippet is a trimmed
 //! slice of `raw`, not a `String` per line. `raw` reads the source through
-//! the line table [`lexer::scrub`] found, so the text is split once. Every
+//! the line table [`lexer::scrub`] found, so the text is split once. The
+//! CLI reads each file once, into a buffer that becomes `raw` itself
+//! ([`SourceFile::from_source`] copies a borrowed source once). Every
 //! offset a `SourceFile` keeps into its buffers — its line tables', its
 //! parsed items', calls' and sites' — is 32 bits, so a file holds at most
 //! `u32::MAX` bytes, and the lists behind them are sized to what they
@@ -59,14 +61,20 @@ impl SourceFile {
     /// the offsets saturate, and what lies past it reads back cut short or
     /// empty.
     pub fn from_source(path: &str, crate_name: &str, src: &str) -> Self {
-        let scrubbed = lexer::scrub(src);
+        Self::from_text(path, crate_name, src.to_string())
+    }
+
+    /// [`SourceFile::from_source`] for a source the caller owns: `src`
+    /// becomes the file's `raw` buffer, not copied.
+    pub(crate) fn from_text(path: &str, crate_name: &str, src: String) -> Self {
+        let scrubbed = lexer::scrub(&src);
         let in_test = lexer::test_regions(&scrubbed.code);
         let allows = allow_markers(&scrubbed);
         let parsed = parse::parse_file(&scrubbed.code);
         SourceFile {
             path: path.replace('\\', "/"),
             crate_name: crate_name.to_string(),
-            raw: Lines::from_ends(src.to_string(), scrubbed.raw_ends),
+            raw: Lines::from_ends(src, scrubbed.raw_ends),
             code: scrubbed.code,
             in_test,
             parsed,
