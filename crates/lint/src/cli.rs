@@ -463,6 +463,27 @@ mod tests {
     }
 
     #[test]
+    fn a_where_clause_holding_an_array_keeps_the_fn_body() {
+        // The `;` of `[u8; 4]` once ended the clause, so `risky` and
+        // `build` lost their bodies: the panic went uncounted and the
+        // struct literal read as a declaration.
+        let lib = "pub struct Row {\n    pub power: Watts,\n}\n\
+                   pub fn risky<T>(x: Option<u8>, t: T) -> u8 where T: Into<[u8; 4]> \
+                   { x.unwrap() }\n\
+                   pub fn build<T>(x: u8, t: T) -> Row\nwhere\n    T: Into<[u8; 4]>,\n{\n    \
+                   Row { power: x as f64 }\n}\n\
+                   pub fn caller(x: Option<u8>) -> u8 {\n    risky(x, 1)\n}\n";
+        let root = workspace_with("where-array", lib);
+        let dump = output(&Options { index_dump: true, ..Options::new(&root) }).unwrap().0;
+        let risky = "fn risky [vap-core] crates/core/src/lib.rs:4 (x: Option<u8>, t: T) -> u8 pub";
+        assert!(dump.contains(&format!("\n{risky} panics=1\n")), "{dump}");
+        let out = scan(&Options::new(&root)).unwrap();
+        let found: Vec<(&str, usize)> = out.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(found, [("no-panic-in-lib", 4), ("panic-propagation", 12)]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn finding_positions_survive_hostile_lexing() {
         // A column is the byte offset in the scrubbed line, where each
         // blanked character is one space whatever its UTF-8 width. These
