@@ -18,9 +18,14 @@ const SEED: u64 = 2015;
 
 /// A post-PVT fleet plus its PVT, the shared fixture of every replay.
 fn fleet(n: usize) -> (Cluster, PowerVariationTable) {
-    let mut cluster = Cluster::with_size(SystemSpec::ha8k(), n, SEED);
+    fleet_from(n, SEED)
+}
+
+/// A post-PVT fleet of `n` modules drawn from `seed`, plus its PVT.
+fn fleet_from(n: usize, seed: u64) -> (Cluster, PowerVariationTable) {
+    let mut cluster = Cluster::with_size(SystemSpec::ha8k(), n, seed);
     let stream = catalog::get(WorkloadId::Stream);
-    let pvt = PowerVariationTable::generate(&mut cluster, &stream, SEED);
+    let pvt = PowerVariationTable::generate(&mut cluster, &stream, seed);
     (cluster, pvt)
 }
 
@@ -84,21 +89,43 @@ fn every_job_reaches_a_terminal_state() {
 
 #[test]
 fn online_rebalance_beats_frozen_budgets_under_a_tight_cap() {
+    // A tendency over fleets, not an invariant of each one: rebalance
+    // wins on 357 of fleet seeds 0..400, so the check replays one trace on
+    // 32 fleets fixed in advance and allows up to 11 of them to miss. At
+    // that 43-in-400 miss rate a sound model misses 12 or more with a
+    // chance of 6.8e-5.
+    const FLEET_SEEDS: std::ops::RangeInclusive<u64> = 2015..=2046;
+    const MAX_MISSES: usize = 11;
     let n = 24;
-    let (cluster, pvt) = fleet(n);
     // High arrival pressure is where frozen budgets strand the most
     // watts: many concurrent jobs admitted at small leftover budgets
     // that never grow, while rebalance recycles every completion.
     let trace = TraceGen { mean_interarrival_s: 10.0, ..TraceGen::new(12, n) }.generate(SEED);
-    let frozen = replay(&cluster, &pvt, &trace, config(ReallocPolicy::Frozen, 68.0, n));
-    let rebalance =
-        replay(&cluster, &pvt, &trace, config(ReallocPolicy::UniformRebalance, 68.0, n));
-    assert!(frozen.completed_count() > 0 && rebalance.completed_count() > 0);
+    let mut misses = Vec::new();
+    for seed in FLEET_SEEDS {
+        let (cluster, pvt) = fleet_from(n, seed);
+        let frozen = replay(&cluster, &pvt, &trace, config(ReallocPolicy::Frozen, 68.0, n));
+        let rebalance =
+            replay(&cluster, &pvt, &trace, config(ReallocPolicy::UniformRebalance, 68.0, n));
+        assert!(
+            frozen.completed_count() > 0 && rebalance.completed_count() > 0,
+            "fleet seed {seed}: a replay completed no job"
+        );
+        if rebalance.mean_jct_s() >= frozen.mean_jct_s() {
+            misses.push(format!(
+                "fleet seed {seed}: rebalance {:.1} s vs frozen {:.1} s",
+                rebalance.mean_jct_s(),
+                frozen.mean_jct_s()
+            ));
+        }
+    }
     assert!(
-        rebalance.mean_jct_s() < frozen.mean_jct_s(),
-        "online reallocation should shorten mean JCT: rebalance {:.1} s vs frozen {:.1} s",
-        rebalance.mean_jct_s(),
-        frozen.mean_jct_s()
+        misses.len() <= MAX_MISSES,
+        "online reallocation should shorten mean JCT on all but {MAX_MISSES} of {} fleets; \
+         it did not on {}:\n{}",
+        FLEET_SEEDS.count(),
+        misses.len(),
+        misses.join("\n")
     );
 }
 
