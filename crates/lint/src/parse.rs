@@ -961,7 +961,7 @@ fn parse_impl_header<'a>(toks: &[Tok<'a>], close: &[u32], at: usize) -> Option<(
     let mut self_ty = "";
     let mut saw_for = false;
     while let Some(t) = toks.get(i) {
-        match t.kind {
+        let name = match t.kind {
             Kind(b'{') => {
                 if self_ty.is_empty() {
                     return None;
@@ -973,15 +973,32 @@ fn parse_impl_header<'a>(toks: &[Tok<'a>], close: &[u32], at: usize) -> Option<(
                 saw_for = true;
                 self_ty = "";
                 i += 1;
+                continue;
             }
-            Kind(b'<') => i = skip_generics(toks, i),
-            Kind::WHERE => i = skip_where(toks, close, i),
+            Kind(b'<') => {
+                i = skip_generics(toks, i);
+                continue;
+            }
+            Kind::WHERE => {
+                i = skip_where(toks, close, i);
+                continue;
+            }
+            // a tuple, slice or array self type is named by its first
+            // identifier (`(u8, u8)`, `[f64]`, `[f64; N]`), and a `;`
+            // inside it ends nothing
+            Kind(b'(' | b'[') => {
+                let end = past(close, i);
+                let first = toks.get(i + 1..end).and_then(|g| g.iter().find(|t| t.is_ident()));
+                i = end;
+                first
+            }
             _ => {
-                if t.is_ident() && (self_ty.is_empty() || !saw_for) {
-                    self_ty = t.text;
-                }
                 i += 1;
+                Some(t).filter(|t| t.is_ident())
             }
+        };
+        if let Some(name) = name.filter(|_| self_ty.is_empty() || !saw_for) {
+            self_ty = name.text;
         }
     }
     None
@@ -1711,7 +1728,7 @@ mod tests {
     /// brackets, generics and nested `->` the scans must step over, and
     /// `impl` and `thread_local!` scopes that must close where their
     /// braces do.
-    const ITEM_CASES: [(&str, &[&str]); 7] = [
+    const ITEM_CASES: [(&str, &[&str]); 8] = [
         (
             "pub fn apply<K, F>(f: impl Fn(u8) -> [f64; 2], m: BTreeMap<K, Vec<(u8, u8)>>,\n    \
              g: &dyn Fn(u8, u8) -> (u8, u8), (a, b): (u8, u8), xs: [[u8; 2]; 3]) -> usize {\n    \
@@ -1794,6 +1811,20 @@ mod tests {
                 "2:4 scale(k: f64) -> Self",
                 "5:4 Sq::area(self) -> [f64; 2] {5-5}",
                 "7:0 free() -> impl Iterator<Item =(u8,[u8; 2])> {7-7}",
+            ],
+        ),
+        (
+            // a tuple, slice or array self type is named by its first
+            // identifier; only a `;` outside its brackets ends the header
+            "impl Shape for [f64] {\n    fn area(&self) -> f64 { 0.0 }\n}\n\
+             impl Shape for (u8, u8) {\n    fn volume(&self) -> u8 { 0 }\n}\n\
+             impl<const N: usize> Shape for [f64; N] {\n    fn perimeter(&self) -> f64 { 0.0 }\n}\n\
+             impl Shape for Tri;\nfn loose(x: u8) {}\n",
+            &[
+                "1:4 f64::area(self) -> f64 {1-1}",
+                "4:4 u8::volume(self) -> u8 {4-4}",
+                "7:4 f64::perimeter(self) -> f64 {7-7}",
+                "10:0 loose(x: u8) {10-10}",
             ],
         ),
     ];
