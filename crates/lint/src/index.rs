@@ -15,15 +15,25 @@
 //! and arity. Once every file is indexed, and so every unit newtype is
 //! known, the index works out each shape's answers once ([`CallShape`]):
 //! whether every member declares a parameter unit-typed, and whether
-//! every member panics. [`SymbolIndex::resolve`] hands a call site those
-//! answers with one map lookup, so a rule does no per-candidate work. The
-//! shapes sit in one list for the whole index and their per-parameter
-//! flags in another, so building them allocates a few times, not once per
-//! name.
+//! every member panics. The shapes sit in one list for the whole index
+//! and their per-parameter flags in another, so building them allocates
+//! a few times, not once per name. One map, bulk-collected from the
+//! sorted names, holds each bare name's run of shapes and whether the
+//! name is a unit newtype or a `vap-exec` fan-out entry point; the unit
+//! and fan-out names that name no function are inserted after.
 //!
-//! A crate is a root of the par closure when one of its files has a call
-//! [`SourceFile::par_calls`] yields, the same non-test fan-out calls whose
-//! closures `shared-state-in-par` searches for float reductions.
+//! The index then resolves every call once, in one pass over each file's
+//! calls: it slices the callee, looks it up once in that map and keeps
+//! one 32-bit word per call — the position of its shape, a bit for a
+//! unit constructor and a bit for a fan-out call — in one list with a
+//! run per file. A call on a test line resolves to nothing. The rules
+//! walk a file's calls beside its run and slice a callee again only to
+//! build a finding. [`SymbolIndex::resolve`] answers the same question
+//! for one callee by name.
+//!
+//! A crate is a root of the par closure when one of its files has a
+//! non-test fan-out call, the same calls whose closures
+//! `shared-state-in-par` searches for float reductions.
 //!
 //! A function's panic count comes from the parser's site list
 //! ([`crate::parse::ParsedFile::sites`]), not from its body's text: a
@@ -34,6 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
+use crate::lexer::narrow;
 use crate::parse::{FnSig, StaticItem};
 use crate::rules::{is_ident_char, no_panic};
 use crate::source::SourceFile;
@@ -96,6 +107,60 @@ pub struct CallShape {
     params: Range<usize>,
 }
 
+/// What one call resolves to, packed in 32 bits: the position of its
+/// call shape in the index's shape list, plus one (0 for none), below a
+/// bit for a callee that names a unit newtype and a bit for a callee
+/// that names a `vap-exec` fan-out entry point.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Resolution(u32);
+
+impl Resolution {
+    /// The callee names a unit newtype: the call is a unit constructor.
+    const UNIT: u32 = 1 << 31;
+    /// The callee names a [`PAR_ENTRY_POINTS`] fan-out.
+    const PAR: u32 = 1 << 30;
+    /// The bits that hold the shape's position plus one.
+    const SHAPE: u32 = Self::PAR - 1;
+
+    /// The flags every call of `name` carries, with no shape.
+    fn of_name(name: &str, units: &[&str]) -> Resolution {
+        let unit = if units.binary_search(&name).is_ok() { Self::UNIT } else { 0 };
+        let par = if PAR_ENTRY_POINTS.contains(&name) { Self::PAR } else { 0 };
+        Resolution(unit | par)
+    }
+
+    /// These flags and the shape at position `k`; a position past what
+    /// the bits hold (more than 2^30 - 2 shapes) is stored as no shape.
+    fn with_shape(self, k: usize) -> Resolution {
+        let at = u32::try_from(k + 1).ok().filter(|&at| at <= Self::SHAPE);
+        Resolution(self.0 | at.unwrap_or(0))
+    }
+
+    /// The position of the call's shape in the index's shape list.
+    fn shape(self) -> Option<usize> {
+        (self.0 & Self::SHAPE).checked_sub(1).map(|k| k as usize)
+    }
+
+    /// The callee names a unit newtype (`Watts(..)`).
+    pub(crate) fn is_unit_constructor(self) -> bool {
+        self.0 & Self::UNIT != 0
+    }
+
+    /// The callee names a `vap-exec` fan-out entry point.
+    pub(crate) fn fans_out(self) -> bool {
+        self.0 & Self::PAR != 0
+    }
+}
+
+/// What the index knows of one bare name.
+#[derive(Debug, Clone)]
+struct Named {
+    /// The name's call shapes: a range of the index's shape list.
+    shapes: Range<u32>,
+    /// The unit and fan-out bits every call of the name carries.
+    flags: Resolution,
+}
+
 /// The cross-file symbol table pass-2 rules query, borrowed from the
 /// sources it was built from.
 #[derive(Debug, Clone, Default)]
@@ -111,18 +176,28 @@ pub struct SymbolIndex<'a> {
     /// every crate with a non-test `par_map`/`par_grid`/`par_map_fleet`
     /// call site, plus that crate's transitive `vap-*` dependencies.
     pub par_crates: BTreeSet<String>,
-    /// Each bare name's call shapes: a range of `call_shapes`.
-    shapes: BTreeMap<&'a str, Range<usize>>,
+    /// Each bare name that names a function, a unit newtype or a fan-out
+    /// entry point.
+    names: BTreeMap<&'a str, Named>,
     /// Every call shape, one run per name in name order; a name's shapes
     /// are in order of their first member.
     call_shapes: Vec<CallShape>,
     /// Every shape's per-parameter unit flags, one run per shape.
     unit_flags: Vec<bool>,
+    /// The sources the index was built over.
+    files: &'a [SourceFile],
+    /// Every call's resolution: one run per file of `files`, in order,
+    /// each in the order of the file's calls.
+    resolutions: Vec<Resolution>,
+    /// Where each file's run of `resolutions` starts, then where the last
+    /// one ends.
+    runs: Vec<usize>,
 }
 
 impl<'a> SymbolIndex<'a> {
     /// Build the index from parsed files and the crate dependency graph
     /// (`vap-*` dependency edges per crate, from each member's manifest).
+    /// A rule asks it about one of `files` only.
     pub fn build(
         files: &'a [SourceFile],
         deps: BTreeMap<String, BTreeSet<String>>,
@@ -130,7 +205,6 @@ impl<'a> SymbolIndex<'a> {
         let mut fns: BTreeMap<&'a str, Vec<FnInfo<'a>>> = BTreeMap::new();
         let mut statics = Vec::new();
         let mut unit_types: BTreeSet<&'a str> = CANONICAL_UNITS.into_iter().collect();
-        let mut par_roots: BTreeSet<&'a str> = BTreeSet::new();
         for file in files {
             let parsed = &file.parsed;
             for sig in &parsed.fns {
@@ -147,9 +221,6 @@ impl<'a> SymbolIndex<'a> {
                     statics.push(StaticInfo { file, item });
                 }
             }
-            if file.par_calls().next().is_some() {
-                par_roots.insert(file.crate_name.as_str());
-            }
         }
         // Only now is every unit type known: a newtype declared in a file
         // that sorts after its callers still makes their parameters
@@ -157,23 +228,61 @@ impl<'a> SymbolIndex<'a> {
         // the units, sorted in one slice, are searched faster than the set.
         let (mut call_shapes, mut unit_flags) = (Vec::new(), Vec::new());
         let units: Vec<&str> = unit_types.iter().copied().collect();
-        let shapes = fns
+        let mut names: BTreeMap<&'a str, Named> = fns
             .iter()
             .map(|(&name, fs)| {
-                let start = call_shapes.len();
+                let start = narrow(call_shapes.len());
                 push_shapes(fs, &units, &mut call_shapes, &mut unit_flags);
-                (name, start..call_shapes.len())
+                let flags = Resolution::of_name(name, &units);
+                (name, Named { shapes: start..narrow(call_shapes.len()), flags })
             })
             .collect();
+        // a unit constructor or a fan-out call whose name no fn shares
+        for &name in units.iter().chain(&PAR_ENTRY_POINTS) {
+            let flags = Resolution::of_name(name, &units);
+            names.entry(name).or_insert(Named { shapes: 0..0, flags });
+        }
+        let mut index = SymbolIndex {
+            fns,
+            statics,
+            unit_types,
+            par_crates: BTreeSet::new(),
+            names,
+            call_shapes,
+            unit_flags,
+            files,
+            resolutions: Vec::new(),
+            runs: Vec::new(),
+        };
+        // resolve every call once; a crate with a non-test fan-out call
+        // roots the par closure
+        let mut resolutions = Vec::with_capacity(files.iter().map(|f| f.parsed.calls.len()).sum());
+        let mut runs = Vec::with_capacity(files.len() + 1);
+        let mut par_roots: BTreeSet<&str> = BTreeSet::new();
+        for file in files {
+            let (parsed, start) = (&file.parsed, resolutions.len());
+            runs.push(start);
+            resolutions.extend(parsed.calls.iter().map(|call| {
+                if file.is_test(call.line()) {
+                    return Resolution::default();
+                }
+                let callee = parsed.callee(&file.code, call);
+                index.lookup(callee, call.is_method, parsed.args(call).len())
+            }));
+            if resolutions[start..].iter().any(|r| r.fans_out()) {
+                par_roots.insert(file.crate_name.as_str());
+            }
+        }
+        runs.push(resolutions.len());
+        (index.resolutions, index.runs) = (resolutions, runs);
         // code reachable from a worker closure: the calling crate itself
         // plus everything it (transitively) depends on
-        let mut par_crates = BTreeSet::new();
         let mut stack: Vec<&str> = par_roots.into_iter().collect();
         while let Some(c) = stack.pop() {
-            if par_crates.contains(c) {
+            if index.par_crates.contains(c) {
                 continue;
             }
-            par_crates.insert(c.to_string());
+            index.par_crates.insert(c.to_string());
             if let Some(ds) = deps.get(c) {
                 stack.extend(ds.iter().map(String::as_str));
             }
@@ -184,19 +293,48 @@ impl<'a> SymbolIndex<'a> {
         // after the closure walk on purpose: only the daemon's statics
         // are in scope, not its (non-par) dependency tree.
         for c in ALWAYS_PAR_SCOPED {
-            par_crates.insert(c.to_string());
+            index.par_crates.insert(c.to_string());
         }
-        SymbolIndex { fns, statics, unit_types, par_crates, shapes, call_shapes, unit_flags }
+        index
+    }
+
+    /// What a call of `callee` with receiver kind `is_method` and `argc`
+    /// arguments resolves to: one map lookup, then a scan of the name's
+    /// few shapes.
+    fn lookup(&self, callee: &str, is_method: bool, argc: usize) -> Resolution {
+        let Some(named) = self.names.get(callee) else { return Resolution::default() };
+        let (from, to) = (named.shapes.start as usize, named.shapes.end as usize);
+        let shapes = self.call_shapes.get(from..to).unwrap_or_default();
+        match shapes.iter().position(|s| s.has_self == is_method && s.params.len() == argc) {
+            Some(k) => named.flags.with_shape(from + k),
+            None => named.flags,
+        }
     }
 
     /// The shape a call site resolves to: the functions with the callee's
     /// bare name, receiver kind and arity. `None` when no indexed
     /// function has that shape.
     pub fn resolve(&self, callee: &str, is_method: bool, argc: usize) -> Option<&CallShape> {
-        let named = self.shapes.get(callee)?;
-        self.call_shapes[named.clone()]
-            .iter()
-            .find(|s| s.has_self == is_method && s.params.len() == argc)
+        self.shape(self.lookup(callee, is_method, argc))
+    }
+
+    /// The resolutions of `file`'s calls, one per call in order, or none
+    /// when `file` is not one of the sources the index was built over.
+    /// The file is found by its place in that slice.
+    pub(crate) fn resolutions(&self, file: &SourceFile) -> &[Resolution] {
+        let offset = std::ptr::from_ref(file).addr().wrapping_sub(self.files.as_ptr().addr());
+        let at = offset / size_of::<SourceFile>();
+        match (self.files.get(at), self.runs.get(at..at + 2)) {
+            (Some(f), Some(&[start, end])) if std::ptr::eq(f, file) => {
+                self.resolutions.get(start..end).unwrap_or_default()
+            }
+            _ => &[],
+        }
+    }
+
+    /// The shape a call resolved to, if any.
+    pub(crate) fn shape(&self, r: Resolution) -> Option<&CallShape> {
+        self.call_shapes.get(r.shape()?)
     }
 
     /// Per parameter of `shape`: does every member declare it a unit
@@ -208,11 +346,6 @@ impl<'a> SymbolIndex<'a> {
     /// The first member of `shape`, one of `callee`'s shapes.
     pub fn first_member(&self, callee: &str, shape: &CallShape) -> &FnInfo<'a> {
         &self.fns[callee][shape.first]
-    }
-
-    /// Is `name` one of the workspace's unit newtypes?
-    pub fn is_unit_type(&self, name: &str) -> bool {
-        self.unit_types.contains(name)
     }
 
     /// Does the type text `ty` mention a unit newtype as a whole
@@ -376,6 +509,247 @@ mod tests {
         assert!(index.resolve("nope", false, 0).is_none());
     }
 
+    /// Check every call of every file in `files` against `index`: its
+    /// stored resolution gives the shape [`SymbolIndex::resolve`] gives,
+    /// whose members are the functions with the callee's name, receiver
+    /// kind and arity, and the unit and fan-out bits the callee's name
+    /// gives; a call on a test line resolves to nothing. Returns how many
+    /// calls resolved to a shape, to a unit constructor, to a fan-out and
+    /// sat on a test line.
+    fn check_resolutions(files: &[SourceFile], index: &SymbolIndex<'_>) -> [usize; 4] {
+        let mut seen = [0; 4];
+        for file in files {
+            let (parsed, stored) = (&file.parsed, index.resolutions(file));
+            assert_eq!(stored.len(), parsed.calls.len(), "{}", file.path);
+            for (call, &r) in parsed.calls.iter().zip(stored) {
+                let at = format!("{}:{}:{}", file.path, call.line(), call.col());
+                if file.is_test(call.line()) {
+                    assert_eq!(r, Resolution::default(), "{at}");
+                    seen[3] += 1;
+                    continue;
+                }
+                let (callee, argc) = (parsed.callee(&file.code, call), parsed.args(call).len());
+                let shape = index.shape(r);
+                let by_name = index.resolve(callee, call.is_method, argc);
+                assert_eq!(shape.map(std::ptr::from_ref), by_name.map(std::ptr::from_ref), "{at}");
+                let members: Vec<(usize, &FnInfo<'_>)> = (index.fns.get(callee).into_iter())
+                    .flatten()
+                    .enumerate()
+                    .filter(|(_, f)| f.sig.has_self == call.is_method && f.sig.arity() == argc)
+                    .collect();
+                match shape {
+                    None => assert!(members.is_empty(), "{at}"),
+                    Some(shape) => {
+                        assert_eq!(
+                            (shape.first, shape.count),
+                            (members[0].0, members.len()),
+                            "{at}"
+                        );
+                        assert_eq!(shape.all_panic, members.iter().all(|(_, f)| f.panics > 0));
+                        let unit = |f: &FnInfo<'_>, p: usize| {
+                            let ty = f.file.parsed.text(&f.file.parsed.params(f.sig)[p].ty);
+                            index.unit_types.contains(referent(ty))
+                        };
+                        let want: Vec<bool> =
+                            (0..argc).map(|p| members.iter().all(|(_, f)| unit(f, p))).collect();
+                        assert_eq!(index.unit_params(shape), want, "{at}");
+                        seen[0] += 1;
+                    }
+                }
+                assert_eq!(r.is_unit_constructor(), index.unit_types.contains(callee), "{at}");
+                assert_eq!(r.fans_out(), PAR_ENTRY_POINTS.contains(&callee), "{at}");
+                seen[1] += usize::from(r.is_unit_constructor());
+                seen[2] += usize::from(r.fans_out());
+            }
+        }
+        seen
+    }
+
+    /// A seeded workspace of `n` files over five crates: functions whose
+    /// names collide across files, with the names of unit newtypes and of
+    /// fan-out entry points among them, free and in `impl` blocks, of
+    /// arity 0–3 with unit and other parameter types, some panicking;
+    /// newtypes declared in random files; and calls of those names, free
+    /// and as methods, nested, turbofished and in fan-out closures, some
+    /// in test regions and binaries.
+    fn resolution_soup(seed: u64, n: usize) -> Vec<SourceFile> {
+        let mut next = draws(seed);
+        let names = [
+            "plan", "plan", "set", "scale", "run", "Joules", "Volts", "par_map", "par_grid",
+            "r#match", "fold", "sum", "spread", "risky",
+        ];
+        let types = ["Watts", "&Watts", "&mut Watts", "Volts", "f64", "usize", "Option<Watts>"];
+        let args = ["1.5", "x.0", "n", "Watts(2.0)", "cap.0 * 1.05", "|a, b| a + b", "\"s\""];
+        let crates = ["vap-core", "vap-sim", "vap-report", "vap-exec", "vap-model"];
+        (0..n)
+            .map(|k| {
+                let mut src = String::new();
+                let call = |src: &mut String, next: &mut dyn FnMut(usize) -> usize| {
+                    let argc = next(4);
+                    let list: Vec<&str> = (0..argc).map(|_| args[next(args.len())]).collect();
+                    let name = names[next(names.len())];
+                    let recv = ["", "x.", "vap_exec::", "self."][next(4)];
+                    let fish = ["", "::<f64>"][next(2)];
+                    let inner = if next(3) == 0 {
+                        format!("{}(y)", names[next(names.len())])
+                    } else {
+                        String::new()
+                    };
+                    src.push_str(&format!(
+                        "    let _ = {recv}{name}{fish}({}{inner});\n",
+                        list.join(", ")
+                    ));
+                };
+                for _ in 0..1 + next(5) {
+                    match next(6) {
+                        0 => src.push_str(&format!(
+                            "pub struct {}(pub f64);\n",
+                            ["Volts", "Alpha", "Count"][next(3)]
+                        )),
+                        1 => {
+                            src.push_str("#[cfg(test)]\nmod tests {\n    fn t() {\n");
+                            call(&mut src, &mut next);
+                            src.push_str("    }\n}\n");
+                        }
+                        m => {
+                            let params: Vec<String> = (0..next(4))
+                                .map(|p| format!("p{p}: {}", types[next(types.len())]))
+                                .collect();
+                            let (open, recv, close) = if m == 2 {
+                                ("impl Node {\n", "&self, ", "}\n")
+                            } else {
+                                ("", "", "")
+                            };
+                            src.push_str(&format!(
+                                "{open}pub fn {}({recv}{}) -> f64 {{\n",
+                                names[next(names.len())],
+                                params.join(", ")
+                            ));
+                            if next(2) == 0 {
+                                src.push_str("    o.unwrap();\n");
+                            }
+                            for _ in 0..next(4) {
+                                call(&mut src, &mut next);
+                            }
+                            src.push_str(&format!("    0.0\n}}\n{close}"));
+                        }
+                    }
+                }
+                let krate = crates[next(crates.len())];
+                let file = ["lib.rs", "bin/tool.rs", "units.rs", "main.rs"][next(4)];
+                let path = format!("crates/{}/src/{k}/{file}", &krate[4..]);
+                SourceFile::from_source(&path, krate, &src)
+            })
+            .collect()
+    }
+
+    /// A SplitMix64 stream seeded by `seed`, drawn as `next(k)` in `0..k`.
+    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |k| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % k as u64) as usize
+        }
+    }
+
+    /// A seeded workspace of `n` files, each a random run of call pieces —
+    /// callees that name indexed functions, units and fan-outs, opened
+    /// free, as methods, by path or turbofished, nested, with closure
+    /// heads, literals, comments and CRLF ends, some never closed — with
+    /// test regions and fn headers among them, plus one file of the
+    /// definitions the calls resolve to.
+    fn call_soup(seed: u64, n: usize) -> Vec<SourceFile> {
+        let mut next = draws(seed);
+        let pieces = [
+            "set_cap(",
+            "scale(",
+            "spread(",
+            "risky(",
+            "Node::new(",
+            "x.fold(",
+            "xs.sum::<f64>(",
+            "vap_core::budget::plan(",
+            "par_map(&xs, 2, ",
+            "vap_exec::par_grid(",
+            ".par_map_fleet(",
+            "Watts(",
+            "Volts(",
+            "g::<>(",
+            "println!(",
+            "r#match(",
+            ")",
+            ")",
+            "), ",
+            ", ",
+            ",,",
+            "|a, b| ",
+            "move |x| ",
+            "||",
+            "{ ",
+            "} ",
+            "2.5",
+            "x.0",
+            "cap.0 * 1.05",
+            "(a + b).0",
+            "\"s\"",
+            "'c'",
+            "r#\"q\"#",
+            "/* c */",
+            "// note\n",
+            "\n",
+            "\r\n",
+            " ",
+            "#[cfg(test)]\nmod t {\n",
+            "}\n",
+            "fn f() {\n",
+            "pub fn g(cap: Watts) -> f64 {\n",
+        ];
+        let defs = "pub struct Volts(pub f64);\npub fn set_cap(cap: Watts, n: usize) {}\n\
+                    pub fn scale(a: &Watts, k: f64) -> f64 { o.unwrap() }\n\
+                    pub fn spread(a: Watts, b: Watts, c: usize) {}\n\
+                    pub fn risky() { panic!() }\nimpl Node {\n    pub fn new(x: f64) -> Self { o.unwrap() }\n    \
+                    pub fn fold(&self, a: f64, f: F) -> f64 { 0.0 }\n}\n";
+        let crates = ["vap-sim", "vap-exec", "vap-core", "vap-report", "vap-daemon", "vap"];
+        let mut files = vec![SourceFile::from_source("crates/core/src/defs.rs", "vap-core", defs)];
+        for k in 0..n {
+            let text: String = (0..next(120)).map(|_| pieces[next(pieces.len())]).collect();
+            let krate = crates[next(crates.len())];
+            let path = format!("crates/{k}/src/{}", ["lib.rs", "bin/b.rs", "main.rs"][next(3)]);
+            files.push(SourceFile::from_source(&path, krate, &text));
+        }
+        files
+    }
+
+    #[test]
+    fn every_call_is_resolved_once_as_its_callee_name_resolves() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+        let fixture: Vec<SourceFile> = crate::walker::workspace_files(&root)
+            .expect("the fixture workspace")
+            .iter()
+            .map(|wf| {
+                let text = std::fs::read_to_string(&wf.abs).expect("a fixture source");
+                SourceFile::from_source(&wf.rel, &wf.crate_name, &text)
+            })
+            .collect();
+        let mut seen = [0; 4];
+        let soups = (0..40).flat_map(|seed| [resolution_soup(seed, 30), call_soup(seed, 30)]);
+        for files in std::iter::once(fixture).chain(soups) {
+            let index = SymbolIndex::build(&files, BTreeMap::new());
+            for (s, n) in seen.iter_mut().zip(check_resolutions(&files, &index)) {
+                *s += n;
+            }
+            // a file the index was not built over, even an equal copy,
+            // has no resolutions
+            let copy = files[0].clone();
+            assert!(index.resolutions(&copy).is_empty());
+        }
+        let [shapes, units, fan_outs, tests] = seen;
+        assert!(shapes > 2_000 && units > 1_000 && fan_outs > 1_000 && tests > 1_000, "{seen:?}");
+    }
+
     #[test]
     fn mentions_unit_agrees_with_type_mentions() {
         use crate::parse::type_mentions;
@@ -511,9 +885,9 @@ mod tests {
             "pub struct Alpha(pub f64);\npub struct Count(pub usize);\n",
         )];
         let index = SymbolIndex::build(&files, BTreeMap::new());
-        assert!(index.is_unit_type("Watts"));
-        assert!(index.is_unit_type("Alpha"));
-        assert!(!index.is_unit_type("Count"));
+        assert!(index.unit_types.contains("Watts"));
+        assert!(index.unit_types.contains("Alpha"));
+        assert!(!index.unit_types.contains("Count"));
     }
 
     #[test]

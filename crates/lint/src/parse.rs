@@ -410,13 +410,15 @@ fn word_end(bytes: &[u8], from: usize) -> usize {
 /// the token that closes it: the first `)`, `]` or `}`, of whichever
 /// kind, at which as many groups have closed as opened since; the end of
 /// the tokens when none does. Other tokens' entries are unused. The same
-/// pass over the tokens notes, in `sites`, each vocabulary word that
-/// starts at one; every word starts with an identifier or a `.`.
+/// pass over the tokens notes, in `out`'s [`ParsedFile::sites`], each
+/// vocabulary word that starts at one (every word starts with an
+/// identifier or a `.`), and in its comparison lines each line where an
+/// `=` token touches an `=` or `!` token before it.
 ///
 /// The stack of open groups lives in the table itself: an open group's
 /// entry holds the one it sits in, plus one (0 for none), until its
 /// closer overwrites it.
-fn closers(toks: &[Tok<'_>], sites: &mut Vec<Site>) -> Vec<u32> {
+fn closers(toks: &[Tok<'_>], out: &mut ParsedFile) -> Vec<u32> {
     let mut close = vec![0u32; toks.len()];
     let mut top = 0u32;
     for (i, t) in toks.iter().enumerate() {
@@ -432,7 +434,18 @@ fn closers(toks: &[Tok<'_>], sites: &mut Vec<Site>) -> Vec<u32> {
             }
             Kind::IDENT | Kind(b'.') => {
                 if let Some(word) = rules::word_at(toks, i) {
-                    sites.push(Site { word, at: t.at() });
+                    out.sites.push(Site { word, at: t.at() });
+                }
+            }
+            Kind(b'=') if i > 0 => {
+                // `==`, `!=` and longer runs (`===`); a column saturated
+                // at `u32::MAX` touches nothing
+                let before = &toks[i - 1];
+                let touched = matches!(before.kind, Kind(b'=' | b'!'))
+                    && before.line == t.line
+                    && before.col.checked_add(1) == Some(t.col);
+                if touched && out.comparisons.last() != Some(&t.line) {
+                    out.comparisons.push(t.line);
                 }
             }
             _ => {}
@@ -723,6 +736,9 @@ pub struct ParsedFile {
     /// Every vocabulary word in the file, in token order (by line, then
     /// column).
     pub sites: Vec<Site>,
+    /// Each 0-based line that holds an `==` or `!=` (an `=` or `!` token
+    /// touched by an `=` token), once, in order.
+    comparisons: Vec<u32>,
     /// Every call's turbofish and arguments, one contiguous run per call,
     /// in call order.
     args: Vec<Arg>,
@@ -802,6 +818,13 @@ impl ParsedFile {
         run.get(usize::from(call.has_turbofish)..).unwrap_or_default()
     }
 
+    /// Each 0-based line that holds an `==` or `!=` outside comments and
+    /// literals, once, in order: the only lines on which `float-eq` can
+    /// find a comparison.
+    pub(crate) fn comparison_lines(&self) -> impl Iterator<Item = usize> + '_ {
+        self.comparisons.iter().map(|&line| line as usize)
+    }
+
     /// Give back the room no list or the text buffer fills.
     fn fit(&mut self) {
         self.fns.shrink_to_fit();
@@ -809,6 +832,7 @@ impl ParsedFile {
         self.statics.shrink_to_fit();
         self.calls.shrink_to_fit();
         self.sites.shrink_to_fit();
+        self.comparisons.shrink_to_fit();
         self.args.shrink_to_fit();
         self.params.shrink_to_fit();
         self.text.shrink_to_fit();
@@ -848,7 +872,7 @@ fn is_non_call_keyword(kind: Kind) -> bool {
 pub fn parse_file(code: &Lines) -> ParsedFile {
     let toks = tokenize(code);
     let mut out = ParsedFile::default();
-    let close = closers(&toks, &mut out.sites);
+    let close = closers(&toks, &mut out);
     // each open impl block's self type, and the index past its body
     let mut impls: Vec<(&str, usize)> = Vec::new();
     // the index past an open thread_local! block
@@ -2147,7 +2171,7 @@ mod tests {
             let text = soup(seed, &pieces, 60);
             let code = crate::lexer::scrub(&text).code;
             let toks = tokenize(&code);
-            let close = closers(&toks, &mut Vec::new());
+            let close = closers(&toks, &mut ParsedFile::default());
             for (at, t) in toks.iter().enumerate() {
                 if matches!(t.text, "(" | "[" | "{") {
                     assert_eq!(close[at] as usize, reference_skip_balanced(&toks, at), "{text:?}");

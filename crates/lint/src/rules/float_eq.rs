@@ -9,6 +9,11 @@
 //! `2f64`) or an `f64::`/`f32::` associated constant. Variable-vs-
 //! variable float comparisons are out of reach of a lexical pass — the
 //! literal form is both the common and the dangerous one.
+//!
+//! The parser's token pass records each line that holds an `==` or `!=`
+//! ([`crate::parse::ParsedFile`]'s comparison lines), so the rule reads
+//! only those scrubbed lines, with the byte checks below, not every line
+//! of the file.
 
 use super::{Context, Rule};
 use crate::diag::Finding;
@@ -33,22 +38,26 @@ impl Rule for FloatEq {
     }
 
     fn check(&self, file: &SourceFile, _ctx: &Context<'_>, out: &mut Vec<Finding>) {
-        for (i, line) in file.code.iter().enumerate() {
-            if file.is_test(i) {
-                continue;
-            }
-            for (pos, op) in comparison_ops(line) {
-                let lhs = token_before(line, pos);
-                let rhs = token_after(line, pos + 2);
-                if is_float_operand(lhs) || is_float_operand(rhs) {
-                    let message = if op == "==" {
-                        "floating-point `==` comparison"
-                    } else {
-                        "floating-point `!=` comparison"
-                    };
-                    out.push(file.finding(NAME, i, pos, message, HELP));
-                }
-            }
+        for i in file.parsed.comparison_lines() {
+            check_line(file, i, out);
+        }
+    }
+}
+
+/// Report the float comparisons on 0-based line `i` of `file`, unless it
+/// sits in a test region.
+fn check_line(file: &SourceFile, i: usize, out: &mut Vec<Finding>) {
+    let Some(line) = file.code.get(i).filter(|_| !file.is_test(i)) else { return };
+    for (pos, op) in comparison_ops(line) {
+        let lhs = token_before(line, pos);
+        let rhs = token_after(line, pos + 2);
+        if is_float_operand(lhs) || is_float_operand(rhs) {
+            let message = if op == "==" {
+                "floating-point `==` comparison"
+            } else {
+                "floating-point `!=` comparison"
+            };
+            out.push(file.finding(NAME, i, pos, message, HELP));
         }
     }
 }
@@ -201,6 +210,117 @@ mod tests {
         let found = findings("é == 1.0\nlet é·x = a != 2.0;\n");
         let at: Vec<(usize, usize)> = found.iter().map(|f| (f.line, f.column)).collect();
         assert_eq!(at, [(1, 4), (2, 15)]);
+    }
+
+    /// The all-lines scan that the recorded comparison lines replaced,
+    /// kept as their reference: every line of `file` on which
+    /// [`comparison_ops`] finds an operator, and the findings of checking
+    /// every line.
+    fn reference_scan(file: &SourceFile) -> (Vec<usize>, Vec<Finding>) {
+        let lines = (file.code.iter().enumerate())
+            .filter(|(_, line)| !comparison_ops(line).is_empty())
+            .map(|(i, _)| i)
+            .collect();
+        let mut found = Vec::new();
+        for i in 0..file.code.len() {
+            check_line(file, i, &mut found);
+        }
+        (lines, found)
+    }
+
+    #[test]
+    fn recorded_lines_cover_every_line_the_all_lines_scan_reads() {
+        // float spellings, their near misses and the operators' near misses
+        // (a space or a line end inside, `<=`, `=>`, `..=`, `+=`), in code,
+        // strings, comments and test regions
+        let pieces = [
+            "-1.0",
+            "-2f64",
+            "1e-9",
+            "2.5E+3",
+            "0.0",
+            "2f64",
+            "f64::NAN",
+            "x",
+            "-1",
+            "n-1",
+            "e-1",
+            "0x1e-1",
+            "-y",
+            "x1e-1",
+            "7_usize",
+            "-4isize",
+            "1e-",
+            "2E",
+            "1usize",
+            "r#match",
+            "==",
+            "!=",
+            " == ",
+            " != ",
+            "==-",
+            "=",
+            "!",
+            "= =",
+            "! =",
+            "=\n=",
+            "!\r\n=",
+            "<=",
+            ">=",
+            "=>",
+            "===",
+            "!==",
+            "..=",
+            "+=",
+            " ",
+            "\n",
+            "\r\n",
+            "\r",
+            "\"a == b\"",
+            "'='",
+            "// x == 1.0\n",
+            "/* != */",
+            "#[cfg(test)]\nmod t {",
+            "}",
+            "if ",
+            "{",
+            "é",
+            "·",
+            ";",
+        ];
+        let hostile = crate::lexer::tests::HOSTILE;
+        let sources =
+            [hostile.join("\r\n"), hostile.join("\n")].into_iter().chain((0..300u64).map(|seed| {
+                let mut state = seed;
+                (0..60)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        pieces[(state >> 33) as usize % pieces.len()]
+                    })
+                    .collect::<String>()
+            }));
+        let (mut lines, mut found) = (0, 0);
+        for src in sources {
+            let file = SourceFile::from_source("crates/stats/src/x.rs", "vap-stats", &src);
+            let recorded: Vec<usize> = file.parsed.comparison_lines().collect();
+            assert!(recorded.windows(2).all(|w| w[0] < w[1]), "{src:?}");
+            let (want_lines, want) = reference_scan(&file);
+            for line in &want_lines {
+                assert!(recorded.binary_search(line).is_ok(), "line {line} of {src:?}");
+            }
+            let index =
+                crate::index::SymbolIndex::build(std::slice::from_ref(&file), Default::default());
+            let mut got = Vec::new();
+            FloatEq.check(&file, &Context { index: &index }, &mut got);
+            let at = |fs: &[Finding]| -> Vec<(usize, usize, String)> {
+                fs.iter().map(|f| (f.line, f.column, f.message.to_string())).collect()
+            };
+            assert_eq!(at(&got), at(&want), "{src:?}");
+            (lines, found) = (lines + want_lines.len(), found + want.len());
+        }
+        assert!(lines > 800 && found > 200, "{lines} lines, {found} findings");
     }
 
     #[test]

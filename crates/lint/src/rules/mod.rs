@@ -46,7 +46,9 @@ pub trait Rule {
     fn name(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
-    /// Scan one file, appending findings.
+    /// Scan one file, appending findings. `file` must be one of the
+    /// sources `ctx.index` was built over: the index finds what the file's
+    /// calls resolve to by its place among them.
     fn check(&self, file: &SourceFile, ctx: &Context<'_>, out: &mut Vec<Finding>);
 }
 

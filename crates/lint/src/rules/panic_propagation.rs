@@ -10,10 +10,12 @@
 //! Resolution is conservative: when several workspace functions share the
 //! callee's shape, the call is flagged only if **every** candidate
 //! panics; a single clean candidate keeps name collisions quiet. The index
-//! decides that once per shape ([`crate::index::CallShape::all_panic`]),
-//! and the finding names the shape's first member. Functions whose
-//! panics are all `vap:allow`'d count as clean — the allow already argued
-//! unreachability.
+//! decides that once per shape ([`crate::index::CallShape::all_panic`])
+//! and resolves every call to its shape once, when it is built; the rule
+//! walks the file's calls beside those resolutions, reads a callee's name
+//! only to build a finding, and names the shape's first member. Functions
+//! whose panics are all `vap:allow`'d count as clean — the allow already
+//! argued unreachability.
 
 use super::{Context, Rule};
 use crate::diag::Finding;
@@ -44,20 +46,13 @@ impl Rule for PanicPropagation {
         if file.is_bin() {
             return;
         }
-        for call in &file.parsed.calls {
-            let line = call.line();
-            if file.is_test(line) {
-                continue;
-            }
-            let callee = file.parsed.callee(&file.code, call);
-            let argc = file.parsed.args(call).len();
-            let Some(shape) = ctx.index.resolve(callee, call.is_method, argc) else {
+        // a call on a test line resolved to nothing
+        for (call, &resolved) in file.parsed.calls.iter().zip(ctx.index.resolutions(file)) {
+            let Some(shape) = ctx.index.shape(resolved).filter(|s| s.all_panic) else {
                 continue;
             };
-            if !shape.all_panic {
-                continue;
-            }
-            let def = ctx.index.first_member(callee, shape);
+            let line = call.line();
+            let def = ctx.index.first_member(file.parsed.callee(&file.code, call), shape);
             // the panicking function's own body reports via no-panic-in-lib;
             // don't double-flag recursion onto itself
             if shape.count == 1

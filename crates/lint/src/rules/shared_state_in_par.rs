@@ -95,8 +95,11 @@ impl Rule for SharedStateInPar {
         }
         // order-sensitive float reductions inside par closures
         let parsed = &file.parsed;
-        let par_extents: Vec<(usize, usize)> =
-            file.par_calls().map(|c| (c.line(), c.end_line())).collect();
+        let par_extents: Vec<(usize, usize)> = (parsed.calls.iter())
+            .zip(ctx.index.resolutions(file))
+            .filter(|(_, r)| r.fans_out())
+            .map(|(c, _)| (c.line(), c.end_line()))
+            .collect();
         if par_extents.is_empty() {
             return;
         }

@@ -17,12 +17,15 @@
 //!   bare `f64` — the boundary where dimensioned values escape back into
 //!   untyped space and Eq. 1–9 bookkeeping silently degrades.
 //!
-//! A call resolves to its call shape in the index
-//! ([`crate::index::SymbolIndex::resolve`]): every function with the
-//! callee's bare name, receiver kind and arity. The shape already knows,
-//! per parameter, whether every one of them declares it unit-typed, so
-//! the rule looks at an argument only where they all agree, and names the
-//! unit and parameter of the shape's first member. The `pub fn` check asks
+//! The index resolved every call once, when it was built: to its call
+//! shape ([`crate::index::CallShape`]: every function with the callee's
+//! bare name, receiver kind and arity), and to whether its callee names
+//! a unit newtype. The rule walks the file's calls beside those
+//! resolutions. The shape already knows, per parameter, whether every
+//! one of its members declares it unit-typed, so the rule looks at an
+//! argument only where they all agree, and names the unit and parameter
+//! of the shape's first member; it reads a callee's name only to build a
+//! finding. The `pub fn` check asks
 //! [`crate::index::SymbolIndex::mentions_unit`] about each parameter type.
 //!
 //! `crates/model/src/units.rs` is exempt: the dimensional algebra
@@ -68,17 +71,16 @@ impl Rule for UnitFlow {
             return;
         }
         let index = ctx.index;
-        for call in &file.parsed.calls {
-            if file.is_test(call.line()) {
-                continue;
-            }
-            let (callee, args) = (file.parsed.callee(&file.code, call), file.parsed.args(call));
+        // a call on a test line resolved to nothing
+        for (call, &resolved) in file.parsed.calls.iter().zip(index.resolutions(file)) {
+            let args = file.parsed.args(call);
             // unit constructor laundering: Watts(x.0), Watts((a + b).0)
-            if index.is_unit_type(callee) {
+            if resolved.is_unit_constructor() {
                 if let [arg] = args {
                     if has_projection(file.parsed.arg_toks(&file.code, arg)) {
                         let message = format!(
-                            "`{callee}({})` re-wraps a raw `.0` projection — the source unit is lost",
+                            "`{}({})` re-wraps a raw `.0` projection — the source unit is lost",
+                            file.parsed.callee(&file.code, call),
                             file.parsed.arg_text(&file.code, arg),
                         );
                         out.push(file.finding(NAME, call.line(), call.col(), message, REWRAP_HELP));
@@ -89,14 +91,13 @@ impl Rule for UnitFlow {
             // bare f64 expression into a unit-typed parameter; conservative:
             // only where every candidate agrees the parameter is unit-typed
             // (name collisions stay quiet), which the shape knows already
-            let Some(shape) = index.resolve(callee, call.is_method, args.len()) else {
-                continue;
-            };
+            let Some(shape) = index.shape(resolved) else { continue };
             let units = index.unit_params(shape);
             for (p, arg) in args.iter().enumerate() {
                 if !units[p] || !is_bare_f64_arg(file.parsed.arg_toks(&file.code, arg)) {
                     continue;
                 }
+                let callee = file.parsed.callee(&file.code, call);
                 let def = index.first_member(callee, shape);
                 let (defined, param) = (&def.file.parsed, &def.file.parsed.params(def.sig)[p]);
                 let message = format!(

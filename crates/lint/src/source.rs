@@ -17,17 +17,17 @@
 //! `(line, rule)` list that [`SourceFile::is_allowed`] searches.
 //!
 //! The questions every rule asks of a file have one answer here:
-//! [`SourceFile::is_test`] for a line in a test region,
-//! [`SourceFile::par_calls`] for the non-test fan-out calls, and
+//! [`SourceFile::is_test`] for a line in a test region, and
 //! [`SourceFile::finding`], the one place a finding's path, snippet and
-//! 1-based position are filled in.
+//! 1-based position are filled in. What a file's calls resolve to — a
+//! call shape, a unit constructor, a `vap-exec` fan-out — is answered
+//! once for every file by the symbol index ([`crate::index`]).
 
 use std::borrow::Cow;
 
 use crate::diag::{Finding, Status};
-use crate::index::PAR_ENTRY_POINTS;
 use crate::lexer::{self, Lines, Scrubbed};
-use crate::parse::{self, Call};
+use crate::parse;
 
 /// One analyzed source file.
 #[derive(Debug, Clone)]
@@ -128,14 +128,6 @@ impl SourceFile {
             help,
             status: Status::New,
         }
-    }
-
-    /// The calls outside test regions to a `vap-exec` fan-out entry point
-    /// ([`PAR_ENTRY_POINTS`]), whose closures run on worker threads.
-    pub fn par_calls(&self) -> impl Iterator<Item = &Call> {
-        self.parsed.calls.iter().filter(|c| {
-            PAR_ENTRY_POINTS.contains(&self.parsed.callee(&self.code, c)) && !self.is_test(c.line())
-        })
     }
 }
 
