@@ -194,6 +194,18 @@ impl Out {
     }
 }
 
+/// The number of `\n` bytes in `bytes`. Each 32-byte chunk's matches
+/// are summed into one byte (at most 32, so it cannot overflow), which
+/// the compiler turns into a few vector compares and adds per chunk.
+fn count_newlines(bytes: &[u8]) -> usize {
+    let (chunks, rest) = bytes.as_chunks::<32>();
+    let whole: usize = chunks
+        .iter()
+        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &c| n + u8::from(c == b'\n'))))
+        .sum();
+    whole + rest.iter().filter(|&&c| c == b'\n').count()
+}
+
 /// Scrub `src`, blanking comments and literals while preserving layout.
 ///
 /// An unterminated ordinary string or char at EOL is a syntax error in
@@ -203,8 +215,7 @@ pub fn scrub(src: &str) -> Scrubbed {
     let bytes = src.as_bytes();
     // `str::lines` ends a line only at a `\n`, plus a last line that has
     // none, so this is the exact line count
-    let lines = bytes.iter().filter(|&&c| c == b'\n').count()
-        + usize::from(bytes.last().is_some_and(|&c| c != b'\n'));
+    let lines = count_newlines(bytes) + usize::from(bytes.last().is_some_and(|&c| c != b'\n'));
     let mut out = Out {
         code: String::with_capacity(src.len()),
         ends: Vec::with_capacity(lines),
@@ -744,5 +755,33 @@ pub(crate) mod tests {
         let s = scrub(src);
         let flags = test_regions(&s.code);
         assert_eq!(flags, vec![true, true, false]);
+    }
+
+    #[test]
+    fn chunked_newline_count_matches_the_plain_count() {
+        let plain = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
+        // every length around the chunk size, all newlines and none
+        for len in 0..=100 {
+            for fill in [b'\n', b'x'] {
+                let bytes = vec![fill; len];
+                assert_eq!(count_newlines(&bytes), plain(&bytes), "{len} of {fill}");
+            }
+        }
+        // seeded buffers, densest to sparsest, so a chunk's sum reaches 32
+        let mut state = 0x5EED_u64;
+        for k in 0..500usize {
+            let bytes: Vec<u8> = (0..k % 300)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let r = (state >> 33) as usize;
+                    if r.is_multiple_of(1 + k % 7) {
+                        b'\n'
+                    } else {
+                        b"\r a\x00\xff"[r % 5]
+                    }
+                })
+                .collect();
+            assert_eq!(count_newlines(&bytes), plain(&bytes), "buffer {k}");
+        }
     }
 }
