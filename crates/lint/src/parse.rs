@@ -1407,26 +1407,24 @@ pub fn type_mentions(ty: &str, name: &str) -> bool {
 
 /// Is this argument a "bare f64" expression: a float-literal arithmetic
 /// expression, or anything containing a `.0` tuple/newtype projection?
-pub fn is_bare_f64_arg<'a>(toks: impl Iterator<Item = Tok<'a>> + Clone) -> bool {
-    if has_projection(toks.clone()) {
-        return true;
-    }
+/// One pass over the tokens answers both.
+pub fn is_bare_f64_arg<'a>(toks: impl IntoIterator<Item = Tok<'a>>) -> bool {
     // pure literal arithmetic: every token is a number or an operator,
     // and at least one number is float-shaped
-    let mut saw_float = false;
+    let (mut literal, mut saw_float) = (true, false);
+    let mut before: [Option<Tok<'a>>; 2] = [None, None];
     for t in toks {
-        if t.kind == Kind::NUMBER {
-            if is_float_literal(t.text) {
-                saw_float = true;
-            }
-            continue;
+        if projects(before, &t) {
+            return true;
         }
-        if matches!(t.kind, Kind(b'+' | b'-' | b'*' | b'/' | b'(' | b')')) {
-            continue;
+        match t.kind {
+            Kind::NUMBER => saw_float = saw_float || (literal && is_float_literal(t.text)),
+            Kind(b'+' | b'-' | b'*' | b'/' | b'(' | b')') => {}
+            _ => literal = false,
         }
-        return false;
+        before = [before[1], Some(t)];
     }
-    saw_float
+    literal && saw_float
 }
 
 /// Does the token run contain an `x.0` / `(..).0` projection (as opposed
@@ -1434,12 +1432,18 @@ pub fn is_bare_f64_arg<'a>(toks: impl Iterator<Item = Tok<'a>> + Clone) -> bool 
 pub fn has_projection<'a>(toks: impl IntoIterator<Item = Tok<'a>>) -> bool {
     let mut before: [Option<Tok<'a>>; 2] = [None, None];
     toks.into_iter().any(|t| {
-        let hit = matches!(before, [Some(base), Some(dot)]
-            if dot.kind == Kind(b'.') && t.text == "0"
-                && (base.is_ident() || matches!(base.kind, Kind(b')' | b']'))));
+        let hit = projects(before, &t);
         before = [before[1], Some(t)];
         hit
     })
+}
+
+/// Does `t`, after the two tokens `before` it, end an `x.0` / `(..).0` /
+/// `v[0].0` projection?
+fn projects(before: [Option<Tok<'_>>; 2], t: &Tok<'_>) -> bool {
+    matches!(before, [Some(base), Some(dot)]
+        if dot.kind == Kind(b'.') && t.text == "0"
+            && (base.is_ident() || matches!(base.kind, Kind(b')' | b']'))))
 }
 
 /// Is `s` a float literal token (`2.5`, `1e-6`, `3f64`)?
@@ -1622,6 +1626,89 @@ mod tests {
         assert!(!bare("Watts(2.5)"));
         assert!(!bare("3"));
         assert!(!bare("n + 1"));
+    }
+
+    /// The two-pass classification that [`is_bare_f64_arg`] replaced,
+    /// kept as its reference: a projection anywhere, else pure literal
+    /// arithmetic with a float-shaped number.
+    fn reference_is_bare_f64_arg<'a>(toks: impl Iterator<Item = Tok<'a>> + Clone) -> bool {
+        if has_projection(toks.clone()) {
+            return true;
+        }
+        let mut saw_float = false;
+        for t in toks {
+            if t.kind == Kind::NUMBER {
+                if is_float_literal(t.text) {
+                    saw_float = true;
+                }
+                continue;
+            }
+            if matches!(t.kind, Kind(b'+' | b'-' | b'*' | b'/' | b'(' | b')')) {
+                continue;
+            }
+            return false;
+        }
+        saw_float
+    }
+
+    #[test]
+    fn one_pass_bare_f64_matches_the_two_pass_reference() {
+        // argument soups: literals, projections and their near misses,
+        // operators and groups, in any order
+        let pieces = [
+            "2.5",
+            "1e-6",
+            "3",
+            "0",
+            "x",
+            ".",
+            "0",
+            ".0",
+            "x.0",
+            "v[0].0",
+            "(a + b).0",
+            "f(x).0",
+            "+",
+            "-",
+            "*",
+            "/",
+            "(",
+            ")",
+            "[",
+            "]",
+            " ",
+            "Watts(",
+            "1.5f64",
+            "7usize",
+            "e",
+            "é",
+            "x.0.1",
+            "r#match",
+            "::",
+            "f64::NAN",
+            "\"s\"",
+            "'c'",
+        ];
+        let sources =
+            CALL_CASES.iter().map(|(src, _)| src.to_string()).chain((0..400).map(|seed| {
+                format!(
+                    "fn f() {{ g({}, {}); }}\n",
+                    soup(seed, &pieces, 6),
+                    soup(seed + 9_000, &pieces, 3)
+                )
+            }));
+        let (mut checked, mut bare) = (0, 0);
+        for src in sources {
+            let code = crate::lexer::scrub(&src).code;
+            let p = parse_file(&code);
+            for arg in p.calls.iter().flat_map(|c| p.args(c)) {
+                let got = is_bare_f64_arg(p.arg_toks(&code, arg));
+                assert_eq!(got, reference_is_bare_f64_arg(p.arg_toks(&code, arg)), "{src:?}");
+                checked += 1;
+                bare += usize::from(got);
+            }
+        }
+        assert!(checked > 600 && bare > 100 && checked - bare > 100, "{bare} of {checked}");
     }
 
     /// Every call in `src`, one line each: `line:col-end_line`, a `.` for
