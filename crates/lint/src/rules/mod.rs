@@ -286,6 +286,26 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_callee_naming_a_unit_and_a_panicking_fn_gets_both_findings() {
+        // `Joules(..)` is a unit constructor and a call of the panicking
+        // `fn Joules`: the re-wrap and the propagated panic both fire
+        let src = "pub struct Joules(pub f64);\n\npub fn Joules(x: Option<f64>) -> f64 {\n    \
+                   x.unwrap()\n}\n\npub fn rewrap(w: Watts) -> f64 {\n    \
+                   let j = Joules(w.0);\n    0.0\n}\n";
+        let files = [("crates/core/src/lib.rs", "vap-core", src)];
+        let at = |rule: &dyn Rule| -> Vec<_> {
+            let hits = findings(rule, &files, &[]);
+            hits.iter().map(|f| (f.line, f.column, f.message.to_string())).collect()
+        };
+        let rewrap = "`Joules(w.0)` re-wraps a raw `.0` projection — the source unit is lost";
+        let unit_flow = at(&unit_flow::UnitFlow);
+        assert!(unit_flow.contains(&(8, 13, rewrap.to_string())), "{unit_flow:?}");
+        let propagated = "`rewrap` calls `Joules` (crates/core/src/lib.rs:3), \
+                          which contains 1 baselined panic";
+        assert_eq!(at(&panic_propagation::PanicPropagation), [(8, 13, propagated.to_string())]);
+    }
+
+    #[test]
     fn raw_identifiers_are_read_as_their_bare_names() {
         let src = "let m = r#HashMap::new();\nr#panic!();\nx.r#unwrap();\nr#match(x);\n";
         let parsed = crate::parse::parse_file(&crate::lexer::scrub(src).code);
