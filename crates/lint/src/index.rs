@@ -161,6 +161,20 @@ struct Named {
     flags: Resolution,
 }
 
+impl Named {
+    /// What a call of this name with receiver kind `is_method` and `argc`
+    /// arguments resolves to: its flags, and the shape among its few in
+    /// `shapes`, the index's shape list, that has that kind and arity.
+    fn resolve(&self, shapes: &[CallShape], is_method: bool, argc: usize) -> Resolution {
+        let (from, to) = (self.shapes.start as usize, self.shapes.end as usize);
+        let own = shapes.get(from..to).unwrap_or_default();
+        match own.iter().position(|s| s.has_self == is_method && s.params.len() == argc) {
+            Some(k) => self.flags.with_shape(from + k),
+            None => self.flags,
+        }
+    }
+}
+
 /// The cross-file symbol table pass-2 rules query, borrowed from the
 /// sources it was built from.
 #[derive(Debug, Clone, Default)]
@@ -242,18 +256,6 @@ impl<'a> SymbolIndex<'a> {
             let flags = Resolution::of_name(name, &units);
             names.entry(name).or_insert(Named { shapes: 0..0, flags });
         }
-        let mut index = SymbolIndex {
-            fns,
-            statics,
-            unit_types,
-            par_crates: BTreeSet::new(),
-            names,
-            call_shapes,
-            unit_flags,
-            files,
-            resolutions: Vec::new(),
-            runs: Vec::new(),
-        };
         // resolve every call once; a crate with a non-test fan-out call
         // roots the par closure
         let mut resolutions = Vec::with_capacity(files.iter().map(|f| f.parsed.calls.len()).sum());
@@ -266,23 +268,25 @@ impl<'a> SymbolIndex<'a> {
                 if file.is_test(call.line()) {
                     return Resolution::default();
                 }
-                let callee = parsed.callee(&file.code, call);
-                index.lookup(callee, call.is_method, parsed.args(call).len())
+                let Some(named) = names.get(parsed.callee(&file.code, call)) else {
+                    return Resolution::default();
+                };
+                named.resolve(&call_shapes, call.is_method, parsed.args(call).len())
             }));
             if resolutions[start..].iter().any(|r| r.fans_out()) {
                 par_roots.insert(file.crate_name.as_str());
             }
         }
         runs.push(resolutions.len());
-        (index.resolutions, index.runs) = (resolutions, runs);
         // code reachable from a worker closure: the calling crate itself
         // plus everything it (transitively) depends on
+        let mut par_crates = BTreeSet::new();
         let mut stack: Vec<&str> = par_roots.into_iter().collect();
         while let Some(c) = stack.pop() {
-            if index.par_crates.contains(c) {
+            if par_crates.contains(c) {
                 continue;
             }
-            index.par_crates.insert(c.to_string());
+            par_crates.insert(c.to_string());
             if let Some(ds) = deps.get(c) {
                 stack.extend(ds.iter().map(String::as_str));
             }
@@ -293,29 +297,28 @@ impl<'a> SymbolIndex<'a> {
         // after the closure walk on purpose: only the daemon's statics
         // are in scope, not its (non-par) dependency tree.
         for c in ALWAYS_PAR_SCOPED {
-            index.par_crates.insert(c.to_string());
+            par_crates.insert(c.to_string());
         }
-        index
-    }
-
-    /// What a call of `callee` with receiver kind `is_method` and `argc`
-    /// arguments resolves to: one map lookup, then a scan of the name's
-    /// few shapes.
-    fn lookup(&self, callee: &str, is_method: bool, argc: usize) -> Resolution {
-        let Some(named) = self.names.get(callee) else { return Resolution::default() };
-        let (from, to) = (named.shapes.start as usize, named.shapes.end as usize);
-        let shapes = self.call_shapes.get(from..to).unwrap_or_default();
-        match shapes.iter().position(|s| s.has_self == is_method && s.params.len() == argc) {
-            Some(k) => named.flags.with_shape(from + k),
-            None => named.flags,
+        SymbolIndex {
+            fns,
+            statics,
+            unit_types,
+            par_crates,
+            names,
+            call_shapes,
+            unit_flags,
+            files,
+            resolutions,
+            runs,
         }
     }
 
     /// The shape a call site resolves to: the functions with the callee's
     /// bare name, receiver kind and arity. `None` when no indexed
-    /// function has that shape.
+    /// function has that shape. [`SymbolIndex::build`] resolves every
+    /// call of the sources this way once.
     pub fn resolve(&self, callee: &str, is_method: bool, argc: usize) -> Option<&CallShape> {
-        self.shape(self.lookup(callee, is_method, argc))
+        self.shape(self.names.get(callee)?.resolve(&self.call_shapes, is_method, argc))
     }
 
     /// The resolutions of `file`'s calls, one per call in order, or none
