@@ -20,8 +20,12 @@
 //! arity — its call shape — and an index-aware rule fires only when all
 //! of those candidates agree. The index decides that once per shape
 //! ([`index::CallShape`]: per parameter, is it unit-typed in every
-//! candidate; does every candidate panic), so a call site costs one
-//! lookup however many candidates it has.
+//! candidate; does every candidate panic), and resolves each call once,
+//! when it is built: one lookup of each non-test callee's name gives the
+//! call's shape and whether the callee names a unit newtype or a
+//! `vap-exec` fan-out, kept as one 32-bit word per call. The rules read
+//! those words beside a file's calls, so a call site costs one lookup
+//! per verdict however many rules and candidates it has.
 //!
 //! The front end reads each file's text once and holds it once per form:
 //! one pass of [`lexer::scrub`] writes the scrubbed copy, finds the line
@@ -42,7 +46,8 @@
 //! the hits as a site list ([`parse::ParsedFile::sites`]):
 //! `no-panic-in-lib`, `no-println-in-lib` and `determinism` walk that
 //! list instead of searching lines, and the index counts a function's
-//! panics with a range lookup in it.
+//! panics with a range lookup in it. The same pass notes each line that
+//! holds an `==` or `!=`, and `float-eq` reads only those lines.
 //!
 //! The rules share one path to a finding. Each rule spells its name once,
 //! asks [`source::SourceFile::is_test`] whether a line is test code and

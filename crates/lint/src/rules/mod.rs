@@ -10,11 +10,14 @@
 //! its token pass, and these rules walk the resulting site list
 //! ([`crate::parse::ParsedFile::sites`]), each keeping only its scope
 //! checks and help text. The other single-file rules (`raw-unit-f64`,
-//! `float-eq`) scan lines, `raw-unit-f64` also the parsed signatures, and
-//! ignore the context; index-aware rules (`unit-flow`,
+//! `float-eq`) scan lines and ignore the context: `raw-unit-f64` every
+//! line and the parsed signatures, `float-eq` only the lines the token
+//! pass found an `==` or `!=` on. The index-aware rules (`unit-flow`,
 //! `shared-state-in-par`, `panic-propagation`) query it for
-//! cross-function facts. Rules only *report* — suppression (`vap:allow`)
-//! and baselining are applied uniformly by the driver in [`crate::cli`].
+//! cross-function facts: the index resolved each of a file's calls once,
+//! when it was built, and these rules walk the file's calls beside those
+//! resolutions. Rules only *report* — suppression (`vap:allow`) and
+//! baselining are applied uniformly by the driver in [`crate::cli`].
 
 use crate::diag::Finding;
 use crate::index::SymbolIndex;
