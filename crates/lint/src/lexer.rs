@@ -197,8 +197,8 @@ impl Out {
 /// The number of `\n` bytes in `bytes`, read eight at a time: each word
 /// adds a one to a byte-wide counter per `\n` byte ([`newline_bytes`]),
 /// and the eight counters are summed every 255 words, before any of them
-/// can overflow. A per-byte count did not vectorise; this takes about a
-/// seventh of its time.
+/// can overflow. The compiler keeps a per-byte count per byte on x86-64's
+/// baseline instruction set; a word per step is several times faster.
 fn count_newlines(bytes: &[u8]) -> usize {
     let (words, rest) = bytes.as_chunks::<8>();
     let mut n = rest.iter().filter(|&&c| c == b'\n').count();
