@@ -484,6 +484,26 @@ mod tests {
     }
 
     #[test]
+    fn a_semicolon_inside_generics_keeps_the_item() {
+        // The `;` of `[u8; 4]` once ended the generics, so `pick` was not
+        // indexed at all and `From::from` was a free `fn from`.
+        let lib = "pub fn pick<T: Into<[u8; 4]>>(t: T) -> u8 { t.unwrap() }\n\
+                   pub fn caller(t: [u8; 4]) -> u8 {\n    pick(t)\n}\n\
+                   pub struct Grid;\n\
+                   impl From<[f64; 4]> for Grid {\n    fn from(x: [f64; 4]) -> Self { Grid }\n}\n";
+        let root = workspace_with("generics-array", lib);
+        let dump = output(&Options { index_dump: true, ..Options::new(&root) }).unwrap().0;
+        let pick = "fn pick [vap-core] crates/core/src/lib.rs:1 (t: T) -> u8 pub panics=1";
+        assert!(dump.contains(&format!("\n{pick}\n")), "{dump}");
+        let from = "fn Grid::from [vap-core] crates/core/src/lib.rs:7 (x: [f64; 4]) -> Self\n";
+        assert!(dump.contains(from), "{dump}");
+        let out = scan(&Options::new(&root)).unwrap();
+        let found: Vec<(&str, usize)> = out.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(found, [("no-panic-in-lib", 1), ("panic-propagation", 3)]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn finding_positions_survive_hostile_lexing() {
         // A column is the byte offset in the scrubbed line, where each
         // blanked character is one space whatever its UTF-8 width. These

@@ -40,7 +40,8 @@
 //! first token of a caller's stop set outside every group, which it
 //! jumps through the table, and outside `<..>`. The table does not pair
 //! `<` and `>`, so they alone are counted: by that scan, by
-//! `skip_generics` and by `parse_call`'s step back over a turbofish.
+//! `skip_generics`, which also jumps groups through the table, and by
+//! `parse_call`'s step back over a turbofish.
 //!
 //! Nothing here copies the file's text per token or per call. A [`Tok`]
 //! borrows its text from the scrubbed [`Lines`], so [`tokenize`]
@@ -978,7 +979,7 @@ pub fn parse_file(code: &Lines) -> ParsedFile {
 fn parse_impl_header<'a>(toks: &[Tok<'a>], close: &[u32], at: usize) -> Option<(&'a str, usize)> {
     let mut i = at + 1;
     if is(toks, i, Kind(b'<')) {
-        i = skip_generics(toks, i);
+        i = skip_generics(toks, close, i);
     }
     // read path segments; remember the base ident of the last path seen
     // before `{`, preferring the path after `for`
@@ -1000,7 +1001,7 @@ fn parse_impl_header<'a>(toks: &[Tok<'a>], close: &[u32], at: usize) -> Option<(
                 continue;
             }
             Kind(b'<') => {
-                i = skip_generics(toks, i);
+                i = skip_generics(toks, close, i);
                 continue;
             }
             Kind::WHERE => {
@@ -1029,11 +1030,17 @@ fn parse_impl_header<'a>(toks: &[Tok<'a>], close: &[u32], at: usize) -> Option<(
 }
 
 /// Skip a balanced `<...>` starting at the `<`; returns index after `>`.
-fn skip_generics(toks: &[Tok<'_>], at: usize) -> usize {
+/// Each `(..)` and `[..]` group inside is jumped through the table
+/// [`closers`] made, so the `;` of `Into<[u8; 4]>` ends nothing.
+fn skip_generics(toks: &[Tok<'_>], close: &[u32], at: usize) -> usize {
     let mut depth = 0i32;
     let mut i = at;
     while let Some(t) = toks.get(i) {
         match t.kind {
+            Kind(b'(' | b'[') => {
+                i = past(close, i);
+                continue;
+            }
             Kind(b'<') => depth += 1,
             Kind(b'>') => {
                 depth -= 1;
@@ -1080,7 +1087,7 @@ fn parse_fn(
     }
     let mut i = at + 2;
     if is(toks, i, Kind(b'<')) {
-        i = skip_generics(toks, i);
+        i = skip_generics(toks, close, i);
     }
     if !is(toks, i, Kind(b'(')) {
         return None;
@@ -1174,7 +1181,7 @@ fn parse_struct(
     }
     let mut i = at + 2;
     if is(toks, i, Kind(b'<')) {
-        i = skip_generics(toks, i);
+        i = skip_generics(toks, close, i);
     }
     i = skip_where(toks, close, i);
     let mut newtype_of = None;
@@ -1963,6 +1970,14 @@ mod tests {
                 "1 static MASKS: [u8; 1<<2]",
                 "2-2 struct Pair",
             ]
+        );
+        // nor does the `;` of a bracket inside a fn's or an impl's `<..>`
+        // end its generics
+        let src = "pub fn pick<T: Into<[u8; 4]>>(t: T) -> u8 { t.unwrap() }\n\
+                   impl From<[f64; 4]> for Grid {\n    fn from(x: [f64; 4]) -> Self { g(x) }\n}\n";
+        assert_eq!(
+            items_of(src),
+            ["0:4 pub pick(t: T) -> u8 {0-0}", "2:4 Grid::from(x: [f64; 4]) -> Self {2-2}"]
         );
     }
 
