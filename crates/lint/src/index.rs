@@ -17,10 +17,14 @@
 //! whether every member declares a parameter unit-typed, and whether
 //! every member panics. The shapes sit in one list for the whole index
 //! and their per-parameter flags in another, so building them allocates
-//! a few times, not once per name. One map, bulk-collected from the
-//! sorted names, holds each bare name's run of shapes and whether the
-//! name is a unit newtype or a `vap-exec` fan-out entry point; the unit
-//! and fan-out names that name no function are inserted after.
+//! a few times, not once per name. One hash map, keyed by bare name with
+//! a fixed FNV-1a hash, holds each name's run of shapes and whether the
+//! name is a unit newtype or a `vap-exec` fan-out entry point. The unit
+//! and fan-out names go in first, so every by-name question the index
+//! answers costs one hash of the name: a call's shape and bits, whether
+//! a parameter's type names a unit while the shapes are built, and each
+//! identifier run [`SymbolIndex::mentions_unit`] checks. The map is
+//! looked up, never iterated, so its order reaches no output.
 //!
 //! The index then resolves every call once, in one pass over each file's
 //! calls: it slices the callee, looks it up once in that map and keeps
@@ -41,7 +45,8 @@
 //! count takes the `no-panic-in-lib` sites up to its last line that are
 //! neither in a test region nor `vap:allow`ed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use crate::lexer::narrow;
@@ -122,13 +127,6 @@ impl Resolution {
     /// The bits that hold the shape's position plus one.
     const SHAPE: u32 = Self::PAR - 1;
 
-    /// The flags every call of `name` carries, with no shape.
-    fn of_name(name: &str, units: &[&str]) -> Resolution {
-        let unit = if units.binary_search(&name).is_ok() { Self::UNIT } else { 0 };
-        let par = if PAR_ENTRY_POINTS.contains(&name) { Self::PAR } else { 0 };
-        Resolution(unit | par)
-    }
-
     /// These flags and the shape at position `k`; a position past what
     /// the bits hold (more than 2^30 - 2 shapes) is stored as no shape.
     fn with_shape(self, k: usize) -> Resolution {
@@ -153,7 +151,7 @@ impl Resolution {
 }
 
 /// What the index knows of one bare name.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Named {
     /// The name's call shapes: a range of the index's shape list.
     shapes: Range<u32>,
@@ -175,6 +173,37 @@ impl Named {
     }
 }
 
+/// FNV-1a over a name's bytes: a fixed hash, so a lookup in the index's
+/// name map costs one pass over the name and the same on every run. The
+/// map is only looked up, never iterated, so its order reaches no output.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Each bare name the index knows, hashed with [`Fnv1a`].
+type Names<'a> = HashMap<&'a str, Named, BuildHasherDefault<Fnv1a>>;
+
+/// Does `name` name a unit newtype, by one lookup in `names`?
+fn is_unit(names: &Names<'_>, name: &str) -> bool {
+    names.get(name).is_some_and(|n| n.flags.is_unit_constructor())
+}
+
 /// The cross-file symbol table pass-2 rules query, borrowed from the
 /// sources it was built from.
 #[derive(Debug, Clone, Default)]
@@ -192,7 +221,7 @@ pub struct SymbolIndex<'a> {
     pub par_crates: BTreeSet<String>,
     /// Each bare name that names a function, a unit newtype or a fan-out
     /// entry point.
-    names: BTreeMap<&'a str, Named>,
+    names: Names<'a>,
     /// Every call shape, one run per name in name order; a name's shapes
     /// are in order of their first member.
     call_shapes: Vec<CallShape>,
@@ -238,23 +267,21 @@ impl<'a> SymbolIndex<'a> {
         }
         // Only now is every unit type known: a newtype declared in a file
         // that sorts after its callers still makes their parameters
-        // unit-typed. Collecting over the sorted names bulk-builds the map;
-        // the units, sorted in one slice, are searched faster than the set.
+        // unit-typed. The unit and fan-out names go in first, so the
+        // shapes ask the map whether a parameter's type is a unit.
+        let capacity = fns.len() + unit_types.len() + PAR_ENTRY_POINTS.len();
+        let mut names = Names::with_capacity_and_hasher(capacity, BuildHasherDefault::default());
+        for &name in &unit_types {
+            names.entry(name).or_default().flags.0 |= Resolution::UNIT;
+        }
+        for name in PAR_ENTRY_POINTS {
+            names.entry(name).or_default().flags.0 |= Resolution::PAR;
+        }
         let (mut call_shapes, mut unit_flags) = (Vec::new(), Vec::new());
-        let units: Vec<&str> = unit_types.iter().copied().collect();
-        let mut names: BTreeMap<&'a str, Named> = fns
-            .iter()
-            .map(|(&name, fs)| {
-                let start = narrow(call_shapes.len());
-                push_shapes(fs, &units, &mut call_shapes, &mut unit_flags);
-                let flags = Resolution::of_name(name, &units);
-                (name, Named { shapes: start..narrow(call_shapes.len()), flags })
-            })
-            .collect();
-        // a unit constructor or a fan-out call whose name no fn shares
-        for &name in units.iter().chain(&PAR_ENTRY_POINTS) {
-            let flags = Resolution::of_name(name, &units);
-            names.entry(name).or_insert(Named { shapes: 0..0, flags });
+        for (&name, fs) in &fns {
+            let start = narrow(call_shapes.len());
+            push_shapes(fs, &names, &mut call_shapes, &mut unit_flags);
+            names.entry(name).or_default().shapes = start..narrow(call_shapes.len());
         }
         // resolve every call once; a crate with a non-test fan-out call
         // roots the par closure
@@ -354,10 +381,10 @@ impl<'a> SymbolIndex<'a> {
     /// Does the type text `ty` mention a unit newtype as a whole
     /// identifier (`Watts`, `&Watts`, `Option<Watts>`, not `MilliWatts`)?
     /// Every unit name is one identifier run, so looking up each run of
-    /// identifier characters answers
+    /// identifier characters in the name map answers
     /// `unit_types.iter().any(|u| type_mentions(ty, u))` in one pass.
     pub fn mentions_unit(&self, ty: &str) -> bool {
-        ty.split(|c: char| !is_ident_char(c)).any(|run| self.unit_types.contains(run))
+        ty.split(|c: char| !is_ident_char(c)).any(|run| is_unit(&self.names, run))
     }
 
     /// Stable text form for `--index-dump`: one line per item, sorted.
@@ -415,21 +442,18 @@ pub(crate) fn referent(ty: &str) -> &str {
 
 /// Append the call shapes of one name's functions `fns` to `shapes`, in
 /// order of their first member, and their unit flags to `flags`. A
-/// parameter is unit-typed when its [`referent`] is one of `units`, the
-/// unit types in sorted order.
+/// parameter is unit-typed when its [`referent`] names a unit in `names`.
 fn push_shapes(
     fns: &[FnInfo<'_>],
-    units: &[&str],
+    names: &Names<'_>,
     shapes: &mut Vec<CallShape>,
     flags: &mut Vec<bool>,
 ) {
     let start = shapes.len();
     for (k, f) in fns.iter().enumerate() {
         let (has_self, arity, parsed) = (f.sig.has_self, f.sig.arity(), &f.file.parsed);
-        let unit = parsed
-            .params(f.sig)
-            .iter()
-            .map(|p| units.binary_search(&referent(parsed.text(&p.ty))).is_ok());
+        let unit =
+            parsed.params(f.sig).iter().map(|p| is_unit(names, referent(parsed.text(&p.ty))));
         let same = |s: &&mut CallShape| s.has_self == has_self && s.params.len() == arity;
         match shapes[start..].iter_mut().find(same) {
             Some(s) => {
@@ -471,7 +495,7 @@ fn count_body_panics(file: &SourceFile, sig: &FnSig) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sf(path: &str, crate_name: &str, src: &str) -> SourceFile {
@@ -575,7 +599,7 @@ mod tests {
     /// newtypes declared in random files; and calls of those names, free
     /// and as methods, nested, turbofished and in fan-out closures, some
     /// in test regions and binaries.
-    fn resolution_soup(seed: u64, n: usize) -> Vec<SourceFile> {
+    pub(crate) fn resolution_soup(seed: u64, n: usize) -> Vec<SourceFile> {
         let mut next = draws(seed);
         let names = [
             "plan", "plan", "set", "scale", "run", "Joules", "Volts", "par_map", "par_grid",
@@ -647,7 +671,7 @@ mod tests {
     }
 
     /// A SplitMix64 stream seeded by `seed`, drawn as `next(k)` in `0..k`.
-    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
+    pub(crate) fn draws(seed: u64) -> impl FnMut(usize) -> usize {
         let mut state = seed;
         move |k| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -664,7 +688,7 @@ mod tests {
     /// heads, literals, comments and CRLF ends, some never closed — with
     /// test regions and fn headers among them, plus one file of the
     /// definitions the calls resolve to.
-    fn call_soup(seed: u64, n: usize) -> Vec<SourceFile> {
+    pub(crate) fn call_soup(seed: u64, n: usize) -> Vec<SourceFile> {
         let mut next = draws(seed);
         let pieces = [
             "set_cap(",
