@@ -18,7 +18,7 @@ use crate::diag::{self, Finding, Status, Summary};
 use crate::index::SymbolIndex;
 use crate::rules;
 use crate::source::SourceFile;
-use crate::walker;
+use crate::walker::{self, Dependencies};
 
 /// Output format selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,11 +137,13 @@ pub struct Outcome {
 const MAX_SOURCE_BYTES: u64 = u32::MAX as u64;
 
 /// Pass 0: walk the workspace and lex/parse every source file, each
-/// opened once and read into the buffer its [`SourceFile`] keeps. A file
-/// longer than [`MAX_SOURCE_BYTES`] is an error, found from the open
-/// file's length before it is read.
-fn load_files(opts: &Options) -> Result<Vec<SourceFile>, String> {
-    let files = walker::workspace_files(&opts.root)
+/// opened once and read into the buffer its [`SourceFile`] keeps, in
+/// path order. A file longer than [`MAX_SOURCE_BYTES`] is an error,
+/// found from the open file's length before it is read. The same pass
+/// over the members reads each manifest once, for its package name and
+/// its dependency edges, which the index is built with.
+fn load_files(opts: &Options) -> Result<(Vec<SourceFile>, Dependencies), String> {
+    let (files, deps) = walker::workspace(&opts.root)
         .map_err(|e| format!("walking {}: {e}", opts.root.display()))?;
     // An empty walk means the root is not a workspace (wrong --root, moved
     // checkout). Erroring beats a green "0 files scanned" in a CI gate.
@@ -176,14 +178,7 @@ fn load_files(opts: &Options) -> Result<Vec<SourceFile>, String> {
         }
         sources.push(SourceFile::from_text(&wf.rel, &wf.crate_name, text));
     }
-    Ok(sources)
-}
-
-/// Pass 1: build the workspace symbol index over loaded sources.
-fn build_index<'a>(opts: &Options, sources: &'a [SourceFile]) -> Result<SymbolIndex<'a>, String> {
-    let deps = walker::crate_dependencies(&opts.root)
-        .map_err(|e| format!("reading manifests under {}: {e}", opts.root.display()))?;
-    Ok(SymbolIndex::build(sources, deps))
+    Ok((sources, deps))
 }
 
 /// Walk the workspace, index it, run the rules, apply `vap:allow` and the
@@ -201,8 +196,8 @@ pub fn scan(opts: &Options) -> Result<Outcome, String> {
         .collect();
 
     let baseline = load_baseline(opts)?;
-    let sources = load_files(opts)?;
-    let index = build_index(opts, &sources)?;
+    let (sources, deps) = load_files(opts)?;
+    let index = SymbolIndex::build(&sources, deps);
     let ctx = rules::Context { index: &index };
 
     let mut findings: Vec<Finding> = Vec::new();
@@ -306,8 +301,8 @@ fn output(opts: &Options) -> Result<(String, i32), String> {
     }
     if opts.index_dump {
         // the index borrows the sources, so it is rendered while they live
-        let srcs = load_files(opts)?;
-        return Ok((build_index(opts, &srcs)?.dump(), 0));
+        let (srcs, deps) = load_files(opts)?;
+        return Ok((SymbolIndex::build(&srcs, deps).dump(), 0));
     }
     let outcome = scan(opts)?;
     if opts.write_baseline {

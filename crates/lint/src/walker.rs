@@ -8,7 +8,13 @@
 //! before any header or key is matched. Results are
 //! sorted so runs are reproducible byte-for-byte — the ordering is part
 //! of the JSON output and baseline contract.
+//!
+//! [`workspace_files`] and [`crate_dependencies`] each read every
+//! manifest once, and only the first walks the `src/` trees. A verdict
+//! wants both answers, so the driver asks `workspace` for them in one
+//! pass over the members, which reads each manifest once for both.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -28,23 +34,63 @@ pub struct WorkspaceFile {
 /// Enumerate every member crate's `src/**/*.rs`, sorted by relative path.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<WorkspaceFile>> {
     let mut files = Vec::new();
+    for_each_package(root, |member, name, _| collect_sources(root, member, &name, &mut files))?;
+    files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    Ok(files)
+}
+
+/// The `vap-*` dependency edges of each crate, as [`crate_dependencies`]
+/// reads them.
+pub(crate) type Dependencies = BTreeMap<String, BTreeSet<String>>;
+
+/// [`workspace_files`] and [`crate_dependencies`] from one pass over the
+/// members, reading each manifest once for both.
+pub(crate) fn workspace(root: &Path) -> io::Result<(Vec<WorkspaceFile>, Dependencies)> {
+    let (mut files, mut deps) = (Vec::new(), BTreeMap::new());
+    for_each_package(root, |member, name, text| {
+        collect_sources(root, member, &name, &mut files)?;
+        deps.insert(name, dependency_edges(text));
+        Ok(())
+    })?;
+    files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    Ok((files, deps))
+}
+
+/// Call `each` with every member that is a package, in member order: its
+/// directory, its package name and its manifest's text, read once. A
+/// member without a readable manifest or a package name is skipped.
+fn for_each_package(
+    root: &Path,
+    mut each: impl FnMut(&Path, String, &str) -> io::Result<()>,
+) -> io::Result<()> {
     for member in member_dirs(root)? {
         // not a package (or unreadable): nothing to attribute
         let Ok(text) = fs::read_to_string(member.join("Cargo.toml")) else { continue };
         let Some(crate_name) = package_name(&text) else { continue };
-        let src = member.join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut |p| {
-                files.push(WorkspaceFile {
-                    rel: relative(root, p),
-                    abs: p.to_path_buf(),
-                    crate_name: crate_name.clone(),
-                });
-            })?;
-        }
+        each(&member, crate_name, &text)?;
     }
-    files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    Ok(files)
+    Ok(())
+}
+
+/// Append the `src/**/*.rs` files of `member`, the package `crate_name`,
+/// to `files`, in walk order.
+fn collect_sources(
+    root: &Path,
+    member: &Path,
+    crate_name: &str,
+    files: &mut Vec<WorkspaceFile>,
+) -> io::Result<()> {
+    let src = member.join("src");
+    if src.is_dir() {
+        collect_rs(&src, &mut |p| {
+            files.push(WorkspaceFile {
+                rel: relative(root, p),
+                abs: p.to_path_buf(),
+                crate_name: crate_name.to_string(),
+            });
+        })?;
+    }
+    Ok(())
 }
 
 /// The workspace members: the root package plus every `crates/*` dir.
@@ -90,45 +136,47 @@ fn collect_rs(dir: &Path, visit: &mut dyn FnMut(&Path)) -> io::Result<()> {
 /// read straight off each manifest's `[dependencies]` /
 /// `[dev-dependencies]` tables. Handles both `vap-x.workspace = true`
 /// and `vap-x = { path = ".." }` spellings.
-pub fn crate_dependencies(
-    root: &Path,
-) -> io::Result<std::collections::BTreeMap<String, std::collections::BTreeSet<String>>> {
-    let mut deps = std::collections::BTreeMap::new();
-    for member in member_dirs(root)? {
-        let Ok(text) = fs::read_to_string(member.join("Cargo.toml")) else { continue };
-        let Some(crate_name) = package_name(&text) else { continue };
-        let mut edges = std::collections::BTreeSet::new();
-        let mut in_deps = false;
-        for raw in text.lines() {
-            let line = strip_comment(raw);
-            if line.starts_with('[') {
-                in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]")
-                    || line.starts_with("[dependencies.")
-                    || line.starts_with("[dev-dependencies.");
-                // `[dependencies.vap-x]` table headers name the dep directly
-                for prefix in ["[dependencies.", "[dev-dependencies."] {
-                    if let Some(rest) = line.strip_prefix(prefix) {
-                        let name = rest.trim_end_matches(']').trim();
-                        if name.starts_with("vap-") {
-                            edges.insert(name.to_string());
-                        }
+pub fn crate_dependencies(root: &Path) -> io::Result<BTreeMap<String, BTreeSet<String>>> {
+    let mut deps = BTreeMap::new();
+    for_each_package(root, |_, name, text| {
+        deps.insert(name, dependency_edges(text));
+        Ok(())
+    })?;
+    Ok(deps)
+}
+
+/// The `vap-*` dependency edges one manifest's text declares.
+fn dependency_edges(text: &str) -> BTreeSet<String> {
+    let mut edges = BTreeSet::new();
+    let mut in_deps = false;
+    for raw in text.lines() {
+        let line = strip_comment(raw);
+        if line.starts_with('[') {
+            in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]")
+                || line.starts_with("[dependencies.")
+                || line.starts_with("[dev-dependencies.");
+            // `[dependencies.vap-x]` table headers name the dep directly
+            for prefix in ["[dependencies.", "[dev-dependencies."] {
+                if let Some(rest) = line.strip_prefix(prefix) {
+                    let name = rest.trim_end_matches(']').trim();
+                    if name.starts_with("vap-") {
+                        edges.insert(name.to_string());
                     }
                 }
-                continue;
             }
-            if !in_deps {
-                continue;
-            }
-            // `vap-x = ...` or `vap-x.workspace = true`
-            let key = line.split('=').next().unwrap_or("").trim();
-            let key = key.split('.').next().unwrap_or("").trim();
-            if key.starts_with("vap-") {
-                edges.insert(key.to_string());
-            }
+            continue;
         }
-        deps.insert(crate_name, edges);
+        if !in_deps {
+            continue;
+        }
+        // `vap-x = ...` or `vap-x.workspace = true`
+        let key = line.split('=').next().unwrap_or("").trim();
+        let key = key.split('.').next().unwrap_or("").trim();
+        if key.starts_with("vap-") {
+            edges.insert(key.to_string());
+        }
     }
-    Ok(deps)
+    edges
 }
 
 /// The `name = "..."` (or `name = '...'`) of a `[package]`, straight off
@@ -320,6 +368,42 @@ mod tests {
         assert_eq!(strip_comment("name = \"a\\\"#b\" # c"), "name = \"a\\\"#b\"");
         assert_eq!(strip_comment("# all comment"), "");
         assert_eq!(strip_comment("name = \"open # c"), "name = \"open # c");
+    }
+
+    #[test]
+    fn one_pass_gives_the_files_and_the_edges_of_the_two_walks() {
+        let root = scratch("one-pass");
+        let manifests = [
+            ("Cargo.toml", "[package]\nname = \"vap\"\n[dependencies]\nvap-sim.workspace = true\n"),
+            ("crates/sim/Cargo.toml", "[package] # x\nname = 'vap-sim'\n[dependencies.vap-core]\n"),
+            ("crates/core/Cargo.toml", "[package]\nname = \"vap-core\"\n"),
+            ("crates/junk/Cargo.toml", "[dependencies]\nvap-core = \"1\"\n"),
+        ];
+        for (rel, text) in manifests {
+            fs::create_dir_all(root.join(rel).parent().unwrap()).unwrap();
+            fs::write(root.join(rel), text).unwrap();
+        }
+        for rel in [
+            "src/main.rs",
+            "crates/sim/src/a/b.rs",
+            "crates/sim/src/lib.rs",
+            "crates/junk/src/lib.rs",
+        ] {
+            fs::create_dir_all(root.join(rel).parent().unwrap()).unwrap();
+            fs::write(root.join(rel), "").unwrap();
+        }
+        fs::create_dir_all(root.join("crates/empty")).unwrap();
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+        for root in [root.as_path(), &fixture] {
+            let (files, deps) = workspace(root).unwrap();
+            let fields = |fs: &[WorkspaceFile]| -> Vec<(PathBuf, String, String)> {
+                fs.iter().map(|f| (f.abs.clone(), f.rel.clone(), f.crate_name.clone())).collect()
+            };
+            assert_eq!(fields(&files), fields(&workspace_files(root).unwrap()));
+            assert_eq!(deps, crate_dependencies(root).unwrap());
+            assert!(files.len() >= 3 && deps.len() >= 3, "{files:?} {deps:?}");
+        }
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
