@@ -1,14 +1,14 @@
 //! Argument parsing and the analysis driver.
 //!
 //! [`scan`] is the pure pipeline (walk → lex → rules → suppress →
-//! baseline-classify) and is what the self-check integration test calls;
+//! baseline-classify, the last three one file at a time) and is what the
+//! self-check integration test calls;
 //! [`run`] wraps it with rendering, baseline writing and exit codes so
 //! `main.rs` stays a two-liner.
 //!
 //! Exit codes: `0` clean (or violations found but `--deny` not given),
 //! `1` new findings under `--deny`, `2` usage or I/O error.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use crate::baseline::Baseline;
 use crate::diag::{self, Finding, Status, Summary};
 use crate::index::SymbolIndex;
-use crate::rules;
+use crate::rules::{self, Context, Rule};
 use crate::source::SourceFile;
 use crate::walker::{self, Dependencies};
 
@@ -183,6 +183,12 @@ fn load_files(opts: &Options) -> Result<(Vec<SourceFile>, Dependencies), String>
 
 /// Walk the workspace, index it, run the rules, apply `vap:allow` and the
 /// baseline.
+///
+/// The walk reads each manifest once, for the files and the dependency
+/// edges both. The rest goes one file at a time, in path order: the
+/// file's findings are sorted by line, column and rule, and each
+/// `(rule, path)` group looks its baseline allowance up once, so no step
+/// compares two paths.
 pub fn scan(opts: &Options) -> Result<Outcome, String> {
     let all = rules::all_rules();
     for name in &opts.rules {
@@ -198,61 +204,81 @@ pub fn scan(opts: &Options) -> Result<Outcome, String> {
     let baseline = load_baseline(opts)?;
     let (sources, deps) = load_files(opts)?;
     let index = SymbolIndex::build(&sources, deps);
-    let ctx = rules::Context { index: &index };
+    let ctx = Context { index: &index };
+    let names: Vec<&str> = active.iter().map(|r| r.name()).collect();
+    let files = sources.iter().map(|sf| (sf.path.as_str(), raw_findings(sf, &active, &ctx)));
+    Ok(classify(files, &baseline, &names))
+}
 
-    let mut findings: Vec<Finding> = Vec::new();
-    for sf in &sources {
-        let mut raw = Vec::new();
-        for rule in &active {
-            rule.check(sf, &ctx, &mut raw);
-        }
-        for mut f in raw {
-            if sf.is_allowed(f.rule, f.line - 1) {
-                f.status = Status::Allowed;
-            }
-            findings.push(f);
+/// One file's findings from the `active` rules, in the order the rules
+/// gave them, each marked allowed when a `vap:allow` marker covers it.
+fn raw_findings(sf: &SourceFile, active: &[Box<dyn Rule>], ctx: &Context<'_>) -> Vec<Finding> {
+    let mut raw = Vec::new();
+    for rule in active {
+        rule.check(sf, ctx, &mut raw);
+    }
+    for f in &mut raw {
+        if sf.is_allowed(f.rule, f.line - 1) {
+            f.status = Status::Allowed;
         }
     }
-    findings.sort_by(|a, b| {
-        (&a.path, a.line, a.column, a.rule).cmp(&(&b.path, b.line, b.column, b.rule))
-    });
+    raw
+}
 
-    // Classify against the baseline: within each (rule, path) group the
-    // first `baseline.count()` non-allowed findings are accepted debt,
-    // anything beyond is new. Findings are sorted by path, so each path's
-    // findings are one run, counted per rule and cloned into `counts`
-    // once.
+/// Classify each file's findings against the baseline, the files given
+/// as `(path, raw findings)` in path order, where the rules named
+/// `active` ran: within each `(rule, path)` group the first
+/// `baseline.count()` non-allowed findings are accepted debt, anything
+/// beyond is new. Each file's findings are sorted by line, column and
+/// rule, and a group looks its allowance up at its first non-allowed
+/// finding.
+fn classify<'p>(
+    files: impl ExactSizeIterator<Item = (&'p str, Vec<Finding>)>,
+    baseline: &Baseline,
+    active: &[&str],
+) -> Outcome {
     let allowance = baseline.allowances();
+    let mut summary = Summary { files: files.len(), ..Summary::default() };
+    let mut findings = Vec::new();
     let mut counts: Vec<(String, String, usize)> = Vec::new();
-    let mut per_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for run in findings.chunk_by_mut(|a, b| a.path == b.path) {
-        for f in run.iter_mut().filter(|f| f.status != Status::Allowed) {
-            let n = per_rule.entry(f.rule).or_insert(0);
-            let accepted = allowance.get(&(f.rule, f.path.as_str())).copied().unwrap_or(0);
-            f.status = if *n < accepted { Status::Baselined } else { Status::New };
+    for (path, mut raw) in files {
+        raw.sort_by_key(|f| (f.line, f.column, f.rule));
+        // per rule that fired here: (rule, findings so far, allowance)
+        let mut groups: Vec<(&'static str, usize, usize)> = Vec::new();
+        for f in &mut raw {
+            if f.status == Status::Allowed {
+                summary.allowed += 1;
+                continue;
+            }
+            let k = match groups.iter().position(|g| g.0 == f.rule) {
+                Some(k) => k,
+                None => {
+                    let accepted = allowance.get(&(f.rule, path)).copied().unwrap_or(0);
+                    groups.push((f.rule, 0, accepted));
+                    groups.len() - 1
+                }
+            };
+            let (_, n, accepted) = &mut groups[k];
+            if *n < *accepted {
+                f.status = Status::Baselined;
+                summary.baselined += 1;
+            } else {
+                f.status = Status::New;
+                summary.new += 1;
+            }
             *n += 1;
         }
-        let path = &run[0].path;
-        counts.extend(per_rule.iter().map(|(rule, n)| (rule.to_string(), path.clone(), *n)));
-        per_rule.clear();
+        counts.extend(groups.iter().map(|&(rule, n, _)| (rule.to_string(), path.to_string(), n)));
+        summary.total += raw.len();
+        findings.append(&mut raw);
     }
     counts.sort();
-
-    let mut summary = Summary { files: sources.len(), ..Summary::default() };
-    for f in &findings {
-        summary.total += 1;
-        match f.status {
-            Status::New => summary.new += 1,
-            Status::Baselined => summary.baselined += 1,
-            Status::Allowed => summary.allowed += 1,
-        }
-    }
     // Entries for rules excluded by --rule produce no findings this run;
     // only judge staleness for the rules that actually executed.
     summary.stale_baseline_entries = baseline
         .entries
         .iter()
-        .filter(|e| active.iter().any(|r| r.name() == e.rule))
+        .filter(|e| active.contains(&e.rule.as_str()))
         .filter(|e| {
             let seen = counts
                 .binary_search_by(|(rule, path, _)| {
@@ -262,8 +288,7 @@ pub fn scan(opts: &Options) -> Result<Outcome, String> {
             seen < e.count
         })
         .count();
-
-    Ok(Outcome { findings, summary, counts })
+    Outcome { findings, summary, counts }
 }
 
 /// Full CLI behavior; returns the process exit code. Standard output goes
@@ -347,6 +372,7 @@ fn load_baseline(opts: &Options) -> Result<Baseline, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::fs;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -913,5 +939,263 @@ mod tests {
         o.write_baseline = true;
         assert!(scan(&o).is_ok());
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The classification `scan` made before it went one file at a time,
+    /// kept as the reference for [`classify`]: every file's raw
+    /// findings, in file order, sorted together by path, line, column and
+    /// rule, then classified one path's run at a time with each finding's
+    /// `(rule, path)` allowance looked up again.
+    fn reference_outcome(
+        mut findings: Vec<Finding>,
+        files: usize,
+        baseline: &Baseline,
+        active: &[&str],
+    ) -> Outcome {
+        findings.sort_by(|a, b| {
+            (&a.path, a.line, a.column, a.rule).cmp(&(&b.path, b.line, b.column, b.rule))
+        });
+        let allowance = baseline.allowances();
+        let mut counts: Vec<(String, String, usize)> = Vec::new();
+        let mut per_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
+        for run in findings.chunk_by_mut(|a, b| a.path == b.path) {
+            for f in run.iter_mut().filter(|f| f.status != Status::Allowed) {
+                let n = per_rule.entry(f.rule).or_insert(0);
+                let accepted = allowance.get(&(f.rule, f.path.as_str())).copied().unwrap_or(0);
+                f.status = if *n < accepted { Status::Baselined } else { Status::New };
+                *n += 1;
+            }
+            let path = &run[0].path;
+            counts.extend(per_rule.iter().map(|(rule, n)| (rule.to_string(), path.clone(), *n)));
+            per_rule.clear();
+        }
+        counts.sort();
+        let mut summary = Summary { files, ..Summary::default() };
+        for f in &findings {
+            summary.total += 1;
+            match f.status {
+                Status::New => summary.new += 1,
+                Status::Baselined => summary.baselined += 1,
+                Status::Allowed => summary.allowed += 1,
+            }
+        }
+        summary.stale_baseline_entries = baseline
+            .entries
+            .iter()
+            .filter(|e| active.contains(&e.rule.as_str()))
+            .filter(|e| {
+                let seen = counts
+                    .binary_search_by(|(rule, path, _)| {
+                        (rule.as_str(), path.as_str()).cmp(&(e.rule.as_str(), e.path.as_str()))
+                    })
+                    .map_or(0, |k| counts[k].2);
+                seen < e.count
+            })
+            .count();
+        Outcome { findings, summary, counts }
+    }
+
+    /// Each finding as the fields that tell it apart, its status included.
+    fn fields(findings: &[Finding]) -> Vec<(&str, &str, usize, usize, &str, Status)> {
+        findings
+            .iter()
+            .map(|f| (f.rule, f.path.as_str(), f.line, f.column, f.message.as_ref(), f.status))
+            .collect()
+    }
+
+    /// Check that `got` and `want` agree: findings in order with their
+    /// status, counts and summary, the stale count included.
+    fn assert_same_outcome(got: &Outcome, want: &Outcome, case: &str) {
+        assert_eq!(fields(&got.findings), fields(&want.findings), "{case}");
+        assert_eq!(got.counts, want.counts, "{case}");
+        assert_eq!(got.summary, want.summary, "{case}");
+    }
+
+    /// Classify `files`, each a path and its raw findings in path order,
+    /// with [`classify`] and with [`reference_outcome`], check that the
+    /// two agree, and return the outcome.
+    fn classified(
+        files: &[(String, Vec<Finding>)],
+        baseline: &Baseline,
+        active: &[&str],
+        case: &str,
+    ) -> Outcome {
+        let got =
+            classify(files.iter().map(|(p, raw)| (p.as_str(), raw.clone())), baseline, active);
+        let raw = files.iter().flat_map(|(_, raw)| raw.iter().cloned()).collect();
+        let want = reference_outcome(raw, files.len(), baseline, active);
+        assert_same_outcome(&got, &want, case);
+        got
+    }
+
+    /// Baselines drawn from the exact one for `counts`: each group's entry
+    /// kept, under-counted, over-counted, split into duplicate entries or
+    /// dropped, plus entries for a path and a rule with no findings and a
+    /// rule that no `--rule` subset runs, that one twice.
+    fn baselines(
+        counts: &[(String, String, usize)],
+        next: &mut dyn FnMut(usize) -> usize,
+    ) -> Vec<Baseline> {
+        let entry = |rule: &str, path: &str, count: usize| crate::baseline::Entry {
+            rule: rule.into(),
+            path: path.into(),
+            count,
+        };
+        let exact = Baseline::from_counts(counts);
+        let mut drawn = Vec::new();
+        for (rule, path, n) in counts {
+            match next(6) {
+                0 => drawn.push(entry(rule, path, *n)),
+                1 => drawn.push(entry(rule, path, n.saturating_sub(1 + next(2)))),
+                2 => drawn.push(entry(rule, path, n + 1 + next(2))),
+                3 => {
+                    let part = next(n + 1);
+                    drawn.push(entry(rule, path, part));
+                    drawn.push(entry(rule, path, n - part + next(3)));
+                }
+                4 => {}
+                _ => drawn.push(entry(rule, path, next(n + 2))),
+            }
+        }
+        let path = counts.first().map_or("crates/core/src/lib.rs", |c| c.1.as_str());
+        drawn.extend([
+            entry("no-panic-in-lib", "crates/gone/src/lib.rs", 2),
+            entry("float-eq", path, 1),
+            entry("no-such-rule", path, 3),
+            entry("no-such-rule", path, 1),
+            entry("determinism", "crates/gone/src/lib.rs", 1),
+        ]);
+        // a baseline file holds no zero counts
+        drawn.retain(|e| e.count > 0);
+        // the entries' order is the file's, which classification ignores
+        for k in (1..drawn.len()).rev() {
+            drawn.swap(k, next(k + 1));
+        }
+        vec![Baseline::default(), exact, Baseline { entries: drawn }]
+    }
+
+    /// The `--rule` subsets a case runs: every rule, each rule alone and
+    /// up to two drawn halves.
+    fn subsets(next: &mut dyn FnMut(usize) -> usize) -> Vec<Vec<&'static str>> {
+        let names: Vec<&'static str> = rules::all_rules().iter().map(|r| r.name()).collect();
+        let mut out = vec![names.clone()];
+        out.extend(names.iter().map(|&n| vec![n]));
+        for _ in 0..2 {
+            // an empty `--rule` list runs every rule
+            let half: Vec<&str> = names.iter().copied().filter(|_| next(2) == 0).collect();
+            if !half.is_empty() {
+                out.push(half);
+            }
+        }
+        out
+    }
+
+    /// `files` with only the findings of the rules in `subset`.
+    fn only(files: &[(String, Vec<Finding>)], subset: &[&str]) -> Vec<(String, Vec<Finding>)> {
+        let keep =
+            |raw: &[Finding]| raw.iter().filter(|f| subset.contains(&f.rule)).cloned().collect();
+        files.iter().map(|(path, raw)| (path.clone(), keep(raw))).collect()
+    }
+
+    /// How many neighbours in `findings` two rules report at one place,
+    /// and how many allowed findings sit between two baselined ones.
+    fn neighbours(findings: &[Finding]) -> (usize, usize) {
+        let place = |f: &Finding| (f.path.clone(), f.line, f.column);
+        let shared =
+            findings.windows(2).filter(|w| place(&w[0]) == place(&w[1]) && w[0].rule != w[1].rule);
+        let between = findings.windows(3).filter(|w| {
+            w.iter().map(|f| f.status).eq([Status::Baselined, Status::Allowed, Status::Baselined])
+        });
+        (shared.count(), between.count())
+    }
+
+    #[test]
+    fn per_file_classification_matches_the_global_reference() {
+        let mut next = crate::index::tests::draws(36);
+        let all = rules::all_rules();
+        let names: Vec<&str> = all.iter().map(|r| r.name()).collect();
+        // the fixture workspace through `scan` itself, with each baseline
+        // written to disk and each `--rule` subset given as options
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+        let (sources, deps) = load_files(&Options::new(&fixture)).unwrap();
+        let index = SymbolIndex::build(&sources, deps);
+        let ctx = Context { index: &index };
+        let raw: Vec<Finding> =
+            sources.iter().flat_map(|sf| raw_findings(sf, &all, &ctx)).collect();
+        let exact = reference_outcome(raw.clone(), sources.len(), &Baseline::default(), &names);
+        let dir = workspace_of("classify", &[]);
+        fs::create_dir_all(&dir).unwrap();
+        let mut scanned = 0;
+        for (k, baseline) in baselines(&exact.counts, &mut next).into_iter().enumerate() {
+            let path = dir.join(format!("baseline-{k}.toml"));
+            fs::write(&path, baseline.render()).unwrap();
+            let baseline = Baseline::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+            for subset in subsets(&mut next) {
+                let rules = subset.iter().map(|n| n.to_string()).collect();
+                let opts =
+                    Options { baseline: Some(path.clone()), rules, ..Options::new(&fixture) };
+                let got = scan(&opts).unwrap();
+                let kept = raw.iter().filter(|f| subset.contains(&f.rule)).cloned().collect();
+                let want = reference_outcome(kept, sources.len(), &baseline, &subset);
+                assert_same_outcome(&got, &want, &format!("fixture, baseline {k}, {subset:?}"));
+                scanned += got.findings.len();
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+        // seeded resolution and call soups through the rules, then drawn
+        // findings: few lines and columns, so rules collide on one place,
+        // a quarter of them allowed, and in no order
+        let soups = (0..12).flat_map(|seed| {
+            use crate::index::tests::{call_soup, resolution_soup};
+            [resolution_soup(seed, 30), call_soup(seed, 30)]
+        });
+        let soups = soups.map(|mut files| {
+            files.sort_by(|a, b| a.path.cmp(&b.path));
+            let index = SymbolIndex::build(&files, BTreeMap::new());
+            let ctx = Context { index: &index };
+            files.iter().map(|sf| (sf.path.clone(), raw_findings(sf, &all, &ctx))).collect()
+        });
+        let mut drawn_finding = |path: &String, m: usize| Finding {
+            rule: names[next(names.len())],
+            path: path.clone(),
+            line: 1 + next(5),
+            column: 1 + next(3),
+            message: format!("#{m}").into(),
+            snippet: String::new(),
+            help: "",
+            status: if next(4) == 0 { Status::Allowed } else { Status::New },
+        };
+        let mut drawn = Vec::new();
+        for case in 0..200 {
+            let files: Vec<(String, Vec<Finding>)> = (0..1 + case % 6)
+                .map(|k| {
+                    let path = format!("crates/c{}/src/f{k}.rs", case % 7);
+                    let raw = (0..(case * 7 + k) % 14).map(|m| drawn_finding(&path, m)).collect();
+                    (path, raw)
+                })
+                .collect();
+            drawn.push(files);
+        }
+        let (mut stale, mut shared, mut between) = (0, 0, 0);
+        for (case, files) in soups.chain(drawn).enumerate() {
+            let exact = classified(&files, &Baseline::default(), &names, &format!("case {case}"));
+            for baseline in baselines(&exact.counts, &mut next) {
+                for subset in subsets(&mut next) {
+                    let got = classified(
+                        &only(&files, &subset),
+                        &baseline,
+                        &subset,
+                        &format!("case {case}, {subset:?}"),
+                    );
+                    let (s, b) = neighbours(&got.findings);
+                    (stale, shared, between) =
+                        (stale + got.summary.stale_baseline_entries, shared + s, between + b);
+                }
+            }
+        }
+        assert!(
+            scanned > 20 && stale > 1_000 && shared > 1_000 && between > 100,
+            "{scanned} scanned, {stale} stale, {shared} shared, {between} between"
+        );
     }
 }
