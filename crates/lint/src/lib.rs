@@ -25,7 +25,10 @@
 //! call's shape and whether the callee names a unit newtype or a
 //! `vap-exec` fan-out, kept as one 32-bit word per call. The rules read
 //! those words beside a file's calls, so a call site costs one lookup
-//! per verdict however many rules and candidates it has.
+//! per verdict however many rules and candidates it has. Every by-name
+//! lookup the index makes — a callee, a parameter type's referent, an
+//! identifier run of a type — is one hash of the name in one map with a
+//! fixed FNV-1a hasher, which is never iterated.
 //!
 //! The front end reads each file's text once and holds it once per form:
 //! one pass of [`lexer::scrub`] writes the scrubbed copy, finds the line
@@ -48,6 +51,12 @@
 //! list instead of searching lines, and the index counts a function's
 //! panics with a range lookup in it. The same pass notes each line that
 //! holds an `==` or `!=`, and `float-eq` reads only those lines.
+//!
+//! The driver ([`cli::scan`]) reads each manifest once, for the crate's
+//! files and its dependency edges both, and classifies findings one file
+//! at a time: the files arrive in path order, so each file's findings
+//! are sorted by line, column and rule and appended, and each
+//! `(rule, path)` group looks its baseline allowance up once.
 //!
 //! The rules share one path to a finding. Each rule spells its name once,
 //! asks [`source::SourceFile::is_test`] whether a line is test code and
