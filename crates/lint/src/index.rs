@@ -176,6 +176,8 @@ impl Named {
 /// FNV-1a over a name's bytes: a fixed hash, so a lookup in the index's
 /// name map costs one pass over the name and the same on every run. The
 /// map is only looked up, never iterated, so its order reaches no output.
+/// The names come from the workspace being linted, and names crafted to
+/// collide could slow only that workspace's own verdict.
 struct Fnv1a(u64);
 
 impl Default for Fnv1a {

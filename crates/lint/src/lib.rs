@@ -52,7 +52,7 @@
 //! panics with a range lookup in it. The same pass notes each line that
 //! holds an `==` or `!=`, and `float-eq` reads only those lines.
 //!
-//! The driver ([`cli::scan`]) reads each manifest once, for the crate's
+//! [`cli::scan`] reads each manifest once, for the crate's
 //! files and its dependency edges both, and classifies findings one file
 //! at a time: the files arrive in path order, so each file's findings
 //! are sorted by line, column and rule and appended, and each

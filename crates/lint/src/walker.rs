@@ -11,7 +11,7 @@
 //!
 //! [`workspace_files`] and [`crate_dependencies`] each read every
 //! manifest once, and only the first walks the `src/` trees. A verdict
-//! wants both answers, so the driver asks `workspace` for them in one
+//! wants both answers, so `cli` asks `workspace` for them in one
 //! pass over the members, which reads each manifest once for both.
 
 use std::collections::{BTreeMap, BTreeSet};
