@@ -506,8 +506,8 @@ mod tests {
 
     #[test]
     fn a_semicolon_inside_generics_keeps_the_item() {
-        // The `;` of `[u8; 4]` once ended the generics, so `pick` was not
-        // indexed at all and `From::from` was a free `fn from`.
+        // The `;` of `[u8; 4]` must not end the generics: `pick` stays
+        // indexed with its panic, and `from` stays a method of `Grid`.
         let lib = "pub fn pick<T: Into<[u8; 4]>>(t: T) -> u8 { t.unwrap() }\n\
                    pub fn caller(t: [u8; 4]) -> u8 {\n    pick(t)\n}\n\
                    pub struct Grid;\n\
