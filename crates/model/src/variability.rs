@@ -141,7 +141,7 @@ impl VariabilityModel {
             .map(|_| clamp_mult(1.0 + self.within_die_sigma * rng.next_normal()))
             .collect();
 
-        ModuleVariation { module_id, dynamic, leakage, dram, perf, core_factors }
+        ModuleVariation::from_parts(module_id, dynamic, leakage, dram, perf, core_factors)
     }
 }
 
@@ -165,7 +165,10 @@ pub struct ModuleVariation {
     /// not strictly frequency-binned).
     pub perf: f64,
     /// Within-die per-core dynamic multipliers.
-    pub core_factors: Vec<f64>,
+    core_factors: Vec<f64>,
+    /// Their mean (1.0 for none), taken once: every power evaluation
+    /// reads it through [`Self::effective_dynamic`].
+    core_mean: f64,
 }
 
 /// A multiplicative perturbation of a module's power fingerprint —
@@ -217,16 +220,31 @@ impl DriftSkew {
 }
 
 impl ModuleVariation {
+    /// The fingerprint of these multipliers and per-core factors.
+    fn from_parts(
+        module_id: usize,
+        dynamic: f64,
+        leakage: f64,
+        dram: f64,
+        perf: f64,
+        core_factors: Vec<f64>,
+    ) -> Self {
+        let core_mean = if core_factors.is_empty() {
+            1.0
+        } else {
+            core_factors.iter().sum::<f64>() / core_factors.len() as f64
+        };
+        ModuleVariation { module_id, dynamic, leakage, dram, perf, core_factors, core_mean }
+    }
+
     /// A perfectly nominal module (all multipliers 1.0).
     pub fn nominal(module_id: usize, cores: usize) -> Self {
-        ModuleVariation {
-            module_id,
-            dynamic: 1.0,
-            leakage: 1.0,
-            dram: 1.0,
-            perf: 1.0,
-            core_factors: vec![1.0; cores],
-        }
+        ModuleVariation::from_parts(module_id, 1.0, 1.0, 1.0, 1.0, vec![1.0; cores])
+    }
+
+    /// Within-die per-core dynamic multipliers.
+    pub fn core_factors(&self) -> &[f64] {
+        &self.core_factors
     }
 
     /// The module-level dynamic multiplier including within-die effects:
@@ -234,12 +252,7 @@ impl ModuleVariation {
     /// (cores contribute switching power additively, so their average is
     /// what the socket-level meter sees).
     pub fn effective_dynamic(&self) -> f64 {
-        if self.core_factors.is_empty() {
-            self.dynamic
-        } else {
-            let mean: f64 = self.core_factors.iter().sum::<f64>() / self.core_factors.len() as f64;
-            self.dynamic * mean
-        }
+        self.dynamic * self.core_mean
     }
 
     /// This fingerprint with a [`DriftSkew`] applied, clamped through the
@@ -248,12 +261,10 @@ impl ModuleVariation {
     /// within-die spread rides along unchanged.
     pub fn skewed(&self, skew: &DriftSkew) -> ModuleVariation {
         ModuleVariation {
-            module_id: self.module_id,
             dynamic: clamp_mult(self.dynamic * skew.dynamic),
             leakage: (self.leakage * skew.leakage).clamp(LEAKAGE_FLOOR, LEAKAGE_CEIL),
             dram: clamp_mult(self.dram * skew.dram),
-            perf: self.perf,
-            core_factors: self.core_factors.clone(),
+            ..self.clone()
         }
     }
 }
@@ -422,14 +433,7 @@ mod tests {
 
     #[test]
     fn effective_dynamic_includes_within_die_mean() {
-        let v = ModuleVariation {
-            module_id: 0,
-            dynamic: 1.1,
-            leakage: 1.0,
-            dram: 1.0,
-            perf: 1.0,
-            core_factors: vec![0.9, 1.1, 1.0, 1.2],
-        };
+        let v = ModuleVariation::from_parts(0, 1.1, 1.0, 1.0, 1.0, vec![0.9, 1.1, 1.0, 1.2]);
         assert!((v.effective_dynamic() - 1.1 * 1.05).abs() < 1e-12);
     }
 

@@ -124,7 +124,7 @@ fn fleet_sampling_is_physical() {
         for v in &fleet {
             assert!(v.dynamic > 0.0 && v.leakage > 0.0 && v.dram > 0.0);
             assert!(v.effective_dynamic() > 0.0);
-            assert_eq!(v.core_factors.len(), 8);
+            assert_eq!(v.core_factors().len(), 8);
         }
         let mean: f64 = fleet.iter().map(|v| v.dynamic).sum::<f64>() / 64.0;
         assert!((mean - 1.0).abs() < 0.35, "dynamic mean {mean}");

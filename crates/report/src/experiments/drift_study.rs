@@ -218,17 +218,19 @@ fn run_cell(
         if crit.is_finite() {
             stats.mean_crit_ghz += crit;
         }
-        let fleet_w: f64 =
-            active.iter().filter_map(|&i| cluster.get(i)).map(|m| m.module_power().value()).sum();
+        let powers = cluster.module_powers();
+        let fleet_w: f64 = active.iter().filter_map(|&i| powers.get(i)).map(|p| p.value()).sum();
         stats.mean_power_w += fleet_w;
         if let Some(p) = &plan {
+            // `active` stays sorted (it starts as 0..n, `retain` keeps the
+            // order and a replacement is sorted in), so it can be searched
             let over: f64 = p
                 .allocations
                 .iter()
-                .filter(|a| active.contains(&a.module_id))
+                .filter(|a| active.binary_search(&a.module_id).is_ok())
                 .filter_map(|a| {
-                    let m = cluster.get(a.module_id)?;
-                    Some((m.module_power().value() - a.p_module.value()).max(0.0))
+                    let power = powers.get(a.module_id)?;
+                    Some((power.value() - a.p_module.value()).max(0.0))
                 })
                 .sum();
             stats.overcap_w += over;
