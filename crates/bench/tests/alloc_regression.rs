@@ -47,23 +47,5 @@ fn main() {
         counts.allocs
     );
 
-    // The observability ledger with no session installed: the closures
-    // must never run (they'd panic) and the disabled path must not touch
-    // the allocator at all — each call site is one relaxed atomic load.
-    assert!(!vap_obs::recorder::ledger_enabled(), "no session installed in this binary");
-    ALLOC.start();
-    for _ in 0..100_000 {
-        vap_obs::ledger_tick(|| unreachable!("ledger closures must not run when disabled"));
-        vap_obs::decision(|| unreachable!("decision closures must not run when disabled"));
-    }
-    let counts = ALLOC.stop();
-    assert_eq!(
-        counts.allocs, 0,
-        "disabled ledger/decision sites allocated {} times — the off path must be allocation-free",
-        counts.allocs
-    );
-    assert_eq!(counts.reallocs, 0);
-    println!("alloc_regression: 100k disabled ledger_tick+decision: 0 allocs");
-
     println!("alloc_regression: ok");
 }

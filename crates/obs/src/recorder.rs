@@ -52,7 +52,7 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// Number of live sessions with the watt-provenance ledger armed. A
 /// separate gate from [`LIVE`] so `--metrics` runs don't pay ledger
 /// construction, and the ledger-off hot path stays one relaxed load
-/// (asserted by `crates/bench/tests/alloc_regression.rs`).
+/// (asserted by `tests/no_alloc.rs`).
 // vap:allow(shared-state-in-par): deliberately process-wide; a relaxed counter is race-safe and never feeds results
 static LEDGER: AtomicUsize = AtomicUsize::new(0);
 
