@@ -19,7 +19,8 @@
 //! `threads = 1` short-circuits to a plain serial loop over the *same*
 //! closure, so serial and parallel runs share one code path and are
 //! bit-for-bit identical by construction — the property the workspace
-//! `determinism` lint (PR 1) promises and `tests/determinism.rs` checks.
+//! `determinism` lint promises and the contract test in the workspace's
+//! `tests/golden_digests.rs` checks on every experiment's outputs.
 //!
 //! # Observability
 //!

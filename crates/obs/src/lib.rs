@@ -12,8 +12,8 @@
 //! * **Deterministic channel** — counters and histograms
 //!   ([`metrics::Metrics`]) recorded via [`incr`]/[`observe`]. These are
 //!   a pure function of the work executed: the exported `journal.jsonl`
-//!   is byte-identical between `--threads 1` and `--threads 4`
-//!   (`tests/determinism.rs`).
+//!   is byte-identical between `--threads 1` and `--threads 4` (the
+//!   contract test in the workspace's `tests/golden_digests.rs`).
 //! * **Wall-clock side channel** — [`span()`]s and per-item timing, which
 //!   measure real elapsed time and export only into the Chrome-trace
 //!   timeline (`trace.json`, loadable in Perfetto). Explicitly *not*

@@ -5,7 +5,8 @@
 //! surprises (`BTreeMap` keys). Merging two registries is commutative
 //! and associative, which is what lets per-cell metrics collected on
 //! arbitrary worker threads reduce to a byte-identical journal at any
-//! `--threads` count (`tests/determinism.rs`).
+//! `--threads` count (the contract test in the workspace's
+//! `tests/golden_digests.rs`).
 
 use std::collections::BTreeMap;
 
