@@ -76,17 +76,23 @@ impl PowerLimitRegister {
 /// `window = 2^Y · (1 + Z/4) / 2^TIME_UNIT_EXP` seconds, picking the
 /// representable value closest to (and defaulting to one time unit for
 /// sub-quantum requests).
+///
+/// The values rise with `(Y, Z)`, so the rounded errors fall to the
+/// closest value and never fall again after it: the search stops at the
+/// first error larger than the best, which the closest value precedes.
 fn encode_time_window(window: Seconds) -> (u32, u32) {
     let target = (window.value() * (1u64 << TIME_UNIT_EXP) as f64).max(1.0);
     let mut best = (0u32, 0u32);
     let mut best_err = f64::INFINITY;
-    for y in 0..32u32 {
+    'search: for y in 0..32u32 {
         for z in 0..4u32 {
             let v = (1u64 << y) as f64 * (1.0 + z as f64 / 4.0);
             let err = (v - target).abs();
             if err < best_err {
                 best_err = err;
                 best = (y, z);
+            } else if err > best_err {
+                break 'search;
             }
         }
     }
@@ -165,6 +171,38 @@ mod tests {
         let back = PowerLimitRegister::decode(reg.encode());
         assert!((back.limit.value() - 0x7FFF as f64 / 8.0).abs() < 1e-9);
         assert!(!back.enabled);
+    }
+
+    #[test]
+    fn time_window_search_stops_at_the_closest_value() {
+        // every (Y, Z) scanned, keeping the first of equally close values
+        let exhaustive = |window: Seconds| {
+            let target = (window.value() * (1u64 << TIME_UNIT_EXP) as f64).max(1.0);
+            (0..32u32)
+                .flat_map(|y| (0..4u32).map(move |z| (y, z)))
+                .map(|(y, z)| {
+                    ((y, z), ((1u64 << y) as f64 * (1.0 + z as f64 / 4.0) - target).abs())
+                })
+                .fold(((0, 0), f64::INFINITY), |best, c| if c.1 < best.1 { c } else { best })
+                .0
+        };
+        // 2^50 s and 2^45 s round every error to a few ulps, so equal
+        // errors come before the closest value
+        let mut windows = vec![0.0, -1.0, 1e-9, 1.0, 2f64.powi(45), 2f64.powi(50), 1e300];
+        windows.extend([f64::INFINITY, f64::NAN]);
+        for y in 0..34u32 {
+            for quarters in 0..8u32 {
+                // the grid values, the midpoints between them, and near misses
+                let units = (1u64 << y) as f64 * (1.0 + quarters as f64 / 8.0);
+                for u in [units, units * (1.0 + 1e-12), units * (1.0 - 1e-12), units + 0.3] {
+                    windows.push(u / (1u64 << TIME_UNIT_EXP) as f64);
+                }
+            }
+        }
+        windows.extend((1..2000).map(|ms| ms as f64 * 1e-4));
+        for w in windows {
+            assert_eq!(encode_time_window(Seconds(w)), exhaustive(Seconds(w)), "window {w} s");
+        }
     }
 
     #[test]
