@@ -138,6 +138,10 @@ impl CpuPowerModel {
         let (mut lo, mut hi) = (f_lo.value(), f_hi.value());
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);
+            // adjacent bounds: the midpoint is one of them, and nothing moves
+            if mid == lo || mid == hi {
+                break;
+            }
             if self.power(GigaHertz(mid), activity, variation, thermal) <= cap {
                 lo = mid;
             } else {

@@ -113,21 +113,30 @@ impl From<String> for Value {
 /// control character.
 pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
+    // copy each run of plain characters in one slice; the escaped ones are
+    // all ASCII, so every cut falls on a char boundary
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -840,9 +849,12 @@ mod tests {
             .field("c", &Some(f64::NEG_INFINITY))
             .field("d", &vec![1u64, 2])
             .field("e", &None::<u64>)
-            .field("f", "x\"y");
+            .field("f", "x\"y\\\n\r\t\u{8}\u{c}\u{1}\u{1f} é");
         o.end();
-        assert_eq!(out, r#"{"a":30,"b":null,"c":null,"d":[1,2],"e":null,"f":"x\"y"}"#);
+        assert_eq!(
+            out,
+            r#"{"a":30,"b":null,"c":null,"d":[1,2],"e":null,"f":"x\"y\\\n\r\t\b\f\u0001\u001f é"}"#
+        );
         let v = Value::object([("k", Value::from(f64::INFINITY)), ("n", Value::from(2.5))]);
         assert_eq!(v.to_json(), r#"{"k":null,"n":2.5}"#);
         assert_eq!(parse(&v.to_json()).unwrap(), v);
